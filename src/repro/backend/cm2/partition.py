@@ -18,6 +18,7 @@ from ...lowering.environment import Environment
 from ...runtime import host as h
 from ...transform.phases import PhaseClassifier, PhaseKind
 from . import fe_compiler as fe
+from .shiftfold import fold_shifts
 from .pe_compiler import (
     BackendError,
     BackendOptions,
@@ -75,6 +76,14 @@ class Cm2Compiler:
 
     def compile_program(self, program: nir.Program,
                         name: str | None = None) -> h.HostProgram:
+        """The host program, with every legal CSHIFT folded into its
+        readers (:mod:`.shiftfold`)."""
+        return fold_shifts(self.assemble(program, name), self.env)
+
+    def assemble(self, program: nir.Program,
+                 name: str | None = None) -> h.HostProgram:
+        """The host program as partitioned: every CSHIFT still a copy
+        into its temporary — the oracle shift folding is tested against."""
         body = program.body
         while isinstance(body, (nir.WithDomain, nir.WithDecl)):
             body = body.body

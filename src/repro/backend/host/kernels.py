@@ -37,7 +37,7 @@ from ...machine.ckernel import (
     retune,
     try_native,
 )
-from ...machine.kernel import _probe, try_kernel
+from ...machine.kernel import _probe, mark_in_place, run_kernel, try_kernel
 from ...machine.plan import _ComputeStep, get_plan
 
 #: ComputeStep ops the native emitter can prove IEEE-exact (the
@@ -81,12 +81,13 @@ def _slot_table(S, classes) -> list:
     return [a if a is not None else _DUMMY for a in S[:nslots]]
 
 
-def _native_kernel(machine, plan, sig, spec, classes, n, S):
+def _native_kernel(machine, plan, sig, spec, classes, n, S, shifts):
     """The cached per-routine native kernel, ``None`` when declined."""
-    key = (plan.serial, sig, classes, n, tuning_enabled())
+    key = (plan.serial, sig, classes, n, tuning_enabled(), shifts)
     kern = _NATIVE_CACHE.get(key)
     if kern is None:
-        kern = try_native(plan, spec, classes, n, _slot_table(S, classes))
+        kern = try_native(plan, spec, classes, n, _slot_table(S, classes),
+                          shifts)
         if kern is None:
             kern = _NO_NATIVE
         else:
@@ -113,14 +114,17 @@ def run_dispatch(machine, d) -> str:
         if spec is not None:
             probe = _probe(plan, d.streams)
             if probe is not None:
-                classes, n, S = probe
+                classes, n, S, shifts = probe
                 kern = _native_kernel(machine, plan, sig, spec,
-                                      classes, n, S)
+                                      classes, n, S, shifts)
                 if kern is not None:
                     with np.errstate(all="ignore"):
-                        kern(_slot_table(S, classes), d.scalars, n)
+                        run_kernel(kern, _slot_table(S, classes), d.scalars,
+                                   n, machine.pool)
+                    mark_in_place(d.streams, plan.used_pregs, classes, shifts)
                     return "native"
-            if try_kernel(plan, sig, spec, d.streams, d.scalars):
+            if try_kernel(plan, sig, spec, d.streams, d.scalars,
+                          machine.pool):
                 return "blocked"
     # Recording pass (first call per signature) or prover fallback:
     # plan.execute records the spec / runs the general step engine.

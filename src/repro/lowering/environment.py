@@ -44,6 +44,7 @@ class Symbol:
     extents: tuple[int, ...] = ()     # () for scalars
     domain: str | None = None         # domain name for arrays
     init: object | None = None        # folded initializer, if any
+    temp: bool = False                # compiler temporary (fresh_temp)
 
     @property
     def is_array(self) -> bool:
@@ -101,6 +102,7 @@ class Environment:
             type=nir.DField(nir.DomainRef(dom), element),
             extents=extents,
             domain=dom,
+            temp=True,
         )
         self.declare(sym)
         return sym

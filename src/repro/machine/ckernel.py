@@ -27,6 +27,15 @@ payload propagation), integer ops, allocating conversions — makes the
 emitter decline, and the caller falls back to the Python blocked
 kernel.
 
+A *shifted* operand (:mod:`repro.machine.shifted`) is indexed in
+place: the loop becomes a row loop over the last axis, each shifted
+operand gets a wrapped source-row offset per row, and the columns split
+at the wrap points into segments inside which the operand is
+``h[i + k]`` for a loop-invariant ``k`` — so the inner loop stays
+vectorisable.  Stores to a shifted operand's own source are staged
+through scratch and copied back after the loops
+(:class:`repro.machine.kernel.Staging`).
+
 ``REPRO_FUSED_CC=0`` disables native generation; it is also skipped
 automatically when no C compiler is on PATH.
 """
@@ -41,6 +50,7 @@ import tempfile
 
 import numpy as np
 
+from .kernel import Staging
 from .plan import (
     _R_CONST,
     _R_MEM,
@@ -112,15 +122,17 @@ def _literal(value) -> str:
 class _CKernel:
     """Callable with the blocked-kernel interface over a native loop."""
 
-    __slots__ = ("_fn", "_lib", "_nslots", "_sregs", "source", "native")
+    __slots__ = ("_fn", "_lib", "_nslots", "_sregs", "source", "native",
+                 "staged")
 
-    def __init__(self, fn, lib, nslots, sregs, source) -> None:
+    def __init__(self, fn, lib, nslots, sregs, source, staged=()) -> None:
         self._fn = fn
         self._lib = lib  # keeps the dlopen handle alive
         self._nslots = nslots
         self._sregs = sregs
         self.source = source
         self.native = True
+        self.staged = staged  # ((class, scratch class), ...): run_kernel
 
     def __call__(self, S, X, n) -> None:
         ptrs = (ctypes.c_void_p * self._nslots)(
@@ -131,7 +143,7 @@ class _CKernel:
 
 
 class _CEmitter:
-    def __init__(self, plan, spec, classes, n, S) -> None:
+    def __init__(self, plan, spec, classes, n, S, shifts=()) -> None:
         self.plan = plan
         self.spec = spec
         self.n = n
@@ -139,6 +151,10 @@ class _CEmitter:
         for cid in set(classes):
             if S[cid].dtype != np.float64:
                 raise _CBail
+        self.shifted = {cid: (shape, offsets)
+                        for cid, _, shape, offsets in shifts}
+        self.staging = Staging(plan.groups, self.cid_of, shifts)
+        self.g = 0  # group being emitted (staged loads depend on it)
         self.lines: list[str] = []
         self.used_cids: set[int] = set()
         self.used_sregs: set[int] = set()
@@ -150,9 +166,13 @@ class _CEmitter:
         self.lines.append(f"    const {ctype} {name} = {expr};")
         return name
 
-    def _mem(self, preg: int) -> str:
+    def _mem(self, preg: int, store: bool = False) -> str:
         cid = self.cid_of[preg]
+        cid = (self.staging.store(cid) if store
+               else self.staging.load(cid, self.g))
         self.used_cids.add(cid)
+        if cid in self.shifted:
+            return f"h{cid}[i + k{cid}]"
         return f"s{cid}[i]"
 
     def _read(self, rd, vmap) -> tuple[str, str]:
@@ -225,7 +245,7 @@ class _CEmitter:
 
     def build(self):
         vmap: dict[int, tuple[str, str]] = {}
-        for steps in self.plan.groups:
+        for self.g, steps in enumerate(self.plan.groups):
             pend: list[tuple[int, tuple[str, str]]] = []
             commits: list[str] = []
             for step in steps:
@@ -235,7 +255,8 @@ class _CEmitter:
                     expr, kind = self._read(step.reader, vmap)
                     if kind == "bool":
                         expr = f"(double)({expr})"
-                    commits.append(f"    {self._mem(step.preg)} = {expr};")
+                    commits.append(
+                        f"    {self._mem(step.preg, store=True)} = {expr};")
                 elif isinstance(step, _ComputeStep):
                     pend.append((step.dst, self._compute(step, vmap)))
                 elif not isinstance(step, _BranchStep):
@@ -249,23 +270,77 @@ class _CEmitter:
 
     def _emit(self):
         sregs = sorted(self.used_sregs)
+        gathers = sorted(self.used_cids & self.shifted.keys())
         pre = [f"  double *s{cid} = (double *)SP[{cid}];"
-               for cid in sorted(self.used_cids)]
+               for cid in sorted(self.used_cids - self.shifted.keys())]
+        pre += [f"  const double *h{cid} = (const double *)SP[{cid}];"
+                for cid in gathers]
         pre += [f"  const double x{k} = X[{j}];"
                 for j, k in enumerate(sregs)]
+        staged = self.staging.pairs
+        post = [f"  memcpy(s{cid}, s{scratch}, n * sizeof(double));"
+                for cid, scratch in staged]
+        if gathers:
+            loop, close = self._row_loops(gathers)
+            body = ["    " + line for line in self.lines]
+        else:
+            loop = ["  for (long i = 0; i < n; i++) {"]
+            close = ["  }"]
+            body = self.lines
         src = "\n".join(
-            ["#include <math.h>",
-             "void kernel(void **SP, const double *X, long n) {"]
-            + pre
-            + ["  for (long i = 0; i < n; i++) {"]
-            + self.lines
-            + ["  }", "}", ""])
-        nslots = max(self.cid_of.values(), default=-1) + 1
-        return _load(src, nslots, tuple(sregs))
+            ["#include <math.h>"]
+            + (["#include <string.h>"] if post else [])
+            + ["void kernel(void **SP, const double *X, long n) {"]
+            + pre + loop + body + close + post + ["}", ""])
+        nslots = max([*self.cid_of.values(),
+                      *self.staging.scratch.values()], default=-1) + 1
+        return _load(src, nslots, tuple(sregs), staged=staged)
+
+    def _row_loops(self, gathers) -> tuple[list[str], list[str]]:
+        """Row/segment/column loop heads for in-place shifted operands.
+
+        Rows are the last axis; the leading axes flatten into ``r``.
+        Per row each operand's wrapped source row gives ``b{cid}``, the
+        distance from the row's flat start to the source row's; the
+        columns split where some operand wraps, and inside a segment an
+        operand is ``h[i + k]`` with ``k`` loop-invariant.
+        """
+        shapes = {self.shifted[cid][0] for cid in gathers}
+        if len(shapes) != 1:
+            raise _CBail
+        shape = shapes.pop()
+        cols = shape[-1]
+        lead = shape[:-1]
+        rows = self.n // cols
+        cuts = sorted({0, cols} | {cols - self.shifted[cid][1][-1]
+                                   for cid in gathers})
+        loop = [f"  static const long cut[] = "
+                f"{{{', '.join(map(str, cuts))}}};",
+                f"  for (long r = 0; r < {rows}; r++) {{",
+                f"    const long o = r * {cols};"]
+        for cid in gathers:
+            offsets = self.shifted[cid][1]
+            terms = []
+            stride = 1
+            for extent, off in zip(reversed(lead), reversed(offsets[:-1])):
+                index = f"r / {stride} % {extent}"
+                if off:
+                    index = f"({index} + {off}) % {extent}"
+                terms.append(f"{index} * {stride}")
+                stride *= extent
+            row = " + ".join(terms) if any(offsets[:-1]) else "r"
+            loop.append(f"    const long b{cid} = ({row}) * {cols} - o;")
+        loop += [f"    for (int g = 0; g < {len(cuts) - 1}; g++) {{"]
+        for cid in gathers:
+            off = self.shifted[cid][1][-1]
+            loop.append(f"      const long k{cid} = b{cid} + "
+                        f"(cut[g] + {off} < {cols} ? {off} : {off - cols});")
+        loop += ["      for (long i = o + cut[g]; i < o + cut[g + 1]; i++) {"]
+        return loop, ["      }", "    }", "  }"]
 
 
 def _load(src: str, nslots: int, sregs: tuple,
-          extra_flags: tuple = ()) -> _CKernel:
+          extra_flags: tuple = (), staged: tuple = ()) -> _CKernel:
     key = (src, extra_flags)
     cached = _SO_CACHE.get(key)
     if cached is None:
@@ -289,7 +364,7 @@ def _load(src: str, nslots: int, sregs: tuple,
         fn.restype = None
         cached = _SO_CACHE[key] = (lib, fn)
     lib, fn = cached
-    return _CKernel(fn, lib, nslots, sregs, src)
+    return _CKernel(fn, lib, nslots, sregs, src, staged)
 
 
 def retune(kern, extra_flags: tuple) -> object:
@@ -304,16 +379,16 @@ def retune(kern, extra_flags: tuple) -> object:
         return kern
     try:
         return _load(kern.source, kern._nslots, kern._sregs,
-                     tuple(extra_flags))
+                     tuple(extra_flags), kern.staged)
     except _CBail:
         return kern
 
 
-def try_native(plan, spec, classes, n, S):
+def try_native(plan, spec, classes, n, S, shifts=()):
     """A compiled C kernel for the plan, or None to use the Python one."""
     if _compiler() is None:
         return None
     try:
-        return _CEmitter(plan, spec, classes, n, S).build()
+        return _CEmitter(plan, spec, classes, n, S, shifts).build()
     except _CBail:
         return None

@@ -23,6 +23,8 @@ from .execplan import Dispatch, resolve as resolve_fused
 from .geometry import Geometry, coordinate_array, make_geometry
 from .pe import SubgridStream, VectorExecutor
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
+from .shifted import (Shifted, ShiftedStream, materialize_streams,
+                      one_axis)
 from .stats import RunStats
 
 
@@ -92,6 +94,9 @@ class Machine:
         # simulated run pays for its own materialization even though
         # the host array comes from the shared process-wide cache.
         self._coords_charged: set[tuple] = set()
+        # CSHIFT prices by (priced array, dim, shift): the geometry of
+        # an allocated array never changes, so each is computed once.
+        self._shift_cycles: dict[tuple, int] = {}
         # Fused-dispatch state: per-site execution plans (persistent
         # bindings) and mega-kernel cache telemetry.  The telemetry is
         # machine-local and wall-clock flavored — it never feeds
@@ -102,6 +107,12 @@ class Machine:
             "megakernel_native": 0,
             "megakernel_hits": 0,
             "stepwise_groups": 0,
+            # Shifted operands per dispatch, by how they were consumed:
+            # read in place, read in place with the source's store
+            # staged, or copied for a consumer that cannot index them.
+            "shifts_folded": 0,
+            "shifts_staged": 0,
+            "shifts_materialized": 0,
         }
 
     # -- storage ---------------------------------------------------------
@@ -157,11 +168,11 @@ class Machine:
             return arr
         return arr[region_slices(region)]
 
-    def halo_subgrid(self, name: str, shift: int, dim: int) -> "np.ndarray":
-        """Ghost-augmented shifted view for a halo stream (§5.3.2).
+    def halo_subgrid(self, name: str, shift: int, dim: int) -> Shifted:
+        """Ghost-augmented shifted operand for a halo stream (§5.3.2).
 
         Performs the physical boundary exchange (charged to the
-        communication meter) and returns the shifted snapshot the node
+        communication meter) and returns the shifted operand the node
         program streams through; interior elements are local reads.
         """
         from .network import halo_exchange_cycles
@@ -169,7 +180,26 @@ class Machine:
         home = self.home(name)
         self.charge_comm(halo_exchange_cycles(self.model, home.geometry,
                                               dim, shift))
-        return np.roll(home.data, -shift, axis=dim - 1)
+        return Shifted(home.data, one_axis(home.data.ndim, dim, shift))
+
+    def shift_cycles(self, name: str, extents: tuple[int, ...],
+                     dim: int, shift: int) -> int:
+        """The price of ``CSHIFT(name, shift, dim)`` on this machine.
+
+        ``name`` need not be allocated: a folded temporary is priced
+        from its extents under the block layout it would have had.
+        """
+        key = (name, dim, shift)
+        cycles = self._shift_cycles.get(key)
+        if cycles is None:
+            from .network import cshift_cycles
+
+            home = self.arrays.get(name)
+            geom = (home.geometry if home is not None
+                    else make_geometry(extents, self.model.n_pes))
+            cycles = self._shift_cycles[key] = cshift_cycles(
+                self.model, geom, dim, shift)
+        return cycles
 
     # -- node dispatch ----------------------------------------------------
 
@@ -205,7 +235,8 @@ class Machine:
         """Dispatch one PEAC routine over bound operand streams.
 
         ``bindings`` maps parameter names to numpy views (``subgrid`` and
-        ``coord`` params) or scalars.  ``region_extents`` sizes the
+        ``coord`` params), :class:`~repro.machine.shifted.Shifted`
+        operands, or scalars.  ``region_extents`` sizes the
         virtual subgrid loop; ``real_elements`` (default: the region
         size) scales useful-flop accounting when padding is in play.
         """
@@ -240,6 +271,9 @@ class Machine:
             if self.exec_mode == "fused":
                 plan, S = resolve_fused(self, site, dispatches)
             if plan is None:
+                # Every shifted operand means its source at batch start.
+                for d in dispatches:
+                    materialize_streams(d.streams)
                 for d in dispatches:
                     self._execute_dispatch(d)
                     self._account_call(d)
@@ -277,7 +311,10 @@ class Machine:
                 if not isinstance(param.reg, PReg):
                     raise MachineError(
                         f"{routine.name}: '{param.name}' needs a pointer reg")
-                streams[param.reg.n] = SubgridStream(value, name=param.name)
+                streams[param.reg.n] = (
+                    ShiftedStream(value, param.name, self.pool)
+                    if isinstance(value, Shifted)
+                    else SubgridStream(value, name=param.name))
             elif param.kind == "scalar":
                 if not isinstance(param.reg, SReg):
                     raise MachineError(
@@ -312,6 +349,7 @@ class Machine:
 
     def _execute_dispatch(self, d: Dispatch) -> None:
         if self.exec_mode == "interp":
+            materialize_streams(d.streams)
             executor = VectorExecutor()
             for n, stream in enumerate(d.streams):
                 if stream is not None:
@@ -326,6 +364,9 @@ class Machine:
     def _release(self, d: Dispatch) -> None:
         for scratch in d.spill_bufs:
             self.pool.release(scratch)
+        for stream in d.shifted:
+            self.fusion_metrics[f"shifts_{stream.state}"] += 1
+            stream.release()
 
     def _account_call(self, d: Dispatch) -> None:
         node = d.trips * d.plan.cycles_per_trip(self.model)
@@ -344,10 +385,11 @@ class Machine:
         return {
             "fused_groups": self.stats.fused_groups,
             "fused_routines": self.stats.fused_routines,
-            "megakernel_builds": self.fusion_metrics["megakernel_builds"],
-            "megakernel_native": self.fusion_metrics["megakernel_native"],
-            "megakernel_hits": self.fusion_metrics["megakernel_hits"],
-            "stepwise_groups": self.fusion_metrics["stepwise_groups"],
+            **{key: self.fusion_metrics[key]
+               for key in ("megakernel_builds", "megakernel_native",
+                           "megakernel_hits", "stepwise_groups",
+                           "shifts_folded", "shifts_staged",
+                           "shifts_materialized")},
         }
 
     # -- accounting helpers -------------------------------------------------

@@ -47,7 +47,8 @@ import numpy as np
 
 from ..peac.isa import Mem, NUM_SREGS, NUM_VREGS
 from .ckernel import try_native
-from .kernel import _NO_KERNEL, _build
+from .kernel import (_NO_KERNEL, _build, _same_memory, mark_in_place,
+                     run_kernel)
 from .plan import (
     _R_CONST,
     _R_MEM,
@@ -59,14 +60,15 @@ from .plan import (
     _MoveStep,
     _StoreStep,
 )
+from .shifted import ShiftedStream, materialize_streams
 
 
 class Dispatch:
     """One prepared node call: resolved streams, scalars and accounting."""
 
-    __slots__ = ("routine", "plan", "streams", "scalars", "pushes",
-                 "scalar_pushes", "spill_bufs", "spill_pregs", "trips",
-                 "elements")
+    __slots__ = ("routine", "plan", "streams", "shifted", "scalars",
+                 "pushes", "scalar_pushes", "spill_bufs", "spill_pregs",
+                 "trips", "elements")
 
     def __init__(self, routine, plan, streams, scalars, pushes,
                  scalar_pushes, spill_bufs, spill_pregs, trips,
@@ -74,6 +76,10 @@ class Dispatch:
         self.routine = routine
         self.plan = plan
         self.streams = streams
+        # The shifted streams among them, kept apart so they can be
+        # released (and counted) after ``streams`` swapped in copies.
+        self.shifted = [st for st in streams
+                        if isinstance(st, ShiftedStream)]
         self.scalars = scalars
         self.pushes = pushes
         self.scalar_pushes = scalar_pushes
@@ -181,7 +187,7 @@ class ExecutionPlan:
     KERNEL_CAP = 4  # signature specializations held per site
 
     def __init__(self, dispatches, trips, n, nslots, slot_maps, expects,
-                 spill_lists, stream_slots) -> None:
+                 spill_lists, stream_slots, shifts) -> None:
         self.plans = tuple(d.plan for d in dispatches)
         self.serials = tuple(p.serial for p in self.plans)
         self.names = tuple(p.name for p in self.plans)
@@ -192,6 +198,9 @@ class ExecutionPlan:
         self.slot_maps = slot_maps
         self.expects = expects
         self.spill_lists = spill_lists
+        #: ``(slot, staged source slot or None, shape, offsets)`` per
+        #: shifted operand, as the kernel builders take them.
+        self.shifts = shifts
         # One push per distinct stream slot, per scalar argument, plus
         # the shared vlen: duplicate pointer arguments collapse.
         self.pushes = (stream_slots
@@ -211,7 +220,11 @@ class ExecutionPlan:
         slot table: every stream contiguous with one common flat length,
         and no stored slot overlapping a *distinct* slot.  The verdict
         depends only on plans, shapes and alias classes — so fused cost
-        accounting is deterministic run to run.
+        accounting is deterministic run to run.  A shifted operand is
+        one slot per operand key holding its *source*, exempt from the
+        overlap rule as the private copy it replaces was: a stored slot
+        that is exactly that source gets staged (``shifts`` carries the
+        pairing to the kernel builders).
         """
         if len(dispatches) < 2:
             return None
@@ -221,6 +234,7 @@ class ExecutionPlan:
         n = None
         ident: dict = {}
         arrays: list[np.ndarray] = []
+        operands: dict[int, object] = {}
         slot_maps, expects, spill_lists = [], [], []
         stored_slots: set[int] = set()
         for d in dispatches:
@@ -233,7 +247,8 @@ class ExecutionPlan:
                 stream = d.streams[p]
                 if stream is None:
                     return None
-                view = stream.view
+                operand = getattr(stream, "operand", None)
+                view = stream.view if operand is None else operand.base
                 if (not isinstance(view, np.ndarray)
                         or not view.flags["C_CONTIGUOUS"]):
                     return None
@@ -247,35 +262,49 @@ class ExecutionPlan:
                     arrays.append(flat)
                     spl.append((p, slot))
                 else:
-                    key = (view.__array_interface__["data"][0],
-                           view.dtype.str)
+                    where = (view.__array_interface__["data"][0],
+                             view.dtype.str)
+                    shift = (None if operand is None
+                             else (operand.key, operand.offsets))
+                    key = where if shift is None else ("shift", shift[0])
                     slot = ident.get(key)
                     if slot is None:
                         slot = len(arrays)
                         ident[key] = slot
                         arrays.append(flat)
-                    exp.append((p, slot, key[0], key[1]))
+                        if operand is not None:
+                            operands[slot] = operand
+                    exp.append((p, slot, *where, shift))
                 smap[p] = slot
                 if p in plan.stored_pregs:
                     stored_slots.add(slot)
             slot_maps.append(smap)
             expects.append(tuple(exp))
             spill_lists.append(tuple(spl))
-        if not n:
+        if not n or stored_slots & operands.keys():
             return None
+        staged_base: dict[int, int] = {}
         for s in sorted(stored_slots):
             a = arrays[s]
             for t, b in enumerate(arrays):
-                if t != s and np.may_share_memory(a, b):
+                if t == s or not np.may_share_memory(a, b):
+                    continue
+                if t in operands and _same_memory(a, b):
+                    staged_base[t] = s
+                else:
                     return None
+        shifts = tuple((slot, staged_base.get(slot), op.base.shape,
+                        op.offsets)
+                       for slot, op in sorted(operands.items()))
         return cls(dispatches, trips, n, len(arrays), tuple(slot_maps),
-                   tuple(expects), tuple(spill_lists), len(ident))
+                   tuple(expects), tuple(spill_lists), len(ident), shifts)
 
     def rebind(self, dispatches) -> list | None:
         """The fused slot table for this trip, or None when stale.
 
         Validates plan identity (a recompiled routine fails here) and
-        every non-spill stream's pointer, dtype and contiguity against
+        every non-spill stream's pointer, dtype and contiguity (for a
+        shifted operand: its source's, plus key and offsets) against
         the build-time bindings; spill slots take whatever scratch this
         trip drew from the pool.
         """
@@ -285,11 +314,20 @@ class ExecutionPlan:
         for i, d in enumerate(dispatches):
             if d.plan is not self.plans[i] or d.trips != self.trips:
                 return None
-            for p, slot, ptr, dts in self.expects[i]:
+            for p, slot, ptr, dts, shift in self.expects[i]:
                 stream = d.streams[p]
                 if stream is None:
                     return None
-                view = stream.view
+                operand = getattr(stream, "operand", None)
+                if shift is None:
+                    if operand is not None:
+                        return None
+                    view = stream.view
+                elif (operand is None
+                      or (operand.key, operand.offsets) != shift):
+                    return None
+                else:
+                    view = operand.base
                 if (not isinstance(view, np.ndarray)
                         or view.__array_interface__["data"][0] != ptr
                         or view.dtype.str != dts
@@ -367,9 +405,17 @@ class ExecutionPlan:
             for d in dispatches:
                 X.extend(d.scalars)
             with np.errstate(all="ignore"):
-                kern(S, X, self.n)
+                run_kernel(kern, S, X, self.n, machine.pool)
+            if self.shifts:
+                for d, smap in zip(dispatches, self.slot_maps):
+                    pregs = d.plan.used_pregs
+                    mark_in_place(d.streams, pregs,
+                                  [smap[p] for p in pregs], self.shifts)
         else:
             machine.fusion_metrics["stepwise_groups"] += 1
+            # Every shifted operand means its source at group start.
+            for d in dispatches:
+                materialize_streams(d.streams)
             for d in dispatches:
                 d.plan.execute(d.streams, d.scalars, machine.pool)
 
@@ -397,7 +443,7 @@ class ExecutionPlan:
             # separately so simulated targets keep the baseline one.
             tune = getattr(machine, "tune_kernel", None)
             key = (self.serials, self._slot_key, sigs, self.n,
-                   getattr(machine, "kernel_flavor", None))
+                   getattr(machine, "kernel_flavor", None), self.shifts)
             kern = _MEGA_KERNELS.get(key)
             if kern is None:
                 S = self.rebind(dispatches)
@@ -406,9 +452,11 @@ class ExecutionPlan:
                 identity = tuple(range(self.nslots))
                 # Prefer a native per-element loop (intermediates stay
                 # in registers); decline -> the Python blocked kernel.
-                kern = try_native(merged, mspec, identity, self.n, S)
+                kern = try_native(merged, mspec, identity, self.n, S,
+                                  self.shifts)
                 if kern is None:
-                    kern = _build(merged, mspec, identity, self.n, S)
+                    kern = _build(merged, mspec, identity, self.n, S,
+                                  self.shifts)
                 else:
                     if tune is not None:
                         kern = tune(kern)

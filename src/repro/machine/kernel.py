@@ -32,6 +32,14 @@ non-contiguous streams, mismatched stream lengths, scalar-shaped
 intermediates, allocating ops like conversions) falls back to the plan's
 step engine, which remains fully general.
 
+A *shifted* operand (:mod:`repro.machine.shifted`) is read in place:
+blocks become whole leading-axis slabs and each block gathers the
+operand through a :class:`~repro.machine.shifted.BlockGather` (a plain
+slice for an axis-0 shift, a cache-resident two-block copy otherwise).
+When the routine also stores the shifted operand's source, that store
+is staged through scratch (:class:`Staging`) and copied back after
+the loop.
+
 ``REPRO_FAST_BLOCK`` tunes the block length in elements (default
 16384); ``REPRO_FAST_KERNEL=0`` disables code generation entirely so
 the step engine can be exercised on its own.
@@ -43,6 +51,7 @@ import os
 
 import numpy as np
 
+from .shifted import BlockGather, ShiftedStream
 from .plan import (
     _FMA_FNS,
     _OUT_FNS,
@@ -82,7 +91,7 @@ class _Val:
 
     def __init__(self, kind: str, *, cid=None, sreg=None, const=None,
                  dtype=None, defg=0) -> None:
-        self.kind = kind            # "src" | "buf" | "scal" | "const"
+        self.kind = kind            # "src"|"gath"|"buf"|"scal"|"const"
         self.cid = cid              # alias-class id (stream values)
         self.sreg = sreg
         self.const = const
@@ -98,7 +107,7 @@ class _Val:
 
     @property
     def is_array(self) -> bool:
-        return self.kind in ("src", "buf")
+        return self.kind in ("src", "gath", "buf")
 
     def last_use(self) -> int:
         last = self.defg
@@ -118,7 +127,7 @@ class _Bail(Exception):
 # ---------------------------------------------------------------------------
 
 
-def try_kernel(plan, sig, spec, streams, scalars) -> bool:
+def try_kernel(plan, sig, spec, streams, scalars, pool) -> bool:
     """Run the compiled kernel for this call if one applies.
 
     Returns True when the kernel executed (the call is done); False
@@ -127,40 +136,120 @@ def try_kernel(plan, sig, spec, streams, scalars) -> bool:
     probe = _probe(plan, streams)
     if probe is None:
         return False
-    classes, n, S = probe
-    key = (sig, classes, n)
+    classes, n, S, shifts = probe
+    key = (sig, classes, n, shifts)
     kern = plan._kernels.get(key)
     if kern is None:
-        kern = _build(plan, spec, classes, n, S)
+        kern = _build(plan, spec, classes, n, S, shifts)
         if len(plan._kernels) >= _KERNEL_CAP:
             plan._kernels.pop(next(iter(plan._kernels)))
         plan._kernels[key] = kern
     if kern is _NO_KERNEL:
         return False
     with np.errstate(all="ignore"):
-        kern(S, scalars, n)
+        run_kernel(kern, S, scalars, n, pool)
+    mark_in_place(streams, plan.used_pregs, classes, shifts)
     return True
+
+
+def run_kernel(kern, S, X, n, pool) -> None:
+    """Call a kernel, lending it pooled scratch for its staged stores."""
+    staged = kern.staged
+    if not staged:
+        kern(S, X, n)
+        return
+    S = list(S)
+    S.extend([None] * (staged[-1][1] + 1 - len(S)))
+    for cid, scratch in staged:
+        S[scratch] = pool.acquire((n,), S[cid].dtype)
+    try:
+        kern(S, X, n)
+    finally:
+        for _, scratch in staged:
+            pool.release(S[scratch])
+
+
+def mark_in_place(streams, pregs, classes, shifts) -> None:
+    """Record on each shifted stream that a kernel read it in place."""
+    staged = {cid for cid, base, _, _ in shifts if base is not None}
+    for p, cid in zip(pregs, classes):
+        stream = streams[p]
+        if isinstance(stream, ShiftedStream):
+            stream.state = "staged" if cid in staged else "folded"
+
+
+class Staging:
+    """Which stored classes are staged, and from which group on.
+
+    A kernel runs element by element (or block by block), so a store to
+    the class an in-place shifted operand reads would overwrite
+    neighbours a later element still has to see through the shift.
+    Those stores go to a scratch class instead and are copied back
+    after the loop; a plain read of the class *after* the first store
+    (in group order) reads the scratch, where its own element already
+    landed.  Everything else about the two classes is ordinary, so the
+    emitters' hazard and forwarding rules need no special case.
+
+    ``pairs`` is ``((class, scratch class), ...)`` — what
+    :func:`run_kernel` lends scratch for and the kernel copies back;
+    scratch classes are numbered after the highest class in use.
+    """
+
+    def __init__(self, groups, cid_of: dict, shifts) -> None:
+        bases = {base for _, base, _, _ in shifts if base is not None}
+        self.first: dict[int, int] = {}   # class -> first storing group
+        if bases:
+            for g, steps in enumerate(groups):
+                for step in steps:
+                    if isinstance(step, _StoreStep):
+                        cid = cid_of[step.preg]
+                        if cid in bases:
+                            self.first.setdefault(cid, g)
+        top = max(cid_of.values(), default=-1) + 1
+        self.scratch = {cid: top + j
+                        for j, cid in enumerate(sorted(self.first))}
+        self.pairs = tuple(sorted(self.scratch.items()))
+
+    def load(self, cid: int, g: int) -> int:
+        """The class a read of ``cid`` at group ``g`` goes to."""
+        if cid in self.scratch and g > self.first[cid]:
+            return self.scratch[cid]
+        return cid
+
+    def store(self, cid: int) -> int:
+        return self.scratch.get(cid, cid)
+
+
+def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two equal-length flat arrays over exactly the same elements."""
+    return (a.dtype == b.dtype and a.__array_interface__["data"][0]
+            == b.__array_interface__["data"][0])
 
 
 def _probe(plan, streams):
     """Dynamic eligibility: contiguous equal-length streams, safe aliasing.
 
-    Returns ``(classes, n, S)`` — the alias-class id per used pointer
-    register, the common stream length, and the flat per-preg arrays —
-    or None when this call's bindings need the step engine.
+    Returns ``(classes, n, S, shifts)`` — the alias-class id per used
+    pointer register, the common stream length, the flat per-preg
+    arrays, and one ``(class, staged base class or None, shape,
+    offsets)`` per shifted operand (``S`` holds its *source*) — or None
+    when this call's bindings need the step engine.
     """
     pregs = plan.used_pregs
     if not pregs:
         return None
     n = -1
     S: list = [None] * len(streams)
+    views: list = [None] * len(streams)
     ident: dict = {}
     cid_of: dict[int, int] = {}
+    shifted: dict[int, object] = {}
     for p in pregs:
         stream = streams[p]
         if stream is None:
             return None
-        view = stream.view
+        operand = getattr(stream, "operand", None)
+        view = stream.view if operand is None else operand.base
         if not isinstance(view, np.ndarray) or not view.flags["C_CONTIGUOUS"]:
             return None
         flat = view.reshape(-1)
@@ -169,20 +258,40 @@ def _probe(plan, streams):
         elif flat.size != n:
             return None
         S[p] = flat
-        key = (view.__array_interface__["data"][0], view.dtype.str)
-        cid_of[p] = ident.setdefault(key, p)
+        views[p] = view
+        if operand is None:
+            key = (view.__array_interface__["data"][0], view.dtype.str)
+        else:
+            key = ("shift", operand.key)
+        cid = cid_of[p] = ident.setdefault(key, p)
+        if operand is not None:
+            shifted[cid] = operand
     if n <= 0:
         return None
     # Stored classes must not overlap any *distinct* operand view: two
     # identical views are one class (safe), anything else would let a
     # blocked store corrupt elements another block still has to read.
+    # The one exception is a shifted operand's own source stored whole:
+    # that store is staged (see Staging).
+    staged_base: dict[int, int] = {}
     for sp in plan.stored_pregs:
         scid = cid_of[sp]
+        if scid in shifted:
+            return None
         a = S[sp]
         for p in pregs:
-            if cid_of[p] != scid and np.may_share_memory(a, S[p]):
-                return None
-    return tuple(cid_of[p] for p in pregs), n, S
+            cid = cid_of[p]
+            if cid == scid:
+                continue
+            if cid in shifted and views[p] is views[sp]:
+                staged_base[cid] = scid
+            elif np.may_share_memory(a, S[p]):
+                if cid not in shifted or not _same_memory(S[p], a):
+                    return None
+                staged_base[cid] = scid
+    shifts = tuple((cid, staged_base.get(cid), op.base.shape, op.offsets)
+                   for cid, op in sorted(shifted.items()))
+    return tuple(cid_of[p] for p in pregs), n, S, shifts
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +299,27 @@ def _probe(plan, streams):
 # ---------------------------------------------------------------------------
 
 
-def _build(plan, spec, classes, n, S):
+def _build(plan, spec, classes, n, S, shifts=()):
     try:
-        return _Builder(plan, spec, classes, n, S).build()
+        return _Builder(plan, spec, classes, n, S, shifts).build()
     except _Bail:
         return _NO_KERNEL
 
 
 class _Builder:
-    def __init__(self, plan, spec, classes, n, S) -> None:
+    def __init__(self, plan, spec, classes, n, S, shifts=()) -> None:
         self.plan = plan
         self.spec = spec
         self.n = n
         self.cid_of = dict(zip(plan.used_pregs, classes))
         self.class_dtype = {cid: S[cid].dtype for cid in set(classes)}
+        self.shifted = {cid: (shape, offsets)
+                        for cid, _, shape, offsets in shifts}
+        self.staging = Staging(plan.groups, self.cid_of, shifts)
+        for cid, scratch in self.staging.pairs:
+            self.class_dtype[scratch] = self.class_dtype[cid]
         self.src_vals: list[_Val] = []
+        self.gath_vals: dict[int, _Val] = {}   # shifted class -> its block
         self.buf_vals: list[_Val] = []
         self.aux_vals: list[_Val] = []
         self.store_sites: list[dict] = []
@@ -254,24 +369,39 @@ class _Builder:
         if tag == _R_CONST:
             return _Val("const", const=rd[1])
         # _R_MEM: a chained operand read at this group
-        val = _Val("src", cid=self.cid_of[rd[1]],
-                   dtype=self.class_dtype[self.cid_of[rd[1]]], defg=g)
+        return self._stream(rd[1], g)
+
+    def _stream(self, preg: int, g: int) -> _Val:
+        """The value a read of ``preg`` at group ``g`` sees.
+
+        A plain stream is a lazy slice, one value per read.  A shifted
+        operand is never stored, so every read sees the same block: one
+        value per class, gathered just before its first use into a
+        block buffer the allocator hands out like any other.
+        """
+        cid = self.staging.load(self.cid_of[preg], g)
+        if cid in self.shifted:
+            val = self.gath_vals.get(cid)
+            if val is None:
+                val = self.gath_vals[cid] = _Val(
+                    "gath", cid=cid, dtype=self.class_dtype[cid], defg=g)
+            return val
+        val = _Val("src", cid=cid, dtype=self.class_dtype[cid], defg=g)
         self.src_vals.append(val)
         return val
 
     def _eval_move(self, step, vmap, g) -> _Val:
         rd = step.reader
         if rd[0] == _R_MEM:
-            val = _Val("src", cid=self.cid_of[rd[1]],
-                       dtype=self.class_dtype[self.cid_of[rd[1]]], defg=g)
-            self.src_vals.append(val)
-            self.slots[g].append(("load", val))
+            val = self._stream(rd[1], g)
+            if val.kind == "src":
+                self.slots[g].append(("load", val))
             return val
         return self._term(rd, vmap, g)
 
     def _eval_store(self, step, vmap, g) -> None:
         term = self._term(step.reader, vmap, g)
-        cid = self.cid_of[step.preg]
+        cid = self.staging.store(self.cid_of[step.preg])
         site = {"g": g, "cid": cid, "term": term, "elide": False}
         if term.is_array:
             term.uses.append(g)
@@ -369,6 +499,7 @@ class _Builder:
         need += [v for v in self.buf_vals
                  if v.fwd_cid is None and (v.uses or v.store_sites)]
         need += self.aux_vals
+        need += [v for v in self.gath_vals.values() if v.uses]
         need.sort(key=lambda v: v.defg)
         self.phys: list[np.dtype] = []
         free: dict[str, list[int]] = {}
@@ -410,6 +541,8 @@ class _Builder:
     def _expr(self, val: _Val) -> str:
         if val.kind == "src":
             return val.name if val.mat else f"s{val.cid}[b:e]"
+        if val.kind == "gath":
+            return f"h{val.cid}"
         if val.kind == "buf":
             return f"s{val.fwd_cid}[b:e]" if val.fwd_cid is not None \
                 else val.name
@@ -423,15 +556,20 @@ class _Builder:
         used_sregs: set[int] = set()
 
         def note(val: _Val) -> None:
-            if val.kind == "src" or (val.kind == "buf"
-                                     and val.fwd_cid is not None):
-                used_cids.add(val.cid if val.kind == "src" else val.fwd_cid)
+            if val.kind in ("src", "gath"):
+                used_cids.add(val.cid)
+            elif val.kind == "buf" and val.fwd_cid is not None:
+                used_cids.add(val.fwd_cid)
             elif val.kind == "scal":
                 used_sregs.add(val.sreg)
 
         for g, slot in enumerate(self.slots):
             evals: list[str] = []
             commits: list[str] = []
+            for val in self.gath_vals.values():
+                if val.defg == g and val.uses:   # gathered at first use
+                    used_cids.add(val.cid)
+                    evals.append(f"h{val.cid} = G{val.cid}(s{val.cid}, a, z)")
             for entry in slot:
                 kind = entry[0]
                 if kind == "load":
@@ -469,33 +607,60 @@ class _Builder:
         if not lines:
             raise _Bail
 
-        bs = min(self.n, _block_elements())
         glb: dict = {"_cp": np.copyto}
         for name, fn in self.fns.values():
             glb[name] = fn
         for name, value in self.consts.values():
             glb[name] = value
-        for i, dt in enumerate(self.phys):
-            glb[f"B{i}"] = np.empty(bs, dtype=dt)
 
         pre = [f"s{cid} = S[{cid}]" for cid in sorted(used_cids)]
         pre += [f"x{k} = X[{k}]" for k in sorted(used_sregs)]
         pre += self.hoists
-        body = [f"def _kernel(S, X, n):"]
+        body = ["def _kernel(S, X, n):"]
         body += [f"    {p}" for p in pre]
-        body += ["    b = 0",
-                 "    while b < n:",
-                 f"        e = b + {bs}",
-                 "        if e > n: e = n",
-                 "        m = e - b"]
+        gathers = [val for val in self.gath_vals.values() if val.uses]
+        if gathers:
+            # Blocks are whole leading-axis slabs, so every shifted
+            # operand's block is a rectangle of its source.
+            shapes = {self.shifted[val.cid][0] for val in gathers}
+            if len(shapes) != 1:
+                raise _Bail
+            shape = shapes.pop()
+            plane = self.n // shape[0]
+            slabs = max(1, min(shape[0], _block_elements() // plane))
+            bs = slabs * plane
+            body += ["    a = 0",
+                     f"    while a < {shape[0]}:",
+                     f"        z = a + {slabs}",
+                     f"        if z > {shape[0]}: z = {shape[0]}",
+                     f"        b = a * {plane}",
+                     f"        e = z * {plane}",
+                     "        m = e - b"]
+            step = "        a = z"
+        else:
+            bs = min(self.n, _block_elements())
+            body += ["    b = 0",
+                     "    while b < n:",
+                     f"        e = b + {bs}",
+                     "        if e > n: e = n",
+                     "        m = e - b"]
+            step = "        b = e"
+        for i, dt in enumerate(self.phys):
+            glb[f"B{i}"] = np.empty(bs, dtype=dt)
+        for val in gathers:
+            glb[f"G{val.cid}"] = BlockGather(
+                shape, self.shifted[val.cid][1], glb["B" + val.name[1:]])
         body += [f"        v{i} = B{i}[:m]" for i in range(len(self.phys))]
         body += [f"        {ln}" for ln in lines]
-        body += ["        b = e"]
+        body += [step]
+        staged = self.staging.pairs
+        body += [f"    _cp(S[{cid}], S[{scratch}])" for cid, scratch in staged]
         src = "\n".join(body) + "\n"
         code = compile(src, f"<kernel:{self.plan.name}>", "exec")
         exec(code, glb)
         kernel = glb["_kernel"]
         kernel.source = src
+        kernel.staged = staged
         return kernel
 
     def _emit_compute(self, step, args, out, aux) -> list[str]:

@@ -47,6 +47,11 @@ class SubgridStream:
     view: np.ndarray
     name: str = "?"
 
+    @property
+    def proto(self) -> np.ndarray:
+        """An array with the stream's shape and dtype (here: the view)."""
+        return self.view
+
     def read(self) -> np.ndarray:
         return np.ravel(self.view).copy()
 

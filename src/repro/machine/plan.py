@@ -56,6 +56,7 @@ from ..peac.isa import (
 )
 from .costs import CostModel
 from .pe import ExecutionError, SubgridStream, _APPLY
+from .shifted import ShiftedStream, materialize_streams
 
 
 _UNBOUND = object()
@@ -627,7 +628,7 @@ class RoutinePlan:
             if st is None:
                 s_sig.append(None)
             else:
-                view = st.view
+                view = st.proto
                 if not isinstance(view, np.ndarray):
                     view = np.asarray(view)
                 s_sig.append((view.shape, view.dtype.str))
@@ -657,8 +658,15 @@ class RoutinePlan:
         if spec is not None and os.environ.get("REPRO_FAST_KERNEL") != "0":
             from .kernel import try_kernel
 
-            if try_kernel(self, sig, spec, streams, scalars):
+            if try_kernel(self, sig, spec, streams, scalars, pool):
                 return
+            # A shifted operand the kernel could not read in place still
+            # runs blocked over its copy, as it did before folding.
+            if any(isinstance(st, ShiftedStream) for st in streams):
+                materialize_streams(streams)
+                if try_kernel(self, sig, spec, streams, scalars, pool):
+                    return
+        materialize_streams(streams)
         frame = _Frame(streams, scalars, pool, spec)
         try:
             with np.errstate(all="ignore"):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .. import nir
 from ..machine import network
+from ..machine.shifted import one_axis, shifted_into
 from .nir_eval import NirEvaluator
 
 
@@ -64,27 +65,8 @@ def _write(view: np.ndarray, value) -> None:
     np.copyto(view, arr, casting="unsafe")
 
 
-def _shifted_into(out: np.ndarray, src: np.ndarray, r: int,
-                  axis: int) -> None:
-    """``np.roll(src, r, axis)`` written directly into ``out``."""
-    if r == 0:
-        np.copyto(out, src, casting="unsafe")
-        return
-    n = src.shape[axis]
-    lo = [slice(None)] * src.ndim
-    hi = [slice(None)] * src.ndim
-    slo = [slice(None)] * src.ndim
-    shi = [slice(None)] * src.ndim
-    lo[axis] = slice(0, r)
-    slo[axis] = slice(n - r, None)
-    hi[axis] = slice(r, None)
-    shi[axis] = slice(None, n - r)
-    np.copyto(out[tuple(lo)], src[tuple(slo)], casting="unsafe")
-    np.copyto(out[tuple(hi)], src[tuple(shi)], casting="unsafe")
-
-
 def _shifted_copy(machine, view: np.ndarray, src: np.ndarray,
-                  shift: int, axis: int) -> None:
+                  offsets: tuple[int, ...]) -> None:
     """One-pass CSHIFT: the roll lands straight in the target view.
 
     The generic path materializes ``np.roll`` (an allocation and a full
@@ -92,14 +74,13 @@ def _shifted_copy(machine, view: np.ndarray, src: np.ndarray,
     just two block copies, so write them directly — via a pooled
     staging buffer only when source and target share memory.
     """
-    r = (-int(shift)) % src.shape[axis]
-    if np.shares_memory(view, src):
+    if np.may_share_memory(view, src):
         tmp = machine.pool.acquire(src.shape, src.dtype)
-        _shifted_into(tmp, src, r, axis)
+        shifted_into(tmp, src, offsets)
         np.copyto(view, tmp, casting="unsafe")
         machine.pool.release(tmp)
     else:
-        _shifted_into(view, src, r, axis)
+        shifted_into(view, src, offsets)
 
 
 def _primary_array(value: nir.Value) -> str | None:
@@ -110,8 +91,26 @@ def _primary_array(value: nir.Value) -> str | None:
 
 
 def execute_comm(machine, evaluator: NirEvaluator,
-                 clause: nir.MoveClause, kind: str) -> None:
-    """Perform one communication MOVE and charge the network meter."""
+                 clause: nir.MoveClause, kind: str,
+                 const: tuple | None = None) -> None:
+    """Perform one communication MOVE and charge the network meter.
+
+    ``const`` is what the backend resolved at compile time for a
+    whole-array CSHIFT by constants — ``(source, extents, dim, shift)``
+    — so the per-call work is the copy and a price lookup.  Kind
+    ``"folded"`` is such a shift whose readers index the source in
+    place (``clause`` is then the host program's ``FoldedShift``, kept
+    only for wrappers that trace calls): it is priced, never copied.
+    """
+    if const is not None:
+        src_name, extents, dim, shift = const
+        if kind != "folded":
+            src = machine.home(src_name).data
+            _shifted_copy(machine, machine.home(clause.tgt.name).data, src,
+                          one_axis(src.ndim, dim, shift))
+        machine.charge_comm(machine.shift_cycles(src_name, extents, dim,
+                                                 shift))
+        return
     if clause.mask != nir.TRUE:
         raise RuntimeError_("communication phases are unmasked")
     if not isinstance(clause.tgt, nir.AVar):
@@ -143,7 +142,8 @@ def execute_comm(machine, evaluator: NirEvaluator,
         dim = int(evaluator.eval_scalar(call.args[dim_index]))
         if src_arr is not None:
             if 1 <= dim <= src_arr.ndim:
-                _shifted_copy(machine, view, src_arr, shift, dim - 1)
+                _shifted_copy(machine, view, src_arr,
+                              one_axis(src_arr.ndim, dim, shift))
             else:
                 _write(view, evaluator.eval(clause.src))
         machine.charge_comm(network.cshift_cycles(model, geom, dim, shift))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .. import nir
 from ..machine.plan import get_plan
+from ..machine.shifted import Shifted
 from ..peac.isa import Routine
 from . import cmrt
 from .nir_eval import NirEvaluator
@@ -35,6 +36,10 @@ class Alloc(HostOp):
     extents: tuple[int, ...]
     dtype: str  # numpy dtype name
     layout: tuple[str, ...] | None = None  # !layout: directive modes
+    # False for a temporary every use of which was folded into its
+    # readers (see FoldedShift): the front end still pays for declaring
+    # it, the simulator never materialises it.
+    resident: bool = True
 
 
 @dataclass(frozen=True)
@@ -47,16 +52,23 @@ class ScalarInit(HostOp):
 class ArgBinding:
     """One actual argument of a node call (matches a ParamSpec)."""
 
-    kind: str                       # 'subgrid' | 'coord' | 'scalar'
+    kind: str                       # 'subgrid'|'coord'|'halo'|'scalar'
     name: str                       # parameter name
-    array: str | None = None        # subgrid: array name
+    array: str | None = None        # subgrid/halo: array name
     region: Region | None = None    # subgrid/coord: region, None = full
     extents: tuple[int, ...] = ()   # coord: base extents
     axis: int = 0                   # coord: axis
     lo: int = 1                     # coord: first point along the axis
     step: int = 1                   # coord: axis stride
-    shift: int = 0                  # halo: circular shift amount
+    shift: int = 0                  # halo stream: exchange priced at bind
     value: nir.Value | None = None  # scalar: host-evaluated NIR value
+    # A halo is the array read through circular offsets, never copied
+    # ahead of the call.  The §5.3.2 halo *stream* (axis/shift, made by
+    # the neighborhood backend) prices a boundary exchange each time it
+    # is bound; a *folded* CSHIFT (offsets per axis, made by the shift
+    # fold) was priced by its FoldedShift and stands in for ``temp``.
+    offsets: tuple[int, ...] = ()   # folded halo: CSHIFT offset per axis
+    temp: str | None = None         # folded halo: the temporary replaced
 
 
 @dataclass(frozen=True)
@@ -76,6 +88,36 @@ class CommMove(HostOp):
 
     clause: nir.MoveClause
     kind: str  # 'cshift'|'eoshift'|'transpose'|'spread'|'copy'|'gather'
+    # A whole-array CSHIFT by constants into a whole array, resolved
+    # once at compile time: (source array, its extents, dim, shift).
+    const: tuple | None = None
+
+
+@dataclass(frozen=True)
+class FoldedShift(CommMove):
+    """A CSHIFT folded into its readers: priced here, copied nowhere.
+
+    Still the communication phase it was compiled as — same clause,
+    same ``cshift_cycles``, same place in the program — but the
+    readers' arguments for its temporary became halo bindings of the
+    source, so the temporary is never written (``const`` is always
+    resolved; its source may be a folded temporary itself).
+    """
+
+    readers: tuple[str, ...] = ()   # 'routine.param' of each reader
+    # The op rides through ``cmrt.execute_comm`` in the clause's place:
+    # wrappers there ask a clause for its target array, and a folded
+    # shift has none.
+    tgt = None
+
+    @property
+    def temp(self) -> str:
+        """The temporary this shift defined."""
+        return self.clause.tgt.name
+
+    @property
+    def src(self) -> str:
+        return self.const[0]
 
 
 @dataclass(frozen=True)
@@ -144,27 +186,27 @@ class StopExecution(Exception):
     """Internal signal for the STOP statement."""
 
 
-def _value_arrays(value: nir.Value) -> frozenset[str]:
+def value_arrays(value: nir.Value) -> frozenset[str]:
     """Array names a host-evaluated NIR value reads."""
     return frozenset(n.name for n in nir.values.walk(value)
                      if isinstance(n, nir.AVar))
 
 
 def _clause_reads(clause: nir.MoveClause) -> frozenset[str]:
-    reads = _value_arrays(clause.src) | _value_arrays(clause.mask)
+    reads = value_arrays(clause.src) | value_arrays(clause.mask)
     tgt = clause.tgt
     if isinstance(tgt, nir.AVar) and isinstance(tgt.field, nir.Subscript):
         for idx in tgt.field.indices:
             if isinstance(idx, nir.IndexRange):
                 for part in (idx.lo, idx.hi, idx.stride):
                     if part is not None:
-                        reads |= _value_arrays(part)
+                        reads |= value_arrays(part)
             else:
-                reads |= _value_arrays(idx)
+                reads |= value_arrays(idx)
     return reads
 
 
-def _op_effects(op: HostOp) -> tuple[frozenset[str], frozenset[str]]:
+def op_effects(op: HostOp) -> tuple[frozenset[str], frozenset[str]]:
     """Name-level (array reads, array writes) of a non-call host op."""
     if isinstance(op, CommMove):
         return _clause_reads(op.clause), frozenset({op.clause.tgt.name})
@@ -181,7 +223,7 @@ def _op_effects(op: HostOp) -> tuple[frozenset[str], frozenset[str]]:
     if isinstance(op, Print):
         reads: frozenset[str] = frozenset()
         for value in op.values:
-            reads |= _value_arrays(value)
+            reads |= value_arrays(value)
         return reads, frozenset()
     if isinstance(op, Alloc):
         return frozenset(), frozenset({op.name})
@@ -201,6 +243,13 @@ class HostExecutor:
     element access) flushes the batch first.  Argument resolution is
     persistent: each call site's subgrid and coordinate views are cached
     and revalidated by array identity instead of re-resolved per trip.
+
+    A halo argument is read in place when the batch runs, not copied
+    when the call is enqueued, so the arrays pending calls read through
+    halos are tracked too: hoisted work about to overwrite one first
+    hands those calls a copy (:meth:`_snapshot`) — the batch itself
+    stays whole, and breaks exactly where it did when every CSHIFT was
+    a copy made up front.
     """
 
     def __init__(self, machine, fuse_exec: bool = False) -> None:
@@ -214,6 +263,7 @@ class HostExecutor:
         self._pending: list[tuple[HostOp, tuple]] = []
         self._pending_reads: set[str] = set()
         self._pending_writes: set[str] = set()
+        self._pending_halos: set[str] = set()
         self._call_infos: dict[int, tuple] = {}
         self._binding_cache: dict[int, tuple] = {}
 
@@ -240,10 +290,10 @@ class HostExecutor:
         if isinstance(op, Loop):
             return self._exec_op(op)  # bodies recurse through _run_op
         if isinstance(op, IfOp):
-            self._barrier(_value_arrays(op.cond), frozenset())
+            self._barrier(value_arrays(op.cond), frozenset())
             return self._exec_op(op)
         if isinstance(op, WhileOp):
-            arrays = _value_arrays(op.cond)
+            arrays = value_arrays(op.cond)
             if not arrays:
                 return self._exec_op(op)
             # An array-reading condition must observe the pending batch
@@ -257,7 +307,7 @@ class HostExecutor:
                 self._run_ops(op.body)
             m.charge_host(m.model.host_op)
             return
-        reads, writes = _op_effects(op)
+        reads, writes = op_effects(op)
         self._barrier(reads, writes)
         return self._exec_op(op)
 
@@ -270,6 +320,28 @@ class HostExecutor:
                 or writes & self._pending_writes
                 or writes & self._pending_reads):
             self._flush()
+        elif writes & self._pending_halos:
+            self._snapshot(writes)
+
+    def _snapshot(self, arrays: frozenset[str]) -> None:
+        """Give pending calls copies of their halos of ``arrays``.
+
+        One copy per operand key, so calls that shared a folded
+        temporary still share one stream.
+        """
+        copies: dict = {}
+        for op, call in self._pending:
+            bindings = call[1]
+            for arg in op.args:
+                value = bindings.get(arg.name)
+                if (arg.kind == "halo" and arg.array in arrays
+                        and isinstance(value, Shifted)):
+                    copy = copies.get(value.key)
+                    if copy is None:
+                        copy = copies[value.key] = value.materialize()
+                    bindings[arg.name] = copy
+                    self.machine.fusion_metrics["shifts_materialized"] += 1
+        self._pending_halos -= arrays
 
     def _flush(self) -> None:
         if not self._pending:
@@ -278,6 +350,7 @@ class HostExecutor:
         self._pending = []
         self._pending_reads = set()
         self._pending_writes = set()
+        self._pending_halos = set()
         if len(pending) == 1:
             self.machine.call_routine(*pending[0][1])
         else:
@@ -286,7 +359,8 @@ class HostExecutor:
                                     site=site)
 
     def _call_info(self, op: NodeCall) -> tuple:
-        """(plan, reads, writes, enqueue-time reads) for a call site."""
+        """(plan, reads, writes, enqueue-time reads, halo arrays) for a
+        call site."""
         info = self._call_infos.get(id(op))
         plan = get_plan(op.routine)
         if info is not None and info[0] is plan:
@@ -297,6 +371,7 @@ class HostExecutor:
         reads: set[str] = set()
         writes: set[str] = set()
         prefetch: set[str] = set()
+        halos: set[str] = set()
         for arg in op.args:
             if arg.kind == "subgrid":
                 reg = regs.get(arg.name)
@@ -307,18 +382,25 @@ class HostExecutor:
                 if reg.n in stored:
                     writes.add(arg.array)
             elif arg.kind == "halo":
-                # The halo snapshot is taken when the call is enqueued.
-                reads.add(arg.array)
-                prefetch.add(arg.array)
+                halos.add(arg.array)
+                if arg.temp is not None:
+                    # The batch breaks where it did when the call read
+                    # the temporary; its FoldedShift already flushed
+                    # every pending store to the source.
+                    reads.add(arg.temp)
+                else:
+                    # A halo stream sees every store enqueued before it.
+                    reads.add(arg.array)
+                    prefetch.add(arg.array)
             elif arg.kind == "scalar" and arg.value is not None:
-                prefetch |= _value_arrays(arg.value)
+                prefetch |= value_arrays(arg.value)
         info = (plan, frozenset(reads), frozenset(writes),
-                frozenset(prefetch))
+                frozenset(prefetch), frozenset(halos))
         self._call_infos[id(op)] = info
         return info
 
     def _enqueue_call(self, op: NodeCall) -> None:
-        _plan, reads, writes, prefetch = self._call_info(op)
+        _plan, reads, writes, prefetch, halos = self._call_info(op)
         if prefetch and (prefetch & self._pending_writes):
             self._flush()
         bindings = self._bindings(op)
@@ -327,13 +409,15 @@ class HostExecutor:
         self._pending.append((op, call))
         self._pending_reads |= reads
         self._pending_writes |= writes
+        self._pending_halos |= halos
 
     def _bindings(self, op: NodeCall) -> dict[str, object]:
         """Resolved argument bindings, with persistent subgrid views.
 
-        Subgrid and coordinate views depend only on the array object,
-        so they are cached per call site and revalidated by identity;
-        halo snapshots and scalar values are taken fresh every call.
+        Subgrid and coordinate views and folded halos depend only on
+        the array object, so they are cached per call site and
+        revalidated by identity; halo streams (priced per bind) and
+        scalar values are taken fresh every call.
         """
         cached = self._binding_cache.get(id(op))
         if cached is not None:
@@ -351,20 +435,26 @@ class HostExecutor:
                 if arg.kind == "subgrid":
                     static[arg.name] = self.machine.view(arg.array,
                                                          arg.region)
-                    if arg.array not in seen:
-                        seen.add(arg.array)
-                        home = self.machine.home(arg.array)
-                        checks.append((arg.array, home, home.data))
-                elif arg.kind == "coord":
-                    static[arg.name] = self.machine.coord_subgrid(
-                        arg.extents, arg.axis, arg.region, arg.lo,
-                        arg.step)
+                elif arg.kind == "halo" and arg.temp is not None:
+                    static[arg.name] = Shifted(
+                        self.machine.home(arg.array).data, arg.offsets,
+                        key=arg.temp)
+                else:
+                    if arg.kind == "coord":
+                        static[arg.name] = self.machine.coord_subgrid(
+                            arg.extents, arg.axis, arg.region, arg.lo,
+                            arg.step)
+                    continue
+                if arg.array not in seen:
+                    seen.add(arg.array)
+                    home = self.machine.home(arg.array)
+                    checks.append((arg.array, home, home.data))
             self._binding_cache[id(op)] = (static, tuple(checks))
         else:
             static = cached[0]
         bindings: dict[str, object] = dict(static)
         for arg in op.args:
-            if arg.kind == "halo":
+            if arg.kind == "halo" and arg.temp is None:
                 bindings[arg.name] = self.machine.halo_subgrid(
                     arg.array, arg.shift, arg.axis)
             elif arg.kind == "scalar":
@@ -376,8 +466,10 @@ class HostExecutor:
     def _exec_op(self, op: HostOp) -> None:
         m = self.machine
         if isinstance(op, Alloc):
+            if not op.resident:
+                m.charge_host(m.model.host_op)  # what m.alloc charges
             # Pre-allocated inputs (Executable.run's overrides) survive.
-            if op.name not in m.arrays:
+            elif op.name not in m.arrays:
                 m.alloc(op.name, op.extents, np.dtype(op.dtype),
                         layout=op.layout)
         elif isinstance(op, ScalarInit):
@@ -385,8 +477,11 @@ class HostExecutor:
             m.charge_host(m.model.host_op)
         elif isinstance(op, NodeCall):
             self._node_call(op)
+        elif isinstance(op, FoldedShift):
+            cmrt.execute_comm(m, self.evaluator, op, "folded", op.const)
         elif isinstance(op, CommMove):
-            cmrt.execute_comm(m, self.evaluator, op.clause, op.kind)
+            cmrt.execute_comm(m, self.evaluator, op.clause, op.kind,
+                              op.const)
         elif isinstance(op, ReduceMove):
             cmrt.execute_reduce(m, self.evaluator, op.clause, self.scalars)
         elif isinstance(op, ScalarMove):
@@ -432,22 +527,9 @@ class HostExecutor:
     # ------------------------------------------------------------------
 
     def _node_call(self, op: NodeCall) -> None:
-        bindings: dict[str, object] = {}
-        for arg in op.args:
-            if arg.kind == "subgrid":
-                bindings[arg.name] = self.machine.view(arg.array, arg.region)
-            elif arg.kind == "coord":
-                bindings[arg.name] = self.machine.coord_subgrid(
-                    arg.extents, arg.axis, arg.region, arg.lo, arg.step)
-            elif arg.kind == "halo":
-                bindings[arg.name] = self.machine.halo_subgrid(
-                    arg.array, arg.shift, arg.axis)
-            elif arg.kind == "scalar":
-                bindings[arg.name] = self.evaluator.eval_scalar(arg.value)
-            else:
-                raise TypeError(f"unknown arg kind {arg.kind}")
-        self.machine.call_routine(op.routine, bindings, op.region_extents,
-                                  op.real_elements, layout=op.layout)
+        self.machine.call_routine(op.routine, self._bindings(op),
+                                  op.region_extents, op.real_elements,
+                                  layout=op.layout)
 
     def _element_move(self, clause: nir.MoveClause) -> None:
         """Serial front-end array access: single elements or sections.
@@ -506,13 +588,17 @@ def _format_ops(ops, lines: list[str], depth: int) -> None:
     for op in ops:
         if isinstance(op, Alloc):
             lines.append(f"{pad}alloc {op.name}{list(op.extents)} "
-                         f": {op.dtype}")
+                         f": {op.dtype}"
+                         + ("" if op.resident else "  (folded)"))
         elif isinstance(op, ScalarInit):
             lines.append(f"{pad}scalar {op.name} = {op.value}")
         elif isinstance(op, NodeCall):
             args = ", ".join(a.name for a in op.args)
             lines.append(f"{pad}call_pe {op.routine.name}({args}) "
                          f"over {op.region_extents}")
+        elif isinstance(op, FoldedShift):
+            lines.append(f"{pad}cm_rt cshift (folded) {op.src} -> "
+                         f"{', '.join(op.readers)}")
         elif isinstance(op, CommMove):
             lines.append(f"{pad}cm_rt {op.kind}: {op.clause.tgt}")
         elif isinstance(op, ReduceMove):

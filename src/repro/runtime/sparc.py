@@ -86,6 +86,11 @@ class SparcRenderer:
             self.emit(f"st %o0, {self.slot(op.clause.tgt.name)}")
         elif isinstance(op, h.NodeCall):
             self.render_node_call(op)
+        elif isinstance(op, h.FoldedShift):
+            self.emit(f"call _CMRT_cshift        "
+                      f"! cm_rt cshift (folded) {op.src} -> "
+                      f"{', '.join(op.readers)}")
+            self.emit("nop")
         elif isinstance(op, h.CommMove):
             self.emit(f"call _CMRT_{op.kind}        "
                       f"! {_target_name(op.clause)}")
@@ -127,6 +132,10 @@ class SparcRenderer:
                 self.emit(f"call _CMRT_coord_subgrid    "
                           f"! axis {arg.axis}")
                 self.emit("call _CM_push_ififo")
+            elif arg.kind == "halo" and arg.temp is not None:
+                self.emit(f"ld {self.slot('&' + arg.array)}, %o0")
+                self.emit(f"call _CM_push_ififo         ! {arg.name} = "
+                          f"{arg.array} offset {list(arg.offsets)}")
             elif arg.kind == "halo":
                 self.emit(f"call _CMRT_halo_exchange    "
                           f"! {arg.array} shift {arg.shift} "

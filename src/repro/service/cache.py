@@ -62,7 +62,10 @@ from .store import ArtifactStore
 #: 3: asyncio service front door.
 #: 4: the unified artifact store (keys carry the resolved target and
 #:    fuse_exec; entries use the headered store layout).
-SCHEMA_VERSION = 4
+#: 5: shift folding — pickled host programs carry FoldedShift ops,
+#:    folded halo bindings and non-resident Allocs that an older
+#:    executor would run as plain copies into arrays it never allocates.
+SCHEMA_VERSION = 5
 
 
 def _options_payload(options) -> dict:
