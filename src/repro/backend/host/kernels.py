@@ -37,7 +37,8 @@ from ...machine.ckernel import (
     retune,
     try_native,
 )
-from ...machine.kernel import _probe, mark_in_place, run_kernel, try_kernel
+from ...machine.kernel import (Launch, _probe, kernels_enabled,
+                               mark_in_place, try_kernel)
 from ...machine.plan import _ComputeStep, get_plan
 
 #: ComputeStep ops the native emitter can prove IEEE-exact (the
@@ -59,10 +60,6 @@ _NATIVE_CAP = 64
 #: Placeholder stream for unused slots below the kernel's slot count —
 #: the pointer is passed but never dereferenced.
 _DUMMY = np.zeros(1)
-
-
-def kernels_enabled() -> bool:
-    return os.environ.get("REPRO_FAST_KERNEL") != "0"
 
 
 def tuning_enabled() -> bool:
@@ -101,11 +98,12 @@ def _native_kernel(machine, plan, sig, spec, classes, n, S, shifts):
     return None if kern is _NO_NATIVE else kern
 
 
-def run_dispatch(machine, d) -> str:
+def run_dispatch(machine, d) -> tuple[str, Launch | None]:
     """Execute one prepared dispatch through the best available tier.
 
     Returns the tier used (``"native"``, ``"blocked"`` or ``"steps"``)
-    so the machine can report lowering coverage.
+    so the machine can report lowering coverage, and the launch when a
+    kernel ran over the operands as bound.
     """
     plan = d.plan
     if kernels_enabled():
@@ -118,18 +116,18 @@ def run_dispatch(machine, d) -> str:
                 kern = _native_kernel(machine, plan, sig, spec,
                                       classes, n, S, shifts)
                 if kern is not None:
-                    with np.errstate(all="ignore"):
-                        run_kernel(kern, _slot_table(S, classes), d.scalars,
-                                   n, machine.pool)
+                    launch = Launch(kern, _slot_table(S, classes), n)
+                    launch.run(d.scalars, machine.pool)
                     mark_in_place(d.streams, plan.used_pregs, classes, shifts)
-                    return "native"
-            if try_kernel(plan, sig, spec, d.streams, d.scalars,
-                          machine.pool):
-                return "blocked"
+                    return "native", launch
+            launch = try_kernel(plan, sig, spec, d.streams, d.scalars,
+                                machine.pool)
+            if launch is not None:
+                return "blocked", launch
     # Recording pass (first call per signature) or prover fallback:
     # plan.execute records the spec / runs the general step engine.
     plan.execute(d.streams, d.scalars, machine.pool)
-    return "steps"
+    return "steps", None
 
 
 # -- static lowering audit (compile time) -----------------------------------

@@ -50,12 +50,15 @@ class HostMachine(Machine):
             "steps_dispatches": 0,
         }
 
-    def _execute_dispatch(self, d) -> None:
+    def _execute_dispatch(self, d):
         if self.exec_mode == "interp":
-            super()._execute_dispatch(d)
-            return
-        tier = run_dispatch(self, d)
-        self.host_metrics[f"{tier}_dispatches"] += 1
+            return super()._execute_dispatch(d)
+        tier, launch = run_dispatch(self, d)
+        counter = f"{tier}_dispatches"
+        self.host_metrics[counter] += 1
+        if launch is not None:
+            launch.counters.append((self.host_metrics, counter))
+        return launch
 
     def fusion_summary(self) -> dict:
         out = super().fusion_summary()

@@ -132,11 +132,14 @@ class _CKernel:
         self._sregs = sregs
         self.source = source
         self.native = True
-        self.staged = staged  # ((class, scratch class), ...): run_kernel
+        self.staged = staged  # ((class, scratch class), ...): Launch
 
     def __call__(self, S, X, n) -> None:
-        ptrs = (ctypes.c_void_p * self._nslots)(
-            *[a.ctypes.data for a in S])
+        # ``S`` is a launch's own SlotTable: addresses are packed once.
+        ptrs = S.ptrs
+        if ptrs is None:
+            ptrs = S.ptrs = (ctypes.c_void_p * self._nslots)(
+                *[a.ctypes.data for a in S])
         xs = (ctypes.c_double * max(1, len(self._sregs)))(
             *[float(X[k]) for k in self._sregs])
         self._fn(ptrs, xs, n)

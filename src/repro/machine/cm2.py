@@ -19,8 +19,9 @@ import numpy as np
 
 from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
-from .execplan import Dispatch, resolve as resolve_fused
+from .execplan import Dispatch, ExecutionPlan, LaunchRecord
 from .geometry import Geometry, coordinate_array, make_geometry
+from .kernel import kernels_enabled
 from .pe import SubgridStream, VectorExecutor
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
 from .shifted import (Shifted, ShiftedStream, materialize_streams,
@@ -97,11 +98,19 @@ class Machine:
         # CSHIFT prices by (priced array, dim, shift): the geometry of
         # an allocated array never changes, so each is computed once.
         self._shift_cycles: dict[tuple, int] = {}
-        # Fused-dispatch state: per-site execution plans (persistent
-        # bindings) and mega-kernel cache telemetry.  The telemetry is
-        # machine-local and wall-clock flavored — it never feeds
-        # RunStats, which stay deterministic run to run.
-        self._exec_plans: dict = {}
+        self._verified_routines: set[str] = set()
+        # Steady-state dispatch: one launch record per dispatch site
+        # (docs/PIPELINE.md §16).  The interpreter oracle never makes
+        # or reads one.
+        self._launches: dict[object, LaunchRecord] = {}
+        self.launch_metrics: dict[str, int] = {
+            "records": 0, "replays": 0, "drops": 0,
+            # drops, by what no longer matched
+            "binding": 0, "plan": 0, "scalar_type": 0, "kernels_off": 0,
+        }
+        # Mega-kernel cache and shift-path telemetry: machine-local and
+        # wall-clock flavored — it never feeds RunStats, which stay
+        # deterministic run to run.
         self.fusion_metrics: dict[str, int] = {
             "megakernel_builds": 0,
             "megakernel_native": 0,
@@ -210,14 +219,11 @@ class Machine:
         routines that never went through the compile-time verifier.
         Each routine name is checked once per machine.
         """
+        if routine.name in self._verified_routines:
+            return
         from ..analysis import verify_enabled
 
         if not verify_enabled():
-            return
-        seen = getattr(self, "_verified_routines", None)
-        if seen is None:
-            seen = self._verified_routines = set()
-        if routine.name in seen:
             return
         from ..analysis.diagnostics import VerifyError
         from ..analysis.peac_verifier import verify_routine
@@ -225,13 +231,14 @@ class Machine:
         diagnostics = verify_routine(routine)
         if diagnostics:
             raise VerifyError("machine/dispatch", diagnostics)
-        seen.add(routine.name)
+        self._verified_routines.add(routine.name)
 
     def call_routine(self, routine: Routine,
                      bindings: dict[str, object],
                      region_extents: tuple[int, ...],
                      real_elements: int | None = None,
-                     layout: tuple[str, ...] | None = None) -> None:
+                     layout: tuple[str, ...] | None = None,
+                     site=None) -> None:
         """Dispatch one PEAC routine over bound operand streams.
 
         ``bindings`` maps parameter names to numpy views (``subgrid`` and
@@ -239,14 +246,24 @@ class Machine:
         operands, or scalars.  ``region_extents`` sizes the
         virtual subgrid loop; ``real_elements`` (default: the region
         size) scales useful-flop accounting when padding is in play.
+        ``site`` names the dispatch site (anything hashable that means
+        "this call, again"): a site that ran a compiled kernel replays
+        its launch record while the same operand objects stay bound.
         """
-        d = self._prepare(routine, bindings, region_extents,
-                          real_elements, layout)
+        call = (routine, bindings, region_extents, real_elements, layout)
+        if site is not None and self._replay(site, (call,)):
+            return
+        d = self._prepare(*call)
+        charge = self._charge(d)
         try:
-            self._execute_dispatch(d)
+            launch = self._execute_dispatch(d)
+            if launch is not None and site is not None:
+                self._record(site, (call,), (d,), launch, charge,
+                             [p for p in d.spill_pregs
+                              if p in d.plan.used_pregs])
         finally:
             self._release(d)
-        self._account_call(d)
+        self.stats.charge_call(*charge)
 
     def call_fused(self, calls, site=None) -> None:
         """Dispatch a batch of adjacent node calls, fused when legal.
@@ -259,29 +276,71 @@ class Machine:
         single merged trip loop, forwarded intermediate loads) and runs
         through a cached mega-kernel.  An illegal batch — and every
         batch under the other engines — runs call by call with
-        unchanged accounting.  ``site`` keys the per-machine persistent
-        execution-plan cache.
+        unchanged accounting.  ``site`` names the dispatch site, as for
+        :meth:`call_routine`.
         """
         if len(calls) == 1:
-            self.call_routine(*calls[0])
+            self.call_routine(*calls[0], site=site)
+            return
+        if site is not None and self._replay(site, calls):
             return
         dispatches = [self._prepare(*c) for c in calls]
         try:
-            plan = S = None
+            plan = None
             if self.exec_mode == "fused":
-                plan, S = resolve_fused(self, site, dispatches)
+                plan = ExecutionPlan.build(dispatches)
             if plan is None:
                 # Every shifted operand means its source at batch start.
                 for d in dispatches:
                     materialize_streams(d.streams)
                 for d in dispatches:
                     self._execute_dispatch(d)
-                    self._account_call(d)
+                    self.stats.charge_call(*self._charge(d))
             else:
-                plan.run(self, dispatches, S)
+                charge = plan.charge(self.model, dispatches)
+                self.stats.charge_call(*charge)
+                launch = plan.run(self, dispatches)
+                if launch is not None and site is not None:
+                    self._record(site, calls, dispatches, launch, charge,
+                                 plan.spill_slots)
         finally:
             for d in dispatches:
                 self._release(d)
+
+    # -- steady state: launch records -------------------------------------
+
+    def _replay(self, site, calls) -> bool:
+        """Run the site's launch record if it still holds; else drop it."""
+        record = self._launches.get(site)
+        if record is None:
+            return False
+        stale = record.stale(calls) if kernels_enabled() else "kernels_off"
+        metrics = self.launch_metrics
+        if stale is not None:
+            del self._launches[site]
+            metrics["drops"] += 1
+            metrics[stale] += 1
+            return False
+        launch = record.launch
+        launch.run(record.X, self.pool)
+        self.stats.charge_call(*record.charge)
+        for counters, key in launch.counters:
+            counters[key] += 1
+        metrics["replays"] += 1
+        return True
+
+    def _record(self, site, calls, dispatches, launch, charge,
+                spill_slots) -> None:
+        """Keep the trip that just ran a kernel as the site's record."""
+        for d in dispatches:
+            for stream in d.shifted:
+                launch.counters.append(
+                    (self.fusion_metrics, f"shifts_{stream.state}"))
+        record = LaunchRecord.capture(calls, dispatches, launch, charge,
+                                      spill_slots)
+        if record is not None:
+            self._launches[site] = record
+            self.launch_metrics["records"] += 1
 
     def _prepare(self, routine: Routine, bindings: dict[str, object],
                  region_extents: tuple[int, ...],
@@ -347,7 +406,8 @@ class Machine:
                         scalar_pushes, spill_bufs, tuple(spill_pregs),
                         trips, elements)
 
-    def _execute_dispatch(self, d: Dispatch) -> None:
+    def _execute_dispatch(self, d: Dispatch):
+        """Run one prepared call; the launch, when a kernel ran it."""
         if self.exec_mode == "interp":
             materialize_streams(d.streams)
             executor = VectorExecutor()
@@ -358,8 +418,8 @@ class Machine:
                 if value is not _UNBOUND:
                     executor.bind_scalar(SReg(n), value)
             executor.run(d.routine)
-        else:
-            d.plan.execute(d.streams, d.scalars, self.pool)
+            return None
+        return d.plan.execute(d.streams, d.scalars, self.pool)
 
     def _release(self, d: Dispatch) -> None:
         for scratch in d.spill_bufs:
@@ -368,17 +428,13 @@ class Machine:
             self.fusion_metrics[f"shifts_{stream.state}"] += 1
             stream.release()
 
-    def _account_call(self, d: Dispatch) -> None:
+    def _charge(self, d: Dispatch) -> tuple:
+        """One unfused call, as ``RunStats.charge_call`` arguments."""
         node = d.trips * d.plan.cycles_per_trip(self.model)
-        self.stats.node_cycles += node
-        self.stats.call_cycles += (self.model.call_dispatch
-                                   + d.pushes * self.model.ififo_push)
-        self.stats.node_calls += 1
-        self.stats.ififo_pushes += d.pushes
-        self.stats.flops += d.plan.flops_per_element * d.elements
-        self.stats.elements_computed += d.elements
-        self.stats.per_routine[d.routine.name] = (
-            self.stats.per_routine.get(d.routine.name, 0) + node)
+        return (node,
+                self.model.call_dispatch + d.pushes * self.model.ififo_push,
+                d.pushes, d.plan.flops_per_element * d.elements,
+                d.elements, ((d.routine.name, node),))
 
     def fusion_summary(self) -> dict:
         """Fusion counters for ``--stats-json`` and service responses."""
@@ -390,6 +446,14 @@ class Machine:
                            "megakernel_hits", "stepwise_groups",
                            "shifts_folded", "shifts_staged",
                            "shifts_materialized")},
+            # Steady-state dispatch: sites recorded, trips replayed,
+            # records dropped and what no longer matched.
+            **{f"launch_{key}": self.launch_metrics[key]
+               for key in ("records", "replays", "drops")},
+            "launch_drop_reasons": {
+                key: self.launch_metrics[key]
+                for key in ("binding", "plan", "scalar_type",
+                            "kernels_off")},
         }
 
     # -- accounting helpers -------------------------------------------------

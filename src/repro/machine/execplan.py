@@ -1,4 +1,4 @@
-"""Plan-level cross-routine fusion: mega-kernels and persistent bindings.
+"""Plan-level cross-routine fusion: mega-kernels and launch records.
 
 The Figure 9/10 blocker fuses MOVEs that share a shape *inside* one
 computation phase; every phase still becomes its own PEAC dispatch, and
@@ -27,10 +27,11 @@ execution plan:
   are cached process-wide, keyed by the full binding signature —
   constituent plan serials, alias classes, shapes and scalar types — so
   one compilation serves every later timestep and every later machine;
-* bindings are **persistent**: the executor's per-site argument
-  resolution, the fused slot table, and the accounting totals are all
-  validated by pointer identity and reused across trips instead of
-  being recomputed per dispatch.
+* steady state is a **replay**: once a site's batch has run through
+  its mega-kernel, the machine keeps a :class:`LaunchRecord` — the
+  bound operand objects, the kernel and its slot table, the summed
+  charge — and later trips validate it by identity and launch again,
+  skipping everything above (``docs/PIPELINE.md`` §16).
 
 Correctness never depends on the probe: a batch that fails it simply
 runs (and is charged) call by call, and a fused batch whose mega-kernel
@@ -40,15 +41,14 @@ bit-identical to the unfused engines.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
 
-from ..peac.isa import Mem, NUM_SREGS, NUM_VREGS
+from ..peac.isa import NUM_SREGS, NUM_VREGS
 from .ckernel import try_native
-from .kernel import (_NO_KERNEL, _build, _same_memory, mark_in_place,
-                     run_kernel)
+from .kernel import (_NO_KERNEL, Launch, _build, _same_memory,
+                     kernels_enabled, mark_in_place)
 from .plan import (
     _R_CONST,
     _R_MEM,
@@ -59,6 +59,7 @@ from .plan import (
     _LoadStep,
     _MoveStep,
     _StoreStep,
+    get_plan,
 )
 from .shifted import ShiftedStream, materialize_streams
 
@@ -176,28 +177,26 @@ def _remap_groups(plan, smap, voff, soff, toff):
 
 
 class ExecutionPlan:
-    """One fused dispatch site: slot table, accounting, mega-kernel.
+    """One fused dispatch: slot table, accounting, mega-kernel.
 
-    Built once per (site, binding pattern) and revalidated by pointer
-    identity on every later trip; :func:`resolve` keeps the per-site
-    instance alive on the machine so steady-state dispatch is a cheap
-    rebind plus one kernel call.
+    Built by :meth:`build` for the trip at hand and dropped after it:
+    what outlives the trip is the site's :class:`LaunchRecord` (on the
+    machine) and the mega-kernel (process-wide).
     """
 
-    KERNEL_CAP = 4  # signature specializations held per site
-
-    def __init__(self, dispatches, trips, n, nslots, slot_maps, expects,
-                 spill_lists, stream_slots, shifts) -> None:
+    def __init__(self, dispatches, trips, n, S, slot_maps, spill_slots,
+                 stream_slots, shifts) -> None:
         self.plans = tuple(d.plan for d in dispatches)
         self.serials = tuple(p.serial for p in self.plans)
         self.names = tuple(p.name for p in self.plans)
         self.k = len(dispatches)
         self.trips = trips
         self.n = n
-        self.nslots = nslots
+        #: The fused slot table: one flat array per slot.
+        self.S = S
         self.slot_maps = slot_maps
-        self.expects = expects
-        self.spill_lists = spill_lists
+        #: Slots holding spill scratch (redrawn zeroed on every trip).
+        self.spill_slots = spill_slots
         #: ``(slot, staged source slot or None, shape, offsets)`` per
         #: shifted operand, as the kernel builders take them.
         self.shifts = shifts
@@ -205,10 +204,6 @@ class ExecutionPlan:
         # the shared vlen: duplicate pointer arguments collapse.
         self.pushes = (stream_slots
                        + sum(d.scalar_pushes for d in dispatches) + 1)
-        self._slot_key = tuple(tuple(sorted(m.items())) for m in slot_maps)
-        self._cycle_cache: dict = {}
-        self._kernels: OrderedDict[tuple, object] = OrderedDict()
-        self._merged = None
 
     # -- construction ---------------------------------------------------
 
@@ -235,14 +230,13 @@ class ExecutionPlan:
         ident: dict = {}
         arrays: list[np.ndarray] = []
         operands: dict[int, object] = {}
-        slot_maps, expects, spill_lists = [], [], []
+        slot_maps: list[dict[int, int]] = []
+        spill_slots: list[int] = []
         stored_slots: set[int] = set()
         for d in dispatches:
             plan = d.plan
             spills = frozenset(d.spill_pregs)
             smap: dict[int, int] = {}
-            exp: list[tuple] = []
-            spl: list[tuple] = []
             for p in plan.used_pregs:
                 stream = d.streams[p]
                 if stream is None:
@@ -260,13 +254,11 @@ class ExecutionPlan:
                 if p in spills:
                     slot = len(arrays)
                     arrays.append(flat)
-                    spl.append((p, slot))
+                    spill_slots.append(slot)
                 else:
-                    where = (view.__array_interface__["data"][0],
-                             view.dtype.str)
-                    shift = (None if operand is None
-                             else (operand.key, operand.offsets))
-                    key = where if shift is None else ("shift", shift[0])
+                    key = ((view.__array_interface__["data"][0],
+                            view.dtype.str) if operand is None
+                           else ("shift", operand.key))
                     slot = ident.get(key)
                     if slot is None:
                         slot = len(arrays)
@@ -274,13 +266,10 @@ class ExecutionPlan:
                         arrays.append(flat)
                         if operand is not None:
                             operands[slot] = operand
-                    exp.append((p, slot, *where, shift))
                 smap[p] = slot
                 if p in plan.stored_pregs:
                     stored_slots.add(slot)
             slot_maps.append(smap)
-            expects.append(tuple(exp))
-            spill_lists.append(tuple(spl))
         if not n or stored_slots & operands.keys():
             return None
         staged_base: dict[int, int] = {}
@@ -296,128 +285,63 @@ class ExecutionPlan:
         shifts = tuple((slot, staged_base.get(slot), op.base.shape,
                         op.offsets)
                        for slot, op in sorted(operands.items()))
-        return cls(dispatches, trips, n, len(arrays), tuple(slot_maps),
-                   tuple(expects), tuple(spill_lists), len(ident), shifts)
-
-    def rebind(self, dispatches) -> list | None:
-        """The fused slot table for this trip, or None when stale.
-
-        Validates plan identity (a recompiled routine fails here) and
-        every non-spill stream's pointer, dtype and contiguity (for a
-        shifted operand: its source's, plus key and offsets) against
-        the build-time bindings; spill slots take whatever scratch this
-        trip drew from the pool.
-        """
-        if len(dispatches) != self.k:
-            return None
-        S: list = [None] * self.nslots
-        for i, d in enumerate(dispatches):
-            if d.plan is not self.plans[i] or d.trips != self.trips:
-                return None
-            for p, slot, ptr, dts, shift in self.expects[i]:
-                stream = d.streams[p]
-                if stream is None:
-                    return None
-                operand = getattr(stream, "operand", None)
-                if shift is None:
-                    if operand is not None:
-                        return None
-                    view = stream.view
-                elif (operand is None
-                      or (operand.key, operand.offsets) != shift):
-                    return None
-                else:
-                    view = operand.base
-                if (not isinstance(view, np.ndarray)
-                        or view.__array_interface__["data"][0] != ptr
-                        or view.dtype.str != dts
-                        or not view.flags["C_CONTIGUOUS"]
-                        or view.size != self.n):
-                    return None
-                S[slot] = view.reshape(-1)
-            for p, slot in self.spill_lists[i]:
-                view = d.streams[p].view
-                if not isinstance(view, np.ndarray) or view.size != self.n:
-                    return None
-                S[slot] = view.reshape(-1)
-        return S
+        return cls(dispatches, trips, n, arrays, tuple(slot_maps),
+                   tuple(spill_slots), len(ident), shifts)
 
     # -- fused cost accounting ------------------------------------------
 
-    def _cycles_for(self, model) -> tuple[int, tuple]:
-        """(total node cycles, per-routine attribution) under ``model``.
+    def charge(self, model, dispatches) -> tuple:
+        """The batch as one fused call, as ``RunStats.charge_call`` args.
 
         One ``loop_overhead`` per trip for the whole fused group, and an
         unpaired vector load of a slot stored by an *earlier* constituent
         is elided — the value is register-resident in the fused stream.
         """
-        got = self._cycle_cache.get(model)
-        if got is None:
-            stored: set[int] = set()
-            per: list[tuple[str, int]] = []
-            for i, plan in enumerate(self.plans):
-                cpt = plan.cycles_per_trip(model)
-                if i > 0:
-                    cpt -= model.instr.loop_overhead
-                smap = self.slot_maps[i]
-                stored_before = frozenset(stored)
-                for instr in plan._instrs:
-                    if instr.paired is None and instr.kind in ("load",
-                                                               "move"):
-                        src = instr.operands[0]
-                        if (isinstance(src, Mem)
-                                and smap.get(src.preg.n) in stored_before):
-                            cpt -= model.instruction_cycles(instr)
-                    pair = ((instr,) if instr.paired is None
-                            else (instr, instr.paired))
-                    for ins in pair:
-                        if ins.kind == "store":
-                            slot = smap.get(ins.operands[1].preg.n)
-                            if slot is not None:
-                                stored.add(slot)
-                per.append((plan.name, self.trips * max(cpt, 1)))
-            got = (sum(c for _, c in per), tuple(per))
-            self._cycle_cache[model] = got
-        return got
+        stored: set[int] = set()
+        per: list[tuple[str, int]] = []
+        for i, plan in enumerate(self.plans):
+            cpt = plan.cycles_per_trip(model)
+            if i > 0:
+                cpt -= model.instr.loop_overhead
+            smap = self.slot_maps[i]
+            for preg, instr in plan.mem_loads:
+                if smap.get(preg) in stored:
+                    cpt -= model.instruction_cycles(instr)
+            stored.update(smap[p] for p in plan.stored_pregs)
+            per.append((plan.name, self.trips * max(cpt, 1)))
+        return (sum(c for _, c in per),
+                model.call_dispatch + self.pushes * model.ififo_push,
+                self.pushes,
+                sum(d.plan.flops_per_element * d.elements
+                    for d in dispatches),
+                sum(d.elements for d in dispatches),
+                tuple(per), self.k)
 
     # -- execution ------------------------------------------------------
 
-    def run(self, machine, dispatches, S) -> None:
-        """Account the batch as one fused call and execute it."""
-        st = machine.stats
-        model = machine.model
-        node, per = self._cycles_for(model)
-        st.node_cycles += node
-        st.call_cycles += (model.call_dispatch
-                           + self.pushes * model.ififo_push)
-        st.node_calls += 1
-        st.ififo_pushes += self.pushes
-        st.fused_groups += 1
-        st.fused_routines += self.k
-        for name, cycles in per:
-            st.per_routine[name] = st.per_routine.get(name, 0) + cycles
-        for d in dispatches:
-            st.flops += d.plan.flops_per_element * d.elements
-            st.elements_computed += d.elements
+    def run(self, machine, dispatches) -> Launch | None:
+        """Execute the batch; the launch, when a mega-kernel ran it."""
         kern = self._kernel_for(machine, dispatches)
-        if kern is not None:
-            X: list = []
-            for d in dispatches:
-                X.extend(d.scalars)
-            with np.errstate(all="ignore"):
-                run_kernel(kern, S, X, self.n, machine.pool)
-            if self.shifts:
-                for d, smap in zip(dispatches, self.slot_maps):
-                    pregs = d.plan.used_pregs
-                    mark_in_place(d.streams, pregs,
-                                  [smap[p] for p in pregs], self.shifts)
-        else:
+        if kern is None:
             machine.fusion_metrics["stepwise_groups"] += 1
             # Every shifted operand means its source at group start.
             for d in dispatches:
                 materialize_streams(d.streams)
             for d in dispatches:
                 d.plan.execute(d.streams, d.scalars, machine.pool)
+            return None
+        X: list = []
+        for d in dispatches:
+            X.extend(d.scalars)
+        launch = Launch(kern, self.S, self.n)
+        launch.counters.append((machine.fusion_metrics, "megakernel_hits"))
+        launch.run(X, machine.pool)
+        if self.shifts:
+            for d, smap in zip(dispatches, self.slot_maps):
+                pregs = d.plan.used_pregs
+                mark_in_place(d.streams, pregs,
+                              [smap[p] for p in pregs], self.shifts)
+        return launch
 
     def _kernel_for(self, machine, dispatches):
         """The mega-kernel for this trip's binding signature, if ready.
@@ -426,11 +350,17 @@ class ExecutionPlan:
         signature still needs a recording pass, code generation is
         disabled, or the merged steps are not kernel-eligible.
         """
-        if os.environ.get("REPRO_FAST_KERNEL") == "0":
+        if not kernels_enabled():
             return None
         sigs = tuple(d.plan._signature(d.streams, d.scalars)
                      for d in dispatches)
-        kern = self._kernels.get(sigs)
+        slot_key = tuple(tuple(sorted(m.items())) for m in self.slot_maps)
+        # Machines may retune native kernels (extra compiler flags for
+        # the real CPU); the flavor keys the tuned build separately so
+        # simulated targets keep the baseline one.
+        key = (self.serials, slot_key, sigs, self.n,
+               getattr(machine, "kernel_flavor", None), self.shifts)
+        kern = _MEGA_KERNELS.get(key)
         if kern is None:
             specs = []
             for d, sig in zip(dispatches, sigs):
@@ -438,57 +368,39 @@ class ExecutionPlan:
                 if spec is None:
                     return None  # the recording pass runs stepwise first
                 specs.append(spec)
-            # Machines may retune native kernels (extra compiler flags
-            # for the real CPU); the flavor keys the tuned build
-            # separately so simulated targets keep the baseline one.
-            tune = getattr(machine, "tune_kernel", None)
-            key = (self.serials, self._slot_key, sigs, self.n,
-                   getattr(machine, "kernel_flavor", None), self.shifts)
-            kern = _MEGA_KERNELS.get(key)
+            merged = self._merged_plan()
+            mspec = self._merged_spec(specs)
+            identity = tuple(range(len(self.S)))
+            # Prefer a native per-element loop (intermediates stay in
+            # registers); decline -> the Python blocked kernel.
+            kern = try_native(merged, mspec, identity, self.n, self.S,
+                              self.shifts)
             if kern is None:
-                S = self.rebind(dispatches)
-                merged = self._merged_plan()
-                mspec = self._merged_spec(specs)
-                identity = tuple(range(self.nslots))
-                # Prefer a native per-element loop (intermediates stay
-                # in registers); decline -> the Python blocked kernel.
-                kern = try_native(merged, mspec, identity, self.n, S,
-                                  self.shifts)
-                if kern is None:
-                    kern = _build(merged, mspec, identity, self.n, S,
-                                  self.shifts)
-                else:
-                    if tune is not None:
-                        kern = tune(kern)
-                    machine.fusion_metrics["megakernel_native"] += 1
-                _remember(key, kern)
-                machine.fusion_metrics["megakernel_builds"] += 1
+                kern = _build(merged, mspec, identity, self.n, self.S,
+                              self.shifts)
             else:
-                _MEGA_KERNELS.move_to_end(key)
-                if kern is not _NO_KERNEL:
-                    machine.fusion_metrics["megakernel_hits"] += 1
-            while len(self._kernels) >= self.KERNEL_CAP:
-                self._kernels.popitem(last=False)
-            self._kernels[sigs] = kern
-        elif kern is not _NO_KERNEL:
-            machine.fusion_metrics["megakernel_hits"] += 1
+                tune = getattr(machine, "tune_kernel", None)
+                if tune is not None:
+                    kern = tune(kern)
+                machine.fusion_metrics["megakernel_native"] += 1
+            _remember(key, kern)
+            machine.fusion_metrics["megakernel_builds"] += 1
+        else:
+            _MEGA_KERNELS.move_to_end(key)
+            if kern is not _NO_KERNEL:
+                machine.fusion_metrics["megakernel_hits"] += 1
         return None if kern is _NO_KERNEL else kern
 
     def _merged_plan(self) -> _MergedPlan:
-        merged = self._merged
-        if merged is None:
-            groups: list = []
-            toff = 0
-            for i, plan in enumerate(self.plans):
-                groups.extend(_remap_groups(plan, self.slot_maps[i],
-                                            i * NUM_VREGS, i * NUM_SREGS,
-                                            toff))
-                toff += plan._tokens
-            merged = self._merged = _MergedPlan(
-                name="+".join(self.names), groups=groups,
-                used_pregs=tuple(range(self.nslots)),
-                num_vregs=self.k * NUM_VREGS)
-        return merged
+        groups: list = []
+        toff = 0
+        for i, plan in enumerate(self.plans):
+            groups.extend(_remap_groups(plan, self.slot_maps[i],
+                                        i * NUM_VREGS, i * NUM_SREGS, toff))
+            toff += plan._tokens
+        return _MergedPlan(name="+".join(self.names), groups=groups,
+                           used_pregs=tuple(range(len(self.S))),
+                           num_vregs=self.k * NUM_VREGS)
 
     def _merged_spec(self, specs) -> dict:
         spec: dict = {}
@@ -500,24 +412,82 @@ class ExecutionPlan:
         return spec
 
 
-def resolve(machine, site, dispatches):
-    """The (plan, slot table) for a batch at a dispatch site.
+# -- steady state: the per-site launch record -------------------------------
 
-    Reuses the machine's cached per-site plan when the bindings still
-    match (the persistent-binding fast path); otherwise probes afresh.
-    ``(None, None)`` sends the batch down the call-by-call path.
+
+class LaunchRecord:
+    """What one dispatch site does on every steady-state trip.
+
+    Captured by the machine from a trip the ordinary path ran through a
+    compiled kernel: per call the routine, its plan, the region tail of
+    the call tuple, the operand *objects* bound to the stream
+    parameters and the Python type of each scalar argument; the
+    :class:`~repro.machine.kernel.Launch` that ran; and the trip's
+    ``RunStats.charge_call`` arguments.  A later trip whose calls pass
+    :meth:`stale` binds the very same objects, so every pointer, dtype,
+    length and alias fact the ordinary path would re-derive is already
+    known — a live numpy view cannot change them.  The record holds
+    strong references to everything it compares against, so a site id
+    recycled for another op can only match an identical dispatch.
     """
-    cached = machine._exec_plans.get(site)
-    if cached is not None:
-        S = cached.rebind(dispatches)
-        if S is not None:
-            return cached, S
-        del machine._exec_plans[site]
-    plan = ExecutionPlan.build(dispatches)
-    if plan is None:
-        return None, None
-    S = plan.rebind(dispatches)
-    if S is None:  # pragma: no cover - build and rebind agree by design
-        return None, None
-    machine._exec_plans[site] = plan
-    return plan, S
+
+    __slots__ = ("launch", "charge", "calls", "X")
+
+    def __init__(self, launch, charge, calls, X) -> None:
+        self.launch = launch
+        self.charge = charge
+        self.calls = calls
+        self.X = X
+
+    @classmethod
+    def capture(cls, calls, dispatches, launch: Launch, charge: tuple,
+                spill_slots) -> "LaunchRecord | None":
+        """The record of the trip that just ran, or None when one of
+        its scalars is an array (whose shape is part of the kernel's
+        signature, not of its type)."""
+        checks = []
+        X: list = []
+        for call, d in zip(calls, dispatches):
+            routine, bindings = call[0], call[1]
+            base = len(X)
+            X.extend(d.scalars)
+            streams = []
+            scalars = []
+            for param in routine.params:
+                if param.kind == "vlen":
+                    continue
+                value = bindings[param.name]
+                if param.kind != "scalar":
+                    streams.append((param.name, value))
+                elif isinstance(value, np.ndarray):
+                    return None
+                else:
+                    scalars.append((param.name, base + param.reg.n,
+                                    type(value)))
+            checks.append((routine, d.plan, tuple(call[2:]),
+                           tuple(streams), tuple(scalars)))
+        launch.redraw(spill_slots)
+        return cls(launch, charge, tuple(checks), X)
+
+    def stale(self, calls) -> str | None:
+        """Why this trip cannot replay the record — None when it can,
+        with the trip's scalars filled in."""
+        if len(calls) != len(self.calls):
+            return "binding"
+        X = self.X
+        for call, (routine, plan, tail, streams, scalars) in zip(
+                calls, self.calls):
+            if call[0] is not routine or get_plan(routine) is not plan:
+                return "plan"
+            if tuple(call[2:]) != tail:
+                return "binding"
+            bindings = call[1]
+            for name, operand in streams:
+                if bindings.get(name) is not operand:
+                    return "binding"
+            for name, k, kind in scalars:
+                value = bindings.get(name)
+                if type(value) is not kind:
+                    return "scalar_type"
+                X[k] = value
+        return None

@@ -42,7 +42,13 @@ the loop.
 
 ``REPRO_FAST_BLOCK`` tunes the block length in elements (default
 16384); ``REPRO_FAST_KERNEL=0`` disables code generation entirely so
-the step engine can be exercised on its own.
+the step engine can be exercised on its own (:func:`kernels_enabled`
+is the one place that reads it).
+
+Whoever runs a kernel runs it through a :class:`Launch` — the kernel
+bound to its slot table — and hands that back, so the machine can keep
+it as the dispatch site's launch record and run it again on the next
+trip (``docs/PIPELINE.md`` §16).
 """
 
 from __future__ import annotations
@@ -127,15 +133,20 @@ class _Bail(Exception):
 # ---------------------------------------------------------------------------
 
 
-def try_kernel(plan, sig, spec, streams, scalars, pool) -> bool:
+def kernels_enabled() -> bool:
+    """False under ``REPRO_FAST_KERNEL=0`` (read at every dispatch)."""
+    return os.environ.get("REPRO_FAST_KERNEL") != "0"
+
+
+def try_kernel(plan, sig, spec, streams, scalars, pool) -> "Launch | None":
     """Run the compiled kernel for this call if one applies.
 
-    Returns True when the kernel executed (the call is done); False
-    when the caller should fall back to the step engine.
+    Returns the :class:`Launch` that ran (the call is done); None when
+    the caller should fall back to the step engine.
     """
     probe = _probe(plan, streams)
     if probe is None:
-        return False
+        return None
     classes, n, S, shifts = probe
     key = (sig, classes, n, shifts)
     kern = plan._kernels.get(key)
@@ -145,28 +156,82 @@ def try_kernel(plan, sig, spec, streams, scalars, pool) -> bool:
             plan._kernels.pop(next(iter(plan._kernels)))
         plan._kernels[key] = kern
     if kern is _NO_KERNEL:
-        return False
-    with np.errstate(all="ignore"):
-        run_kernel(kern, S, scalars, n, pool)
+        return None
+    launch = Launch(kern, S, n)
+    launch.run(scalars, pool)
     mark_in_place(streams, plan.used_pregs, classes, shifts)
-    return True
+    return launch
 
 
-def run_kernel(kern, S, X, n, pool) -> None:
-    """Call a kernel, lending it pooled scratch for its staged stores."""
-    staged = kern.staged
-    if not staged:
-        kern(S, X, n)
-        return
-    S = list(S)
-    S.extend([None] * (staged[-1][1] + 1 - len(S)))
-    for cid, scratch in staged:
-        S[scratch] = pool.acquire((n,), S[cid].dtype)
-    try:
-        kern(S, X, n)
-    finally:
-        for _, scratch in staged:
-            pool.release(S[scratch])
+class SlotTable(list):
+    """A launch's own slot table: the flat operand arrays, by slot.
+
+    Nothing else holds the list, so a native kernel keeps the operands'
+    addresses packed beside it (``ptrs``) instead of asking every
+    array for ``.ctypes`` on every launch; :meth:`lend` keeps the two
+    in step for the scratch slots redrawn each trip.
+    """
+
+    __slots__ = ("ptrs",)
+
+    def __init__(self, arrays) -> None:
+        super().__init__(arrays)
+        self.ptrs = None
+
+    def lend(self, slot: int, buf: np.ndarray) -> None:
+        self[slot] = buf
+        if self.ptrs is not None:
+            self.ptrs[slot] = buf.ctypes.data
+
+
+class Launch:
+    """A kernel bound to its slot table: everything to run it again.
+
+    ``scratch`` lists the slots drawn from the buffer pool around each
+    run, as ``(slot, dtype, zeroed)``: the kernel's staged stores
+    (:class:`Staging`) from the start, and — once a machine keeps the
+    launch as a site's record — the routine's spill slots, which its
+    first run got from ``Machine._prepare``.  ``counters`` are the
+    ``(metrics dict, key)`` pairs a trip through this launch bumps.
+    """
+
+    __slots__ = ("kern", "S", "n", "scratch", "counters")
+
+    def __init__(self, kern, S, n: int) -> None:
+        self.kern = kern
+        self.S = S = SlotTable(S)
+        self.n = n
+        staged = kern.staged
+        if staged:
+            S.extend([None] * (staged[-1][1] + 1 - len(S)))
+        self.scratch = [(scratch, S[cid].dtype, False)
+                        for cid, scratch in staged]
+        self.counters: list = []
+
+    def redraw(self, slots) -> None:
+        """From now on draw ``slots`` zeroed from the pool on every run
+        (the buffers they hold go back to the pool with this trip)."""
+        S = self.S
+        for slot in slots:
+            self.scratch.append((slot, S[slot].dtype, True))
+            S[slot] = None
+
+    def run(self, X, pool) -> None:
+        S = self.S
+        n = self.n
+        scratch = self.scratch
+        for slot, dtype, zeroed in scratch:
+            buf = pool.acquire((n,), dtype)
+            if zeroed:
+                buf.fill(0)
+            S.lend(slot, buf)
+        try:
+            with np.errstate(all="ignore"):
+                self.kern(S, X, n)
+        finally:
+            for slot, _, _ in scratch:
+                pool.release(S[slot])
+                S[slot] = None
 
 
 def mark_in_place(streams, pregs, classes, shifts) -> None:
@@ -191,7 +256,7 @@ class Staging:
     emitters' hazard and forwarding rules need no special case.
 
     ``pairs`` is ``((class, scratch class), ...)`` — what
-    :func:`run_kernel` lends scratch for and the kernel copies back;
+    :class:`Launch` lends scratch for and the kernel copies back;
     scratch classes are numbered after the highest class in use.
     """
 

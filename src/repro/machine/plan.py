@@ -39,7 +39,6 @@ bit-identical arrays and identical :class:`~repro.machine.stats.RunStats`.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -443,6 +442,12 @@ class RoutinePlan:
         self.body_len = len(routine.body)
         self._instrs = tuple(routine.body)
         self.flops_per_element = _plan_flops(routine)
+        #: ``(preg, instr)`` of each unpaired vector load: what a fused
+        #: group elides when an earlier constituent stored the stream.
+        self.mem_loads = tuple(
+            (instr.operands[0].preg.n, instr) for instr in self._instrs
+            if instr.paired is None and instr.kind in ("load", "move")
+            and isinstance(instr.operands[0], Mem))
         self._cycles: dict[CostModel, int] = {}
         self.specs: dict[tuple, dict[int, tuple]] = {}
         self._kernels: dict = {}
@@ -644,28 +649,31 @@ class RoutinePlan:
                 k_sig.append(("p", type(val).__name__))
         return (tuple(s_sig), tuple(k_sig))
 
-    def execute(self, streams, scalars, pool: BufferPool | None = None
-                ) -> None:
+    def execute(self, streams, scalars, pool: BufferPool | None = None):
         """Run the plan over bound operand streams.
 
         ``streams`` is a list of ``NUM_PREGS`` :class:`SubgridStream`
         entries (or ``None``); ``scalars`` a list of ``NUM_SREGS``
-        values with ``_UNBOUND`` holes.
+        values with ``_UNBOUND`` holes.  Returns the
+        :class:`~repro.machine.kernel.Launch` when a compiled kernel ran
+        over the operands as bound (what a dispatch site may replay),
+        else None.
         """
+        from .kernel import kernels_enabled, try_kernel
+
         pool = pool if pool is not None else GLOBAL_POOL
         sig = self._signature(streams, scalars)
         spec = self.specs.get(sig)
-        if spec is not None and os.environ.get("REPRO_FAST_KERNEL") != "0":
-            from .kernel import try_kernel
-
-            if try_kernel(self, sig, spec, streams, scalars, pool):
-                return
+        if spec is not None and kernels_enabled():
+            launch = try_kernel(self, sig, spec, streams, scalars, pool)
+            if launch is not None:
+                return launch
             # A shifted operand the kernel could not read in place still
             # runs blocked over its copy, as it did before folding.
             if any(isinstance(st, ShiftedStream) for st in streams):
                 materialize_streams(streams)
                 if try_kernel(self, sig, spec, streams, scalars, pool):
-                    return
+                    return None
         materialize_streams(streams)
         frame = _Frame(streams, scalars, pool, spec)
         try:
@@ -679,6 +687,7 @@ class RoutinePlan:
             if len(self.specs) >= self.SPEC_CAP:
                 self.specs.pop(next(iter(self.specs)))
             self.specs[sig] = frame.spec
+        return None
 
     def _run(self, frame: _Frame) -> None:
         if frame.record:
@@ -730,9 +739,10 @@ def get_plan(routine: Routine) -> RoutinePlan:
 def invalidate_plan(routine: Routine) -> None:
     """Drop a routine's cached plan (after mutating its body in place).
 
-    Also evicts every mega-kernel and fused execution plan built over
-    the stale plan: a fused group compiled against the old instruction
-    stream must never run again after the routine changed.
+    Also evicts every mega-kernel built over the stale plan: a fused
+    group compiled against the old instruction stream must never run
+    again after the routine changed.  (A machine's launch records
+    compare ``get_plan(routine)`` by identity, so they fall with it.)
     """
     plan = getattr(routine, "_plan", None)
     if plan is not None:

@@ -33,6 +33,28 @@ class RunStats:
         return (self.node_cycles + self.call_cycles + self.comm_cycles
                 + self.host_cycles)
 
+    def charge_call(self, node: int, call: int, pushes: int, flops: int,
+                    elements: int, per_routine, fused: int = 0) -> None:
+        """Account one node dispatch from its pre-summed charge.
+
+        ``per_routine`` attributes ``node`` as ``(name, cycles)`` pairs;
+        ``fused`` is the number of routines a fused group covered.  The
+        ordinary path and a launch-record replay both charge through
+        here, from the same tuple.
+        """
+        self.node_cycles += node
+        self.call_cycles += call
+        self.node_calls += 1
+        self.ififo_pushes += pushes
+        self.flops += flops
+        self.elements_computed += elements
+        if fused:
+            self.fused_groups += 1
+            self.fused_routines += fused
+        per = self.per_routine
+        for name, cycles in per_routine:
+            per[name] = per.get(name, 0) + cycles
+
     def seconds(self, clock_hz: float) -> float:
         return self.total_cycles / clock_hz
 

@@ -242,7 +242,10 @@ class HostExecutor:
     (a CSHIFT reading an array the batch writes, a reduction, serial
     element access) flushes the batch first.  Argument resolution is
     persistent: each call site's subgrid and coordinate views are cached
-    and revalidated by array identity instead of re-resolved per trip.
+    and revalidated by array identity instead of re-resolved per trip,
+    which is also what lets the machine replay the site's launch record
+    (every dispatch names its site: ``id`` of the op, or of each op in
+    a fused batch).
 
     A halo argument is read in place when the batch runs, not copied
     when the call is enqueued, so the arrays pending calls read through
@@ -266,6 +269,9 @@ class HostExecutor:
         self._pending_halos: set[str] = set()
         self._call_infos: dict[int, tuple] = {}
         self._binding_cache: dict[int, tuple] = {}
+        # op_effects by id(op); the entry keeps the (frozen) op alive,
+        # so its id cannot come back as another op's.
+        self._effects: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -307,8 +313,10 @@ class HostExecutor:
                 self._run_ops(op.body)
             m.charge_host(m.model.host_op)
             return
-        reads, writes = op_effects(op)
-        self._barrier(reads, writes)
+        effects = self._effects.get(id(op))
+        if effects is None:
+            effects = self._effects[id(op)] = (*op_effects(op), op)
+        self._barrier(effects[0], effects[1])
         return self._exec_op(op)
 
     def _barrier(self, reads: frozenset[str],
@@ -352,7 +360,8 @@ class HostExecutor:
         self._pending_writes = set()
         self._pending_halos = set()
         if len(pending) == 1:
-            self.machine.call_routine(*pending[0][1])
+            op, call = pending[0]
+            self.machine.call_routine(*call, site=id(op))
         else:
             site = tuple(id(op) for op, _ in pending)
             self.machine.call_fused([call for _, call in pending],
@@ -529,7 +538,7 @@ class HostExecutor:
     def _node_call(self, op: NodeCall) -> None:
         self.machine.call_routine(op.routine, self._bindings(op),
                                   op.region_extents, op.real_elements,
-                                  layout=op.layout)
+                                  layout=op.layout, site=id(op))
 
     def _element_move(self, clause: nir.MoveClause) -> None:
         """Serial front-end array access: single elements or sections.

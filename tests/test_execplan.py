@@ -9,21 +9,30 @@ argument-push work.  These tests pin that contract with hypothesis
 programs across both targets, mixed-shape fusability edges, mega-kernel
 cache reuse and eviction on plan invalidation, the native-C/Python
 kernel agreement, and every fusion kill switch (transform option,
-target flag, executor argument).
+target flag, executor argument).  The last section pins the launch
+records (``docs/PIPELINE.md`` §16): what replays, everything that must
+drop a record, and that a replaying run cannot be told from one that
+never replays.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.driver.compiler import CompilerOptions, compile_source
-from repro.machine import get_plan, invalidate_plan
+from repro.machine import (Machine, get_plan, invalidate_plan,
+                           slicewise_model)
 from repro.machine import execplan
 from repro.machine.ckernel import _compiler
-from repro.programs.kernels import heat_source
+from repro.peac import Imm, Instr, Mem, PReg, Routine, SReg, VReg
+from repro.peac.isa import NUM_PREGS, CReg, ParamSpec
+from repro.programs.kernels import (heat_source, life_source,
+                                    redblack_source)
 from repro.programs.swe import swe_source
 from repro.targets import build_machine
 from repro.transform import Options as TransformOptions
@@ -289,3 +298,362 @@ def test_naive_options_disable_fusion():
                          CompilerOptions.naive())
     _, summary = _fused_summary(exe)
     assert summary["fused_groups"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Launch records: steady-state replay and everything that must drop one
+# ---------------------------------------------------------------------------
+
+N = 8
+
+
+def _axpy(name="axpy", op="faddv", spill=False):
+    """``y = k * x (op) y`` — through a spill slot when asked."""
+    body = [Instr("flodv", (Mem(PReg(0)), VReg(0))),
+            Instr("flodv", (Mem(PReg(1)), VReg(1))),
+            Instr("fmulv", (VReg(0), SReg(0), VReg(2)))]
+    if spill:
+        top = Mem(PReg(NUM_PREGS - 1))
+        # Accumulate into the scratch first: a slot that is not drawn
+        # zeroed on every trip would leak the previous trip's product.
+        body += [Instr("flodv", (top, VReg(3))),
+                 Instr("faddv", (VReg(2), VReg(3), VReg(2))),
+                 Instr("fstrv", (VReg(2), top)),
+                 Instr("flodv", (top, VReg(2)))]
+    body += [Instr(op, (VReg(2), VReg(1), VReg(4))),
+             Instr("fstrv", (VReg(4), Mem(PReg(1))))]
+    routine = Routine(name, spill_slots=int(spill))
+    routine.params = [ParamSpec("subgrid", "x", PReg(0)),
+                      ParamSpec("subgrid", "y", PReg(1)),
+                      ParamSpec("scalar", "k", SReg(0)),
+                      ParamSpec("vlen", "vlen", CReg(2))]
+    routine.body = body
+    return routine
+
+
+def _scale(name="scale"):
+    """``x = x * 0.5`` (fuses after ``_axpy``: same flat length)."""
+    routine = Routine(name)
+    routine.params = [ParamSpec("subgrid", "x", PReg(0)),
+                      ParamSpec("vlen", "vlen", CReg(2))]
+    routine.body = [Instr("flodv", (Mem(PReg(0)), VReg(0))),
+                    Instr("fmulv", (VReg(0), Imm(0.5), VReg(1))),
+                    Instr("fstrv", (VReg(1), Mem(PReg(0))))]
+    return routine
+
+
+class _Trips:
+    """One dispatch site driven trip by trip on an engine and on the
+    ``interp`` oracle, compared after every trip.
+
+    ``fused`` drives a two-call batch through ``call_fused`` (site
+    ``("s", "t")``); otherwise one call through ``call_routine`` (site
+    ``"s"``).  ``bind`` maps parameter names to array names or scalars;
+    ``region`` gives an array a section.  ``Machine.view`` of a whole
+    array is the array object itself, of a section a fresh view per
+    call — ``hold_views`` keeps the views across trips, as the host
+    executor's binding cache does.
+    """
+
+    def __init__(self, mode, fused=False, routine=None):
+        self.fused = fused
+        self.routine = routine or _axpy()
+        self.tail = _scale()
+        self.bind = {"x": "x", "y": "y", "k": 3}
+        self.region = {}
+        self.held = None
+        self.machines = [Machine(slicewise_model(16), exec_mode=m)
+                         for m in (mode, "interp")]
+        for m in self.machines:
+            for name in ("x", "y", "z"):
+                m.alloc(name, (N,), np.dtype(np.float64))
+                m.set_array(name, np.arange(N) + len(name) * 0.25)
+
+    @property
+    def engine(self):
+        return self.machines[0]
+
+    def hold_views(self):
+        self.held = [{name: m.view(name, self.region.get(name))
+                      for name in m.arrays} for m in self.machines]
+
+    def _view(self, m, name):
+        if self.held is not None:
+            return self.held[self.machines.index(m)][name]
+        return m.view(name, self.region.get(name))
+
+    def _bindings(self, m, names):
+        return {p: self._view(m, v) if isinstance(v, str) else v
+                for p, v in self.bind.items() if p in names}
+
+    def trip(self, count=1):
+        for _ in range(count):
+            for m in self.machines:
+                extents = self._view(m, "x").shape
+                head = (self.routine, self._bindings(m, "xyk"), extents)
+                if self.fused:
+                    tail = (self.tail, self._bindings(m, "x"), extents)
+                    m.call_fused([head, tail], site=("s", "t"))
+                else:
+                    m.call_routine(*head, site="s")
+            got, want = self.machines
+            for name in want.arrays:
+                assert (got.home(name).data.tobytes()
+                        == want.home(name).data.tobytes()), name
+            if not self.fused:   # a fused group is charged as one call
+                assert got.stats.to_dict() == want.stats.to_dict()
+        return self.engine.launch_metrics
+
+
+SITES = pytest.mark.parametrize("mode,fused", [("fast", False),
+                                               ("fused", True)])
+
+
+@SITES
+def test_steady_trips_replay_the_record(mode, fused):
+    t = _Trips(mode, fused)
+    got = t.trip(6)
+    # Trip 1 records binding specs stepwise, trip 2 runs (and records)
+    # the kernel, trips 3-6 replay it.
+    assert (got["records"], got["replays"], got["drops"]) == (1, 4, 0)
+
+
+def test_interp_never_records():
+    t = _Trips("interp")
+    t.trip(4)
+    for m in t.machines:
+        assert not m._launches
+        assert not any(m.launch_metrics.values())
+
+
+@SITES
+def test_realloc_between_trips_drops_the_record(mode, fused):
+    t = _Trips(mode, fused)
+    t.trip(3)
+    for m in t.machines:
+        data = m.home("y").data.copy()
+        del m.arrays["y"]
+        m.alloc("y", (N,), np.dtype(np.float64))
+        m.set_array("y", data)
+    got = t.trip()
+    assert (got["drops"], got["binding"]) == (1, 1)
+    # The dropping trip re-recorded on its way through the kernel.
+    assert t.trip(2)["replays"] == 1 + 2
+
+
+@SITES
+def test_invalidate_plan_mid_run_drops_the_record(mode, fused):
+    t = _Trips(mode, fused)
+    t.trip(3)
+    # Edit in place, as the mega-kernel eviction test does: without the
+    # invalidation nothing could notice (same body object and length).
+    t.routine.body[-2] = dataclasses.replace(t.routine.body[-2],
+                                             op="fsubv")
+    invalidate_plan(t.routine)
+    got = t.trip()
+    assert (got["drops"], got["plan"]) == (1, 1)
+    t.trip(3)
+
+
+@SITES
+def test_scalar_type_change_drops_the_record(mode, fused):
+    t = _Trips(mode, fused)
+    t.trip(3)
+    t.bind["k"] = 2.5          # int -> float: another kernel signature
+    got = t.trip()
+    assert (got["drops"], got["scalar_type"]) == (1, 1)
+    t.bind["k"] = 4.5          # same type, new value: replays
+    t.trip(3)
+    assert got["drops"] == 1 and got["replays"] >= 2
+
+
+def test_array_scalar_never_records():
+    t = _Trips("fast")
+    t.bind["k"] = np.full(N, 2.0)
+    got = t.trip(4)
+    assert got["records"] == 0
+
+
+@SITES
+def test_kernels_switched_off_mid_run_drops_the_record(mode, fused,
+                                                       monkeypatch):
+    t = _Trips(mode, fused)
+    t.trip(3)
+    monkeypatch.setenv("REPRO_FAST_KERNEL", "0")
+    got = t.trip(2)
+    assert (got["drops"], got["kernels_off"], got["records"]) == (1, 1, 1)
+
+
+@SITES
+def test_spill_slots_are_redrawn_zeroed_on_replay(mode, fused):
+    t = _Trips(mode, fused, routine=_axpy(spill=True))
+    got = t.trip(6)   # compared with interp after every trip
+    assert got["replays"] == 4
+    assert t.engine._launches      # and its scratch is back in the pool
+    for record in t.engine._launches.values():
+        assert all(record.launch.S[slot] is None
+                   for slot, _, _ in record.launch.scratch)
+
+
+@SITES
+def test_strided_section_never_records(mode, fused):
+    t = _Trips(mode, fused)
+    t.region = {"x": ((1, N, 2),), "y": ((1, N, 2),)}
+    t.hold_views()             # identical objects every trip, and still
+    got = t.trip(5)            # nothing to replay: no kernel ever ran
+    assert got["records"] == 0 and got["drops"] == 0
+
+
+def test_section_view_made_per_trip_drops_every_trip():
+    t = _Trips("fast")
+    t.region = {"x": ((1, 4, 1),), "y": ((5, 8, 1),)}
+    got = t.trip(5)
+    assert got["replays"] == 0
+    assert got["drops"] == got["binding"] == 3   # trips 3, 4 and 5
+
+
+def test_site_reused_for_another_routine_runs_that_routine():
+    """A recycled ``id(op)`` is a site key naming a different call: the
+    record compares the routine (and plan) objects it holds, so it
+    cannot answer for anything else."""
+    t = _Trips("fast")
+    t.trip(3)
+    t.routine = _axpy(name="other", op="fsubv")
+    got = t.trip()             # same site, same bindings, other routine
+    assert (got["drops"], got["plan"]) == (1, 1)
+    t.trip(3)
+
+
+# -- whole programs: replay against a machine that never replays ------------
+
+
+def _forgetful(machine):
+    """``machine``, dropping every record before every dispatch, so
+    each trip takes the ordinary path (test-side: no product switch)."""
+    base = type(machine)
+
+    class Forgetful(base):
+        def call_routine(self, *args, **kwargs):
+            self._launches.clear()
+            return base.call_routine(self, *args, **kwargs)
+
+        def call_fused(self, *args, **kwargs):
+            self._launches.clear()
+            return base.call_fused(self, *args, **kwargs)
+
+    return Forgetful(machine.model, exec_mode=machine.exec_mode)
+
+
+def _config_machine(config):
+    if config == "host":
+        return build_machine("host")
+    return build_machine("cm2", exec_mode=config)
+
+
+def _assert_same_run(got, want):
+    assert got.output == want.output
+    for name, data in want.arrays.items():
+        assert got.arrays[name].dtype == data.dtype, name
+        assert got.arrays[name].tobytes() == data.tobytes(), name
+    assert got.stats.to_dict() == want.stats.to_dict()
+    fs, ws = got.machine.fusion_summary(), want.machine.fusion_summary()
+    for key in ws:
+        if not key.startswith("launch_"):
+            assert fs[key] == ws[key], key
+
+
+_SOURCES = {"swe": lambda trips: swe_source(n=8, itmax=trips),
+            "heat": lambda trips: heat_source(8, trips),
+            "life": lambda trips: life_source(8, trips),
+            "redblack": lambda trips: redblack_source(8, trips)}
+_EXES: dict = {}
+
+
+def _exe(prog, trips, config):
+    key = (prog, trips, config == "host")
+    if key not in _EXES:
+        options = CompilerOptions(
+            target="host" if config == "host" else "cm2")
+        _EXES[key] = compile_source(_SOURCES[prog](trips), options)
+    return _EXES[key]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_SOURCES)), st.integers(4, 12),
+       st.sampled_from(["fast", "fused", "host"]))
+def test_replay_is_indistinguishable_from_the_ordinary_path(prog, trips,
+                                                            config):
+    exe = _exe(prog, trips, config)
+    # Two warm runs: binding specs, then the kernels of sites that make
+    # one trip per run (builds are counted, and must not differ below).
+    for _ in range(2):
+        exe.run(machine=_config_machine(config))
+    want = exe.run(machine=_forgetful(_config_machine(config)))
+    got = exe.run(machine=_config_machine(config))
+    _assert_same_run(got, want)
+    assert want.machine.launch_metrics["replays"] == 0
+    if prog != "redblack":      # strided sections: nothing to replay
+        assert got.machine.launch_metrics["replays"] > 0
+
+
+@pytest.mark.parametrize("config", ["fast", "fused", "host"])
+def test_reused_machine_cannot_replay_a_dead_programs_record(config):
+    """Records are keyed by ``id(op)``; after the first executable is
+    collected the second one's ops may sit at the same addresses."""
+    options = CompilerOptions(target="host" if config == "host" else "cm2")
+    machines = [_config_machine(config),
+                _forgetful(_config_machine(config))]
+    results = []
+    for machine in machines:
+        exe_a = compile_source(heat_source(8, 6), options, cache=False)
+        exe_a.run(machine=machine)
+        del exe_a
+        gc.collect()
+        # Same arrays (they stay allocated), same shapes, other code.
+        exe_b = compile_source(
+            heat_source(8, 6).replace("0.125d0", "0.0625d0"), options,
+            cache=False)
+        results.append(exe_b.run(machine=machine))
+    _assert_same_run(*results)
+    assert results[0].machine.launch_metrics["replays"] > 0
+
+
+def test_hoisted_store_snapshot_drops_the_pending_calls_record():
+    """Each trip ``a(2:6) = c(1:5)`` is hoisted over the pending call
+    reading ``cshift(a)``, which gets a copy in the halo's place — a
+    binding no record can have seen."""
+    src = ("double precision a(6), b(6), c(6)\ninteger k\n"
+           "forall (i=1:6) a(i) = mod(i*7, 5) + i\nb = 1\nc = 2\n"
+           "do k = 1, 6\nb = cshift(a, 1) * 2\na(2:6) = c(1:5)\n"
+           "c = b + a\nend do\nend\n")
+    exe = compile_source(src)
+    exe.run(machine=build_machine("cm2", exec_mode="fused"))
+    want = exe.run(machine=_forgetful(
+        build_machine("cm2", exec_mode="fused")))
+    got = exe.run(machine=build_machine("cm2", exec_mode="fused"))
+    _assert_same_run(got, want)
+    assert got.machine.fusion_summary()["shifts_materialized"] == 6
+    metrics = got.machine.launch_metrics
+    assert metrics["binding"] == 5 and metrics["replays"] == 0
+    oracle = exe.run(machine=build_machine("cm2", exec_mode="interp"))
+    for name, data in oracle.arrays.items():
+        assert got.arrays[name].tobytes() == data.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["fast", "fused"])
+def test_neighborhood_halo_bound_per_trip_never_replays(mode):
+    """A §5.3.2 halo stream is priced — and made — at every bind."""
+    exe = compile_source(heat_source(8, 6), CompilerOptions.neighborhood())
+    exe.run(machine=build_machine("cm2", exec_mode=mode))
+    want = exe.run(machine=_forgetful(build_machine("cm2",
+                                                    exec_mode=mode)))
+    got = exe.run(machine=build_machine("cm2", exec_mode=mode))
+    _assert_same_run(got, want)
+    metrics = got.machine.launch_metrics
+    assert metrics["replays"] == 0
+    assert metrics["drops"] == metrics["binding"] == 5
+    oracle = exe.run(machine=build_machine("cm2", exec_mode="interp"))
+    for name, data in oracle.arrays.items():
+        assert got.arrays[name].tobytes() == data.tobytes(), name
+    if mode == "fast":
+        assert got.stats.to_dict() == oracle.stats.to_dict()

@@ -134,6 +134,60 @@ class TestHostBitIdentity:
         assert machine.host_metrics["native_dispatches"] == 0
 
 
+class TestHostLaunchRecords:
+    """The native and blocked tiers replay like the CM fast paths do,
+    and every replayed trip still counts as a dispatch of its tier."""
+
+    def _run(self, mode, routine, trips):
+        machine = build_machine("host", exec_mode=mode)
+        machine.alloc("x", (8,), np.dtype(np.float64))
+        machine.alloc("y", (8,), np.dtype(np.float64))
+        machine.set_array("x", np.arange(8.0))
+        for _ in range(trips):
+            machine.call_routine(
+                routine, {"x": machine.view("x", None),
+                          "y": machine.view("y", None), "k": 3},
+                (8,), site="s")
+        return machine
+
+    @pytest.mark.parametrize("cc", ["1", "0"])
+    def test_every_replayed_trip_counts_for_its_tier(self, cc, monkeypatch):
+        from repro.machine.ckernel import _compiler
+
+        from .test_execplan import _axpy
+
+        if cc == "1" and _compiler() is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("REPRO_FUSED_CC", cc)
+        routine = _axpy(name=f"axpy_cc{cc}", spill=True)
+        machine = self._run("fast", routine, 6)
+        oracle = self._run("interp", routine, 6)
+        assert machine.launch_metrics["replays"] == 4
+        tier = "native" if cc == "1" else "blocked"
+        assert machine.host_metrics["steps_dispatches"] == 1
+        assert machine.host_metrics[f"{tier}_dispatches"] == 5
+        assert (machine.home("y").data.tobytes()
+                == oracle.home("y").data.tobytes())
+        assert machine.stats.to_dict() == oracle.stats.to_dict()
+
+    def test_stats_json_and_service_report_the_launch_counters(
+            self, tmp_path):
+        f = tmp_path / "heat.f90"
+        f.write_text(PROGRAMS[1])
+        stats = tmp_path / "stats.json"
+        assert cli_main(["run", str(f), "--target", "host",
+                         "--stats-json", str(stats)]) == 0
+        fusion = json.loads(stats.read_text())["fusion"]
+        response = execute_request(
+            {"op": "run", "source": PROGRAMS[1],
+             "options": {"target": "host"}})
+        for block in (fusion, response["fusion"]):
+            assert {"launch_records", "launch_replays",
+                    "launch_drops"} <= set(block)
+            assert set(block["launch_drop_reasons"]) == {
+                "binding", "plan", "scalar_type", "kernels_off"}
+
+
 @st.composite
 def _elemental_programs(draw):
     """Random elemental/shift programs over small real arrays."""
