@@ -112,7 +112,3 @@ class DiagnosticSink:
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics
                 if d.severity is Severity.ERROR]
-
-    def raise_if_errors(self, stage: str) -> None:
-        if self.errors:
-            raise VerifyError(stage, self.errors)

@@ -144,14 +144,3 @@ def uses_of(ops: list[VOp]) -> dict[int, list[int]]:
             if src.kind is SrcKind.VIRT:
                 uses.setdefault(src.index, []).append(pos)
     return uses
-
-
-def defs_of(ops: list[VOp]) -> dict[int, int]:
-    """Map virtual register -> position of its defining instruction."""
-    defs: dict[int, int] = {}
-    for pos, op in enumerate(ops):
-        if op.dst >= 0:
-            if op.dst in defs:
-                raise ValueError(f"virtual v{op.dst} defined twice (not SSA)")
-            defs[op.dst] = pos
-    return defs

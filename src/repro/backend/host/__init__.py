@@ -7,11 +7,12 @@ the process).  The package supplies:
 * :class:`~repro.backend.host.compiler.HostCompiler` — inherits the
   whole CM/2 partitioning pipeline and audits each blocked phase for
   native-kernel eligibility;
-* :mod:`~repro.backend.host.kernels` — the execution engine: native
-  per-element C loops where IEEE-exact, cache-blocked generated numpy
-  kernels otherwise, the step engine as the prover's fallback;
+* :mod:`~repro.backend.host.kernels` — the host's native emitter:
+  per-element C loops tuned for the running CPU where IEEE-exact (the
+  shared dispatch path falls back to cache-blocked numpy kernels, then
+  the step engine);
 * :class:`~repro.backend.host.machine.HostMachine` — the Machine
-  contract (storage, dispatch, RunStats) over those tiers, costed by
+  contract (storage, dispatch, RunStats) with that emitter, costed by
   the measured :func:`~repro.machine.costs.host_model`.
 
 There is no ``HostExecutable`` subclass on purpose: the shared

@@ -3,12 +3,13 @@
 :class:`HostMachine` keeps the whole :class:`~repro.machine.cm2.Machine`
 contract — storage and geometry, ``call_routine``/``call_fused``, the
 deterministic :class:`~repro.machine.stats.RunStats` accounting, the
-dispatch-time verifier hook — and swaps only the node execution engine:
-``"fast"`` and ``"fused"`` dispatches route through the host kernel
-tiers (:mod:`.kernels`) instead of the plan step loop, and cycles are
-charged under the measured :func:`~repro.machine.costs.host_model`
-(1 cycle = 1 ns), so ``stats.seconds()`` is a calibrated wallclock
-estimate rather than a simulated Weitek figure.
+dispatch-time verifier hook — and the whole dispatch path.  It supplies
+its own native emitter (:func:`.kernels.emit_native`: tuned C for every
+group, lone dispatches included, cached under its own flavor), counts
+which tier ran each lone dispatch, and charges cycles under the
+measured :func:`~repro.machine.costs.host_model` (1 cycle = 1 ns), so
+``stats.seconds()`` is a calibrated wallclock estimate rather than a
+simulated Weitek figure.
 
 ``exec_mode="interp"`` still runs the :class:`VectorExecutor` oracle —
 the bit-identity tests hold across all three engines on this target
@@ -24,20 +25,12 @@ import os
 from ...machine.cm2 import Machine
 from ...machine.costs import CostModel, host_model
 from . import kernels
-from .kernels import run_dispatch
 
 
 class HostMachine(Machine):
     """A native-host execution engine behind the Machine contract."""
 
-    @property
-    def kernel_flavor(self) -> str | None:
-        """Mega-kernel cache flavor: host-tuned builds key separately."""
-        return "host" if kernels.tuning_enabled() else None
-
-    def tune_kernel(self, kern) -> object:
-        """Hook for the fused engine: retune native mega-kernels."""
-        return kernels.tune(kern)
+    kernel_flavor = "host"
 
     def __init__(self, model: CostModel | None = None,
                  exec_mode: str | None = None) -> None:
@@ -50,14 +43,24 @@ class HostMachine(Machine):
             "steps_dispatches": 0,
         }
 
+    def emit_native(self, k, merged, spec, n, S, shifts):
+        """Tuned C whatever the group size; lone builds are counted."""
+        kern = kernels.emit_native(merged, spec, n, S, shifts)
+        if kern is not None and k == 1:
+            self.host_metrics["native_builds"] += 1
+        return kern
+
     def _execute_dispatch(self, d):
-        if self.exec_mode == "interp":
-            return super()._execute_dispatch(d)
-        tier, launch = run_dispatch(self, d)
-        counter = f"{tier}_dispatches"
-        self.host_metrics[counter] += 1
-        if launch is not None:
-            launch.counters.append((self.host_metrics, counter))
+        """The shared path, counted by the tier that ran the dispatch."""
+        launch = super()._execute_dispatch(d)
+        if self.exec_mode != "interp":
+            counter = ("steps_dispatches" if launch is None
+                       else "native_dispatches"
+                       if getattr(launch.kern, "native", False)
+                       else "blocked_dispatches")
+            self.host_metrics[counter] += 1
+            if launch is not None:
+                launch.counters.append((self.host_metrics, counter))
         return launch
 
     def fusion_summary(self) -> dict:

@@ -1,12 +1,13 @@
-"""Native code generation for fused mega-kernels.
+"""Native code generation: the C emitter over a group's merged plan.
 
 The Python blocked kernel (:mod:`repro.machine.kernel`) executes a plan
 as a sequence of whole-block numpy ufunc calls; every intermediate value
-still makes a round trip through a block buffer.  For a *fused* plan —
-several routines merged over one proven-safe slot table — the natural
-compilation target is a single per-element loop: every intermediate
-lives in a C local (a machine register), which is the literal form of
-the register-resident forwarding the fusion layer models.
+still makes a round trip through a block buffer.  For a group's merged
+plan — one routine or several over one proven-safe slot table
+(:mod:`repro.machine.execplan`) — the natural compilation target is a
+single per-element loop: every intermediate lives in a C local (a
+machine register), which is the literal form of the register-resident
+forwarding the fusion layer models.
 
 The emitter walks ``plan.groups`` exactly like the step engine: within
 a group all reads evaluate before any store commits (dual-issue pairs
@@ -43,6 +44,7 @@ automatically when no C compiler is on PATH.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import shutil
 import subprocess
@@ -87,15 +89,32 @@ def _compiler() -> str | None:
     return None
 
 
-_SO_CACHE: dict[str, object] = {}
-_WORKDIR: str | None = None
+_SO_CACHE: dict[tuple, object] = {}
+_WORKDIR: tuple[int, str] | None = None   # (the pid that made it, path)
 
 
 def _workdir() -> str:
+    """This process's build directory, removed when the process exits.
+
+    Per pid: a forked worker inherits ``_WORKDIR`` and ``_SO_CACHE``,
+    and two workers building at once must not write the same paths.
+    """
     global _WORKDIR
-    if _WORKDIR is None:
-        _WORKDIR = tempfile.mkdtemp(prefix="repro-ckernel-")
-    return _WORKDIR
+    pid = os.getpid()
+    if _WORKDIR is None or _WORKDIR[0] != pid:
+        # Runs at interpreter exit and at the end of a multiprocessing
+        # child alike (which leaves through os._exit, past atexit).
+        from multiprocessing.util import Finalize
+
+        path = tempfile.mkdtemp(prefix="repro-ckernel-")
+        _WORKDIR = (pid, path)
+        Finalize(None, _remove_workdir, args=(pid, path), exitpriority=0)
+    return _WORKDIR[1]
+
+
+def _remove_workdir(pid: int, path: str) -> None:
+    if os.getpid() == pid:   # a forked child inherits the registration
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def _literal(value) -> str:
@@ -146,17 +165,16 @@ class _CKernel:
 
 
 class _CEmitter:
-    def __init__(self, plan, spec, classes, n, S, shifts=()) -> None:
+    def __init__(self, plan, spec, n, S, shifts=()) -> None:
         self.plan = plan
         self.spec = spec
         self.n = n
-        self.cid_of = dict(zip(plan.used_pregs, classes))
-        for cid in set(classes):
-            if S[cid].dtype != np.float64:
-                raise _CBail
+        if any(a.dtype != np.float64 for a in S):
+            raise _CBail
         self.shifted = {cid: (shape, offsets)
                         for cid, _, shape, offsets in shifts}
-        self.staging = Staging(plan.groups, self.cid_of, shifts)
+        self.staging = Staging(plan.groups, len(S), shifts)
+        self.nslots = len(S) + len(self.staging.pairs)
         self.g = 0  # group being emitted (staged loads depend on it)
         self.lines: list[str] = []
         self.used_cids: set[int] = set()
@@ -170,9 +188,8 @@ class _CEmitter:
         return name
 
     def _mem(self, preg: int, store: bool = False) -> str:
-        cid = self.cid_of[preg]
-        cid = (self.staging.store(cid) if store
-               else self.staging.load(cid, self.g))
+        cid = (self.staging.store(preg) if store
+               else self.staging.load(preg, self.g))
         self.used_cids.add(cid)
         if cid in self.shifted:
             return f"h{cid}[i + k{cid}]"
@@ -295,9 +312,7 @@ class _CEmitter:
             + (["#include <string.h>"] if post else [])
             + ["void kernel(void **SP, const double *X, long n) {"]
             + pre + loop + body + close + post + ["}", ""])
-        nslots = max([*self.cid_of.values(),
-                      *self.staging.scratch.values()], default=-1) + 1
-        return _load(src, nslots, tuple(sregs), staged=staged)
+        return _load(src, self.nslots, tuple(sregs), staged=staged)
 
     def _row_loops(self, gathers) -> tuple[list[str], list[str]]:
         """Row/segment/column loop heads for in-place shifted operands.
@@ -350,16 +365,23 @@ def _load(src: str, nslots: int, sregs: tuple,
         cc = _compiler()
         if cc is None:
             raise _CBail
-        tag = f"k{len(_SO_CACHE)}"
-        cfile = os.path.join(_workdir(), f"{tag}.c")
-        sofile = os.path.join(_workdir(), f"{tag}.so")
+        # Named by content and moved into place whole: whoever else
+        # builds the same text writes the same bytes to the same path.
+        tag = hashlib.sha256(repr(key).encode()).hexdigest()[:32]
+        workdir = _workdir()
+        cfile = os.path.join(workdir, f"{tag}.c")
+        sofile = os.path.join(workdir, f"{tag}.so")
         with open(cfile, "w") as f:
             f.write(src)
+        fd, partial = tempfile.mkstemp(suffix=".so", dir=workdir)
+        os.close(fd)
         proc = subprocess.run(
-            [cc, *_CFLAGS, *extra_flags, "-o", sofile, cfile, "-lm"],
+            [cc, *_CFLAGS, *extra_flags, "-o", partial, cfile, "-lm"],
             capture_output=True)
         if proc.returncode != 0:
+            os.unlink(partial)
             raise _CBail
+        os.replace(partial, sofile)
         lib = ctypes.CDLL(sofile)
         fn = lib.kernel
         fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
@@ -371,15 +393,13 @@ def _load(src: str, nslots: int, sregs: tuple,
 
 
 def retune(kern, extra_flags: tuple) -> object:
-    """The same kernel recompiled with extra compiler flags.
+    """The same native kernel recompiled with extra compiler flags.
 
     Flags must preserve per-element IEEE semantics (``-ffp-contract=off``
     stays in force, so e.g. ``-march=native`` only widens the vector
     unit without reassociating or contracting).  Returns the original
-    kernel untouched when it is not native or the recompile fails.
+    kernel untouched when the recompile fails.
     """
-    if not getattr(kern, "native", False) or not extra_flags:
-        return kern
     try:
         return _load(kern.source, kern._nslots, kern._sregs,
                      tuple(extra_flags), kern.staged)
@@ -387,11 +407,12 @@ def retune(kern, extra_flags: tuple) -> object:
         return kern
 
 
-def try_native(plan, spec, classes, n, S, shifts=()):
-    """A compiled C kernel for the plan, or None to use the Python one."""
+def try_native(plan, spec, n, S, shifts=()):
+    """A compiled C kernel for a group's merged plan over its slot
+    table, or None to use the Python one."""
     if _compiler() is None:
         return None
     try:
-        return _CEmitter(plan, spec, classes, n, S, shifts).build()
+        return _CEmitter(plan, spec, n, S, shifts).build()
     except _CBail:
         return None

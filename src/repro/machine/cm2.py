@@ -19,7 +19,8 @@ import numpy as np
 
 from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
-from .execplan import Dispatch, ExecutionPlan, LaunchRecord
+from .execplan import (Dispatch, ExecutionPlan, LaunchRecord, emit_native,
+                       run_lone)
 from .geometry import Geometry, coordinate_array, make_geometry
 from .kernel import kernels_enabled
 from .pe import SubgridStream, VectorExecutor
@@ -70,14 +71,20 @@ class Machine:
 
     ``exec_mode`` selects the node-dispatch engine: ``"fast"`` (the
     default, overridable via the ``REPRO_EXEC`` environment variable)
-    executes compiled routine plans (:mod:`repro.machine.plan`);
-    ``"interp"`` routes through the :class:`VectorExecutor` oracle.
-    Both produce bit-identical arrays and identical :class:`RunStats`.
-    ``"fused"`` additionally lets the host executor batch adjacent node
-    calls through :meth:`call_fused` (:mod:`repro.machine.execplan`):
+    runs every dispatch as a group of compiled routine plans
+    (:mod:`repro.machine.execplan`); ``"interp"`` routes through the
+    :class:`VectorExecutor` oracle.  Both produce bit-identical arrays
+    and identical :class:`RunStats`.  ``"fused"`` additionally lets the
+    host executor batch adjacent node calls through :meth:`call_fused`:
     arrays stay bit-identical to both other engines, and a fused batch
     is charged as one dispatch.
     """
+
+    #: Who may emit C for a group of k routines, and the cache flavor
+    #: of what it builds: what a machine class adds to the one dispatch
+    #: path (see :func:`repro.machine.execplan.emit_native`).
+    emit_native = staticmethod(emit_native)
+    kernel_flavor: str | None = None
 
     def __init__(self, model: CostModel | None = None,
                  exec_mode: str | None = None) -> None:
@@ -98,7 +105,7 @@ class Machine:
         # CSHIFT prices by (priced array, dim, shift): the geometry of
         # an allocated array never changes, so each is computed once.
         self._shift_cycles: dict[tuple, int] = {}
-        self._verified_routines: set[str] = set()
+        self._verified_routines: set[int] = set()   # plan serials
         # Steady-state dispatch: one launch record per dispatch site
         # (docs/PIPELINE.md §16).  The interpreter oracle never makes
         # or reads one.
@@ -108,7 +115,7 @@ class Machine:
             # drops, by what no longer matched
             "binding": 0, "plan": 0, "scalar_type": 0, "kernels_off": 0,
         }
-        # Mega-kernel cache and shift-path telemetry: machine-local and
+        # Fused-group kernel and shift-path telemetry: machine-local and
         # wall-clock flavored — it never feeds RunStats, which stay
         # deterministic run to run.
         self.fusion_metrics: dict[str, int] = {
@@ -212,14 +219,16 @@ class Machine:
 
     # -- node dispatch ----------------------------------------------------
 
-    def _verify_routine(self, routine: Routine) -> None:
+    def _verify_routine(self, routine: Routine, serial: int) -> None:
         """Under ``REPRO_VERIFY=1``, check PEAC invariants at dispatch.
 
         The last line of defense: catches corrupted or hand-built
         routines that never went through the compile-time verifier.
-        Each routine name is checked once per machine.
+        Each routine is checked once per machine and plan — by plan
+        serial, not by name: every program calls its routines
+        ``Pk<N>vs<M>``, and an edited body gets a new plan.
         """
-        if routine.name in self._verified_routines:
+        if serial in self._verified_routines:
             return
         from ..analysis import verify_enabled
 
@@ -231,7 +240,7 @@ class Machine:
         diagnostics = verify_routine(routine)
         if diagnostics:
             raise VerifyError("machine/dispatch", diagnostics)
-        self._verified_routines.add(routine.name)
+        self._verified_routines.add(serial)
 
     def call_routine(self, routine: Routine,
                      bindings: dict[str, object],
@@ -250,59 +259,47 @@ class Machine:
         "this call, again"): a site that ran a compiled kernel replays
         its launch record while the same operand objects stay bound.
         """
-        call = (routine, bindings, region_extents, real_elements, layout)
-        if site is not None and self._replay(site, (call,)):
-            return
-        d = self._prepare(*call)
-        charge = self._charge(d)
-        try:
-            launch = self._execute_dispatch(d)
-            if launch is not None and site is not None:
-                self._record(site, (call,), (d,), launch, charge,
-                             [p for p in d.spill_pregs
-                              if p in d.plan.used_pregs])
-        finally:
-            self._release(d)
-        self.stats.charge_call(*charge)
+        self.call_fused(((routine, bindings, region_extents, real_elements,
+                          layout),), site)
 
     def call_fused(self, calls, site=None) -> None:
         """Dispatch a batch of adjacent node calls, fused when legal.
 
         ``calls`` is a sequence of ``call_routine`` argument tuples
         ``(routine, bindings, region_extents, real_elements, layout)``.
-        Under ``exec_mode="fused"`` the batch is probed by the
-        :class:`~repro.machine.execplan.ExecutionPlan` layer: a legal
-        batch is charged as **one** node call (deduplicated pushes, a
-        single merged trip loop, forwarded intermediate loads) and runs
-        through a cached mega-kernel.  An illegal batch — and every
-        batch under the other engines — runs call by call with
-        unchanged accounting.  ``site`` names the dispatch site, as for
-        :meth:`call_routine`.
+        A batch of one is that call, charged as :meth:`call_routine`
+        documents.  Under ``exec_mode="fused"`` a longer batch is probed
+        by :meth:`ExecutionPlan.build`: a legal one is charged as
+        **one** node call (deduplicated pushes, a single merged trip
+        loop, forwarded intermediate loads) and runs through one
+        kernel.  An illegal batch — and every longer batch under the
+        other engines — runs call by call with unchanged accounting.
+        ``site`` names the dispatch site, as for :meth:`call_routine`.
         """
-        if len(calls) == 1:
-            self.call_routine(*calls[0], site=site)
-            return
         if site is not None and self._replay(site, calls):
             return
         dispatches = [self._prepare(*c) for c in calls]
         try:
-            plan = None
-            if self.exec_mode == "fused":
-                plan = ExecutionPlan.build(dispatches)
-            if plan is None:
-                # Every shifted operand means its source at batch start.
-                for d in dispatches:
-                    materialize_streams(d.streams)
-                for d in dispatches:
-                    self._execute_dispatch(d)
-                    self.stats.charge_call(*self._charge(d))
+            if len(dispatches) == 1:
+                charge = self._charge(dispatches[0])
+                launch = self._execute_dispatch(dispatches[0])
             else:
-                charge = plan.charge(self.model, dispatches)
-                self.stats.charge_call(*charge)
-                launch = plan.run(self, dispatches)
-                if launch is not None and site is not None:
-                    self._record(site, calls, dispatches, launch, charge,
-                                 plan.spill_slots)
+                group = (ExecutionPlan.build(dispatches)
+                         if self.exec_mode == "fused" else None)
+                if group is None:
+                    # Every shifted operand means its source at batch
+                    # start.
+                    for d in dispatches:
+                        materialize_streams(d.streams)
+                    for d in dispatches:
+                        self._execute_dispatch(d)
+                        self.stats.charge_call(*self._charge(d))
+                    return
+                charge = group.charge(self.model, dispatches)
+                launch = group.run(self, dispatches)
+            self.stats.charge_call(*charge)
+            if launch is not None and site is not None:
+                self._record(site, calls, dispatches, launch, charge)
         finally:
             for d in dispatches:
                 self._release(d)
@@ -329,15 +326,13 @@ class Machine:
         metrics["replays"] += 1
         return True
 
-    def _record(self, site, calls, dispatches, launch, charge,
-                spill_slots) -> None:
+    def _record(self, site, calls, dispatches, launch, charge) -> None:
         """Keep the trip that just ran a kernel as the site's record."""
         for d in dispatches:
             for stream in d.shifted:
                 launch.counters.append(
                     (self.fusion_metrics, f"shifts_{stream.state}"))
-        record = LaunchRecord.capture(calls, dispatches, launch, charge,
-                                      spill_slots)
+        record = LaunchRecord.capture(calls, dispatches, launch, charge)
         if record is not None:
             self._launches[site] = record
             self.launch_metrics["records"] += 1
@@ -349,9 +344,9 @@ class Machine:
         """Resolve one call's streams, scalars and spill scratch."""
         if layout is not None and len(layout) != len(region_extents):
             layout = None  # section computes fall back to block layout
-        self._verify_routine(routine)
-        geom = make_geometry(region_extents, self.model.n_pes, layout)
         plan = get_plan(routine)
+        self._verify_routine(routine, plan.serial)
+        geom = make_geometry(region_extents, self.model.n_pes, layout)
         streams: list[SubgridStream | None] = [None] * NUM_PREGS
         scalars: list = [_UNBOUND] * NUM_SREGS
         pushes = 0
@@ -419,7 +414,7 @@ class Machine:
                     executor.bind_scalar(SReg(n), value)
             executor.run(d.routine)
             return None
-        return d.plan.execute(d.streams, d.scalars, self.pool)
+        return run_lone(d, self.pool, self.emit_native, self.kernel_flavor)
 
     def _release(self, d: Dispatch) -> None:
         for scratch in d.spill_bufs:
@@ -464,9 +459,6 @@ class Machine:
 
     def charge_host(self, cycles: int) -> None:
         self.stats.host_cycles += cycles
-
-    def geometry_of(self, extents: tuple[int, ...]) -> Geometry:
-        return make_geometry(extents, self.model.n_pes)
 
     def gflops(self) -> float:
         return self.stats.gflops(self.model.clock_hz)

@@ -1,42 +1,46 @@
-"""Plan-level cross-routine fusion: mega-kernels and launch records.
+"""How a dispatch runs: a group of k >= 1 routines, one probe, one cache.
 
 The Figure 9/10 blocker fuses MOVEs that share a shape *inside* one
 computation phase; every phase still becomes its own PEAC dispatch, and
 on a blocked timestep loop the per-call overhead (sequencer dispatch,
 IFIFO pushes, per-trip loop bookkeeping, store/reload of intermediate
-streams) dominates what is left.  This module extends fusion into the
-execution plan:
+streams) dominates what is left.  The host executor
+(:mod:`repro.runtime.host`) therefore batches adjacent node calls and
+hands each batch to :meth:`Machine.call_fused`; a lone call is the
+batch of one.  Either way the machine runs a **group**:
 
-* the host executor (:mod:`repro.runtime.host`) batches adjacent node
-  calls — independent runtime work is hoisted ahead of the batch — and
-  dispatches each batch through :meth:`Machine.call_fused`;
-* an :class:`ExecutionPlan` proves the batch safe to fuse with the same
-  alias probing the per-routine kernels use (contiguous equal-length
-  streams, stored classes overlap nothing distinct) and then charges the
-  batch as **one** node call: one dispatch, deduplicated argument
-  pushes, a single virtual-subgrid loop (one ``loop_overhead`` per trip
-  instead of one per routine), and register-resident forwarding — an
-  unpaired vector load of a stream some earlier constituent just stored
-  is elided, because the value is still live in the fused routine's
-  register file;
-* the batch executes through a **mega-kernel**: the constituents'
-  :class:`~repro.machine.plan.RoutinePlan` step lists are concatenated
-  with registers renamed into per-constituent banks and memory operands
-  renamed onto the fused slot table, then compiled by the existing
-  blocked kernel builder (:mod:`repro.machine.kernel`).  Mega-kernels
-  are cached process-wide, keyed by the full binding signature —
-  constituent plan serials, alias classes, shapes and scalar types — so
-  one compilation serves every later timestep and every later machine;
-* steady state is a **replay**: once a site's batch has run through
-  its mega-kernel, the machine keeps a :class:`LaunchRecord` — the
-  bound operand objects, the kernel and its slot table, the summed
-  charge — and later trips validate it by identity and launch again,
-  skipping everything above (``docs/PIPELINE.md`` §16).
+* :meth:`ExecutionPlan.build` is the one alias probe: it proves the
+  group's bindings legal for a compiled kernel (contiguous equal-length
+  streams, stored slots overlap nothing distinct, a stored shifted
+  source staged) and lays out the group's slot table;
+* :meth:`ExecutionPlan.kernel_for` is the one kernel cache: the
+  constituents' :class:`~repro.machine.plan.RoutinePlan` step lists are
+  concatenated with registers renamed into per-constituent banks and
+  memory operands renamed onto the slot table, then compiled by the
+  machine's native emitter (:mod:`repro.machine.ckernel`) or, when it
+  declines or there is none, the blocked numpy builder
+  (:mod:`repro.machine.kernel`).  Kernels are cached process-wide,
+  keyed by the full binding signature — constituent plan serials, slot
+  maps, shapes, scalar types, emitter flavor — so one compilation
+  serves every later timestep and every later machine, and live no
+  longer than the plans they were compiled over (:func:`evict_serial`);
+* :meth:`ExecutionPlan.launch` runs the kernel through a
+  :class:`~repro.machine.kernel.Launch`, which the machine keeps as the
+  site's :class:`LaunchRecord`: later trips validate it by identity and
+  launch again, skipping everything above (``docs/PIPELINE.md`` §16).
 
-Correctness never depends on the probe: a batch that fails it simply
-runs (and is charged) call by call, and a fused batch whose mega-kernel
-is not buildable executes each constituent plan in order — both paths
-bit-identical to the unfused engines.
+What differs with k is the accounting and who may emit C, not the
+path.  A group of two or more is charged as **one** node call
+(:meth:`ExecutionPlan.charge`: one dispatch, deduplicated argument
+pushes, a single virtual-subgrid loop, register-resident forwarding of
+streams an earlier constituent just stored); a lone dispatch keeps the
+per-parameter charge of ``Machine._charge``.
+
+Correctness never depends on the probe: a batch that fails it runs (and
+is charged) call by call, a lone dispatch that fails it runs the step
+engine, and a group whose kernel is not buildable yet executes each
+constituent in order (:func:`run_lone`) — all bit-identical to the
+interpreter oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ import numpy as np
 
 from ..peac.isa import NUM_SREGS, NUM_VREGS
 from .ckernel import try_native
-from .kernel import (_NO_KERNEL, Launch, _build, _same_memory,
-                     kernels_enabled, mark_in_place)
+from .kernel import _NO_KERNEL, Launch, _build, kernels_enabled
 from .plan import (
     _R_CONST,
     _R_MEM,
@@ -71,9 +74,9 @@ class Dispatch:
                  "pushes", "scalar_pushes", "spill_bufs", "spill_pregs",
                  "trips", "elements")
 
-    def __init__(self, routine, plan, streams, scalars, pushes,
-                 scalar_pushes, spill_bufs, spill_pregs, trips,
-                 elements) -> None:
+    def __init__(self, routine, plan, streams, scalars, pushes=0,
+                 scalar_pushes=0, spill_bufs=(), spill_pregs=(), trips=0,
+                 elements=0) -> None:
         self.routine = routine
         self.plan = plan
         self.streams = streams
@@ -91,41 +94,43 @@ class Dispatch:
 
 
 class _MergedPlan:
-    """Duck-typed plan over fused slots, consumed by the kernel builder."""
+    """A group's steps over its slot table, as the kernel builders take
+    them: memory operands name slots, registers are banked per routine."""
 
-    def __init__(self, name, groups, used_pregs, num_vregs) -> None:
+    def __init__(self, name, groups, num_vregs) -> None:
         self.name = name
         self.groups = groups
-        self.used_pregs = used_pregs
         self.num_vregs = num_vregs
 
 
-# -- process-wide mega-kernel cache -----------------------------------------
+# -- the process-wide kernel cache ------------------------------------------
 
 _MEGA_KERNELS: OrderedDict[tuple, object] = OrderedDict()
-_MEGA_CAP = 128
+_MEGA_CAP = 256
 
 
-def _remember(key: tuple, kern) -> None:
-    if len(_MEGA_KERNELS) >= _MEGA_CAP:
-        _MEGA_KERNELS.popitem(last=False)
-    _MEGA_KERNELS[key] = kern
+def evict_serial(serial: int) -> None:
+    """Drop every cached kernel built over the given plan serial.
 
-
-def evict_serial(serial: int) -> int:
-    """Drop every cached mega-kernel built over the given plan serial.
-
-    Called from :func:`repro.machine.plan.invalidate_plan`; returns the
-    number of evicted entries (for tests and metrics).
+    A kernel lives no longer than the plans it was compiled over:
+    called from :func:`repro.machine.plan.invalidate_plan` and when a
+    :class:`~repro.machine.plan.RoutinePlan` is collected — possibly in
+    the middle of another eviction, hence the snapshot and the
+    forgiving ``pop``.
     """
-    dead = [key for key in _MEGA_KERNELS if serial in key[0]]
-    for key in dead:
-        del _MEGA_KERNELS[key]
-    return len(dead)
+    for key in list(_MEGA_KERNELS):
+        if serial in key[0]:
+            _MEGA_KERNELS.pop(key, None)
 
 
-def cache_size() -> int:
-    return len(_MEGA_KERNELS)
+def emit_native(k, merged, spec, n, S, shifts):
+    """The CM targets' native emitter: C for groups of two or more.
+
+    A lone dispatch gets the blocked numpy kernel only — a ``cc`` run
+    is tens of milliseconds per site, most of a second over a program's
+    set-up — so ``fast`` stays the engine that never shells out.
+    """
+    return try_native(merged, spec, n, S, shifts) if k > 1 else None
 
 
 # -- step remapping ---------------------------------------------------------
@@ -173,26 +178,31 @@ def _remap_groups(plan, smap, voff, soff, toff):
     return groups
 
 
-# -- the fused execution plan -----------------------------------------------
+# -- the group ----------------------------------------------------------------
+
+
+def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two equal-length flat arrays over exactly the same elements."""
+    return (a.dtype == b.dtype and a.__array_interface__["data"][0]
+            == b.__array_interface__["data"][0])
 
 
 class ExecutionPlan:
-    """One fused dispatch: slot table, accounting, mega-kernel.
+    """One group of k >= 1 dispatches: slot table, accounting, kernel.
 
     Built by :meth:`build` for the trip at hand and dropped after it:
     what outlives the trip is the site's :class:`LaunchRecord` (on the
-    machine) and the mega-kernel (process-wide).
+    machine) and the kernel (process-wide).
     """
 
     def __init__(self, dispatches, trips, n, S, slot_maps, spill_slots,
                  stream_slots, shifts) -> None:
         self.plans = tuple(d.plan for d in dispatches)
         self.serials = tuple(p.serial for p in self.plans)
-        self.names = tuple(p.name for p in self.plans)
         self.k = len(dispatches)
         self.trips = trips
         self.n = n
-        #: The fused slot table: one flat array per slot.
+        #: The group's slot table: one flat array per slot.
         self.S = S
         self.slot_maps = slot_maps
         #: Slots holding spill scratch (redrawn zeroed on every trip).
@@ -200,8 +210,9 @@ class ExecutionPlan:
         #: ``(slot, staged source slot or None, shape, offsets)`` per
         #: shifted operand, as the kernel builders take them.
         self.shifts = shifts
-        # One push per distinct stream slot, per scalar argument, plus
-        # the shared vlen: duplicate pointer arguments collapse.
+        # A fused group pushes once per distinct stream slot, per scalar
+        # argument, plus the shared vlen: duplicate pointer arguments
+        # collapse.
         self.pushes = (stream_slots
                        + sum(d.scalar_pushes for d in dispatches) + 1)
 
@@ -209,20 +220,20 @@ class ExecutionPlan:
 
     @classmethod
     def build(cls, dispatches) -> "ExecutionPlan | None":
-        """Probe a batch for fusability; None means dispatch call-by-call.
+        """Probe a group's bindings; None means no kernel may run them.
 
-        The legality conditions mirror ``kernel._probe`` over the fused
-        slot table: every stream contiguous with one common flat length,
-        and no stored slot overlapping a *distinct* slot.  The verdict
-        depends only on plans, shapes and alias classes — so fused cost
-        accounting is deterministic run to run.  A shifted operand is
-        one slot per operand key holding its *source*, exempt from the
-        overlap rule as the private copy it replaces was: a stored slot
-        that is exactly that source gets staged (``shifts`` carries the
-        pairing to the kernel builders).
+        The one place contiguity, length and alias legality are
+        decided: every stream contiguous with one common flat length,
+        and no stored slot overlapping a *distinct* slot (two identical
+        views are one slot, which is safe; anything else would let a
+        blocked store corrupt elements another block still has to
+        read).  The verdict depends only on plans, shapes and alias
+        classes — so fused cost accounting is deterministic run to run.
+        A shifted operand is one slot per operand key holding its
+        *source*, exempt from the overlap rule as the private copy it
+        replaces was: a stored slot that is exactly that source gets
+        staged (``shifts`` carries the pairing to the kernel builders).
         """
-        if len(dispatches) < 2:
-            return None
         trips = dispatches[0].trips
         if any(d.trips != trips for d in dispatches):
             return None
@@ -291,7 +302,8 @@ class ExecutionPlan:
     # -- fused cost accounting ------------------------------------------
 
     def charge(self, model, dispatches) -> tuple:
-        """The batch as one fused call, as ``RunStats.charge_call`` args.
+        """A batch of two or more as one fused call, as
+        ``RunStats.charge_call`` args.
 
         One ``loop_overhead`` per trip for the whole fused group, and an
         unpaired vector load of a slot stored by an *earlier* constituent
@@ -319,77 +331,86 @@ class ExecutionPlan:
 
     # -- execution ------------------------------------------------------
 
-    def run(self, machine, dispatches) -> Launch | None:
-        """Execute the batch; the launch, when a mega-kernel ran it."""
-        kern = self._kernel_for(machine, dispatches)
-        if kern is None:
-            machine.fusion_metrics["stepwise_groups"] += 1
-            # Every shifted operand means its source at group start.
-            for d in dispatches:
-                materialize_streams(d.streams)
-            for d in dispatches:
-                d.plan.execute(d.streams, d.scalars, machine.pool)
-            return None
+    def kernel_for(self, sigs, emit=None, flavor=None) -> tuple:
+        """``(kernel, built)`` for this trip's binding signatures.
+
+        The kernel is None when the step engine must run instead: a
+        signature still needs its recording pass, or the merged steps
+        are not kernel-eligible.  ``emit`` is the machine's native
+        emitter (``emit(k, merged plan, spec, n, S, shifts)``; None:
+        never native) and ``flavor`` keys what it builds, so a
+        host-tuned kernel never serves a simulated target.  ``built``
+        says this call compiled the entry rather than found it.
+        """
+        slot_key = tuple(tuple(sorted(m.items())) for m in self.slot_maps)
+        key = (self.serials, slot_key, sigs, self.n, flavor, self.shifts)
+        kern = _MEGA_KERNELS.pop(key, None)
+        built = kern is None
+        if built:
+            specs = [plan.specs.get(sig)
+                     for plan, sig in zip(self.plans, sigs)]
+            if None in specs:
+                return None, False   # the recording pass runs first
+            merged = self._merged_plan()
+            mspec = self._merged_spec(specs)
+            # Prefer a native per-element loop (intermediates stay in
+            # registers); decline -> the Python blocked kernel.
+            if emit is not None:
+                kern = emit(self.k, merged, mspec, self.n, self.S,
+                            self.shifts)
+            if kern is None:
+                kern = _build(merged, mspec, self.n, self.S, self.shifts)
+            if len(_MEGA_KERNELS) >= _MEGA_CAP:
+                _MEGA_KERNELS.popitem(last=False)
+        _MEGA_KERNELS[key] = kern   # (back) in, at the recent end
+        return (None if kern is _NO_KERNEL else kern), built
+
+    def launch(self, kern, dispatches, pool) -> Launch:
+        """Run ``kern`` over the group's slot table; the launch."""
         X: list = []
         for d in dispatches:
             X.extend(d.scalars)
-        launch = Launch(kern, self.S, self.n)
-        launch.counters.append((machine.fusion_metrics, "megakernel_hits"))
-        launch.run(X, machine.pool)
-        if self.shifts:
+        launch = Launch(kern, self.S, self.n, self.spill_slots)
+        launch.run(X, pool)
+        if self.shifts:   # the kernel read every shifted stream in place
+            staged = {slot for slot, base, _, _ in self.shifts
+                      if base is not None}
             for d, smap in zip(dispatches, self.slot_maps):
-                pregs = d.plan.used_pregs
-                mark_in_place(d.streams, pregs,
-                              [smap[p] for p in pregs], self.shifts)
+                for p, slot in smap.items():
+                    stream = d.streams[p]
+                    if isinstance(stream, ShiftedStream):
+                        stream.state = ("staged" if slot in staged
+                                        else "folded")
         return launch
 
-    def _kernel_for(self, machine, dispatches):
-        """The mega-kernel for this trip's binding signature, if ready.
-
-        None means "run the constituent plans in order" — either the
-        signature still needs a recording pass, code generation is
-        disabled, or the merged steps are not kernel-eligible.
-        """
-        if not kernels_enabled():
-            return None
-        sigs = tuple(d.plan._signature(d.streams, d.scalars)
-                     for d in dispatches)
-        slot_key = tuple(tuple(sorted(m.items())) for m in self.slot_maps)
-        # Machines may retune native kernels (extra compiler flags for
-        # the real CPU); the flavor keys the tuned build separately so
-        # simulated targets keep the baseline one.
-        key = (self.serials, slot_key, sigs, self.n,
-               getattr(machine, "kernel_flavor", None), self.shifts)
-        kern = _MEGA_KERNELS.get(key)
+    def run(self, machine, dispatches) -> Launch | None:
+        """Execute a fused batch; the launch, when a kernel ran it."""
+        metrics = machine.fusion_metrics
+        kern = None
+        if kernels_enabled():
+            sigs = tuple(d.plan._signature(d.streams, d.scalars)
+                         for d in dispatches)
+            kern, built = self.kernel_for(sigs, machine.emit_native,
+                                          machine.kernel_flavor)
+            if built:
+                metrics["megakernel_builds"] += 1
+                if getattr(kern, "native", False):
+                    metrics["megakernel_native"] += 1
+            elif kern is not None:
+                metrics["megakernel_hits"] += 1
         if kern is None:
-            specs = []
-            for d, sig in zip(dispatches, sigs):
-                spec = d.plan.specs.get(sig)
-                if spec is None:
-                    return None  # the recording pass runs stepwise first
-                specs.append(spec)
-            merged = self._merged_plan()
-            mspec = self._merged_spec(specs)
-            identity = tuple(range(len(self.S)))
-            # Prefer a native per-element loop (intermediates stay in
-            # registers); decline -> the Python blocked kernel.
-            kern = try_native(merged, mspec, identity, self.n, self.S,
-                              self.shifts)
-            if kern is None:
-                kern = _build(merged, mspec, identity, self.n, self.S,
-                              self.shifts)
-            else:
-                tune = getattr(machine, "tune_kernel", None)
-                if tune is not None:
-                    kern = tune(kern)
-                machine.fusion_metrics["megakernel_native"] += 1
-            _remember(key, kern)
-            machine.fusion_metrics["megakernel_builds"] += 1
-        else:
-            _MEGA_KERNELS.move_to_end(key)
-            if kern is not _NO_KERNEL:
-                machine.fusion_metrics["megakernel_hits"] += 1
-        return None if kern is _NO_KERNEL else kern
+            metrics["stepwise_groups"] += 1
+            # Every shifted operand means its source at group start.
+            for d in dispatches:
+                materialize_streams(d.streams)
+            # Never native: the group's own kernel supersedes whatever
+            # these would build one trip from now.
+            for d in dispatches:
+                run_lone(d, machine.pool)
+            return None
+        launch = self.launch(kern, dispatches, machine.pool)
+        launch.counters.append((metrics, "megakernel_hits"))
+        return launch
 
     def _merged_plan(self) -> _MergedPlan:
         groups: list = []
@@ -398,9 +419,8 @@ class ExecutionPlan:
             groups.extend(_remap_groups(plan, self.slot_maps[i],
                                         i * NUM_VREGS, i * NUM_SREGS, toff))
             toff += plan._tokens
-        return _MergedPlan(name="+".join(self.names), groups=groups,
-                           used_pregs=tuple(range(len(self.S))),
-                           num_vregs=self.k * NUM_VREGS)
+        return _MergedPlan("+".join(p.name for p in self.plans), groups,
+                           self.k * NUM_VREGS)
 
     def _merged_spec(self, specs) -> dict:
         spec: dict = {}
@@ -410,6 +430,40 @@ class ExecutionPlan:
                 spec[token + toff] = v
             toff += plan._tokens
         return spec
+
+
+def run_lone(d: Dispatch, pool, emit=None, flavor=None) -> Launch | None:
+    """Run one dispatch as a group of one.
+
+    Returns the launch when a kernel ran over the operands as bound
+    (what a dispatch site may replay), else None.  A first trip with a
+    new binding signature does not probe: it goes straight to the step
+    engine's recording pass.
+    """
+    plan = d.plan
+    streams = d.streams
+    sig = plan._signature(streams, d.scalars)
+    if sig in plan.specs and kernels_enabled():
+        launch = _launch_lone(d, sig, pool, emit, flavor)
+        if launch is not None:
+            return launch
+        # A shifted operand the kernel could not read in place still
+        # runs blocked over its copy, as it did before folding (never
+        # native: the copy is this trip's alone).
+        if any(isinstance(st, ShiftedStream) for st in streams):
+            materialize_streams(streams)
+            if _launch_lone(d, sig, pool) is not None:
+                return None
+    plan.run_steps(streams, d.scalars, pool, sig)
+    return None
+
+
+def _launch_lone(d, sig, pool, emit=None, flavor=None) -> Launch | None:
+    group = ExecutionPlan.build((d,))
+    if group is None:
+        return None
+    kern, _ = group.kernel_for((sig,), emit, flavor)
+    return None if kern is None else group.launch(kern, (d,), pool)
 
 
 # -- steady state: the per-site launch record -------------------------------
@@ -440,8 +494,8 @@ class LaunchRecord:
         self.X = X
 
     @classmethod
-    def capture(cls, calls, dispatches, launch: Launch, charge: tuple,
-                spill_slots) -> "LaunchRecord | None":
+    def capture(cls, calls, dispatches, launch: Launch,
+                charge: tuple) -> "LaunchRecord | None":
         """The record of the trip that just ran, or None when one of
         its scalars is an array (whose shape is part of the kernel's
         signature, not of its type)."""
@@ -466,7 +520,7 @@ class LaunchRecord:
                                     type(value)))
             checks.append((routine, d.plan, tuple(call[2:]),
                            tuple(streams), tuple(scalars)))
-        launch.redraw(spill_slots)
+        launch.redraw()
         return cls(launch, charge, tuple(checks), X)
 
     def stale(self, calls) -> str | None:

@@ -40,15 +40,17 @@ When the routine also stores the shifted operand's source, that store
 is staged through scratch (:class:`Staging`) and copied back after
 the loop.
 
-``REPRO_FAST_BLOCK`` tunes the block length in elements (default
-16384); ``REPRO_FAST_KERNEL=0`` disables code generation entirely so
-the step engine can be exercised on its own (:func:`kernels_enabled`
-is the one place that reads it).
+``REPRO_FAST_KERNEL=0`` disables code generation entirely so the step
+engine can be exercised on its own (:func:`kernels_enabled` is the one
+place that reads it).
 
-Whoever runs a kernel runs it through a :class:`Launch` — the kernel
-bound to its slot table — and hands that back, so the machine can keep
-it as the dispatch site's launch record and run it again on the next
-trip (``docs/PIPELINE.md`` §16).
+The builder takes a *group's* merged plan — one routine or several,
+memory operands already renamed onto the group's slot table
+(:mod:`repro.machine.execplan`, which also proves the binding legal
+and owns the kernel cache).  Every kernel runs through a
+:class:`Launch` — the kernel bound to its slot table — which the
+machine keeps as the dispatch site's launch record and runs again on
+the next trip (``docs/PIPELINE.md`` §16).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import os
 
 import numpy as np
 
-from .shifted import BlockGather, ShiftedStream
+from .shifted import BlockGather
 from .plan import (
     _FMA_FNS,
     _OUT_FNS,
@@ -73,14 +75,7 @@ from .plan import (
 )
 
 _NO_KERNEL = "ineligible"
-_KERNEL_CAP = 8  # specializations cached per plan
-
-
-def _block_elements() -> int:
-    try:
-        return max(1024, int(os.environ.get("REPRO_FAST_BLOCK", "16384")))
-    except ValueError:
-        return 16384
+_BLOCK = 16384  # block length in elements: intermediates stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +133,6 @@ def kernels_enabled() -> bool:
     return os.environ.get("REPRO_FAST_KERNEL") != "0"
 
 
-def try_kernel(plan, sig, spec, streams, scalars, pool) -> "Launch | None":
-    """Run the compiled kernel for this call if one applies.
-
-    Returns the :class:`Launch` that ran (the call is done); None when
-    the caller should fall back to the step engine.
-    """
-    probe = _probe(plan, streams)
-    if probe is None:
-        return None
-    classes, n, S, shifts = probe
-    key = (sig, classes, n, shifts)
-    kern = plan._kernels.get(key)
-    if kern is None:
-        kern = _build(plan, spec, classes, n, S, shifts)
-        if len(plan._kernels) >= _KERNEL_CAP:
-            plan._kernels.pop(next(iter(plan._kernels)))
-        plan._kernels[key] = kern
-    if kern is _NO_KERNEL:
-        return None
-    launch = Launch(kern, S, n)
-    launch.run(scalars, pool)
-    mark_in_place(streams, plan.used_pregs, classes, shifts)
-    return launch
-
-
 class SlotTable(list):
     """A launch's own slot table: the flat operand arrays, by slot.
 
@@ -190,29 +160,32 @@ class Launch:
     ``scratch`` lists the slots drawn from the buffer pool around each
     run, as ``(slot, dtype, zeroed)``: the kernel's staged stores
     (:class:`Staging`) from the start, and — once a machine keeps the
-    launch as a site's record — the routine's spill slots, which its
-    first run got from ``Machine._prepare``.  ``counters`` are the
-    ``(metrics dict, key)`` pairs a trip through this launch bumps.
+    launch as a site's record (:meth:`redraw`) — the ``spills`` slots,
+    which its first run got from ``Machine._prepare``.  ``counters``
+    are the ``(metrics dict, key)`` pairs a trip through this launch
+    bumps.
     """
 
-    __slots__ = ("kern", "S", "n", "scratch", "counters")
+    __slots__ = ("kern", "S", "n", "spills", "scratch", "counters")
 
-    def __init__(self, kern, S, n: int) -> None:
+    def __init__(self, kern, S, n: int, spills=()) -> None:
         self.kern = kern
         self.S = S = SlotTable(S)
         self.n = n
+        self.spills = spills
         staged = kern.staged
         if staged:
             S.extend([None] * (staged[-1][1] + 1 - len(S)))
-        self.scratch = [(scratch, S[cid].dtype, False)
-                        for cid, scratch in staged]
+        self.scratch = [(scratch, S[slot].dtype, False)
+                        for slot, scratch in staged]
         self.counters: list = []
 
-    def redraw(self, slots) -> None:
-        """From now on draw ``slots`` zeroed from the pool on every run
-        (the buffers they hold go back to the pool with this trip)."""
+    def redraw(self) -> None:
+        """From now on draw the spill slots zeroed from the pool on
+        every run (the buffers they hold go back to the pool with this
+        trip)."""
         S = self.S
-        for slot in slots:
+        for slot in self.spills:
             self.scratch.append((slot, S[slot].dtype, True))
             S[slot] = None
 
@@ -234,129 +207,43 @@ class Launch:
                 S[slot] = None
 
 
-def mark_in_place(streams, pregs, classes, shifts) -> None:
-    """Record on each shifted stream that a kernel read it in place."""
-    staged = {cid for cid, base, _, _ in shifts if base is not None}
-    for p, cid in zip(pregs, classes):
-        stream = streams[p]
-        if isinstance(stream, ShiftedStream):
-            stream.state = "staged" if cid in staged else "folded"
-
-
 class Staging:
-    """Which stored classes are staged, and from which group on.
+    """Which stored slots are staged, and from which group on.
 
     A kernel runs element by element (or block by block), so a store to
-    the class an in-place shifted operand reads would overwrite
+    the slot an in-place shifted operand reads would overwrite
     neighbours a later element still has to see through the shift.
-    Those stores go to a scratch class instead and are copied back
-    after the loop; a plain read of the class *after* the first store
+    Those stores go to a scratch slot instead and are copied back
+    after the loop; a plain read of the slot *after* the first store
     (in group order) reads the scratch, where its own element already
-    landed.  Everything else about the two classes is ordinary, so the
+    landed.  Everything else about the two slots is ordinary, so the
     emitters' hazard and forwarding rules need no special case.
 
-    ``pairs`` is ``((class, scratch class), ...)`` — what
+    ``pairs`` is ``((slot, scratch slot), ...)`` — what
     :class:`Launch` lends scratch for and the kernel copies back;
-    scratch classes are numbered after the highest class in use.
+    scratch slots are numbered after the group's ``nslots``.
     """
 
-    def __init__(self, groups, cid_of: dict, shifts) -> None:
+    def __init__(self, groups, nslots: int, shifts) -> None:
         bases = {base for _, base, _, _ in shifts if base is not None}
-        self.first: dict[int, int] = {}   # class -> first storing group
+        self.first: dict[int, int] = {}   # slot -> first storing group
         if bases:
             for g, steps in enumerate(groups):
                 for step in steps:
-                    if isinstance(step, _StoreStep):
-                        cid = cid_of[step.preg]
-                        if cid in bases:
-                            self.first.setdefault(cid, g)
-        top = max(cid_of.values(), default=-1) + 1
-        self.scratch = {cid: top + j
-                        for j, cid in enumerate(sorted(self.first))}
+                    if isinstance(step, _StoreStep) and step.preg in bases:
+                        self.first.setdefault(step.preg, g)
+        self.scratch = {slot: nslots + j
+                        for j, slot in enumerate(sorted(self.first))}
         self.pairs = tuple(sorted(self.scratch.items()))
 
-    def load(self, cid: int, g: int) -> int:
-        """The class a read of ``cid`` at group ``g`` goes to."""
-        if cid in self.scratch and g > self.first[cid]:
-            return self.scratch[cid]
-        return cid
+    def load(self, slot: int, g: int) -> int:
+        """The slot a read of ``slot`` at group ``g`` goes to."""
+        if slot in self.scratch and g > self.first[slot]:
+            return self.scratch[slot]
+        return slot
 
-    def store(self, cid: int) -> int:
-        return self.scratch.get(cid, cid)
-
-
-def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
-    """Two equal-length flat arrays over exactly the same elements."""
-    return (a.dtype == b.dtype and a.__array_interface__["data"][0]
-            == b.__array_interface__["data"][0])
-
-
-def _probe(plan, streams):
-    """Dynamic eligibility: contiguous equal-length streams, safe aliasing.
-
-    Returns ``(classes, n, S, shifts)`` — the alias-class id per used
-    pointer register, the common stream length, the flat per-preg
-    arrays, and one ``(class, staged base class or None, shape,
-    offsets)`` per shifted operand (``S`` holds its *source*) — or None
-    when this call's bindings need the step engine.
-    """
-    pregs = plan.used_pregs
-    if not pregs:
-        return None
-    n = -1
-    S: list = [None] * len(streams)
-    views: list = [None] * len(streams)
-    ident: dict = {}
-    cid_of: dict[int, int] = {}
-    shifted: dict[int, object] = {}
-    for p in pregs:
-        stream = streams[p]
-        if stream is None:
-            return None
-        operand = getattr(stream, "operand", None)
-        view = stream.view if operand is None else operand.base
-        if not isinstance(view, np.ndarray) or not view.flags["C_CONTIGUOUS"]:
-            return None
-        flat = view.reshape(-1)
-        if n < 0:
-            n = flat.size
-        elif flat.size != n:
-            return None
-        S[p] = flat
-        views[p] = view
-        if operand is None:
-            key = (view.__array_interface__["data"][0], view.dtype.str)
-        else:
-            key = ("shift", operand.key)
-        cid = cid_of[p] = ident.setdefault(key, p)
-        if operand is not None:
-            shifted[cid] = operand
-    if n <= 0:
-        return None
-    # Stored classes must not overlap any *distinct* operand view: two
-    # identical views are one class (safe), anything else would let a
-    # blocked store corrupt elements another block still has to read.
-    # The one exception is a shifted operand's own source stored whole:
-    # that store is staged (see Staging).
-    staged_base: dict[int, int] = {}
-    for sp in plan.stored_pregs:
-        scid = cid_of[sp]
-        if scid in shifted:
-            return None
-        a = S[sp]
-        for p in pregs:
-            cid = cid_of[p]
-            if cid == scid:
-                continue
-            if cid in shifted and views[p] is views[sp]:
-                staged_base[cid] = scid
-            elif np.may_share_memory(a, S[p]):
-                if cid not in shifted or not _same_memory(S[p], a):
-                    return None
-                staged_base[cid] = scid
-    shifts = tuple((cid, staged_base.get(cid), op.base.shape, op.offsets)
-                   for cid, op in sorted(shifted.items()))
-    return tuple(cid_of[p] for p in pregs), n, S, shifts
+    def store(self, slot: int) -> int:
+        return self.scratch.get(slot, slot)
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +251,24 @@ def _probe(plan, streams):
 # ---------------------------------------------------------------------------
 
 
-def _build(plan, spec, classes, n, S, shifts=()):
+def _build(plan, spec, n, S, shifts=()):
+    """The blocked kernel for a group's merged ``plan`` over its slot
+    table ``S`` (step operands name slots), or ``_NO_KERNEL``."""
     try:
-        return _Builder(plan, spec, classes, n, S, shifts).build()
+        return _Builder(plan, spec, n, S, shifts).build()
     except _Bail:
         return _NO_KERNEL
 
 
 class _Builder:
-    def __init__(self, plan, spec, classes, n, S, shifts=()) -> None:
+    def __init__(self, plan, spec, n, S, shifts=()) -> None:
         self.plan = plan
         self.spec = spec
         self.n = n
-        self.cid_of = dict(zip(plan.used_pregs, classes))
-        self.class_dtype = {cid: S[cid].dtype for cid in set(classes)}
+        self.class_dtype = {slot: a.dtype for slot, a in enumerate(S)}
         self.shifted = {cid: (shape, offsets)
                         for cid, _, shape, offsets in shifts}
-        self.staging = Staging(plan.groups, self.cid_of, shifts)
+        self.staging = Staging(plan.groups, len(S), shifts)
         for cid, scratch in self.staging.pairs:
             self.class_dtype[scratch] = self.class_dtype[cid]
         self.src_vals: list[_Val] = []
@@ -398,11 +286,10 @@ class _Builder:
     # -- symbolic walk --------------------------------------------------
 
     def build(self):
-        # A fused merged plan renames each constituent's vector registers
+        # A merged plan renames each constituent's vector registers
         # into its own bank (see machine/execplan.py), so the register
         # file is plan-sized rather than the architectural 8.
-        vmap: list[_Val | None] = [None] * getattr(self.plan,
-                                                   "num_vregs", 8)
+        vmap: list[_Val | None] = [None] * self.plan.num_vregs
         for g, steps in enumerate(self.plan.groups):
             slot: list = []
             self.slots.append(slot)
@@ -444,7 +331,7 @@ class _Builder:
         value per class, gathered just before its first use into a
         block buffer the allocator hands out like any other.
         """
-        cid = self.staging.load(self.cid_of[preg], g)
+        cid = self.staging.load(preg, g)
         if cid in self.shifted:
             val = self.gath_vals.get(cid)
             if val is None:
@@ -466,7 +353,7 @@ class _Builder:
 
     def _eval_store(self, step, vmap, g) -> None:
         term = self._term(step.reader, vmap, g)
-        cid = self.staging.store(self.cid_of[step.preg])
+        cid = self.staging.store(step.preg)
         site = {"g": g, "cid": cid, "term": term, "elide": False}
         if term.is_array:
             term.uses.append(g)
@@ -692,7 +579,7 @@ class _Builder:
                 raise _Bail
             shape = shapes.pop()
             plane = self.n // shape[0]
-            slabs = max(1, min(shape[0], _block_elements() // plane))
+            slabs = max(1, min(shape[0], _BLOCK // plane))
             bs = slabs * plane
             body += ["    a = 0",
                      f"    while a < {shape[0]}:",
@@ -703,7 +590,7 @@ class _Builder:
                      "        m = e - b"]
             step = "        a = z"
         else:
-            bs = min(self.n, _block_elements())
+            bs = min(self.n, _BLOCK)
             body += ["    b = 0",
                      "    while b < n:",
                      f"        e = b + {bs}",
@@ -723,7 +610,9 @@ class _Builder:
         src = "\n".join(body) + "\n"
         code = compile(src, f"<kernel:{self.plan.name}>", "exec")
         exec(code, glb)
-        kernel = glb["_kernel"]
+        # Popped, so the function and its block buffers are not a
+        # reference cycle: an evicted kernel is freed at once.
+        kernel = glb.pop("_kernel")
         kernel.source = src
         kernel.staged = staged
         return kernel

@@ -90,11 +90,6 @@ def reduction_cycles(model: CostModel, geom: Geometry) -> int:
     return local + tree + model.grid_latency
 
 
-def broadcast_cycles(model: CostModel, n_pes: int) -> int:
-    """Front-end scalar broadcast to all PEs (sequencer immediate)."""
-    return model.hop_cycles + int(math.log2(max(2, n_pes)))
-
-
 def spread_cycles(model: CostModel, geom: Geometry) -> int:
     """SPREAD replicates along a new axis: grid-style block broadcast."""
     return model.grid_latency + geom.vlen * model.grid_per_element

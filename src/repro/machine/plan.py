@@ -39,6 +39,7 @@ bit-identical arrays and identical :class:`~repro.machine.stats.RunStats`.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from ..peac.isa import (
 )
 from .costs import CostModel
 from .pe import ExecutionError, SubgridStream, _APPLY
-from .shifted import ShiftedStream, materialize_streams
+from .shifted import materialize_streams
 
 
 _UNBOUND = object()
@@ -392,10 +393,6 @@ class _ComputeStep(_Step):
         self.pending = None
 
 
-def _rdiv(a, b, out=None):
-    return np.divide(a, b, out=out)
-
-
 # numpy ufuncs that compute each _APPLY entry bit-identically with out=.
 _OUT_FNS = {
     "faddv": np.add, "fsubv": np.subtract, "fmulv": np.multiply,
@@ -424,9 +421,9 @@ _FMA_FNS = {
 # ---------------------------------------------------------------------------
 
 
-#: Monotonic plan identities.  Mega-kernel caches key on these rather
+#: Monotonic plan identities.  The kernel cache keys on these rather
 #: than ``id(plan)`` so a recycled object address can never resurrect a
-#: stale fused compilation.
+#: stale compilation.
 _SERIALS = iter(range(1, 1 << 62)).__next__
 
 
@@ -450,8 +447,12 @@ class RoutinePlan:
             and isinstance(instr.operands[0], Mem))
         self._cycles: dict[CostModel, int] = {}
         self.specs: dict[tuple, dict[int, tuple]] = {}
-        self._kernels: dict = {}
         self._compile(routine)
+        # Kernels compiled over this plan die with it (they own block
+        # buffers a long-lived worker would otherwise keep).
+        from .execplan import evict_serial  # it imports this module
+
+        weakref.finalize(self, evict_serial, self.serial).atexit = False
 
     # -- plan compilation ----------------------------------------------
 
@@ -650,31 +651,27 @@ class RoutinePlan:
         return (tuple(s_sig), tuple(k_sig))
 
     def execute(self, streams, scalars, pool: BufferPool | None = None):
-        """Run the plan over bound operand streams.
+        """Run the plan over bound operand streams, machine-less.
 
         ``streams`` is a list of ``NUM_PREGS`` :class:`SubgridStream`
         entries (or ``None``); ``scalars`` a list of ``NUM_SREGS``
-        values with ``_UNBOUND`` holes.  Returns the
-        :class:`~repro.machine.kernel.Launch` when a compiled kernel ran
-        over the operands as bound (what a dispatch site may replay),
-        else None.
+        values with ``_UNBOUND`` holes.  This is the group of one
+        without a machine (:func:`repro.machine.execplan.run_lone`): a
+        blocked numpy kernel when the bindings allow one — never native
+        C — else :meth:`run_steps`.  Returns the
+        :class:`~repro.machine.kernel.Launch` when a kernel ran over the
+        operands as bound, else None.
         """
-        from .kernel import kernels_enabled, try_kernel
+        from .execplan import Dispatch, run_lone  # it imports this module
 
-        pool = pool if pool is not None else GLOBAL_POOL
-        sig = self._signature(streams, scalars)
-        spec = self.specs.get(sig)
-        if spec is not None and kernels_enabled():
-            launch = try_kernel(self, sig, spec, streams, scalars, pool)
-            if launch is not None:
-                return launch
-            # A shifted operand the kernel could not read in place still
-            # runs blocked over its copy, as it did before folding.
-            if any(isinstance(st, ShiftedStream) for st in streams):
-                materialize_streams(streams)
-                if try_kernel(self, sig, spec, streams, scalars, pool):
-                    return None
+        return run_lone(Dispatch(None, self, streams, scalars),
+                        pool if pool is not None else GLOBAL_POOL)
+
+    def run_steps(self, streams, scalars, pool: BufferPool, sig) -> None:
+        """The step engine: the recording pass of a new binding
+        signature ``sig``, the fully general fallback after it."""
         materialize_streams(streams)
+        spec = self.specs.get(sig)
         frame = _Frame(streams, scalars, pool, spec)
         try:
             with np.errstate(all="ignore"):
@@ -687,7 +684,6 @@ class RoutinePlan:
             if len(self.specs) >= self.SPEC_CAP:
                 self.specs.pop(next(iter(self.specs)))
             self.specs[sig] = frame.spec
-        return None
 
     def _run(self, frame: _Frame) -> None:
         if frame.record:
@@ -739,10 +735,10 @@ def get_plan(routine: Routine) -> RoutinePlan:
 def invalidate_plan(routine: Routine) -> None:
     """Drop a routine's cached plan (after mutating its body in place).
 
-    Also evicts every mega-kernel built over the stale plan: a fused
-    group compiled against the old instruction stream must never run
-    again after the routine changed.  (A machine's launch records
-    compare ``get_plan(routine)`` by identity, so they fall with it.)
+    Also evicts every kernel built over the stale plan: a group
+    compiled against the old instruction stream must never run again
+    after the routine changed.  (A machine's launch records compare
+    ``get_plan(routine)`` by identity, so they fall with it.)
     """
     plan = getattr(routine, "_plan", None)
     if plan is not None:

@@ -29,11 +29,6 @@ class WeitekTimings:
     spill_restore_pair_cycles: int = 18  # == 3 vector ops (paper, §5.2)
     chained_multiply_add_cycles: int = 6  # same slot as one vector op
 
-    @property
-    def vector_memory_cycles(self) -> int:
-        """One vector load or store: half a spill/restore pair."""
-        return self.spill_restore_pair_cycles // 2
-
     def flops_per_cycle_peak(self) -> float:
         """Peak per-PE flops/cycle with chained multiply-adds."""
         return 2 * VECTOR_WIDTH / self.chained_multiply_add_cycles

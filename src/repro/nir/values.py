@@ -274,11 +274,6 @@ def array_vars(v: Value) -> set[str]:
     return {n.name for n in walk(v) if isinstance(n, AVar)}
 
 
-def fcn_calls(v: Value) -> list[FcnCall]:
-    """All function-call nodes in a value tree, in pre-order."""
-    return [n for n in walk(v) if isinstance(n, FcnCall)]
-
-
 def is_constant(v: Value) -> bool:
     """True when the value tree contains no store references or calls."""
     return all(

@@ -359,13 +359,8 @@ class HostExecutor:
         self._pending_reads = set()
         self._pending_writes = set()
         self._pending_halos = set()
-        if len(pending) == 1:
-            op, call = pending[0]
-            self.machine.call_routine(*call, site=id(op))
-        else:
-            site = tuple(id(op) for op, _ in pending)
-            self.machine.call_fused([call for _, call in pending],
-                                    site=site)
+        self.machine.call_fused([call for _, call in pending],
+                                site=tuple(id(op) for op, _ in pending))
 
     def _call_info(self, op: NodeCall) -> tuple:
         """(plan, reads, writes, enqueue-time reads, halo arrays) for a

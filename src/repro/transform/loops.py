@@ -19,11 +19,6 @@ from __future__ import annotations
 from .. import nir
 
 
-def loop_point(action, x: int):
-    """Rule 1: a loop over a single point is the action applied there."""
-    return action(x)
-
-
 def unroll_do(node: nir.Do, limit: int | None = None) -> nir.Imperative:
     """Fully unroll a serial DO by the Figure 4 rules.
 

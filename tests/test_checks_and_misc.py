@@ -240,3 +240,22 @@ class TestCostModels:
     def test_unknown_kind_cost_raises(self):
         with pytest.raises(KeyError):
             slicewise_model().instr.for_kind("teleport")
+
+
+def test_every_environment_switch_is_in_the_docs_table():
+    """A new ``REPRO_*`` knob has to be written down to pass: the names
+    read under ``src/`` are exactly the rows of the switch table in
+    ``docs/PIPELINE.md``."""
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    in_src = set()
+    for path in (root / "src").rglob("*.py"):
+        in_src |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    pipeline = (root / "docs" / "PIPELINE.md").read_text()
+    table = pipeline[pipeline.index("## Environment switches"):]
+    table = table[:table.index("\n## ", 1)]
+    documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", table,
+                                flags=re.MULTILINE))
+    assert in_src == documented

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.machine import (Machine, get_plan, invalidate_plan,
                            slicewise_model)
 from repro.machine import execplan
 from repro.machine.ckernel import _compiler
+from repro.machine.kernel import SlotTable
 from repro.peac import Imm, Instr, Mem, PReg, Routine, SReg, VReg
 from repro.peac.isa import NUM_PREGS, CReg, ParamSpec
 from repro.programs.kernels import (heat_source, life_source,
@@ -355,14 +359,15 @@ class _Trips:
     executor's binding cache does.
     """
 
-    def __init__(self, mode, fused=False, routine=None):
+    def __init__(self, mode, fused=False, routine=None, host=False):
         self.fused = fused
         self.routine = routine or _axpy()
         self.tail = _scale()
         self.bind = {"x": "x", "y": "y", "k": 3}
         self.region = {}
         self.held = None
-        self.machines = [Machine(slicewise_model(16), exec_mode=m)
+        self.machines = [build_machine("host", exec_mode=m) if host
+                         else Machine(slicewise_model(16), exec_mode=m)
                          for m in (mode, "interp")]
         for m in self.machines:
             for name in ("x", "y", "z"):
@@ -657,3 +662,137 @@ def test_neighborhood_halo_bound_per_trip_never_replays(mode):
         assert got.arrays[name].tobytes() == data.tobytes(), name
     if mode == "fast":
         assert got.stats.to_dict() == oracle.stats.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The fold: every dispatch is a group, one kernel cache, plan-lifetime
+# eviction (docs/PIPELINE.md section 6)
+# ---------------------------------------------------------------------------
+
+
+def _cached_serials():
+    return {s for key in execplan._MEGA_KERNELS for s in key[0]}
+
+
+@pytest.mark.parametrize("config", ["fast", "fused", "host"])
+def test_kernels_die_with_the_plans_they_were_compiled_over(config):
+    options = CompilerOptions(target="host" if config == "host" else "cm2")
+    exe = compile_source(heat_source(8, 6), options, cache=False,
+                         incremental=False)
+    for _ in range(2):
+        exe.run(machine=_config_machine(config))
+    serials = {get_plan(r).serial for r in exe.routines.values()}
+    assert serials & _cached_serials()
+    del exe
+    gc.collect()
+    assert not serials & _cached_serials()
+
+
+def test_invalidate_plan_evicts_a_lone_host_dispatchs_kernel():
+    t = _Trips("fast", routine=_axpy(name="lone_host"), host=True)
+    t.trip(2)       # the recording pass, then the kernel
+    serial = get_plan(t.routine).serial
+    kernels = [kern for key, kern in execplan._MEGA_KERNELS.items()
+               if serial in key[0]]
+    assert kernels
+    if _compiler() is not None:
+        assert t.engine.host_metrics["native_builds"] == 1
+        assert any(getattr(kern, "native", False) for kern in kernels)
+    invalidate_plan(t.routine)
+    assert serial not in _cached_serials()
+    t.trip(3)       # still right against interp on the rebuilt plan
+
+
+def test_stepwise_constituents_never_build_native():
+    """A group whose signature is not recorded yet runs its calls one by
+    one — machine-less, so the host emitter never ``cc``-builds kernels
+    the group's own kernel supersedes one trip later."""
+    exe = compile_source(swe_source(32, 6), CompilerOptions(target="host"),
+                         cache=False, incremental=False)
+    machine = build_machine("host")
+    exe.run(machine=machine)
+    summary = machine.fusion_summary()
+    assert summary["stepwise_groups"] > 0
+    assert summary["host_native_builds"] == 0
+    assert summary["host_steps_dispatches"] == 1
+
+
+@pytest.mark.parametrize("host", [False, True])
+def test_lone_dispatch_pushes_every_parameter(host):
+    """The same array behind two stream parameters is one slot of the
+    group, but a lone dispatch is charged per parameter like interp
+    (``_Trips`` compares RunStats after every trip)."""
+    t = _Trips("fast", host=host)
+    t.bind["y"] = "x"
+    t.trip(4)
+    assert t.engine.launch_metrics["replays"] == 2
+
+
+# -- the C build directory ---------------------------------------------------
+
+
+@pytest.mark.skipif(_compiler() is None or not hasattr(os, "fork"),
+                    reason="needs a C compiler and fork")
+def test_forked_workers_each_run_the_kernel_they_built():
+    """Workers forked after a build inherit the build cache; building
+    their next kernels at the same moment, each must get its own."""
+    from repro.machine import ckernel
+
+    def source(value):
+        return ("void kernel(void **SP, const double *X, long n) {\n"
+                "  double *s0 = (double *)SP[0];\n"
+                f"  for (long i = 0; i < n; i++) s0[i] = {value};\n}}\n")
+
+    def run(value):
+        out = np.zeros(4)
+        S = SlotTable([out])
+        ckernel._load(source(value), 1, ())(S, [], 4)
+        return out
+
+    assert run("0.5")[0] == 0.5          # the parent's build
+    go_r, go_w = os.pipe()
+    children = []
+    for value in (1.0, 2.0):
+        done_r, done_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.read(go_r, 1)         # both build at the same moment
+                got = run(repr(value))
+                os.write(done_w, b"y" if (got == value).all() else b"n")
+                status = 0
+            finally:
+                if ckernel._WORKDIR[0] == os.getpid():
+                    ckernel._remove_workdir(*ckernel._WORKDIR)
+                os._exit(status)
+        os.close(done_w)
+        children.append((pid, done_r))
+    os.write(go_w, b"gg")
+    for pid, done_r in children:
+        assert os.read(done_r, 1) == b"y"
+        assert os.waitpid(pid, 0)[1] == 0
+        os.close(done_r)
+    os.close(go_r)
+    os.close(go_w)
+    assert os.path.isdir(ckernel._WORKDIR[1])   # the parent's is its own
+
+
+@pytest.mark.skipif(_compiler() is None, reason="no C compiler")
+def test_build_directory_is_removed_at_exit():
+    code = ("import numpy as np\n"
+            "from repro.machine import ckernel\n"
+            "from repro.machine.kernel import SlotTable\n"
+            "src = ('void kernel(void **SP, const double *X, long n)'\n"
+            "       '{ ((double *)SP[0])[0] = 7.0; }')\n"
+            "out = np.zeros(1)\n"
+            "ckernel._load(src, 1, ())(SlotTable([out]), [], 1)\n"
+            "assert out[0] == 7.0\n"
+            "print(ckernel._WORKDIR[1])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    workdir = proc.stdout.strip()
+    assert "repro-ckernel-" in workdir
+    assert not os.path.exists(workdir)

@@ -7,7 +7,7 @@ dispatch engine that compiles blocked phases to per-element C loops
 and cache-blocked numpy kernels instead of simulating PEs.  The
 contract under test is **bit identity**: every program must produce
 byte-for-byte the arrays of the cm2 interpreter oracle, across all
-three exec modes, with kernel tuning on or off.
+three exec modes.
 """
 
 from __future__ import annotations
@@ -115,13 +115,6 @@ class TestHostBitIdentity:
             # SWE must actually exercise the native tier, not only
             # fall back to recording/steps.
             assert machine.host_metrics["native_dispatches"] > 0
-
-    def test_tuning_off_still_bit_identical(self, monkeypatch):
-        ref = _cm2_oracle(_swe_source())
-        monkeypatch.setenv("REPRO_HOST_TUNE", "0")
-        arrays, _ = _host_arrays(_swe_source())
-        for name in ("u", "v", "p"):
-            assert arrays[name].tobytes() == ref[name].tobytes(), name
 
     def test_degraded_tiers_bit_identical(self, monkeypatch):
         # No C compiler path: blocked kernels and the step engine

@@ -3,6 +3,7 @@ invariants, inter-pass hooks, and the service/machine verify plumbing."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from repro.driver.compiler import CompilerOptions, compile_source
 from repro.frontend.parser import parse_program
 from repro.lowering.lower import lower_program
 from repro.machine import Machine, slicewise_model
-from repro.peac.isa import (NUM_PREGS, Instr, Mem, ParamSpec, PReg,
+from repro.peac.isa import (NUM_PREGS, CReg, Instr, Mem, ParamSpec, PReg,
                             Routine, SReg, VReg)
 from repro.service.jobs import execute_request
 from repro.service.metrics import ServiceMetrics
@@ -409,3 +410,28 @@ class TestServiceVerify:
             exe.run(Machine(slicewise_model(64)))
         assert exc.value.stage == "machine/dispatch"
         assert any(d.code == "P501" for d in exc.value.diagnostics)
+
+    def test_machine_dispatch_check_is_not_fooled_by_a_name(
+            self, monkeypatch):
+        """Every program calls its routines ``Pk<N>vs<M>``: on a reused
+        machine the second program's routine must still be checked."""
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        machine = Machine(slicewise_model(64))
+        machine.alloc("x", (8,), np.dtype(np.float64))
+
+        def routine(*head):
+            r = Routine("Pk2vs1")
+            r.params = [ParamSpec("subgrid", "x", PReg(0)),
+                        ParamSpec("vlen", "vlen", CReg(2))]
+            r.body = [*head,
+                      Instr("flodv", (Mem(PReg(0)), VReg(0))),
+                      Instr("fstrv", (VReg(0), Mem(PReg(0))))]
+            return r
+
+        def call(r):
+            machine.call_routine(r, {"x": machine.view("x", None)}, (8,))
+
+        call(routine())
+        with pytest.raises(VerifyError) as exc:
+            call(routine(Instr("faddv", (VReg(5), VReg(6), VReg(7)))))
+        assert exc.value.stage == "machine/dispatch"
