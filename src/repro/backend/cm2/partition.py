@@ -10,7 +10,6 @@ become supporting host code" (section 5.1).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from ... import nir
@@ -50,8 +49,7 @@ class Cm2Compiler:
     def __init__(self, env: Environment,
                  domains: dict[str, nir.Shape] | None = None,
                  options: BackendOptions | None = None,
-                 layouts: dict[str, tuple[str, ...]] | None = None,
-                 store=None, context: dict | None = None) -> None:
+                 layouts: dict[str, tuple[str, ...]] | None = None) -> None:
         self.env = env
         self.domains = domains if domains is not None else env.domains
         self.options = options or BackendOptions()
@@ -63,14 +61,6 @@ class Cm2Compiler:
         self.report = PartitionReport()
         self.blocks: list[CompiledBlock] = []
         self._counter = 0
-        #: Incremental compilation: a per-phase artifact store
-        #: (:class:`~repro.service.store.ArtifactStore`) consulted
-        #: before each computation block is compiled, plus the compile
-        #: context (resolved target, ``fuse_exec``) its keys carry.
-        self.store = store
-        self.context = dict(context or {})
-        self.phase_hits = 0
-        self.phase_misses = 0
 
     # ------------------------------------------------------------------
 
@@ -163,113 +153,18 @@ class Cm2Compiler:
             return out
         raise BackendError(f"unpartitionable MOVE: {move}")
 
-    def _move_symbols(self, move: nir.Move) -> list[tuple]:
-        """The environment slice a phase compilation can observe:
-        every referenced symbol, sorted by name."""
-        names: set[str] = set()
-        for clause in move.clauses:
-            for value in (clause.tgt, clause.src, clause.mask):
-                names |= nir.array_vars(value)
-                names |= nir.scalar_vars(value)
-        out = []
-        for var in sorted(names):
-            try:
-                out.append((var, self.env.lookup(var)))
-            except Exception:
-                pass  # implicit/undeclared: cannot shape the block
-        return out
-
-    def phase_key(self, move: nir.Move, name: str) -> str:
-        """The store fingerprint of one computation phase.
-
-        Keyed on the phase's own content — the MOVE, the referenced
-        symbols' declarations, the domain table — plus everything that
-        shapes codegen: the backend options, the routine name (names
-        are assigned by a deterministic counter, so prefix names are
-        stable under tail edits), the resolved target, and
-        ``fuse_exec``.  Whole-environment state (temp counters, unused
-        symbols) stays out, so unrelated edits keep phase artifacts
-        warm.  Every component is a *canonical rendering*, not a
-        pickle: pickled bytes encode object-graph sharing, which
-        differs between a freshly built NIR state and one materialized
-        from a store artifact, and the key must agree across both.
-        """
-        return self.store.fingerprint("phase", {
-            **self.context,
-            "target": self.target_name,
-            "name": name,
-            "backend": dataclasses.asdict(self.options),
-            "move": nir.pretty(move),
-            "symbols": [
-                (var, str(sym.type), list(sym.extents), sym.domain,
-                 repr(sym.init))
-                for var, sym in self._move_symbols(move)
-            ],
-            "domains": sorted((dom, str(shape))
-                              for dom, shape in self.domains.items()),
-        })
-
-    def compute_moves(self, node: nir.Imperative):
-        """The compute MOVEs :meth:`compile_imperative` will excise, in
-        order — the pre-scan the parallel phase fan-out warms from.
-
-        Mirrors the walk exactly, including the per-clause recovery of
-        mixed moves; ``TooManyStreams`` splits are not predicted (the
-        fan-out is best-effort warming; the assembly walk is the
-        authority).
-        """
-        if isinstance(node, (nir.Sequentially, nir.Concurrently)):
-            for action in node.actions:
-                yield from self.compute_moves(action)
-        elif isinstance(node, nir.Move):
-            kind = self.classifier.classify(node).kind
-            if kind is PhaseKind.COMPUTE:
-                yield node
-            elif kind not in (PhaseKind.COMM, PhaseKind.REDUCE,
-                              PhaseKind.SERIAL) and len(node.clauses) > 1:
-                for clause in node.clauses:
-                    yield from self.compute_moves(nir.Move((clause,)))
-        elif isinstance(node, (nir.Do, nir.While)):
-            yield from self.compute_moves(node.body)
-        elif isinstance(node, nir.IfThenElse):
-            yield from self.compute_moves(node.then)
-            yield from self.compute_moves(node.els)
-        elif isinstance(node, (nir.WithDecl, nir.WithDomain)):
-            yield from self.compute_moves(node.body)
-
     def compile_compute(self, move: nir.Move) -> list[h.HostOp]:
-        """Excise one computation block; split it if it exhausts pointers.
-
-        With a ``store``, the block is looked up by its phase
-        fingerprint first — a hit reuses the compiled routine (possibly
-        produced by another pool worker); a miss compiles inline and
-        stores the result.  A split parent never stores (it produced no
-        block); its halves key and store themselves.
-        """
+        """Excise one computation block; split it if it exhausts pointers."""
         self._counter += 1
-        name = f"Pk{self._counter}vs1"
-        block = None
-        key = None
-        if self.store is not None:
-            key = self.phase_key(move, name)
-            artifact = self.store.get("phase", key)
-            if artifact is not None and isinstance(artifact.obj,
-                                                   CompiledBlock):
-                block = artifact.obj
-                self.phase_hits += 1
-        if block is None:
-            try:
-                block = compile_block(move, self.env, self.domains,
-                                      self.options, name=name)
-            except TooManyStreams:
-                if len(move.clauses) == 1:
-                    raise
-                mid = len(move.clauses) // 2
-                return (self.compile_compute(nir.Move(move.clauses[:mid]))
-                        + self.compile_compute(nir.Move(move.clauses[mid:])))
-            if self.store is not None:
-                self.phase_misses += 1
-                self.store.put("phase", key, block)
+        try:
+            block = compile_block(move, self.env, self.domains, self.options,
+                                  name=f"Pk{self._counter}vs1")
+        except TooManyStreams:
+            if len(move.clauses) == 1:
+                raise
+            mid = len(move.clauses) // 2
+            return (self.compile_compute(nir.Move(move.clauses[:mid]))
+                    + self.compile_compute(nir.Move(move.clauses[mid:])))
         self.blocks.append(block)
         self.routines[block.routine.name] = block.routine
         self.report.compute_blocks += 1

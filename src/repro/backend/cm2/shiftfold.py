@@ -14,9 +14,9 @@ constant CSHIFT whose only consumers are PEAC dispatches into
   per-axis offsets (``cshift(cshift(p,-1,1),-1,2)`` composes into one
   operand of ``p``).
 
-NIR, PEAC routines and every phase artifact are untouched; only the
-bindings change.  Folding is all-or-nothing per temporary — a
-temporary whose every definition and every read folded is never
+NIR and the PEAC routines are untouched; only the bindings change.
+Folding is all-or-nothing per temporary — a temporary whose every
+definition and every read folded is never
 materialised (its ``Alloc`` stays, non-resident, to keep the front
 end's bill) — and a read folds only when
 

@@ -48,9 +48,9 @@ class Cm5Compiler(Cm2Compiler):
     target_name = "cm5"
 
     def __init__(self, env, domains=None, options=None,
-                 layouts=None, store=None, context=None) -> None:
+                 layouts=None) -> None:
         super().__init__(env, domains=domains, options=options,
-                         layouts=layouts, store=store, context=context)
+                         layouts=layouts)
         self.report = Cm5Report()
 
     def compile_compute(self, move: nir.Move) -> list[h.HostOp]:

@@ -58,9 +58,9 @@ class HostCompiler(Cm2Compiler):
     target_name = "host"
 
     def __init__(self, env, domains=None, options=None,
-                 layouts=None, store=None, context=None) -> None:
+                 layouts=None) -> None:
         super().__init__(env, domains=domains, options=options,
-                         layouts=layouts, store=store, context=context)
+                         layouts=layouts)
         self.report = HostReport()
 
     def compile_compute(self, move: nir.Move) -> list[h.HostOp]:

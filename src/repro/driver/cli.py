@@ -49,19 +49,10 @@ from .metrics import summarize
 
 
 def _options(args) -> CompilerOptions:
-    import dataclasses
+    """The pipeline flags, read as a service request's ``options``."""
+    from ..service.jobs import build_options
 
-    if getattr(args, "naive", False):
-        base = CompilerOptions.naive()
-    elif getattr(args, "neighborhood", False):
-        base = CompilerOptions.neighborhood()
-    else:
-        base = CompilerOptions()
-    if getattr(args, "target", "cm2") != "cm2":
-        base = dataclasses.replace(base, target=args.target)
-    if getattr(args, "verify", False):
-        base = dataclasses.replace(base, verify=True)
-    return base
+    return build_options(vars(args))
 
 
 def _machine(args) -> Machine:
@@ -85,21 +76,10 @@ def _compile(args, source: str):
     """Compile honoring --cache/--incremental (None defers to env)."""
     cache = True if getattr(args, "cache", False) else None
     incremental = True if getattr(args, "incremental", False) else None
-    pool = None
-    workers = getattr(args, "phase_workers", None)
-    if workers and incremental and not cache:
-        from ..service.pool import WorkerPool
-        from ..service.store import default_store
-
-        pool = WorkerPool(workers, cache=default_store().root)
-    try:
-        return compile_source(source, _options(args), cache=cache,
-                              incremental=incremental, phase_pool=pool,
-                              dump_after=tuple(
-                                  getattr(args, "dump_after", None) or ()))
-    finally:
-        if pool is not None:
-            pool.close()
+    return compile_source(source, _options(args), cache=cache,
+                          incremental=incremental,
+                          dump_after=tuple(
+                              getattr(args, "dump_after", None) or ()))
 
 
 def _read_source(path: str | None) -> str:
@@ -150,13 +130,9 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
                         "(~/.cache/repro; also $REPRO_CACHE=1)")
     g.add_argument("--incremental", action="store_true",
                    help="compile through the content-addressed artifact "
-                        "store: reuse front-end, per-pass, backend, and "
-                        "per-phase artifacts from previous compiles "
+                        "store: reuse front-end, per-pass and backend "
+                        "artifacts from previous compiles "
                         "(also $REPRO_INCREMENTAL=1)")
-    g.add_argument("--phase-workers", type=int, default=0, metavar="N",
-                   help="with --incremental, fan independent blocked-"
-                        "phase compilations out across N worker "
-                        "processes before assembly")
     g.add_argument("--verify", action="store_true",
                    help="run the verifier suite between passes "
                         "(also $REPRO_VERIFY=1)")
@@ -584,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stats: per-kind footprint; ls: entries, newest "
                         "first; purge: delete entries (default: stats)")
     p.add_argument("--kind", default=None,
-                   choices=["front", "pass", "backend", "phase", "exe"],
+                   choices=["front", "pass", "backend", "exe"],
                    help="restrict ls/purge to one artifact kind")
     p.add_argument("--cache-dir", default=None,
                    help="store root (default: $REPRO_CACHE_DIR or "

@@ -23,6 +23,7 @@ from ..frontend.parser import parse_program
 from ..lowering import LoweredProgram, check_program, lower_program
 from ..lowering.environment import Environment
 from ..machine import CostModel, Machine, RunStats
+from ..pipeline import state_hash
 from ..runtime.host import HostExecutor, HostProgram
 from ..targets import get_target
 from ..transform import Options as TransformOptions
@@ -129,30 +130,8 @@ def compile_unit(unit: A.ProgramUnit,
                  options: CompilerOptions | None = None,
                  layouts: dict[str, tuple[str, ...]] | None = None,
                  dump_after: tuple[str, ...] = ()) -> Executable:
-    """Compile a parsed program unit through the full pipeline.
-
-    The target-specific phase is resolved through the target registry
-    (:mod:`repro.targets`): the options' ``target`` names a
-    :class:`~repro.targets.Target` record that supplies the backend
-    compiler class and whether PEAC routine verification applies.
-    """
-    options = options or CompilerOptions()
-    target = get_target(options.target)
-    from ..analysis import verify_enabled
-    verify = options.verify or verify_enabled()
-    lowered = lower_program(unit)
-    check_program(lowered.nir, lowered.env)
-    transformed = optimize(lowered, options.transform, verify=verify,
-                           dump_after=dump_after)
-    backend = target.compiler()(transformed.env, options=options.backend,
-                                layouts=layouts)
-    host_program = backend.compile_program(transformed.nir)
-    if verify and target.verify_peac:
-        from ..analysis.peac_verifier import verify_routines
-        verify_routines(host_program.routines, stage="backend/peac")
-    return Executable(host_program=host_program, env=transformed.env,
-                      unit=unit, lowered=lowered, transformed=transformed,
-                      partition=backend.report, options=options)
+    """Compile a parsed program unit: :func:`_walk` with no store."""
+    return _walk(lambda: (unit, layouts), options, dump_after)
 
 
 def compile_source(source: str,
@@ -160,8 +139,7 @@ def compile_source(source: str,
                    cache=None,
                    dump_after: tuple[str, ...] = (),
                    incremental: bool | None = None,
-                   store=None,
-                   phase_pool=None) -> Executable:
+                   store=None) -> Executable:
     """Compile Fortran 90 source text through the full pipeline.
 
     ``!layout:`` comment directives in the source select explicit data
@@ -174,24 +152,21 @@ def compile_source(source: str,
     (``None``) follows ``$REPRO_CACHE`` — set ``REPRO_CACHE=1`` to make
     every compile in the process cache-backed.
 
-    ``incremental`` compiles through the content-addressed artifact
-    store (:mod:`repro.service.store`): the front end, every transform
-    pass, the backend, and each blocked computation phase are keyed and
-    reused individually, so an edit that only perturbs the pipeline
-    tail recompiles only the tail.  The default (``None``) follows
-    ``$REPRO_INCREMENTAL``.  ``store`` names the
+    ``incremental`` hands the walk a content-addressed artifact store
+    (:mod:`repro.service.store`): the front end, every transform pass
+    and the backend are keyed and reused individually, so an edit that
+    only perturbs the pipeline tail recompiles only the tail, and one
+    that only moves lines re-parses and reuses the rest.  The default
+    (``None``) follows ``$REPRO_INCREMENTAL``.  ``store`` names the
     :class:`~repro.service.store.ArtifactStore` to use (default: the
-    process-wide one) and ``phase_pool`` (a
-    :class:`~repro.service.pool.WorkerPool`) fans independent phase
-    compilations out across worker processes before assembly.
+    process-wide one).
 
     ``dump_after`` (pass names) captures pretty-printed NIR snapshots
-    into the transform trace; it forces a fresh, non-incremental
-    compile, since a cache hit would skip the passes being observed.
+    into the transform trace; it forces a fresh, storeless compile,
+    since a hit would skip the passes being observed.
     """
     if dump_after:
         cache = False
-        incremental = False
     if cache is None:
         cache = os.environ.get("REPRO_CACHE") in ("1", "true", "yes")
     if cache:
@@ -203,130 +178,100 @@ def compile_source(source: str,
     if incremental is None:
         incremental = os.environ.get("REPRO_INCREMENTAL") in \
             ("1", "true", "yes")
-    if incremental:
-        return _compile_incremental(source, options, store=store,
-                                    phase_pool=phase_pool)
-    layouts = parse_layout_directives(source)
-    return compile_unit(parse_program(source), options, layouts=layouts,
-                        dump_after=dump_after)
+    if not incremental:
+        store = None
+    elif store is None:
+        from ..service.store import default_store
+        store = default_store()
+    return _walk(lambda: (parse_program(source),
+                          parse_layout_directives(source)),
+                 options, dump_after, store, source)
 
 
-def _warm_phases(phase_pool, backend, transformed, store) -> None:
-    """Fan independent phase compilations out across the worker pool.
+def _walk(parse, options: CompilerOptions | None,
+          dump_after: tuple[str, ...] = (), store=None,
+          source: str | None = None) -> Executable:
+    """The one compile walk: front → passes → backend.
 
-    A pre-scan (:meth:`Cm2Compiler.compute_moves`) predicts the compute
-    blocks and their deterministic routine names; each not-yet-stored
-    phase becomes one ``_compile_phase`` job that compiles the block in
-    a worker and writes it into the shared store.  Warming is strictly
-    best-effort — a prediction the assembly walk diverges from (a
-    ``TooManyStreams`` split), a crashed worker, or a timed-out job
-    just means that phase misses and compiles inline.
+    Each stage looks itself up by content when a ``store`` was given
+    and computes (then stores) otherwise.  The ``front`` artifact
+    (parse + lower + check; ``parse()`` returns the unit and its
+    layouts) is keyed by the ``source`` text and records the lowered
+    state's name; each ``pass`` artifact is keyed by the name of its
+    input state (see :class:`~repro.pipeline.manager.PassManager`);
+    the ``backend`` artifact (host program + partition report) is keyed
+    by the final state's name.  One currency names every state:
+    :func:`~repro.pipeline.manager.state_hash`.
+
+    The target-specific phase is resolved through the target registry
+    (:mod:`repro.targets`): the options' ``target`` names a
+    :class:`~repro.targets.Target` record that supplies the backend
+    compiler class and whether PEAC routine verification applies.
+
+    No stage consults the store when the point is to watch the real
+    pipeline run (``verify``, ``dump_after``) or when pass reports
+    carry source lines, which a line-free name cannot vouch for
+    (``analyze``).
     """
-    jobs = []
-    counter = 0
-    for move in backend.compute_moves(transformed.inner_body()):
-        counter += 1
-        name = f"Pk{counter}vs1"
-        key = backend.phase_key(move, name)
-        if store.head("phase", key) is not None:
-            continue  # already warm (this run or a previous one)
-        jobs.append({
-            "op": "_compile_phase",
-            "key": key,
-            "store_root": store.root,
-            "payload": {"move": move, "env": backend.env,
-                        "domains": backend.domains,
-                        "options": backend.options, "name": name},
-        })
-    if not jobs:
-        return
-    futures = [phase_pool.submit(job) for job in jobs]
-    for future in futures:
-        try:
-            future.result(timeout=60.0)
-        except Exception:
-            pass  # best-effort: assembly recompiles any cold phase
-
-
-def _compile_incremental(source: str,
-                         options: CompilerOptions | None,
-                         store=None,
-                         phase_pool=None) -> Executable:
-    """Compile through the artifact store, stage by stage.
-
-    Four artifact granularities chain into each other: the ``front``
-    artifact (parse + lower + check) is keyed by the source text and
-    records the lowered state's hash; each transform ``pass`` artifact
-    is keyed by its input hash (see
-    :class:`~repro.pipeline.manager.PassManager`); the ``backend``
-    artifact (whole host program + partition report) is keyed by the
-    final transform state; and each blocked computation ``phase`` is
-    keyed by its own content, so even a backend miss reuses every
-    untouched phase.  Verification forces a cold compile — its whole
-    point is running the real pipeline.
-    """
-    from ..service.store import default_store, state_hash
+    from ..analysis import verify_enabled
 
     options = options or CompilerOptions()
-    from ..analysis import verify_enabled
-    if options.verify or verify_enabled():
-        layouts = parse_layout_directives(source)
-        return compile_unit(parse_program(source), options,
-                            layouts=layouts)
-    store = store if store is not None else default_store()
     target = get_target(options.target)
-    context = {
-        "target": target.name,
-        "fuse_exec": bool(getattr(options.transform, "fuse_exec", True)),
-    }
+    verify = options.verify or verify_enabled()
+    if verify or dump_after or options.transform.analyze:
+        store = None
+    context = {"target": target.name,
+               "fuse_exec": bool(options.transform.fuse_exec)}
     artifacts: dict = {}
 
-    front_key = store.fingerprint("front", {**context, "source": source})
-    artifact = store.get("front", front_key)
+    front_hash = artifact = None
+    if store is not None:
+        front_key = store.fingerprint("front", {**context, "source": source})
+        artifact = store.get("front", front_key)
+        artifacts["front"] = "miss" if artifact is None else "hit"
     if artifact is not None:
         unit, lowered, layouts = artifact.obj
         front_hash = artifact.out_hash
-        artifacts["front"] = "hit"
     else:
-        layouts = parse_layout_directives(source)
-        unit = parse_program(source)
+        unit, layouts = parse()
         lowered = lower_program(unit)
         check_program(lowered.nir, lowered.env)
-        front_hash = state_hash(lowered.nir, lowered.env)
-        store.put("front", front_key, (unit, lowered, layouts),
-                  out_hash=front_hash)
-        artifacts["front"] = "miss"
+        if store is not None:
+            front_hash = state_hash(lowered.nir, lowered.env)
+            store.put("front", front_key, (unit, lowered, layouts),
+                      out_hash=front_hash)
 
-    transformed = optimize(lowered, options.transform, verify=False,
-                           store=store, context=context,
-                           input_hash=front_hash)
+    transformed = optimize(lowered, options.transform, verify=verify,
+                           dump_after=dump_after, store=store,
+                           context=context, input_hash=front_hash)
 
-    final_hash = transformed.trace.artifacts.get("state_hash")
-    backend_key = store.fingerprint("backend", {
-        **context,
-        "in": final_hash,
-        "backend": dataclasses.asdict(options.backend),
-        "layouts": sorted((name, list(axes))
-                          for name, axes in (layouts or {}).items()),
-    })
-    artifact = store.get("backend", backend_key)
+    artifact = None
+    if store is not None:
+        backend_key = store.fingerprint("backend", {
+            **context,
+            "in": transformed.trace.artifacts["state_hash"],
+            "backend": dataclasses.asdict(options.backend),
+            "layouts": sorted((name, list(axes))
+                              for name, axes in (layouts or {}).items()),
+        })
+        artifact = store.get("backend", backend_key)
+        artifacts["backend"] = "miss" if artifact is None else "hit"
+        # The per-phase artifact layer is gone; bench/compile_corpus.py
+        # still reads this row (it reports 0) until a benchmark PR
+        # drops ``store.phase_hits``.
+        artifacts["phases"] = {"hits": 0, "misses": 0}
     if artifact is not None:
         host_program, partition = artifact.obj
-        artifacts["backend"] = "hit"
-        artifacts["phases"] = {"hits": 0, "misses": 0}
     else:
-        backend = target.compiler()(transformed.env,
-                                    options=options.backend,
-                                    layouts=layouts, store=store,
-                                    context=context)
-        if phase_pool is not None:
-            _warm_phases(phase_pool, backend, transformed, store)
+        backend = target.compiler()(transformed.env, options=options.backend,
+                                    layouts=layouts)
         host_program = backend.compile_program(transformed.nir)
         partition = backend.report
-        store.put("backend", backend_key, (host_program, partition))
-        artifacts["backend"] = "miss"
-        artifacts["phases"] = {"hits": backend.phase_hits,
-                               "misses": backend.phase_misses}
+        if verify and target.verify_peac:
+            from ..analysis.peac_verifier import verify_routines
+            verify_routines(host_program.routines, stage="backend/peac")
+        if store is not None:
+            store.put("backend", backend_key, (host_program, partition))
 
     transformed.trace.artifacts.update(artifacts)
     return Executable(host_program=host_program, env=transformed.env,

@@ -93,6 +93,7 @@ class Interpreter:
                 self.scalars[stmt.var] = i
                 self.exec_block(stmt.body)
                 i += step
+            self.scalars[stmt.var] = i  # lo + trips * step, per the standard
         elif isinstance(stmt, A.DoWhile):
             while bool(self.eval(stmt.cond)):
                 self.exec_block(stmt.body)

@@ -22,7 +22,7 @@ pass is one ``register`` call; reordering or ablating the pipeline is a
 list of names.
 """
 
-from .manager import PassManager, unwrap_body, wrap_body
+from .manager import PassManager, state_hash, unwrap_body, wrap_body
 from .passes import Pass, PassContext
 from .registry import PassRegistry, UnknownPassError
 from .trace import PassTiming, PipelineTrace
@@ -35,6 +35,7 @@ __all__ = [
     "PassTiming",
     "PipelineTrace",
     "UnknownPassError",
+    "state_hash",
     "unwrap_body",
     "wrap_body",
 ]

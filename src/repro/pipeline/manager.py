@@ -13,6 +13,7 @@ themselves stay pure transformations.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from typing import Any, Iterable, Sequence
 
@@ -45,20 +46,39 @@ def ir_size(node: nir.Imperative) -> int:
     return sum(1 for _ in nir.imperatives.walk(node))
 
 
+def state_hash(program: nir.Program, env: Environment) -> str:
+    """The name of a compile state: SHA-256 of its structural rendering.
+
+    The NIR and ``Environment``/``Symbol`` dataclasses generate their
+    ``repr`` from every compared field and declare ``loc``
+    ``compare=False, repr=False``, so the rendering is the term itself:
+    complete (``Do.index_names``, which ``nir.pretty`` drops, is in
+    it), free of source lines, and free of object identity — a state
+    hashes the same wherever a comment sits and whether it was just
+    built or unpickled from an artifact.  Nothing rendered may be an
+    unordered ``set``, or names would differ between processes.  Every
+    artifact-store key that depends on a state (the ``front`` stage's
+    output, each ``pass`` key, the ``backend`` key) carries this name.
+    """
+    return hashlib.sha256(repr((program, env)).encode()).hexdigest()
+
+
 class PassManager:
     """Drive a pass sequence over one lowered program.
 
     With a ``store`` (an :class:`~repro.service.store.ArtifactStore`),
-    the manager consults it before running each pass: the pass's
-    fingerprint is the hash of its *input state* chained from the
-    upstream artifact, plus the pass's name and projected config, the
-    compile ``context`` (resolved target, ``fuse_exec``), and the store
-    schema version.  A hit applies the pass without running it — the
-    chain advances on the artifact's recorded output hash, the report
+    the one pass loop looks each pass up before running it: the key is
+    the name of its *input state* (:func:`state_hash`, chained from
+    the upstream artifact), the pass's name
+    and projected config, and the compile ``context`` (resolved target,
+    ``fuse_exec``).  A hit applies the pass without running it — the
+    chain advances on the artifact's recorded output name, the report
     slot is restored from the artifact's meta, and the actual IR is
-    only unpickled at the first miss (or at the end).  Store
-    consultation is disabled under ``verify`` and ``dump_after``, whose
-    whole point is observing the passes actually run.
+    only unpickled at the first miss (or at the end).  The caller
+    passes no store when the point is to observe the passes run
+    (``verify``, ``dump_after``) or when their reports carry source
+    lines (``analyze``) — :func:`repro.driver.compiler.compile_source`
+    decides that once for the whole walk.
     """
 
     def __init__(self, passes: Sequence[Pass], *, verify: bool = False,
@@ -68,7 +88,7 @@ class PassManager:
         self.passes = list(passes)
         self.verify = verify
         self.dump_after = tuple(dump_after)
-        self.store = None if (verify or self.dump_after) else store
+        self.store = store
         self.context = dict(context or {})
         self.input_hash = input_hash
         known = {p.name for p in self.passes}
@@ -87,6 +107,20 @@ class PassManager:
         assert_valid(node, env, stage)
         trace.verify_seconds += time.perf_counter() - t0
 
+    def _materialize(self, key: str):
+        """Load (program, env) from a pass artifact, or None if gone.
+
+        Artifacts hold mutable IR, so every load unpickles fresh — a
+        pickle round trip doubles as a deep copy, and no two compiles
+        can alias each other's state.
+        """
+        artifact = self.store.get("pass", key)
+        state = artifact.obj if artifact is not None else None
+        if isinstance(state, tuple) and len(state) == 2 \
+                and isinstance(state[0], nir.Program):
+            return state
+        return None
+
     def run(self, program: nir.Program, env: Environment, options: Any,
             report: Any, input_stage: str = "input"
             ) -> tuple[nir.Program, PipelineTrace]:
@@ -95,10 +129,17 @@ class PassManager:
         ``input_stage`` names the producer of ``program`` for the
         verifier's initial well-formedness check (the driver passes
         ``"lower"``).
+
+        With a store, the state an artifact holds and names is always
+        **program scope** (body-scope IR is wrapped back under its
+        WITH_DOMAIN/WITH_DECL scaffolding first), so chains that differ
+        only in where they re-enter program scope converge on the same
+        names and the backend artifact keyed on the final state hits
+        across tail-pass config changes.  A state that cannot be
+        materialized (its artifact evicted between the header read and
+        the state read) falls back to a storeless run from the inputs.
         """
-        if self.store is not None:
-            return self._run_store(program, env, options, report,
-                                   input_stage)
+        store = self.store
         trace = PipelineTrace()
         t_run = time.perf_counter()
         self._checked(trace, input_stage, program, env)
@@ -106,11 +147,48 @@ class PassManager:
         current: nir.Imperative = program
         in_body = False  # whether ``current`` is the unwrapped body
         name = program.name
+        original_env = env
+        in_hash = None if store is None \
+            else self.input_hash or state_hash(program, env)
+        hits = misses = 0
+        # The artifact holding the state ``in_hash`` names, while hits
+        # have run the chain ahead of ``current``.
+        ahead: str | None = None
+
+        def cold():
+            result, trace = PassManager(
+                self.passes, verify=self.verify, dump_after=self.dump_after,
+            ).run(program, original_env, options, report, input_stage)
+            trace.artifacts["passes"] = {"hits": 0,
+                                         "misses": len(trace.executed())}
+            trace.artifacts["state_hash"] = state_hash(result, original_env)
+            return result, trace
 
         for p in self.passes:
             if not p.enabled(options):
                 trace.passes.append(PassTiming(p.name, enabled=False))
                 continue
+            if store is not None:
+                key = store.fingerprint("pass", {
+                    **self.context, "in": in_hash,
+                    "pass": p.identity(options)})
+                head = store.head("pass", key)
+                if head is not None:
+                    in_hash, meta = head
+                    if p.report_slot is not None and meta is not None:
+                        setattr(report, p.report_slot, meta)
+                    trace.passes.append(PassTiming(p.name, cached=True))
+                    ahead = key
+                    hits += 1
+                    continue
+                misses += 1
+                if ahead is not None:
+                    restored = self._materialize(ahead)
+                    if restored is None:
+                        return cold()
+                    current, env = restored
+                    in_body = False
+                    ahead = None
             if p.scope == "body" and not in_body:
                 current = unwrap_body(current)
                 in_body = True
@@ -129,145 +207,32 @@ class PassManager:
             self._checked(trace, p.name, current, env)
             if p.name in self.dump_after:
                 trace.dumps[p.name] = nir.pretty(current)
+            if store is not None:
+                canonical = wrap_body(current, env, name) if in_body \
+                    else current
+                in_hash = state_hash(canonical, env)
+                meta = getattr(report, p.report_slot) \
+                    if p.report_slot is not None else None
+                store.put("pass", key, (canonical, env), meta=meta,
+                          out_hash=in_hash)
 
-        if in_body:
-            current = wrap_body(current, env, name)
-        trace.total_seconds = time.perf_counter() - t_run
-        assert isinstance(current, nir.Program)
-        return current, trace
-
-    # -- the store-backed (incremental) path ---------------------------
-
-    def _pass_key(self, p: Pass, in_hash: str, options: Any) -> str:
-        return self.store.fingerprint("pass", {
-            **self.context,
-            "in": in_hash,
-            "pass": p.identity(options),
-        })
-
-    def _materialize(self, key: str):
-        """Load (program, env) from a pass artifact, or None if gone.
-
-        Artifacts hold mutable IR, so every load unpickles fresh — a
-        pickle round trip doubles as a deep copy, and no two compiles
-        can alias each other's state.
-        """
-        artifact = self.store.get("pass", key)
-        if artifact is None:
-            return None
-        try:
-            program, env = artifact.obj
-        except Exception:
-            return None
-        if not isinstance(program, nir.Program):
-            return None
-        return program, env
-
-    def _run_store(self, program: nir.Program, env: Environment,
-                   options: Any, report: Any, input_stage: str
-                   ) -> tuple[nir.Program, PipelineTrace]:
-        """Run the pipeline through the artifact store.
-
-        The canonical artifact state is always **program scope** (the
-        hash and the stored snapshot wrap body-scope IR back under its
-        WITH_DOMAIN/WITH_DECL scaffolding), so chains that differ only
-        in where they re-enter program scope converge to the same
-        hashes and the backend artifact keyed on the final state hits
-        across tail-pass config changes.
-
-        Any materialization failure (an artifact evicted between its
-        header read and its state read) falls back to a full cold run
-        from the original inputs — hits never mutate ``env`` or the
-        report beyond slots a cold run would overwrite, so the inputs
-        are still pristine.
-        """
-        from ..service.store import state_hash
-
-        trace = PipelineTrace()
-        t_run = time.perf_counter()
-        name = program.name
-        original_env = env
-        in_hash = self.input_hash or state_hash(program, env)
-        hits = 0
-        misses = 0
-
-        current: nir.Imperative = program
-        in_body = False
-        fresh = True      # the in-memory state matches ``in_hash``
-        resume: str | None = None  # artifact holding the live state
-
-        for p in self.passes:
-            if not p.enabled(options):
-                trace.passes.append(PassTiming(p.name, enabled=False))
-                continue
-            key = self._pass_key(p, in_hash, options)
-            head = self.store.head("pass", key)
-            if head is not None:
-                out_hash, meta = head
-                if p.report_slot is not None and meta is not None:
-                    setattr(report, p.report_slot, meta)
-                trace.passes.append(PassTiming(p.name, cached=True))
-                in_hash = out_hash
-                fresh = False
-                resume = key
-                hits += 1
-                continue
-            misses += 1
-            if not fresh:
-                restored = self._materialize(resume)
+        if store is not None:
+            if ahead is not None:
+                restored = self._materialize(ahead)
                 if restored is None:
-                    return PassManager(
-                        self.passes, verify=self.verify,
-                        dump_after=self.dump_after,
-                    ).run(program, original_env, options, report,
-                          input_stage)
+                    return cold()
                 current, env = restored
                 in_body = False
-                fresh = True
-            if p.scope == "body" and not in_body:
-                current = unwrap_body(current)
-                in_body = True
-            elif p.scope == "program" and in_body:
-                current = wrap_body(current, env, name)
-                in_body = False
-            before = ir_size(current)
-            ctx = PassContext(node=current, env=env, options=options,
-                              report=report, verify=self.verify)
-            t0 = time.perf_counter()
-            current = p.run(ctx)
-            seconds = time.perf_counter() - t0
-            trace.passes.append(PassTiming(
-                p.name, seconds=seconds, ir_before=before,
-                ir_after=ir_size(current)))
-            canonical = wrap_body(current, env, name) if in_body \
-                else current
-            out_hash = state_hash(canonical, env)
-            meta = getattr(report, p.report_slot) \
-                if p.report_slot is not None else None
-            self.store.put("pass", key, (canonical, env), meta=meta,
-                           out_hash=out_hash)
-            in_hash = out_hash
-            resume = key
-
-        if not fresh:
-            restored = self._materialize(resume)
-            if restored is None:
-                return PassManager(
-                    self.passes, verify=self.verify,
-                    dump_after=self.dump_after,
-                ).run(program, original_env, options, report, input_stage)
-            current, env = restored
-            in_body = False
+            if env is not original_env:
+                # Callers hold the original Environment (the lowered
+                # program's); adopt the restored state in place so every
+                # aliasing holder sees the post-pipeline environment.
+                original_env.__dict__.clear()
+                original_env.__dict__.update(env.__dict__)
+            trace.artifacts["passes"] = {"hits": hits, "misses": misses}
+            trace.artifacts["state_hash"] = in_hash
         if in_body:
             current = wrap_body(current, env, name)
-        if env is not original_env:
-            # Callers hold the original Environment (the lowered
-            # program's); adopt the restored state in place so every
-            # aliasing holder sees the post-pipeline environment.
-            original_env.__dict__.clear()
-            original_env.__dict__.update(env.__dict__)
         trace.total_seconds = time.perf_counter() - t_run
-        trace.artifacts["passes"] = {"hits": hits, "misses": misses}
-        trace.artifacts["state_hash"] = in_hash
         assert isinstance(current, nir.Program)
         return current, trace

@@ -53,10 +53,10 @@ class PipelineTrace:
     verify_seconds: float = 0.0
     #: ``--dump-after`` snapshots: pass name -> pretty-printed IR.
     dumps: dict[str, str] = field(default_factory=dict)
-    #: Incremental-compile accounting: per-stage artifact-store
-    #: hit/miss records (``front``, ``passes``, ``backend``,
-    #: ``phases``) plus the final transform ``state_hash``.  Empty on
-    #: cold compiles, so legacy payload shapes are unchanged.
+    #: Store accounting: per-stage artifact hit/miss records
+    #: (``front``, ``passes``, ``backend``) plus the final state's
+    #: name, ``state_hash``.  Empty when the walk had no store, so
+    #: legacy payload shapes are unchanged.
     artifacts: dict = field(default_factory=dict)
 
     def timing(self, name: str) -> PassTiming | None:

@@ -259,8 +259,11 @@ class HostExecutor:
         self.machine = machine
         self.scalars: dict[str, object] = {}
         self.output: list[str] = []
+        # The lambda closes over ``machine``, not ``self``: an executor
+        # in its own evaluator's closure is a cycle that keeps the
+        # machine — every simulated array — alive until a full GC.
         self.evaluator = NirEvaluator(
-            read_array=lambda name: self.machine.home(name).data,
+            read_array=lambda name: machine.home(name).data,
             scalars=self.scalars)
         self.fuse_exec = bool(fuse_exec) and machine.exec_mode == "fused"
         self._pending: list[tuple[HostOp, tuple]] = []
@@ -497,11 +500,14 @@ class HostExecutor:
             self._element_move(op.clause)
         elif isinstance(op, Loop):
             m.charge_host(m.model.host_op)
-            for i in range(op.lo, op.hi + (1 if op.step > 0 else -1),
-                           op.step):
+            trips = range(op.lo, op.hi + (1 if op.step > 0 else -1),
+                          op.step)
+            for i in trips:
                 self.scalars[op.var] = i
                 m.charge_host(m.model.host_op)
                 self._run_ops(op.body)
+            # Fortran's exit value, as promotion stores it; uncharged.
+            self.scalars[op.var] = op.lo + len(trips) * op.step
         elif isinstance(op, WhileOp):
             while bool(self.evaluator.eval_scalar(op.cond)):
                 m.charge_host(m.model.host_op)

@@ -14,7 +14,7 @@ pipeline that should invalidate old entries is expressed by bumping
 :data:`SCHEMA_VERSION`.
 
 The store is shared with incremental compilation's ``front``/``pass``/
-``backend``/``phase`` artifacts (see :mod:`repro.service.store`): one
+``backend`` artifacts (see :mod:`repro.service.store`): one
 store, one LRU eviction policy over every kind together, one version
 marker, one purge path — there is no second cache to keep coherent.
 
@@ -48,11 +48,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import hashlib
-import json
 import os
 
-from .store import ArtifactStore
+from .store import ArtifactStore, default_store, fingerprint
 
 #: Bump to invalidate every existing cache entry (pipeline or pickle
 #: layout changes).  The package version participates in the key too,
@@ -65,7 +63,9 @@ from .store import ArtifactStore
 #: 5: shift folding — pickled host programs carry FoldedShift ops,
 #:    folded halo bindings and non-resident Allocs that an older
 #:    executor would run as plain copies into arrays it never allocates.
-SCHEMA_VERSION = 5
+#: 6: states are named by their structural rendering, not their pickle
+#:    (no chain may join the two), and the ``phase`` kind is gone.
+SCHEMA_VERSION = 6
 
 
 def _options_payload(options) -> dict:
@@ -103,7 +103,6 @@ def cache_key(source: str, options=None, machine: dict | None = None,
     reordering, disabling, or reconfiguring a pass invalidates stale
     artifacts without a schema bump.
     """
-    from .. import __version__
     from ..driver.compiler import CompilerOptions
     from ..transform import pipeline_identity
 
@@ -111,16 +110,13 @@ def cache_key(source: str, options=None, machine: dict | None = None,
     if pipeline is None:
         pipeline = pipeline_identity(options.transform)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "repro": __version__,
         "source": source,
         "options": _options_payload(options),
         "pipeline": pipeline,
     }
     if machine:
         payload["machine"] = machine
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return fingerprint("exe", payload)
 
 
 def _extract_plan_state(exe) -> dict[str, dict]:
@@ -300,23 +296,11 @@ class CompileCache:
         artifacts); the full per-kind breakdown is
         ``self.store.stats()`` — the ``repro cache stats`` payload.
         """
-        count = 0
-        total = 0
-        try:
-            for name in os.listdir(self.objects):
-                if name.endswith(".exe.pkl"):
-                    count += 1
-                    try:
-                        total += os.stat(
-                            os.path.join(self.objects, name)).st_size
-                    except OSError:
-                        pass
-        except OSError:
-            pass
+        exe = self.store.stats()["kinds"]["exe"]
         return {
             "root": self.root,
-            "entries": count,
-            "bytes": total,
+            "entries": exe["entries"],
+            "bytes": exe["bytes"],
             "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
@@ -357,11 +341,7 @@ _DEFAULT: CompileCache | None = None
 def default_cache() -> CompileCache:
     """The process-wide cache at ``$REPRO_CACHE_DIR``/``~/.cache/repro``."""
     global _DEFAULT
-    root = os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro")
-    if _DEFAULT is None or _DEFAULT.root != root:
-        from .store import default_store
-        store = default_store()
-        _DEFAULT = CompileCache(store=store) if store.root == root \
-            else CompileCache(root)
+    store = default_store()
+    if _DEFAULT is None or _DEFAULT.store is not store:
+        _DEFAULT = CompileCache(store=store)
     return _DEFAULT

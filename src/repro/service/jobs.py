@@ -46,12 +46,11 @@ compile/run wall-clock seconds so the pool can aggregate metrics.
 
 ``compile``/``run`` requests additionally honor ``"incremental":
 true`` — a whole-source cache miss then compiles through the unified
-artifact store (front/pass/backend/phase artifacts; see
+artifact store (front/pass/backend artifacts; see
 :mod:`repro.service.store`), and the response's ``pipeline`` block
 carries per-stage ``artifacts`` hit/miss records.  ``cache`` is the
 store-administration op (counters are process-local; the entry listing
-is on-disk truth), and ``_compile_phase`` is the internal op the
-parallel phase fan-out submits to pool workers.
+is on-disk truth).
 """
 
 from __future__ import annotations
@@ -64,7 +63,8 @@ from .cache import CompileCache, cache_key
 
 
 def build_options(spec: dict | None):
-    """CompilerOptions from a request's ``options`` dict.
+    """CompilerOptions from a request's ``options`` dict (or the CLI's
+    parsed pipeline flags, which carry the same names).
 
     The ``target`` name resolves through the target registry — an
     unknown target raises
@@ -384,27 +384,6 @@ def _dispatch(request: dict, cache: CompileCache | None) -> dict:
             raise ValueError("no compile cache configured")
         return cache_admin(cache, request.get("action", "stats"),
                            kind=request.get("kind"))
-    if op == "_compile_phase":
-        # Internal: warm one phase artifact for the parallel fan-out
-        # (see repro.driver.compiler._warm_phases).  The payload rides
-        # the worker pipe as live objects; the result lands in the
-        # shared store, not the response.
-        from ..backend.cm2.pe_compiler import TooManyStreams, compile_block
-        from .store import ArtifactStore
-
-        payload = request["payload"]
-        root = request.get("store_root")
-        store = cache.store if cache is not None \
-            and (root is None or cache.root == root) \
-            else ArtifactStore(root)
-        try:
-            block = compile_block(payload["move"], payload["env"],
-                                  payload["domains"], payload["options"],
-                                  name=payload["name"])
-        except TooManyStreams:
-            return {"warmed": False}
-        stored = store.put("phase", request["key"], block)
-        return {"warmed": bool(stored)}
     if op == "_sleep":  # test/ops hook: a slow (optionally failing) job
         time.sleep(float(request.get("seconds", 1.0)))
         if request.get("fail"):

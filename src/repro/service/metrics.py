@@ -99,7 +99,6 @@ class ServiceMetrics:
             "front_hits": 0, "front_misses": 0,
             "pass_hits": 0, "pass_misses": 0,
             "backend_hits": 0, "backend_misses": 0,
-            "phase_hits": 0, "phase_misses": 0,
         }
 
     # ------------------------------------------------------------------
@@ -153,11 +152,9 @@ class ServiceMetrics:
                 self.artifacts[f"{stage}_{state}es"
                                if state == "miss"
                                else f"{stage}_hits"] += 1
-        for stage in ("pass", "phase"):
-            block = artifacts.get(f"{stage}es") or {}
-            self.artifacts[f"{stage}_hits"] += int(block.get("hits", 0))
-            self.artifacts[f"{stage}_misses"] += \
-                int(block.get("misses", 0))
+        block = artifacts.get("passes") or {}
+        self.artifacts["pass_hits"] += int(block.get("hits", 0))
+        self.artifacts["pass_misses"] += int(block.get("misses", 0))
 
     def count_retry(self) -> None:
         with self._lock:
@@ -254,16 +251,14 @@ class ServiceMetrics:
                 f"(hit rate {flight['hit_rate']:.1%})")
         arts = snap["artifacts"]
         if arts["prefix_hits"] or arts["pass_misses"] \
-                or arts["backend_hits"] or arts["phase_hits"]:
+                or arts["backend_hits"]:
             lines.append(
                 f"store    front {arts['front_hits']}/"
                 f"{arts['front_hits'] + arts['front_misses']}  "
                 f"passes {arts['pass_hits']}/"
                 f"{arts['pass_hits'] + arts['pass_misses']}  "
                 f"backend {arts['backend_hits']}/"
-                f"{arts['backend_hits'] + arts['backend_misses']}  "
-                f"phases {arts['phase_hits']}/"
-                f"{arts['phase_hits'] + arts['phase_misses']} "
+                f"{arts['backend_hits'] + arts['backend_misses']} "
                 f"(artifact hits/lookups)")
         admission = snap["admission"]
         if admission["rejected"] or admission["queue_peak"]:

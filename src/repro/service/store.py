@@ -1,15 +1,15 @@
 """The content-addressed artifact store: one store for every stage.
 
 Incremental compilation keys every stage of the pipeline — front end,
-transform passes, backend, per-phase node routines, and whole
-executables — into a single on-disk store of fingerprinted artifacts.
-A fingerprint is a pure function of everything that determines the
-artifact: the upstream artifact's state hash, the stage's name and
-projected config, the resolved target and ``fuse_exec`` knob, and the
-cache schema/package versions.  A hit is therefore safe to reuse with
-no staleness check, and *content chaining* (each artifact records the
-hash of the state it produced) lets a warm compile walk the whole pass
-chain by reading only small artifact headers.
+transform passes, backend, and whole executables — into a single
+on-disk store of fingerprinted artifacts.  A fingerprint is a pure
+function of everything that determines the artifact: the upstream
+state's name (:func:`repro.pipeline.manager.state_hash`), the stage's
+name and projected config, the resolved target and ``fuse_exec`` knob,
+and the cache schema/package versions.  A hit is therefore safe to
+reuse with no staleness check, and *content chaining* (each artifact
+records the name of the state it produced) lets a warm compile walk
+the whole pass chain by reading only small artifact headers.
 
 Artifact kinds:
 
@@ -22,9 +22,6 @@ Artifact kinds:
 ``backend``
     one whole backend compilation (host program + partition report),
     keyed by the final transform state.
-``phase``
-    one blocked computation phase's :class:`CompiledBlock` — the unit
-    the worker pool fans out.
 ``exe``
     a whole :class:`~repro.driver.compiler.Executable` — the legacy
     whole-source cache, now a façade over this store (see
@@ -36,7 +33,7 @@ artifact's output state hash (or ``-``), and the byte length of the
 ``meta`` pickle — followed by the meta pickle and then the state
 pickle.  :meth:`ArtifactStore.head` reads only the header + meta (a
 few hundred bytes), which is what makes chain traversal cheap;
-:meth:`ArtifactStore.get` reads everything.
+:meth:`ArtifactStore.get` is the same read carried on into the state.
 
 Crash safety: writes go through a temp file + ``os.replace`` (readers
 never observe a partial artifact; concurrent writers of the same key
@@ -63,7 +60,7 @@ import time
 from dataclasses import dataclass
 
 #: Every artifact kind the store accepts, in pipeline order.
-KINDS = ("front", "pass", "backend", "phase", "exe")
+KINDS = ("front", "pass", "backend", "exe")
 
 _DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
@@ -78,19 +75,19 @@ def _version_tag() -> str:
     return f"{cache.SCHEMA_VERSION}:{__version__}"
 
 
-def state_hash(*objs) -> str:
-    """Content hash of a pickled object graph (the chaining currency)."""
-    return hashlib.sha256(
-        pickle.dumps(objs, protocol=pickle.HIGHEST_PROTOCOL)).hexdigest()
+def default_root() -> str:
+    """``$REPRO_CACHE_DIR``, else ``~/.cache/repro``."""
+    return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro")
 
 
 def fingerprint(kind: str, payload: dict) -> str:
     """The store key for ``payload`` — a pure function of its inputs.
 
-    ``payload`` must be JSON-serializable (hash object graphs into it
-    with :func:`state_hash` first); the kind and the schema/package
-    version tag participate, so no two kinds and no two releases can
-    collide.
+    ``payload`` must be JSON-serializable (a compile state goes in by
+    its :func:`~repro.pipeline.manager.state_hash` name); the kind and
+    the schema/package version tag participate, so no two kinds and no
+    two releases can collide.
     """
     blob = json.dumps({"kind": kind, "tag": _version_tag(),
                        "payload": payload}, sort_keys=True).encode()
@@ -112,8 +109,7 @@ class ArtifactStore:
     def __init__(self, root: str | None = None,
                  max_bytes: int | None = None) -> None:
         if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-                os.path.expanduser("~"), ".cache", "repro")
+            root = default_root()
         if max_bytes is None:
             max_bytes = int(os.environ.get("REPRO_CACHE_MAX_BYTES",
                                            _DEFAULT_MAX_BYTES))
@@ -152,11 +148,12 @@ class ArtifactStore:
 
     # -- reads ----------------------------------------------------------
 
-    def _open(self, kind: str, key: str):
-        """Validated header read: (file, out_hash, meta_len) or None.
+    def _read(self, kind: str, key: str, load_state: bool):
+        """The one validated read: header, meta and (optionally) state.
 
         Any malformed entry — truncated header, bad tag, unparsable
-        lengths — is deleted and counted as an error + miss.
+        lengths, short meta, corrupt pickle — is deleted and counted as
+        an error + miss.
         """
         path = self._path(kind, key)
         try:
@@ -165,30 +162,36 @@ class ArtifactStore:
             self.counters[kind]["misses"] += 1
             return None
         try:
-            header = f.readline(_HEADER_MAX)
-            if header.rstrip(b"\n").decode("ascii") != _version_tag():
-                raise ValueError("version skew")
-            out_hash = f.readline(_HEADER_MAX).rstrip(b"\n").decode("ascii")
-            meta_len = int(f.readline(_HEADER_MAX).rstrip(b"\n"))
-            if meta_len < 0:
-                raise ValueError("negative meta length")
+            with f:
+                tag, out_hash, meta_len = (
+                    f.readline(_HEADER_MAX).rstrip(b"\n").decode("ascii")
+                    for _ in range(3))
+                if tag != _version_tag():
+                    raise ValueError("version skew")
+                meta_len = int(meta_len)
+                if meta_len < 0:
+                    raise ValueError("negative meta length")
+                blob = f.read(meta_len)
+                if len(blob) != meta_len:
+                    raise ValueError("truncated meta")
+                meta = pickle.loads(blob) if meta_len else None
+                obj = pickle.load(f) if load_state else None
         except Exception:
-            f.close()
             self._forget(kind, key, path)
             return None
-        return f, ("" if out_hash == "-" else out_hash), meta_len
+        self.counters[kind]["hits"] += 1
+        try:
+            os.utime(path)  # LRU touch
+        except OSError:
+            pass
+        return Artifact(obj=obj, meta=meta,
+                        out_hash="" if out_hash == "-" else out_hash)
 
     def _forget(self, kind: str, key: str, path: str) -> None:
         self.counters[kind]["errors"] += 1
         self.counters[kind]["misses"] += 1
         try:
             os.unlink(path)
-        except OSError:
-            pass
-
-    def _touch(self, kind: str, key: str) -> None:
-        try:
-            os.utime(self._path(kind, key))  # LRU touch
         except OSError:
             pass
 
@@ -199,43 +202,13 @@ class ArtifactStore:
         artifact, so a fully warm pipeline costs header reads, not
         unpickles.
         """
-        opened = self._open(kind, key)
-        if opened is None:
-            return None
-        f, out_hash, meta_len = opened
-        try:
-            with f:
-                blob = f.read(meta_len)
-                if len(blob) != meta_len:
-                    raise ValueError("truncated meta")
-                meta = pickle.loads(blob) if meta_len else None
-        except Exception:
-            self._forget(kind, key, self._path(kind, key))
-            return None
-        self.counters[kind]["hits"] += 1
-        self._touch(kind, key)
-        return out_hash, meta
+        artifact = self._read(kind, key, load_state=False)
+        return None if artifact is None \
+            else (artifact.out_hash, artifact.meta)
 
     def get(self, kind: str, key: str) -> Artifact | None:
         """The full artifact under ``key``, or None (a miss)."""
-        opened = self._open(kind, key)
-        if opened is None:
-            return None
-        f, out_hash, meta_len = opened
-        try:
-            with f:
-                blob = f.read(meta_len)
-                if len(blob) != meta_len:
-                    raise ValueError("truncated meta")
-                meta = pickle.loads(blob) if meta_len else None
-                obj = pickle.load(f)
-        except Exception:
-            # Corrupt, truncated, or version-skewed: forget it.
-            self._forget(kind, key, self._path(kind, key))
-            return None
-        self.counters[kind]["hits"] += 1
-        self._touch(kind, key)
-        return Artifact(obj=obj, meta=meta, out_hash=out_hash)
+        return self._read(kind, key, load_state=True)
 
     # -- writes ---------------------------------------------------------
 
@@ -378,8 +351,7 @@ _DEFAULT: ArtifactStore | None = None
 def default_store() -> ArtifactStore:
     """The process-wide store at ``$REPRO_CACHE_DIR``/``~/.cache/repro``."""
     global _DEFAULT
-    root = os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro")
+    root = default_root()
     if _DEFAULT is None or _DEFAULT.root != root:
         _DEFAULT = ArtifactStore(root)
     return _DEFAULT

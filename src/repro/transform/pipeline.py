@@ -130,11 +130,12 @@ def optimize(lowered: LoweredProgram,
     unknown name raises :class:`~repro.pipeline.registry.
     UnknownPassError` listing the registered passes.
 
-    ``store`` (an :class:`~repro.service.store.ArtifactStore`) turns on
-    incremental compilation: the manager consults per-pass artifacts
-    fingerprinted from ``input_hash`` (the front end's state hash) and
-    ``context`` (the resolved target and ``fuse_exec``), reusing every
-    prefix artifact an edit did not perturb.
+    ``store`` (an :class:`~repro.service.store.ArtifactStore`) makes
+    the manager's one loop look each pass up before running it, keyed
+    from ``input_hash`` (the lowered state's name; computed when not
+    given) and ``context`` (the resolved target and ``fuse_exec``) —
+    the same store-optional path the driver's walk takes for its front
+    and backend stages.
     """
     from .passes import default_pipeline
 

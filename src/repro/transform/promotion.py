@@ -77,6 +77,10 @@ class LoopPromoter:
         axis_rng = (node.shape.lo, node.shape.hi, node.shape.stride)
         if axis_rng[2] <= 0:
             return node
+        if axis_rng[1] < axis_rng[0]:
+            # Zero trips: nothing runs, and a parallel MOVE over the
+            # empty section would be a node call over no elements.
+            return self._final_index_move(index, axis_rng)
 
         if isinstance(node.body, nir.Sequentially):
             return self._try_distribute(node, index, axis_rng)

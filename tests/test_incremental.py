@@ -6,6 +6,9 @@
   writers never expose a partial artifact;
 * reuse: a warm recompile hits every artifact; a tail edit reuses the
   prefix; a target or fuse_exec switch never serves a stale artifact;
+* one name per state: the structural hash is the same whichever route
+  built the state and wherever its lines sit, differs whenever the
+  compiled program does, and is the same in every process;
 * the hypothesis differential: incremental and cold compiles of the
   same edited source agree structurally and bit-identically at run
   time;
@@ -18,6 +21,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -27,9 +32,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.driver.compiler import CompilerOptions, compile_source
 from repro.machine import Machine, slicewise_model
+from repro.pipeline import state_hash
+from repro.programs.kernels import ALL_KERNELS
+from repro.programs.swe import swe_source
+from repro.runtime.host import format_host_program
 from repro.service.cache import CompileCache, cache_admin, cache_key
 from repro.service.jobs import execute_request
-from repro.service.store import ArtifactStore, fingerprint, state_hash
+from repro.service.store import ArtifactStore, fingerprint
+from repro.transform import Options as TransformOptions
+
+from .conftest import lower
 
 SOURCE = """
 program heat
@@ -52,9 +64,9 @@ def make_store(tmp_path, **kw) -> ArtifactStore:
     return ArtifactStore(str(tmp_path / "store"), **kw)
 
 
-def compile_inc(source, store, options=None, phase_pool=None):
+def compile_inc(source, store, options=None):
     return compile_source(source, options, cache=False, incremental=True,
-                          store=store, phase_pool=phase_pool)
+                          store=store)
 
 
 def run_outputs(exe):
@@ -114,8 +126,17 @@ class TestStoreBasics:
             fingerprint("front", {**payload, "target": "cm5"})
 
     def test_state_hash_is_content_addressed(self):
-        assert state_hash([1, 2], "a") == state_hash([1, 2], "a")
-        assert state_hash([1, 2], "a") != state_hash([1, 2], "b")
+        """Equal terms built separately share a name; a changed
+        constant, symbol type or domain extent gets another."""
+        base = "integer a(8)\nreal x\nx = 1.5\na = 2\nend\n"
+        assert lowered_hash(base) == lowered_hash(base)
+        assert lowered_hash(base) == lowered_hash("! moved\n\n" + base)
+        names = {lowered_hash(text) for text in (
+            base,
+            base.replace("a = 2", "a = 3"),
+            base.replace("real x", "double precision x"),
+            base.replace("a(8)", "a(9)"))}
+        assert len(names) == 4
 
     def test_ls_purge_stats(self, tmp_path):
         store = make_store(tmp_path)
@@ -154,6 +175,23 @@ class TestStoreBasics:
         monkeypatch.setattr(cache_mod, "SCHEMA_VERSION", 999)
         reopened = ArtifactStore(store.root)
         assert reopened.stats()["entries"] == 0
+
+    def test_schema_5_phase_artifacts_are_purged(self, tmp_path,
+                                                 monkeypatch):
+        """``phase`` is no longer a kind: a store directory written
+        under schema 5 must not keep its ``*.phase.pkl`` files as
+        unknown entries."""
+        from repro.service import cache as cache_mod
+
+        assert cache_mod.SCHEMA_VERSION >= 6
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_mod, "SCHEMA_VERSION", 5)
+            old = make_store(tmp_path)
+            old.put("pass", "k", "state")
+            os.rename(old._path("pass", "k"),
+                      os.path.join(old.objects, "k.phase.pkl"))
+        store = ArtifactStore(old.root)
+        assert os.listdir(store.objects) == []
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +272,26 @@ class TestCrashSafety:
                     f.write(b"not an artifact")
         warm = compile_inc(SOURCE, store)
         assert_same_run(cold, warm)
+
+    def test_unloadable_pass_state_falls_back_to_a_cold_run(self, tmp_path):
+        """Headers intact, states gone: every pass hits on its header,
+        the final state cannot be materialized, and the passes run for
+        real — still under the name a cold run gives that state."""
+        store = make_store(tmp_path)
+        first = compile_inc(SOURCE, store)
+        for name in os.listdir(store.objects):
+            if name.endswith(".pass.pkl"):
+                path = os.path.join(store.objects, name)
+                blob = open(path, "rb").read()
+                with open(path, "wb") as f:
+                    f.write(blob[:-8])
+        store.purge(kind="backend")
+        exe = compile_inc(SOURCE, store)
+        arts = exe.transformed.trace.artifacts
+        assert arts["passes"]["hits"] == 0 and arts["passes"]["misses"] > 0
+        assert arts["state_hash"] == \
+            first.transformed.trace.artifacts["state_hash"]
+        assert_same_run(first, exe)
 
     def test_concurrent_writers_never_expose_partial(self, tmp_path):
         store = make_store(tmp_path)
@@ -352,18 +410,6 @@ class TestIncrementalReuse:
                               incremental=False)
         assert_same_run(cold, exe)
 
-    def test_backend_miss_reuses_phase_artifacts(self, tmp_path):
-        store = make_store(tmp_path)
-        first = compile_inc(SOURCE, store)
-        assert first.transformed.trace.artifacts["phases"]["misses"] > 0
-        store.purge(kind="backend")
-        exe = compile_inc(SOURCE, store)
-        arts = exe.transformed.trace.artifacts
-        assert arts["backend"] == "miss"
-        assert arts["phases"]["misses"] == 0
-        assert arts["phases"]["hits"] > 0
-        assert_same_run(first, exe)
-
     def test_target_switch_never_serves_stale_artifacts(self, tmp_path):
         store = make_store(tmp_path)
         cm2 = compile_inc(SOURCE, store)
@@ -399,23 +445,160 @@ class TestIncrementalReuse:
         # No artifact accounting: the verified compile ran everything.
         assert exe.transformed.trace.artifacts == {}
 
-    def test_phase_pool_warms_phase_artifacts(self, tmp_path):
-        from repro.service.pool import WorkerPool
-
+    def test_analyze_and_dump_after_never_consult_the_store(self, tmp_path):
+        """``analyze`` reports carry source lines, which a line-free
+        state name cannot vouch for; ``dump_after`` observes the passes
+        run.  Neither may read or write an artifact."""
         store = make_store(tmp_path)
-        first = compile_inc(SOURCE, store)
-        store.purge(kind="backend")
-        store.purge(kind="phase")
-        pool = WorkerPool(1, cache=store.root)  # in-process fallback
-        try:
-            exe = compile_inc(SOURCE, store, phase_pool=pool)
-        finally:
-            pool.close()
+        compile_inc(SOURCE, store)
+        before = sorted(os.listdir(store.objects))
+        analyzed = compile_inc(SOURCE, store, options=CompilerOptions(
+            transform=TransformOptions(analyze=True)))
+        dumped = compile_source(SOURCE, cache=False, incremental=True,
+                                store=store, dump_after=("promote",))
+        for exe in (analyzed, dumped):
+            assert exe.transformed.trace.artifacts == {}
+            assert not any(t.cached for t in exe.transformed.trace.passes)
+        assert "promote" in dumped.transformed.trace.dumps
+        assert analyzed.transformed.trace.timing("racecheck").seconds > 0
+        assert sorted(os.listdir(store.objects)) == before
+
+
+# ---------------------------------------------------------------------------
+# One name per state
+# ---------------------------------------------------------------------------
+
+
+def lowered_hash(source: str) -> str:
+    lowered = lower(source)
+    return state_hash(lowered.nir, lowered.env)
+
+
+def corpus() -> dict[str, str]:
+    sources = {name: generate() for name, generate in ALL_KERNELS.items()}
+    sources["swe"] = swe_source(32, 2)
+    return sources
+
+
+SINGLE_OFF = ("promote_loops", "comm_cse", "block", "fuse", "pad_masks",
+              "recheck", "fuse_exec")
+
+DO_I = ("integer i, j, a\na = 0\ndo i=1,3\na = a + 1\nend do\n"
+        "print *, a\nend\n")
+DO_J = DO_I.replace("do i", "do j")
+
+_DIGEST = """
+import hashlib
+from repro.driver.compiler import compile_source
+from repro.pipeline import state_hash
+from tests.test_incremental import corpus, lowered_hash
+digest = hashlib.sha256()
+for name, source in sorted(corpus().items()):
+    final = compile_source(source, cache=False).transformed
+    digest.update((lowered_hash(source)
+                   + state_hash(final.nir, final.env)).encode())
+print(digest.hexdigest())
+"""
+
+
+class TestOneNamePerState:
+    @pytest.mark.parametrize("off", ["pad_masks", "comm_cse", "fuse"])
+    @pytest.mark.parametrize("prog", ["swe", "redblack", "where"])
+    def test_route_independence(self, tmp_path, prog, off):
+        """A state built from the lowered program and the same state
+        built by resuming from an artifact another configuration left
+        behind carry one name, so each route finds the other's
+        ``backend`` artifact."""
+        source = corpus()[prog]
+        options = CompilerOptions(transform=TransformOptions(**{off: False}))
+        store = make_store(tmp_path)
+        first = compile_inc(source, store, options)   # into an empty store
+        store.purge(kind="pass")
+        compile_inc(source, store)                    # the default chain
+        second = compile_inc(source, store, options)  # resumes inside it
+        arts = second.transformed.trace.artifacts
+        assert arts["passes"]["hits"] > 0 and arts["passes"]["misses"] > 0
+        assert arts["state_hash"] == \
+            first.transformed.trace.artifacts["state_hash"]
+        assert arts["backend"] == "hit"
+        assert second.host_program == first.host_program
+
+    @pytest.mark.parametrize("prog", ["heat", "redblack"])
+    def test_line_independence(self, tmp_path, prog):
+        """Moving every statement down a line re-parses and nothing
+        else: the lowered state keeps its name."""
+        source = corpus()[prog]
+        store = make_store(tmp_path)
+        compile_inc(source, store)
+        shifted = "! a comment line\n" + source
+        exe = compile_inc(shifted, store)
         arts = exe.transformed.trace.artifacts
-        assert arts["backend"] == "miss"
-        assert arts["phases"]["hits"] > 0
-        assert arts["phases"]["misses"] == 0
-        assert_same_run(first, exe)
+        assert arts["front"] == "miss"
+        assert arts["passes"]["misses"] == 0
+        assert arts["backend"] == "hit"
+        cold = compile_source(shifted, cache=False, incremental=False)
+        assert format_host_program(exe.host_program) == \
+            format_host_program(cold.host_program)
+        # The AST and the lowered program come from the exact text.
+        assert exe.unit == cold.unit
+
+    def test_programs_pretty_printing_alike_get_different_names(
+            self, tmp_path):
+        """``nir.pretty`` drops ``Do.index_names``; the name must not.
+        ``do i`` and ``do j`` compile to different host loops and leave
+        different scalars behind."""
+        from repro import nir
+
+        cold_i = compile_source(DO_I, cache=False, incremental=False)
+        cold_j = compile_source(DO_J, cache=False, incremental=False)
+        assert nir.pretty(cold_i.transformed.nir) == \
+            nir.pretty(cold_j.transformed.nir)
+        store = make_store(tmp_path)
+        inc_i = compile_inc(DO_I, store)
+        inc_j = compile_inc(DO_J, store)
+        assert inc_j.transformed.trace.artifacts["backend"] == "miss"
+        assert inc_i.transformed.trace.artifacts["state_hash"] != \
+            inc_j.transformed.trace.artifacts["state_hash"]
+        for inc, cold in ((inc_i, cold_i), (inc_j, cold_j)):
+            assert run_outputs(inc)[1] == run_outputs(cold)[1]
+        assert run_outputs(inc_i)[1] != run_outputs(inc_j)[1]
+
+    def test_one_name_one_host_program(self):
+        """Injectivity over the corpus: whatever option set produced
+        them, final states sharing a name compile (under the same
+        backend options and target) to the same host program."""
+        variants = [CompilerOptions(), CompilerOptions.naive(),
+                    CompilerOptions.neighborhood()]
+        variants += [CompilerOptions(transform=TransformOptions(
+            **{off: False})) for off in SINGLE_OFF]
+        groups: dict[tuple, list[str]] = {}
+        for source in corpus().values():
+            for options in variants:
+                exe = compile_source(source, options, cache=False,
+                                     incremental=False)
+                final = exe.transformed
+                key = (state_hash(final.nir, final.env), options.backend,
+                       options.target)
+                groups.setdefault(key, []).append(
+                    format_host_program(exe.host_program))
+        assert len(groups) > len(corpus())       # options do change states
+        assert any(len(texts) > 1 for texts in groups.values())  # and share
+        assert all(len(set(texts)) == 1 for texts in groups.values())
+
+    def test_names_do_not_depend_on_the_process(self):
+        """No unordered set, ``id`` or hash-seeded order may reach the
+        rendering: two interpreters with different string-hash seeds
+        agree on every lowered and final state of the corpus."""
+        digests = set()
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            proc = subprocess.run([sys.executable, "-c", _DIGEST], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.driver.compiler import CompilerOptions, compile_source
+from repro.driver.reference import run_reference
+from repro.frontend.parser import parse_program
 from repro.machine import Machine, slicewise_model
+from repro.transform import Options as TransformOptions
 
 from .conftest import assert_matches_reference
 
@@ -127,6 +130,33 @@ class TestOddButLegal:
         assert_matches_reference(
             "integer a(4)\ninteger i\na = 9\n"
             "do i = 4, 1\na = 0\nend do\nend")
+
+    @pytest.mark.parametrize("body, loop, want", [
+        ("a(i) = i", "do i = 1, 3", 4),       # promoted to a parallel MOVE
+        ("s = s + 1", "do i = 1, 3", 4),      # stays a serial host loop
+        ("a(i) = i", "do i = 1, 6, 2", 7),
+        ("a(i) = i", "do i = 5, 3", 5),       # zero trips: the index is lo
+    ])
+    @pytest.mark.parametrize("options", [
+        CompilerOptions(),
+        CompilerOptions(transform=TransformOptions(promote_loops=False)),
+        CompilerOptions.naive(),
+    ], ids=["default", "unpromoted", "naive"])
+    def test_do_index_exit_value(self, body, loop, want, options):
+        """After the loop the index holds lo + trips*step — whether the
+        loop was promoted or ran serially, on every engine, and in the
+        reference interpreter."""
+        source = (f"integer i, s, a(6)\na = 0\ns = 0\n{loop}\n{body}\n"
+                  "end do\nprint *, i\nend")
+        ref = run_reference(parse_program(source))
+        assert ref.output == [str(want)]
+        exe = compile_source(source, options)
+        for mode in ("interp", "fast", "fused"):
+            result = exe.run(Machine(slicewise_model(64), exec_mode=mode))
+            assert result.output == ref.output, mode
+            assert result.scalars["i"] == want, mode
+            np.testing.assert_array_equal(result.arrays["a"],
+                                          ref.arrays["a"])
 
     def test_where_statement_form_compiles_parallel(self):
         result, _ = assert_matches_reference(

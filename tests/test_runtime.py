@@ -250,7 +250,7 @@ class TestHostExecutor:
             )),
         ])
         assert ex.scalars["acc"] == 10
-        assert ex.scalars["i"] == 4
+        assert ex.scalars["i"] == 5  # Fortran's exit value: lo + trips*step
 
     def test_while_loop(self):
         ex, _ = self.run([
@@ -298,3 +298,26 @@ class TestHostExecutor:
         assert "alloc a[4]" in text
         assert "for i = 1, 2, 1:" in text
         assert "print" in text
+
+
+@pytest.mark.parametrize("target", ["cm2", "host"])
+def test_a_finished_run_frees_its_machine_by_refcount(target):
+    """Nothing a run leaves behind may hold its machine in a cycle: the
+    simulated arrays of a 512² run are hundreds of MB, and a cycle keeps
+    them until the next *full* collection."""
+    import gc
+    import weakref
+
+    from repro.driver.compiler import CompilerOptions, compile_source
+
+    exe = compile_source("integer a(8)\na = 1\na = a + cshift(a, 1)\nend",
+                         CompilerOptions(target=target))
+    gc.collect()
+    gc.disable()
+    try:
+        result = exe.run()
+        ref = weakref.ref(result.machine)
+        del result
+        assert ref() is None
+    finally:
+        gc.enable()
