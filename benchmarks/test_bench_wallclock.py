@@ -12,7 +12,13 @@ per-call fast path rather than cross-call batching.
 
 Results land in ``BENCH_wallclock.json`` at the repo root: each engine
 holds per-run seconds plus min/median.  Every run in a round is timed
-after ``REPRO_WALLCLOCK_WARMUP`` untimed warm-up runs, and all
+after untimed warm-up runs — at least ``REPRO_WALLCLOCK_WARMUP``, and
+on until the engine's kernels have settled: a kernel starts as blocked
+numpy and is recompiled to C once it has streamed enough to repay the
+``cc`` run (``docs/PIPELINE.md`` section 6; nine SWE runs at 512x512
+for the timestep loop, 64 for what runs once per run), so the warm-up
+goes on until every kernel a run launched is C or has been refused C,
+bounded by ``SETTLE`` runs — and all
 headline ratios are **median over median** — on shared/burstable VMs
 the machine speed drifts in *both* directions (scheduler slowdowns
 and CPU-frequency bursts), and the median is the statistic robust to
@@ -24,20 +30,22 @@ arrays across all engines and the host target.
 A fourth column times the **host target** (the same source compiled
 with ``target="host"``, run on its own :class:`HostMachine`): the CM
 engines above simulate a machine while executing natively; the host
-target drops the simulation fidelity constraints and retunes its
-native kernels for the CPU actually running (``-march=native``), so it
-is the floor for how fast this workload goes through the shared
-pipeline.  Its output must stay bit-identical to the interp oracle.
+target drops the simulation fidelity constraints — the same kernels
+under a measured cost model, batched by default.  Its output must stay
+bit-identical to the interp oracle.
 
 Knobs: ``REPRO_SWE_N`` (grid, default 512), ``REPRO_WALLCLOCK_STEPS``
 (time steps, default 8), ``REPRO_WALLCLOCK_ROUNDS`` (timed runs per
 engine, default 5), ``REPRO_WALLCLOCK_WARMUP`` (untimed warm-up runs
 per engine, default 3), ``REPRO_WALLCLOCK_MIN_SPEEDUP`` (fast-vs-
 interp floor, default 2.5), ``REPRO_WALLCLOCK_MIN_FUSED`` (fused-vs-
-fast floor, default 1.3), ``REPRO_WALLCLOCK_MIN_HOST`` (host-vs-fused
-floor, default 0.95 — the margin is real but single-digit percent, so
-the CI gate is relaxed below 1.0 against scheduler noise; the
-committed BENCH_wallclock.json records host ahead of fused).
+fast floor, default 0.9: "fused no slower than fast" — once settled
+both engines run the same C kernels and batching is worth a few
+percent of wall time; what fusion buys is *simulated* cycles, asserted
+exactly below.  The ratio used to read 1.4 because only groups of two
+or more got C: it measured the emitter, not batching),
+``REPRO_WALLCLOCK_MIN_HOST`` (host-vs-fused floor, default 0.95 — the
+two run the same kernels, so the gate only keeps them in one league).
 """
 
 from __future__ import annotations
@@ -59,11 +67,26 @@ STEPS = int(os.environ.get("REPRO_WALLCLOCK_STEPS", "8"))
 ROUNDS = int(os.environ.get("REPRO_WALLCLOCK_ROUNDS", "5"))
 WARMUP = int(os.environ.get("REPRO_WALLCLOCK_WARMUP", "3"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_WALLCLOCK_MIN_SPEEDUP", "2.5"))
-MIN_FUSED = float(os.environ.get("REPRO_WALLCLOCK_MIN_FUSED", "1.3"))
+MIN_FUSED = float(os.environ.get("REPRO_WALLCLOCK_MIN_FUSED", "0.9"))
 MIN_HOST = float(os.environ.get("REPRO_WALLCLOCK_MIN_HOST", "0.95"))
 
 ENGINES = ("interp", "fast", "fused")
 COLUMNS = ENGINES + ("host",)
+#: Most warm-up runs an engine gets to settle.  At 512x512 the last
+#: kernels to cross are the ones launched once per run, on run 64; at
+#: the CI size (256x256) the loop kernels cross on about run 35 and the
+#: once-per-run ones are timed as numpy.
+SETTLE = 80
+
+NOTES = (
+    "Each engine is timed after its kernels have settled (blocked numpy "
+    "first, C once a kernel has streamed enough to repay the cc run; "
+    "warmup_runs says how many untimed runs that took).  speedup_fused "
+    "used to measure the emitter, not batching: before the tier-up rule "
+    "only groups of >= 2 got C on the CM machines, so fast ran numpy "
+    "against fused's C (1.44x).  With one emitter rule both run C and "
+    "the ratio is what batching alone is worth in wall time; its gain "
+    "in simulated cycles is simulated_gflops_fused vs simulated_gflops.")
 
 _OUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_wallclock.json")
 
@@ -104,13 +127,29 @@ def _time_engines(exe, host_exe):
     engine reach that state — the first runs after a process has
     churned memory pay page-reclaim costs regardless of engine."""
     times = {mode: [] for mode in COLUMNS}
+    warmups = {}
     for mode in COLUMNS:
-        for _ in range(WARMUP):
-            _run(exe, mode, host_exe)
+        warmups[mode] = _settle(exe, mode, host_exe)
         for _ in range(ROUNDS):
             secs, _ = _run(exe, mode, host_exe)
             times[mode].append(secs)
-    return times
+    return times, warmups
+
+
+def _settle(exe, mode, host_exe) -> int:
+    """Warm ``mode`` up; the number of untimed runs it took.
+
+    Settled means the tier-up rule has nothing left to change: every
+    kernel the run's dispatch sites hold (their launch records) is C or
+    has been refused C.  ``interp`` holds none.
+    """
+    for run in range(1, max(WARMUP, SETTLE) + 1):
+        machine = _run(exe, mode, host_exe)[1].machine
+        if run >= WARMUP and all(
+                record.launch.kern.native or record.launch.kern.asked
+                for record in machine._launches.values()):
+            break
+    return run
 
 
 def _engine_payload(times):
@@ -123,7 +162,7 @@ def _bench(name, source, grid):
     exe = compile_source(source)
     host_exe = compile_source(source, CompilerOptions(target="host"))
     results = _check_contract(exe, host_exe)
-    times = _time_engines(exe, host_exe)
+    times, warmups = _time_engines(exe, host_exe)
     lo = {mode: min(ts) for mode, ts in times.items()}
     mid = {mode: statistics.median(ts) for mode, ts in times.items()}
     payload = {
@@ -132,6 +171,7 @@ def _bench(name, source, grid):
         "steps": STEPS,
         "rounds": ROUNDS,
         "warmup": WARMUP,
+        "warmup_runs": warmups,
         **_engine_payload(times),
         "speedup": mid["interp"] / mid["fast"],    # median over median
         "speedup_fused": mid["fast"] / mid["fused"],
@@ -165,6 +205,7 @@ def test_engine_wallclock_speedups():
     life = _bench("game-of-life", life_source(life_n, STEPS),
                   f"{life_n}x{life_n}")
     payload = dict(swe)  # SWE stays the top-level headline record
+    payload["notes"] = NOTES
     payload["programs"] = {"swe": swe, "heat": heat, "life": life}
     with open(_OUT, "w") as f:
         json.dump(payload, f, indent=2)

@@ -7,13 +7,14 @@ the process).  The package supplies:
 * :class:`~repro.backend.host.compiler.HostCompiler` — inherits the
   whole CM/2 partitioning pipeline and audits each blocked phase for
   native-kernel eligibility;
-* :mod:`~repro.backend.host.kernels` — the host's native emitter:
-  per-element C loops tuned for the running CPU where IEEE-exact (the
-  shared dispatch path falls back to cache-blocked numpy kernels, then
-  the step engine);
+* :mod:`~repro.backend.host.kernels` — the compile-time audit of
+  which routines the C emitter's IEEE-exact whitelist covers (the
+  shared dispatch path runs cache-blocked numpy kernels first, C once
+  a kernel has streamed enough to repay the build, else the step
+  engine);
 * :class:`~repro.backend.host.machine.HostMachine` — the Machine
-  contract (storage, dispatch, RunStats) with that emitter, costed by
-  the measured :func:`~repro.machine.costs.host_model`.
+  contract (storage, dispatch, RunStats) over that shared path, costed
+  by the measured :func:`~repro.machine.costs.host_model`.
 
 There is no ``HostExecutable`` subclass on purpose: the shared
 :class:`~repro.driver.compiler.Executable` runs host programs

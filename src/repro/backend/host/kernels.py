@@ -1,23 +1,19 @@
-"""The host kernel engine: every dispatch runs compiled, never stepped.
+"""The host target's view of the kernel tiers, and its lowering audit.
 
-The CM targets treat native C (:mod:`repro.machine.ckernel`) as a
-*fast path* for fused groups bolted onto a simulated dispatch loop.  On
-the host target it **is** the execution model.  A host dispatch runs
-the one path every machine runs (:mod:`repro.machine.execplan`: group
--> probe -> kernel for key -> launch); what this module adds is the
-emitter :class:`~repro.backend.host.machine.HostMachine` supplies to it:
+A host dispatch runs the one path every machine runs
+(:mod:`repro.machine.execplan`: group -> probe -> kernel for key ->
+launch), with the one rule for which emitter a kernel gets:
 
 * the first call with a new binding signature runs the plan's recording
   pass (plain numpy ufuncs capturing intermediate shapes/dtypes — PEAC
   is never interpreted instruction by instruction);
-* every later call compiles — once — to a **native per-element C loop**
-  (:func:`emit_native`: lone dispatches included, built for the CPU
-  actually running) when the group stays inside the IEEE-exact
-  whitelist, giving one memory pass over the operands with all
-  intermediates in registers;
-* groups outside that whitelist (transcendentals, integer division,
-  allocating conversions) run through the cache-blocked Python kernel,
-  and bindings the prover cannot clear (overlapping distinct views,
+* every later call runs a compiled kernel: cache-blocked numpy first,
+  then — once the kernel has streamed enough to repay a ``cc`` run,
+  and if it stays inside the IEEE-exact whitelist — a **native
+  per-element C loop**, one memory pass over the operands with all
+  intermediates in registers, built once per process whichever
+  machine asked first;
+* bindings the prover cannot clear (overlapping distinct views,
   non-contiguous streams) fall back to the plan's step engine.
 
 All three tiers are bit-identical by construction: the native emitter
@@ -25,16 +21,21 @@ declines anything whose C semantics are not an exact match of the numpy
 ufunc, and the blocked kernel replays the interpreter's own ufunc
 sequence.  ``REPRO_FAST_KERNEL=0`` and ``REPRO_FUSED_CC=0`` degrade the
 tiers exactly as they do for the CM targets.
+
+What this module owns is the compile-time half: :func:`audit_routine`
+says which routines the C emitter could take.
 """
 
 from __future__ import annotations
 
+# The two names marked F401 are not used here: bench/grid.py
+# (``_BuildTimer.SITES``) wraps them on this module at set-up.
 from ...machine.ckernel import (
     _BINOPS,
     _CMPOPS,
     _FMAOPS,
-    retune,
-    try_native,
+    retune,  # noqa: F401
+    try_native,  # noqa: F401
 )
 from ...machine.plan import _ComputeStep, get_plan
 
@@ -42,25 +43,6 @@ from ...machine.plan import _ComputeStep, get_plan
 #: structural half of the whitelist; dtypes are checked at build time).
 NATIVE_OPS = (frozenset(_BINOPS) | frozenset(_CMPOPS) | frozenset(_FMAOPS)
               | frozenset({"fselv", "fnegv", "fabsv", "fsqrtv"}))
-
-#: Extra compiler flags for host-native kernels.  The CM targets build
-#: for the portable baseline ISA; the host target compiles for the CPU
-#: actually running — ``-ffp-contract=off`` stays in force from the
-#: base flags, so wider vector units change throughput, not results
-#: (each lane is still the scalar IEEE operation).
-TUNE_FLAGS = ("-march=native", "-funroll-loops")
-
-
-def tune(kern) -> object:
-    """A host-tuned rebuild of a native kernel (the untuned one when
-    the flags fail to compile)."""
-    return retune(kern, TUNE_FLAGS)
-
-
-def emit_native(merged, spec, n, S, shifts):
-    """Tuned C for a group's merged plan of any size, or None."""
-    kern = try_native(merged, spec, n, S, shifts)
-    return None if kern is None else tune(kern)
 
 
 # -- static lowering audit (compile time) -----------------------------------

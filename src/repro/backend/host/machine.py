@@ -3,13 +3,12 @@
 :class:`HostMachine` keeps the whole :class:`~repro.machine.cm2.Machine`
 contract — storage and geometry, ``call_routine``/``call_fused``, the
 deterministic :class:`~repro.machine.stats.RunStats` accounting, the
-dispatch-time verifier hook — and the whole dispatch path.  It supplies
-its own native emitter (:func:`.kernels.emit_native`: tuned C for every
-group, lone dispatches included, cached under its own flavor), counts
-which tier ran each lone dispatch, and charges cycles under the
-measured :func:`~repro.machine.costs.host_model` (1 cycle = 1 ns), so
-``stats.seconds()`` is a calibrated wallclock estimate rather than a
-simulated Weitek figure.
+dispatch-time verifier hook — and the whole dispatch path, kernel cache
+and emitter rule included: a C text a CM machine built is the one this
+machine runs.  It counts which tier ran each lone dispatch and charges
+cycles under the measured :func:`~repro.machine.costs.host_model`
+(1 cycle = 1 ns), so ``stats.seconds()`` is a calibrated wallclock
+estimate rather than a simulated Weitek figure.
 
 ``exec_mode="interp"`` still runs the :class:`VectorExecutor` oracle —
 the bit-identity tests hold across all three engines on this target
@@ -24,13 +23,10 @@ import os
 
 from ...machine.cm2 import Machine
 from ...machine.costs import CostModel, host_model
-from . import kernels
 
 
 class HostMachine(Machine):
     """A native-host execution engine behind the Machine contract."""
-
-    kernel_flavor = "host"
 
     def __init__(self, model: CostModel | None = None,
                  exec_mode: str | None = None) -> None:
@@ -43,22 +39,18 @@ class HostMachine(Machine):
             "steps_dispatches": 0,
         }
 
-    def emit_native(self, k, merged, spec, n, S, shifts):
-        """Tuned C whatever the group size; lone builds are counted."""
-        kern = kernels.emit_native(merged, spec, n, S, shifts)
-        if kern is not None and k == 1:
-            self.host_metrics["native_builds"] += 1
-        return kern
-
     def _execute_dispatch(self, d):
-        """The shared path, counted by the tier that ran the dispatch."""
+        """The shared path, counted by the tier that ran the dispatch
+        (``native_builds``: lone entries this machine moved to C)."""
+        tier_ups = self.fusion_metrics["tier_ups"]
         launch = super()._execute_dispatch(d)
         if self.exec_mode != "interp":
             counter = ("steps_dispatches" if launch is None
-                       else "native_dispatches"
-                       if getattr(launch.kern, "native", False)
+                       else "native_dispatches" if launch.kern.native
                        else "blocked_dispatches")
             self.host_metrics[counter] += 1
+            self.host_metrics["native_builds"] += (
+                self.fusion_metrics["tier_ups"] - tier_ups)
             if launch is not None:
                 launch.counters.append((self.host_metrics, counter))
         return launch

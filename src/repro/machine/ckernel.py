@@ -49,6 +49,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 
@@ -77,6 +78,11 @@ _FMAOPS = {"fmav": "+", "fmsv": "-"}
 
 class _CBail(Exception):
     """The plan uses something outside the provable whitelist."""
+
+
+class BuildFailed(Exception):
+    """The text was emitted but no loadable ``.so`` came of it: the
+    build directory, the compiler or the loader failed."""
 
 
 def _compiler() -> str | None:
@@ -142,9 +148,10 @@ class _CKernel:
     """Callable with the blocked-kernel interface over a native loop."""
 
     __slots__ = ("_fn", "_lib", "_nslots", "_sregs", "source", "native",
-                 "staged")
+                 "staged", "build_ms")
 
-    def __init__(self, fn, lib, nslots, sregs, source, staged=()) -> None:
+    def __init__(self, fn, lib, nslots, sregs, source, staged=(),
+                 build_ms=None) -> None:
         self._fn = fn
         self._lib = lib  # keeps the dlopen handle alive
         self._nslots = nslots
@@ -152,15 +159,21 @@ class _CKernel:
         self.source = source
         self.native = True
         self.staged = staged  # ((class, scratch class), ...): Launch
+        #: Wall milliseconds of the ``cc`` run made for this kernel;
+        #: None when its text had been built already.
+        self.build_ms = build_ms
 
     def __call__(self, S, X, n) -> None:
-        # ``S`` is a launch's own SlotTable: addresses are packed once.
+        # ``S`` is a launch's own SlotTable: addresses and the scalar
+        # block are packed once, the scalars overwritten per launch.
         ptrs = S.ptrs
         if ptrs is None:
             ptrs = S.ptrs = (ctypes.c_void_p * self._nslots)(
                 *[a.ctypes.data for a in S])
-        xs = (ctypes.c_double * max(1, len(self._sregs)))(
-            *[float(X[k]) for k in self._sregs])
+            S.xs = (ctypes.c_double * max(1, len(self._sregs)))()
+        xs = S.xs
+        for j, k in enumerate(self._sregs):
+            xs[j] = X[k]
         self._fn(ptrs, xs, n)
 
 
@@ -358,58 +371,64 @@ class _CEmitter:
 
 
 def _load(src: str, nslots: int, sregs: tuple,
-          extra_flags: tuple = (), staged: tuple = ()) -> _CKernel:
-    key = (src, extra_flags)
-    cached = _SO_CACHE.get(key)
+          staged: tuple = ()) -> _CKernel:
+    """The kernel over ``src``, built once per process whoever asks.
+
+    Raises :class:`BuildFailed` when the text cannot be turned into a
+    loaded library (full or read-only ``TMPDIR``, a compiler that
+    vanished or exits non-zero, a ``noexec`` mount).
+    """
+    cached = _SO_CACHE.get(src)
+    build_ms = None
     if cached is None:
         cc = _compiler()
         if cc is None:
             raise _CBail
-        # Named by content and moved into place whole: whoever else
-        # builds the same text writes the same bytes to the same path.
-        tag = hashlib.sha256(repr(key).encode()).hexdigest()[:32]
-        workdir = _workdir()
-        cfile = os.path.join(workdir, f"{tag}.c")
-        sofile = os.path.join(workdir, f"{tag}.so")
-        with open(cfile, "w") as f:
-            f.write(src)
-        fd, partial = tempfile.mkstemp(suffix=".so", dir=workdir)
-        os.close(fd)
-        proc = subprocess.run(
-            [cc, *_CFLAGS, *extra_flags, "-o", partial, cfile, "-lm"],
-            capture_output=True)
-        if proc.returncode != 0:
-            os.unlink(partial)
-            raise _CBail
-        os.replace(partial, sofile)
-        lib = ctypes.CDLL(sofile)
+        t0 = time.perf_counter()
+        try:
+            # Named by content and moved into place whole: whoever else
+            # builds the same text writes the same bytes to the same
+            # path.
+            tag = hashlib.sha256(src.encode()).hexdigest()[:32]
+            workdir = _workdir()
+            cfile = os.path.join(workdir, f"{tag}.c")
+            sofile = os.path.join(workdir, f"{tag}.so")
+            with open(cfile, "w") as f:
+                f.write(src)
+            fd, partial = tempfile.mkstemp(suffix=".so", dir=workdir)
+            os.close(fd)
+            proc = subprocess.run(
+                [cc, *_CFLAGS, "-o", partial, cfile, "-lm"],
+                capture_output=True)
+            if proc.returncode != 0:
+                os.unlink(partial)
+                raise BuildFailed(proc.stderr.decode(errors="replace"))
+            os.replace(partial, sofile)
+            lib = ctypes.CDLL(sofile)
+        except OSError as exc:
+            raise BuildFailed(str(exc)) from exc
         fn = lib.kernel
         fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
                        ctypes.POINTER(ctypes.c_double), ctypes.c_long]
         fn.restype = None
-        cached = _SO_CACHE[key] = (lib, fn)
+        cached = _SO_CACHE[src] = (lib, fn)
+        build_ms = (time.perf_counter() - t0) * 1e3
     lib, fn = cached
-    return _CKernel(fn, lib, nslots, sregs, src, staged)
+    return _CKernel(fn, lib, nslots, sregs, src, staged, build_ms)
 
 
 def retune(kern, extra_flags: tuple) -> object:
-    """The same native kernel recompiled with extra compiler flags.
-
-    Flags must preserve per-element IEEE semantics (``-ffp-contract=off``
-    stays in force, so e.g. ``-march=native`` only widens the vector
-    unit without reassociating or contracting).  Returns the original
-    kernel untouched when the recompile fails.
-    """
-    try:
-        return _load(kern.source, kern._nslots, kern._sregs,
-                     tuple(extra_flags), kern.staged)
-    except _CBail:
-        return kern
+    """Nothing calls this: every machine builds with the one set of
+    flags.  ``bench/grid.py`` (``_BuildTimer.SITES``) wraps the name at
+    set-up, so it stays until a benchmark change drops it there."""
+    return kern
 
 
 def try_native(plan, spec, n, S, shifts=()):
     """A compiled C kernel for a group's merged plan over its slot
-    table, or None to use the Python one."""
+    table, or None when the emitter declines it (or there is no
+    compiler).  :class:`BuildFailed` passes through: the caller counts
+    it and stays on the kernel it has."""
     if _compiler() is None:
         return None
     try:

@@ -19,8 +19,7 @@ import numpy as np
 
 from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
-from .execplan import (Dispatch, ExecutionPlan, LaunchRecord, emit_native,
-                       run_lone)
+from .execplan import Dispatch, ExecutionPlan, LaunchRecord, run_lone
 from .geometry import Geometry, coordinate_array, make_geometry
 from .kernel import kernels_enabled
 from .pe import SubgridStream, VectorExecutor
@@ -77,14 +76,11 @@ class Machine:
     and identical :class:`RunStats`.  ``"fused"`` additionally lets the
     host executor batch adjacent node calls through :meth:`call_fused`:
     arrays stay bit-identical to both other engines, and a fused batch
-    is charged as one dispatch.
+    is charged as one dispatch.  Neither the engine nor the machine
+    class chooses an emitter: every kernel starts as blocked numpy and
+    is recompiled to C once it has streamed enough to repay the build
+    (:meth:`repro.machine.execplan.ExecutionPlan.kernel_for`).
     """
-
-    #: Who may emit C for a group of k routines, and the cache flavor
-    #: of what it builds: what a machine class adds to the one dispatch
-    #: path (see :func:`repro.machine.execplan.emit_native`).
-    emit_native = staticmethod(emit_native)
-    kernel_flavor: str | None = None
 
     def __init__(self, model: CostModel | None = None,
                  exec_mode: str | None = None) -> None:
@@ -114,15 +110,23 @@ class Machine:
             "records": 0, "replays": 0, "drops": 0,
             # drops, by what no longer matched
             "binding": 0, "plan": 0, "scalar_type": 0, "kernels_off": 0,
+            "tier_up": 0,
         }
         # Fused-group kernel and shift-path telemetry: machine-local and
         # wall-clock flavored — it never feeds RunStats, which stay
         # deterministic run to run.
-        self.fusion_metrics: dict[str, int] = {
+        self.fusion_metrics: dict[str, float] = {
             "megakernel_builds": 0,
             "megakernel_native": 0,
             "megakernel_hits": 0,
             "stepwise_groups": 0,
+            # Cache entries this run moved from blocked numpy to C, the
+            # ``cc`` runs that took (a text built before costs none),
+            # their wall time, and the builds that failed.
+            "tier_ups": 0,
+            "native_builds": 0,
+            "native_build_ms": 0.0,
+            "native_build_failures": 0,
             # Shifted operands per dispatch, by how they were consumed:
             # read in place, read in place with the source's store
             # staged, or copied for a consumer that cannot index them.
@@ -414,7 +418,7 @@ class Machine:
                     executor.bind_scalar(SReg(n), value)
             executor.run(d.routine)
             return None
-        return run_lone(d, self.pool, self.emit_native, self.kernel_flavor)
+        return run_lone(d, self.pool, self.fusion_metrics)
 
     def _release(self, d: Dispatch) -> None:
         for scratch in d.spill_bufs:
@@ -439,6 +443,8 @@ class Machine:
             **{key: self.fusion_metrics[key]
                for key in ("megakernel_builds", "megakernel_native",
                            "megakernel_hits", "stepwise_groups",
+                           "tier_ups", "native_builds", "native_build_ms",
+                           "native_build_failures",
                            "shifts_folded", "shifts_staged",
                            "shifts_materialized")},
             # Steady-state dispatch: sites recorded, trips replayed,
@@ -448,7 +454,7 @@ class Machine:
             "launch_drop_reasons": {
                 key: self.launch_metrics[key]
                 for key in ("binding", "plan", "scalar_type",
-                            "kernels_off")},
+                            "kernels_off", "tier_up")},
         }
 
     # -- accounting helpers -------------------------------------------------

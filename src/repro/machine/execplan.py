@@ -17,20 +17,22 @@ batch of one.  Either way the machine runs a **group**:
   constituents' :class:`~repro.machine.plan.RoutinePlan` step lists are
   concatenated with registers renamed into per-constituent banks and
   memory operands renamed onto the slot table, then compiled by the
-  machine's native emitter (:mod:`repro.machine.ckernel`) or, when it
-  declines or there is none, the blocked numpy builder
-  (:mod:`repro.machine.kernel`).  Kernels are cached process-wide,
-  keyed by the full binding signature — constituent plan serials, slot
-  maps, shapes, scalar types, emitter flavor — so one compilation
-  serves every later timestep and every later machine, and live no
-  longer than the plans they were compiled over (:func:`evict_serial`);
+  blocked numpy builder (:mod:`repro.machine.kernel`: no subprocess).
+  The entry counts the work it streams, and once that would have
+  repaid a ``cc`` run (:func:`~repro.machine.kernel.hot`) the C
+  emitter (:mod:`repro.machine.ckernel`) is asked, once: its kernel
+  replaces the entry, a decline is remembered.  Kernels are cached
+  process-wide, keyed by the full binding signature — constituent plan
+  serials, slot maps, shapes, scalar types — so one compilation serves
+  every later timestep and every later machine, and live no longer
+  than the plans they were compiled over (:func:`evict_serial`);
 * :meth:`ExecutionPlan.launch` runs the kernel through a
   :class:`~repro.machine.kernel.Launch`, which the machine keeps as the
   site's :class:`LaunchRecord`: later trips validate it by identity and
   launch again, skipping everything above (``docs/PIPELINE.md`` §16).
 
-What differs with k is the accounting and who may emit C, not the
-path.  A group of two or more is charged as **one** node call
+What differs with k is the accounting, not the path and not the
+emitter.  A group of two or more is charged as **one** node call
 (:meth:`ExecutionPlan.charge`: one dispatch, deduplicated argument
 pushes, a single virtual-subgrid loop, register-resident forwarding of
 streams an earlier constituent just stored); a lone dispatch keeps the
@@ -50,8 +52,8 @@ from collections import OrderedDict
 import numpy as np
 
 from ..peac.isa import NUM_SREGS, NUM_VREGS
-from .ckernel import try_native
-from .kernel import _NO_KERNEL, Launch, _build, kernels_enabled
+from .ckernel import BuildFailed, try_native
+from .kernel import _NO_KERNEL, Launch, _build, hot, kernels_enabled
 from .plan import (
     _R_CONST,
     _R_MEM,
@@ -121,16 +123,6 @@ def evict_serial(serial: int) -> None:
     for key in list(_MEGA_KERNELS):
         if serial in key[0]:
             _MEGA_KERNELS.pop(key, None)
-
-
-def emit_native(k, merged, spec, n, S, shifts):
-    """The CM targets' native emitter: C for groups of two or more.
-
-    A lone dispatch gets the blocked numpy kernel only — a ``cc`` run
-    is tens of milliseconds per site, most of a second over a program's
-    set-up — so ``fast`` stays the engine that never shells out.
-    """
-    return try_native(merged, spec, n, S, shifts) if k > 1 else None
 
 
 # -- step remapping ---------------------------------------------------------
@@ -331,46 +323,68 @@ class ExecutionPlan:
 
     # -- execution ------------------------------------------------------
 
-    def kernel_for(self, sigs, emit=None, flavor=None) -> tuple:
+    def kernel_for(self, sigs, metrics) -> tuple:
         """``(kernel, built)`` for this trip's binding signatures.
 
         The kernel is None when the step engine must run instead: a
         signature still needs its recording pass, or the merged steps
-        are not kernel-eligible.  ``emit`` is the machine's native
-        emitter (``emit(k, merged plan, spec, n, S, shifts)``; None:
-        never native) and ``flavor`` keys what it builds, so a
-        host-tuned kernel never serves a simulated target.  ``built``
-        says this call compiled the entry rather than found it.
+        are not kernel-eligible.  ``built`` says this call compiled the
+        entry rather than found it.  An entry starts as the blocked
+        numpy kernel and is offered to the C emitter when
+        :func:`~repro.machine.kernel.hot` says it has earned the ``cc``
+        run, whatever k and whoever asks; ``metrics`` (the machine's
+        ``fusion_metrics``) counts what that cost.
         """
         slot_key = tuple(tuple(sorted(m.items())) for m in self.slot_maps)
-        key = (self.serials, slot_key, sigs, self.n, flavor, self.shifts)
-        kern = _MEGA_KERNELS.pop(key, None)
+        key = (self.serials, slot_key, sigs, self.n, self.shifts)
+        kern = _MEGA_KERNELS.get(key)
         built = kern is None
-        if built:
+        if built or hot(kern):
             specs = [plan.specs.get(sig)
                      for plan, sig in zip(self.plans, sigs)]
             if None in specs:
                 return None, False   # the recording pass runs first
             merged = self._merged_plan()
             mspec = self._merged_spec(specs)
-            # Prefer a native per-element loop (intermediates stay in
-            # registers); decline -> the Python blocked kernel.
-            if emit is not None:
-                kern = emit(self.k, merged, mspec, self.n, self.S,
-                            self.shifts)
-            if kern is None:
+            if built:
                 kern = _build(merged, mspec, self.n, self.S, self.shifts)
-            if len(_MEGA_KERNELS) >= _MEGA_CAP:
-                _MEGA_KERNELS.popitem(last=False)
-        _MEGA_KERNELS[key] = kern   # (back) in, at the recent end
+                if len(_MEGA_KERNELS) >= _MEGA_CAP:
+                    _MEGA_KERNELS.popitem(last=False)
+            if hot(kern):
+                kern = self._tier_up(kern, sigs, merged, mspec, metrics)
+        _MEGA_KERNELS[key] = kern
+        _MEGA_KERNELS.move_to_end(key)
         return (None if kern is _NO_KERNEL else kern), built
+
+    def _tier_up(self, kern, sigs, merged, mspec, metrics):
+        """The kernel that replaces a hot blocked ``kern``: the C
+        emitter's, or ``kern`` itself with the refusal remembered."""
+        native = None
+        # C takes every scalar argument as one double.
+        if not any(s is not None and s[0] == "a" and s[1] != ()
+                   for _, scalars in sigs for s in scalars):
+            try:
+                native = try_native(merged, mspec, self.n, self.S,
+                                    self.shifts)
+            except BuildFailed:
+                metrics["native_build_failures"] += 1
+        if native is None:
+            kern.asked = True
+            return kern
+        metrics["tier_ups"] += 1
+        if self.k > 1:
+            metrics["megakernel_native"] += 1
+        if native.build_ms is not None:
+            metrics["native_builds"] += 1
+            metrics["native_build_ms"] += native.build_ms
+        return native
 
     def launch(self, kern, dispatches, pool) -> Launch:
         """Run ``kern`` over the group's slot table; the launch."""
         X: list = []
         for d in dispatches:
             X.extend(d.scalars)
-        launch = Launch(kern, self.S, self.n, self.spill_slots)
+        launch = Launch(kern, self.S, self.n, self.spill_slots, self.k)
         launch.run(X, pool)
         if self.shifts:   # the kernel read every shifted stream in place
             staged = {slot for slot, base, _, _ in self.shifts
@@ -390,12 +404,9 @@ class ExecutionPlan:
         if kernels_enabled():
             sigs = tuple(d.plan._signature(d.streams, d.scalars)
                          for d in dispatches)
-            kern, built = self.kernel_for(sigs, machine.emit_native,
-                                          machine.kernel_flavor)
+            kern, built = self.kernel_for(sigs, metrics)
             if built:
                 metrics["megakernel_builds"] += 1
-                if getattr(kern, "native", False):
-                    metrics["megakernel_native"] += 1
             elif kern is not None:
                 metrics["megakernel_hits"] += 1
         if kern is None:
@@ -403,10 +414,8 @@ class ExecutionPlan:
             # Every shifted operand means its source at group start.
             for d in dispatches:
                 materialize_streams(d.streams)
-            # Never native: the group's own kernel supersedes whatever
-            # these would build one trip from now.
             for d in dispatches:
-                run_lone(d, machine.pool)
+                run_lone(d, machine.pool, metrics)
             return None
         launch = self.launch(kern, dispatches, machine.pool)
         launch.counters.append((metrics, "megakernel_hits"))
@@ -432,37 +441,37 @@ class ExecutionPlan:
         return spec
 
 
-def run_lone(d: Dispatch, pool, emit=None, flavor=None) -> Launch | None:
+def run_lone(d: Dispatch, pool, metrics) -> Launch | None:
     """Run one dispatch as a group of one.
 
     Returns the launch when a kernel ran over the operands as bound
     (what a dispatch site may replay), else None.  A first trip with a
     new binding signature does not probe: it goes straight to the step
-    engine's recording pass.
+    engine's recording pass.  ``metrics`` is the machine's
+    ``fusion_metrics`` (see :meth:`ExecutionPlan.kernel_for`).
     """
     plan = d.plan
     streams = d.streams
     sig = plan._signature(streams, d.scalars)
     if sig in plan.specs and kernels_enabled():
-        launch = _launch_lone(d, sig, pool, emit, flavor)
+        launch = _launch_lone(d, sig, pool, metrics)
         if launch is not None:
             return launch
         # A shifted operand the kernel could not read in place still
-        # runs blocked over its copy, as it did before folding (never
-        # native: the copy is this trip's alone).
+        # runs through a kernel over its copy, as it did before folding.
         if any(isinstance(st, ShiftedStream) for st in streams):
             materialize_streams(streams)
-            if _launch_lone(d, sig, pool) is not None:
+            if _launch_lone(d, sig, pool, metrics) is not None:
                 return None
     plan.run_steps(streams, d.scalars, pool, sig)
     return None
 
 
-def _launch_lone(d, sig, pool, emit=None, flavor=None) -> Launch | None:
+def _launch_lone(d, sig, pool, metrics) -> Launch | None:
     group = ExecutionPlan.build((d,))
     if group is None:
         return None
-    kern, _ = group.kernel_for((sig,), emit, flavor)
+    kern, _ = group.kernel_for((sig,), metrics)
     return None if kern is None else group.launch(kern, (d,), pool)
 
 
@@ -526,6 +535,9 @@ class LaunchRecord:
     def stale(self, calls) -> str | None:
         """Why this trip cannot replay the record — None when it can,
         with the trip's scalars filled in."""
+        if hot(self.launch.kern):
+            # The ordinary path asks the C emitter and records again.
+            return "tier_up"
         if len(calls) != len(self.calls):
             return "binding"
         X = self.X

@@ -76,6 +76,15 @@ from .plan import (
 
 _NO_KERNEL = "ineligible"
 _BLOCK = 16384  # block length in elements: intermediates stay in cache
+# When a blocked kernel has earned its ``cc`` run (``docs/PIPELINE.md``
+# section 6).  The same routine in C saves about 22 us + 5 ns per
+# element on every launch, so a launch is worth, per routine of the
+# group, its stream length plus ``_LAUNCH_COST`` elements; after
+# ``_TIER_UP`` of them the blocked kernel has lost what one ``cc`` run
+# costs (about 70 ms), and building then is never worse than twice the
+# best choice in hindsight.
+_LAUNCH_COST = 4096
+_TIER_UP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +142,31 @@ def kernels_enabled() -> bool:
     return os.environ.get("REPRO_FAST_KERNEL") != "0"
 
 
+def hot(kern) -> bool:
+    """Whether the C emitter should be asked for cache entry ``kern``
+    now: a blocked kernel, never asked about, that has streamed the
+    break-even of one ``cc`` run.  Launches and stream lengths decide,
+    never the clock, so the trip it falls on is the same in every run."""
+    return (kern is not _NO_KERNEL and not kern.native and not kern.asked
+            and kern.streamed >= _TIER_UP)
+
+
 class SlotTable(list):
     """A launch's own slot table: the flat operand arrays, by slot.
 
     Nothing else holds the list, so a native kernel keeps the operands'
-    addresses packed beside it (``ptrs``) instead of asking every
-    array for ``.ctypes`` on every launch; :meth:`lend` keeps the two
-    in step for the scratch slots redrawn each trip.
+    addresses (``ptrs``) and its scalar arguments (``xs``) packed
+    beside it instead of asking every array for ``.ctypes`` and
+    building a fresh block on every launch; :meth:`lend` keeps the
+    addresses in step for the scratch slots redrawn each trip.
     """
 
-    __slots__ = ("ptrs",)
+    __slots__ = ("ptrs", "xs")
 
     def __init__(self, arrays) -> None:
         super().__init__(arrays)
         self.ptrs = None
+        self.xs = None
 
     def lend(self, slot: int, buf: np.ndarray) -> None:
         self[slot] = buf
@@ -163,16 +183,18 @@ class Launch:
     launch as a site's record (:meth:`redraw`) — the ``spills`` slots,
     which its first run got from ``Machine._prepare``.  ``counters``
     are the ``(metrics dict, key)`` pairs a trip through this launch
-    bumps.
+    bumps.  ``work`` is what one run streams through a blocked kernel
+    (:func:`hot`): each of the group's ``routines`` its own pass.
     """
 
-    __slots__ = ("kern", "S", "n", "spills", "scratch", "counters")
+    __slots__ = ("kern", "S", "n", "spills", "scratch", "counters", "work")
 
-    def __init__(self, kern, S, n: int, spills=()) -> None:
+    def __init__(self, kern, S, n: int, spills=(), routines=1) -> None:
         self.kern = kern
         self.S = S = SlotTable(S)
         self.n = n
         self.spills = spills
+        self.work = routines * (n + _LAUNCH_COST)
         staged = kern.staged
         if staged:
             S.extend([None] * (staged[-1][1] + 1 - len(S)))
@@ -192,6 +214,7 @@ class Launch:
     def run(self, X, pool) -> None:
         S = self.S
         n = self.n
+        kern = self.kern
         scratch = self.scratch
         for slot, dtype, zeroed in scratch:
             buf = pool.acquire((n,), dtype)
@@ -199,8 +222,12 @@ class Launch:
                 buf.fill(0)
             S.lend(slot, buf)
         try:
-            with np.errstate(all="ignore"):
-                self.kern(S, X, n)
+            if kern.native:   # a C loop raises no numpy warning
+                kern(S, X, n)
+            else:
+                kern.streamed += self.work
+                with np.errstate(all="ignore"):
+                    kern(S, X, n)
         finally:
             for slot, _, _ in scratch:
                 pool.release(S[slot])
@@ -615,6 +642,11 @@ class _Builder:
         kernel = glb.pop("_kernel")
         kernel.source = src
         kernel.staged = staged
+        kernel.native = False
+        # What the cache entry remembers for :func:`hot`: the work it
+        # has streamed, and whether the C emitter declined it.
+        kernel.streamed = 0
+        kernel.asked = False
         return kernel
 
     def _emit_compute(self, step, args, out, aux) -> list[str]:

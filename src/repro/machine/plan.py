@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 
@@ -657,15 +658,15 @@ class RoutinePlan:
         entries (or ``None``); ``scalars`` a list of ``NUM_SREGS``
         values with ``_UNBOUND`` holes.  This is the group of one
         without a machine (:func:`repro.machine.execplan.run_lone`): a
-        blocked numpy kernel when the bindings allow one — never native
-        C — else :meth:`run_steps`.  Returns the
-        :class:`~repro.machine.kernel.Launch` when a kernel ran over the
-        operands as bound, else None.
+        kernel when the bindings allow one, else :meth:`run_steps`.
+        Returns the :class:`~repro.machine.kernel.Launch` when a kernel
+        ran over the operands as bound, else None.
         """
         from .execplan import Dispatch, run_lone  # it imports this module
 
         return run_lone(Dispatch(None, self, streams, scalars),
-                        pool if pool is not None else GLOBAL_POOL)
+                        pool if pool is not None else GLOBAL_POOL,
+                        Counter())
 
     def run_steps(self, streams, scalars, pool: BufferPool, sig) -> None:
         """The step engine: the recording pass of a new binding

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from repro.driver.compiler import CompilerOptions, compile_source
 from repro.driver.reference import run_reference
 from repro.frontend.parser import parse_program
 from repro.lowering import check_program, lower_program
-from repro.machine import Machine, fieldwise_model, slicewise_model
+from repro.machine import Machine, ckernel, fieldwise_model, slicewise_model
+from repro.machine import kernel as blocked
 from repro.transform import optimize
 
 
@@ -17,6 +20,81 @@ from repro.transform import optimize
 def small_machine() -> Machine:
     """A CM/2 with 64 PEs: identical semantics, smaller geometries."""
     return Machine(slicewise_model(n_pes=64))
+
+
+# -- the C emitter's share of tier-1 ------------------------------------------
+#
+# A kernel gets C once it has streamed enough to repay the ``cc`` run, and
+# no tier-1 program runs that long: left to the rule, the suite would
+# compare blocked numpy with the oracle and the C emitter with nothing.
+# The modules that carry the emitter's equivalence tests ask for
+# ``eager_c``; the session counts what ``ckernel._load`` hands out per
+# module, prints it, and fails when one of them falls below its floor.
+
+
+@pytest.fixture(scope="module")
+def eager_c():
+    """Every blocked kernel is hot at birth: the C emitter is asked at
+    once, for lone dispatches and groups, on every machine.  Yields the
+    rule's own budget for the tests that put it back."""
+    with pytest.MonkeyPatch.context() as patch:
+        earned = blocked._TIER_UP
+        patch.setattr(blocked, "_TIER_UP", 0)
+        yield earned
+
+
+C_MODULES = ("test_shift_fold.py", "test_execplan.py",
+             "test_host_backend.py")
+C_MODULE_FLOOR = 25     # the parent suite: 94 / 58 / 26
+C_TOTAL_FLOOR = 170     # the parent suite: 178-226 (hypothesis draws)
+_loads: Counter = Counter()     # test file -> ckernel._load calls
+_running: list = [None]
+_shortfalls: list[str] = []
+
+
+def pytest_sessionstart(session):
+    inner = ckernel._load
+
+    def counted(*args, **kwargs):
+        _loads[_running[0]] += 1
+        return inner(*args, **kwargs)
+
+    ckernel._load = counted
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    _running[0] = item.path.name
+    _loads[_running[0]] += 0
+    yield
+
+
+def pytest_sessionfinish(session, exitstatus):
+    option = session.config.option
+    if (exitstatus != 0 or option.keyword or option.markexpr
+            or any("::" in arg for arg in session.config.args)):
+        return      # a module cut short says nothing about its floor
+    for module in C_MODULES:
+        if module in _loads and _loads[module] < C_MODULE_FLOOR:
+            _shortfalls.append(f"{module}: {_loads[module]} native kernels, "
+                               f"floor {C_MODULE_FLOOR}")
+    total = sum(_loads.values())
+    if all(m in _loads for m in C_MODULES) and total < C_TOTAL_FLOOR:
+        _shortfalls.append(f"whole suite: {total} native kernels, "
+                           f"floor {C_TOTAL_FLOOR}")
+    if _shortfalls:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    per = ", ".join(f"{module} {count}"
+                    for module, count in sorted(_loads.items()) if count)
+    terminalreporter.write_line(
+        f"native kernels handed out by ckernel._load: "
+        f"{sum(_loads.values())} ({per})")
+    for line in _shortfalls:
+        terminalreporter.write_line(f"C emitter coverage fell: {line}",
+                                    red=True)
 
 
 def lower(source: str):

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.driver.compiler import CompilerOptions, compile_source
 from repro.machine import (Machine, get_plan, invalidate_plan,
                            slicewise_model)
-from repro.machine import execplan
+from repro.machine import execplan, kernel
 from repro.machine.ckernel import _compiler
 from repro.machine.kernel import SlotTable
 from repro.peac import Imm, Instr, Mem, PReg, Routine, SReg, VReg
@@ -40,6 +40,9 @@ from repro.programs.kernels import (heat_source, life_source,
 from repro.programs.swe import swe_source
 from repro.targets import build_machine
 from repro.transform import Options as TransformOptions
+
+# Tier-1 programs are too short to earn a ``cc`` run: see conftest.
+pytestmark = pytest.mark.usefixtures("eager_c")
 
 ENGINES = ("interp", "fast", "fused")
 
@@ -703,10 +706,12 @@ def test_invalidate_plan_evicts_a_lone_host_dispatchs_kernel():
     t.trip(3)       # still right against interp on the rebuilt plan
 
 
-def test_stepwise_constituents_never_build_native():
+def test_stepwise_constituents_never_build_native(eager_c, monkeypatch):
     """A group whose signature is not recorded yet runs its calls one by
-    one — machine-less, so the host emitter never ``cc``-builds kernels
-    the group's own kernel supersedes one trip later."""
+    one; a constituent launched once has earned nothing, so the host
+    never ``cc``-builds kernels the group's own kernel supersedes one
+    trip later."""
+    monkeypatch.setattr(kernel, "_TIER_UP", eager_c)
     exe = compile_source(swe_source(32, 6), CompilerOptions(target="host"),
                          cache=False, incremental=False)
     machine = build_machine("host")
@@ -776,6 +781,79 @@ def test_forked_workers_each_run_the_kernel_they_built():
     os.close(go_r)
     os.close(go_w)
     assert os.path.isdir(ckernel._WORKDIR[1])   # the parent's is its own
+
+
+# -- a build that fails is a decline -------------------------------------------
+
+
+def _break_the_build(monkeypatch, failure):
+    """Make the next ``cc`` run fail the way ``failure`` names."""
+    from repro.machine import ckernel
+
+    def refuse(exc):
+        def raiser(*args, **kwargs):
+            raise exc
+        return raiser
+
+    monkeypatch.setattr(ckernel, "_SO_CACHE", {})   # no text built before
+    if failure == "noexec_tmp":
+        monkeypatch.setattr(ckernel.ctypes, "CDLL", refuse(OSError(
+            "failed to map segment from shared object")))
+    elif failure == "compiler_vanished":
+        monkeypatch.setattr(ckernel.subprocess, "run",
+                            refuse(FileNotFoundError(2, "No such file")))
+    elif failure == "full_tmp":
+        monkeypatch.setattr(ckernel.tempfile, "mkstemp",
+                            refuse(OSError(28, "No space left on device")))
+    else:
+        monkeypatch.setattr(
+            ckernel.subprocess, "run",
+            lambda argv, **kwargs: subprocess.CompletedProcess(
+                argv, 1, b"", b"internal compiler error"))
+
+
+BUILD_FAILURES = pytest.mark.parametrize(
+    "failure", ["noexec_tmp", "compiler_vanished", "full_tmp", "cc_exits_1"])
+
+
+@pytest.mark.skipif(_compiler() is None, reason="no C compiler")
+@BUILD_FAILURES
+def test_a_build_failing_mid_run_stays_on_the_blocked_kernel(failure,
+                                                             monkeypatch):
+    """The crossing falls on trip 5 of a run that was fine on numpy, and
+    nothing of the build can be had: the trip and every later one run
+    the blocked kernel (``_Trips`` compares with ``interp`` per trip),
+    the failure is counted once and the entry is never asked about
+    again."""
+    _break_the_build(monkeypatch, failure)
+    monkeypatch.setattr(kernel, "_TIER_UP", 3 * (N + kernel._LAUNCH_COST))
+    t = _Trips("fast", routine=_axpy(name=f"unbuildable_{failure}"))
+    got = t.trip(9)
+    summary = t.engine.fusion_summary()
+    assert summary["native_build_failures"] == 1
+    assert summary["tier_ups"] == summary["native_builds"] == 0
+    assert summary["launch_drop_reasons"]["tier_up"] == got["drops"] == 1
+    assert got["replays"] == 2 + 4      # trips 3-4, then 6-9
+    (record,) = t.engine._launches.values()
+    assert not record.launch.kern.native and record.launch.kern.asked
+
+
+@pytest.mark.skipif(_compiler() is None, reason="no C compiler")
+@BUILD_FAILURES
+def test_a_program_whose_every_build_fails_matches_interp(failure,
+                                                          monkeypatch):
+    _break_the_build(monkeypatch, failure)
+    exe = compile_source(swe_source(n=8, itmax=4), cache=False,
+                         incremental=False)
+    machine = build_machine("cm2", exec_mode="fused")
+    fused = exe.run(machine=machine)
+    oracle = exe.run(machine=build_machine("cm2", exec_mode="interp"))
+    for name, data in oracle.arrays.items():
+        assert fused.arrays[name].tobytes() == data.tobytes(), name
+    summary = machine.fusion_summary()
+    assert summary["native_build_failures"] > 0
+    assert summary["megakernel_native"] == summary["tier_ups"] == 0
+    assert summary["megakernel_hits"] > 0
 
 
 @pytest.mark.skipif(_compiler() is None, reason="no C compiler")

@@ -26,7 +26,8 @@ from repro.machine import (
     flops_per_element,
     slicewise_model,
 )
-from repro.machine import execplan
+from repro.machine import execplan, kernel
+from repro.machine.ckernel import _compiler
 from repro.machine.plan import (
     _UNBOUND,
     BufferPool,
@@ -407,19 +408,21 @@ class TestKernelCodegen:
 # ---------------------------------------------------------------------------
 
 OPS = ["faddv", "fsubv", "fmulv", "fdivv", "fmaxv", "fminv"]
+#: The subset the C emitter takes (float64 streams only).
+C_OPS = ["faddv", "fsubv", "fmulv", "fdivv"]
 
 
 @st.composite
-def routine_case(draw):
+def routine_case(draw, ops=OPS, dtypes=("float64", "float32")):
     n = draw(st.sampled_from([4, 16, 33]))
-    dtype = draw(st.sampled_from(["float64", "float32"]))
+    dtype = draw(st.sampled_from(dtypes))
     n_in = draw(st.integers(1, 3))
     finite = st.floats(-1e6, 1e6, allow_nan=False, width=32).map(float)
     body = [Instr("flodv", (Mem(PReg(i)), VReg(i))) for i in range(n_in)]
     defined = list(range(n_in))
     nxt = n_in
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(OPS))
+        kind = draw(st.sampled_from(ops))
         a = VReg(draw(st.sampled_from(defined)))
         b_reg = draw(st.one_of(st.none(), st.sampled_from(defined)))
         b = VReg(b_reg) if b_reg is not None else Imm(draw(finite))
@@ -462,6 +465,24 @@ def _dispatch(mode, case, repeats=2):
 def test_random_routines_bit_identical_and_stats_equal(case):
     mi, n_in = _dispatch("interp", case)
     mf, _ = _dispatch("fast", case)
+    for i in range(n_in + 1):
+        assert (mi.home(f"a{i}").data.tobytes()
+                == mf.home(f"a{i}").data.tobytes())
+    assert mi.stats.to_dict() == mf.stats.to_dict()
+
+
+@pytest.mark.skipif(_compiler() is None, reason="no C compiler")
+@given(case=routine_case(ops=C_OPS, dtypes=("float64",)))
+@settings(max_examples=12, deadline=None)
+def test_random_routines_bit_identical_as_lone_c_kernels(case):
+    """The same property with every kernel hot at birth, so the second
+    dispatch of each routine runs the C emitter's lone kernel on a CM
+    machine (each new text is one ``cc`` run: fewer examples)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_TIER_UP", 0)
+        mi, n_in = _dispatch("interp", case)
+        mf, _ = _dispatch("fast", case)
+    assert mf.fusion_metrics["tier_ups"] == 1
     for i in range(n_in + 1):
         assert (mi.home(f"a{i}").data.tobytes()
                 == mf.home(f"a{i}").data.tobytes())
