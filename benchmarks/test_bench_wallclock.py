@@ -146,7 +146,7 @@ def _settle(exe, mode, host_exe) -> int:
     for run in range(1, max(WARMUP, SETTLE) + 1):
         machine = _run(exe, mode, host_exe)[1].machine
         if run >= WARMUP and all(
-                record.launch.kern.native or record.launch.kern.asked
+                record.launch.kern.native or record.launch.kern.declined
                 for record in machine._launches.values()):
             break
     return run

@@ -8,7 +8,7 @@ the process).  The package supplies:
   whole CM/2 partitioning pipeline and audits each blocked phase for
   native-kernel eligibility;
 * :mod:`~repro.backend.host.kernels` — the compile-time audit of
-  which routines the C emitter's IEEE-exact whitelist covers (the
+  which routines the C emitter's bit-exact whitelist covers (the
   shared dispatch path runs cache-blocked numpy kernels first, C once
   a kernel has streamed enough to repay the build, else the step
   engine);

@@ -32,7 +32,7 @@ class PhaseLowering:
 
     routine: str
     instructions: int
-    #: All compute ops inside the IEEE-exact native whitelist (the
+    #: All compute ops inside the bit-exact native whitelist (the
     #: structural, compile-time half of the eligibility decision).
     native_eligible: bool
     blockers: tuple[str, ...] = ()

@@ -9,7 +9,7 @@ launch), with the one rule for which emitter a kernel gets:
   is never interpreted instruction by instruction);
 * every later call runs a compiled kernel: cache-blocked numpy first,
   then — once the kernel has streamed enough to repay a ``cc`` run,
-  and if it stays inside the IEEE-exact whitelist — a **native
+  and if it stays inside the bit-exact whitelist — a **native
   per-element C loop**, one memory pass over the operands with all
   intermediates in registers, built once per process whichever
   machine asked first;
@@ -31,18 +31,15 @@ from __future__ import annotations
 # The two names marked F401 are not used here: bench/grid.py
 # (``_BuildTimer.SITES``) wraps them on this module at set-up.
 from ...machine.ckernel import (
-    _BINOPS,
-    _CMPOPS,
-    _FMAOPS,
     retune,  # noqa: F401
     try_native,  # noqa: F401
 )
-from ...machine.plan import _ComputeStep, get_plan
+from ...machine.plan import _C_FORMS, _ComputeStep, get_plan
 
-#: ComputeStep ops the native emitter can prove IEEE-exact (the
-#: structural half of the whitelist; dtypes are checked at build time).
-NATIVE_OPS = (frozenset(_BINOPS) | frozenset(_CMPOPS) | frozenset(_FMAOPS)
-              | frozenset({"fselv", "fnegv", "fabsv", "fsqrtv"}))
+#: ComputeStep ops the native emitter has a form for (the structural
+#: half of the whitelist; dtypes, scalar types and divisors are checked
+#: at build time).
+NATIVE_OPS = frozenset(_C_FORMS)
 
 
 # -- static lowering audit (compile time) -----------------------------------

@@ -216,6 +216,11 @@ def cmd_run(args) -> int:
     if args.time:
         print(f"compile {compile_s:.3f}s  run {run_s:.3f}s  "
               f"(exec engine: {machine.exec_mode})", file=sys.stderr)
+        # Kernels that stopped below the best tier, and why.
+        for emitter, reasons in machine.fusion_summary()["declined"].items():
+            for reason, entries in sorted(reasons.items()):
+                print(f"  {entries} kernel(s) declined by the {emitter} "
+                      f"emitter: {reason}", file=sys.stderr)
     if args.stats_json:
         payload = {
             "model": machine.model.name,

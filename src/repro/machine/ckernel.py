@@ -17,16 +17,48 @@ the common stream length, a per-element schedule is observationally
 identical to the step engine's whole-array passes.
 
 Bit-identity with numpy is preserved by construction, not hope: only
-operations whose C semantics are IEEE-754-exact matches of the numpy
-ufunc are emitted (+, -, *, /, negation, ``fabs``, ``sqrt``,
-comparisons, and the two-instruction multiply-add sequence), the
-compile runs with ``-ffp-contract=off`` and without ``-ffast-math`` so
-no fused multiply-adds or reassociation can change rounding, and all
-streams must be contiguous float64.  Anything outside that whitelist —
-transcendentals (numpy's SIMD routines differ from libm), min/max (NaN
-payload propagation), integer ops, allocating conversions — makes the
-emitter decline, and the caller falls back to the Python blocked
-kernel.
+operations whose C form computes exactly what the numpy ufunc does are
+emitted (``plan._C_FORMS``; every other op is in ``plan._C_DECLINED``
+with its reason), the compile runs with ``-ffp-contract=off`` and
+without ``-ffast-math`` so no fused multiply-adds or reassociation can
+change rounding, and every stream must be contiguous.
+
+Every value and every slot carries a *kind* — ``f64``, ``i32``,
+``i64``, ``bool``, a weak integer constant (``int``: a C literal) or a
+weak integer scalar argument (``xint``: a ``double``) — and an op
+computes in the kind the recording pass wrote into the spec, never in
+one re-derived from the op's name or from promotion rules: ``fmulv``
+over an ``int32`` stream and the weak constant 1 is an integer
+multiply.  Where numpy's integer semantics are not C's the emitter
+takes numpy's side or declines (``docs/PIPELINE.md`` section 6 has the
+table):
+
+* integer ``+ - *``, negation and ``abs`` are computed in the unsigned
+  twin (``uint32_t``/``uint64_t``) and cast back, so overflow wraps as
+  numpy's does instead of being undefined;
+* ``idivv``/``imodv`` are emitted only for a plan-time constant divisor
+  outside {0, -1}: the oracle answers ``x / 0`` (``INT_MIN``) and
+  ``x % 0`` (0) where C raises SIGFPE, which is a dead process, not a
+  wrong number.  ``idivv`` takes ``int32`` dividends only (the oracle
+  divides in ``float64``, which equals C's truncating ``/`` for 32
+  bits, not for 64);
+* comparisons across kinds rely on C's usual arithmetic conversions,
+  which are numpy's promotion for these kinds; logical ops on a
+  non-bool operand mean ``!= 0``; ``fselv`` selects in the recorded
+  dtype (``int64`` for two weak constants) and stores narrow by two's-
+  complement truncation, as ``casting='unsafe'`` does;
+* the scalar block is ``double``: ``float``, ``float64``, ``int32`` and
+  ``bool`` arguments survive it exactly, a Python ``int`` is accepted
+  where numpy would make it a ``float64`` too, and every other scalar
+  type (``int64``, an array) declines rather than round.
+
+Still declined, and why: transcendentals, ``pow`` and ``fmod`` (numpy's
+SIMD routines differ from libm), min/max (NaN payload propagation),
+``float -> int`` stores and the conversions (numpy's cast of NaN and
+out-of-range values is not C's), ``float32`` streams.  A decline raises
+:class:`_CBail` with a short reason (``"op fsinv"``, ``"divisor 0"``,
+``"scalar int64"``), the caller stays on the Python blocked kernel and
+``Machine.fusion_summary()["declined"]`` reports it.
 
 A *shifted* operand (:mod:`repro.machine.shifted`) is indexed in
 place: the loop becomes a row loop over the last axis, each shifted
@@ -55,6 +87,7 @@ import numpy as np
 
 from .kernel import Staging
 from .plan import (
+    _C_FORMS,
     _R_CONST,
     _R_MEM,
     _R_SREG,
@@ -69,15 +102,29 @@ from .plan import (
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-fno-math-errno",
            "-ffp-contract=off"]
 
-#: op -> C infix operator (IEEE-exact matches of the numpy ufunc)
-_BINOPS = {"faddv": "+", "fsubv": "-", "fmulv": "*", "fdivv": "/"}
-_CMPOPS = {"fceqv": "==", "fcnev": "!=", "fcltv": "<",
-           "fclev": "<=", "fcgtv": ">", "fcgev": ">="}
-_FMAOPS = {"fmav": "+", "fmsv": "-"}
+#: numpy dtype -> kind, for streams and for recorded results alike.
+#: Two more kinds are weak (Python) integers, which take the other
+#: operand's type: "int", a constant, emitted as a literal; and "xint",
+#: a scalar argument, whose value is only known as a ``double``.
+_KINDS = {np.dtype(np.float64): "f64", np.dtype(np.int32): "i32",
+          np.dtype(np.int64): "i64", np.dtype(bool): "bool"}
+#: kind -> the C type a value of it has (a stream of ``bool`` is bytes)
+_CTYPES = {"f64": "double", "i32": "int32_t", "i64": "int64_t",
+           "bool": "int", "xint": "double"}
+_STREAM_CTYPES = {**_CTYPES, "bool": "uint8_t"}
+#: integer kind -> the unsigned twin its arithmetic is computed in
+_UNSIGNED = {"i32": "uint32_t", "i64": "uint64_t"}
+#: scalar type name -> (kind, its value out of the ``double`` scalar
+#: block), for the types the block carries exactly — and Python's
+#: ``int``, which is exact wherever numpy makes it a ``float64`` too
+_SCALARS = {"float": ("f64", "X[{}]"), "float64": ("f64", "X[{}]"),
+            "int32": ("i32", "(int32_t)X[{}]"),
+            "bool": ("bool", "X[{}] != 0.0"), "int": ("xint", "X[{}]")}
 
 
 class _CBail(Exception):
-    """The plan uses something outside the provable whitelist."""
+    """The plan uses something outside the provable whitelist; its one
+    argument is the reason (``"op fsinv"``, ``"divisor 0"``)."""
 
 
 class BuildFailed(Exception):
@@ -123,25 +170,59 @@ def _remove_workdir(pid: int, path: str) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def _literal(value) -> str:
-    """An exact C literal for a plan-time constant."""
+def _literal(value) -> tuple[str, str]:
+    """(exact C literal, kind) for a plan-time constant."""
     if isinstance(value, (bool, np.bool_)):
-        return "1.0" if value else "0.0"
-    if isinstance(value, (int, np.integer)):
-        iv = int(value)
-        if abs(iv) > 2 ** 53:
-            raise _CBail
-        return f"{iv}.0"
-    if isinstance(value, (float, np.floating)):
+        return ("1" if value else "0"), "bool"
+    if isinstance(value, int):
+        return str(value), "int"
+    if isinstance(value, np.integer) and value.dtype in _KINDS:
+        kind = _KINDS[value.dtype]
+        return f"({_CTYPES[kind]})({int(value)})", kind
+    if isinstance(value, (float, np.float64)):
         fv = float(value)
         if fv != fv:
-            return "NAN"
+            return "NAN", "f64"
         if fv == float("inf"):
-            return "INFINITY"
+            return "INFINITY", "f64"
         if fv == float("-inf"):
-            return "-INFINITY"
-        return fv.hex()  # C99 hexfloat: exact round trip
-    raise _CBail
+            return "-INFINITY", "f64"
+        return fv.hex(), "f64"  # C99 hexfloat: exact round trip
+    raise _CBail(f"constant {type(value).__name__}")
+
+
+def _as(val: tuple[str, str], kind: str) -> str:
+    """The C expression of ``val`` converted to ``kind`` as numpy's
+    ``casting='unsafe'`` converts it."""
+    expr, have = val
+    if have == kind:
+        return expr
+    if have == "xint":  # an integer of unknown size, rounded already
+        if kind == "f64":
+            return expr
+        raise _CBail("scalar int")
+    if kind == "bool":
+        return f"({expr}) != 0"
+    if kind == "f64":
+        return f"{expr}.0" if have == "int" else f"(double)({expr})"
+    if have == "f64":   # NaN and out-of-range: numpy's cast is not C's
+        raise _CBail("float->int store")
+    if have == "int":   # a C literal takes the type it is used at
+        return expr
+    return f"({_CTYPES[kind]})({expr})"
+
+
+def _scalar_type(sig) -> str:
+    """The type name of a scalar register from its signature
+    (``RoutinePlan._signature``): Python's or numpy's, 0-d arrays as
+    their element's."""
+    if sig is None:
+        return "unbound"
+    if sig[0] == "p":
+        return sig[1]
+    if sig[0] == "a" and sig[1] != ():
+        return "array"
+    return np.dtype(sig[-1]).name
 
 
 class _CKernel:
@@ -149,6 +230,8 @@ class _CKernel:
 
     __slots__ = ("_fn", "_lib", "_nslots", "_sregs", "source", "native",
                  "staged", "build_ms")
+
+    declined = None     # a cache entry's ``(emitter, reason)``: none
 
     def __init__(self, fn, lib, nslots, sregs, source, staged=(),
                  build_ms=None) -> None:
@@ -178,35 +261,43 @@ class _CKernel:
 
 
 class _CEmitter:
-    def __init__(self, plan, spec, n, S, shifts=()) -> None:
+    def __init__(self, plan, spec, n, S, shifts=(), scalars=()) -> None:
         self.plan = plan
         self.spec = spec
         self.n = n
-        if any(a.dtype != np.float64 for a in S):
-            raise _CBail
+        self.scalars = scalars
         self.shifted = {cid: (shape, offsets)
                         for cid, _, shape, offsets in shifts}
         self.staging = Staging(plan.groups, len(S), shifts)
         self.nslots = len(S) + len(self.staging.pairs)
+        self.slot_kind = [self._kind(a.dtype) for a in S]
+        self.slot_kind += [self.slot_kind[cid]
+                           for cid, _ in self.staging.pairs]
         self.g = 0  # group being emitted (staged loads depend on it)
         self.lines: list[str] = []
         self.used_cids: set[int] = set()
-        self.used_sregs: set[int] = set()
+        self.used_sregs: dict[int, str] = {}    # register -> type name
         self.ntemps = 0
 
-    def _temp(self, ctype: str, expr: str) -> str:
+    @staticmethod
+    def _kind(dtype) -> str:
+        kind = _KINDS.get(np.dtype(dtype))
+        if kind is None:
+            raise _CBail(f"dtype {np.dtype(dtype).name}")
+        return kind
+
+    def _temp(self, kind: str, expr: str) -> tuple[str, str]:
         name = f"t{self.ntemps}"
         self.ntemps += 1
-        self.lines.append(f"    const {ctype} {name} = {expr};")
-        return name
+        self.lines.append(f"    const {_CTYPES[kind]} {name} = {expr};")
+        return name, kind
 
-    def _mem(self, preg: int, store: bool = False) -> str:
+    def _mem(self, preg: int, store: bool = False) -> tuple[str, str]:
         cid = (self.staging.store(preg) if store
                else self.staging.load(preg, self.g))
         self.used_cids.add(cid)
-        if cid in self.shifted:
-            return f"h{cid}[i + k{cid}]"
-        return f"s{cid}[i]"
+        expr = f"h{cid}[i + k{cid}]" if cid in self.shifted else f"s{cid}[i]"
+        return expr, self.slot_kind[cid]
 
     def _read(self, rd, vmap) -> tuple[str, str]:
         """(C expression, kind) for a reader at the current position."""
@@ -214,67 +305,97 @@ class _CEmitter:
         if tag == _R_VREG:
             val = vmap.get(rd[1])
             if val is None:
-                raise _CBail
+                raise _CBail("undefined register")
             return val
         if tag == _R_SREG:
-            self.used_sregs.add(rd[1])
-            return f"x{rd[1]}", "f64"
+            # Only a scalar's type is known here, and the block is
+            # ``double``: a type it cannot carry exactly declines.
+            name = _scalar_type(self.scalars[rd[1]]
+                                if rd[1] < len(self.scalars) else None)
+            if name not in _SCALARS:
+                raise _CBail(f"scalar {name}")
+            self.used_sregs[rd[1]] = name
+            return f"x{rd[1]}", _SCALARS[name][0]
         if tag == _R_CONST:
-            return _literal(rd[1]), "f64"
+            return _literal(rd[1])
         if tag == _R_MEM:
             # Memory reads snapshot per element at this step position.
-            return self._temp("double", self._mem(rd[1])), "f64"
-        raise _CBail
+            expr, kind = self._mem(rd[1])
+            return self._temp(kind, expr)
+        raise _CBail("operand")
 
-    def _shape_ok(self, token: int) -> np.dtype:
+    def _result_kind(self, token: int) -> str:
         got = self.spec.get(token)
         if got is None or got[0] != (self.n,):
-            raise _CBail
-        return np.dtype(got[1])
+            raise _CBail("shape")
+        return self._kind(got[1])
+
+    def _arith(self, sym: str, kind: str, a, b) -> str:
+        """``a sym b`` computed in ``kind``: numpy casts both operands
+        to the result dtype first, and its integers wrap."""
+        if kind == "f64":
+            return f"({_as(a, kind)}) {sym} ({_as(b, kind)})"
+        twin = _UNSIGNED.get(kind)
+        if twin is None or sym == "/":
+            raise _CBail(f"dtype {kind}")
+        return (f"({_CTYPES[kind]})(({twin})({_as(a, kind)}) {sym} "
+                f"({twin})({_as(b, kind)}))")
+
+    @staticmethod
+    def _intdiv(sym: str, a, b) -> str:
+        """``idivv``/``imodv`` by a literal outside {0, -1}: what C
+        traps on (SIGFPE) the oracle answers, so anything else runs as
+        blocked numpy.  The oracle divides in ``float64``, which is C's
+        truncating ``/`` for 32-bit operands only, and takes remainders
+        in ``int64``."""
+        if b[1] != "int":       # the one kind that is a literal
+            raise _CBail("divisor variable")
+        if b[0] in ("0", "-1"):
+            raise _CBail(f"divisor {b[0]}")
+        if a[1] != "i32" and not (sym == "%" and a[1] == "i64"):
+            raise _CBail(f"dividend {a[1]}")
+        return f"(int32_t)(({a[0]}) {sym} ({b[0]}))"
 
     def _compute(self, step, vmap) -> tuple[str, str]:
         op = step.op
-        dtype = self._shape_ok(step.token)
+        if op not in _C_FORMS:
+            raise _CBail(f"op {op}")
+        family, sym = _C_FORMS[op]
+        kind = self._result_kind(step.token)
         args = [self._read(rd, vmap) for rd in step.readers]
-        if op in _BINOPS:
-            if dtype != np.float64:
-                raise _CBail
-            (a, _), (b, _) = args
-            return self._temp("double",
-                              f"({a}) {_BINOPS[op]} ({b})"), "f64"
-        if op in _CMPOPS:
-            if dtype != np.dtype(bool):
-                raise _CBail
-            (a, _), (b, _) = args
-            return self._temp("int", f"({a}) {_CMPOPS[op]} ({b})"), "bool"
-        if op in _FMAOPS:
-            if dtype != np.float64:
-                raise _CBail
-            self._shape_ok(step.aux)
-            (a, _), (b, _), (c, _) = args
-            tmp = self._temp("double", f"({a}) * ({b})")
-            return self._temp("double",
-                              f"{tmp} {_FMAOPS[op]} ({c})"), "f64"
-        if op == "fselv":
-            if dtype != np.float64:
-                raise _CBail
-            (m, mk), (t, _), (f, _) = args
-            cond = m if mk == "bool" else f"({m}) != 0.0"
-            return self._temp("double",
-                              f"({cond}) ? ({t}) : ({f})"), "f64"
-        if op == "fnegv":
-            if dtype != np.float64:
-                raise _CBail
-            return self._temp("double", f"-({args[0][0]})"), "f64"
-        if op == "fabsv":
-            if dtype != np.float64:
-                raise _CBail
-            return self._temp("double", f"fabs({args[0][0]})"), "f64"
-        if op == "fsqrtv":
-            if dtype != np.float64:
-                raise _CBail
-            return self._temp("double", f"sqrt({args[0][0]})"), "f64"
-        raise _CBail
+        if family == "arith":
+            expr = self._arith(sym, kind, *args)
+        elif family == "fma":
+            aux = self._result_kind(step.aux)
+            tmp = self._temp(aux, self._arith("*", aux, args[0], args[1]))
+            expr = self._arith(sym, kind, tmp, args[2])
+        elif family == "select":
+            expr = (f"({_as(args[0], 'bool')}) ? ({_as(args[1], kind)})"
+                    f" : ({_as(args[2], kind)})")
+        elif family == "intdiv":
+            expr = self._intdiv(sym, *args)
+        elif family in ("cmp", "logic", "not"):
+            if kind != "bool":
+                raise _CBail(f"dtype {kind}")
+            if family == "cmp":     # C's usual conversions are numpy's
+                if {args[0][1], args[1][1]} == {"xint", "i64"}:
+                    raise _CBail("scalar int")  # both sides rounded
+                expr = f"({args[0][0]}) {sym} ({args[1][0]})"
+            elif family == "logic":
+                expr = (f"({_as(args[0], 'bool')}) {sym} "
+                        f"({_as(args[1], 'bool')})")
+            else:
+                expr = f"{sym}({_as(args[0], 'bool')})"
+        elif kind == "f64":     # neg, abs, sqrt
+            expr = f"{sym}({_as(args[0], kind)})"
+        elif family == "sqrt" or kind not in _UNSIGNED:
+            raise _CBail(f"dtype {kind}")
+        else:                   # neg, abs of an integer: they wrap
+            twin = f"({_UNSIGNED[kind]})({args[0][0]})"
+            expr = (f"-{twin}" if family == "neg"
+                    else f"({args[0][0]}) < 0 ? -{twin} : {twin}")
+            expr = f"({_CTYPES[kind]})({expr})"
+        return self._temp(kind, expr)
 
     def build(self):
         vmap: dict[int, tuple[str, str]] = {}
@@ -285,33 +406,33 @@ class _CEmitter:
                 if isinstance(step, (_LoadStep, _MoveStep)):
                     pend.append((step.dst, self._read(step.reader, vmap)))
                 elif isinstance(step, _StoreStep):
-                    expr, kind = self._read(step.reader, vmap)
-                    if kind == "bool":
-                        expr = f"(double)({expr})"
-                    commits.append(
-                        f"    {self._mem(step.preg, store=True)} = {expr};")
+                    val = self._read(step.reader, vmap)
+                    dst, kind = self._mem(step.preg, store=True)
+                    commits.append(f"    {dst} = {_as(val, kind)};")
                 elif isinstance(step, _ComputeStep):
                     pend.append((step.dst, self._compute(step, vmap)))
                 elif not isinstance(step, _BranchStep):
-                    raise _CBail
+                    raise _CBail("step")
             self.lines.extend(commits)  # stores commit after the evals
             for dst, val in pend:
                 vmap[dst] = val
         if not self.lines:
-            raise _CBail
+            raise _CBail("empty")
         return self._emit()
 
     def _emit(self):
         sregs = sorted(self.used_sregs)
         gathers = sorted(self.used_cids & self.shifted.keys())
-        pre = [f"  double *s{cid} = (double *)SP[{cid}];"
+        ctype = [_STREAM_CTYPES[kind] for kind in self.slot_kind]
+        pre = [f"  {ctype[cid]} *s{cid} = ({ctype[cid]} *)SP[{cid}];"
                for cid in sorted(self.used_cids - self.shifted.keys())]
-        pre += [f"  const double *h{cid} = (const double *)SP[{cid}];"
-                for cid in gathers]
-        pre += [f"  const double x{k} = X[{j}];"
-                for j, k in enumerate(sregs)]
+        pre += [f"  const {ctype[cid]} *h{cid} = "
+                f"(const {ctype[cid]} *)SP[{cid}];" for cid in gathers]
+        for j, k in enumerate(sregs):
+            kind, value = _SCALARS[self.used_sregs[k]]
+            pre.append(f"  const {_CTYPES[kind]} x{k} = {value.format(j)};")
         staged = self.staging.pairs
-        post = [f"  memcpy(s{cid}, s{scratch}, n * sizeof(double));"
+        post = [f"  memcpy(s{cid}, s{scratch}, n * sizeof({ctype[cid]}));"
                 for cid, scratch in staged]
         if gathers:
             loop, close = self._row_loops(gathers)
@@ -321,7 +442,7 @@ class _CEmitter:
             close = ["  }"]
             body = self.lines
         src = "\n".join(
-            ["#include <math.h>"]
+            ["#include <math.h>", "#include <stdint.h>"]
             + (["#include <string.h>"] if post else [])
             + ["void kernel(void **SP, const double *X, long n) {"]
             + pre + loop + body + close + post + ["}", ""])
@@ -338,7 +459,7 @@ class _CEmitter:
         """
         shapes = {self.shifted[cid][0] for cid in gathers}
         if len(shapes) != 1:
-            raise _CBail
+            raise _CBail("shift shapes")
         shape = shapes.pop()
         cols = shape[-1]
         lead = shape[:-1]
@@ -354,10 +475,13 @@ class _CEmitter:
             terms = []
             stride = 1
             for extent, off in zip(reversed(lead), reversed(offsets[:-1])):
-                index = f"r / {stride} % {extent}"
+                index = "r" if stride == 1 else f"r / {stride}"
+                if stride * extent < rows:   # not the outermost axis
+                    index = f"{index} % {extent}"
                 if off:
                     index = f"({index} + {off}) % {extent}"
-                terms.append(f"{index} * {stride}")
+                terms.append(index if stride == 1
+                             else f"{index} * {stride}")
                 stride *= extent
             row = " + ".join(terms) if any(offsets[:-1]) else "r"
             loop.append(f"    const long b{cid} = ({row}) * {cols} - o;")
@@ -383,7 +507,7 @@ def _load(src: str, nslots: int, sregs: tuple,
     if cached is None:
         cc = _compiler()
         if cc is None:
-            raise _CBail
+            raise _CBail("no compiler")
         t0 = time.perf_counter()
         try:
             # Named by content and moved into place whole: whoever else
@@ -424,14 +548,13 @@ def retune(kern, extra_flags: tuple) -> object:
     return kern
 
 
-def try_native(plan, spec, n, S, shifts=()):
+def try_native(plan, spec, n, S, shifts=(), scalars=()):
     """A compiled C kernel for a group's merged plan over its slot
-    table, or None when the emitter declines it (or there is no
-    compiler).  :class:`BuildFailed` passes through: the caller counts
-    it and stays on the kernel it has."""
+    table; ``scalars`` is the signature of each scalar register
+    (``RoutinePlan._signature``).  Raises :class:`_CBail` with the
+    reason when the emitter declines the plan (or there is no
+    compiler) and :class:`BuildFailed` when the build fails: either
+    way the caller stays on the kernel it has."""
     if _compiler() is None:
-        return None
-    try:
-        return _CEmitter(plan, spec, n, S, shifts).build()
-    except _CBail:
-        return None
+        raise _CBail("no compiler")
+    return _CEmitter(plan, spec, n, S, shifts, scalars).build()

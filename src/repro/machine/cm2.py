@@ -115,7 +115,7 @@ class Machine:
         # Fused-group kernel and shift-path telemetry: machine-local and
         # wall-clock flavored — it never feeds RunStats, which stay
         # deterministic run to run.
-        self.fusion_metrics: dict[str, float] = {
+        self.fusion_metrics: dict = {
             "megakernel_builds": 0,
             "megakernel_native": 0,
             "megakernel_hits": 0,
@@ -127,6 +127,10 @@ class Machine:
             "native_builds": 0,
             "native_build_ms": 0.0,
             "native_build_failures": 0,
+            # Cache key -> (emitter, reason) of every entry this
+            # machine met that did not get the better tier
+            # (``ExecutionPlan.kernel_for``).
+            "declined": {},
             # Shifted operands per dispatch, by how they were consumed:
             # read in place, read in place with the source's store
             # staged, or copied for a consumer that cannot index them.
@@ -437,6 +441,12 @@ class Machine:
 
     def fusion_summary(self) -> dict:
         """Fusion counters for ``--stats-json`` and service responses."""
+        # Which tier an entry stopped at and why: entries per reason,
+        # by the emitter that bailed ("blocked": the step engine runs
+        # it; "c": blocked numpy does).
+        declined: dict = {"c": {}, "blocked": {}}
+        for emitter, reason in self.fusion_metrics["declined"].values():
+            declined[emitter][reason] = declined[emitter].get(reason, 0) + 1
         return {
             "fused_groups": self.stats.fused_groups,
             "fused_routines": self.stats.fused_routines,
@@ -455,6 +465,7 @@ class Machine:
                 key: self.launch_metrics[key]
                 for key in ("binding", "plan", "scalar_type",
                             "kernels_off", "tier_up")},
+            "declined": declined,
         }
 
     # -- accounting helpers -------------------------------------------------

@@ -21,11 +21,12 @@ batch of one.  Either way the machine runs a **group**:
   The entry counts the work it streams, and once that would have
   repaid a ``cc`` run (:func:`~repro.machine.kernel.hot`) the C
   emitter (:mod:`repro.machine.ckernel`) is asked, once: its kernel
-  replaces the entry, a decline is remembered.  Kernels are cached
-  process-wide, keyed by the full binding signature — constituent plan
-  serials, slot maps, shapes, scalar types — so one compilation serves
-  every later timestep and every later machine, and live no longer
-  than the plans they were compiled over (:func:`evict_serial`);
+  replaces the entry, a decline is remembered with its reason.
+  Kernels are cached process-wide, keyed by the full binding
+  signature — constituent plan serials, slot maps, shapes, scalar
+  types — so one compilation serves every later timestep and every
+  later machine, and live no longer than the plans they were compiled
+  over (:func:`evict_serial`);
 * :meth:`ExecutionPlan.launch` runs the kernel through a
   :class:`~repro.machine.kernel.Launch`, which the machine keeps as the
   site's :class:`LaunchRecord`: later trips validate it by identity and
@@ -52,8 +53,8 @@ from collections import OrderedDict
 import numpy as np
 
 from ..peac.isa import NUM_SREGS, NUM_VREGS
-from .ckernel import BuildFailed, try_native
-from .kernel import _NO_KERNEL, Launch, _build, hot, kernels_enabled
+from .ckernel import BuildFailed, _CBail, try_native
+from .kernel import Launch, NoKernel, _build, hot, kernels_enabled
 from .plan import (
     _R_CONST,
     _R_MEM,
@@ -354,22 +355,24 @@ class ExecutionPlan:
                 kern = self._tier_up(kern, sigs, merged, mspec, metrics)
         _MEGA_KERNELS[key] = kern
         _MEGA_KERNELS.move_to_end(key)
-        return (None if kern is _NO_KERNEL else kern), built
+        if kern.declined is not None:
+            # Per entry, not per trip: meeting it again changes nothing.
+            metrics.setdefault("declined", {})[key] = kern.declined
+        return (None if isinstance(kern, NoKernel) else kern), built
 
     def _tier_up(self, kern, sigs, merged, mspec, metrics):
         """The kernel that replaces a hot blocked ``kern``: the C
         emitter's, or ``kern`` itself with the refusal remembered."""
-        native = None
-        # C takes every scalar argument as one double.
-        if not any(s is not None and s[0] == "a" and s[1] != ()
-                   for _, scalars in sigs for s in scalars):
-            try:
-                native = try_native(merged, mspec, self.n, self.S,
-                                    self.shifts)
-            except BuildFailed:
-                metrics["native_build_failures"] += 1
-        if native is None:
-            kern.asked = True
+        try:
+            native = try_native(
+                merged, mspec, self.n, self.S, self.shifts,
+                tuple(s for _, scalars in sigs for s in scalars))
+        except _CBail as bail:
+            kern.declined = ("c", str(bail))
+            return kern
+        except BuildFailed:
+            metrics["native_build_failures"] += 1
+            kern.declined = ("c", "build failed")
             return kern
         metrics["tier_ups"] += 1
         if self.k > 1:

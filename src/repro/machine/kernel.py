@@ -29,8 +29,9 @@ applied to a contiguous sub-range: element ``i`` sees exactly the same
 inputs, operations and rounding in either engine.  Anything the
 generator cannot prove safe (overlapping-but-distinct operand views,
 non-contiguous streams, mismatched stream lengths, scalar-shaped
-intermediates, allocating ops like conversions) falls back to the plan's
-step engine, which remains fully general.
+intermediates, the allocating conversions) falls back to the plan's
+step engine, which remains fully general; the cache entry it leaves
+behind (:class:`NoKernel`) says why.
 
 A *shifted* operand (:mod:`repro.machine.shifted`) is read in place:
 blocks become whole leading-axis slabs and each block gathers the
@@ -74,7 +75,6 @@ from .plan import (
     _StoreStep,
 )
 
-_NO_KERNEL = "ineligible"
 _BLOCK = 16384  # block length in elements: intermediates stay in cache
 # When a blocked kernel has earned its ``cc`` run (``docs/PIPELINE.md``
 # section 6).  The same routine in C saves about 22 us + 5 ns per
@@ -129,7 +129,21 @@ class _Val:
 
 
 class _Bail(Exception):
-    """Raised internally when a plan cannot be compiled to a kernel."""
+    """Raised internally when a plan cannot be compiled to a kernel;
+    its one argument is the reason (``"op fintv"``, ``"shape"``)."""
+
+
+class NoKernel:
+    """The cache entry of a group no kernel runs (the step engine does,
+    on every launch).  Like every entry it has ``declined``, the
+    ``(emitter, reason)`` of the better tier it did not get: the
+    blocked builder's here, the C emitter's on a blocked kernel that
+    was asked about (None before)."""
+
+    native = False
+
+    def __init__(self, reason: str) -> None:
+        self.declined = ("blocked", reason)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +161,7 @@ def hot(kern) -> bool:
     now: a blocked kernel, never asked about, that has streamed the
     break-even of one ``cc`` run.  Launches and stream lengths decide,
     never the clock, so the trip it falls on is the same in every run."""
-    return (kern is not _NO_KERNEL and not kern.native and not kern.asked
+    return (not kern.native and kern.declined is None
             and kern.streamed >= _TIER_UP)
 
 
@@ -280,11 +294,11 @@ class Staging:
 
 def _build(plan, spec, n, S, shifts=()):
     """The blocked kernel for a group's merged ``plan`` over its slot
-    table ``S`` (step operands name slots), or ``_NO_KERNEL``."""
+    table ``S`` (step operands name slots), or a :class:`NoKernel`."""
     try:
         return _Builder(plan, spec, n, S, shifts).build()
-    except _Bail:
-        return _NO_KERNEL
+    except _Bail as bail:
+        return NoKernel(str(bail))
 
 
 class _Builder:
@@ -341,7 +355,7 @@ class _Builder:
         if tag == _R_VREG:
             val = vmap[rd[1]]
             if val is None:
-                raise _Bail
+                raise _Bail("undefined register")
             return val
         if tag == _R_SREG:
             return _Val("scal", sreg=rd[1])
@@ -393,10 +407,11 @@ class _Builder:
 
     def _eval_compute(self, step, vmap, g) -> _Val:
         if step.mode == "alloc":
-            raise _Bail
+            raise _Bail(f"op {step.op}")
         shape, dtype = self.spec[step.token]
-        if shape != (self.n,):
-            raise _Bail
+        if shape != (self.n,):   # computed from scalars alone, mostly
+            raise _Bail(f"scalar-shaped {step.op}" if shape == ()
+                        else "shape")
         args = [self._term(rd, vmap, g) for rd in step.readers]
         for a in args:
             if a.is_array:
@@ -408,16 +423,18 @@ class _Builder:
         if step.mode == "fma":
             ashape, adtype = self.spec[step.aux]
             if ashape != (self.n,):
-                raise _Bail
-            aux = _Val("buf", dtype=np.dtype(adtype), defg=g)
-            aux.uses.append(g)
-            self.aux_vals.append(aux)
+                raise _Bail("shape")
+            aux = np.dtype(adtype)
         elif step.mode == "select":
             mask = args[0]
             if mask.is_array and mask.dtype != np.dtype(bool):
-                aux = _Val("buf", dtype=np.dtype(bool), defg=g)
-                aux.uses.append(g)
-                self.aux_vals.append(aux)
+                aux = np.dtype(bool)
+        elif step.op == "idivv":    # the float64 quotient, then truncated
+            aux = np.dtype(np.float64)
+        if aux is not None:
+            aux = _Val("buf", dtype=aux, defg=g)
+            aux.uses.append(g)
+            self.aux_vals.append(aux)
         self.slots[g].append(("compute", step, args, out, aux))
         return out
 
@@ -584,7 +601,7 @@ class _Builder:
             lines.extend(evals)
             lines.extend(commits)
         if not lines:
-            raise _Bail
+            raise _Bail("empty")
 
         glb: dict = {"_cp": np.copyto}
         for name, fn in self.fns.values():
@@ -603,7 +620,7 @@ class _Builder:
             # operand's block is a rectangle of its source.
             shapes = {self.shifted[val.cid][0] for val in gathers}
             if len(shapes) != 1:
-                raise _Bail
+                raise _Bail("shift shapes")
             shape = shapes.pop()
             plane = self.n // shape[0]
             slabs = max(1, min(shape[0], _BLOCK // plane))
@@ -644,9 +661,9 @@ class _Builder:
         kernel.staged = staged
         kernel.native = False
         # What the cache entry remembers for :func:`hot`: the work it
-        # has streamed, and whether the C emitter declined it.
+        # has streamed, and why the C emitter declined it once asked.
         kernel.streamed = 0
-        kernel.asked = False
+        kernel.declined = None
         return kernel
 
     def _emit_compute(self, step, args, out, aux) -> list[str]:
@@ -660,6 +677,18 @@ class _Builder:
             f2 = self._fn(step.fn2)
             return [f"{f1}({exprs[0]}, {exprs[1]}, out={aux.name})",
                     f"{f2}({aux.name}, {exprs[2]}, out={target})"]
+        if step.mode == "intdiv":
+            # ``pe._int_div``/``pe._int_mod`` on a block: the ufunc
+            # computes in the oracle's ``dtype`` and the store into
+            # ``out`` is its ``astype``.
+            if step.op == "idivv":
+                return [f"{self._fn(np.divide)}({exprs[0]}, {exprs[1]}, "
+                        f"out={aux.name}, dtype={self._const(np.float64)})",
+                        f"{self._fn(np.trunc)}({aux.name}, out={target}, "
+                        f"casting='unsafe')"]
+            return [f"{self._fn(np.fmod)}({exprs[0]}, {exprs[1]}, "
+                    f"out={target}, dtype={self._const(np.int64)}, "
+                    f"casting='unsafe')"]
         # select: copy the false side, overwrite where the mask holds
         mask = args[0]
         if aux is not None:

@@ -303,8 +303,12 @@ class _ComputeStep(_Step):
     * ``"ufunc"``  — one numpy ufunc with ``out=`` into a pooled buffer;
     * ``"fma"``    — chained multiply-add as two ufuncs via an aux buffer;
     * ``"select"`` — masked select as two ``np.copyto`` passes;
-    * ``"alloc"``  — rare ops (conversions, integer division) fall back
-      to the interpreter's allocating lambda.
+    * ``"intdiv"`` — ``idivv``/``imodv``: the interpreter's allocating
+      lambda here, its numpy calls block by block in a kernel
+      (``kernel._Builder._emit_compute``);
+    * ``"alloc"``  — the conversions (``fintv``, ``ffloorv``, ``fceilv``,
+      ``ffltv``, ``fdblv``), and nothing else: the interpreter's
+      allocating lambda, and no kernel for the routine.
 
     Recording mode always runs the interpreter's ``_APPLY`` lambda and
     captures the result (and intermediate) shapes/dtypes for the
@@ -335,7 +339,7 @@ class _ComputeStep(_Step):
             self.fn = _OUT_FNS[op]
             self.fn2 = None
         else:
-            self.mode = "alloc"
+            self.mode = "intdiv" if op in ("idivv", "imodv") else "alloc"
             self.fn = self.fn2 = None
 
     def eval(self, frame: _Frame) -> None:
@@ -409,11 +413,51 @@ _OUT_FNS = {
     "cxorv": np.logical_xor, "cnotv": np.logical_not,
     "iaddv": np.add, "isubv": np.subtract, "imulv": np.multiply,
     "inegv": np.negative,
+    "finvv": np.divide,     # its readers carry the 1.0 numerator
 }
 
 _FMA_FNS = {
     "fmav": (np.multiply, np.add),
     "fmsv": (np.multiply, np.subtract),
+}
+
+# What the C emitter (:mod:`repro.machine.ckernel`) does with each op:
+# every key of ``pe._APPLY`` is in exactly one of the two tables.  A
+# form is ``(family, C operator)``; the *kind* an op computes in is the
+# dtype the recording pass wrote into the spec, never the op's name
+# (``fmulv`` over ``int32`` streams is an integer multiply).
+_C_FORMS = {
+    # computed in the recorded kind; integers in the unsigned twin
+    "faddv": ("arith", "+"), "fsubv": ("arith", "-"),
+    "fmulv": ("arith", "*"), "fdivv": ("arith", "/"),
+    "finvv": ("arith", "/"),
+    "iaddv": ("arith", "+"), "isubv": ("arith", "-"),
+    "imulv": ("arith", "*"),
+    "fmav": ("fma", "+"), "fmsv": ("fma", "-"),
+    "fnegv": ("neg", "-"), "inegv": ("neg", "-"),
+    "fabsv": ("abs", "fabs"), "fsqrtv": ("sqrt", "sqrt"),
+    # C's usual arithmetic conversions are numpy's promotion here
+    "fceqv": ("cmp", "=="), "fcnev": ("cmp", "!="), "fcltv": ("cmp", "<"),
+    "fclev": ("cmp", "<="), "fcgtv": ("cmp", ">"), "fcgev": ("cmp", ">="),
+    # on truth values (an operand that is not one means ``!= 0``)
+    "candv": ("logic", "&"), "corv": ("logic", "|"),
+    "cxorv": ("logic", "^"), "cnotv": ("not", "!"),
+    "fselv": ("select", "?"),
+    # by a plan-time constant outside {0, -1} only
+    "idivv": ("intdiv", "/"), "imodv": ("intdiv", "%"),
+}
+
+_C_DECLINED = {
+    **dict.fromkeys(
+        ("fsinv", "fcosv", "ftanv", "fasinv", "facosv", "fatanv", "fexpv",
+         "flogv", "flog10v", "fpowv", "fmodv"),
+        "libm is not numpy's SIMD routine: not bit-identical"),
+    **dict.fromkeys(("fminv", "fmaxv"),
+                    "numpy propagates a NaN operand's payload, C's "
+                    "fmin/fmax and ?: do not"),
+    **dict.fromkeys(("fintv", "ffloorv", "fceilv", "ffltv", "fdblv"),
+                    "conversion: numpy's cast of NaN and out-of-range "
+                    "values is not C's (and no blocked kernel asks)"),
 }
 
 

@@ -12,10 +12,13 @@ routine/binding equivalence through the full ``Machine`` dispatch.
 from __future__ import annotations
 
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.machine import (
     Machine,
@@ -26,9 +29,11 @@ from repro.machine import (
     flops_per_element,
     slicewise_model,
 )
-from repro.machine import execplan, kernel
+from repro.machine import ckernel, execplan, kernel, pe
 from repro.machine.ckernel import _compiler
 from repro.machine.plan import (
+    _C_DECLINED,
+    _C_FORMS,
     _UNBOUND,
     BufferPool,
     get_plan,
@@ -506,6 +511,411 @@ def test_random_routines_match_with_kernels_disabled(case):
         assert (mi.home(f"a{i}").data.tobytes()
                 == mf.home(f"a{i}").data.tobytes())
     assert mi.stats.to_dict() == mf.stats.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The integer half of PEAC: numpy's integer semantics, in both emitters
+# ---------------------------------------------------------------------------
+
+INT_MIN, INT_MAX = -2**31, 2**31 - 1
+INT_EDGES = [INT_MIN, INT_MIN + 1, -2, -1, 0, 1, 2, 3, 2**16, INT_MAX - 1,
+             INT_MAX]
+#: Constants a plan keeps as weak Python ints (``_coerce_imm``:
+#: ``INT_MIN`` itself would stay a float and promote the stream).
+INT_CONSTS = [-INT_MAX, -7, -2, -1, 0, 1, 2, 3, 11, 2**16, INT_MAX]
+DIVISORS = [-7, -2, 2, 3, 11, INT_MAX]
+TRAPPING = [0, -1]      # SIGFPE in C: the emitter must decline
+CMPS = ["fceqv", "fcnev", "fcltv", "fclev", "fcgtv", "fcgev"]
+
+
+@st.composite
+def int_routine_case(draw):
+    """``routine_case``'s integer family: ``int32`` streams through
+    wrapping arithmetic, constant ``div``/``mod``, comparisons, logic
+    and selects, stored back to ``int32``.  The sixth item is the
+    reason the C emitter must decline the routine, or None."""
+    n = draw(st.sampled_from([4, 16, 33]))
+    n_in = draw(st.integers(1, 3))
+    element = st.one_of(st.sampled_from(INT_EDGES),
+                        st.integers(INT_MIN, INT_MAX))
+    body = [Instr("flodv", (Mem(PReg(i)), VReg(i))) for i in range(n_in)]
+    kinds = {i: "i32" for i in range(n_in)}     # register -> what it holds
+    nxt = n_in
+    decline = None
+    const = st.sampled_from(INT_CONSTS).map(lambda c: Imm(float(c)))
+
+    def reg(*want):
+        return draw(st.sampled_from(
+            sorted(r for r, k in kinds.items() if k in want)))
+
+    for _ in range(draw(st.integers(1, 7))):
+        family = draw(st.sampled_from(
+            ["arith", "arith", "neg", "div", "mod", "cmp", "cmp", "logic",
+             "not", "select"]))
+        if family == "arith":
+            # A bool operand counts 0/1 in the other's width; two weak
+            # operands never meet (one side is always a stream).
+            a = reg("i32", "i64")
+            b = draw(st.one_of(const, st.sampled_from(sorted(kinds))))
+            op = draw(st.sampled_from(["iaddv", "isubv", "imulv"]))
+            out = "i64" if "i64" in (kinds[a], kinds.get(b)) else "i32"
+            sources = (VReg(a), b if isinstance(b, Imm) else VReg(b))
+        elif family == "neg":
+            a = reg("i32", "i64")
+            op, sources, out = "inegv", (VReg(a),), kinds[a]
+        elif family in ("div", "mod"):
+            # The oracle divides through float64: exact for 32 bits only.
+            a = reg("i32") if family == "div" else reg("i32", "i64")
+            by = draw(st.sampled_from(DIVISORS + TRAPPING))
+            if by in TRAPPING and decline is None:
+                decline = f"divisor {by}"
+            op = "idivv" if family == "div" else "imodv"
+            sources, out = (VReg(a), Imm(float(by))), "i32"
+        elif family == "cmp":
+            b = draw(st.one_of(
+                const, st.sampled_from([-0.5, 0.5, 2.5, 1e10]).map(Imm),
+                st.sampled_from(sorted(kinds)).map(VReg)))
+            op = draw(st.sampled_from(CMPS))
+            sources, out = (VReg(reg("i32", "i64")), b), "bool"
+        elif family == "logic":     # a non-bool operand means ``!= 0``
+            op = draw(st.sampled_from(["candv", "corv", "cxorv"]))
+            sources = (VReg(reg("i32", "i64", "bool")),
+                       VReg(reg("i32", "i64", "bool")))
+            out = "bool"
+        elif family == "not":
+            op, out = "cnotv", "bool"
+            sources = (VReg(reg("i32", "i64", "bool")),)
+        else:   # two weak constants select as int64, a stream as itself
+            f = draw(st.one_of(const, st.just(reg("i32", "i64"))))
+            op = "fselv"
+            sources = (VReg(reg("i32", "i64", "bool")), draw(const),
+                       f if isinstance(f, Imm) else VReg(f))
+            out = "i64" if isinstance(f, Imm) else kinds[f]
+        dst = nxt % 8
+        nxt += 1
+        paired = None
+        into = draw(st.one_of(st.none(), st.sampled_from(sorted(kinds))))
+        if into is not None and into != dst:
+            paired = Instr("flodv", (Mem(PReg(draw(
+                st.integers(0, n_in - 1)))), VReg(into)))
+            kinds[into] = "i32"
+        body.append(Instr(op, (*sources, VReg(dst)), paired=paired))
+        kinds[dst] = out
+    body.append(Instr("fstrv", (VReg(dst), Mem(PReg(n_in)))))
+    if draw(st.booleans()):
+        body.append(Instr("fstrv", (VReg(draw(st.sampled_from(
+            sorted(kinds)))), Mem(PReg(0)))))
+    inputs = [draw(st.lists(element, min_size=n, max_size=n))
+              for _ in range(n_in)]
+    return n, "int32", n_in, body, inputs, decline
+
+
+def _assert_same_machines(mi, mf, n_in):
+    for i in range(n_in + 1):
+        assert (mi.home(f"a{i}").data.tobytes()
+                == mf.home(f"a{i}").data.tobytes())
+    assert mi.stats.to_dict() == mf.stats.to_dict()
+
+
+NOTHING_DECLINED = {"c": {}, "blocked": {}}
+
+
+@given(case=int_routine_case())
+@settings(max_examples=40, deadline=None)
+def test_int_routines_bit_identical_as_blocked_numpy(case):
+    mi, n_in = _dispatch("interp", case[:5])
+    mf, _ = _dispatch("fast", case[:5])
+    _assert_same_machines(mi, mf, n_in)
+    # Integer division is an ordinary blocked kernel, not the step
+    # engine: nothing of the family is beyond the builder.
+    assert mf.fusion_summary()["declined"] == NOTHING_DECLINED
+
+
+#: An integer ``/`` or ``%`` and its right operand.
+_INT_DIVISION = re.compile(r"[/%] \(?(-?\w+)")
+
+
+def _integer_divisions(texts) -> int:
+    """SIGFPE is a dead worker, not a wrong number: every integer ``/``
+    and ``%`` (any outside a ``double`` statement) of every C text has
+    a literal divisor outside {0, -1}.  Returns how many it saw."""
+    seen = 0
+    for text in texts:
+        for line in text.splitlines():
+            if line.lstrip().startswith(("const double", "#include")):
+                continue
+            found = _INT_DIVISION.findall(line)
+            assert len(found) == line.count("/") + line.count("%"), line
+            for divisor in found:
+                assert re.fullmatch(r"-?\d+", divisor), line
+                assert int(divisor) not in (0, -1), line
+            seen += len(found)
+    return seen
+
+
+needs_cc = pytest.mark.skipif(_compiler() is None, reason="no C compiler")
+
+
+@needs_cc
+def test_int_routines_bit_identical_as_lone_c_kernels():
+    """The same family with every kernel hot at birth: the second
+    dispatch of each routine runs the C emitter's lone kernel — or,
+    for a divisor C would trap on, the blocked kernel it stays on."""
+    declined = []
+
+    def by_constant(op, by):    # always tried, whatever is drawn
+        body = [Instr("flodv", (Mem(PReg(0)), VReg(0))),
+                Instr(op, (VReg(0), Imm(float(by)), VReg(1))),
+                Instr("fstrv", (VReg(1), Mem(PReg(1))))]
+        return (11, "int32", 1, body, [INT_EDGES],
+                f"divisor {by}" if by in TRAPPING else None)
+
+    @given(case=int_routine_case())
+    @example(case=by_constant("idivv", 0))
+    @example(case=by_constant("idivv", -1))
+    @example(case=by_constant("imodv", 0))
+    @example(case=by_constant("imodv", -1))
+    @example(case=by_constant("idivv", -7))
+    @example(case=by_constant("imodv", INT_MAX))
+    @settings(max_examples=60, deadline=None)
+    def prop(case):
+        mi, n_in = _dispatch("interp", case[:5])
+        mf, _ = _dispatch("fast", case[:5])
+        _assert_same_machines(mi, mf, n_in)
+        summary = mf.fusion_summary()
+        if case[5] is None:
+            assert summary["tier_ups"] == 1, summary["declined"]
+            assert summary["declined"] == NOTHING_DECLINED
+        else:
+            declined.append(case[5])
+            assert summary["tier_ups"] == 0
+            assert summary["declined"] == {"c": {case[5]: 1}, "blocked": {}}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_TIER_UP", 0)
+        prop()
+    assert len(declined) >= 4
+    assert _integer_divisions(ckernel._SO_CACHE) >= 2
+
+
+def _check_routine(body, arrays, scalars=None, declined=None, tier="c"):
+    """``body`` over ``arrays`` (in parameter order; the last is the
+    output) on ``interp``, as blocked numpy and as a lone C kernel —
+    unless ``tier`` declines it, for the reason ``declined``: the same
+    bytes and ``RunStats``.  Returns the C run's output."""
+    routine = make_routine(body)
+    routine.params = [ParamSpec("subgrid", f"a{i}.w0", PReg(i))
+                      for i in range(len(arrays))]
+    for k in sorted(scalars or {}):
+        routine.params.append(ParamSpec("scalar", f"k{k}", SReg(k)))
+    n = len(arrays[0])
+
+    def run(mode, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_TIER_UP", budget)
+            m = Machine(slicewise_model(16), exec_mode=mode)
+            for i, data in enumerate(arrays):
+                m.alloc(f"a{i}", (n,), data.dtype)
+                m.set_array(f"a{i}", data)
+            args = {f"a{i}.w0": m.view(f"a{i}", None)
+                    for i in range(len(arrays))}
+            args.update({f"k{k}": v for k, v in (scalars or {}).items()})
+            for _ in range(3):
+                m.call_routine(routine, args, (n,))
+            invalidate_plan(routine)    # the next engine builds its own
+        return m
+
+    oracle = run("interp", kernel._TIER_UP)
+    blocked = run("fast", kernel._TIER_UP)
+    native = run("fast", 0)
+    for got in (blocked, native):
+        for i in range(len(arrays)):
+            assert (got.home(f"a{i}").data.tobytes()
+                    == oracle.home(f"a{i}").data.tobytes()), i
+        assert got.stats.to_dict() == oracle.stats.to_dict()
+    want = {"c": {}, "blocked": {}}
+    if declined is not None:
+        want[tier][declined] = 1
+    summary = native.fusion_summary()
+    assert summary["declined"] == want
+    assert summary["tier_ups"] == (declined is None)
+    assert blocked.fusion_summary()["declined"] == {**want, "c": {}}
+    return native.home(f"a{len(arrays) - 1}").data
+
+
+@needs_cc
+class TestMixedKinds:
+    """Routines whose streams, intermediates and stores differ in kind:
+    the type of every value is the recorded one, never the op's name."""
+
+    coords = [np.arange(1, 41, dtype=np.int32),
+              np.arange(40, 0, -1, dtype=np.int32)]
+
+    def test_int32_coordinates_stored_as_float64(self):
+        # heat's init: ``mod(i*7 + j*3, 11) * 1.0d0`` — the ``fmulv``
+        # by a weak 1 is an *integer* multiply; the store casts.
+        out = _check_routine([
+            Instr("imulv", (Mem(PReg(0)), Imm(7.0), VReg(0))),
+            Instr("imulv", (Mem(PReg(1)), Imm(3.0), VReg(1))),
+            Instr("iaddv", (VReg(0), VReg(1), VReg(1))),
+            Instr("imodv", (VReg(1), Imm(11.0), VReg(1))),
+            Instr("fmulv", (VReg(1), Imm(1.0), VReg(1))),
+            Instr("fstrv", (VReg(1), Mem(PReg(2)))),
+        ], [*self.coords, np.zeros(40)])
+        i, j = (c.astype(np.int64) for c in self.coords)
+        assert out.dtype == np.float64
+        assert list(out) == list(np.fmod(i * 7 + j * 3, 11) * 1.0)
+
+    def test_float64_compare_selects_int32(self):
+        x = np.linspace(-1.0, 1.0, 40)
+        x[7] = np.nan
+        out = _check_routine([
+            Instr("fcgtv", (Mem(PReg(0)), Imm(0.25), VReg(0))),
+            Instr("fselv", (VReg(0), Imm(1.0), Imm(0.0), VReg(1))),
+            Instr("fstrv", (VReg(1), Mem(PReg(1)))),
+        ], [x, np.full(40, 9, dtype=np.int32)])
+        assert out.dtype == np.int32
+        assert list(out) == [int(v > 0.25) for v in x]
+
+    def test_integer_true_divide_abs_and_sqrt(self):
+        a = np.array(INT_EDGES + [7] * 5, dtype=np.int32)
+        _check_routine([
+            Instr("flodv", (Mem(PReg(0)), VReg(0))),
+            Instr("fdivv", (VReg(0), Imm(3.0), VReg(1))),
+            Instr("fabsv", (VReg(0), VReg(2))),     # int32: INT_MIN stays
+            Instr("fsqrtv", (VReg(2), VReg(2))),    # float64 from here
+            Instr("faddv", (VReg(1), VReg(2), VReg(1))),
+            Instr("fstrv", (VReg(1), Mem(PReg(1)))),
+        ], [a, np.zeros(16)])
+
+    def test_logical_constant_selected_and_stored(self):
+        # ``_literal`` of a bool is a truth value, not ``1.0``.
+        assert ckernel._literal(True) == ("1", "bool")
+        assert ckernel._literal(np.False_) == ("0", "bool")
+        a = np.array([3, -1, 0, 8] * 4, dtype=np.int32)
+        for dtype in (np.bool_, np.int32, np.float64):
+            out = _check_routine([
+                Instr("fcgtv", (Mem(PReg(0)), Imm(0.0), VReg(0))),
+                Instr("cnotv", (VReg(0), VReg(1))),
+                Instr("fselv", (VReg(0), VReg(1), Imm(1.0), VReg(2))),
+                Instr("fstrv", (VReg(2), Mem(PReg(1)))),
+            ], [a, np.zeros(16, dtype=dtype)])
+            assert list(out) == [0 if v > 0 else 1 for v in a]
+
+    def test_float_to_int_store_declines(self):
+        _check_routine([
+            Instr("fmulv", (Mem(PReg(0)), Imm(0.5), VReg(0))),
+            Instr("fstrv", (VReg(0), Mem(PReg(1)))),
+        ], [np.array([3.0, -7.5, np.nan, 1e300]),
+            np.zeros(4, dtype=np.int32)], declined="float->int store")
+
+    @pytest.mark.parametrize("value,declined", [
+        (np.int32(-5), None), (2.5, None), (np.bool_(True), None),
+        (7, "scalar int"), (np.int64(7), "scalar int64"),
+        (np.float32(2.5), "scalar float32")])
+    def test_scalar_register_into_an_integer_stream(self, value, declined):
+        """The scalar block is ``double``: a type it cannot carry
+        exactly declines rather than round.  (A Python ``int`` is weak:
+        here it computes in ``int32``, at a value C would only have as
+        a ``double``.)"""
+        a = np.array(INT_EDGES, dtype=np.int32)
+        out = np.zeros(11, dtype=np.float64 if isinstance(value, float)
+                       else np.int32)
+        _check_routine([
+            Instr("imulv", (Mem(PReg(0)), SReg(0), VReg(0))),
+            Instr("fstrv", (VReg(0), Mem(PReg(1)))),
+        ], [a, out], scalars={0: value}, declined=declined)
+
+    def test_python_int_scalar_is_exact_among_float64(self):
+        _check_routine([
+            Instr("fmulv", (Mem(PReg(0)), SReg(0), VReg(0))),
+            Instr("fcltv", (VReg(0), SReg(0), VReg(1))),
+            Instr("fselv", (VReg(1), VReg(0), SReg(0), VReg(0))),
+            Instr("fstrv", (VReg(0), Mem(PReg(1)))),
+        ], [np.linspace(-2.0, 2.0, 9), np.zeros(9)],
+            scalars={0: 2**60 + 1})
+
+
+def test_routine_with_imodv_is_an_ordinary_cache_entry():
+    """``idivv``/``imodv`` used to make a routine ``"ineligible"``: the
+    step engine on every launch, uncounted, never offered to C."""
+    routine = make_routine([
+        Instr("imodv", (Mem(PReg(0)), Imm(3.0), VReg(0))),
+        Instr("idivv", (VReg(0), Imm(2.0), VReg(0))),
+        Instr("fstrv", (VReg(0), Mem(PReg(1)))),
+    ], dtype="int32")
+    a = np.arange(-20, 20, dtype=np.int32)
+    out = np.zeros(40, dtype=np.int32)
+    run_fast(routine, {0: a, 1: out})           # the recording pass
+    plan = get_plan(routine)
+    streams = [None] * NUM_PREGS
+    streams[0], streams[1] = SubgridStream(a), SubgridStream(out)
+    launches = [plan.execute(streams, [_UNBOUND] * NUM_SREGS)
+                for _ in range(2)]
+    (entry,) = [kern for key, kern in execplan._MEGA_KERNELS.items()
+                if plan.serial in key[0]]
+    assert not isinstance(entry, kernel.NoKernel) and entry.declined is None
+    assert all(launch.kern is entry for launch in launches)
+    assert entry.streamed == 2 * launches[0].work > 0
+    assert list(out) == list(np.trunc(np.fmod(a, 3) / 2).astype(np.int32))
+
+
+def test_variable_zero_divisor_answers_as_the_oracle_does():
+    """``x / 0`` is INT_MIN in the oracle and ``x % 0`` is 0; in C both
+    are SIGFPE.  A whole process, so that a trap would be seen as one."""
+    code = """
+from repro.driver.compiler import compile_source
+from repro.machine import kernel
+from repro.targets import build_machine
+
+kernel._TIER_UP = 0
+exe = compile_source('''
+program zdiv
+integer, array(8) :: a, b
+forall (i=1:8) a(i) = i
+b = mod(a, a - 3) + a / (a - 3)
+end program zdiv
+''', cache=False, incremental=False)
+oracle = exe.run(machine=build_machine("cm2", exec_mode="interp"))
+for _ in range(3):
+    machine = build_machine("cm2", exec_mode="fast")
+    got = exe.run(machine=machine)
+assert got.arrays["b"].tobytes() == oracle.arrays["b"].tobytes()
+print(int(got.arrays["b"][2]), machine.fusion_summary()["declined"])
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    value, declined = done.stdout.split(" ", 1)
+    assert int(value) == INT_MIN
+    if _compiler() is not None:
+        assert "divisor variable" in declined
+
+
+# ---------------------------------------------------------------------------
+# One decision per op
+# ---------------------------------------------------------------------------
+
+
+def test_every_op_is_in_exactly_one_c_table():
+    assert set(_C_FORMS) | set(_C_DECLINED) == set(pe._APPLY)
+    assert not set(_C_FORMS) & set(_C_DECLINED)
+
+
+@needs_cc
+@pytest.mark.parametrize("op", sorted(_C_DECLINED))
+def test_declined_op_really_declines(op):
+    """One tiny routine per op, every kernel hot at birth: the entry is
+    not native and says which op stopped it, at the tier that bailed."""
+    arity = pe._APPLY[op].__code__.co_argcount
+    sources = (Mem(PReg(0)), Imm(0.75))[:arity]
+    _check_routine([Instr(op, (*sources, VReg(0))),
+                    Instr("fstrv", (VReg(0), Mem(PReg(1))))],
+                   [np.linspace(0.1, 0.9, 8), np.zeros(8)],
+                   declined=f"op {op}",
+                   tier=("blocked" if _C_DECLINED[op].startswith("conversion")
+                         else "c"))
 
 
 class TestEndToEndModes:

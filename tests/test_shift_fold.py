@@ -24,6 +24,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import nir
 from repro.backend.cm2.shiftfold import fold_shifts
 from repro.driver.compiler import CompilerOptions, compile_source
+from repro.machine import execplan
+from repro.machine.ckernel import _compiler
+from repro.machine.plan import get_plan
 from repro.machine.shifted import BlockGather, Shifted, shifted_into
 from repro.programs.kernels import heat_source, life_source
 from repro.programs.swe import swe_source
@@ -179,6 +182,34 @@ def test_named_shape_folds_and_matches(case, ty):
     exe = check(HEAD[rank].format(ty=ty) + INIT + body + "end\n",
                 in_place=True)
     assert folded_temps(exe) and not copied_temps(exe)
+
+
+#: Every (dim, amount) the generated programs draw over ``a(6,5)``.
+DIRECTIONS = [(dim, amount) for dim, extent in ((1, 6), (2, 5))
+              for amount in range(-extent - 1, extent + 2)]
+
+
+@pytest.mark.skipif(_compiler() is None, reason="no C compiler")
+@pytest.mark.parametrize("dim,amount", DIRECTIONS)
+def test_integer_store_to_a_shifted_source_is_staged_in_c(dim, amount):
+    """Life's shape — ``int32`` neighbours read in place, a mask, a
+    select, the store to the shifted source staged — as one native
+    kernel in every direction (a shift of 0 mod the extent is the
+    source itself: nothing to fold)."""
+    shift = f"cshift(a, {amount}, {dim})"
+    src = (HEAD[2].format(ty="integer") + INIT + "do k = 1, 3\n"
+           f"  a = merge(1, a + {shift}, (a == 3) .or. ({shift} > 4))\n"
+           "end do\nend\n")
+    exe = check(src, targets=("cm2",), in_place=amount % (6, 5)[dim - 1] != 0)
+    serials = {get_plan(r).serial for r in exe.routines.values()}
+    entries = [kern for key, kern in execplan._MEGA_KERNELS.items()
+               if serials & set(key[0])]
+    assert entries and all(kern.native for kern in entries)
+    run = exe.run(machine=build_machine("cm2", exec_mode="fast"))
+    paths = run.machine.fusion_summary()
+    assert paths["declined"] == {"c": {}, "blocked": {}}
+    if amount % (6, 5)[dim - 1]:
+        assert paths["shifts_staged"] == 3 and paths["shifts_folded"] == 0
 
 
 def test_hoisted_write_behind_a_pending_halo_snapshots_it():

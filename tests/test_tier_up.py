@@ -13,6 +13,7 @@ C text is compiled once per process whoever asks.
 
 from __future__ import annotations
 
+import json
 import math
 import subprocess
 
@@ -22,7 +23,7 @@ from repro.driver.compiler import CompilerOptions, compile_source
 from repro.machine import ckernel, execplan, kernel
 from repro.machine.ckernel import _compiler
 from repro.programs.kernels import (heat_source, life_source,
-                                    redblack_source)
+                                    where_source)
 from repro.programs.swe import swe_source
 from repro.service.jobs import execute_request
 from repro.targets import build_machine
@@ -30,6 +31,7 @@ from repro.targets import build_machine
 from .test_execplan import N, _axpy, _Trips
 
 needs_cc = pytest.mark.skipif(_compiler() is None, reason="no C compiler")
+NOTHING_DECLINED = {"c": {}, "blocked": {}}
 
 
 def _launches(count: int, n: int, routines: int = 1) -> int:
@@ -44,9 +46,31 @@ def _launches(count: int, n: int, routines: int = 1) -> int:
 
 TRIPS = 12
 GRID = 8
+# A loop routine the C emitter still declines (``max``: numpy's NaN
+# payload rule is not C's), and a one-block program it declines
+# (``sin``/``cos`` are numpy's SIMD routines, not libm).
+CLIP = f"""
+program clip
+integer, parameter :: n = {GRID}
+double precision, array(n,n) :: u
+integer it
+forall (i=1:n, j=1:n) u(i,j) = mod(i*3 + j, 7) * 0.25d0
+do it = 1, {TRIPS}
+   u = max(u * 1.5d0 - 0.5d0, cshift(u, 1, 1) * 0.5d0)
+end do
+end program clip
+"""
+ONCE = f"""
+program once
+integer, parameter :: n = {GRID}
+double precision, array(n,n) :: f
+forall (i=1:n, j=1:n) f(i,j) = sin(i * 0.2d0) * cos(j * 0.2d0)
+end program once
+"""
 SOURCES = {"swe": swe_source(n=GRID, itmax=TRIPS),
            "heat": heat_source(GRID, TRIPS),
-           "life": life_source(GRID, TRIPS)}
+           "life": life_source(GRID, TRIPS),
+           "clip": CLIP}
 # (target, engine): host runs its default engine, fused.
 CONFIGS = [("cm2", "fast"), ("cm2", "fused"), ("cm5", "fast"),
            ("cm5", "fused"), ("host", None)]
@@ -69,8 +93,9 @@ def asks(monkeypatch):
     inner = execplan.try_native
 
     def counted(*args, **kwargs):
-        kern = inner(*args, **kwargs)
-        answers.append(kern is not None)
+        answers.append(False)
+        kern = inner(*args, **kwargs)   # raises to decline
+        answers[-1] = True
         return kern
 
     monkeypatch.setattr(execplan, "try_native", counted)
@@ -114,22 +139,26 @@ def test_crossing_mid_run_cannot_be_seen(prog, target, mode, asks,
     assert got["launch_drops"] == want["launch_drops"] + len(asks)
     assert got["launch_replays"] == want["launch_replays"] - len(asks)
     assert want["tier_ups"] == want["launch_drop_reasons"]["tier_up"] == 0
-    if prog == "life":      # integer streams: the emitter declines
+    assert want["declined"] == NOTHING_DECLINED
+    if prog == "clip":      # the decline is remembered, replays resume
         assert not any(asks)
-    else:
+        assert got["declined"] == {"c": {"op fmaxv": 1}, "blocked": {}}
+    else:                   # life's integer streams included
         assert all(asks)
+        assert got["declined"] == want["declined"]
 
 
 @needs_cc
 @pytest.mark.parametrize("target,mode", CONFIGS)
 def test_entry_found_hot_on_the_ordinary_path_has_no_record_to_drop(
         target, mode, asks, monkeypatch):
-    """Red-black's sweeps are strided sections (the step engine); its
-    one kernel (``sin``/``cos``: outside the C whitelist) runs once per
-    program run, so it gets hot across runs: the third run meets it hot
-    with no record to drop, and the refusal is remembered in the
-    fourth."""
-    source = redblack_source(GRID, 4)
+    """A program of one block (``sin``/``cos``: outside the C
+    whitelist) runs its kernel once per program run, so it gets hot
+    across runs: the third run meets it hot with no record to drop, and
+    the refusal is remembered in the fourth.  (Red-black, which stood
+    here, has nothing the step engine runs any more: its sweeps' ``mod``
+    masks are kernels and cross like any other.)"""
+    source = ONCE
     oracle = _fresh_run(source, target, "interp")
     monkeypatch.setattr(kernel, "_TIER_UP", math.inf)
     never = _fresh_run(source, target, mode, runs=4)
@@ -139,6 +168,7 @@ def test_entry_found_hot_on_the_ordinary_path_has_no_record_to_drop(
     got = crossed.machine.fusion_summary()
     assert asks == [False] and got["tier_ups"] == 0
     assert got["launch_drops"] == 0
+    assert got["declined"] == {"c": {"op fsinv": 1}, "blocked": {}}
 
 
 @needs_cc
@@ -163,6 +193,38 @@ def test_crossing_redraws_spill_slots(mode, fused, host, monkeypatch):
         assert t.engine.host_metrics["native_builds"] == 1
         assert t.engine.host_metrics["blocked_dispatches"] == 3
         assert t.engine.host_metrics["native_dispatches"] == 4
+
+
+# ---------------------------------------------------------------------------
+# Which tier an entry stopped at, and why
+# ---------------------------------------------------------------------------
+
+
+@needs_cc
+def test_summary_says_why_an_entry_did_not_get_the_better_tier(monkeypatch):
+    monkeypatch.setattr(kernel, "_TIER_UP", 0)
+
+    def declined(source, target="cm2", mode="fast"):
+        summary = _fresh_run(source, target, mode,
+                             runs=3).machine.fusion_summary()
+        json.dumps(summary)     # what --stats-json and the service send
+        return summary["declined"]
+
+    for target, mode in CONFIGS:
+        # Integer streams, masks and constant mod/div are all C now.
+        assert declined(SOURCES["life"], target, mode) == NOTHING_DECLINED
+        # The init block's transcendentals are numpy's, not libm's.
+        assert declined(SOURCES["swe"], target, mode) == {
+            "c": {"op fsinv": 1}, "blocked": {}}
+    # Twelve trips through a refused entry are one entry, not twelve.
+    assert declined(CLIP) == {"c": {"op fmaxv": 1}, "blocked": {}}
+    # Figure 10's blocks compute on an integer scalar argument alone:
+    # values no blocked kernel can stream.
+    where = declined(where_source(GRID))
+    assert where["c"] == {} and sum(where["blocked"].values()) == 2
+    assert all(reason.startswith("scalar") for reason in where["blocked"])
+    # The oracle builds no kernels and so declines none.
+    assert declined(CLIP, mode="interp") == NOTHING_DECLINED
 
 
 # ---------------------------------------------------------------------------
