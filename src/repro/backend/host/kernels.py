@@ -5,8 +5,8 @@ A host dispatch runs the one path every machine runs
 launch), with the one rule for which emitter a kernel gets:
 
 * the first call with a new binding signature runs the plan's recording
-  pass (plain numpy ufuncs capturing intermediate shapes/dtypes — PEAC
-  is never interpreted instruction by instruction);
+  walk (pre-resolved steps over plain numpy ufuncs, capturing
+  intermediate shapes/dtypes);
 * every later call runs a compiled kernel: cache-blocked numpy first,
   then — once the kernel has streamed enough to repay a ``cc`` run,
   and if it stays inside the bit-exact whitelist — a **native
@@ -14,13 +14,13 @@ launch), with the one rule for which emitter a kernel gets:
   intermediates in registers, built once per process whichever
   machine asked first;
 * bindings the prover cannot clear (overlapping distinct views,
-  non-contiguous streams) fall back to the plan's step engine.
+  non-contiguous streams) take the recording walk again.
 
 All three tiers are bit-identical by construction: the native emitter
 declines anything whose C semantics are not an exact match of the numpy
 ufunc, and the blocked kernel replays the interpreter's own ufunc
-sequence.  ``REPRO_FAST_KERNEL=0`` and ``REPRO_FUSED_CC=0`` degrade the
-tiers exactly as they do for the CM targets.
+sequence.  ``REPRO_FUSED_CC=0`` keeps every kernel blocked numpy,
+exactly as it does for the CM targets.
 
 What this module owns is the compile-time half: :func:`audit_routine`
 says which routines the C emitter could take.

@@ -19,8 +19,6 @@ to batch adjacent calls into mega-kernels.
 
 from __future__ import annotations
 
-import os
-
 from ...machine.cm2 import Machine
 from ...machine.costs import CostModel, host_model
 
@@ -28,10 +26,11 @@ from ...machine.costs import CostModel, host_model
 class HostMachine(Machine):
     """A native-host execution engine behind the Machine contract."""
 
+    default_exec = "fused"
+
     def __init__(self, model: CostModel | None = None,
                  exec_mode: str | None = None) -> None:
-        mode = exec_mode or os.environ.get("REPRO_EXEC") or "fused"
-        super().__init__(model or host_model(), exec_mode=mode)
+        super().__init__(model or host_model(), exec_mode)
         self.host_metrics: dict[str, int] = {
             "native_dispatches": 0,
             "native_builds": 0,

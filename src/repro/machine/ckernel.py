@@ -9,12 +9,12 @@ single per-element loop: every intermediate lives in a C local (a
 machine register), which is the literal form of the register-resident
 forwarding the fusion layer models.
 
-The emitter walks ``plan.groups`` exactly like the step engine: within
-a group all reads evaluate before any store commits (dual-issue pairs
-observe pre-instruction state), and register updates take effect when
-the group retires.  Because every emitted operation is elementwise over
-the common stream length, a per-element schedule is observationally
-identical to the step engine's whole-array passes.
+The emitter walks ``plan.groups`` exactly like the plan's recording
+walk: within a group all reads evaluate before any store commits
+(dual-issue pairs observe pre-instruction state), and register updates
+take effect when the group retires.  Because every emitted operation is
+elementwise over the common stream length, a per-element schedule is
+observationally identical to the walk's whole-array passes.
 
 Bit-identity with numpy is preserved by construction, not hope: only
 operations whose C form computes exactly what the numpy ufunc does are
@@ -94,7 +94,6 @@ from .plan import (
     _R_VREG,
     _BranchStep,
     _ComputeStep,
-    _LoadStep,
     _MoveStep,
     _StoreStep,
 )
@@ -403,7 +402,7 @@ class _CEmitter:
             pend: list[tuple[int, tuple[str, str]]] = []
             commits: list[str] = []
             for step in steps:
-                if isinstance(step, (_LoadStep, _MoveStep)):
+                if isinstance(step, _MoveStep):
                     pend.append((step.dst, self._read(step.reader, vmap)))
                 elif isinstance(step, _StoreStep):
                     val = self._read(step.reader, vmap)

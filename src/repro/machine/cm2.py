@@ -21,7 +21,6 @@ from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
 from .execplan import Dispatch, ExecutionPlan, LaunchRecord, run_lone
 from .geometry import Geometry, coordinate_array, make_geometry
-from .kernel import kernels_enabled
 from .pe import SubgridStream, VectorExecutor
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
 from .shifted import (Shifted, ShiftedStream, materialize_streams,
@@ -69,9 +68,10 @@ class Machine:
     """A simulated CM/2 (or CM/5, by cost model).
 
     ``exec_mode`` selects the node-dispatch engine: ``"fast"`` (the
-    default, overridable via the ``REPRO_EXEC`` environment variable)
-    runs every dispatch as a group of compiled routine plans
-    (:mod:`repro.machine.execplan`); ``"interp"`` routes through the
+    class's ``default_exec``, overridable via the ``REPRO_EXEC``
+    environment variable) runs every dispatch as a group of compiled
+    routine plans (:mod:`repro.machine.execplan`); ``"interp"`` routes
+    through the
     :class:`VectorExecutor` oracle.  Both produce bit-identical arrays
     and identical :class:`RunStats`.  ``"fused"`` additionally lets the
     host executor batch adjacent node calls through :meth:`call_fused`:
@@ -82,10 +82,14 @@ class Machine:
     (:meth:`repro.machine.execplan.ExecutionPlan.kernel_for`).
     """
 
+    #: The engine when neither ``exec_mode`` nor ``REPRO_EXEC`` names one.
+    default_exec = "fast"
+
     def __init__(self, model: CostModel | None = None,
                  exec_mode: str | None = None) -> None:
         self.model = model or slicewise_model()
-        mode = exec_mode or os.environ.get("REPRO_EXEC", "fast")
+        mode = (exec_mode or os.environ.get("REPRO_EXEC")
+                or self.default_exec)
         if mode not in ("fast", "interp", "fused"):
             raise MachineError(
                 f"unknown exec mode {mode!r} "
@@ -109,8 +113,7 @@ class Machine:
         self.launch_metrics: dict[str, int] = {
             "records": 0, "replays": 0, "drops": 0,
             # drops, by what no longer matched
-            "binding": 0, "plan": 0, "scalar_type": 0, "kernels_off": 0,
-            "tier_up": 0,
+            "binding": 0, "plan": 0, "scalar_type": 0, "tier_up": 0,
         }
         # Fused-group kernel and shift-path telemetry: machine-local and
         # wall-clock flavored — it never feeds RunStats, which stay
@@ -319,7 +322,7 @@ class Machine:
         record = self._launches.get(site)
         if record is None:
             return False
-        stale = record.stale(calls) if kernels_enabled() else "kernels_off"
+        stale = record.stale(calls)
         metrics = self.launch_metrics
         if stale is not None:
             del self._launches[site]
@@ -442,8 +445,8 @@ class Machine:
     def fusion_summary(self) -> dict:
         """Fusion counters for ``--stats-json`` and service responses."""
         # Which tier an entry stopped at and why: entries per reason,
-        # by the emitter that bailed ("blocked": the step engine runs
-        # it; "c": blocked numpy does).
+        # by the emitter that bailed ("blocked": the recording walk
+        # runs it; "c": blocked numpy does).
         declined: dict = {"c": {}, "blocked": {}}
         for emitter, reason in self.fusion_metrics["declined"].values():
             declined[emitter][reason] = declined[emitter].get(reason, 0) + 1
@@ -463,8 +466,7 @@ class Machine:
                for key in ("records", "replays", "drops")},
             "launch_drop_reasons": {
                 key: self.launch_metrics[key]
-                for key in ("binding", "plan", "scalar_type",
-                            "kernels_off", "tier_up")},
+                for key in ("binding", "plan", "scalar_type", "tier_up")},
             "declined": declined,
         }
 

@@ -40,8 +40,9 @@ streams an earlier constituent just stored); a lone dispatch keeps the
 per-parameter charge of ``Machine._charge``.
 
 Correctness never depends on the probe: a batch that fails it runs (and
-is charged) call by call, a lone dispatch that fails it runs the step
-engine, and a group whose kernel is not buildable yet executes each
+is charged) call by call, a lone dispatch that fails it takes the
+plan's recording walk (:meth:`~repro.machine.plan.RoutinePlan.run_steps`)
+again, and a group whose kernel is not buildable yet executes each
 constituent in order (:func:`run_lone`) — all bit-identical to the
 interpreter oracle.
 """
@@ -54,7 +55,7 @@ import numpy as np
 
 from ..peac.isa import NUM_SREGS, NUM_VREGS
 from .ckernel import BuildFailed, _CBail, try_native
-from .kernel import Launch, NoKernel, _build, hot, kernels_enabled
+from .kernel import Launch, NoKernel, _build, hot
 from .plan import (
     _R_CONST,
     _R_MEM,
@@ -62,7 +63,6 @@ from .plan import (
     _R_VREG,
     _BranchStep,
     _ComputeStep,
-    _LoadStep,
     _MoveStep,
     _StoreStep,
     get_plan,
@@ -129,7 +129,7 @@ def evict_serial(serial: int) -> None:
 # -- step remapping ---------------------------------------------------------
 
 
-def _remap_reader(rd, smap, voff, soff, toff):
+def _remap_reader(rd, smap, voff, soff):
     tag = rd[0]
     if tag == _R_VREG:
         return (_R_VREG, rd[1] + voff)
@@ -137,8 +137,7 @@ def _remap_reader(rd, smap, voff, soff, toff):
         return (_R_SREG, rd[1] + soff)
     if tag == _R_CONST:
         return rd
-    # _R_MEM: slot-renamed; hazard sets are recomputed by the builder.
-    return (_R_MEM, smap[rd[1]], rd[2] + toff, ())
+    return (_R_MEM, smap[rd[1]])    # slot-renamed
 
 
 def _remap_groups(plan, smap, voff, soff, toff):
@@ -148,20 +147,15 @@ def _remap_groups(plan, smap, voff, soff, toff):
         for step in steps:
             if isinstance(step, _StoreStep):
                 out.append(_StoreStep(
-                    _remap_reader(step.reader, smap, voff, soff, toff),
+                    _remap_reader(step.reader, smap, voff, soff),
                     smap[step.preg]))
-            elif isinstance(step, _LoadStep):
-                out.append(_LoadStep(
-                    _remap_reader(step.reader, smap, voff, soff, toff),
-                    step.dst + voff))
             elif isinstance(step, _MoveStep):
                 out.append(_MoveStep(
-                    _remap_reader(step.reader, smap, voff, soff, toff),
+                    _remap_reader(step.reader, smap, voff, soff),
                     step.dst + voff))
             elif isinstance(step, _ComputeStep):
-                readers = tuple(
-                    _remap_reader(rd, smap, voff, soff, toff)
-                    for rd in step.readers)
+                readers = tuple(_remap_reader(rd, smap, voff, soff)
+                                for rd in step.readers)
                 out.append(_ComputeStep(step.op, readers, step.dst + voff,
                                         step.token + toff,
                                         step.aux + toff))
@@ -327,9 +321,9 @@ class ExecutionPlan:
     def kernel_for(self, sigs, metrics) -> tuple:
         """``(kernel, built)`` for this trip's binding signatures.
 
-        The kernel is None when the step engine must run instead: a
-        signature still needs its recording pass, or the merged steps
-        are not kernel-eligible.  ``built`` says this call compiled the
+        The kernel is None when the recording walk must run instead: a
+        signature still needs its first trip, or the merged steps are
+        not kernel-eligible.  ``built`` says this call compiled the
         entry rather than found it.  An entry starts as the blocked
         numpy kernel and is offered to the C emitter when
         :func:`~repro.machine.kernel.hot` says it has earned the ``cc``
@@ -403,15 +397,13 @@ class ExecutionPlan:
     def run(self, machine, dispatches) -> Launch | None:
         """Execute a fused batch; the launch, when a kernel ran it."""
         metrics = machine.fusion_metrics
-        kern = None
-        if kernels_enabled():
-            sigs = tuple(d.plan._signature(d.streams, d.scalars)
-                         for d in dispatches)
-            kern, built = self.kernel_for(sigs, metrics)
-            if built:
-                metrics["megakernel_builds"] += 1
-            elif kern is not None:
-                metrics["megakernel_hits"] += 1
+        sigs = tuple(d.plan._signature(d.streams, d.scalars)
+                     for d in dispatches)
+        kern, built = self.kernel_for(sigs, metrics)
+        if built:
+            metrics["megakernel_builds"] += 1
+        elif kern is not None:
+            metrics["megakernel_hits"] += 1
         if kern is None:
             metrics["stepwise_groups"] += 1
             # Every shifted operand means its source at group start.
@@ -449,14 +441,14 @@ def run_lone(d: Dispatch, pool, metrics) -> Launch | None:
 
     Returns the launch when a kernel ran over the operands as bound
     (what a dispatch site may replay), else None.  A first trip with a
-    new binding signature does not probe: it goes straight to the step
-    engine's recording pass.  ``metrics`` is the machine's
+    new binding signature does not probe: it goes straight to the
+    plan's recording walk, as does a later trip no kernel may run.  ``metrics`` is the machine's
     ``fusion_metrics`` (see :meth:`ExecutionPlan.kernel_for`).
     """
     plan = d.plan
     streams = d.streams
     sig = plan._signature(streams, d.scalars)
-    if sig in plan.specs and kernels_enabled():
+    if sig in plan.specs:
         launch = _launch_lone(d, sig, pool, metrics)
         if launch is not None:
             return launch
@@ -466,7 +458,7 @@ def run_lone(d: Dispatch, pool, metrics) -> Launch | None:
             materialize_streams(streams)
             if _launch_lone(d, sig, pool, metrics) is not None:
                 return None
-    plan.run_steps(streams, d.scalars, pool, sig)
+    plan.run_steps(streams, d.scalars, sig)
     return None
 
 

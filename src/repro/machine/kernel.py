@@ -1,8 +1,8 @@
 """Blocked code generation for routine plans (the compiled fast path).
 
-A :class:`~repro.machine.plan.RoutinePlan` executes pre-resolved steps,
-but still makes one full-array pass per instruction — on large subgrids
-every pass streams megabytes through memory.  This module compiles a
+Run step by step, a :class:`~repro.machine.plan.RoutinePlan` makes one
+full-array pass per instruction — on large subgrids every pass streams
+megabytes through memory.  This module compiles a
 plan *specialization* (plan + binding signature + operand alias pattern)
 down to a single generated Python function that runs the whole routine
 **block by block**: all intermediate values live in small kernel-owned
@@ -14,8 +14,8 @@ The generator performs a symbolic SSA walk over the plan's steps:
 * loads and chained memory operands stay *lazy* — they turn into plain
   slice expressions ``s3[b:e]`` consumed directly by the ufunc call —
   unless a later store can overwrite them first, in which case a block
-  copy materializes the pre-store value (the same hazard rule the step
-  engine applies with ``np.may_share_memory``);
+  copy materializes the pre-store value (the snapshot the interpreter
+  takes of every memory operand, kept only where it can matter);
 * a compute whose only consumer is a store gets *forwarded*: the ufunc
   writes ``out=dst[b:e]`` directly and the store disappears;
 * values never consumed are dead code and emit nothing;
@@ -30,8 +30,9 @@ inputs, operations and rounding in either engine.  Anything the
 generator cannot prove safe (overlapping-but-distinct operand views,
 non-contiguous streams, mismatched stream lengths, scalar-shaped
 intermediates, the allocating conversions) falls back to the plan's
-step engine, which remains fully general; the cache entry it leaves
-behind (:class:`NoKernel`) says why.
+recording walk (:meth:`~repro.machine.plan.RoutinePlan.run_steps`),
+which is fully general; the cache entry it leaves behind
+(:class:`NoKernel`) says why.
 
 A *shifted* operand (:mod:`repro.machine.shifted`) is read in place:
 blocks become whole leading-axis slabs and each block gathers the
@@ -40,10 +41,6 @@ slice for an axis-0 shift, a cache-resident two-block copy otherwise).
 When the routine also stores the shifted operand's source, that store
 is staged through scratch (:class:`Staging`) and copied back after
 the loop.
-
-``REPRO_FAST_KERNEL=0`` disables code generation entirely so the step
-engine can be exercised on its own (:func:`kernels_enabled` is the one
-place that reads it).
 
 The builder takes a *group's* merged plan — one routine or several,
 memory operands already renamed onto the group's slot table
@@ -55,8 +52,6 @@ the next trip (``docs/PIPELINE.md`` §16).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -70,7 +65,6 @@ from .plan import (
     _R_VREG,
     _UNBOUND,
     _ComputeStep,
-    _LoadStep,
     _MoveStep,
     _StoreStep,
 )
@@ -134,8 +128,8 @@ class _Bail(Exception):
 
 
 class NoKernel:
-    """The cache entry of a group no kernel runs (the step engine does,
-    on every launch).  Like every entry it has ``declined``, the
+    """The cache entry of a group no kernel runs (the plan's recording
+    walk does, on every launch).  Like every entry it has ``declined``, the
     ``(emitter, reason)`` of the better tier it did not get: the
     blocked builder's here, the C emitter's on a blocked kernel that
     was asked about (None before)."""
@@ -149,11 +143,6 @@ class NoKernel:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-
-def kernels_enabled() -> bool:
-    """False under ``REPRO_FAST_KERNEL=0`` (read at every dispatch)."""
-    return os.environ.get("REPRO_FAST_KERNEL") != "0"
 
 
 def hot(kern) -> bool:
@@ -336,7 +325,7 @@ class _Builder:
             self.slots.append(slot)
             pend: list[tuple[int, _Val]] = []
             for step in steps:
-                if isinstance(step, (_LoadStep, _MoveStep)):
+                if isinstance(step, _MoveStep):
                     pend.append((step.dst, self._eval_move(step, vmap, g)))
                 elif isinstance(step, _StoreStep):
                     self._eval_store(step, vmap, g)
@@ -442,8 +431,8 @@ class _Builder:
 
     def _decide_materialization(self) -> None:
         """A lazy stream value read after a store to its class must be
-        snapshotted at definition time (pre-store), like the step
-        engine's hazard copies."""
+        snapshotted at definition time (pre-store), as the interpreter
+        snapshots every memory operand."""
         for val in self.src_vals:
             if not val.uses:
                 continue

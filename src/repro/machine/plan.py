@@ -1,37 +1,31 @@
-"""Compiled fast-path execution engine for PEAC routines.
+"""Routine plans: PEAC routines resolved once, for everyone who runs them.
 
 :class:`~repro.machine.pe.VectorExecutor` re-walks the instruction list
-on every ``call_routine``: it re-dispatches on instruction-kind strings,
-rebuilds commit thunks, snapshots every memory operand with
-``np.ravel(view).copy()``, and lets every ufunc allocate a fresh output
-array.  Long blocked codeblocks run the *same* handful of routines
-thousands of times, so all of that is re-done work.
+on every ``call_routine``, re-dispatching on instruction-kind strings
+and re-resolving every operand.  Long blocked codeblocks run the *same*
+handful of routines thousands of times, so this module compiles each
+:class:`~repro.peac.isa.Routine` **once** into a :class:`RoutinePlan`:
 
-This module compiles each :class:`~repro.peac.isa.Routine` **once** into
-a :class:`RoutinePlan` — a flat sequence of pre-resolved steps:
+* **steps the two emitters read** — a flat sequence of pre-resolved
+  steps (operand slots bound by index into flat register files, ``Imm``
+  coercion done at plan time, dual-issue pairs kept as one group) that
+  the blocked numpy builder (:mod:`repro.machine.kernel`) and the C
+  emitter (:mod:`repro.machine.ckernel`) compile, together with the
+  tables saying what each emitter does with every op;
+* **cost accounting** — ``cycles_per_trip`` and ``flops_per_element``,
+  computed once and cached on the plan;
+* **signatures** — numpy result dtypes and shapes depend on the bound
+  operands, so a plan *specializes* per binding signature: ``specs``
+  maps each signature met to the shape and dtype of every intermediate;
+* **the recording walk** (:meth:`RoutinePlan.run_steps`) — the steps
+  executed by the interpreter's own rules (the same ``_APPLY`` table, a
+  snapshot of every memory operand, both evals of a dual-issue pair
+  before either commit) while writing that spec.  It runs a
+  signature's first trip and, unchanged, the rare dispatch no kernel
+  may run; it is never made fast, because nothing steady runs it.
 
-* operand slots are bound by index into flat register files instead of
-  per-access dict lookups;
-* ``Imm`` coercion (the integer-immediate rule) happens at plan time;
-* dual-issue pairs are pre-split into read and commit phases so both
-  halves observe pre-instruction state, exactly like the interpreter;
-* arithmetic executes as direct numpy ufunc calls with ``out=`` into a
-  per-call set of buffers drawn from a :class:`BufferPool`, so steady
-  state runs allocation-free;
-* memory operands alias the bound subgrid view (no copy) whenever no
-  later store in the routine can overlap them — decided with a cheap
-  ``np.may_share_memory`` check per call;
-* the per-dispatch cost accounting (``cycles_per_trip``,
-  ``flops_per_element``) is computed once and cached on the plan.
-
-Because numpy result dtypes/shapes depend on the bound operands, a plan
-*specializes* lazily: the first call with a given binding signature runs
-in recording mode (semantically identical to the interpreter — it uses
-the same ``_APPLY`` table) and captures every intermediate's shape and
-dtype; later calls with the same signature run the compiled fast steps.
-
-The interpreter stays as the slow-path oracle: ``REPRO_EXEC=interp``
-(see :class:`~repro.machine.cm2.Machine`) routes dispatch back through
+The interpreter stays as the oracle: ``REPRO_EXEC=interp`` (see
+:class:`~repro.machine.cm2.Machine`) routes dispatch back through
 ``VectorExecutor``, and the equivalence tests assert both paths produce
 bit-identical arrays and identical :class:`~repro.machine.stats.RunStats`.
 """
@@ -128,42 +122,39 @@ GLOBAL_POOL = BufferPool()
 # ---------------------------------------------------------------------------
 
 # Reader tuples, resolved at plan time:
-#   (_R_VREG, n)                    — vector register file slot n
-#   (_R_SREG, n)                    — scalar register file slot n
-#   (_R_CONST, value)               — Imm, coerced at plan time
-#   (_R_MEM, preg, token, hazard)   — streaming memory operand
+#   (_R_VREG, n)       — vector register file slot n
+#   (_R_SREG, n)       — scalar register file slot n
+#   (_R_CONST, value)  — Imm, coerced at plan time
+#   (_R_MEM, preg)     — streaming memory operand
 _R_VREG, _R_SREG, _R_CONST, _R_MEM = 0, 1, 2, 3
 
 
-def _coerce_imm(value):
-    """Plan-time version of the interpreter's Imm coercion rule."""
-    if float(value).is_integer() and abs(value) <= 2**31 - 1:
-        return int(value)
-    return value
+def _reader(op) -> tuple:
+    if isinstance(op, VReg):
+        return (_R_VREG, op.n)
+    if isinstance(op, SReg):
+        return (_R_SREG, op.n)
+    if isinstance(op, Imm):
+        # The interpreter's Imm coercion rule, applied at plan time.
+        value = op.value
+        if float(value).is_integer() and abs(value) <= 2**31 - 1:
+            value = int(value)
+        return (_R_CONST, value)
+    if isinstance(op, Mem):
+        return (_R_MEM, op.preg.n)
+    raise ExecutionError(f"cannot read operand {op}")
 
 
 class _Frame:
-    """Per-call execution state for one plan run."""
+    """Per-call state of one recording walk."""
 
-    __slots__ = ("streams", "scalars", "v", "pool", "spec", "bufs",
-                 "record")
+    __slots__ = ("streams", "scalars", "v", "spec")
 
-    def __init__(self, streams, scalars, pool, spec) -> None:
+    def __init__(self, streams, scalars) -> None:
         self.streams = streams          # list[SubgridStream | None]
         self.scalars = scalars          # list, _UNBOUND when unbound
         self.v: list = [None] * NUM_VREGS
-        self.pool = pool
-        self.spec = spec                # dict[token, (shape, dtype)]
-        self.bufs: dict[int, np.ndarray] = {}
-        self.record = spec is None
-
-    def buf(self, token: int) -> np.ndarray:
-        got = self.bufs.get(token)
-        if got is None:
-            shape, dtype = self.spec[token]
-            got = self.pool.acquire(shape, dtype)
-            self.bufs[token] = got
-        return got
+        self.spec: dict[int, tuple] = {}   # token -> (shape, dtype)
 
 
 def _read(frame: _Frame, rd):
@@ -180,37 +171,10 @@ def _read(frame: _Frame, rd):
         return val
     if tag == _R_CONST:
         return rd[1]
-    return _read_mem(frame, rd[1], rd[2], rd[3])
-
-
-def _read_mem(frame: _Frame, preg: int, token: int, hazard) -> np.ndarray:
-    """Snapshot (or alias) the current contents of a stream operand.
-
-    The interpreter always copies.  Here the copy is skipped when no
-    store at or after this step can overlap the view — checked with
-    ``np.may_share_memory`` against the streams in ``hazard`` — and the
-    view is contiguous (so the flattened alias is itself copy-free).
-    """
-    stream = frame.streams[preg]
+    stream = frame.streams[rd[1]]
     if stream is None:
-        raise ExecutionError(f"read through unbound pointer aP{preg}")
-    view = stream.view
-    if not isinstance(view, np.ndarray):
-        view = np.asarray(view)
-    need_copy = False
-    for q in hazard:
-        other = frame.streams[q]
-        if other is not None and np.may_share_memory(view, other.view):
-            need_copy = True
-            break
-    if not need_copy and view.flags["C_CONTIGUOUS"]:
-        return view.reshape(-1)
-    if frame.record:
-        return np.ravel(view).copy()
-    buf = frame.pool.acquire((view.size,), view.dtype)
-    np.copyto(buf.reshape(view.shape), view)
-    frame.bufs[token] = buf
-    return buf
+        raise ExecutionError(f"read through unbound pointer aP{rd[1]}")
+    return stream.read()    # a snapshot, as the interpreter takes
 
 
 # ---------------------------------------------------------------------------
@@ -221,46 +185,28 @@ def _read_mem(frame: _Frame, preg: int, token: int, hazard) -> np.ndarray:
 class _Step:
     """One pre-resolved step: an eval phase and a commit phase.
 
-    For unpaired instructions the two phases run back to back; for a
-    dual-issue pair the plan runs *both* evals before *either* commit,
-    mirroring the interpreter's pre-instruction-state semantics.
+    ``eval`` reads the operands and returns the value ``commit`` then
+    writes.  The walk runs every eval of a group before any commit, so
+    both halves of a dual-issue pair observe pre-instruction state,
+    exactly like the interpreter.  Steps hold no per-call state: every
+    machine in the process shares them.
     """
 
-    __slots__ = ("pending",)
+    __slots__ = ()
 
-    def eval(self, frame: _Frame) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def eval(self, frame: _Frame):
+        return None
 
-    def commit(self, frame: _Frame) -> None:
+    def commit(self, frame: _Frame, value) -> None:
         pass
 
 
 class _BranchStep(_Step):
     __slots__ = ()
 
-    def eval(self, frame: _Frame) -> None:
-        pass
-
-
-class _LoadStep(_Step):
-    """``flodv <mem> <vreg>`` (also ``fmovv`` with a memory source)."""
-
-    __slots__ = ("reader", "dst")
-
-    def __init__(self, reader, dst: int) -> None:
-        self.reader = reader
-        self.dst = dst
-
-    def eval(self, frame: _Frame) -> None:
-        self.pending = _read(frame, self.reader)
-
-    def commit(self, frame: _Frame) -> None:
-        frame.v[self.dst] = np.asarray(self.pending)
-        self.pending = None
-
 
 class _MoveStep(_Step):
-    """``fmovv <vreg|sreg|imm> <vreg>``."""
+    """``flodv <mem> <vreg>`` and ``fmovv <mem|vreg|sreg|imm> <vreg>``."""
 
     __slots__ = ("reader", "dst")
 
@@ -268,12 +214,11 @@ class _MoveStep(_Step):
         self.reader = reader
         self.dst = dst
 
-    def eval(self, frame: _Frame) -> None:
-        self.pending = _read(frame, self.reader)
+    def eval(self, frame: _Frame):
+        return _read(frame, self.reader)
 
-    def commit(self, frame: _Frame) -> None:
-        frame.v[self.dst] = np.asarray(self.pending)
-        self.pending = None
+    def commit(self, frame: _Frame, value) -> None:
+        frame.v[self.dst] = np.asarray(value)
 
 
 class _StoreStep(_Step):
@@ -285,34 +230,34 @@ class _StoreStep(_Step):
         self.reader = reader
         self.preg = preg
 
-    def eval(self, frame: _Frame) -> None:
-        self.pending = _read(frame, self.reader)
+    def eval(self, frame: _Frame):
+        value = _read(frame, self.reader)
         if frame.streams[self.preg] is None:
             raise ExecutionError(f"store through unbound aP{self.preg}")
+        return value
 
-    def commit(self, frame: _Frame) -> None:
-        frame.streams[self.preg].write(np.asarray(self.pending))
-        self.pending = None
+    def commit(self, frame: _Frame, value) -> None:
+        frame.streams[self.preg].write(np.asarray(value))
 
 
 class _ComputeStep(_Step):
     """An arithmetic/comparison/logic/select step.
 
-    ``mode`` selects the fast executor:
+    ``mode`` is how a blocked kernel runs it
+    (``kernel._Builder._emit_compute``):
 
-    * ``"ufunc"``  — one numpy ufunc with ``out=`` into a pooled buffer;
-    * ``"fma"``    — chained multiply-add as two ufuncs via an aux buffer;
+    * ``"ufunc"``  — one numpy ufunc ``fn`` with ``out=``;
+    * ``"fma"``    — chained multiply-add as two ufuncs (``fn``,
+      ``fn2``) via an aux buffer;
     * ``"select"`` — masked select as two ``np.copyto`` passes;
-    * ``"intdiv"`` — ``idivv``/``imodv``: the interpreter's allocating
-      lambda here, its numpy calls block by block in a kernel
-      (``kernel._Builder._emit_compute``);
+    * ``"intdiv"`` — ``idivv``/``imodv``: the interpreter's numpy
+      calls, block by block;
     * ``"alloc"``  — the conversions (``fintv``, ``ffloorv``, ``fceilv``,
-      ``ffltv``, ``fdblv``), and nothing else: the interpreter's
-      allocating lambda, and no kernel for the routine.
+      ``ffltv``, ``fdblv``), and nothing else: no kernel for the routine.
 
-    Recording mode always runs the interpreter's ``_APPLY`` lambda and
-    captures the result (and intermediate) shapes/dtypes for the
-    specialization.
+    The recording walk always runs the interpreter's ``_APPLY`` lambda
+    and writes the shape and dtype of the result under ``token`` (and
+    of an fma's product under ``aux``) into the spec.
     """
 
     __slots__ = ("op", "readers", "dst", "token", "aux", "mode",
@@ -326,76 +271,33 @@ class _ComputeStep(_Step):
         self.token = token
         self.aux = aux
         # finvv's readers carry the 1.0 numerator explicitly, so its
-        # record-mode apply is the two-argument divide (same result).
+        # apply is the two-argument divide (same result).
         self.apply = np.divide if op == "finvv" else _APPLY[op]
+        self.fn = self.fn2 = None
         if op in _FMA_FNS:
             self.mode = "fma"
             self.fn, self.fn2 = _FMA_FNS[op]
         elif op == "fselv":
             self.mode = "select"
-            self.fn = self.fn2 = None
         elif op in _OUT_FNS:
             self.mode = "ufunc"
             self.fn = _OUT_FNS[op]
-            self.fn2 = None
         else:
             self.mode = "intdiv" if op in ("idivv", "imodv") else "alloc"
-            self.fn = self.fn2 = None
 
-    def eval(self, frame: _Frame) -> None:
+    def eval(self, frame: _Frame):
         args = [_read(frame, rd) for rd in self.readers]
-        if frame.record:
-            self._eval_record(frame, args)
-        else:
-            self._eval_fast(frame, args)
-
-    def _eval_record(self, frame: _Frame, args) -> None:
-        if self.mode == "fma":
+        if self.mode == "fma":  # _APPLY's two ufuncs, the product recorded
             tmp = np.asarray(self.fn(args[0], args[1]))
             frame.spec[self.aux] = (tmp.shape, tmp.dtype)
             result = np.asarray(self.fn2(tmp, args[2]))
-        elif self.mode == "select":
-            mask = np.asarray(args[0], dtype=bool)
-            frame.spec[self.aux] = (mask.shape, mask.dtype)
-            result = np.asarray(np.where(mask, args[1], args[2]))
         else:
             result = np.asarray(self.apply(*args))
-        if self.mode != "alloc":
-            frame.spec[self.token] = (result.shape, result.dtype)
-        self.pending = result
+        frame.spec[self.token] = (result.shape, result.dtype)
+        return result
 
-    def _eval_fast(self, frame: _Frame, args) -> None:
-        mode = self.mode
-        if mode == "ufunc":
-            out = frame.buf(self.token)
-            self.fn(*args, out=out)
-            self.pending = out
-        elif mode == "fma":
-            tmp = frame.buf(self.aux)
-            out = frame.buf(self.token)
-            self.fn(args[0], args[1], out=tmp)
-            self.fn2(tmp, args[2], out=out)
-            self.pending = out
-        elif mode == "select":
-            mask, tval, fval = args
-            if isinstance(mask, np.ndarray) and mask.dtype != bool \
-                    and mask.size > 1:
-                mbuf = frame.buf(self.aux)
-                np.not_equal(mask, 0, out=mbuf)
-                mask = mbuf
-            elif not (isinstance(mask, np.ndarray)
-                      and mask.dtype == bool):
-                mask = np.asarray(mask, dtype=bool)
-            out = frame.buf(self.token)
-            np.copyto(out, fval)
-            np.copyto(out, tval, where=mask)
-            self.pending = out
-        else:
-            self.pending = np.asarray(self.apply(*args))
-
-    def commit(self, frame: _Frame) -> None:
-        frame.v[self.dst] = self.pending
-        self.pending = None
+    def commit(self, frame: _Frame, value) -> None:
+        frame.v[self.dst] = value
 
 
 # numpy ufuncs that compute each _APPLY entry bit-identically with out=.
@@ -502,39 +404,12 @@ class RoutinePlan:
     # -- plan compilation ----------------------------------------------
 
     def _compile(self, routine: Routine) -> None:
-        groups: list[tuple[Instr, ...]] = []
-        for instr in routine.body:
-            if instr.paired is not None:
-                groups.append((instr, instr.paired))
-            else:
-                groups.append((instr,))
-
-        # Suffix sets of stored pointer registers: a value *held* from
-        # group i onward must be snapshotted if any store at >= i can
-        # overlap it.
-        suffix: list[frozenset[int]] = [frozenset()] * len(groups)
-        stored: set[int] = set()
-        for gi in range(len(groups) - 1, -1, -1):
-            for instr in groups[gi]:
-                if instr.kind == "store":
-                    mem = instr.operands[1]
-                    stored.add(mem.preg.n)
-            suffix[gi] = frozenset(stored)
-
         self._tokens = 0
         self.groups: list[tuple[_Step, ...]] = []
-        short_lived: list[list[int]] = []
-        for gi, group in enumerate(groups):
-            group_stores = frozenset(
-                i.operands[1].preg.n for i in group if i.kind == "store")
-            shorts: list[int] = []
-            steps = tuple(
-                self._compile_instr(instr, suffix[gi], group_stores, shorts)
-                for instr in group)
-            self.groups.append(steps)
-            short_lived.append(shorts)
-
-        self._analyze_lifetimes(short_lived)
+        for instr in routine.body:
+            group = (instr,) if instr.paired is None else (instr, instr.paired)
+            self.groups.append(
+                tuple(self._compile_instr(i) for i in group))
 
         used: set[int] = set()
         stored: set[int] = set()
@@ -545,7 +420,7 @@ class RoutinePlan:
                     used.add(step.preg)
                     stored.add(step.preg)
                     readers = (step.reader,)
-                elif isinstance(step, (_LoadStep, _MoveStep)):
+                elif isinstance(step, _MoveStep):
                     readers = (step.reader,)
                 elif isinstance(step, _ComputeStep):
                     readers = step.readers
@@ -559,106 +434,28 @@ class RoutinePlan:
         self.stored_pregs = tuple(sorted(stored))
         self.read_pregs = tuple(sorted(reads))
 
-    def _new_token(self) -> int:
-        self._tokens += 1
-        return self._tokens - 1
-
-    def _compile_instr(self, instr: Instr, held_hazard: frozenset[int],
-                       group_stores: frozenset[int],
-                       shorts: list[int]) -> _Step:
+    def _compile_instr(self, instr: Instr) -> _Step:
         kind = instr.kind
-
-        def mem_reader(op: Mem, hazard) -> tuple:
-            token = self._new_token()
-            return (_R_MEM, op.preg.n, token, tuple(sorted(hazard)))
-
-        def src_reader(op, *, held: bool) -> tuple:
-            if isinstance(op, VReg):
-                return (_R_VREG, op.n)
-            if isinstance(op, SReg):
-                return (_R_SREG, op.n)
-            if isinstance(op, Imm):
-                return (_R_CONST, _coerce_imm(op.value))
-            if isinstance(op, Mem):
-                # A value held across phases (a load, or a store source
-                # read before this group's commits) must be protected
-                # from the stores that can run before it is consumed;
-                # an operand consumed inside its own eval needs none.
-                hz = held_hazard if held else (
-                    group_stores if kind == "store" else frozenset())
-                rd = mem_reader(op, hz)
-                if not held:
-                    shorts.append(rd[2])
-                return rd
-            raise ExecutionError(f"cannot read operand {op}")
-
-        if kind == "load":
-            mem, dst = instr.operands
-            rd = src_reader(mem, held=True)
-            return _LoadStep(rd, dst.n)
+        if kind in ("load", "move"):
+            src, dst = instr.operands
+            return _MoveStep(_reader(src), dst.n)
         if kind == "store":
             src, mem = instr.operands
-            rd = src_reader(src, held=False)
-            return _StoreStep(rd, mem.preg.n)
-        if kind == "move":
-            src, dst = instr.operands
-            if isinstance(src, Mem):
-                return _LoadStep(src_reader(src, held=True), dst.n)
-            return _MoveStep(src_reader(src, held=False), dst.n)
+            return _StoreStep(_reader(src), mem.preg.n)
         if kind == "branch":
             return _BranchStep()
 
-        readers = []
+        readers = [_reader(op) for op in instr.sources]
         if instr.op == "finvv":
-            readers.append((_R_CONST, 1.0))
-        for op in instr.sources:
-            readers.append(src_reader(op, held=False))
+            readers.insert(0, (_R_CONST, 1.0))
         dst = instr.operands[-1]
         if not isinstance(dst, VReg):
             raise ExecutionError(
                 f"destination must be a vector register, got {dst}")
-        token = self._new_token()
-        aux = self._new_token()
-        shorts.append(aux)
-        return _ComputeStep(instr.op, tuple(readers), dst.n, token, aux)
-
-    def _analyze_lifetimes(self, short_lived: list[list[int]]) -> None:
-        """Per-group release schedule for pooled buffers.
-
-        A token (one step's output buffer) can be released as soon as
-        no vector register holds it; moves share tokens, so holders are
-        tracked as sets.  Short-lived tokens (chained operand snapshots,
-        fma/select intermediates) release with their own group.
-        """
-        v_tok: list[int | None] = [None] * NUM_VREGS
-        holders: dict[int, set[int]] = {}
-        self.releases: list[tuple[int, ...]] = []
-        for gi, steps in enumerate(self.groups):
-            dying: list[int] = list(short_lived[gi])
-            for step in steps:
-                if isinstance(step, (_LoadStep, _ComputeStep)):
-                    token = (step.reader[2]
-                             if isinstance(step, _LoadStep)
-                             else step.token)
-                    dst = step.dst
-                elif isinstance(step, _MoveStep):
-                    rd = step.reader
-                    token = v_tok[rd[1]] if rd[0] == _R_VREG else None
-                    dst = step.dst
-                else:
-                    continue
-                old = v_tok[dst]
-                if old is not None:
-                    held_by = holders.get(old)
-                    if held_by is not None:
-                        held_by.discard(dst)
-                        if not held_by:
-                            dying.append(old)
-                            del holders[old]
-                v_tok[dst] = token
-                if token is not None:
-                    holders.setdefault(token, set()).add(dst)
-            self.releases.append(tuple(dying))
+        token = self._tokens      # the result's; the next is the aux's
+        self._tokens += 2
+        return _ComputeStep(instr.op, tuple(readers), dst.n, token,
+                            token + 1)
 
     # -- cached cost accounting ----------------------------------------
 
@@ -712,44 +509,20 @@ class RoutinePlan:
                         pool if pool is not None else GLOBAL_POOL,
                         Counter())
 
-    def run_steps(self, streams, scalars, pool: BufferPool, sig) -> None:
-        """The step engine: the recording pass of a new binding
-        signature ``sig``, the fully general fallback after it."""
+    def run_steps(self, streams, scalars, sig) -> None:
+        """The recording walk: the first trip of binding signature
+        ``sig``, and any later dispatch no kernel may run."""
         materialize_streams(streams)
-        spec = self.specs.get(sig)
-        frame = _Frame(streams, scalars, pool, spec)
-        try:
-            with np.errstate(all="ignore"):
-                self._run(frame)
-        finally:
-            for buf in frame.bufs.values():
-                pool.release(buf)
-            frame.bufs.clear()
-        if spec is None:
+        frame = _Frame(streams, scalars)
+        with np.errstate(all="ignore"):
+            for steps in self.groups:
+                values = [step.eval(frame) for step in steps]
+                for step, value in zip(steps, values):
+                    step.commit(frame, value)
+        if sig not in self.specs:
             if len(self.specs) >= self.SPEC_CAP:
                 self.specs.pop(next(iter(self.specs)))
             self.specs[sig] = frame.spec
-
-    def _run(self, frame: _Frame) -> None:
-        if frame.record:
-            frame.spec = {}
-        pool = frame.pool
-        bufs = frame.bufs
-        for steps, dying in zip(self.groups, self.releases):
-            if len(steps) == 1:
-                step = steps[0]
-                step.eval(frame)
-                step.commit(frame)
-            else:
-                main, paired = steps
-                main.eval(frame)
-                paired.eval(frame)
-                main.commit(frame)
-                paired.commit(frame)
-            for token in dying:
-                buf = bufs.pop(token, None)
-                if buf is not None:
-                    pool.release(buf)
 
 
 def _plan_flops(routine: Routine) -> int:

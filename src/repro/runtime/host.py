@@ -373,7 +373,7 @@ class HostExecutor:
         if info is not None and info[0] is plan:
             return info
         regs = {param.name: param.reg for param in op.routine.params}
-        read_pregs = set(getattr(plan, "read_pregs", plan.used_pregs))
+        read_pregs = set(plan.read_pregs)
         stored = set(plan.stored_pregs)
         reads: set[str] = set()
         writes: set[str] = set()

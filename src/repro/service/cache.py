@@ -65,7 +65,10 @@ from .store import ArtifactStore, default_store, fingerprint
 #:    executor would run as plain copies into arrays it never allocates.
 #: 6: states are named by their structural rendering, not their pickle
 #:    (no chain may join the two), and the ``phase`` kind is gone.
-SCHEMA_VERSION = 6
+#: 7: plan specs are numbered over compute steps alone (memory operands
+#:    no longer take a token), so a persisted spec table of an older
+#:    numbering must not be re-attached.
+SCHEMA_VERSION = 7
 
 
 def _options_payload(options) -> dict:

@@ -13,6 +13,7 @@ from repro.frontend.parser import parse_program
 from repro.lowering import check_program, lower_program
 from repro.machine import Machine, ckernel, fieldwise_model, slicewise_model
 from repro.machine import kernel as blocked
+from repro.machine.plan import RoutinePlan
 from repro.transform import optimize
 
 
@@ -30,6 +31,12 @@ def small_machine() -> Machine:
 # The modules that carry the emitter's equivalence tests ask for
 # ``eager_c``; the session counts what ``ckernel._load`` hands out per
 # module, prints it, and fails when one of them falls below its floor.
+#
+# The other way round for the fallback: a recording walk over a signature
+# that already has its spec is a dispatch no kernel ran.  Only the engine
+# modules send such dispatches on purpose, so the session counts them per
+# module beside the loads and fails when the rest of the suite sends more
+# than a handful — real traffic routed to the walk shows up here.
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +58,10 @@ C_MODULE_FLOOR = {"test_shift_fold.py": 500, "test_execplan.py": 180,
                   "test_plan.py": 45, "test_tier_up.py": 100,
                   "test_host_backend.py": 30}
 C_TOTAL_FLOOR = 950
+ENGINE_MODULES = frozenset(C_MODULE_FLOOR) - {"test_host_backend.py"}
+FALLBACK_CEILING = 10           # outside them, in all (3 when set)
 _loads: Counter = Counter()     # test file -> ckernel._load calls
+_fallbacks: Counter = Counter()     # test file -> walks that fell back
 _running: list = [None]
 _shortfalls: list[str] = []
 
@@ -64,6 +74,13 @@ def pytest_sessionstart(session):
         return inner(*args, **kwargs)
 
     ckernel._load = counted
+    walk = RoutinePlan.run_steps
+
+    def counted_walk(plan, streams, scalars, sig):
+        _fallbacks[_running[0]] += sig in plan.specs
+        return walk(plan, streams, scalars, sig)
+
+    RoutinePlan.run_steps = counted_walk
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -86,18 +103,29 @@ def pytest_sessionfinish(session, exitstatus):
     if all(m in _loads for m in C_MODULE_FLOOR) and total < C_TOTAL_FLOOR:
         _shortfalls.append(f"whole suite: {total} native kernels, "
                            f"floor {C_TOTAL_FLOOR}")
+    stray = sum(count for module, count in _fallbacks.items()
+                if module not in ENGINE_MODULES)
+    if stray > FALLBACK_CEILING:
+        _shortfalls.append(f"{stray} dispatches outside the engine modules "
+                           f"fell back to the recording walk, ceiling "
+                           f"{FALLBACK_CEILING}")
     if _shortfalls:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
-def pytest_terminal_summary(terminalreporter):
+def _per_module(counts: Counter) -> str:
     per = ", ".join(f"{module} {count}"
-                    for module, count in sorted(_loads.items()) if count)
+                    for module, count in sorted(counts.items()) if count)
+    return f"{sum(counts.values())} ({per})"
+
+
+def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
-        f"native kernels handed out by ckernel._load: "
-        f"{sum(_loads.values())} ({per})")
+        f"native kernels handed out by ckernel._load: {_per_module(_loads)}"
+        f"; dispatches that fell back to the recording walk: "
+        f"{_per_module(_fallbacks)}")
     for line in _shortfalls:
-        terminalreporter.write_line(f"C emitter coverage fell: {line}",
+        terminalreporter.write_line(f"engine coverage fell: {line}",
                                     red=True)
 
 

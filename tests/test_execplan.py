@@ -483,16 +483,6 @@ def test_array_scalar_never_records():
 
 
 @SITES
-def test_kernels_switched_off_mid_run_drops_the_record(mode, fused,
-                                                       monkeypatch):
-    t = _Trips(mode, fused)
-    t.trip(3)
-    monkeypatch.setenv("REPRO_FAST_KERNEL", "0")
-    got = t.trip(2)
-    assert (got["drops"], got["kernels_off"], got["records"]) == (1, 1, 1)
-
-
-@SITES
 def test_spill_slots_are_redrawn_zeroed_on_replay(mode, fused):
     t = _Trips(mode, fused, routine=_axpy(spill=True))
     got = t.trip(6)   # compared with interp after every trip

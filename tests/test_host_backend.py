@@ -181,8 +181,7 @@ class TestHostLaunchRecords:
             assert {"launch_records", "launch_replays",
                     "launch_drops"} <= set(block)
             assert set(block["launch_drop_reasons"]) == {
-                "binding", "plan", "scalar_type", "kernels_off",
-                "tier_up"}
+                "binding", "plan", "scalar_type", "tier_up"}
 
 
 @st.composite

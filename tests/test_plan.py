@@ -250,14 +250,26 @@ class TestDualIssueCommitSemantics:
 
     @pytest.mark.parametrize("case", ["paired_load_overwrites_main_source",
                                       "pair_reads_register_main_writes"])
-    def test_fast_path_mirrors_interp_without_kernels(self, case,
-                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_KERNEL", "0")
-        instrs = getattr(self, f"case_{case}")()
-        arrays = {0: np.array([1.0, 2.0]), 1: np.array([100.0, 200.0]),
-                  2: np.zeros(2), 3: np.zeros(2)}
-        ai, af = both_engines(instrs, arrays)
-        assert_bit_identical(ai, af)
+    def test_fast_path_mirrors_interp_without_kernels(self, case):
+        """Strided views: the probe rejects them, so the second run is
+        the recording walk again and no kernel is ever built."""
+        routine = make_routine(getattr(self, f"case_{case}")())
+
+        def bases():
+            wide = {0: np.zeros(4), 1: np.zeros(4), 2: np.zeros(4),
+                    3: np.zeros(4)}
+            wide[0][::2] = [1.0, 2.0]
+            wide[1][::2] = [100.0, 200.0]
+            return wide
+
+        bi, bf = bases(), bases()
+        run_interp(routine, {k: v[::2] for k, v in bi.items()})
+        run_fast(routine, {k: v[::2] for k, v in bases().items()})
+        plan = run_fast(routine, {k: v[::2] for k, v in bf.items()})
+        assert_bit_identical(bi, bf)
+        assert len(plan.specs) == 1
+        assert not any(plan.serial in key[0]
+                       for key in execplan._MEGA_KERNELS)
 
 
 class TestSpillScratchDtype:
@@ -348,16 +360,6 @@ class TestKernelCodegen:
                    for key, kern in execplan._MEGA_KERNELS.items()
                    if plan.serial in key[0])
 
-    def test_kernel_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_KERNEL", "0")
-        r = make_routine(self.saxpy())
-        arrays = {0: np.arange(8.0), 1: np.ones(8), 2: np.zeros(8)}
-        run_fast(r, arrays)
-        plan = run_fast(r, arrays)
-        assert not any(plan.serial in key[0]
-                       for key in execplan._MEGA_KERNELS)
-        assert list(arrays[2]) == [3.0 * i + 1.0 for i in range(8)]
-
     def test_blocked_loop_matches_interp(self):
         # Several cache blocks (16384 elements each) over a size that
         # does not divide evenly.
@@ -370,7 +372,7 @@ class TestKernelCodegen:
 
     def test_overlapping_store_views_fall_back(self):
         # Output overlaps the input: the kernel prober must refuse and
-        # the step engine must still match the oracle exactly.
+        # the recording walk must still match the oracle exactly.
         instrs = [
             Instr("flodv", (Mem(PReg(0)), VReg(0))),
             Instr("faddv", (VReg(0), Imm(1.0), VReg(1))),
@@ -406,6 +408,92 @@ class TestKernelCodegen:
         ai, af = both_engines(instrs, arrays)
         assert_bit_identical(ai, af)
         assert list(ai[2]) == list(np.maximum(arrays[0], arrays[1]))
+
+
+# ---------------------------------------------------------------------------
+# The fallback: dispatches no kernel may run take the recording walk again
+# ---------------------------------------------------------------------------
+
+_ADD_ONE = [
+    Instr("flodv", (Mem(PReg(0)), VReg(0))),
+    Instr("faddv", (VReg(0), Imm(1.0), VReg(1))),
+    Instr("fstrv", (VReg(1), Mem(PReg(1)))),
+]
+#: Why a dispatch stays off the kernels -> (body, arrays to allocate,
+#: the ``(array, region)`` bound to each pointer register, scalars).
+#: Every binding is eight elements long.
+FALLBACKS = {
+    "non-contiguous stream": (
+        _ADD_ONE, {"a": (16, "float64"), "b": (16, "float64")},
+        [("a", ((1, 16, 2),)), ("b", ((1, 16, 2),))], {}),
+    "stored view overlaps a distinct stream": (
+        _ADD_ONE, {"a": (9, "float64")},
+        [("a", ((1, 8, 1),)), ("a", ((2, 9, 1),))], {}),
+    "conversion op": (
+        [Instr("flodv", (Mem(PReg(0)), VReg(0))),
+         Instr("fintv", (VReg(0), VReg(1))),
+         Instr("fstrv", (VReg(1), Mem(PReg(1))))],
+        {"a": (8, "float64"), "b": (8, "int32")},
+        [("a", None), ("b", None)], {}),
+    "scalar-shaped compute": (
+        [Instr("faddv", (SReg(0), Imm(1.0), VReg(0))),
+         Instr("fstrv", (VReg(0), Mem(PReg(0))))],
+        {"a": (8, "float64")}, [("a", None)], {0: 2.5}),
+}
+
+
+@pytest.mark.parametrize("engine", ["fast", "fused", "host"])
+@pytest.mark.parametrize("reason", sorted(FALLBACKS))
+def test_dispatch_no_kernel_may_run_takes_the_recording_walk(reason, engine):
+    """Five trips of one site: the first records, the other four fall
+    back to the same walk — the oracle's bytes and ``RunStats``, one
+    spec, and never a launch record to replay."""
+    from repro.backend.host import HostMachine
+
+    body, allocs, bound, scalars = FALLBACKS[reason]
+
+    def run(make):
+        m = make()
+        routine = make_routine(body)
+        routine.params = [ParamSpec("subgrid", f"p{i}", PReg(i))
+                          for i in range(len(bound))]
+        routine.params += [ParamSpec("scalar", f"k{k}", SReg(k))
+                           for k in scalars]
+        for name, (extent, dtype) in allocs.items():
+            m.alloc(name, (extent,), np.dtype(dtype))
+            m.set_array(name, np.linspace(-3.0, 3.0, extent))
+        args = {f"p{i}": m.view(name, region)
+                for i, (name, region) in enumerate(bound)}
+        args.update({f"k{k}": v for k, v in scalars.items()})
+        plan = get_plan(routine)
+        walks = []
+
+        def walk(streams, scalars, sig):
+            walks.append(sig)
+            type(plan).run_steps(plan, streams, scalars, sig)
+
+        plan.run_steps = walk
+        for _ in range(5):
+            m.call_routine(routine, args, (8,), site="here")
+        return m, plan, walks
+
+    if engine == "host":
+        oracle, _, _ = run(lambda: HostMachine(exec_mode="interp"))
+        got, plan, walks = run(HostMachine)
+        assert got.exec_mode == "fused"
+        assert got.host_metrics["steps_dispatches"] == 5
+    else:
+        oracle, _, _ = run(lambda: Machine(slicewise_model(16),
+                                           exec_mode="interp"))
+        got, plan, walks = run(lambda: Machine(slicewise_model(16),
+                                               exec_mode=engine))
+    assert got.stats.to_dict() == oracle.stats.to_dict()
+    for name in allocs:
+        assert (got.home(name).data.tobytes()
+                == oracle.home(name).data.tobytes()), name
+    assert len(walks) == 5 and len(set(walks)) == 1
+    assert list(plan.specs) == [walks[0]]
+    assert got.launch_metrics["records"] == 0 and not got._launches
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +537,23 @@ def routine_case(draw, ops=OPS, dtypes=("float64", "float32")):
     return n, dtype, n_in, body, inputs
 
 
-def _dispatch(mode, case, repeats=2):
+def _dispatch(mode, case, repeats=2, stride=1, site=None):
+    """``stride`` > 1 binds every ``stride``-th element of arrays that
+    much longer: streams the probe rejects."""
     n, dtype, n_in, body, inputs = case
     m = Machine(slicewise_model(16), exec_mode=mode)
     r = make_routine(body, dtype=dtype)
     r.params = [ParamSpec("subgrid", f"a{i}.w0", PReg(i))
                 for i in range(n_in + 1)]
     for i in range(n_in):
-        m.alloc(f"a{i}", (n,), np.dtype(dtype))
-        m.set_array(f"a{i}", np.asarray(inputs[i], dtype=dtype))
-    m.alloc(f"a{n_in}", (n,), np.dtype(dtype))
-    args = {f"a{i}.w0": m.view(f"a{i}", None) for i in range(n_in + 1)}
+        m.alloc(f"a{i}", (n * stride,), np.dtype(dtype))
+        m.set_array(f"a{i}", np.repeat(np.asarray(inputs[i], dtype=dtype),
+                                       stride))
+    m.alloc(f"a{n_in}", (n * stride,), np.dtype(dtype))
+    region = None if stride == 1 else ((1, n * stride, stride),)
+    args = {f"a{i}.w0": m.view(f"a{i}", region) for i in range(n_in + 1)}
     for _ in range(repeats):
-        m.call_routine(r, args, (n,))
+        m.call_routine(r, args, (n,), site=site)
     return m, n_in
 
 
@@ -497,20 +589,15 @@ def test_random_routines_bit_identical_as_lone_c_kernels(case):
 @given(case=routine_case())
 @settings(max_examples=15, deadline=None)
 def test_random_routines_match_with_kernels_disabled(case):
-    old = os.environ.get("REPRO_FAST_KERNEL")
-    os.environ["REPRO_FAST_KERNEL"] = "0"
-    try:
-        mi, n_in = _dispatch("interp", case)
-        mf, _ = _dispatch("fast", case)
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_FAST_KERNEL", None)
-        else:
-            os.environ["REPRO_FAST_KERNEL"] = old
+    """No kernel may run a strided section: every trip is the recording
+    walk, and the site never gets a launch record."""
+    mi, n_in = _dispatch("interp", case, repeats=3, stride=2, site="here")
+    mf, _ = _dispatch("fast", case, repeats=3, stride=2, site="here")
     for i in range(n_in + 1):
         assert (mi.home(f"a{i}").data.tobytes()
                 == mf.home(f"a{i}").data.tobytes())
     assert mi.stats.to_dict() == mf.stats.to_dict()
+    assert mf.launch_metrics["records"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +607,7 @@ def test_random_routines_match_with_kernels_disabled(case):
 INT_MIN, INT_MAX = -2**31, 2**31 - 1
 INT_EDGES = [INT_MIN, INT_MIN + 1, -2, -1, 0, 1, 2, 3, 2**16, INT_MAX - 1,
              INT_MAX]
-#: Constants a plan keeps as weak Python ints (``_coerce_imm``:
+#: Constants a plan keeps as weak Python ints (``plan._reader``:
 #: ``INT_MIN`` itself would stay a float and promote the stream).
 INT_CONSTS = [-INT_MAX, -7, -2, -1, 0, 1, 2, 3, 11, 2**16, INT_MAX]
 DIVISORS = [-7, -2, 2, 3, 11, INT_MAX]
@@ -626,8 +713,8 @@ def test_int_routines_bit_identical_as_blocked_numpy(case):
     mi, n_in = _dispatch("interp", case[:5])
     mf, _ = _dispatch("fast", case[:5])
     _assert_same_machines(mi, mf, n_in)
-    # Integer division is an ordinary blocked kernel, not the step
-    # engine: nothing of the family is beyond the builder.
+    # Integer division is an ordinary blocked kernel, not the
+    # recording walk: nothing of the family is beyond the builder.
     assert mf.fusion_summary()["declined"] == NOTHING_DECLINED
 
 
@@ -837,8 +924,8 @@ class TestMixedKinds:
 
 
 def test_routine_with_imodv_is_an_ordinary_cache_entry():
-    """``idivv``/``imodv`` used to make a routine ``"ineligible"``: the
-    step engine on every launch, uncounted, never offered to C."""
+    """``idivv``/``imodv`` used to make a routine ``"ineligible"``: no
+    kernel on any launch, uncounted, never offered to C."""
     routine = make_routine([
         Instr("imodv", (Mem(PReg(0)), Imm(3.0), VReg(0))),
         Instr("idivv", (VReg(0), Imm(2.0), VReg(0))),
