@@ -38,12 +38,12 @@ class HostMachine(Machine):
             "steps_dispatches": 0,
         }
 
-    def _execute_dispatch(self, d):
-        """The shared path, counted by the tier that ran the dispatch
-        (``native_builds``: lone entries this machine moved to C)."""
+    def _execute_dispatch(self, dispatches, group=None):
+        """The shared path, a lone dispatch counted by the tier that ran
+        it (``native_builds``: lone entries this machine moved to C)."""
         tier_ups = self.fusion_metrics["tier_ups"]
-        launch = super()._execute_dispatch(d)
-        if self.exec_mode != "interp":
+        launch = super()._execute_dispatch(dispatches, group)
+        if self.exec_mode != "interp" and group is None:
             counter = ("steps_dispatches" if launch is None
                        else "native_dispatches" if launch.kern.native
                        else "blocked_dispatches")

@@ -23,10 +23,9 @@ Commands:
   store that backs the compile cache and incremental compilation.
 
 ``REPRO_DEBUG=1`` re-raises errors with full tracebacks instead of the
-one-line diagnostics; ``REPRO_CACHE=1`` makes every compile consult the
-persistent cache (``--cache`` does it per invocation);
-``REPRO_INCREMENTAL=1`` compiles through the per-pass artifact store
-(``--incremental`` does it per invocation).
+one-line diagnostics; ``--cache`` makes the invocation consult the
+persistent cache, ``--incremental`` compiles through the per-pass
+artifact store.
 """
 
 from __future__ import annotations
@@ -63,21 +62,17 @@ def _machine(args) -> Machine:
     model that the target cannot run under is an error, never a silent
     slicewise fallback.
     """
-    exec_mode = getattr(args, "exec_mode", None)
-    if exec_mode is None and getattr(args, "fuse_exec", False):
-        exec_mode = "fused"
     return build_machine(getattr(args, "target", "cm2"),
                          model=getattr(args, "model", None),
                          pes=getattr(args, "pes", None),
-                         exec_mode=exec_mode)
+                         exec_mode=getattr(args, "exec_mode", None))
 
 
 def _compile(args, source: str):
-    """Compile honoring --cache/--incremental (None defers to env)."""
-    cache = True if getattr(args, "cache", False) else None
-    incremental = True if getattr(args, "incremental", False) else None
-    return compile_source(source, _options(args), cache=cache,
-                          incremental=incremental,
+    """Compile honoring --cache/--incremental."""
+    return compile_source(source, _options(args),
+                          cache=getattr(args, "cache", False),
+                          incremental=getattr(args, "incremental", False),
                           dump_after=tuple(
                               getattr(args, "dump_after", None) or ()))
 
@@ -127,12 +122,11 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--target", choices=target_names(), default="cm2")
     g.add_argument("--cache", action="store_true",
                    help="consult the persistent compile cache "
-                        "(~/.cache/repro; also $REPRO_CACHE=1)")
+                        "(~/.cache/repro)")
     g.add_argument("--incremental", action="store_true",
                    help="compile through the content-addressed artifact "
                         "store: reuse front-end, per-pass and backend "
-                        "artifacts from previous compiles "
-                        "(also $REPRO_INCREMENTAL=1)")
+                        "artifacts from previous compiles")
     g.add_argument("--verify", action="store_true",
                    help="run the verifier suite between passes "
                         "(also $REPRO_VERIFY=1)")
@@ -157,9 +151,6 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
                    default=None,
                    help="node execution engine (default: $REPRO_EXEC "
                         "or fast)")
-    g.add_argument("--fuse-exec", action="store_true",
-                   help="shorthand for --exec fused: batch adjacent node "
-                        "calls into cross-routine mega-kernels")
 
 
 # -- commands ---------------------------------------------------------------

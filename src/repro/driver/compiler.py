@@ -10,7 +10,6 @@ simulated machine.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,12 +93,8 @@ class Executable:
                 from ..targets import build_machine
                 machine = build_machine(self.options.target,
                                         exec_mode=exec_mode)
-        fuse = False
-        if machine.exec_mode == "fused":
-            from ..targets import get_target
-            fuse = (get_target(self.options.target).fuse_exec
-                    and getattr(self.options.transform, "fuse_exec", True))
-        executor = HostExecutor(machine, fuse_exec=fuse)
+        executor = HostExecutor(machine,
+                                fuse_exec=self.options.transform.fuse_exec)
         if inputs:
             # Inputs override initial contents after allocation, so run
             # the allocation prologue first by pre-allocating here.
@@ -138,7 +133,7 @@ def compile_source(source: str,
                    options: CompilerOptions | None = None,
                    cache=None,
                    dump_after: tuple[str, ...] = (),
-                   incremental: bool | None = None,
+                   incremental: bool = False,
                    store=None) -> Executable:
     """Compile Fortran 90 source text through the full pipeline.
 
@@ -148,18 +143,15 @@ def compile_source(source: str,
     ``cache`` consults the persistent compile cache
     (:mod:`repro.service.cache`) before doing any work: pass a
     :class:`~repro.service.cache.CompileCache`, ``True`` for the default
-    on-disk cache, or ``False`` to force a fresh compile.  The default
-    (``None``) follows ``$REPRO_CACHE`` — set ``REPRO_CACHE=1`` to make
-    every compile in the process cache-backed.
+    on-disk cache; the default is a fresh compile.
 
     ``incremental`` hands the walk a content-addressed artifact store
     (:mod:`repro.service.store`): the front end, every transform pass
     and the backend are keyed and reused individually, so an edit that
     only perturbs the pipeline tail recompiles only the tail, and one
-    that only moves lines re-parses and reuses the rest.  The default
-    (``None``) follows ``$REPRO_INCREMENTAL``.  ``store`` names the
-    :class:`~repro.service.store.ArtifactStore` to use (default: the
-    process-wide one).
+    that only moves lines re-parses and reuses the rest.  ``store``
+    names the :class:`~repro.service.store.ArtifactStore` to use
+    (default: the process-wide one).
 
     ``dump_after`` (pass names) captures pretty-printed NIR snapshots
     into the transform trace; it forces a fresh, storeless compile,
@@ -167,17 +159,12 @@ def compile_source(source: str,
     """
     if dump_after:
         cache = False
-    if cache is None:
-        cache = os.environ.get("REPRO_CACHE") in ("1", "true", "yes")
     if cache:
         from ..service.cache import CompileCache, default_cache
 
         cc = cache if isinstance(cache, CompileCache) else default_cache()
         exe, _hit = cc.compile(source, options, incremental=incremental)
         return exe
-    if incremental is None:
-        incremental = os.environ.get("REPRO_INCREMENTAL") in \
-            ("1", "true", "yes")
     if not incremental:
         store = None
     elif store is None:

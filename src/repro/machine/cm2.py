@@ -17,9 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..analysis import verify_enabled
 from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
-from .execplan import Dispatch, ExecutionPlan, LaunchRecord, run_lone
+from .execplan import Dispatch, ExecutionPlan, LaunchRecord, run_group
 from .geometry import Geometry, coordinate_array, make_geometry
 from .pe import SubgridStream, VectorExecutor
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
@@ -105,7 +106,10 @@ class Machine:
         # CSHIFT prices by (priced array, dim, shift): the geometry of
         # an allocated array never changes, so each is computed once.
         self._shift_cycles: dict[tuple, int] = {}
-        self._verified_routines: set[int] = set()   # plan serials
+        # Plan serials the dispatch-time verifier passed; None when
+        # ``REPRO_VERIFY`` was off as the machine was built.
+        self._verified_routines: set[int] | None = (
+            set() if verify_enabled() else None)
         # Steady-state dispatch: one launch record per dispatch site
         # (docs/PIPELINE.md §16).  The interpreter oracle never makes
         # or reads one.
@@ -241,10 +245,6 @@ class Machine:
         """
         if serial in self._verified_routines:
             return
-        from ..analysis import verify_enabled
-
-        if not verify_enabled():
-            return
         from ..analysis.diagnostics import VerifyError
         from ..analysis.peac_verifier import verify_routine
 
@@ -284,36 +284,46 @@ class Machine:
         **one** node call (deduplicated pushes, a single merged trip
         loop, forwarded intermediate loads) and runs through one
         kernel.  An illegal batch — and every longer batch under the
-        other engines — runs call by call with unchanged accounting.
+        other engines — *is its calls*: each is charged, run, recorded
+        and replayed as a site of its own, ``(site, i)``.
         ``site`` names the dispatch site, as for :meth:`call_routine`.
         """
         if site is not None and self._replay(site, calls):
             return
         dispatches = [self._prepare(*c) for c in calls]
         try:
-            if len(dispatches) == 1:
-                charge = self._charge(dispatches[0])
-                launch = self._execute_dispatch(dispatches[0])
-            else:
-                group = (ExecutionPlan.build(dispatches)
-                         if self.exec_mode == "fused" else None)
+            group = None
+            if len(dispatches) > 1:
+                if self.exec_mode == "fused":
+                    group = ExecutionPlan.build(dispatches)
                 if group is None:
                     # Every shifted operand means its source at batch
-                    # start.
-                    for d in dispatches:
+                    # start, which is when the first call starts; the
+                    # later calls' are copied now — and a call over a
+                    # copy leaves nothing a later trip could replay.
+                    for d in dispatches[1:]:
                         materialize_streams(d.streams)
-                    for d in dispatches:
-                        self._execute_dispatch(d)
-                        self.stats.charge_call(*self._charge(d))
+                    for i, (call, d) in enumerate(zip(calls, dispatches)):
+                        sub = (None if site is None or (i and d.shifted)
+                               else (site, i))
+                        if sub is None or not self._replay(sub, (call,)):
+                            self._dispatch((call,), (d,), sub)
                     return
-                charge = group.charge(self.model, dispatches)
-                launch = group.run(self, dispatches)
-            self.stats.charge_call(*charge)
-            if launch is not None and site is not None:
-                self._record(site, calls, dispatches, launch, charge)
+            self._dispatch(calls, dispatches, site, group)
         finally:
             for d in dispatches:
                 self._release(d)
+
+    def _dispatch(self, calls, dispatches, site, group=None) -> None:
+        """Run prepared calls as one node call — a lone call, or the
+        batch ``group`` proved legal — and keep the trip as the site's
+        launch record when a kernel ran it."""
+        charge = (self._charge(dispatches[0]) if group is None
+                  else group.charge(self.model, dispatches))
+        launch = self._execute_dispatch(dispatches, group)
+        self.stats.charge_call(*charge)
+        if launch is not None and site is not None:
+            self._record(site, calls, dispatches, launch, charge)
 
     # -- steady state: launch records -------------------------------------
 
@@ -356,7 +366,8 @@ class Machine:
         if layout is not None and len(layout) != len(region_extents):
             layout = None  # section computes fall back to block layout
         plan = get_plan(routine)
-        self._verify_routine(routine, plan.serial)
+        if self._verified_routines is not None:
+            self._verify_routine(routine, plan.serial)
         geom = make_geometry(region_extents, self.model.n_pes, layout)
         streams: list[SubgridStream | None] = [None] * NUM_PREGS
         scalars: list = [_UNBOUND] * NUM_SREGS
@@ -412,9 +423,11 @@ class Machine:
                         scalar_pushes, spill_bufs, tuple(spill_pregs),
                         trips, elements)
 
-    def _execute_dispatch(self, d: Dispatch):
-        """Run one prepared call; the launch, when a kernel ran it."""
+    def _execute_dispatch(self, dispatches, group=None):
+        """Run the prepared calls of one node call; the launch, when a
+        kernel ran them."""
         if self.exec_mode == "interp":
+            (d,) = dispatches   # the oracle never batches
             materialize_streams(d.streams)
             executor = VectorExecutor()
             for n, stream in enumerate(d.streams):
@@ -425,13 +438,14 @@ class Machine:
                     executor.bind_scalar(SReg(n), value)
             executor.run(d.routine)
             return None
-        return run_lone(d, self.pool, self.fusion_metrics)
+        return run_group(dispatches, self.pool, self.fusion_metrics, group)
 
     def _release(self, d: Dispatch) -> None:
         for scratch in d.spill_bufs:
             self.pool.release(scratch)
         for stream in d.shifted:
-            self.fusion_metrics[f"shifts_{stream.state}"] += 1
+            if stream.state is not None:   # prepared, then replayed: None
+                self.fusion_metrics[f"shifts_{stream.state}"] += 1
             stream.release()
 
     def _charge(self, d: Dispatch) -> tuple:

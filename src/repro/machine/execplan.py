@@ -39,12 +39,14 @@ pushes, a single virtual-subgrid loop, register-resident forwarding of
 streams an earlier constituent just stored); a lone dispatch keeps the
 per-parameter charge of ``Machine._charge``.
 
-Correctness never depends on the probe: a batch that fails it runs (and
-is charged) call by call, a lone dispatch that fails it takes the
-plan's recording walk (:meth:`~repro.machine.plan.RoutinePlan.run_steps`)
-again, and a group whose kernel is not buildable yet executes each
-constituent in order (:func:`run_lone`) — all bit-identical to the
-interpreter oracle.
+Correctness never depends on the probe, and what happens without a
+kernel is one chain written once (:func:`run_group`): the group's
+kernel; else each constituent as a group of one over materialised
+streams; else the plan's recording walk
+(:meth:`~repro.machine.plan.RoutinePlan.run_steps`) — all bit-identical
+to the interpreter oracle.  A batch that fails the probe never gets
+that far: it is its calls, each charged, run and recorded as a site of
+its own (:meth:`Machine.call_fused`).
 """
 
 from __future__ import annotations
@@ -394,28 +396,6 @@ class ExecutionPlan:
                                         else "folded")
         return launch
 
-    def run(self, machine, dispatches) -> Launch | None:
-        """Execute a fused batch; the launch, when a kernel ran it."""
-        metrics = machine.fusion_metrics
-        sigs = tuple(d.plan._signature(d.streams, d.scalars)
-                     for d in dispatches)
-        kern, built = self.kernel_for(sigs, metrics)
-        if built:
-            metrics["megakernel_builds"] += 1
-        elif kern is not None:
-            metrics["megakernel_hits"] += 1
-        if kern is None:
-            metrics["stepwise_groups"] += 1
-            # Every shifted operand means its source at group start.
-            for d in dispatches:
-                materialize_streams(d.streams)
-            for d in dispatches:
-                run_lone(d, machine.pool, metrics)
-            return None
-        launch = self.launch(kern, dispatches, machine.pool)
-        launch.counters.append((metrics, "megakernel_hits"))
-        return launch
-
     def _merged_plan(self) -> _MergedPlan:
         groups: list = []
         toff = 0
@@ -436,38 +416,51 @@ class ExecutionPlan:
         return spec
 
 
-def run_lone(d: Dispatch, pool, metrics) -> Launch | None:
-    """Run one dispatch as a group of one.
+def run_group(dispatches, pool, metrics,
+              group: ExecutionPlan | None = None) -> Launch | None:
+    """Run k >= 1 prepared calls: the one fallback chain.
 
-    Returns the launch when a kernel ran over the operands as bound
-    (what a dispatch site may replay), else None.  A first trip with a
-    new binding signature does not probe: it goes straight to the
-    plan's recording walk, as does a later trip no kernel may run.  ``metrics`` is the machine's
-    ``fusion_metrics`` (see :meth:`ExecutionPlan.kernel_for`).
+    The group's kernel; else each constituent as a group of one over
+    materialised streams (a shifted operand means its source when the
+    group starts); else the plan's recording walk.  Returns the launch
+    when a kernel ran over the operands as bound — what a dispatch site
+    may replay — else None.
+
+    ``group`` is the probe's verdict when the caller already needed it
+    (a batch is charged by it).  Otherwise a first trip does not probe:
+    a binding signature no walk has recorded yet has no kernel to find.
+    ``metrics`` is the machine's ``fusion_metrics`` (see
+    :meth:`ExecutionPlan.kernel_for`).
     """
-    plan = d.plan
-    streams = d.streams
-    sig = plan._signature(streams, d.scalars)
-    if sig in plan.specs:
-        launch = _launch_lone(d, sig, pool, metrics)
-        if launch is not None:
+    sigs = tuple(d.plan._signature(d.streams, d.scalars)
+                 for d in dispatches)
+    if group is None and all(sig in d.plan.specs
+                             for d, sig in zip(dispatches, sigs)):
+        group = ExecutionPlan.build(dispatches)
+    if group is not None:
+        kern, built = group.kernel_for(sigs, metrics)
+        if group.k > 1:
+            if built:
+                metrics["megakernel_builds"] += 1
+            elif kern is not None:
+                metrics["megakernel_hits"] += 1
+            if kern is None:
+                metrics["stepwise_groups"] += 1
+        if kern is not None:
+            launch = group.launch(kern, dispatches, pool)
+            if group.k > 1:
+                launch.counters.append((metrics, "megakernel_hits"))
             return launch
-        # A shifted operand the kernel could not read in place still
-        # runs through a kernel over its copy, as it did before folding.
-        if any(isinstance(st, ShiftedStream) for st in streams):
-            materialize_streams(streams)
-            if _launch_lone(d, sig, pool, metrics) is not None:
-                return None
-    plan.run_steps(streams, d.scalars, sig)
-    return None
-
-
-def _launch_lone(d, sig, pool, metrics) -> Launch | None:
-    group = ExecutionPlan.build((d,))
-    if group is None:
+    d = dispatches[0]
+    if len(dispatches) == 1 and not any(
+            isinstance(st, ShiftedStream) for st in d.streams):
+        d.plan.run_steps(d.streams, d.scalars, sigs[0])
         return None
-    kern, _ = group.kernel_for((sig,), metrics)
-    return None if kern is None else group.launch(kern, (d,), pool)
+    for d in dispatches:
+        materialize_streams(d.streams)
+    for d in dispatches:
+        run_group((d,), pool, metrics)
+    return None
 
 
 # -- steady state: the per-site launch record -------------------------------

@@ -51,7 +51,6 @@ from ..peac.isa import (
 )
 from .costs import CostModel
 from .pe import ExecutionError, SubgridStream, _APPLY
-from .shifted import materialize_streams
 
 
 _UNBOUND = object()
@@ -498,21 +497,22 @@ class RoutinePlan:
         ``streams`` is a list of ``NUM_PREGS`` :class:`SubgridStream`
         entries (or ``None``); ``scalars`` a list of ``NUM_SREGS``
         values with ``_UNBOUND`` holes.  This is the group of one
-        without a machine (:func:`repro.machine.execplan.run_lone`): a
+        without a machine (:func:`repro.machine.execplan.run_group`): a
         kernel when the bindings allow one, else :meth:`run_steps`.
         Returns the :class:`~repro.machine.kernel.Launch` when a kernel
         ran over the operands as bound, else None.
         """
-        from .execplan import Dispatch, run_lone  # it imports this module
+        from .execplan import Dispatch, run_group  # it imports this module
 
-        return run_lone(Dispatch(None, self, streams, scalars),
-                        pool if pool is not None else GLOBAL_POOL,
-                        Counter())
+        return run_group((Dispatch(None, self, streams, scalars),),
+                         pool if pool is not None else GLOBAL_POOL,
+                         Counter())
 
     def run_steps(self, streams, scalars, sig) -> None:
         """The recording walk: the first trip of binding signature
-        ``sig``, and any later dispatch no kernel may run."""
-        materialize_streams(streams)
+        ``sig``, and any later dispatch no kernel may run (over plain
+        streams: :func:`~repro.machine.execplan.run_group` has swapped
+        every shifted one for its copy)."""
         frame = _Frame(streams, scalars)
         with np.errstate(all="ignore"):
             for steps in self.groups:

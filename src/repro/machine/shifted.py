@@ -107,7 +107,8 @@ class ShiftedStream:
     ``operand`` and sets ``state``; every other consumer must first
     swap it for its materialised copy (:func:`materialize_streams`), so
     a path that forgets fails loudly instead of reading stale data.
-    ``state`` feeds the machine's ``shifts_*`` counters.
+    ``state`` — how the dispatch consumed it, None while nothing has —
+    feeds the machine's ``shifts_*`` counters.
     """
 
     __slots__ = ("operand", "name", "pool", "state", "_copy")
@@ -116,7 +117,7 @@ class ShiftedStream:
         self.operand = operand
         self.name = name
         self.pool = pool
-        self.state = "materialized"   # until a kernel reads it in place
+        self.state: str | None = None
         self._copy: np.ndarray | None = None
 
     @property
@@ -127,6 +128,7 @@ class ShiftedStream:
     def materialize(self) -> SubgridStream:
         """A plain stream over the shifted copy (pooled, made once)."""
         if self._copy is None:
+            self.state = "materialized"
             base = self.operand.base
             self._copy = self.operand.materialize(
                 self.pool.acquire(base.shape, base.dtype))

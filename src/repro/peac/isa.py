@@ -309,6 +309,14 @@ class Routine:
     spill_slots: int = 0  # per-call PE scratch streams, bound from aP15 down
     dtype: str = "float64"  # element dtype of the routine's spill scratch
 
+    def __getstate__(self) -> dict:
+        """Pickle without the cached execution plan
+        (:func:`repro.machine.plan.get_plan` keeps it in ``_plan``): a
+        plan holds ``exec``-compiled kernels and is rebuilt on demand."""
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
+
     @property
     def label(self) -> str:
         return f"{self.name}_"

@@ -21,10 +21,10 @@ marker, one purge path — there is no second cache to keep coherent.
 Entries also carry the executable's **warmed PEAC plan state**: the
 per-routine binding-signature specializations recorded by
 :class:`~repro.machine.plan.RoutinePlan` during execution.  Plans
-themselves hold ``exec``-compiled kernels and are not picklable, so the
-cache strips ``Routine._plan`` before pickling and persists only the
-``specs`` tables; on load they are re-attached, so a cached executable
-skips the plans' recording mode on its first run.
+themselves hold ``exec``-compiled kernels and never pickle (a
+:class:`~repro.peac.isa.Routine` drops its own), so the cache persists
+only the ``specs`` tables; on load they are re-attached, so a cached
+executable skips the plans' recording mode on its first run.
 
 Writes are atomic (temp file + ``os.replace``), reads touch the entry's
 mtime for the LRU sweep, and corrupt or version-skewed entries are
@@ -84,7 +84,7 @@ def _options_payload(options) -> dict:
 
     return {
         "target": get_target(options.target).name,
-        "fuse_exec": bool(getattr(options.transform, "fuse_exec", True)),
+        "fuse_exec": options.transform.fuse_exec,
         "transform": dataclasses.asdict(options.transform),
         "backend": dataclasses.asdict(options.backend),
     }
@@ -123,10 +123,10 @@ def cache_key(source: str, options=None, machine: dict | None = None,
 
 
 def _extract_plan_state(exe) -> dict[str, dict]:
-    """Pop every routine's plan; return {name: specs} for the warm ones."""
+    """{name: specs} of every routine whose plan has recorded any."""
     state: dict[str, dict] = {}
     for name, routine in exe.routines.items():
-        plan = routine.__dict__.pop("_plan", None)
+        plan = getattr(routine, "_plan", None)
         if plan is not None and plan.specs:
             state[name] = dict(plan.specs)
     return state
@@ -253,17 +253,10 @@ class CompileCache:
     def put(self, key: str, exe) -> None:
         """Persist an Executable (plus its warmed plan state) under ``key``.
 
-        Plans are stripped for pickling and re-attached before
-        returning, so the caller's executable keeps its compiled fast
-        paths.  The write is atomic; a failed pickle leaves no entry.
+        The write is atomic; a failed pickle leaves no entry.
         """
-        plans = _extract_plan_state(exe)
-        try:
-            stored = self.store.put("exe", key,
-                                    {"exe": exe, "plans": plans})
-        finally:
-            _restore_plan_state(exe, plans)
-        if stored:
+        if self.store.put("exe", key, {"exe": exe,
+                                       "plans": _extract_plan_state(exe)}):
             self._memo_put(key, exe, self._path(key))
 
     def clear(self) -> None:
@@ -273,12 +266,11 @@ class CompileCache:
 
     # -- the compile front door ----------------------------------------
 
-    def compile(self, source: str, options=None, incremental=None):
+    def compile(self, source: str, options=None, incremental=False):
         """Compile through the cache; returns ``(executable, hit)``.
 
-        On a whole-source miss, ``incremental`` (default: the
-        ``$REPRO_INCREMENTAL`` switch) compiles through the store's
-        pipeline-stage artifacts, so an edit that only perturbs the
+        On a whole-source miss, ``incremental`` compiles through the
+        store's pipeline-stage artifacts, so an edit that only perturbs the
         pipeline tail reuses every prefix artifact.
         """
         from ..driver.compiler import compile_source

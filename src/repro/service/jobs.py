@@ -128,13 +128,12 @@ def _compile(request: dict, cache: CompileCache | None):
     t0 = time.perf_counter()
     if cache is not None:
         key = cache_key(source, options)
-        exe, hit = cache.compile(source, options,
-                                 incremental=incremental or None)
+        exe, hit = cache.compile(source, options, incremental=incremental)
         state = "hit" if hit else "miss"
     else:
         key = None
         exe = compile_source(source, options, cache=False,
-                             incremental=incremental or None)
+                             incremental=incremental)
         state = None
     return exe, key, state, time.perf_counter() - t0
 

@@ -68,11 +68,6 @@ class Target:
     verify_peac: bool = False
     default_pes: int = 2048
     paper_section: str = ""
-    #: Allow the run-time execution-plan fusion layer (``"fused"`` exec
-    #: mode batches node calls into cross-routine mega-kernels).  A
-    #: target whose dispatch semantics cannot tolerate merged IFIFO
-    #: pushes can opt out here.
-    fuse_exec: bool = True
     #: Lazy loader for the machine class executables run on (defaults to
     #: the simulated CM :class:`~repro.machine.Machine`); a target with
     #: its own dispatch engine registers it here.

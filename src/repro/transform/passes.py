@@ -189,7 +189,7 @@ register(Pass(
 
 register(Pass(
     name="fuse_exec", scope="body", run=_run_fuse_exec,
-    enabled=lambda o: getattr(o, "fuse_exec", True),
+    enabled=lambda o: o.fuse_exec,
     config=lambda o: {"neighborhood": o.neighborhood},
     report_slot="exec_fusion",
     description="cross-routine execution-plan fusion survey (runtime "

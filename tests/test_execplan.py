@@ -9,7 +9,7 @@ argument-push work.  These tests pin that contract with hypothesis
 programs across both targets, mixed-shape fusability edges, mega-kernel
 cache reuse and eviction on plan invalidation, the native-C/Python
 kernel agreement, and every fusion kill switch (transform option,
-target flag, executor argument).  The last section pins the launch
+executor argument).  The last section pins the launch
 records (``docs/PIPELINE.md`` §16): what replays, everything that must
 drop a record, and that a replaying run cannot be told from one that
 never replays.
@@ -33,6 +33,7 @@ from repro.machine import (Machine, get_plan, invalidate_plan,
 from repro.machine import execplan, kernel
 from repro.machine.ckernel import _compiler
 from repro.machine.kernel import SlotTable
+from repro.machine.shifted import Shifted
 from repro.peac import Imm, Instr, Mem, PReg, Routine, SReg, VReg
 from repro.peac.isa import NUM_PREGS, CReg, ParamSpec
 from repro.programs.kernels import (heat_source, life_source,
@@ -290,16 +291,6 @@ def test_transform_option_disables_fusion():
                 == result.arrays[name].tobytes()), name
 
 
-def test_target_flag_disables_fusion(monkeypatch):
-    from repro.targets import registry
-
-    off = dataclasses.replace(registry.get_target("cm2"),
-                              fuse_exec=False)
-    monkeypatch.setitem(registry._TARGETS, "cm2", off)
-    _, summary = _fused_summary(compile_source(swe_source(n=16, itmax=2)))
-    assert summary["fused_groups"] == 0
-
-
 def test_naive_options_disable_fusion():
     exe = compile_source(swe_source(n=16, itmax=2),
                          CompilerOptions.naive())
@@ -520,6 +511,99 @@ def test_site_reused_for_another_routine_runs_that_routine():
     got = t.trip()             # same site, same bindings, other routine
     assert (got["drops"], got["plan"]) == (1, 1)
     t.trip(3)
+
+
+# -- a batch no kernel may run together is its calls -------------------------
+
+#: ``RunStats`` of ``redblack_source(32, 8)`` with ``pad_masks=False``
+#: as captured at the commit before a rejected batch's calls became
+#: sites of their own (cm2: every field; host: the counts, its cycles
+#: are calibrated per process).
+_REDBLACK_COUNTS = {"node_calls": 33, "ififo_pushes": 165, "flops": 87040,
+                    "elements_computed": 25600, "comm_ops": 64,
+                    "fused_groups": 0, "fused_routines": 0}
+_REDBLACK_CM2 = {**_REDBLACK_COUNTS, "node_cycles": 1296,
+                 "call_cycles": 19800, "comm_cycles": 22144,
+                 "host_cycles": 126, "total_cycles": 43366, "reductions": 0,
+                 "per_routine": {"Pk1vs1": 164, "Pk2vs1": 400, "Pk3vs1": 160,
+                                 "Pk4vs1": 400, "Pk5vs1": 160}}
+
+
+@pytest.mark.parametrize("target,pinned", [("cm2", _REDBLACK_CM2),
+                                           ("host", _REDBLACK_COUNTS)])
+def test_rejected_batch_dispatches_like_fast(target, pinned):
+    """Figure 10's ablation sends strided sections to the dispatcher:
+    every batch of a sweep is rejected (trip counts differ), so
+    ``fused`` must account — and replay — call by call, as ``fast``."""
+    options = CompilerOptions(target=target,
+                              transform=TransformOptions(pad_masks=False))
+    exe = compile_source(redblack_source(32, 8), options)
+    # Once for the plans' specs: the engines compared then all start
+    # warm, and a site records on its first trip.
+    exe.run(machine=build_machine(target, exec_mode="fast"))
+    out = run_engines(exe, target)
+    ref = out["interp"][0]
+    for mode in ("fast", "fused"):
+        res, machine = out[mode]
+        for name in ref.arrays:
+            assert (ref.arrays[name].tobytes()
+                    == res.arrays[name].tobytes()), (mode, name)
+        stats = res.stats.to_dict()
+        assert {key: stats[key] for key in pinned} == pinned, mode
+    fast, fused = (out[mode][1].fusion_summary()
+                   for mode in ("fast", "fused"))
+    assert out["fused"][0].stats.to_dict() == out["fast"][0].stats.to_dict()
+    assert fused["launch_replays"] == fast["launch_replays"] == 14
+    for key in ("launch_records", "launch_drops", "shifts_folded",
+                "shifts_staged", "shifts_materialized"):
+        assert fused[key] == fast[key], key
+
+
+def _add_shifted(name="addsh"):
+    """``y = y + s`` with ``s`` bound to a shifted operand."""
+    routine = Routine(name)
+    routine.params = [ParamSpec("halo", "s", PReg(0)),
+                      ParamSpec("subgrid", "y", PReg(1)),
+                      ParamSpec("vlen", "vlen", CReg(2))]
+    routine.body = [Instr("flodv", (Mem(PReg(0)), VReg(0))),
+                    Instr("flodv", (Mem(PReg(1)), VReg(1))),
+                    Instr("faddv", (VReg(0), VReg(1), VReg(2))),
+                    Instr("fstrv", (VReg(2), Mem(PReg(1))))]
+    return routine
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+@pytest.mark.parametrize("legal", [True, False])
+def test_shifted_operand_means_its_source_at_batch_start(mode, legal):
+    """The first call of a batch stores the array the second reads
+    through a shifted operand: whether the batch runs as one group
+    (the store staged) or is rejected and runs as its calls (``y``
+    strided), the second call sees the source as the batch found it."""
+    m = Machine(slicewise_model(16), exec_mode=mode)
+    m.alloc("x", (N,), np.dtype(np.float64))
+    m.alloc("y", (2 * N,), np.dtype(np.float64))
+    m.set_array("x", np.arange(N) + 1.0)
+    x = m.view("x", None)
+    y = m.view("y", ((1, N, 1),) if legal else ((1, 2 * N, 2),))
+    scale, add = _scale(), _add_shifted()
+    shifted = Shifted(x, (1,))
+    want_y = np.zeros(N)
+    for _ in range(4):      # recording walk, kernel, replays
+        want_y += np.roll(x, -1)
+        want_x = x * 0.5
+        m.call_fused([(scale, {"x": x}, (N,)),
+                      (add, {"s": shifted, "y": y}, (N,))],
+                     site=("scale", "add"))
+        assert x.tobytes() == want_x.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+    fused = legal and mode == "fused"
+    assert m.stats.fused_groups == (4 if fused else 0)
+    if mode != "interp":
+        # One record either way: the legal batch's, or the first call's
+        # — the second ran over a copy, which nothing can replay.
+        assert m.launch_metrics["records"] == 1
+        assert m.launch_metrics["replays"] == 2
+        assert (("scale", "add"), 0) in m._launches or fused
 
 
 # -- whole programs: replay against a machine that never replays ------------

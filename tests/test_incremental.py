@@ -351,6 +351,19 @@ class TestIncrementalReuse:
         assert arts["passes"]["hits"] > 0
         assert_same_run(first, warm)
 
+    @pytest.mark.parametrize("target", ["cm2", "cm5", "host"])
+    def test_backend_artifact_persists_on_every_target(self, tmp_path,
+                                                       target):
+        """Regression: the host backend's lowering audit builds every
+        routine's plan, which must not keep the artifact from pickling."""
+        store = make_store(tmp_path)
+        options = CompilerOptions(target=target)
+        compile_inc(SOURCE, store, options)
+        assert store.counters["backend"]["errors"] == 0
+        assert store.stats()["kinds"]["backend"]["entries"] == 1
+        warm = compile_inc(SOURCE, store, options)
+        assert warm.transformed.trace.artifacts["backend"] == "hit"
+
     def test_warm_trace_marks_cached_passes(self, tmp_path):
         store = make_store(tmp_path)
         compile_inc(SOURCE, store)

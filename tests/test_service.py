@@ -245,16 +245,6 @@ def test_compile_source_cache_argument(tmp_path):
     assert cache.hits == 1
 
 
-def test_compile_source_env_opt_in(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-    compile_source(TINY)
-    compile_source(TINY)
-    store = cache_mod.default_cache()
-    assert store.stats()["entries"] == 1
-    assert store.hits >= 1
-
-
 # -- jobs -------------------------------------------------------------------
 
 
