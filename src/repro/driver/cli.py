@@ -236,13 +236,23 @@ def cmd_run(args) -> int:
         print(f"breakdown: node {b['node']:.1%}  call {b['call']:.1%}  "
               f"comm {b['comm']:.1%}  host {b['host']:.1%}",
               file=sys.stderr)
+        fs = machine.fusion_summary()
         if machine.exec_mode == "fused":
-            fs = machine.fusion_summary()
             print(f"fusion: {fs['fused_groups']} groups covering "
                   f"{fs['fused_routines']} calls; mega-kernels "
                   f"{fs['megakernel_builds']} built / "
                   f"{fs['megakernel_hits']} hits / "
                   f"{fs['stepwise_groups']} stepwise", file=sys.stderr)
+        exits = ", ".join(f"{n} {why}" for why, n in
+                          fs["trip_exit_reasons"].items() if n)
+        declined = ", ".join(f"{n} {why}" for why, n in
+                             sorted(fs["trip_declined"].items()))
+        print(f"trip records: {fs['trip_records']} built / "
+              f"{fs['trip_replays']} trips replayed / "
+              f"{fs['trip_exits']} side exits"
+              + (f" ({exits})" if exits else "")
+              + (f"; loops declined: {declined}" if declined else ""),
+              file=sys.stderr)
         for name, cycles in sorted(result.stats.per_routine.items()):
             print(f"  {name:<12} {cycles:>12,d} node cycles",
                   file=sys.stderr)

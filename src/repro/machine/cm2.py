@@ -119,6 +119,15 @@ class Machine:
             # drops, by what no longer matched
             "binding": 0, "plan": 0, "scalar_type": 0, "tier_up": 0,
         }
+        # Trip records (the host executor's, one level up: a loop whose
+        # steady-state trip is replayed as a list of launch records):
+        # built, trips run from one, side exits by the guard that
+        # failed, and loop executions declined one, by reason.
+        self.trip_metrics: dict = {
+            "records": 0, "replays": 0, "exits": 0,
+            "guard": 0, "scalar_type": 0, "tier_up": 0,
+            "declined": {},
+        }
         # Fused-group kernel and shift-path telemetry: machine-local and
         # wall-clock flavored — it never feeds RunStats, which stay
         # deterministic run to run.
@@ -258,7 +267,7 @@ class Machine:
                      region_extents: tuple[int, ...],
                      real_elements: int | None = None,
                      layout: tuple[str, ...] | None = None,
-                     site=None) -> None:
+                     site=None) -> tuple[LaunchRecord, ...] | None:
         """Dispatch one PEAC routine over bound operand streams.
 
         ``bindings`` maps parameter names to numpy views (``subgrid`` and
@@ -269,11 +278,13 @@ class Machine:
         ``site`` names the dispatch site (anything hashable that means
         "this call, again"): a site that ran a compiled kernel replays
         its launch record while the same operand objects stay bound.
+        Returns what :meth:`call_fused` does.
         """
-        self.call_fused(((routine, bindings, region_extents, real_elements,
-                          layout),), site)
+        return self.call_fused(((routine, bindings, region_extents,
+                                 real_elements, layout),), site)
 
-    def call_fused(self, calls, site=None) -> None:
+    def call_fused(self, calls,
+                   site=None) -> tuple[LaunchRecord, ...] | None:
         """Dispatch a batch of adjacent node calls, fused when legal.
 
         ``calls`` is a sequence of ``call_routine`` argument tuples
@@ -287,9 +298,16 @@ class Machine:
         other engines — *is its calls*: each is charged, run, recorded
         and replayed as a site of its own, ``(site, i)``.
         ``site`` names the dispatch site, as for :meth:`call_routine`.
+
+        Returns the launch records the dispatch replayed, in order —
+        all it did, so a caller that keeps them can do the same again
+        through :meth:`replay` — or None when any of it took the
+        ordinary path.
         """
-        if site is not None and self._replay(site, calls):
-            return
+        if site is not None:
+            record = self._replay(site, calls)
+            if record is not None:
+                return (record,)
         dispatches = [self._prepare(*c) for c in calls]
         try:
             group = None
@@ -303,13 +321,18 @@ class Machine:
                     # copy leaves nothing a later trip could replay.
                     for d in dispatches[1:]:
                         materialize_streams(d.streams)
+                    replayed = []
                     for i, (call, d) in enumerate(zip(calls, dispatches)):
                         sub = (None if site is None or (i and d.shifted)
                                else (site, i))
-                        if sub is None or not self._replay(sub, (call,)):
+                        record = (None if sub is None
+                                  else self._replay(sub, (call,)))
+                        if record is None:
                             self._dispatch((call,), (d,), sub)
-                    return
+                        replayed.append(record)
+                    return None if None in replayed else tuple(replayed)
             self._dispatch(calls, dispatches, site, group)
+            return None
         finally:
             for d in dispatches:
                 self._release(d)
@@ -327,25 +350,33 @@ class Machine:
 
     # -- steady state: launch records -------------------------------------
 
-    def _replay(self, site, calls) -> bool:
-        """Run the site's launch record if it still holds; else drop it."""
+    def _replay(self, site, calls) -> LaunchRecord | None:
+        """Run the site's launch record if it still holds, and return
+        it; else drop it."""
         record = self._launches.get(site)
         if record is None:
-            return False
+            return None
         stale = record.stale(calls)
-        metrics = self.launch_metrics
         if stale is not None:
             del self._launches[site]
-            metrics["drops"] += 1
-            metrics[stale] += 1
-            return False
+            self.launch_metrics["drops"] += 1
+            self.launch_metrics[stale] += 1
+            return None
+        self.replay(record)
+        return record
+
+    def replay(self, record: LaunchRecord) -> None:
+        """Run a launch record whose scalar file is filled: the kernel,
+        the recorded charge, the counters the trip bumps.  The one
+        place a record runs — for :meth:`_replay`, which validated it
+        against this trip's calls, and for the host executor's trip
+        record, which knows the calls cannot have changed."""
         launch = record.launch
         launch.run(record.X, self.pool)
         self.stats.charge_call(*record.charge)
         for counters, key in launch.counters:
             counters[key] += 1
-        metrics["replays"] += 1
-        return True
+        self.launch_metrics["replays"] += 1
 
     def _record(self, site, calls, dispatches, launch, charge) -> None:
         """Keep the trip that just ran a kernel as the site's record."""
@@ -481,6 +512,14 @@ class Machine:
             "launch_drop_reasons": {
                 key: self.launch_metrics[key]
                 for key in ("binding", "plan", "scalar_type", "tier_up")},
+            # Trip records: built, trips run from one, side exits and
+            # the guard that failed, loop executions declined one.
+            **{f"trip_{key}": self.trip_metrics[key]
+               for key in ("records", "replays", "exits")},
+            "trip_exit_reasons": {
+                key: self.trip_metrics[key]
+                for key in ("guard", "scalar_type", "tier_up")},
+            "trip_declined": dict(self.trip_metrics["declined"]),
             "declined": declined,
         }
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nir
+from ..machine.kernel import hot
 from ..machine.plan import get_plan
 from ..machine.shifted import Shifted
 from ..peac.isa import Routine
@@ -227,7 +228,28 @@ def op_effects(op: HostOp) -> tuple[frozenset[str], frozenset[str]]:
         return reads, frozenset()
     if isinstance(op, Alloc):
         return frozenset(), frozenset({op.name})
+    if isinstance(op, (IfOp, WhileOp)):     # the condition, not the body
+        return value_arrays(op.cond), frozenset()
     return frozenset(), frozenset()
+
+
+# A pending batch is flushed when it reaches this many calls, whatever
+# the barriers say: a barrier-free loop would otherwise grow one group
+# per loop execution, probed and built at a cost quadratic in the trip
+# count.  The longest batch any committed program forms is 6.
+_BATCH_CAP = 32
+
+# Trip records (docs/PIPELINE.md section 16).  A loop of fewer trips
+# than ``_TRIP_MIN`` is declined one on entry: trips 1-3 cannot be
+# recorded (walk, kernel + launch record, first replay), building one
+# costs about what two replayed trips save, and what is left of a
+# short loop is microseconds.  After ``_TRIP_EXITS`` side exits a loop
+# execution stops recording.
+_TRIP_MIN = 16
+_TRIP_EXITS = 3
+
+# Trip-record step kinds; a step is a list headed by one.
+_COMM, _MOVE, _GUARD, _LAUNCH, _ENQUEUE, _FLUSH = range(6)
 
 
 class HostExecutor:
@@ -253,6 +275,13 @@ class HostExecutor:
     hands those calls a copy (:meth:`_snapshot`) — the batch itself
     stays whole, and breaks exactly where it did when every CSHIFT was
     a copy made up front.
+
+    A loop whose body is straight-line PEAC traffic gets a *trip
+    record* (:meth:`_run_loop`): once a trip's every dispatch replayed a
+    launch record, what that trip did is kept as a flat list of
+    pre-resolved steps and later trips run the list instead of the
+    walk above — bit-identical arrays, ``RunStats`` and counters, and a
+    plain resume through this path from the op whose guard failed.
     """
 
     def __init__(self, machine, fuse_exec: bool = False) -> None:
@@ -275,6 +304,12 @@ class HostExecutor:
         # op_effects by id(op); the entry keeps the (frozen) op alive,
         # so its id cannot come back as another op's.
         self._effects: dict[int, tuple] = {}
+        # Trip records: ``_trip_sites`` by id(loop), and — only while
+        # the trip that may become one runs — the log of what it did,
+        # ``(op, outcome)`` in order with ``(None, (batch, records))``
+        # for a flush.  Set to None by whatever no record may contain.
+        self._loops: dict[int, tuple] = {}
+        self._log: list | None = None
 
     # ------------------------------------------------------------------
 
@@ -298,27 +333,21 @@ class HostExecutor:
             return self._enqueue_call(op)
         if isinstance(op, Loop):
             return self._exec_op(op)  # bodies recurse through _run_op
-        if isinstance(op, IfOp):
-            self._barrier(value_arrays(op.cond), frozenset())
-            return self._exec_op(op)
-        if isinstance(op, WhileOp):
-            arrays = value_arrays(op.cond)
-            if not arrays:
-                return self._exec_op(op)
+        effects = self._effects.get(id(op))
+        if effects is None:
+            effects = self._effects[id(op)] = (*op_effects(op), op)
+        if isinstance(op, WhileOp) and effects[0]:
             # An array-reading condition must observe the pending batch
             # before every evaluation, so run the loop here.
             m = self.machine
             while True:
-                self._barrier(arrays, frozenset())
+                self._barrier(effects[0], frozenset())
                 if not bool(self.evaluator.eval_scalar(op.cond)):
                     break
                 m.charge_host(m.model.host_op)
                 self._run_ops(op.body)
             m.charge_host(m.model.host_op)
             return
-        effects = self._effects.get(id(op))
-        if effects is None:
-            effects = self._effects[id(op)] = (*op_effects(op), op)
         self._barrier(effects[0], effects[1])
         return self._exec_op(op)
 
@@ -340,6 +369,7 @@ class HostExecutor:
         One copy per operand key, so calls that shared a folded
         temporary still share one stream.
         """
+        self._log = None    # a copy is a binding no record has seen
         copies: dict = {}
         for op, call in self._pending:
             bindings = call[1]
@@ -362,8 +392,11 @@ class HostExecutor:
         self._pending_reads = set()
         self._pending_writes = set()
         self._pending_halos = set()
-        self.machine.call_fused([call for _, call in pending],
-                                site=tuple(id(op) for op, _ in pending))
+        records = self.machine.call_fused(
+            [call for _, call in pending],
+            site=tuple(id(op) for op, _ in pending))
+        if self._log is not None:
+            self._log.append((None, (pending, records)))
 
     def _call_info(self, op: NodeCall) -> tuple:
         """(plan, reads, writes, enqueue-time reads, halo arrays) for a
@@ -411,12 +444,17 @@ class HostExecutor:
         if prefetch and (prefetch & self._pending_writes):
             self._flush()
         bindings = self._bindings(op)
-        call = (op.routine, bindings, op.region_extents,
-                op.real_elements, op.layout)
-        self._pending.append((op, call))
+        pair = (op, (op.routine, bindings, op.region_extents,
+                     op.real_elements, op.layout))
+        self._pending.append(pair)
         self._pending_reads |= reads
         self._pending_writes |= writes
         self._pending_halos |= halos
+        if self._log is not None:
+            self._log.append(pair)
+        if len(self._pending) >= _BATCH_CAP:
+            self._log = None    # flushed by count, not by an op to resume at
+            self._flush()
 
     def _bindings(self, op: NodeCall) -> dict[str, object]:
         """Resolved argument bindings, with persistent subgrid views.
@@ -468,6 +506,248 @@ class HostExecutor:
                 bindings[arg.name] = self.evaluator.eval_scalar(arg.value)
         return bindings
 
+    # -- loops and their trip records ------------------------------------
+
+    def _run_loop(self, op: Loop) -> None:
+        m = self.machine
+        m.charge_host(m.model.host_op)
+        trips = range(op.lo, op.hi + (1 if op.step > 0 else -1), op.step)
+        sites = self._trip_sites(op, len(trips))
+        steps = None
+        exits = 0
+        for i in trips:
+            self.scalars[op.var] = i
+            m.charge_host(m.model.host_op)
+            if steps is not None:
+                left = self._run_trip(steps)
+                if left is None:
+                    m.trip_metrics["replays"] += 1
+                    continue
+                # A side exit: every step so far did what this path
+                # would have, so the trip goes on here from the op
+                # whose guard failed.
+                reason, resume = left
+                m.trip_metrics["exits"] += 1
+                m.trip_metrics[reason] += 1
+                steps = None
+                exits += 1
+                if exits == _TRIP_EXITS:
+                    sites = None
+                self._sync_pending()
+                while resume is not None:
+                    ops, at, resume = resume
+                    self._run_ops(ops[at:])
+            elif sites is not None:
+                carried = [id(site) for site, _ in self._pending]
+                self._log = []
+                self._run_ops(op.body)
+                log, self._log = self._log, None
+                if log is not None:
+                    steps = self._build_trip(log, sites, carried)
+                    if steps == "never steady":
+                        self._decline(steps)
+                        steps = sites = None
+            else:
+                self._run_ops(op.body)
+        # Fortran's exit value, as promotion stores it; uncharged.
+        self.scalars[op.var] = op.lo + len(trips) * op.step
+
+    def _decline(self, reason: str) -> None:
+        declined = self.machine.trip_metrics["declined"]
+        declined[reason] = declined.get(reason, 0) + 1
+
+    def _trip_sites(self, loop: Loop, trips: int) -> dict | None:
+        """Where each op of an eligible body resumes, by ``id(op)`` —
+        ``(ops, index, where the enclosing branch resumes)`` — or None,
+        the reason counted, when ``loop`` can have no trip record.
+
+        Eligible is a body (through ``IfOp`` branches) of node calls,
+        folded shifts, scalar moves and conditionals in which no
+        host-evaluated value reads an array and no argument is a halo
+        stream (made at every bind): nothing in it can allocate, rebind
+        an array or invalidate a plan, so what one trip validated by
+        identity holds for all.
+        """
+        if self.machine.exec_mode == "interp":
+            return None         # the oracle neither makes nor reads one
+        if trips < _TRIP_MIN:
+            return self._decline("too short")
+        memo = self._loops.get(id(loop))
+        if memo is None:
+            sites: dict = {}
+            memo = self._loops[id(loop)] = (
+                self._walk_sites(loop.body, None, sites) or sites, loop)
+        if isinstance(memo[0], str):
+            return self._decline(memo[0])
+        return memo[0]
+
+    def _walk_sites(self, ops, after, sites: dict) -> str | None:
+        for at, op in enumerate(ops):
+            if id(op) in sites:
+                return "op repeated"
+            sites[id(op)] = (ops, at, after)
+            if isinstance(op, NodeCall):
+                if any(a.kind == "halo" and a.temp is None for a in op.args):
+                    return "halo stream"
+                reads = any(value_arrays(a.value) for a in op.args
+                            if a.kind == "scalar")
+            elif isinstance(op, (ScalarMove, IfOp)):
+                reads = op_effects(op)[0]
+            elif isinstance(op, FoldedShift):
+                reads = False
+            else:
+                return f"op {type(op).__name__}"
+            if reads:
+                return "array-reading scalar"
+            if isinstance(op, IfOp):
+                inner = (ops, at + 1, after)
+                why = (self._walk_sites(op.then, inner, sites)
+                       or self._walk_sites(op.els, inner, sites))
+                if why:
+                    return why
+        return None
+
+    def _build_trip(self, log, sites, carried) -> list | str | None:
+        """The trip record of the trip ``log`` describes: its steps;
+        None when the trip is not one to replay (yet); ``"never
+        steady"`` when no trip of this loop will be.
+
+        Recordable is a trip whose every dispatch replayed a launch
+        record and that leaves pending the call sites it found pending
+        (``carried``): the next trip then meets the same batch at every
+        flush.  Under ``fuse_exec`` a trip that flushes nothing only
+        lengthens the batch; when the calls of an earlier trip were
+        still in it, the body has no barrier for its own calls and
+        every later trip will do the same.
+        """
+        m = self.machine
+        if self.fuse_exec:
+            mine = {id(op) for op, _ in log if isinstance(op, NodeCall)}
+            if mine and all(op is not None for op, _ in log):
+                return "never steady" if mine <= set(carried) else None
+            if [id(site) for site, _ in self._pending] != carried:
+                return None
+        steps: list = []
+        batch = list(self._pending)     # what every later trip starts with
+        flush = None                    # waiting for the op that caused it
+        for entry in log:
+            op, what = entry
+            if op is None:
+                launches = _trip_launches(what[1], batch)
+                if launches is None:
+                    return None
+                flush = [_FLUSH, None, launches]
+                steps.append(flush)
+                batch = []
+                continue
+            resume = sites[id(op)]
+            if flush is not None:
+                flush[1], flush = resume, None
+            if isinstance(op, FoldedShift):
+                cycles = m.shift_cycles(*op.const)
+                if steps and steps[-1][0] == _COMM:
+                    steps[-1][1] += cycles
+                    steps[-1][2] += 1
+                else:
+                    steps.append([_COMM, cycles, 1])
+            elif isinstance(op, ScalarMove):
+                steps.append([_MOVE, op.clause.tgt.name, op.clause.src])
+            elif isinstance(op, IfOp):
+                steps.append([_GUARD, resume, op.cond, what])
+            elif self.fuse_exec:
+                batch.append(entry)
+                steps.append([_ENQUEUE, entry, what[1],
+                              [(a.name, a.value) for a in op.args
+                               if a.kind == "scalar"]])
+            else:
+                if what is None:
+                    return None
+                (record,) = what
+                values = {a.name: a.value for a in op.args}
+                steps.append([_LAUNCH, resume, record, _may_get_hot(record),
+                              [(k, kind, values[name])
+                               for name, k, kind in record.calls[0][4]]])
+        if flush is not None:
+            return None
+        m.trip_metrics["records"] += 1
+        return steps
+
+    def _run_trip(self, steps) -> tuple | None:
+        """Run one trip from its record: None, or the side exit
+        ``(reason, where the ordinary path resumes)``.
+
+        Each step does exactly what the ordinary path did at that point
+        of the recorded trip, eagerly and in program order, and checks
+        its guard before it does anything — so an exit leaves nothing
+        to undo.  ``_pending`` stays real; the three ``_pending_*``
+        sets stay what they were when the trip began
+        (:meth:`_sync_pending`).
+        """
+        m = self.machine
+        stats = m.stats
+        replay = m.replay
+        host_op = m.model.host_op
+        scalars = self.scalars
+        evaluate = self.evaluator.eval_scalar
+        pending = self._pending
+        for step in steps:
+            kind = step[0]
+            if kind == _COMM:       # a run of folded shifts
+                stats.comm_cycles += step[1]
+                stats.comm_ops += step[2]
+            elif kind == _LAUNCH:   # an unbatched node call
+                _, resume, record, kern, args = step
+                if kern is not None and hot(kern):
+                    return "tier_up", resume
+                X = record.X
+                for k, type_, value in args:
+                    value = evaluate(value)
+                    if type(value) is not type_:
+                        return "scalar_type", resume
+                    X[k] = value
+                replay(record)
+            elif kind == _ENQUEUE:  # a node call joining the batch
+                _, pair, bindings, args = step
+                for name, value in args:
+                    bindings[name] = evaluate(value)
+                pending.append(pair)
+            elif kind == _FLUSH:    # the batch, as the records it replays
+                _, resume, launches = step
+                for record, kern, fills in launches:
+                    if kern is not None and hot(kern):
+                        return "tier_up", resume
+                    X = record.X
+                    for k, type_, bindings, name in fills:
+                        value = bindings[name]
+                        if type(value) is not type_:
+                            return "scalar_type", resume
+                        X[k] = value
+                del pending[:]
+                for launch in launches:
+                    replay(launch[0])
+            elif kind == _MOVE:
+                scalars[step[1]] = evaluate(step[2])
+                stats.host_cycles += host_op
+            else:                   # _GUARD: an IfOp, its branch inlined
+                if bool(evaluate(step[2])) is not step[3]:
+                    return "guard", step[1]
+                stats.host_cycles += host_op
+        return None
+
+    def _sync_pending(self) -> None:
+        """Make the ``_pending_*`` sets say what ``_pending`` holds.
+        Trips run from a record keep only the list, so mid-trip the
+        sets are still those of the batch the trip started with — what
+        they must be again when it ends, but not at a side exit."""
+        self._pending_reads = set()
+        self._pending_writes = set()
+        self._pending_halos = set()
+        for op, _ in self._pending:
+            _plan, reads, writes, _prefetch, halos = self._call_info(op)
+            self._pending_reads |= reads
+            self._pending_writes |= writes
+            self._pending_halos |= halos
+
     # ------------------------------------------------------------------
 
     def _exec_op(self, op: HostOp) -> None:
@@ -486,6 +766,8 @@ class HostExecutor:
             self._node_call(op)
         elif isinstance(op, FoldedShift):
             cmrt.execute_comm(m, self.evaluator, op, "folded", op.const)
+            if self._log is not None:
+                self._log.append((op, None))
         elif isinstance(op, CommMove):
             cmrt.execute_comm(m, self.evaluator, op.clause, op.kind,
                               op.const)
@@ -496,18 +778,12 @@ class HostExecutor:
             assert isinstance(op.clause.tgt, nir.SVar)
             self.scalars[op.clause.tgt.name] = value
             m.charge_host(m.model.host_op)
+            if self._log is not None:
+                self._log.append((op, None))
         elif isinstance(op, ElementMove):
             self._element_move(op.clause)
         elif isinstance(op, Loop):
-            m.charge_host(m.model.host_op)
-            trips = range(op.lo, op.hi + (1 if op.step > 0 else -1),
-                          op.step)
-            for i in trips:
-                self.scalars[op.var] = i
-                m.charge_host(m.model.host_op)
-                self._run_ops(op.body)
-            # Fortran's exit value, as promotion stores it; uncharged.
-            self.scalars[op.var] = op.lo + len(trips) * op.step
+            self._run_loop(op)
         elif isinstance(op, WhileOp):
             while bool(self.evaluator.eval_scalar(op.cond)):
                 m.charge_host(m.model.host_op)
@@ -515,10 +791,10 @@ class HostExecutor:
             m.charge_host(m.model.host_op)
         elif isinstance(op, IfOp):
             m.charge_host(m.model.host_op)
-            if bool(self.evaluator.eval_scalar(op.cond)):
-                self._run_ops(op.then)
-            else:
-                self._run_ops(op.els)
+            taken = bool(self.evaluator.eval_scalar(op.cond))
+            if self._log is not None:
+                self._log.append((op, taken))
+            self._run_ops(op.then if taken else op.els)
         elif isinstance(op, Print):
             items = [self.evaluator.eval_scalar(v) if not self._is_field(v)
                      else str(self.evaluator.eval(v)) for v in op.values]
@@ -537,9 +813,11 @@ class HostExecutor:
     # ------------------------------------------------------------------
 
     def _node_call(self, op: NodeCall) -> None:
-        self.machine.call_routine(op.routine, self._bindings(op),
-                                  op.region_extents, op.real_elements,
-                                  layout=op.layout, site=id(op))
+        records = self.machine.call_routine(
+            op.routine, self._bindings(op), op.region_extents,
+            op.real_elements, layout=op.layout, site=id(op))
+        if self._log is not None:
+            self._log.append((op, records))
 
     def _element_move(self, clause: nir.MoveClause) -> None:
         """Serial front-end array access: single elements or sections.
@@ -584,6 +862,44 @@ class HostExecutor:
         else:
             mask_arr = np.broadcast_to(np.asarray(mask, bool), view.shape)
             np.copyto(view, np.where(mask_arr, val, view), casting="unsafe")
+
+
+def _may_get_hot(record):
+    """The record's kernel if a later launch may find it hot
+    (:func:`~repro.machine.kernel.hot`), else None: a C kernel stays
+    one, a decline is remembered."""
+    kern = record.launch.kern
+    return None if kern.native or kern.declined is not None else kern
+
+
+def _trip_launches(records, batch) -> list | None:
+    """A flush as a trip record keeps it: per launch record replayed,
+    ``(record, its kernel if it may get hot, scalar fills)`` — a fill
+    is ``(scalar-file slot, type, bindings dict, name)`` over the dicts
+    of ``batch``, the ``(op, call)`` pairs every later trip flushes
+    here.  None when the flush is not one to replay: the ordinary path
+    ran part of it (``records`` is None), a record no longer matches
+    those calls — the one identity check that stands for every later
+    trip — or several records of which one may still get hot (a
+    rejected batch replays call by call, and a kernel that crosses
+    between two of them must be met by the ordinary path).
+    """
+    if records is None:
+        return None
+    launches = []
+    calls = [call for _, call in batch]
+    for record in records:
+        mine, calls = calls[:len(record.calls)], calls[len(record.calls):]
+        if record.stale(mine) is not None:
+            return None
+        launches.append((record, _may_get_hot(record),
+                         [(k, kind, call[1], name)
+                          for call, spec in zip(mine, record.calls)
+                          for name, k, kind in spec[4]]))
+    if calls or (len(launches) > 1
+                 and any(kern is not None for _, kern, _ in launches)):
+        return None
+    return launches
 
 
 def format_host_program(program: HostProgram, indent: int = 0) -> str:

@@ -14,6 +14,7 @@ from repro.lowering import check_program, lower_program
 from repro.machine import Machine, ckernel, fieldwise_model, slicewise_model
 from repro.machine import kernel as blocked
 from repro.machine.plan import RoutinePlan
+from repro.runtime.host import HostExecutor
 from repro.transform import optimize
 
 
@@ -37,6 +38,11 @@ def small_machine() -> Machine:
 # modules send such dispatches on purpose, so the session counts them per
 # module beside the loads and fails when the rest of the suite sends more
 # than a handful — real traffic routed to the walk shows up here.
+#
+# The same trap one level up: a loop gets a trip record only when it is
+# long enough to repay one, and tier-1 loops are short.  The session
+# counts the trips run from a record per module, and fails when the
+# module that carries their equivalence tests falls below its floor.
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +66,12 @@ C_MODULE_FLOOR = {"test_shift_fold.py": 500, "test_execplan.py": 180,
 C_TOTAL_FLOOR = 950
 ENGINE_MODULES = frozenset(C_MODULE_FLOOR) - {"test_host_backend.py"}
 FALLBACK_CEILING = 10           # outside them, in all (3 when set)
+# Under what five runs counted (hypothesis draws the trip counts):
+# 3411-3770.
+TRIP_MODULE_FLOOR = {"test_trip_records.py": 2500}
 _loads: Counter = Counter()     # test file -> ckernel._load calls
 _fallbacks: Counter = Counter()     # test file -> walks that fell back
+_trips: Counter = Counter()     # test file -> trips run from a record
 _running: list = [None]
 _shortfalls: list[str] = []
 
@@ -81,6 +91,13 @@ def pytest_sessionstart(session):
         return walk(plan, streams, scalars, sig)
 
     RoutinePlan.run_steps = counted_walk
+    run_trip = HostExecutor._run_trip
+
+    def counted_trip(executor, steps):
+        _trips[_running[0]] += 1
+        return run_trip(executor, steps)
+
+    HostExecutor._run_trip = counted_trip
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -103,6 +120,10 @@ def pytest_sessionfinish(session, exitstatus):
     if all(m in _loads for m in C_MODULE_FLOOR) and total < C_TOTAL_FLOOR:
         _shortfalls.append(f"whole suite: {total} native kernels, "
                            f"floor {C_TOTAL_FLOOR}")
+    for module, floor in TRIP_MODULE_FLOOR.items():
+        if module in _loads and _trips[module] < floor:
+            _shortfalls.append(f"{module}: {_trips[module]} trips run from "
+                               f"a trip record, floor {floor}")
     stray = sum(count for module, count in _fallbacks.items()
                 if module not in ENGINE_MODULES)
     if stray > FALLBACK_CEILING:
@@ -123,7 +144,8 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"native kernels handed out by ckernel._load: {_per_module(_loads)}"
         f"; dispatches that fell back to the recording walk: "
-        f"{_per_module(_fallbacks)}")
+        f"{_per_module(_fallbacks)}; trips run from a trip record: "
+        f"{_per_module(_trips)}")
     for line in _shortfalls:
         terminalreporter.write_line(f"engine coverage fell: {line}",
                                     red=True)
