@@ -372,7 +372,7 @@ class Machine:
         against this trip's calls, and for the host executor's trip
         record, which knows the calls cannot have changed."""
         launch = record.launch
-        launch.run(record.X, self.pool)
+        launch.run(record.X)
         self.stats.charge_call(*record.charge)
         for counters, key in launch.counters:
             counters[key] += 1

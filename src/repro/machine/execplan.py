@@ -194,7 +194,7 @@ class ExecutionPlan:
         #: The group's slot table: one flat array per slot.
         self.S = S
         self.slot_maps = slot_maps
-        #: Slots holding spill scratch (redrawn zeroed on every trip).
+        #: Slots holding spill scratch (zeroed before every launch).
         self.spill_slots = spill_slots
         #: ``(slot, staged source slot or None, shape, offsets)`` per
         #: shifted operand, as the kernel builders take them.
@@ -383,8 +383,12 @@ class ExecutionPlan:
         X: list = []
         for d in dispatches:
             X.extend(d.scalars)
-        launch = Launch(kern, self.S, self.n, self.spill_slots, self.k)
-        launch.run(X, pool)
+        # The kernel's staged scratch slots, numbered in order after
+        # the group's own: the launch's for as long as it lives.
+        S = self.S + [pool.acquire((self.n,), self.S[slot].dtype)
+                      for slot, _ in kern.staged]
+        launch = Launch(kern, S, self.n, self.spill_slots, self.k)
+        launch.run(X)
         if self.shifts:   # the kernel read every shifted stream in place
             staged = {slot for slot, base, _, _ in self.shifts
                       if base is not None}
@@ -517,7 +521,8 @@ class LaunchRecord:
                                     type(value)))
             checks.append((routine, d.plan, tuple(call[2:]),
                            tuple(streams), tuple(scalars)))
-        launch.redraw()
+        for d in dispatches:
+            d.spill_bufs = ()   # the launch's now, not the pool's
         return cls(launch, charge, tuple(checks), X)
 
     def stale(self, calls) -> str | None:

@@ -157,11 +157,11 @@ def hot(kern) -> bool:
 class SlotTable(list):
     """A launch's own slot table: the flat operand arrays, by slot.
 
-    Nothing else holds the list, so a native kernel keeps the operands'
-    addresses (``ptrs``) and its scalar arguments (``xs``) packed
-    beside it instead of asking every array for ``.ctypes`` and
-    building a fresh block on every launch; :meth:`lend` keeps the
-    addresses in step for the scratch slots redrawn each trip.
+    Nothing else holds the list and no slot of it is ever rebound, so a
+    native kernel packs the operands' addresses (``ptrs``) and a block
+    for its scalar arguments (``xs``) beside it on its first launch
+    instead of asking every array for ``.ctypes`` and building a fresh
+    block on every launch.
     """
 
     __slots__ = ("ptrs", "xs")
@@ -171,70 +171,43 @@ class SlotTable(list):
         self.ptrs = None
         self.xs = None
 
-    def lend(self, slot: int, buf: np.ndarray) -> None:
-        self[slot] = buf
-        if self.ptrs is not None:
-            self.ptrs[slot] = buf.ctypes.data
-
 
 class Launch:
     """A kernel bound to its slot table: everything to run it again.
 
-    ``scratch`` lists the slots drawn from the buffer pool around each
-    run, as ``(slot, dtype, zeroed)``: the kernel's staged stores
-    (:class:`Staging`) from the start, and — once a machine keeps the
-    launch as a site's record (:meth:`redraw`) — the ``spills`` slots,
-    which its first run got from ``Machine._prepare``.  ``counters``
-    are the ``(metrics dict, key)`` pairs a trip through this launch
-    bumps.  ``work`` is what one run streams through a blocked kernel
-    (:func:`hot`): each of the group's ``routines`` its own pass.
+    The launch owns its scratch for as long as it lives: ``S`` holds
+    the kernel's staged stores (:class:`Staging`), drawn from the
+    buffer pool when it was made, and the ``spills`` slots keep the
+    buffers its first run was prepared with (``Machine._prepare``; a
+    machine that keeps the launch as a site's record takes them over).
+    Spill slots are zeroed before every run, as a freshly prepared
+    call's are.  ``counters`` are the ``(metrics dict, key)`` pairs a
+    trip through this launch bumps.  ``work`` is what one run streams
+    through a blocked kernel (:func:`hot`): each of the group's
+    ``routines`` its own pass.
     """
 
-    __slots__ = ("kern", "S", "n", "spills", "scratch", "counters", "work")
+    __slots__ = ("kern", "S", "n", "spills", "counters", "work")
 
     def __init__(self, kern, S, n: int, spills=(), routines=1) -> None:
         self.kern = kern
-        self.S = S = SlotTable(S)
+        self.S = SlotTable(S)
         self.n = n
         self.spills = spills
         self.work = routines * (n + _LAUNCH_COST)
-        staged = kern.staged
-        if staged:
-            S.extend([None] * (staged[-1][1] + 1 - len(S)))
-        self.scratch = [(scratch, S[slot].dtype, False)
-                        for slot, scratch in staged]
         self.counters: list = []
 
-    def redraw(self) -> None:
-        """From now on draw the spill slots zeroed from the pool on
-        every run (the buffers they hold go back to the pool with this
-        trip)."""
+    def run(self, X) -> None:
         S = self.S
         for slot in self.spills:
-            self.scratch.append((slot, S[slot].dtype, True))
-            S[slot] = None
-
-    def run(self, X, pool) -> None:
-        S = self.S
-        n = self.n
+            S[slot].fill(0)
         kern = self.kern
-        scratch = self.scratch
-        for slot, dtype, zeroed in scratch:
-            buf = pool.acquire((n,), dtype)
-            if zeroed:
-                buf.fill(0)
-            S.lend(slot, buf)
-        try:
-            if kern.native:   # a C loop raises no numpy warning
-                kern(S, X, n)
-            else:
-                kern.streamed += self.work
-                with np.errstate(all="ignore"):
-                    kern(S, X, n)
-        finally:
-            for slot, _, _ in scratch:
-                pool.release(S[slot])
-                S[slot] = None
+        if kern.native:   # a C loop raises no numpy warning
+            kern(S, X, self.n)
+        else:
+            kern.streamed += self.work
+            with np.errstate(all="ignore"):
+                kern(S, X, self.n)
 
 
 class Staging:

@@ -621,6 +621,7 @@ class HostExecutor:
         every later trip will do the same.
         """
         m = self.machine
+        compiled = self.evaluator.compile_scalar
         if self.fuse_exec:
             mine = {id(op) for op, _ in log if isinstance(op, NodeCall)}
             if mine and all(op is not None for op, _ in log):
@@ -651,13 +652,14 @@ class HostExecutor:
                 else:
                     steps.append([_COMM, cycles, 1])
             elif isinstance(op, ScalarMove):
-                steps.append([_MOVE, op.clause.tgt.name, op.clause.src])
+                steps.append([_MOVE, op.clause.tgt.name,
+                              compiled(op.clause.src)])
             elif isinstance(op, IfOp):
-                steps.append([_GUARD, resume, op.cond, what])
+                steps.append([_GUARD, resume, compiled(op.cond), what])
             elif self.fuse_exec:
                 batch.append(entry)
                 steps.append([_ENQUEUE, entry, what[1],
-                              [(a.name, a.value) for a in op.args
+                              [(a.name, compiled(a.value)) for a in op.args
                                if a.kind == "scalar"]])
             else:
                 if what is None:
@@ -665,7 +667,7 @@ class HostExecutor:
                 (record,) = what
                 values = {a.name: a.value for a in op.args}
                 steps.append([_LAUNCH, resume, record, _may_get_hot(record),
-                              [(k, kind, values[name])
+                              [(k, kind, compiled(values[name]))
                                for name, k, kind in record.calls[0][4]]])
         if flush is not None:
             return None
@@ -688,7 +690,6 @@ class HostExecutor:
         replay = m.replay
         host_op = m.model.host_op
         scalars = self.scalars
-        evaluate = self.evaluator.eval_scalar
         pending = self._pending
         for step in steps:
             kind = step[0]
@@ -700,16 +701,16 @@ class HostExecutor:
                 if kern is not None and hot(kern):
                     return "tier_up", resume
                 X = record.X
-                for k, type_, value in args:
-                    value = evaluate(value)
+                for k, type_, evaluate in args:
+                    value = evaluate()
                     if type(value) is not type_:
                         return "scalar_type", resume
                     X[k] = value
                 replay(record)
             elif kind == _ENQUEUE:  # a node call joining the batch
                 _, pair, bindings, args = step
-                for name, value in args:
-                    bindings[name] = evaluate(value)
+                for name, evaluate in args:
+                    bindings[name] = evaluate()
                 pending.append(pair)
             elif kind == _FLUSH:    # the batch, as the records it replays
                 _, resume, launches = step
@@ -726,10 +727,10 @@ class HostExecutor:
                 for launch in launches:
                     replay(launch[0])
             elif kind == _MOVE:
-                scalars[step[1]] = evaluate(step[2])
+                scalars[step[1]] = step[2]()
                 stats.host_cycles += host_op
             else:                   # _GUARD: an IfOp, its branch inlined
-                if bool(evaluate(step[2])) is not step[3]:
+                if bool(step[2]()) is not step[3]:
                     return "guard", step[1]
                 stats.host_cycles += host_op
         return None

@@ -6,9 +6,21 @@ scalar arguments), element reads inside serial loops, gather subscripts,
 and reduction arguments.  This evaluator implements the reference
 semantics of the value domain directly with numpy; the PE executor must
 agree with it (tests compare the two).
+
+Scalar expressions are evaluated again and again — every trip of a
+timestep loop re-reads its conditions, scalar moves and PEAC scalar
+arguments — so :meth:`NirEvaluator.eval_scalar` compiles each value
+node once into a closure (:meth:`NirEvaluator.compile_scalar`).  The
+closure takes plain Python arithmetic only where its result is provably
+the one numpy would return, and otherwise calls the very
+:func:`apply_binop`/:func:`apply_unop` the tree walk calls: same
+values, same Python types, same ``RuntimeWarning``.
 """
 
 from __future__ import annotations
+
+import operator
+import weakref
 
 import numpy as np
 
@@ -91,6 +103,119 @@ def apply_unop(op: nir.UnOp, a):
     return _UNOP_FUNCS[op](a)
 
 
+# -- compiled scalar expressions ---------------------------------------------
+#
+# A closure's fast path returns a Python float, int or bool where the
+# walk's numpy result is an ``np.float64``, ``np.int64`` or ``np.bool_``
+# of the same value: what ``eval_scalar`` makes of the walk's result
+# anyway.  A parent that falls back lifts such a child result to the
+# numpy scalar it stands for (:func:`_lift`), because numpy promotes a
+# Python scalar more weakly than a numpy one (``np.float64`` against
+# ``np.float32`` stays ``float64``; a Python ``float`` does not).  Every
+# other value is the walk's own.  The fast paths, each warning-free in
+# numpy's default error state:
+#
+# * ``+ - *`` of two exact floats, result finite; ``/`` also needs a
+#   non-zero divisor (numpy's ``1.0 / 0.0`` is ``inf``, Python raises);
+# * ``+ - *`` of two exact ints (not bools: numpy adds them as logical
+#   or), operands and result in int64 (numpy wraps); integer ``/``
+#   truncates in numpy and never takes it;
+# * comparisons of two operands of one type (ints in int64), or of
+#   mixed Python scalars whose ints are at most 2**53 in magnitude —
+#   numpy compares an int against a float in float64, where
+#   ``2**53 + 1 > 2.0**53`` is false.
+
+_ARITH = {nir.BinOp.ADD: operator.add, nir.BinOp.SUB: operator.sub,
+          nir.BinOp.MUL: operator.mul}
+_COMPARE = {nir.BinOp.EQ: operator.eq, nir.BinOp.NE: operator.ne,
+            nir.BinOp.LT: operator.lt, nir.BinOp.LE: operator.le,
+            nir.BinOp.GT: operator.gt, nir.BinOp.GE: operator.ge}
+_PLAIN = (float, int, bool)
+_LIFT = {float: np.float64, int: np.int64, bool: np.bool_}
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+_EXACT = 1 << 53
+
+
+def _plain(out):
+    """``eval_scalar``'s result for a walk's result ``out``."""
+    if isinstance(out, np.ndarray):
+        if out.size != 1:
+            raise EvalError(f"expected a scalar, got shape {out.shape}")
+        out = out.reshape(()).item()
+    if isinstance(out, np.generic):
+        out = out.item()
+    return out
+
+
+def _lift(x):
+    """The numpy scalar a fast path's Python result stands for."""
+    to = _LIFT.get(type(x))
+    return x if to is None else to(x)
+
+
+def _slow(op, lift_a, lift_b, top):
+    """A binary closure's fallback: ``apply_binop`` over what the walk
+    would have handed it (``lift_*``: the operand may be a stand-in)."""
+    def slow(a, b):
+        if lift_a:
+            a = _lift(a)
+        if lift_b:
+            b = _lift(b)
+        out = apply_binop(op, a, b)
+        return _plain(out) if top else out
+    return slow
+
+
+def _arith(pyop, left, right, slow):
+    def arith():
+        a = left()
+        b = right()
+        t = type(a)
+        if t is type(b):
+            if t is float:
+                r = pyop(a, b)
+                if r - r == 0.0:    # finite: inf - inf and nan - nan are nan
+                    return r
+            elif (t is int and _I64_MIN <= a <= _I64_MAX
+                  and _I64_MIN <= b <= _I64_MAX):
+                r = pyop(a, b)
+                if _I64_MIN <= r <= _I64_MAX:
+                    return r
+        return slow(a, b)
+    return arith
+
+
+def _divide(left, right, slow):
+    def divide():
+        a = left()
+        b = right()
+        if type(a) is float and type(b) is float and b:
+            r = a / b
+            if r - r == 0.0:
+                return r
+        return slow(a, b)
+    return divide
+
+
+def _compare(pyop, left, right, slow):
+    def compare():
+        a = left()
+        b = right()
+        ta = type(a)
+        tb = type(b)
+        if ta is tb:
+            if (ta is float or ta is bool
+                    or (ta is int and _I64_MIN <= a <= _I64_MAX
+                        and _I64_MIN <= b <= _I64_MAX)):
+                return pyop(a, b)
+        elif (ta in _PLAIN and tb in _PLAIN
+              and (ta is not int or -_EXACT <= a <= _EXACT)
+              and (tb is not int or -_EXACT <= b <= _EXACT)):
+            return pyop(a, b)
+        return slow(a, b)
+    return compare
+
+
 class NirEvaluator:
     """Evaluates NIR values against scalar bindings and array storage.
 
@@ -106,6 +231,9 @@ class NirEvaluator:
         self.read_array = read_array
         self.scalars = scalars
         self.domains = domains or {}
+        # compile_scalar's closures by id(value); the entry keeps the
+        # (frozen) value alive, so its id cannot come back as another's.
+        self._compiled: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -115,14 +243,68 @@ class NirEvaluator:
             return self._eval(value, region)
 
     def eval_scalar(self, value: nir.Value):
-        out = self._eval(value, None)
-        if isinstance(out, np.ndarray):
-            if out.size != 1:
-                raise EvalError(f"expected a scalar, got shape {out.shape}")
-            out = out.reshape(()).item()
-        if isinstance(out, np.generic):
-            out = out.item()
-        return out
+        """Evaluate a scalar-valued value to a Python scalar."""
+        return self.compile_scalar(value)()
+
+    def compile_scalar(self, value: nir.Value):
+        """The closure ``eval_scalar(value)`` calls, compiled on first
+        use: constants, scalar variables and the unary and binary
+        operators over them become closures (fast paths above); any
+        other subtree is walked by :meth:`_eval`, each time."""
+        entry = self._compiled.get(id(value))
+        if entry is None:
+            entry = self._compiled[id(value)] = (value,
+                                                 self._closure(value, True))
+        return entry[1]
+
+    def _closure(self, node: nir.Value, top: bool):
+        """``node``'s closure; ``top`` makes its result ``eval_scalar``'s
+        (a Python scalar), else the walk's own or its stand-in."""
+        if isinstance(node, nir.Scalar):
+            const = node.pyvalue
+            return lambda: const
+        if isinstance(node, nir.SVar):
+            scalars = self.scalars
+            name = node.name
+
+            def svar():
+                try:
+                    v = scalars[name]
+                except KeyError:
+                    raise EvalError(f"unbound scalar '{name}'") from None
+                return v if not top or type(v) in _PLAIN else _plain(v)
+            return svar
+        if isinstance(node, nir.Binary):
+            op = node.op
+            left = self._closure(node.left, False)
+            right = self._closure(node.right, False)
+            slow = _slow(op, isinstance(node.left, nir.Binary),
+                         isinstance(node.right, nir.Binary), top)
+            if op in _ARITH:
+                return _arith(_ARITH[op], left, right, slow)
+            if op is nir.BinOp.DIV:
+                return _divide(left, right, slow)
+            if op in _COMPARE:
+                return _compare(_COMPARE[op], left, right, slow)
+            return lambda: slow(left(), right())
+        if isinstance(node, nir.Unary):
+            op = node.op
+            operand = self._closure(node.operand, False)
+            lift = isinstance(node.operand, nir.Binary)
+
+            def unary():
+                a = operand()
+                out = apply_unop(op, _lift(a) if lift else a)
+                return _plain(out) if top else out
+            return unary
+        # Weakly: an evaluator in its own closure would be a cycle that
+        # keeps whatever ``read_array`` reaches alive until a full GC.
+        walker = weakref.proxy(self)
+
+        def walk():
+            out = walker._eval(node, None)
+            return _plain(out) if top else out
+        return walk
 
     # ------------------------------------------------------------------
 

@@ -476,12 +476,32 @@ def test_array_scalar_never_records():
 @SITES
 def test_spill_slots_are_redrawn_zeroed_on_replay(mode, fused):
     t = _Trips(mode, fused, routine=_axpy(spill=True))
-    got = t.trip(6)   # compared with interp after every trip
+    got = t.trip(2)   # compared with interp after every trip
+    # The record's launch keeps its scratch: the same buffers on every
+    # replay, the spill slots zeroed at kernel entry whatever the last
+    # run left in them.
+    (record,) = t.engine._launches.values()
+    launch = record.launch
+    owned = list(launch.S)
+    assert launch.spills
+    kern = launch.kern
+    zero_at_entry = []
+
+    def probe(S, X, n):
+        zero_at_entry.append(all(not S[slot].any() for slot in launch.spills))
+        kern(S, X, n)
+
+    probe.native, probe.declined, probe.streamed = (kern.native,
+                                                    kern.declined, 0)
+    launch.kern = probe
+    for _ in range(4):
+        for slot in launch.spills:
+            launch.S[slot].fill(7)
+        t.trip()
+        assert len(launch.S) == len(owned)
+        assert all(now is then for now, then in zip(launch.S, owned))
     assert got["replays"] == 4
-    assert t.engine._launches      # and its scratch is back in the pool
-    for record in t.engine._launches.values():
-        assert all(record.launch.S[slot] is None
-                   for slot, _, _ in record.launch.scratch)
+    assert zero_at_entry == [True] * 4
 
 
 @SITES

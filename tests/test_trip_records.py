@@ -8,7 +8,8 @@ cannot be told from one whose executor never records (arrays
 bit-identical to ``interp``, ``RunStats`` equal, every
 ``fusion_summary()`` counter except the ``trip_*`` ones equal) — for
 whole programs and generated bodies, through every side exit, for the
-bodies that must never record, and for the batch a loop leaves pending.
+bodies that must never record, and for the batch a loop leaves pending;
+and that a recorded trip walks no expression tree and draws no scratch.
 The last section pins the batch cap that keeps a barrier-free loop
 linear.
 """
@@ -17,18 +18,22 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nir
 from repro.driver.compiler import CompilerOptions, compile_source
-from repro.machine import execplan, kernel
+from repro.machine import BufferPool, execplan, kernel
 from repro.machine.ckernel import _compiler
-from repro.programs.kernels import cg_source, deck_source, heat_source
+from repro.programs.kernels import (cg_source, deck_source, heat_source,
+                                    life_source)
+from repro.programs.swe import swe_source
 from repro.runtime import host
 from repro.runtime.host import (HostExecutor, IfOp, Loop, NodeCall,
                                 ScalarInit, ScalarMove)
+from repro.runtime.nir_eval import NirEvaluator
 from repro.service.jobs import execute_request
 from repro.targets import build_machine
 
@@ -165,6 +170,43 @@ def test_generated_bodies_are_indistinguishable(lines, trips, config):
     assert (fs["trip_exits"]
             == sum(fs["trip_exit_reasons"].values()) <= host._TRIP_EXITS)
     assert fs["trip_records"] <= fs["trip_exits"] + 1
+
+
+_GRIDS = {"swe": swe_source, "heat": heat_source, "life": life_source}
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("prog", sorted(_GRIDS))
+def test_recorded_trips_interpret_nothing(prog, config, monkeypatch):
+    """While a trip runs from its record no scalar expression is walked
+    as a tree (each was compiled to a closure once) and no launch goes
+    to the buffer pool (each owns its scratch)."""
+    exe = _compile(_GRIDS[prog](32, 40), config)
+    recorded = [False]
+    calls: Counter = Counter()
+    run_trip = HostExecutor._run_trip
+
+    def counted_trip(executor, steps):
+        recorded[0] = True
+        try:
+            return run_trip(executor, steps)
+        finally:
+            recorded[0] = False
+
+    def count(cls, name):
+        inner = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += recorded[0]
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    monkeypatch.setattr(HostExecutor, "_run_trip", counted_trip)
+    count(BufferPool, "acquire")
+    count(NirEvaluator, "_eval")
+    fs = exe.run(machine=_config_machine(config)).machine.fusion_summary()
+    assert fs["trip_records"] == 1 and fs["trip_replays"] >= 40 - 5
+    assert (calls["acquire"], calls["_eval"]) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
