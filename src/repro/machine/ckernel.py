@@ -69,6 +69,13 @@ vectorisable.  Stores to a shifted operand's own source are staged
 through scratch and copied back after the loops
 (:class:`repro.machine.kernel.Staging`).
 
+No iteration reads another's store, so a kernel of ``_SPLIT_MIN``
+elements or more splits across the host's ``_THREADS`` cores: the loop
+becomes ``part`` over a range ``[lo, hi)`` of elements (or rows), run
+by a pthreads fork/join, and the staged copy-back, split the same way,
+starts after the join.  No thread outlives a launch and no element's
+operations change; below the threshold the text is the one-core text.
+
 ``REPRO_FUSED_CC=0`` disables native generation; it is also skipped
 automatically when no C compiler is on PATH.
 """
@@ -100,6 +107,46 @@ from .plan import (
 
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-fno-math-errno",
            "-ffp-contract=off"]
+
+#: The host's cores, and the stream length from which a kernel's loop
+#: and its staged copy-back split over them: the first power of two
+#: past the crossing.  On a 2-CPU box (``cc`` 12.2) one fork/join costs
+#: about 25 us, and an emitted loop 0.4-0.6 ns an element (a plain
+#: update) to 1.7-2 ns (heat's and life's staged stencils, two
+#: fork/joins) while it fits in cache.  Split, those three ran 0.56-0.90x
+#: the one-core launch at 2**16 elements (once 1.12x), 0.74-1.17x at
+#: 90,000, 1.06-1.26x at 102,400 and 1.28-1.66x at 131,044.
+_THREADS = len(os.sched_getaffinity(0))
+_SPLIT_MIN = 1 << 17
+
+#: Runs ``f`` over ``[0, m)`` as THREADS contiguous slices: a thread
+#: per slice but the first, which the caller runs before it joins.  A
+#: slice whose thread cannot start runs on the caller; no thread
+#: outlives the call, so a ``fork`` after a kernel forks no worker.
+_FORK_JOIN = """\
+typedef void (*part_fn)(void **, const double *, long, long, long);
+typedef struct { part_fn f; void **SP; const double *X; long n, lo, hi; } job;
+static void *run_job(void *p) {
+  job *s = p;
+  s->f(s->SP, s->X, s->n, s->lo, s->hi);
+  return NULL;
+}
+static void fork_join(part_fn f, void **SP, const double *X, long n, long m) {
+  pthread_t tid[THREADS];
+  job s[THREADS];
+  int started[THREADS];
+  for (int k = 0; k < THREADS; k++)
+    s[k] = (job){f, SP, X, n, m * k / THREADS, m * (k + 1) / THREADS};
+  for (int k = 1; k < THREADS; k++) {
+    started[k] = pthread_create(&tid[k], NULL, run_job, &s[k]) == 0;
+    if (!started[k])
+      run_job(&s[k]);
+  }
+  run_job(&s[0]);
+  for (int k = 1; k < THREADS; k++)
+    if (started[k])
+      pthread_join(tid[k], NULL);
+}"""
 
 #: numpy dtype -> kind, for streams and for recorded results alike.
 #: Two more kinds are weak (Python) integers, which take the other
@@ -228,12 +275,12 @@ class _CKernel:
     """Callable with the blocked-kernel interface over a native loop."""
 
     __slots__ = ("_fn", "_lib", "_nslots", "_sregs", "source", "native",
-                 "staged", "build_ms")
+                 "staged", "build_ms", "threads")
 
     declined = None     # a cache entry's ``(emitter, reason)``: none
 
     def __init__(self, fn, lib, nslots, sregs, source, staged=(),
-                 build_ms=None) -> None:
+                 build_ms=None, threads=1) -> None:
         self._fn = fn
         self._lib = lib  # keeps the dlopen handle alive
         self._nslots = nslots
@@ -244,6 +291,7 @@ class _CKernel:
         #: Wall milliseconds of the ``cc`` run made for this kernel;
         #: None when its text had been built already.
         self.build_ms = build_ms
+        self.threads = threads  # 1, or _THREADS for a split loop
 
     def __call__(self, S, X, n) -> None:
         # ``S`` is a launch's own SlotTable: addresses and the scalar
@@ -431,30 +479,49 @@ class _CEmitter:
             kind, value = _SCALARS[self.used_sregs[k]]
             pre.append(f"  const {_CTYPES[kind]} x{k} = {value.format(j)};")
         staged = self.staging.pairs
-        post = [f"  memcpy(s{cid}, s{scratch}, n * sizeof({ctype[cid]}));"
-                for cid, scratch in staged]
+        split = self.n >= _SPLIT_MIN and _THREADS > 1
         if gathers:
-            loop, close = self._row_loops(gathers)
+            loop, close, trips = self._row_loops(gathers, split)
             body = ["    " + line for line in self.lines]
         else:
-            loop = ["  for (long i = 0; i < n; i++) {"]
-            close = ["  }"]
+            span = "i = lo; i < hi" if split else "i = 0; i < n"
+            loop, close, trips = [f"  for (long {span}; i++) {{"], ["  }"], "n"
             body = self.lines
-        src = "\n".join(
-            ["#include <math.h>", "#include <stdint.h>"]
-            + (["#include <string.h>"] if post else [])
-            + ["void kernel(void **SP, const double *X, long n) {"]
-            + pre + loop + body + close + post + ["}", ""])
-        return _load(src, self.nslots, tuple(sregs), staged=staged)
+        head = ["#include <math.h>", "#include <stdint.h>"]
+        head += ["#include <string.h>"] if staged else []
+        kernel = ["void kernel(void **SP, const double *X, long n) {"]
+        if not split:
+            post = [f"  memcpy(s{cid}, s{scratch}, n * sizeof({ctype[cid]}));"
+                    for cid, scratch in staged]
+            lines = head + kernel + pre + loop + body + close + post
+        else:
+            # The copy-back waits for every slice: a neighbour's slice
+            # reads the source row through the shift.
+            args = "void **SP, const double *X, long n, long lo, long hi"
+            lines = (head + ["#include <pthread.h>",
+                             _FORK_JOIN.replace("THREADS", str(_THREADS)),
+                             f"static void part({args}) {{"]
+                     + pre + loop + body + close + ["}"])
+            if staged:
+                lines += [f"static void copy_back({args}) {{"] + [
+                    f"  memcpy(({t} *)SP[{cid}] + lo, ({t} *)SP[{scratch}]"
+                    f" + lo, (hi - lo) * sizeof({t}));"
+                    for cid, scratch in staged for t in [ctype[cid]]] + ["}"]
+            lines += kernel + [f"  fork_join(part, SP, X, n, {trips});"]
+            lines += ["  fork_join(copy_back, SP, X, n, n);"] if staged else []
+        src = "\n".join(lines + ["}", ""])
+        return _load(src, self.nslots, tuple(sregs), staged=staged,
+                     threads=_THREADS if split else 1)
 
-    def _row_loops(self, gathers) -> tuple[list[str], list[str]]:
+    def _row_loops(self, gathers, split) -> tuple[list[str], list[str], int]:
         """Row/segment/column loop heads for in-place shifted operands.
 
         Rows are the last axis; the leading axes flatten into ``r``.
         Per row each operand's wrapped source row gives ``b{cid}``, the
         distance from the row's flat start to the source row's; the
         columns split where some operand wraps, and inside a segment an
-        operand is ``h[i + k]`` with ``k`` loop-invariant.
+        operand is ``h[i + k]`` with ``k`` loop-invariant.  A ``split``
+        loop runs rows ``[lo, hi)``; the row count is the third value.
         """
         shapes = {self.shifted[cid][0] for cid in gathers}
         if len(shapes) != 1:
@@ -465,9 +532,10 @@ class _CEmitter:
         rows = self.n // cols
         cuts = sorted({0, cols} | {cols - self.shifted[cid][1][-1]
                                    for cid in gathers})
+        span = "r = lo; r < hi" if split else f"r = 0; r < {rows}"
         loop = [f"  static const long cut[] = "
                 f"{{{', '.join(map(str, cuts))}}};",
-                f"  for (long r = 0; r < {rows}; r++) {{",
+                f"  for (long {span}; r++) {{",
                 f"    const long o = r * {cols};"]
         for cid in gathers:
             offsets = self.shifted[cid][1]
@@ -490,12 +558,13 @@ class _CEmitter:
             loop.append(f"      const long k{cid} = b{cid} + "
                         f"(cut[g] + {off} < {cols} ? {off} : {off - cols});")
         loop += ["      for (long i = o + cut[g]; i < o + cut[g + 1]; i++) {"]
-        return loop, ["      }", "    }", "  }"]
+        return loop, ["      }", "    }", "  }"], rows
 
 
 def _load(src: str, nslots: int, sregs: tuple,
-          staged: tuple = ()) -> _CKernel:
-    """The kernel over ``src``, built once per process whoever asks.
+          staged: tuple = (), threads: int = 1) -> _CKernel:
+    """The kernel over ``src``, built once per process whoever asks;
+    a text split over ``threads`` > 1 is built with ``-pthread``.
 
     Raises :class:`BuildFailed` when the text cannot be turned into a
     loaded library (full or read-only ``TMPDIR``, a compiler that
@@ -520,8 +589,9 @@ def _load(src: str, nslots: int, sregs: tuple,
                 f.write(src)
             fd, partial = tempfile.mkstemp(suffix=".so", dir=workdir)
             os.close(fd)
+            flags = _CFLAGS + ["-pthread"] * (threads > 1)
             proc = subprocess.run(
-                [cc, *_CFLAGS, "-o", partial, cfile, "-lm"],
+                [cc, *flags, "-o", partial, cfile, "-lm"],
                 capture_output=True)
             if proc.returncode != 0:
                 os.unlink(partial)
@@ -537,7 +607,7 @@ def _load(src: str, nslots: int, sregs: tuple,
         cached = _SO_CACHE[src] = (lib, fn)
         build_ms = (time.perf_counter() - t0) * 1e3
     lib, fn = cached
-    return _CKernel(fn, lib, nslots, sregs, src, staged, build_ms)
+    return _CKernel(fn, lib, nslots, sregs, src, staged, build_ms, threads)
 
 
 def retune(kern, extra_flags: tuple) -> object:

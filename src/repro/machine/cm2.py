@@ -147,6 +147,8 @@ class Machine:
             # machine met that did not get the better tier
             # (``ExecutionPlan.kernel_for``).
             "declined": {},
+            # Cache keys of the C entries it met that split over cores.
+            "split": set(),
             # Shifted operands per dispatch, by how they were consumed:
             # read in place, read in place with the source's store
             # staged, or copied for a consumer that cannot index them.
@@ -505,6 +507,7 @@ class Machine:
                            "native_build_failures",
                            "shifts_folded", "shifts_staged",
                            "shifts_materialized")},
+            "native_split": len(self.fusion_metrics["split"]),
             # Steady-state dispatch: sites recorded, trips replayed,
             # records dropped and what no longer matched.
             **{f"launch_{key}": self.launch_metrics[key]

@@ -354,6 +354,8 @@ class ExecutionPlan:
         if kern.declined is not None:
             # Per entry, not per trip: meeting it again changes nothing.
             metrics.setdefault("declined", {})[key] = kern.declined
+        elif kern.native and kern.threads > 1:
+            metrics.setdefault("split", set()).add(key)
         return (None if isinstance(kern, NoKernel) else kern), built
 
     def _tier_up(self, kern, sigs, merged, mspec, metrics):
