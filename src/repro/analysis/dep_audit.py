@@ -4,9 +4,9 @@ The blocking stage reorders phases (list scheduling) and fuses adjacent
 compute phases into multi-clause MOVEs.  Both are only correct if they
 preserve every statement-level dependence of the pre-transform program.
 This module recomputes those dependences *from scratch* — fresh
-:class:`~repro.transform.dependence.EffectAnalyzer` runs over the phase
-nodes, never the cached ``Phase.effects`` (which ``fuse_phases`` mutates
-in place) — and asserts:
+:class:`~repro.transform.dependence.EffectAnalyzer` walks over the phase
+nodes, never the ``Phase.effects`` the compile memoised, so a wrong
+memo entry cannot vouch for itself — and asserts:
 
 * ``D401`` — the scheduled output is a permutation of the input phases
   (nothing dropped, nothing duplicated),

@@ -49,14 +49,15 @@ class Cm2Compiler:
     def __init__(self, env: Environment,
                  domains: dict[str, nir.Shape] | None = None,
                  options: BackendOptions | None = None,
-                 layouts: dict[str, tuple[str, ...]] | None = None) -> None:
+                 layouts: dict[str, tuple[str, ...]] | None = None,
+                 phases: dict | None = None) -> None:
         self.env = env
         self.domains = domains if domains is not None else env.domains
         self.options = options or BackendOptions()
         self.layouts = layouts or {}
         self.classifier = PhaseClassifier(
             env, self.domains,
-            neighborhood=self.options.neighborhood)
+            neighborhood=self.options.neighborhood, memo=phases)
         self.routines: dict[str, object] = {}
         self.report = PartitionReport()
         self.blocks: list[CompiledBlock] = []
@@ -131,17 +132,17 @@ class Cm2Compiler:
     # ------------------------------------------------------------------
 
     def compile_move(self, move: nir.Move) -> list[h.HostOp]:
-        phase = self.classifier.classify(move)
-        if phase.kind is PhaseKind.COMPUTE:
+        kind, _key = self.classifier.kind(move)
+        if kind is PhaseKind.COMPUTE:
             return self.compile_compute(move)
-        if phase.kind is PhaseKind.COMM:
+        if kind is PhaseKind.COMM:
             self.report.comm_phases += len(move.clauses)
             return [h.CommMove(clause=c, kind=fe.comm_kind(c))
                     for c in move.clauses]
-        if phase.kind is PhaseKind.REDUCE:
+        if kind is PhaseKind.REDUCE:
             self.report.reductions += len(move.clauses)
             return [h.ReduceMove(clause=c) for c in move.clauses]
-        if phase.kind is PhaseKind.SERIAL:
+        if kind is PhaseKind.SERIAL:
             ops = fe.serial_ops(move)
             self.report.serial_moves += len(ops)
             return ops

@@ -47,10 +47,8 @@ class Cm5Compiler(Cm2Compiler):
 
     target_name = "cm5"
 
-    def __init__(self, env, domains=None, options=None,
-                 layouts=None) -> None:
-        super().__init__(env, domains=domains, options=options,
-                         layouts=layouts)
+    def __init__(self, env, **kwargs) -> None:
+        super().__init__(env, **kwargs)
         self.report = Cm5Report()
 
     def compile_compute(self, move: nir.Move) -> list[h.HostOp]:

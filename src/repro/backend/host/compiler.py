@@ -57,10 +57,8 @@ class HostCompiler(Cm2Compiler):
 
     target_name = "host"
 
-    def __init__(self, env, domains=None, options=None,
-                 layouts=None) -> None:
-        super().__init__(env, domains=domains, options=options,
-                         layouts=layouts)
+    def __init__(self, env, **kwargs) -> None:
+        super().__init__(env, **kwargs)
         self.report = HostReport()
 
     def compile_compute(self, move: nir.Move) -> list[h.HostOp]:

@@ -22,7 +22,7 @@ from ..frontend.parser import parse_program
 from ..lowering import LoweredProgram, check_program, lower_program
 from ..lowering.environment import Environment
 from ..machine import CostModel, Machine, RunStats
-from ..pipeline import state_hash
+from ..pipeline import Memos, state_hash
 from ..runtime.host import HostExecutor, HostProgram
 from ..targets import get_target
 from ..transform import Options as TransformOptions
@@ -198,7 +198,8 @@ def _walk(parse, options: CompilerOptions | None,
     No stage consults the store when the point is to watch the real
     pipeline run (``verify``, ``dump_after``) or when pass reports
     carry source lines, which a line-free name cannot vouch for
-    (``analyze``).
+    (``analyze``).  The stages that run share the walk's ``Memos``
+    (docs/PIPELINE.md §9).
     """
     from ..analysis import verify_enabled
 
@@ -210,6 +211,7 @@ def _walk(parse, options: CompilerOptions | None,
     context = {"target": target.name,
                "fuse_exec": bool(options.transform.fuse_exec)}
     artifacts: dict = {}
+    memos = Memos()
 
     front_hash = artifact = None
     if store is not None:
@@ -221,8 +223,8 @@ def _walk(parse, options: CompilerOptions | None,
         front_hash = artifact.out_hash
     else:
         unit, layouts = parse()
-        lowered = lower_program(unit)
-        check_program(lowered.nir, lowered.env)
+        lowered = lower_program(unit, memos.infer)
+        check_program(lowered.nir, lowered.env, memos.infer)
         if store is not None:
             front_hash = state_hash(lowered.nir, lowered.env)
             store.put("front", front_key, (unit, lowered, layouts),
@@ -230,7 +232,8 @@ def _walk(parse, options: CompilerOptions | None,
 
     transformed = optimize(lowered, options.transform, verify=verify,
                            dump_after=dump_after, store=store,
-                           context=context, input_hash=front_hash)
+                           context=context, input_hash=front_hash,
+                           memos=memos)
 
     artifact = None
     if store is not None:
@@ -251,7 +254,7 @@ def _walk(parse, options: CompilerOptions | None,
         host_program, partition = artifact.obj
     else:
         backend = target.compiler()(transformed.env, options=options.backend,
-                                    layouts=layouts)
+                                    layouts=layouts, phases=memos.phases)
         host_program = backend.compile_program(transformed.nir)
         partition = backend.report
         if verify and target.verify_peac:

@@ -9,6 +9,8 @@ from identifiers (the parser does, contextually, as Fortran requires).
 
 from __future__ import annotations
 
+import re
+
 from .tokens import DOT_LITERALS, DOT_OPERATORS, OPERATORS, TokKind, Token
 
 
@@ -21,18 +23,33 @@ class LexError(Exception):
         self.col = col
 
 
+# Everything before a trailing ``!`` comment: characters, and character
+# literals (which may hold a ``!``; an unterminated one runs to the end).
+_CODE = re.compile(r"""(?:[^'"!]+|'[^']*'?|"[^"]*"?)*""")
+
+_DOTS = "|".join(d.strip(".") for d in (*DOT_OPERATORS, *DOT_LITERALS))
+
+# One alternative per token class, tried in the order the classes are
+# told apart: blanks, ';', character literals, numbers (a '.' opens a
+# fraction unless a dot operator starts there, as in 1.eq.2), dot
+# operators and literals, names, punctuation, and anything else.
+_TOKEN = re.compile(rf"""
+    [ \t]+
+  | (?P<semi>;)
+  | '(?P<squote>[^']*)' | "(?P<dquote>[^"]*)" | (?P<open>['"])
+  | (?P<num>(?:\d+(?P<frac>\.(?!(?i:{_DOTS})\.)\d*)?|\.\d+)
+            (?:(?P<exp>[eEdD])[+-]?\d+)?)
+  | (?P<dot>\.(?i:{_DOTS})\.)
+  | (?P<bad_dot>\.)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<op>{"|".join(re.escape(op) for op in OPERATORS)})
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def _strip_comment(text: str) -> str:
     """Remove a trailing ``!`` comment, respecting character literals."""
-    in_string: str | None = None
-    for i, ch in enumerate(text):
-        if in_string:
-            if ch == in_string:
-                in_string = None
-        elif ch in "'\"":
-            in_string = ch
-        elif ch == "!":
-            return text[:i]
-    return text
+    return text[:_CODE.match(text).end()] if "!" in text else text
 
 
 def _logical_lines(source: str):
@@ -83,99 +100,40 @@ def tokenize(source: str) -> list[Token]:
 
 
 def _lex_line(text: str, lineno: int, out: list[Token]) -> None:
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group is None:  # blanks
             continue
-        col = i + 1
-
-        if ch == ";":
-            out.append(Token(TokKind.NEWLINE, ";", lineno, col))
-            i += 1
-            continue
-
-        if ch in "'\"":
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 1
-            if j >= n:
-                raise LexError("unterminated character literal", lineno, col)
-            out.append(Token(TokKind.STRING, text[i + 1:j], lineno, col))
-            i = j + 1
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            i = _lex_number(text, i, lineno, out)
-            continue
-
-        if ch == ".":
-            matched = False
-            for dot, canon in {**DOT_OPERATORS,
-                               **{k: k for k in DOT_LITERALS}}.items():
-                if text[i:i + len(dot)].lower() == dot:
-                    if dot in DOT_LITERALS:
-                        out.append(Token(TokKind.LOGICAL, dot.strip("."),
-                                         lineno, col))
-                    else:
-                        out.append(Token(TokKind.OP, canon, lineno, col))
-                    i += len(dot)
-                    matched = True
-                    break
-            if matched:
-                continue
-            raise LexError(f"unexpected '.'", lineno, col)
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token(TokKind.IDENT, text[i:j], lineno, col))
-            i = j
-            continue
-
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                out.append(Token(TokKind.OP, op, lineno, col))
-                i += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", lineno, col)
-
-
-def _lex_number(text: str, i: int, lineno: int, out: list[Token]) -> int:
-    n = len(text)
-    col = i + 1
-    j = i
-    while j < n and text[j].isdigit():
-        j += 1
-    is_real = False
-    kind = TokKind.REAL
-    # A '.' begins a fraction only if not a dot-operator like 1.eq.2 / 1..2.
-    if j < n and text[j] == ".":
-        rest = text[j:].lower()
-        if not any(rest.startswith(d) for d in
-                   list(DOT_OPERATORS) + list(DOT_LITERALS)):
-            is_real = True
-            j += 1
-            while j < n and text[j].isdigit():
-                j += 1
-    if j < n and text[j] in "eEdD":
-        k = j + 1
-        if k < n and text[k] in "+-":
-            k += 1
-        if k < n and text[k].isdigit():
-            if text[j] in "dD":
+        col = m.start() + 1
+        lexeme = m.group()
+        if group == "ident":
+            out.append(Token(TokKind.IDENT, lexeme, lineno, col))
+        elif group == "op":
+            out.append(Token(TokKind.OP, lexeme, lineno, col))
+        elif group == "num":
+            if m.group("exp") in ("d", "D"):
                 kind = TokKind.DREAL
-            is_real = True
-            j = k
-            while j < n and text[j].isdigit():
-                j += 1
-    lit = text[i:j]
-    if is_real:
-        out.append(Token(kind, lit, lineno, col))
-    else:
-        out.append(Token(TokKind.INT, lit, lineno, col))
-    return j
+            elif m.group("frac") is not None or m.group("exp") \
+                    or lexeme[0] == ".":
+                kind = TokKind.REAL
+            else:
+                kind = TokKind.INT
+            out.append(Token(kind, lexeme, lineno, col))
+        elif group == "semi":
+            out.append(Token(TokKind.NEWLINE, ";", lineno, col))
+        elif group == "dot":
+            dot = lexeme.lower()
+            if dot in DOT_LITERALS:
+                out.append(Token(TokKind.LOGICAL, dot.strip("."), lineno,
+                                 col))
+            else:
+                out.append(Token(TokKind.OP, DOT_OPERATORS[dot], lineno,
+                                 col))
+        elif group in ("squote", "dquote"):
+            out.append(Token(TokKind.STRING, m.group(group), lineno, col))
+        elif group == "open":
+            raise LexError("unterminated character literal", lineno, col)
+        elif group == "bad_dot":
+            raise LexError("unexpected '.'", lineno, col)
+        else:
+            raise LexError(f"unexpected character {lexeme!r}", lineno, col)

@@ -70,26 +70,42 @@ def parse_expression(source: str) -> A.Expr:
     return e
 
 
+# Binary operators by precedence level, loosest first (``**``, right
+# associative, is ``_parse_factor``'s); relational operators do not chain.
+_BINARY = {".or.": 1, ".eqv.": 1, ".neqv.": 1, ".and.": 2,
+           "==": 4, "/=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+           "+": 5, "-": 5, "*": 6, "/": 6}
+_RELATIONAL = 4
+_ANY = 7  # a ceiling every binary level is under
+# Prefix operators: the level each sits at and the level of its operand.
+_PREFIX = {".not.": (3, 3), "-": (5, 6), "+": (5, 6)}
+
+
 class Parser:
     def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+        # Two spare EOFs let lookahead index past the end unchecked.
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
+        # Each token's kind test, made once: the text of an operator,
+        # the upper-cased text of a name, None otherwise.
+        self._ops = [t.text if t.kind is TokKind.OP else None
+                     for t in self.tokens]
+        self._words = [t.text.upper() if t.kind is TokKind.IDENT else None
+                       for t in self.tokens]
 
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokKind.EOF:
             self.pos += 1
         return tok
 
     def at_op(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind is TokKind.OP and t.text == text
+        return self._ops[self.pos] == text
 
     def accept_op(self, text: str) -> bool:
         if self.at_op(text):
@@ -103,8 +119,7 @@ class Parser:
         return self.next()
 
     def at_keyword(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind is TokKind.IDENT and t.upper in words
+        return self._words[self.pos] in words
 
     def accept_keyword(self, *words: str) -> bool:
         if self.at_keyword(*words):
@@ -262,20 +277,20 @@ class Parser:
         return tuple(decls), tuple(stmts)
 
     def _leading_keyword(self) -> str:
-        t = self.peek()
-        if t.kind is TokKind.EOF:
+        i = self.pos
+        kind = self.tokens[i].kind
+        if kind is TokKind.EOF:
             return "<eof>"
-        if t.kind is TokKind.INT:  # statement label
-            t = self.peek(1)
-        if t.kind is not TokKind.IDENT:
+        if kind is TokKind.INT:  # statement label
+            i += 1
+        kw = self._words[i]
+        if kw is None:
             return ""
-        kw = t.upper
         # Join two-word enders/types: END DO, END IF, DOUBLE PRECISION, ...
-        j = 1 + (1 if self.peek().kind is TokKind.INT else 0)
-        t2 = self.peek(j)
-        if t2.kind is TokKind.IDENT:
-            joined = kw + t2.upper
-            if joined in _BLOCK_ENDERS or joined in ("DOUBLEPRECISION",):
+        second = self._words[i + 1]
+        if second is not None:
+            joined = kw + second
+            if joined in _BLOCK_ENDERS or joined == "DOUBLEPRECISION":
                 return joined
         return kw
 
@@ -672,60 +687,34 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_expr(self) -> A.Expr:
-        return self._parse_or()
+    def parse_expr(self, level: int = 1) -> A.Expr:
+        """An expression of operators at ``level`` or tighter.
 
-    def _parse_or(self) -> A.Expr:
-        left = self._parse_and()
-        while self.at_op(".or.") or self.at_op(".eqv.") or self.at_op(".neqv."):
-            op = self.next().text
-            left = A.BinExpr(op, left, self._parse_and(), loc=left.loc)
-        return left
-
-    def _parse_and(self) -> A.Expr:
-        left = self._parse_not()
-        while self.at_op(".and."):
-            self.next()
-            left = A.BinExpr(".and.", left, self._parse_not(), loc=left.loc)
-        return left
-
-    def _parse_not(self) -> A.Expr:
-        if self.at_op(".not."):
-            t = self.peek()
-            self.next()
-            return A.UnExpr(".not.", self._parse_not(),
-                            loc=SourceLoc(t.line, t.col))
-        return self._parse_relational()
-
-    def _parse_relational(self) -> A.Expr:
-        left = self._parse_addsub()
-        for op in ("==", "/=", "<=", ">=", "<", ">"):
-            if self.at_op(op):
-                self.next()
-                return A.BinExpr(op, left, self._parse_addsub(),
-                                 loc=left.loc)
-        return left
-
-    def _parse_addsub(self) -> A.Expr:
-        if self.at_op("-") or self.at_op("+"):
-            t = self.peek()
-            op = self.next().text
-            operand = self._parse_term()
-            left: A.Expr = operand if op == "+" \
-                else A.UnExpr("-", operand, loc=SourceLoc(t.line, t.col))
+        Precedence climbing over ``_BINARY`` and ``_PREFIX``: each
+        operator consumed bounds what may follow it at this level
+        (``ceiling``), so a relational operator never chains and a
+        looser level never resumes inside a tighter one's operand.
+        """
+        t = self.tokens[self.pos]
+        prefix = _PREFIX.get(self._ops[self.pos])
+        if prefix is not None and level <= prefix[0]:
+            self.pos += 1
+            ceiling = prefix[1]
+            left = self.parse_expr(ceiling)
+            if t.text != "+":
+                left = A.UnExpr(t.text, left, loc=SourceLoc(t.line, t.col))
         else:
-            left = self._parse_term()
-        while self.at_op("+") or self.at_op("-"):
-            op = self.next().text
-            left = A.BinExpr(op, left, self._parse_term(), loc=left.loc)
-        return left
-
-    def _parse_term(self) -> A.Expr:
-        left = self._parse_factor()
-        while self.at_op("*") or self.at_op("/"):
-            op = self.next().text
-            left = A.BinExpr(op, left, self._parse_factor(), loc=left.loc)
-        return left
+            left = self._parse_factor()
+            ceiling = _ANY
+        while True:
+            op = self._ops[self.pos]
+            prec = _BINARY.get(op)
+            if prec is None or not level <= prec < ceiling:
+                return left
+            self.pos += 1
+            ceiling = prec if prec == _RELATIONAL else prec + 1
+            left = A.BinExpr(op, left, self.parse_expr(prec + 1),
+                             loc=left.loc)
 
     def _parse_factor(self) -> A.Expr:
         base = self._parse_primary()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokKind(enum.Enum):
@@ -18,8 +18,10 @@ class TokKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme: immutable, printed and compared by its four fields
+    (a tuple, so the lexer builds one without a dataclass ``__init__``)."""
+
     kind: TokKind
     text: str
     line: int

@@ -49,21 +49,35 @@ def _combine_shapes(a: nir.Shape | None, b: nir.Shape | None,
 
 
 class Inference:
-    """Type/shape inference bound to one unit's environments."""
+    """Type/shape inference bound to one unit's environments.
+
+    ``memo`` maps values to their :class:`VInfo` (the compile's inference
+    memo, docs/PIPELINE.md §9); without one nothing is remembered.
+    """
 
     def __init__(self, env: Environment,
-                 domain_env: dict[str, nir.Shape] | None = None) -> None:
+                 domain_env: dict[str, nir.Shape] | None = None,
+                 memo: dict | None = None) -> None:
         self.env = env
         self.domains = domain_env if domain_env is not None else env.domains
+        self.memo = memo
 
     # -- public API ---------------------------------------------------------
 
     def infer(self, value: nir.Value) -> VInfo:
         """Infer the elemental type and shape of a value tree."""
+        memo = self.memo
+        if memo is not None:
+            info = memo.get(value)
+            if info is not None:
+                return info
         method = getattr(self, "_infer_" + type(value).__name__.lower(), None)
         if method is None:
             raise nir.TypeError_(f"cannot infer {type(value).__name__}")
-        return method(value)
+        info = method(value)
+        if memo is not None:
+            memo[value] = info
+        return info
 
     def shape_of_symbol(self, sym: Symbol) -> nir.Shape | None:
         if not sym.is_array:

@@ -7,11 +7,13 @@ the shape domain.  This step satisfies assertions that in all direct
 computations between arrays, the shapes of interacting arrays agree."
 (section 4.1)
 
-These passes walk a lowered (or transformed) NIR program, re-deriving
-every value's type and shape with :class:`~repro.lowering.analysis.Inference`
-and enforcing the imperative-level rules: MOVE targets are storage
-references, sources conform to targets, masks are logical, conditions
-are scalar, and DO bodies only use domains in scope.
+These passes walk a lowered (or transformed) NIR program, asking
+:class:`~repro.lowering.analysis.Inference` for every value's type and
+shape and enforcing the imperative-level rules: MOVE targets are
+storage references, sources conform to targets, masks are logical,
+conditions are scalar, and DO bodies only use domains in scope.  One
+compile's walks share its inference memo, which also records the
+clauses that passed each mode, so ``recheck`` checks only new clauses.
 """
 
 from __future__ import annotations
@@ -25,28 +27,35 @@ class CheckError(Exception):
     """A type or shape violation found by the program checkers."""
 
 
-def typecheck(program: nir.Program, env: Environment) -> None:
+def typecheck(program: nir.Program, env: Environment,
+              memo: dict | None = None) -> None:
     """Raise :class:`CheckError` on any type-domain violation."""
-    _Checker(env, mode="type").check(program)
+    _Checker(env, "type", memo).check(program)
 
 
-def shapecheck(program: nir.Program, env: Environment) -> None:
+def shapecheck(program: nir.Program, env: Environment,
+               memo: dict | None = None) -> None:
     """Raise :class:`CheckError` on any shape-domain violation."""
-    _Checker(env, mode="shape").check(program)
+    _Checker(env, "shape", memo).check(program)
 
 
-def check_program(program: nir.Program, env: Environment) -> None:
+def check_program(program: nir.Program, env: Environment,
+                  memo: dict | None = None) -> None:
     """Run both checkers (the order the paper's front end applies them)."""
-    typecheck(program, env)
-    shapecheck(program, env)
+    memo = memo if memo is not None else {}
+    typecheck(program, env, memo)
+    shapecheck(program, env, memo)
 
 
 class _Checker:
-    def __init__(self, env: Environment, mode: str) -> None:
+    def __init__(self, env: Environment, mode: str,
+                 memo: dict | None = None) -> None:
         self.env = env
         self.mode = mode
+        # Values -> VInfo, and (mode, clause) -> True once it passed.
+        self.memo = memo if memo is not None else {}
         self.domains: dict[str, nir.Shape] = dict(env.domains)
-        self.infer = Inference(env, self.domains)
+        self.infer = Inference(env, self.domains, self.memo)
 
     def check(self, node: nir.Imperative) -> None:
         try:
@@ -63,8 +72,13 @@ class _Checker:
         if isinstance(node, nir.Program):
             self._imp(node.body)
         elif isinstance(node, nir.WithDomain):
-            # Domain scoping: visible to the subtree only.
+            # Domain scoping: visible to the subtree only.  The memo's
+            # facts hold under the current bindings, so a scope changing
+            # one (hand-built NIR) drops them on the way in and out.
             prior = self.domains.get(node.name)
+            rebinds = node.shape != prior
+            if rebinds:
+                self.memo.clear()
             self.domains[node.name] = node.shape
             try:
                 self._imp(node.body)
@@ -73,6 +87,8 @@ class _Checker:
                     self.domains.pop(node.name, None)
                 else:
                     self.domains[node.name] = prior
+                if rebinds:
+                    self.memo.clear()
         elif isinstance(node, nir.WithDecl):
             self._imp(node.body)
         elif isinstance(node, (nir.Sequentially, nir.Concurrently)):
@@ -80,7 +96,9 @@ class _Checker:
                 self._imp(a)
         elif isinstance(node, nir.Move):
             for clause in node.clauses:
-                self._move_clause(clause)
+                if (self.mode, clause) not in self.memo:
+                    self._move_clause(clause)
+                    self.memo[self.mode, clause] = True
         elif isinstance(node, nir.IfThenElse):
             self._condition(node.cond, "IFTHENELSE condition")
             self._imp(node.then)

@@ -48,9 +48,11 @@ class LoweredProgram:
         return node
 
 
-def lower_program(unit: A.ProgramUnit) -> LoweredProgram:
-    """Lower a parsed PROGRAM unit to NIR (the front-end semantic phase)."""
-    return Lowerer(unit).run()
+def lower_program(unit: A.ProgramUnit,
+                  memo: dict | None = None) -> LoweredProgram:
+    """Lower a parsed PROGRAM unit to NIR (the front-end semantic phase);
+    ``memo`` is the compile's inference memo."""
+    return Lowerer(unit, memo=memo).run()
 
 
 _BINOPS = {
@@ -74,10 +76,12 @@ _BINOPS = {
 
 class Lowerer:
     def __init__(self, unit: A.ProgramUnit,
-                 env: Environment | None = None) -> None:
+                 env: Environment | None = None,
+                 memo: dict | None = None) -> None:
         self.unit = unit
         self.env = env if env is not None else build_environment(unit)
-        self.infer = Inference(self.env)
+        self.infer = Inference(self.env,
+                               memo=memo if memo is not None else {})
         # Serial-context bindings: loop/FORALL index name -> NIR value.
         self.index_bindings: dict[str, nir.Value] = {}
 

@@ -27,8 +27,9 @@ class Imperative:
     """Base class for imperative-domain constructors."""
 
 
+@v.hash_once
 @dataclass(frozen=True)
-class MoveClause:
+class MoveClause(v.Hashed):
     """One ``(mask, (src, tgt))`` element of a ``MOVE``.
 
     A mask of :data:`~repro.nir.values.TRUE` means the move is

@@ -128,20 +128,24 @@ def resolve(shape: Shape, env: DomainEnv | None = None) -> Shape:
     """Chase ``DomainRef`` indirections until a structural shape remains.
 
     ``ProdDom`` components are resolved recursively, so the result contains
-    no ``DomainRef`` nodes at any depth.
+    no ``DomainRef`` nodes at any depth; a shape that holds none is
+    returned as it is.
     """
-    env = env or {}
-    seen: set[str] = set()
-    while isinstance(shape, DomainRef):
-        if shape.name in seen:
-            raise ShapeError(f"cyclic domain definition: '{shape.name}'")
-        seen.add(shape.name)
-        try:
-            shape = env[shape.name]
-        except KeyError:
-            raise ShapeError(f"unbound domain: '{shape.name}'") from None
+    if isinstance(shape, DomainRef):
+        env = env or {}
+        seen: set[str] = set()
+        while isinstance(shape, DomainRef):
+            if shape.name in seen:
+                raise ShapeError(f"cyclic domain definition: '{shape.name}'")
+            seen.add(shape.name)
+            try:
+                shape = env[shape.name]
+            except KeyError:
+                raise ShapeError(f"unbound domain: '{shape.name}'") from None
     if isinstance(shape, ProdDom):
-        return ProdDom(tuple(resolve(d, env) for d in shape.dims))
+        dims = tuple([resolve(d, env) for d in shape.dims])
+        # Equal only if nothing changed: a DomainRef never equals a shape.
+        return shape if dims == shape.dims else ProdDom(dims)
     return shape
 
 

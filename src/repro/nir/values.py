@@ -25,8 +25,38 @@ from . import types as ty
 from .ops import BinOp, UnOp
 
 
+class Hashed:
+    """A slot for the structural hash, which no pickle carries: ``str``
+    hashes differ between processes, and the store moves NIR across
+    them.  Default pickling writes ``__dict__`` (the fields) plus the
+    slots in ``__slotnames__``, which :func:`hash_once` empties;
+    ``__getnewargs__`` (``tuple()`` is ``()``) lets it skip the layout
+    check that would refuse the unlisted slot."""
+
+    __slots__ = ("_hash",)
+    __getnewargs__ = tuple
+
+
+def hash_once(cls):
+    """Make ``cls`` compute its structural hash once: apply it to each
+    concrete class, as ``@dataclass`` generates ``__hash__`` per class."""
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    cls.__slotnames__ = []
+    return cls
+
+
 @dataclass(frozen=True)
-class Value:
+class Value(Hashed):
     """Base class for all value-domain constructors.
 
     ``loc`` is the source position of the Fortran expression this value
@@ -45,7 +75,7 @@ class Value:
 
 
 @dataclass(frozen=True)
-class FieldAction:
+class FieldAction(Hashed):
     """Base class for field restrictors, "an overrestricted form of shapes"."""
 
 
@@ -242,6 +272,11 @@ class CopyIn(Value):
 # ---------------------------------------------------------------------------
 
 
+for _cls in (Everywhere, Subscript, LocalUnder, Scalar, SVar, AVar, Binary,
+             Unary, FcnCall, IndexRange, RefIn, CopyIn):
+    hash_once(_cls)
+
+
 def children(v: Value) -> tuple[Value, ...]:
     """Immediate value-domain children of a value node."""
     if isinstance(v, Binary):
@@ -259,9 +294,11 @@ def children(v: Value) -> tuple[Value, ...]:
 
 def walk(v: Value):
     """Pre-order traversal of a value tree."""
-    yield v
-    for c in children(v):
-        yield from walk(c)
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        yield v
+        stack.extend(reversed(children(v)))
 
 
 def scalar_vars(v: Value) -> set[str]:

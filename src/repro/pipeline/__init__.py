@@ -23,11 +23,12 @@ list of names.
 """
 
 from .manager import PassManager, state_hash, unwrap_body, wrap_body
-from .passes import Pass, PassContext
+from .passes import Memos, Pass, PassContext
 from .registry import PassRegistry, UnknownPassError
 from .trace import PassTiming, PipelineTrace
 
 __all__ = [
+    "Memos",
     "Pass",
     "PassContext",
     "PassManager",

@@ -13,13 +13,14 @@ themselves stay pure transformations.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import time
 from typing import Any, Iterable, Sequence
 
 from .. import nir
 from ..lowering.environment import Environment
-from .passes import Pass, PassContext
+from .passes import Memos, Pass, PassContext
 from .registry import UnknownPassError
 from .trace import PassTiming, PipelineTrace
 
@@ -84,8 +85,11 @@ class PassManager:
     def __init__(self, passes: Sequence[Pass], *, verify: bool = False,
                  dump_after: Iterable[str] = (),
                  store=None, context: dict | None = None,
-                 input_hash: str | None = None) -> None:
+                 input_hash: str | None = None,
+                 memos: Memos | None = None) -> None:
         self.passes = list(passes)
+        # The compile walk's memos; each run without them makes its own.
+        self.memos = memos
         self.verify = verify
         self.dump_after = tuple(dump_after)
         self.store = store
@@ -137,17 +141,22 @@ class PassManager:
         names and the backend artifact keyed on the final state hits
         across tail-pass config changes.  A state that cannot be
         materialized (its artifact evicted between the header read and
-        the state read) falls back to a storeless run from the inputs.
+        the state read) falls back to a storeless run from the inputs —
+        from the environment as it came in, not as an earlier miss may
+        have extended it.
         """
         store = self.store
         trace = PipelineTrace()
         t_run = time.perf_counter()
         self._checked(trace, input_stage, program, env)
+        memos = self.memos if self.memos is not None else Memos()
 
         current: nir.Imperative = program
         in_body = False  # whether ``current`` is the unwrapped body
+        size = None  # ir_size(current) if known: the last pass's ir_after
         name = program.name
         original_env = env
+        pristine = None  # ``original_env``'s tables before a miss ran
         in_hash = None if store is None \
             else self.input_hash or state_hash(program, env)
         hits = misses = 0
@@ -156,6 +165,8 @@ class PassManager:
         ahead: str | None = None
 
         def cold():
+            if pristine is not None:  # drop what the misses declared
+                vars(original_env).update(pristine)
             result, trace = PassManager(
                 self.passes, verify=self.verify, dump_after=self.dump_after,
             ).run(program, original_env, options, report, input_stage)
@@ -188,22 +199,27 @@ class PassManager:
                         return cold()
                     current, env = restored
                     in_body = False
+                    size = None
                     ahead = None
+                elif env is original_env and pristine is None:
+                    # The tables only grow: copies of them are a snapshot.
+                    pristine = {k: copy.copy(v) for k, v in vars(env).items()}
             if p.scope == "body" and not in_body:
-                current = unwrap_body(current)
+                current, size = unwrap_body(current), None
                 in_body = True
             elif p.scope == "program" and in_body:
-                current = wrap_body(current, env, name)
+                current, size = wrap_body(current, env, name), None
                 in_body = False
-            before = ir_size(current)
+            before = ir_size(current) if size is None else size
             ctx = PassContext(node=current, env=env, options=options,
-                              report=report, verify=self.verify)
+                              report=report, verify=self.verify,
+                              memos=memos)
             t0 = time.perf_counter()
             current = p.run(ctx)
             seconds = time.perf_counter() - t0
+            size = before if current is ctx.node else ir_size(current)
             trace.passes.append(PassTiming(
-                p.name, seconds=seconds, ir_before=before,
-                ir_after=ir_size(current)))
+                p.name, seconds=seconds, ir_before=before, ir_after=size))
             self._checked(trace, p.name, current, env)
             if p.name in self.dump_after:
                 trace.dumps[p.name] = nir.pretty(current)

@@ -24,6 +24,17 @@ SCOPES = ("program", "body")
 
 
 @dataclass
+class Memos:
+    """What one compile walk computes once (docs/PIPELINE.md §9): the
+    inference memo lowering, both checks and normalize share, and the
+    phase memo of ``block``, ``fuse_exec`` and the backend.  The walk
+    owns them and drops them; no pickled object holds them."""
+
+    infer: dict = field(default_factory=dict)
+    phases: dict = field(default_factory=dict)
+
+
+@dataclass
 class PassContext:
     """Everything a pass may read or write while running.
 
@@ -37,6 +48,7 @@ class PassContext:
     options: Any
     report: Any
     verify: bool = False
+    memos: Memos = field(default_factory=Memos)
 
 
 def _always(_options: Any) -> bool:

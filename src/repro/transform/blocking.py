@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import nir
-from .dependence import may_depend
+from .dependence import Effects, may_depend
 from .phases import Phase, PhaseKind
 
 
@@ -120,7 +120,9 @@ def fuse_phases(phases: list[Phase],
                          & set(out[-1].effects.array_writes))):
             prev = out[-1]
             merged_move = nir.Move(prev.node.clauses + p.node.clauses)
-            merged_eff = prev.effects
+            # A fresh footprint: a phase's effects may be memoised ones.
+            merged_eff = Effects()
+            merged_eff.merge(prev.effects)
             merged_eff.merge(p.effects)
             out[-1] = Phase(merged_move, PhaseKind.COMPUTE, p.key,
                             merged_eff, prev.index)

@@ -83,12 +83,15 @@ class EffectAnalyzer:
 
     # -- imperatives ---------------------------------------------------------
 
-    def effects(self, node: nir.Imperative) -> Effects:
+    def effects(self, node: nir.Imperative, child=None) -> Effects:
+        """The footprint of ``node``; ``child(action, eff)`` adds a
+        nested action's (by default, walking it)."""
         eff = Effects()
-        self._imp(node, eff)
+        self._imp(node, eff, child)
         return eff
 
-    def _imp(self, node: nir.Imperative, eff: Effects) -> None:
+    def _imp(self, node: nir.Imperative, eff: Effects, child=None) -> None:
+        child = child or self._imp
         if isinstance(node, nir.Move):
             for clause in node.clauses:
                 self.value_effects(clause.mask, eff)
@@ -96,24 +99,24 @@ class EffectAnalyzer:
                 self.target_effects(clause.tgt, eff)
         elif isinstance(node, (nir.Sequentially, nir.Concurrently)):
             for a in node.actions:
-                self._imp(a, eff)
+                child(a, eff)
         elif isinstance(node, nir.IfThenElse):
             self.value_effects(node.cond, eff)
-            self._imp(node.then, eff)
-            self._imp(node.els, eff)
+            child(node.then, eff)
+            child(node.els, eff)
         elif isinstance(node, nir.While):
             self.value_effects(node.cond, eff)
-            self._imp(node.body, eff)
+            child(node.body, eff)
         elif isinstance(node, nir.Do):
             for name in node.index_names:
                 eff.scalar_writes.add(name)
-            self._imp(node.body, eff)
+            child(node.body, eff)
         elif isinstance(node, nir.CallStmt):
             for a in node.args:
                 self.value_effects(a, eff)
             eff.barrier = True
         elif isinstance(node, (nir.WithDecl, nir.WithDomain, nir.Program)):
-            self._imp(node.body, eff)
+            child(node.body, eff)
         elif isinstance(node, (nir.Skip, nir.RefOut, nir.CopyOut)):
             pass
         else:
@@ -140,14 +143,10 @@ def may_depend(a: Effects, b: Effects) -> bool:
     """
     if a.barrier or b.barrier:
         return True
-    if a.scalar_writes & (b.scalar_reads | b.scalar_writes):
+    if not (a.scalar_writes.isdisjoint(b.scalar_reads)
+            and a.scalar_writes.isdisjoint(b.scalar_writes)
+            and b.scalar_writes.isdisjoint(a.scalar_reads)):
         return True
-    if b.scalar_writes & a.scalar_reads:
-        return True
-    if _array_conflict(a.array_writes, b.array_reads):
-        return True
-    if _array_conflict(b.array_writes, a.array_reads):
-        return True
-    if _array_conflict(a.array_writes, b.array_writes):
-        return True
-    return False
+    return (_array_conflict(a.array_writes, b.array_reads)
+            or _array_conflict(b.array_writes, a.array_reads)
+            or _array_conflict(a.array_writes, b.array_writes))

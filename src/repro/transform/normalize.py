@@ -58,10 +58,12 @@ class Normalizer:
     def __init__(self, env: Environment,
                  domains: dict[str, nir.Shape] | None = None,
                  comm_cse: bool = True,
-                 neighborhood: bool = False) -> None:
+                 neighborhood: bool = False,
+                 memo: dict | None = None) -> None:
         self.env = env
         self.domains = domains if domains is not None else env.domains
-        self.infer = Inference(env, self.domains)
+        self.infer = Inference(env, self.domains,
+                               memo if memo is not None else {})
         self.report = NormalizeReport()
         self.comm_cse = comm_cse
         # §5.3.2 "Other Computation Models": under the neighborhood

@@ -78,7 +78,8 @@ def _run_promote(ctx: PassContext) -> nir.Imperative:
 
 def _run_normalize(ctx: PassContext) -> nir.Imperative:
     normalizer = Normalizer(ctx.env, comm_cse=ctx.options.comm_cse,
-                            neighborhood=ctx.options.neighborhood)
+                            neighborhood=ctx.options.neighborhood,
+                            memo=ctx.memos.infer)
     program = normalizer.normalize(ctx.node)
     ctx.report.normalize = normalizer.report
     return program
@@ -98,7 +99,8 @@ def _run_dse(ctx: PassContext) -> nir.Imperative:
 
 def _run_block(ctx: PassContext) -> nir.Imperative:
     return _block_recursive(ctx.node, ctx.env, ctx.options,
-                            ctx.report.blocking, verify=ctx.verify)
+                            ctx.report.blocking, verify=ctx.verify,
+                            memo=ctx.memos.phases)
 
 
 def _run_fuse_exec(ctx: PassContext) -> nir.Imperative:
@@ -112,7 +114,8 @@ def _run_fuse_exec(ctx: PassContext) -> nir.Imperative:
     quantifies how much adjacency the blocked program exposes.
     """
     classifier = PhaseClassifier(ctx.env,
-                                 neighborhood=ctx.options.neighborhood)
+                                 neighborhood=ctx.options.neighborhood,
+                                 memo=ctx.memos.phases)
     report = ctx.report.exec_fusion
     for phases in _phase_runs(ctx.node, classifier):
         run = 0
@@ -143,7 +146,7 @@ def _phase_runs(node: nir.Imperative, classifier):
 
 
 def _run_recheck(ctx: PassContext) -> nir.Imperative:
-    check_program(ctx.node, ctx.env)
+    check_program(ctx.node, ctx.env, ctx.memos.infer)
     return ctx.node
 
 
@@ -273,54 +276,49 @@ def _eliminate_dead_scalar_stores(node: nir.Imperative,
 
 
 def _block_recursive(node: nir.Imperative, env, options,
-                     report: BlockingReport,
-                     verify: bool = False) -> nir.Imperative:
+                     report: BlockingReport, verify: bool = False,
+                     memo: dict | None = None) -> nir.Imperative:
     """Apply schedule+fuse to every statement sequence, bottom-up.
 
     Under ``verify``, each sequence's reordering is audited against
     dependences recomputed on the pre-schedule phases, and fusion is
-    checked to be pure clause concatenation.
+    checked to be pure clause concatenation.  ``memo`` is the compile's
+    phase memo.
     """
-    if isinstance(node, nir.Sequentially):
-        children = [_block_recursive(a, env, options, report, verify)
-                    for a in node.actions]
-        seq = nir.seq(*children)
-        if not isinstance(seq, nir.Sequentially):
-            return seq
-        classifier = PhaseClassifier(env, neighborhood=options.neighborhood)
-        phases = classifier.split(seq)
-        report.phases_in += len(phases)
-        if options.block:
-            before = list(phases)
-            phases = schedule_phases(phases, report)
-            if verify:
-                from ..analysis.dep_audit import assert_schedule
-                assert_schedule(before, phases, env, "block/schedule")
-        if options.fuse:
-            before = list(phases)
-            phases = fuse_phases(phases, report)
-            if verify:
-                from ..analysis.dep_audit import assert_fusion
-                assert_fusion(before, phases, "block/fuse")
-        else:
-            report.phases_out += len(phases)
-        return rebuild(phases)
-    if isinstance(node, nir.Do):
-        return nir.Do(
-            node.shape,
-            _block_recursive(node.body, env, options, report, verify),
-            node.index_names)
-    if isinstance(node, nir.While):
-        return nir.While(
-            node.cond,
-            _block_recursive(node.body, env, options, report, verify))
-    if isinstance(node, nir.IfThenElse):
-        return nir.IfThenElse(
-            node.cond,
-            _block_recursive(node.then, env, options, report, verify),
-            _block_recursive(node.els, env, options, report, verify))
-    if isinstance(node, nir.Concurrently):
-        return nir.Concurrently(tuple(
-            _block_recursive(a, env, options, report, verify)
-            for a in node.actions))
-    return node
+    classifier = PhaseClassifier(env, neighborhood=options.neighborhood,
+                                 memo=memo)
+
+    def block(node: nir.Imperative) -> nir.Imperative:
+        if isinstance(node, nir.Sequentially):
+            seq = nir.seq(*[block(a) for a in node.actions])
+            if not isinstance(seq, nir.Sequentially):
+                return seq
+            phases = classifier.split(seq)
+            report.phases_in += len(phases)
+            if options.block:
+                before = list(phases)
+                phases = schedule_phases(phases, report)
+                if verify:
+                    from ..analysis.dep_audit import assert_schedule
+                    assert_schedule(before, phases, env, "block/schedule")
+            if options.fuse:
+                before = list(phases)
+                phases = fuse_phases(phases, report)
+                if verify:
+                    from ..analysis.dep_audit import assert_fusion
+                    assert_fusion(before, phases, "block/fuse")
+            else:
+                report.phases_out += len(phases)
+            return rebuild(phases)
+        if isinstance(node, nir.Do):
+            return nir.Do(node.shape, block(node.body), node.index_names)
+        if isinstance(node, nir.While):
+            return nir.While(node.cond, block(node.body))
+        if isinstance(node, nir.IfThenElse):
+            return nir.IfThenElse(node.cond, block(node.then),
+                                  block(node.els))
+        if isinstance(node, nir.Concurrently):
+            return nir.Concurrently(tuple(block(a) for a in node.actions))
+        return node
+
+    return block(node)

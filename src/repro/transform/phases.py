@@ -56,13 +56,26 @@ def _is_gather_field(field: nir.FieldAction) -> bool:
 
 
 class PhaseClassifier:
+    """Classifies actions into phases, each node once per compile.
+
+    ``memo`` is the compile's phase memo (docs/PIPELINE.md §9): effects
+    under ``"effects"`` (a control node's composed from its children's;
+    shared, so never mutated), kind and key under the ``neighborhood``
+    flag they depend on.  Both are keyed by node identity; an entry holds
+    its node, so the id is not reused while the memo lives.
+    """
+
     def __init__(self, env: Environment,
                  domains: dict[str, nir.Shape] | None = None,
-                 neighborhood: bool = False) -> None:
+                 neighborhood: bool = False,
+                 memo: dict | None = None) -> None:
         self.env = env
         self.domains = domains if domains is not None else env.domains
         self.analyzer = EffectAnalyzer(env, self.domains)
         self.neighborhood = neighborhood
+        memo = {} if memo is None else memo
+        self._effects = memo.setdefault("effects", {})
+        self._kinds = memo.setdefault(neighborhood, {})
 
     def split(self, node: nir.Imperative) -> list[Phase]:
         """Phase list of a sequence (or a single action)."""
@@ -71,17 +84,33 @@ class PhaseClassifier:
         return [self.classify(a, i) for i, a in enumerate(actions)]
 
     def classify(self, node: nir.Imperative, index: int = 0) -> Phase:
-        effects = self.analyzer.effects(node)
+        return Phase(node, *self.kind(node), self.effects(node), index)
+
+    def kind(self, node: nir.Imperative
+             ) -> tuple[PhaseKind, DomainKey | None]:
+        """The phase kind and domain key of ``node``."""
+        held = self._kinds.get(id(node))
+        if held is not None:
+            return held[1]
         if isinstance(node, nir.Move):
-            kind, key = self._classify_move(node)
-            return Phase(node, kind, key, effects, index)
-        if isinstance(node, (nir.Do, nir.While, nir.IfThenElse,
-                             nir.Concurrently)):
-            return Phase(node, PhaseKind.CONTROL, None, effects, index)
-        if isinstance(node, (nir.CallStmt, nir.Skip, nir.RefOut,
-                             nir.CopyOut)):
-            return Phase(node, PhaseKind.SERIAL, None, effects, index)
-        return Phase(node, PhaseKind.CONTROL, None, effects, index)
+            fact = self._classify_move(node)
+        elif isinstance(node, (nir.CallStmt, nir.Skip, nir.RefOut,
+                               nir.CopyOut)):
+            fact = PhaseKind.SERIAL, None
+        else:
+            fact = PhaseKind.CONTROL, None
+        self._kinds[id(node)] = node, fact
+        return fact
+
+    def effects(self, node: nir.Imperative) -> Effects:
+        """The footprint of ``node``, composed from its children's."""
+        held = self._effects.get(id(node))
+        if held is not None:
+            return held[1]
+        eff = self.analyzer.effects(
+            node, lambda child, eff: eff.merge(self.effects(child)))
+        self._effects[id(node)] = node, eff
+        return eff
 
     # ------------------------------------------------------------------
 

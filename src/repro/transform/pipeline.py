@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .. import nir
 from ..lowering.environment import Environment
 from ..lowering.lower import LoweredProgram
-from ..pipeline import PassManager, PipelineTrace, unwrap_body, wrap_body
+from ..pipeline import (Memos, PassManager, PipelineTrace, unwrap_body,
+                        wrap_body)
 from .blocking import BlockingReport
 from .masking import MaskingReport
 from .normalize import NormalizeReport
@@ -116,7 +117,8 @@ def optimize(lowered: LoweredProgram,
              verify: bool | None = None,
              dump_after: tuple[str, ...] = (),
              store=None, context: dict | None = None,
-             input_hash: str | None = None) -> TransformedProgram:
+             input_hash: str | None = None,
+             memos: Memos | None = None) -> TransformedProgram:
     """Apply the target-independent NIR transformations.
 
     With ``verify`` on (default: the ``REPRO_VERIFY=1`` environment
@@ -135,7 +137,7 @@ def optimize(lowered: LoweredProgram,
     from ``input_hash`` (the lowered state's name; computed when not
     given) and ``context`` (the resolved target and ``fuse_exec``) —
     the same store-optional path the driver's walk takes for its front
-    and backend stages.
+    and backend stages.  ``memos`` are the walk's (fresh if absent).
     """
     from .passes import default_pipeline
 
@@ -146,7 +148,8 @@ def optimize(lowered: LoweredProgram,
     report = TransformReport()
     manager = PassManager(default_pipeline(), verify=verify,
                           dump_after=dump_after, store=store,
-                          context=context, input_hash=input_hash)
+                          context=context, input_hash=input_hash,
+                          memos=memos)
     program, trace = manager.run(lowered.nir, lowered.env, options,
                                  report, input_stage="lower")
     return TransformedProgram(nir=program, env=lowered.env,

@@ -9,6 +9,7 @@ same array provably never collide).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,8 +48,9 @@ class Region:
         return math.prod(self.extents)
 
 
+@functools.lru_cache(maxsize=1024)
 def full_region(extents: tuple[int, ...]) -> Region:
-    """The region covering an entire array."""
+    """The region covering an entire array (immutable, so shared)."""
     return Region(extents, tuple((1, n, 1) for n in extents))
 
 

@@ -69,6 +69,20 @@ class TestFigure9Blocking:
         a_last = max(i for i, (t, s) in enumerate(flat) if t == "a")
         assert a_first < b_pos < a_last
 
+    def test_fusion_leaves_memoised_effects_alone(self):
+        """A compile's phase memo hands out one ``Effects`` per node:
+        fusing two phases must not grow the first one's."""
+        lowered = lower("real a(8), b(8), c(8)\na = 1.0\nb = a + 2.0\n"
+                        "c = b * a\nend")
+        body = unwrap_body(lowered.nir)
+        classifier = PhaseClassifier(lowered.env, memo={})
+        phases = classifier.split(body)
+        fused = fuse_phases(phases)
+        assert len(fused) == 1
+        fresh = PhaseClassifier(lowered.env)
+        for action in body.actions:
+            assert classifier.effects(action) == fresh.effects(action)
+
 
 class TestFigure10Masking:
     def test_sections_padded(self):

@@ -83,6 +83,91 @@ class TestCheckerErrors:
             self.check(nir.move1(nir.int_const(1), tgt, mask=mask), env)
 
 
+def two_domain_env() -> Environment:
+    """``a`` on alpha, ``b`` on beta: both 8 long, so ``a = b`` conforms
+    until a scope rebinds one of the domains."""
+    env = Environment()
+    env.domains.update(alpha=nir.Interval(1, 8), beta=nir.Interval(1, 8))
+    for name, dom in (("a", "alpha"), ("b", "beta")):
+        env.declare(Symbol(name, nir.DField(nir.DomainRef(dom),
+                                            nir.INTEGER_32),
+                           extents=(8,), domain=dom))
+    return env
+
+
+class TestMemoisedChecks:
+    """The compile's inference memo must never vouch for a fact that no
+    longer holds (docs/PIPELINE.md §9, "Each fact once")."""
+
+    COPY = nir.move1(nir.AVar("b"), nir.AVar("a"))
+
+    def test_shape_error_injected_by_a_pass_is_caught_by_recheck(self):
+        """A pass rewires a clause the first check passed to a target of
+        another shape: its values are memo hits, the clause is not."""
+        import dataclasses
+
+        from repro.lowering import lower_program
+        from repro.pipeline import Memos, PassManager
+        from repro.transform import Options
+        from repro.transform.passes import default_pipeline
+        from repro.transform.pipeline import TransformReport
+
+        memos = Memos()
+        lowered = lower_program(parse_program(
+            "real u(8), v(8), w(4)\nu = v + 1.0\nw = 2.0\nend"),
+            memos.infer)
+        check_program(lowered.nir, lowered.env, memos.infer)
+        passed = [key[1] for key in memos.infer
+                  if isinstance(key, tuple) and key[0] == "shape"]
+        assert len(passed) == 2 and all(
+            ("type", clause) in memos.infer for clause in passed)
+
+        def retarget(clause):
+            if clause.tgt == nir.AVar("u"):
+                return dataclasses.replace(clause, tgt=nir.AVar("w"))
+            return clause
+
+        def corrupt(ctx):  # a body pass over the two statements
+            return nir.seq(*(nir.Move(tuple(map(retarget, move.clauses)))
+                             for move in ctx.node.actions))
+
+        passes = [dataclasses.replace(p, run=corrupt) if p.name == "dse"
+                  else p for p in default_pipeline()]
+        src = next(c.src for c in passed if c.tgt == nir.AVar("u"))
+        assert src in memos.infer and nir.AVar("w") in memos.infer
+        with pytest.raises(CheckError,
+                           match=r"do not conform: \(4,\) <- \(8,\)"):
+            PassManager(passes, memos=memos).run(
+                lowered.nir, lowered.env, Options(), TransformReport())
+
+    def test_passed_clause_is_rejected_where_a_binding_breaks_it(self):
+        env = two_domain_env()
+        body = nir.seq(self.COPY,
+                       nir.WithDomain("beta", nir.Interval(1, 4), self.COPY))
+        with pytest.raises(CheckError) as info:
+            check_program(program_with(body, env), env)
+        assert str(info.value) == "MOVE shapes do not conform: (8,) <- (4,)"
+
+    def test_rebinding_a_domain_drops_remembered_shapes(self):
+        """``a``'s shape is remembered under alpha = 8 before the scope
+        narrows alpha to 4; the clause inside is new, its target not."""
+        env = two_domain_env()
+        body = nir.seq(self.COPY, nir.WithDomain(
+            "alpha", nir.Interval(1, 4), nir.move1(
+                nir.Binary(nir.BinOp.ADD, nir.AVar("b"), nir.int_const(0)),
+                nir.AVar("a"))))
+        with pytest.raises(CheckError) as info:
+            check_program(program_with(body, env), env)
+        assert str(info.value) == "MOVE shapes do not conform: (4,) <- (8,)"
+
+    def test_hand_built_rebinding_keeps_todays_message(self):
+        env = two_domain_env()
+        body = nir.WithDomain("alpha", nir.Interval(1, 4), self.COPY)
+        with pytest.raises(CheckError) as info:
+            check_program(program_with(body, env), env)
+        assert str(info.value) == "MOVE shapes do not conform: (4,) <- (8,)"
+
+
 class TestEnvironmentDetails:
     def test_fresh_temp_registers_domain(self, env):
         sym = env.fresh_temp((5, 5), nir.FLOAT_64)

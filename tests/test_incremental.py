@@ -293,6 +293,36 @@ class TestCrashSafety:
             first.transformed.trace.artifacts["state_hash"]
         assert_same_run(first, exe)
 
+    def test_fallback_reruns_from_the_unextended_environment(
+            self, tmp_path, monkeypatch):
+        """A miss runs normalize on the lowered environment (declaring
+        its temporaries), every later pass hits, and the state the hits
+        ran ahead to is evicted between ``head`` and ``get``: the
+        storeless rerun must name its temporaries as a cold compile
+        does, not after the ones the miss declared."""
+        store = make_store(tmp_path)
+        serial = TransformOptions(promote_loops=False)
+        compile_inc(SOURCE, store, CompilerOptions(transform=serial))
+        # No CSE opportunity in SOURCE: same normalize output, new key.
+        edit = CompilerOptions(
+            transform=dataclasses.replace(serial, comm_cse=False))
+        real_get = store.get
+
+        def evicting_get(kind, key):
+            if kind == "pass":
+                os.unlink(store._path(kind, key))
+            return real_get(kind, key)
+
+        monkeypatch.setattr(store, "get", evicting_get)
+        hits = store.counters["pass"]["hits"]
+        exe = compile_inc(SOURCE, store, edit)
+        assert store.counters["pass"]["hits"] > hits  # miss, then hits
+        cold = compile_source(SOURCE, edit, cache=False, incremental=False)
+        assert exe.transformed.trace.artifacts["state_hash"] == \
+            state_hash(cold.transformed.nir, cold.env)
+        assert sorted(exe.env.symbols) == sorted(cold.env.symbols)
+        assert_same_run(cold, exe)
+
     def test_concurrent_writers_never_expose_partial(self, tmp_path):
         store = make_store(tmp_path)
         key = "contended"
