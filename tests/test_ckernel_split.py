@@ -12,6 +12,8 @@ for byte.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import multiprocessing
 import threading
 from collections import OrderedDict
@@ -20,9 +22,10 @@ import pytest
 
 from repro.driver.compiler import CompilerOptions, compile_source
 from repro.machine import ckernel, execplan
+from repro.machine import kernel as blocked
 from repro.machine.kernel import SlotTable
-from repro.programs.kernels import (blocking_source, forall_source,
-                                    heat_source, life_source,
+from repro.programs.kernels import (ALL_KERNELS, blocking_source,
+                                    forall_source, heat_source, life_source,
                                     redblack_source, saxpy_source)
 from repro.programs.swe import swe_source
 from repro.targets import build_machine
@@ -148,39 +151,85 @@ def test_fewer_rows_than_threads():
 
 # -- the threshold, and what a run says about it ------------------------------
 
-#: The sha256 of the sorted C texts that ``below_threshold_texts`` builds,
-#: recorded before kernels could split: below the threshold not a byte
-#: of them may move (nor, then, a ``_SO_CACHE`` key).
+#: The sha256 of the sorted C texts that ``ONE_CORE_SOURCES`` build below
+#: the threshold, recorded before kernels could split: not a byte of
+#: them may move (nor, then, a ``_SO_CACHE`` key).
 ONE_CORE_TEXTS = (
     "dbff59baa56414e21dc29fe439c0f885172bfde07d4a7723289a66b56f4d3637")
+ONE_CORE_SOURCES = (heat_source(32, 3), life_source(32, 3), swe_source(32, 3),
+                    redblack_source(32, 2), forall_source(32),
+                    blocking_source(32), saxpy_source(4096))
+
+#: The sha256 of everything the kernel emitters say over the corpus —
+#: every kernel program at its default size, and heat, life and SWE at
+#: 32²: the blocked kernels' sources under the tier-up rule, the C texts
+#: with every kernel hot at birth on one core and split over
+#: ``THREADS``, and each run's ``declined`` summary.  No refactoring of
+#: the emitters may move a byte of them.
+EMITTED = {
+    "blocked":
+        "a33542b3db9bb3170b915e87bdfb3d055088bf8b7aba1f6d1f97364392bb9d2d",
+    "one_core":
+        "1c30b699c256adb7335d2bce59014cfdf048a10726ad9237f44df4acbb5b9763",
+    "split":
+        "be2f12c9ee2951d667f0d17f52246aeb197dbeb10f87a3a4dccd24160c60d692",
+    "declined":
+        "7daf6c01d11901a037fc7703858d1071f06c99b79e2c61624448e35a4f8d690e",
+}
 
 
-def below_threshold_texts() -> list[str]:
-    """Every C text a fixed set of small programs builds under eager C,
-    on a fresh text cache and kernel cache."""
-    ckernel._SO_CACHE.clear()
-    execplan._MEGA_KERNELS.clear()
-    for src in (heat_source(32, 3), life_source(32, 3), swe_source(32, 3),
-                redblack_source(32, 2), forall_source(32),
-                blocking_source(32), saxpy_source(4096)):
-        for target, modes in (("cm2", ("fast", "fused")),
-                              ("host", ("fused",))):
-            exe = compile_source(src, CompilerOptions(target=target))
-            for mode in modes:
-                for _ in range(2):
-                    machine = build_machine(target, exec_mode=mode)
-                    exe.run(machine=machine)
-                    assert machine.fusion_summary()["native_split"] == 0
-    return sorted(ckernel._SO_CACHE)
+def emitted(monkeypatch, sources, passes) -> dict[str, list[str]]:
+    """What the kernel emitters say over ``sources`` on cm2 ``fast``/
+    ``fused`` and host ``fused``, each run twice, in each pass ``(name,
+    tier-up budget, split threshold)`` on fresh kernel and text caches:
+    the sorted blocked sources (pass ``"blocked"``) or C texts, and
+    every run's ``declined`` in order."""
+    got: dict[str, list[str]] = {"declined": []}
+    for name, budget, split_min in passes:
+        monkeypatch.setattr(blocked, "_TIER_UP", budget)
+        monkeypatch.setattr(ckernel, "_SPLIT_MIN", split_min)
+        monkeypatch.setattr(ckernel, "_THREADS", THREADS)
+        monkeypatch.setattr(ckernel, "_SO_CACHE", {})
+        monkeypatch.setattr(execplan, "_MEGA_KERNELS", OrderedDict())
+        blocked_sources: set[str] = set()
+        for src in sources:
+            for target, modes in (("cm2", ("fast", "fused")),
+                                  ("host", ("fused",))):
+                exe = compile_source(src, CompilerOptions(target=target))
+                for mode in modes:
+                    for _ in range(2):
+                        machine = build_machine(target, exec_mode=mode)
+                        exe.run(machine=machine)
+                        got["declined"].append(json.dumps(
+                            machine.fusion_summary()["declined"],
+                            sort_keys=True))
+                        blocked_sources.update(
+                            kern.source
+                            for kern in execplan._MEGA_KERNELS.values()
+                            if not kern.native and hasattr(kern, "source"))
+        got[name] = sorted(blocked_sources if name == "blocked"
+                           else ckernel._SO_CACHE)
+    return got
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\0".join(lines).encode()).hexdigest()
 
 
 def test_below_the_threshold_the_text_is_the_one_core_text(split, monkeypatch):
-    monkeypatch.setattr(ckernel, "_SPLIT_MIN", split)
-    monkeypatch.setattr(ckernel, "_SO_CACHE", {})
-    texts = below_threshold_texts()
+    texts = emitted(monkeypatch, ONE_CORE_SOURCES,
+                    [("one_core", 0, split)])["one_core"]
     assert texts and not any("pthread" in text for text in texts)
-    blob = "\0".join(texts).encode()
-    assert hashlib.sha256(blob).hexdigest() == ONE_CORE_TEXTS
+    assert _sha(texts) == ONE_CORE_TEXTS
+
+
+def test_every_emitted_text_is_pinned(eager_c, monkeypatch):
+    sources = [generate() for generate in ALL_KERNELS.values()]
+    sources += [heat_source(32, 3), life_source(32, 3), swe_source(32, 3)]
+    got = emitted(monkeypatch, sources, [("blocked", eager_c, math.inf),
+                                         ("one_core", 0, math.inf),
+                                         ("split", 0, 0)])
+    assert {key: _sha(lines) for key, lines in got.items()} == EMITTED
 
 
 def _threads(machine) -> set[int]:

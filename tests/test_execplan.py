@@ -626,6 +626,66 @@ def test_shifted_operand_means_its_source_at_batch_start(mode, legal):
         assert (("scale", "add"), 0) in m._launches or fused
 
 
+def test_a_group_reads_its_shifted_operands_in_one_shape():
+    """A kernel's blocks are slabs (and its C loop rows) of one shape:
+    two shifted operands of one flat length in two shapes, (4, 6) and
+    (6, 4), are a legal batch that no kernel takes together.  The group
+    declines once, for that reason, and runs as its calls."""
+    arrays = {}
+    for mode in ("interp", "fused"):
+        m = Machine(slicewise_model(16), exec_mode=mode)
+        for name, shape in (("a", (4, 6)), ("b", (6, 4)), ("y", (24,)),
+                            ("z", (24,))):
+            m.alloc(name, shape, np.dtype(np.float64))
+            m.set_array(name, np.arange(24.0).reshape(shape) * len(name))
+        calls = [(_add_shifted("across"),
+                  {"s": Shifted(m.view("a", None), (1, 0)),
+                   "y": m.view("y", None)}, (24,)),
+                 (_add_shifted("down"),
+                  {"s": Shifted(m.view("b", None), (0, 1)),
+                   "y": m.view("z", None)}, (24,))]
+        for _ in range(3):      # recording walk, then the group is asked
+            m.call_fused(calls, site=("across", "down"))
+        arrays[mode] = [m.home(name).data.tobytes() for name in "abyz"]
+    assert arrays["fused"] == arrays["interp"]
+    assert m.fusion_summary()["declined"] == {
+        "blocked": {"shift shapes": 1}, "c": {}}
+
+
+def test_a_read_paired_with_the_first_staged_store_reads_the_slot():
+    """A staged store's scratch holds the new value only once the store
+    commits: a plain read of the slot in the store's own dual-issue
+    group still sees the slot, as the oracle's read does."""
+    routine = Routine("pairstage")
+    routine.params = [ParamSpec("halo", "s", PReg(0)),
+                      ParamSpec("subgrid", "y", PReg(1)),
+                      ParamSpec("subgrid", "z", PReg(2)),
+                      ParamSpec("vlen", "vlen", CReg(2))]
+    routine.body = [
+        Instr("flodv", (Mem(PReg(0)), VReg(0))),
+        Instr("flodv", (Mem(PReg(1)), VReg(1))),
+        Instr("faddv", (VReg(0), VReg(1), VReg(2))),
+        Instr("fstrv", (VReg(2), Mem(PReg(1))),
+              paired=Instr("flodv", (Mem(PReg(1)), VReg(3)))),
+        Instr("fmulv", (VReg(3), Imm(2.0), VReg(4))),
+        Instr("fstrv", (VReg(4), Mem(PReg(2)))),
+    ]
+    arrays = {}
+    for mode in ("interp", "fast"):
+        m = Machine(slicewise_model(16), exec_mode=mode)
+        for name in ("y", "z"):
+            m.alloc(name, (N,), np.dtype(np.float64))
+            m.set_array(name, np.arange(N) + 1.5)
+        y, z = m.view("y", None), m.view("z", None)
+        for _ in range(4):      # recording walk, kernel, replays
+            m.call_routine(routine, {"s": Shifted(y, (1,)), "y": y, "z": z},
+                           (N,), site="s")
+            y *= -0.5   # the scratch copied back last trip is stale now
+        arrays[mode] = (y.tobytes(), z.tobytes())
+    assert arrays["fast"] == arrays["interp"]
+    assert m.fusion_summary()["shifts_staged"] > 0
+
+
 # -- whole programs: replay against a machine that never replays ------------
 
 
