@@ -31,7 +31,7 @@ and control-flow conditions read a real array, so any such reader
 keeps the temporary — and with it today's copy.  The reader itself may
 store the source (``t = tnew`` blocked with the stencil that reads
 ``cshift(t)``): that hazard belongs to the kernels, which stage the
-store (:class:`repro.machine.kernel.Staging`).
+store (:func:`repro.machine.loopir.lower`).
 
 Every surviving whole-array constant CSHIFT is annotated with its
 resolved ``(source, extents, dim, shift)`` so the runtime neither

@@ -34,7 +34,8 @@ from ...machine.ckernel import (
     retune,  # noqa: F401
     try_native,  # noqa: F401
 )
-from ...machine.plan import _C_FORMS, _ComputeStep, get_plan
+from ...machine.loopir import _C_FORMS
+from ...machine.plan import _ComputeStep, get_plan
 
 #: ComputeStep ops the native emitter has a form for (the structural
 #: half of the whitelist; dtypes, scalar types and divisors are checked

@@ -1,27 +1,27 @@
-"""Native code generation: the C emitter over a group's merged plan.
+"""Native code generation: the C printer of the loop IR.
 
-The Python blocked kernel (:mod:`repro.machine.kernel`) executes a plan
+The Python blocked kernel (:mod:`repro.machine.kernel`) executes a loop
 as a sequence of whole-block numpy ufunc calls; every intermediate value
-still makes a round trip through a block buffer.  For a group's merged
-plan — one routine or several over one proven-safe slot table
-(:mod:`repro.machine.execplan`) — the natural compilation target is a
-single per-element loop: every intermediate lives in a C local (a
+still makes a round trip through a block buffer.  For a group's
+:class:`~repro.machine.loopir.Loop` — one routine or several, lowered
+once over one proven-safe slot table — the natural compilation target
+is a single per-element loop: every intermediate lives in a C local (a
 machine register), which is the literal form of the register-resident
 forwarding the fusion layer models.
 
-The emitter walks ``plan.groups`` exactly like the plan's recording
-walk: within a group all reads evaluate before any store commits
-(dual-issue pairs observe pre-instruction state), and register updates
-take effect when the group retires.  Because every emitted operation is
+The printer visits the loop's nodes in order: within a group every read
+and op becomes a C local before any store commits (dual-issue pairs
+observe pre-instruction state).  Because every emitted operation is
 elementwise over the common stream length, a per-element schedule is
-observationally identical to the walk's whole-array passes.
+observationally identical to the recording walk's whole-array passes.
 
 Bit-identity with numpy is preserved by construction, not hope: only
 operations whose C form computes exactly what the numpy ufunc does are
-emitted (``plan._C_FORMS``; every other op is in ``plan._C_DECLINED``
-with its reason), the compile runs with ``-ffp-contract=off`` and
-without ``-ffast-math`` so no fused multiply-adds or reassociation can
-change rounding, and every stream must be contiguous.
+emitted (``loopir._C_FORMS``; every other op is in
+``loopir._C_DECLINED`` with its reason), the compile runs with
+``-ffp-contract=off`` and without ``-ffast-math`` so no fused
+multiply-adds or reassociation can change rounding, and every stream
+must be contiguous.
 
 Every value and every slot carries a *kind* — ``f64``, ``i32``,
 ``i64``, ``bool``, a weak integer constant (``int``: a C literal) or a
@@ -56,18 +56,18 @@ Still declined, and why: transcendentals, ``pow`` and ``fmod`` (numpy's
 SIMD routines differ from libm), min/max (NaN payload propagation),
 ``float -> int`` stores and the conversions (numpy's cast of NaN and
 out-of-range values is not C's), ``float32`` streams.  A decline raises
-:class:`_CBail` with a short reason (``"op fsinv"``, ``"divisor 0"``,
-``"scalar int64"``), the caller stays on the Python blocked kernel and
-``Machine.fusion_summary()["declined"]`` reports it.
+:class:`~repro.machine.loopir.Declined` with a short reason (``"op
+fsinv"``, ``"divisor 0"``, ``"scalar int64"``), the caller stays on the
+Python blocked kernel and ``Machine.fusion_summary()["declined"]``
+reports it.
 
 A *shifted* operand (:mod:`repro.machine.shifted`) is indexed in
 place: the loop becomes a row loop over the last axis, each shifted
 operand gets a wrapped source-row offset per row, and the columns split
 at the wrap points into segments inside which the operand is
 ``h[i + k]`` for a loop-invariant ``k`` — so the inner loop stays
-vectorisable.  Stores to a shifted operand's own source are staged
-through scratch and copied back after the loops
-(:class:`repro.machine.kernel.Staging`).
+vectorisable.  The loop's staged stores (to a shifted operand's own
+source) go to scratch and are copied back after the loops.
 
 No iteration reads another's store, so a kernel of ``_SPLIT_MIN``
 elements or more splits across the host's ``_THREADS`` cores: the loop
@@ -92,18 +92,7 @@ import time
 
 import numpy as np
 
-from .kernel import Staging
-from .plan import (
-    _C_FORMS,
-    _R_CONST,
-    _R_MEM,
-    _R_SREG,
-    _R_VREG,
-    _BranchStep,
-    _ComputeStep,
-    _MoveStep,
-    _StoreStep,
-)
+from .loopir import _C_FORMS, Declined
 
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-fno-math-errno",
            "-ffp-contract=off"]
@@ -168,11 +157,6 @@ _SCALARS = {"float": ("f64", "X[{}]"), "float64": ("f64", "X[{}]"),
             "bool": ("bool", "X[{}] != 0.0"), "int": ("xint", "X[{}]")}
 
 
-class _CBail(Exception):
-    """The plan uses something outside the provable whitelist; its one
-    argument is the reason (``"op fsinv"``, ``"divisor 0"``)."""
-
-
 class BuildFailed(Exception):
     """The text was emitted but no loadable ``.so`` came of it: the
     build directory, the compiler or the loader failed."""
@@ -234,7 +218,7 @@ def _literal(value) -> tuple[str, str]:
         if fv == float("-inf"):
             return "-INFINITY", "f64"
         return fv.hex(), "f64"  # C99 hexfloat: exact round trip
-    raise _CBail(f"constant {type(value).__name__}")
+    raise Declined(f"constant {type(value).__name__}")
 
 
 def _as(val: tuple[str, str], kind: str) -> str:
@@ -246,29 +230,16 @@ def _as(val: tuple[str, str], kind: str) -> str:
     if have == "xint":  # an integer of unknown size, rounded already
         if kind == "f64":
             return expr
-        raise _CBail("scalar int")
+        raise Declined("scalar int")
     if kind == "bool":
         return f"({expr}) != 0"
     if kind == "f64":
         return f"{expr}.0" if have == "int" else f"(double)({expr})"
     if have == "f64":   # NaN and out-of-range: numpy's cast is not C's
-        raise _CBail("float->int store")
+        raise Declined("float->int store")
     if have == "int":   # a C literal takes the type it is used at
         return expr
     return f"({_CTYPES[kind]})({expr})"
-
-
-def _scalar_type(sig) -> str:
-    """The type name of a scalar register from its signature
-    (``RoutinePlan._signature``): Python's or numpy's, 0-d arrays as
-    their element's."""
-    if sig is None:
-        return "unbound"
-    if sig[0] == "p":
-        return sig[1]
-    if sig[0] == "a" and sig[1] != ():
-        return "array"
-    return np.dtype(sig[-1]).name
 
 
 class _CKernel:
@@ -307,20 +278,11 @@ class _CKernel:
         self._fn(ptrs, xs, n)
 
 
-class _CEmitter:
-    def __init__(self, plan, spec, n, S, shifts=(), scalars=()) -> None:
-        self.plan = plan
-        self.spec = spec
-        self.n = n
-        self.scalars = scalars
-        self.shifted = {cid: (shape, offsets)
-                        for cid, _, shape, offsets in shifts}
-        self.staging = Staging(plan.groups, len(S), shifts)
-        self.nslots = len(S) + len(self.staging.pairs)
-        self.slot_kind = [self._kind(a.dtype) for a in S]
-        self.slot_kind += [self.slot_kind[cid]
-                           for cid, _ in self.staging.pairs]
-        self.g = 0  # group being emitted (staged loads depend on it)
+class _CPrinter:
+    def __init__(self, loop) -> None:
+        self.loop = loop
+        self.slot_kind = [self._kind(dtype) for dtype in loop.dtypes]
+        self.vals: dict = {}     # loop node -> (C expression, kind)
         self.lines: list[str] = []
         self.used_cids: set[int] = set()
         self.used_sregs: dict[int, str] = {}    # register -> type name
@@ -330,7 +292,7 @@ class _CEmitter:
     def _kind(dtype) -> str:
         kind = _KINDS.get(np.dtype(dtype))
         if kind is None:
-            raise _CBail(f"dtype {np.dtype(dtype).name}")
+            raise Declined(f"dtype {np.dtype(dtype).name}")
         return kind
 
     def _temp(self, kind: str, expr: str) -> tuple[str, str]:
@@ -339,43 +301,25 @@ class _CEmitter:
         self.lines.append(f"    const {_CTYPES[kind]} {name} = {expr};")
         return name, kind
 
-    def _mem(self, preg: int, store: bool = False) -> tuple[str, str]:
-        cid = (self.staging.store(preg) if store
-               else self.staging.load(preg, self.g))
-        self.used_cids.add(cid)
-        expr = f"h{cid}[i + k{cid}]" if cid in self.shifted else f"s{cid}[i]"
-        return expr, self.slot_kind[cid]
-
-    def _read(self, rd, vmap) -> tuple[str, str]:
-        """(C expression, kind) for a reader at the current position."""
-        tag = rd[0]
-        if tag == _R_VREG:
-            val = vmap.get(rd[1])
-            if val is None:
-                raise _CBail("undefined register")
-            return val
-        if tag == _R_SREG:
+    def _read(self, node) -> tuple[str, str]:
+        """(C expression, kind) of a value read here: a memory read
+        snapshots its element into a temporary."""
+        got = self.vals.get(node)
+        if got is not None:
+            return got
+        if node.kind == "scalar":
             # Only a scalar's type is known here, and the block is
             # ``double``: a type it cannot carry exactly declines.
-            name = _scalar_type(self.scalars[rd[1]]
-                                if rd[1] < len(self.scalars) else None)
-            if name not in _SCALARS:
-                raise _CBail(f"scalar {name}")
-            self.used_sregs[rd[1]] = name
-            return f"x{rd[1]}", _SCALARS[name][0]
-        if tag == _R_CONST:
-            return _literal(rd[1])
-        if tag == _R_MEM:
-            # Memory reads snapshot per element at this step position.
-            expr, kind = self._mem(rd[1])
-            return self._temp(kind, expr)
-        raise _CBail("operand")
-
-    def _result_kind(self, token: int) -> str:
-        got = self.spec.get(token)
-        if got is None or got[0] != (self.n,):
-            raise _CBail("shape")
-        return self._kind(got[1])
+            if node.dtype not in _SCALARS:
+                raise Declined(f"scalar {node.dtype}")
+            self.used_sregs[node.ref] = node.dtype
+            return f"x{node.ref}", _SCALARS[node.dtype][0]
+        if node.kind == "const":
+            return _literal(node.ref)
+        cid = node.ref
+        self.used_cids.add(cid)
+        return self._temp(self.slot_kind[cid], f"h{cid}[i + k{cid}]"
+                          if node.kind == "shift" else f"s{cid}[i]")
 
     def _arith(self, sym: str, kind: str, a, b) -> str:
         """``a sym b`` computed in ``kind``: numpy casts both operands
@@ -384,7 +328,7 @@ class _CEmitter:
             return f"({_as(a, kind)}) {sym} ({_as(b, kind)})"
         twin = _UNSIGNED.get(kind)
         if twin is None or sym == "/":
-            raise _CBail(f"dtype {kind}")
+            raise Declined(f"dtype {kind}")
         return (f"({_CTYPES[kind]})(({twin})({_as(a, kind)}) {sym} "
                 f"({twin})({_as(b, kind)}))")
 
@@ -396,24 +340,24 @@ class _CEmitter:
         truncating ``/`` for 32-bit operands only, and takes remainders
         in ``int64``."""
         if b[1] != "int":       # the one kind that is a literal
-            raise _CBail("divisor variable")
+            raise Declined("divisor variable")
         if b[0] in ("0", "-1"):
-            raise _CBail(f"divisor {b[0]}")
+            raise Declined(f"divisor {b[0]}")
         if a[1] != "i32" and not (sym == "%" and a[1] == "i64"):
-            raise _CBail(f"dividend {a[1]}")
+            raise Declined(f"dividend {a[1]}")
         return f"(int32_t)(({a[0]}) {sym} ({b[0]}))"
 
-    def _compute(self, step, vmap) -> tuple[str, str]:
-        op = step.op
+    def _compute(self, node) -> tuple[str, str]:
+        op = node.ref
         if op not in _C_FORMS:
-            raise _CBail(f"op {op}")
+            raise Declined(f"op {op}")
         family, sym = _C_FORMS[op]
-        kind = self._result_kind(step.token)
-        args = [self._read(rd, vmap) for rd in step.readers]
+        kind = self._kind(node.dtype)
+        args = [self._read(a) for a in node.args]
         if family == "arith":
             expr = self._arith(sym, kind, *args)
         elif family == "fma":
-            aux = self._result_kind(step.aux)
+            aux = self._kind(node.aux)
             tmp = self._temp(aux, self._arith("*", aux, args[0], args[1]))
             expr = self._arith(sym, kind, tmp, args[2])
         elif family == "select":
@@ -423,10 +367,10 @@ class _CEmitter:
             expr = self._intdiv(sym, *args)
         elif family in ("cmp", "logic", "not"):
             if kind != "bool":
-                raise _CBail(f"dtype {kind}")
+                raise Declined(f"dtype {kind}")
             if family == "cmp":     # C's usual conversions are numpy's
                 if {args[0][1], args[1][1]} == {"xint", "i64"}:
-                    raise _CBail("scalar int")  # both sides rounded
+                    raise Declined("scalar int")  # both sides rounded
                 expr = f"({args[0][0]}) {sym} ({args[1][0]})"
             elif family == "logic":
                 expr = (f"({_as(args[0], 'bool')}) {sym} "
@@ -436,7 +380,7 @@ class _CEmitter:
         elif kind == "f64":     # neg, abs, sqrt
             expr = f"{sym}({_as(args[0], kind)})"
         elif family == "sqrt" or kind not in _UNSIGNED:
-            raise _CBail(f"dtype {kind}")
+            raise Declined(f"dtype {kind}")
         else:                   # neg, abs of an integer: they wrap
             twin = f"({_UNSIGNED[kind]})({args[0][0]})"
             expr = (f"-{twin}" if family == "neg"
@@ -445,41 +389,35 @@ class _CEmitter:
         return self._temp(kind, expr)
 
     def build(self):
-        vmap: dict[int, tuple[str, str]] = {}
-        for self.g, steps in enumerate(self.plan.groups):
-            pend: list[tuple[int, tuple[str, str]]] = []
+        for nodes in self.loop.groups:
             commits: list[str] = []
-            for step in steps:
-                if isinstance(step, _MoveStep):
-                    pend.append((step.dst, self._read(step.reader, vmap)))
-                elif isinstance(step, _StoreStep):
-                    val = self._read(step.reader, vmap)
-                    dst, kind = self._mem(step.preg, store=True)
-                    commits.append(f"    {dst} = {_as(val, kind)};")
-                elif isinstance(step, _ComputeStep):
-                    pend.append((step.dst, self._compute(step, vmap)))
-                elif not isinstance(step, _BranchStep):
-                    raise _CBail("step")
+            for node in nodes:
+                if node.kind == "store":
+                    val = self._read(node.args[0])
+                    cid = node.ref
+                    self.used_cids.add(cid)
+                    commits.append(
+                        f"    s{cid}[i] = {_as(val, self.slot_kind[cid])};")
+                else:
+                    self.vals[node] = (self._compute(node) if node.kind == "op"
+                                       else self._read(node))
             self.lines.extend(commits)  # stores commit after the evals
-            for dst, val in pend:
-                vmap[dst] = val
-        if not self.lines:
-            raise _CBail("empty")
         return self._emit()
 
     def _emit(self):
         sregs = sorted(self.used_sregs)
-        gathers = sorted(self.used_cids & self.shifted.keys())
+        shifted = self.loop.shifts
+        gathers = sorted(self.used_cids & shifted.keys())
         ctype = [_STREAM_CTYPES[kind] for kind in self.slot_kind]
         pre = [f"  {ctype[cid]} *s{cid} = ({ctype[cid]} *)SP[{cid}];"
-               for cid in sorted(self.used_cids - self.shifted.keys())]
+               for cid in sorted(self.used_cids - shifted.keys())]
         pre += [f"  const {ctype[cid]} *h{cid} = "
                 f"(const {ctype[cid]} *)SP[{cid}];" for cid in gathers]
         for j, k in enumerate(sregs):
             kind, value = _SCALARS[self.used_sregs[k]]
             pre.append(f"  const {_CTYPES[kind]} x{k} = {value.format(j)};")
-        staged = self.staging.pairs
-        split = self.n >= _SPLIT_MIN and _THREADS > 1
+        staged = self.loop.staged
+        split = self.loop.n >= _SPLIT_MIN and _THREADS > 1
         if gathers:
             loop, close, trips = self._row_loops(gathers, split)
             body = ["    " + line for line in self.lines]
@@ -510,7 +448,7 @@ class _CEmitter:
             lines += kernel + [f"  fork_join(part, SP, X, n, {trips});"]
             lines += ["  fork_join(copy_back, SP, X, n, n);"] if staged else []
         src = "\n".join(lines + ["}", ""])
-        return _load(src, self.nslots, tuple(sregs), staged=staged,
+        return _load(src, len(self.slot_kind), tuple(sregs), staged=staged,
                      threads=_THREADS if split else 1)
 
     def _row_loops(self, gathers, split) -> tuple[list[str], list[str], int]:
@@ -523,22 +461,18 @@ class _CEmitter:
         operand is ``h[i + k]`` with ``k`` loop-invariant.  A ``split``
         loop runs rows ``[lo, hi)``; the row count is the third value.
         """
-        shapes = {self.shifted[cid][0] for cid in gathers}
-        if len(shapes) != 1:
-            raise _CBail("shift shapes")
-        shape = shapes.pop()
-        cols = shape[-1]
-        lead = shape[:-1]
-        rows = self.n // cols
-        cuts = sorted({0, cols} | {cols - self.shifted[cid][1][-1]
-                                   for cid in gathers})
+        shifted = self.loop.shifts
+        cols = self.loop.shape[-1]
+        lead = self.loop.shape[:-1]
+        rows = self.loop.n // cols
+        cuts = sorted({0, cols} | {cols - shifted[cid][-1] for cid in gathers})
         span = "r = lo; r < hi" if split else f"r = 0; r < {rows}"
         loop = [f"  static const long cut[] = "
                 f"{{{', '.join(map(str, cuts))}}};",
                 f"  for (long {span}; r++) {{",
                 f"    const long o = r * {cols};"]
         for cid in gathers:
-            offsets = self.shifted[cid][1]
+            offsets = shifted[cid]
             terms = []
             stride = 1
             for extent, off in zip(reversed(lead), reversed(offsets[:-1])):
@@ -554,7 +488,7 @@ class _CEmitter:
             loop.append(f"    const long b{cid} = ({row}) * {cols} - o;")
         loop += [f"    for (int g = 0; g < {len(cuts) - 1}; g++) {{"]
         for cid in gathers:
-            off = self.shifted[cid][1][-1]
+            off = shifted[cid][-1]
             loop.append(f"      const long k{cid} = b{cid} + "
                         f"(cut[g] + {off} < {cols} ? {off} : {off - cols});")
         loop += ["      for (long i = o + cut[g]; i < o + cut[g + 1]; i++) {"]
@@ -575,7 +509,7 @@ def _load(src: str, nslots: int, sregs: tuple,
     if cached is None:
         cc = _compiler()
         if cc is None:
-            raise _CBail("no compiler")
+            raise Declined("no compiler")
         t0 = time.perf_counter()
         try:
             # Named by content and moved into place whole: whoever else
@@ -617,13 +551,13 @@ def retune(kern, extra_flags: tuple) -> object:
     return kern
 
 
-def try_native(plan, spec, n, S, shifts=(), scalars=()):
-    """A compiled C kernel for a group's merged plan over its slot
-    table; ``scalars`` is the signature of each scalar register
-    (``RoutinePlan._signature``).  Raises :class:`_CBail` with the
-    reason when the emitter declines the plan (or there is no
-    compiler) and :class:`BuildFailed` when the build fails: either
-    way the caller stays on the kernel it has."""
+def try_native(loop):
+    """A compiled C kernel printed from a group's
+    :class:`~repro.machine.loopir.Loop`.  Raises
+    :class:`~repro.machine.loopir.Declined` with the reason when the
+    printer declines the loop (or there is no compiler) and
+    :class:`BuildFailed` when the build fails: either way the caller
+    stays on the kernel it has."""
     if _compiler() is None:
-        raise _CBail("no compiler")
-    return _CEmitter(plan, spec, n, S, shifts, scalars).build()
+        raise Declined("no compiler")
+    return _CPrinter(loop).build()

@@ -14,14 +14,14 @@ batch of one.  Either way the machine runs a **group**:
   streams, stored slots overlap nothing distinct, a stored shifted
   source staged) and lays out the group's slot table;
 * :meth:`ExecutionPlan.kernel_for` is the one kernel cache: the
-  constituents' :class:`~repro.machine.plan.RoutinePlan` step lists are
-  concatenated with registers renamed into per-constituent banks and
-  memory operands renamed onto the slot table, then compiled by the
-  blocked numpy builder (:mod:`repro.machine.kernel`: no subprocess).
-  The entry counts the work it streams, and once that would have
-  repaid a ``cc`` run (:func:`~repro.machine.kernel.hot`) the C
-  emitter (:mod:`repro.machine.ckernel`) is asked, once: its kernel
-  replaces the entry, a decline is remembered with its reason.
+  constituents' :class:`~repro.machine.plan.RoutinePlan` steps are
+  lowered once onto the slot table (:func:`~repro.machine.loopir.lower`)
+  and the loop printed as blocked numpy (:mod:`repro.machine.kernel`:
+  no subprocess).  The entry counts the work it streams, and once that
+  would have repaid a ``cc`` run (:func:`~repro.machine.kernel.hot`)
+  the C printer (:mod:`repro.machine.ckernel`) is asked, once, for the
+  same loop: its kernel replaces the entry, a decline is remembered
+  with its reason.
   Kernels are cached process-wide, keyed by the full binding
   signature — constituent plan serials, slot maps, shapes, scalar
   types — so one compilation serves every later timestep and every
@@ -33,7 +33,7 @@ batch of one.  Either way the machine runs a **group**:
   launch again, skipping everything above (``docs/PIPELINE.md`` §16).
 
 What differs with k is the accounting, not the path and not the
-emitter.  A group of two or more is charged as **one** node call
+printer.  A group of two or more is charged as **one** node call
 (:meth:`ExecutionPlan.charge`: one dispatch, deduplicated argument
 pushes, a single virtual-subgrid loop, register-resident forwarding of
 streams an earlier constituent just stored); a lone dispatch keeps the
@@ -55,20 +55,10 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..peac.isa import NUM_SREGS, NUM_VREGS
-from .ckernel import BuildFailed, _CBail, try_native
-from .kernel import Launch, NoKernel, _build, hot
-from .plan import (
-    _R_CONST,
-    _R_MEM,
-    _R_SREG,
-    _R_VREG,
-    _BranchStep,
-    _ComputeStep,
-    _MoveStep,
-    _StoreStep,
-    get_plan,
-)
+from .ckernel import BuildFailed, try_native
+from .kernel import Launch, NoKernel, blocked_kernel, hot
+from .loopir import Declined, lower
+from .plan import get_plan
 from .shifted import ShiftedStream, materialize_streams
 
 
@@ -98,16 +88,6 @@ class Dispatch:
         self.elements = elements
 
 
-class _MergedPlan:
-    """A group's steps over its slot table, as the kernel builders take
-    them: memory operands name slots, registers are banked per routine."""
-
-    def __init__(self, name, groups, num_vregs) -> None:
-        self.name = name
-        self.groups = groups
-        self.num_vregs = num_vregs
-
-
 # -- the process-wide kernel cache ------------------------------------------
 
 _MEGA_KERNELS: OrderedDict[tuple, object] = OrderedDict()
@@ -126,45 +106,6 @@ def evict_serial(serial: int) -> None:
     for key in list(_MEGA_KERNELS):
         if serial in key[0]:
             _MEGA_KERNELS.pop(key, None)
-
-
-# -- step remapping ---------------------------------------------------------
-
-
-def _remap_reader(rd, smap, voff, soff):
-    tag = rd[0]
-    if tag == _R_VREG:
-        return (_R_VREG, rd[1] + voff)
-    if tag == _R_SREG:
-        return (_R_SREG, rd[1] + soff)
-    if tag == _R_CONST:
-        return rd
-    return (_R_MEM, smap[rd[1]])    # slot-renamed
-
-
-def _remap_groups(plan, smap, voff, soff, toff):
-    groups = []
-    for steps in plan.groups:
-        out = []
-        for step in steps:
-            if isinstance(step, _StoreStep):
-                out.append(_StoreStep(
-                    _remap_reader(step.reader, smap, voff, soff),
-                    smap[step.preg]))
-            elif isinstance(step, _MoveStep):
-                out.append(_MoveStep(
-                    _remap_reader(step.reader, smap, voff, soff),
-                    step.dst + voff))
-            elif isinstance(step, _ComputeStep):
-                readers = tuple(_remap_reader(rd, smap, voff, soff)
-                                for rd in step.readers)
-                out.append(_ComputeStep(step.op, readers, step.dst + voff,
-                                        step.token + toff,
-                                        step.aux + toff))
-            else:
-                out.append(_BranchStep())
-        groups.append(tuple(out))
-    return groups
 
 
 # -- the group ----------------------------------------------------------------
@@ -197,7 +138,7 @@ class ExecutionPlan:
         #: Slots holding spill scratch (zeroed before every launch).
         self.spill_slots = spill_slots
         #: ``(slot, staged source slot or None, shape, offsets)`` per
-        #: shifted operand, as the kernel builders take them.
+        #: shifted operand, as the lowering takes them.
         self.shifts = shifts
         # A fused group pushes once per distinct stream slot, per scalar
         # argument, plus the shared vlen: duplicate pointer arguments
@@ -221,7 +162,7 @@ class ExecutionPlan:
         A shifted operand is one slot per operand key holding its
         *source*, exempt from the overlap rule as the private copy it
         replaces was: a stored slot that is exactly that source gets
-        staged (``shifts`` carries the pairing to the kernel builders).
+        staged (``shifts`` carries the pairing to the lowering).
         """
         trips = dispatches[0].trips
         if any(d.trips != trips for d in dispatches):
@@ -324,10 +265,11 @@ class ExecutionPlan:
         """``(kernel, built)`` for this trip's binding signatures.
 
         The kernel is None when the recording walk must run instead: a
-        signature still needs its first trip, or the merged steps are
-        not kernel-eligible.  ``built`` says this call compiled the
-        entry rather than found it.  An entry starts as the blocked
-        numpy kernel and is offered to the C emitter when
+        signature still needs its first trip, or the lowering declined
+        the group.  ``built`` says this call compiled the entry rather
+        than found it.  An entry starts as the blocked numpy kernel
+        printed from the group's loop (:mod:`repro.machine.loopir`) and
+        is offered to the C printer when
         :func:`~repro.machine.kernel.hot` says it has earned the ``cc``
         run, whatever k and whoever asks; ``metrics`` (the machine's
         ``fusion_metrics``) counts what that cost.
@@ -336,19 +278,22 @@ class ExecutionPlan:
         key = (self.serials, slot_key, sigs, self.n, self.shifts)
         kern = _MEGA_KERNELS.get(key)
         built = kern is None
-        if built or hot(kern):
+        if built:
             specs = [plan.specs.get(sig)
                      for plan, sig in zip(self.plans, sigs)]
             if None in specs:
                 return None, False   # the recording pass runs first
-            merged = self._merged_plan()
-            mspec = self._merged_spec(specs)
-            if built:
-                kern = _build(merged, mspec, self.n, self.S, self.shifts)
-                if len(_MEGA_KERNELS) >= _MEGA_CAP:
-                    _MEGA_KERNELS.popitem(last=False)
-            if hot(kern):
-                kern = self._tier_up(kern, sigs, merged, mspec, metrics)
+            try:
+                kern = blocked_kernel(lower(
+                    self.plans, self.slot_maps, specs,
+                    tuple(s for _, scalars in sigs for s in scalars),
+                    self.n, [a.dtype for a in self.S], self.shifts))
+            except Declined as bail:
+                kern = NoKernel(str(bail))
+            if len(_MEGA_KERNELS) >= _MEGA_CAP:
+                _MEGA_KERNELS.popitem(last=False)
+        if hot(kern):
+            kern = self._tier_up(kern, metrics)
         _MEGA_KERNELS[key] = kern
         _MEGA_KERNELS.move_to_end(key)
         if kern.declined is not None:
@@ -358,14 +303,13 @@ class ExecutionPlan:
             metrics.setdefault("split", set()).add(key)
         return (None if isinstance(kern, NoKernel) else kern), built
 
-    def _tier_up(self, kern, sigs, merged, mspec, metrics):
+    def _tier_up(self, kern, metrics):
         """The kernel that replaces a hot blocked ``kern``: the C
-        emitter's, or ``kern`` itself with the refusal remembered."""
+        printer's, of the loop ``kern`` was printed from, or ``kern``
+        itself with the refusal remembered."""
         try:
-            native = try_native(
-                merged, mspec, self.n, self.S, self.shifts,
-                tuple(s for _, scalars in sigs for s in scalars))
-        except _CBail as bail:
+            native = try_native(kern.loop)
+        except Declined as bail:
             kern.declined = ("c", str(bail))
             return kern
         except BuildFailed:
@@ -401,25 +345,6 @@ class ExecutionPlan:
                         stream.state = ("staged" if slot in staged
                                         else "folded")
         return launch
-
-    def _merged_plan(self) -> _MergedPlan:
-        groups: list = []
-        toff = 0
-        for i, plan in enumerate(self.plans):
-            groups.extend(_remap_groups(plan, self.slot_maps[i],
-                                        i * NUM_VREGS, i * NUM_SREGS, toff))
-            toff += plan._tokens
-        return _MergedPlan("+".join(p.name for p in self.plans), groups,
-                           self.k * NUM_VREGS)
-
-    def _merged_spec(self, specs) -> dict:
-        spec: dict = {}
-        toff = 0
-        for plan, sub in zip(self.plans, specs):
-            for token, v in sub.items():
-                spec[token + toff] = v
-            toff += plan._tokens
-        return spec
 
 
 def run_group(dispatches, pool, metrics,
@@ -531,7 +456,7 @@ class LaunchRecord:
         """Why this trip cannot replay the record — None when it can,
         with the trip's scalars filled in."""
         if hot(self.launch.kern):
-            # The ordinary path asks the C emitter and records again.
+            # The ordinary path asks the C printer and records again.
             return "tier_up"
         if len(calls) != len(self.calls):
             return "binding"

@@ -20,7 +20,7 @@ dispatch reads it the cheapest way it can:
 A shifted operand denotes the source's contents **when the dispatch
 starts**: a kernel that also stores the source stages that store
 through scratch and copies back after its loop
-(:class:`repro.machine.kernel.Staging`).
+(:func:`repro.machine.loopir.lower`).
 """
 
 from __future__ import annotations

@@ -31,9 +31,8 @@ from repro.machine import (
 )
 from repro.machine import ckernel, execplan, kernel, pe
 from repro.machine.ckernel import _compiler
+from repro.machine.loopir import _C_DECLINED, _C_FORMS
 from repro.machine.plan import (
-    _C_DECLINED,
-    _C_FORMS,
     _UNBOUND,
     BufferPool,
     get_plan,
