@@ -245,13 +245,17 @@ def cmd_run(args) -> int:
                   f"{fs['stepwise_groups']} stepwise", file=sys.stderr)
         exits = ", ".join(f"{n} {why}" for why, n in
                           fs["trip_exit_reasons"].items() if n)
-        declined = ", ".join(f"{n} {why}" for why, n in
-                             sorted(fs["trip_declined"].items()))
+        declined, stayed = (", ".join(f"{n} {why}" for why, n in
+                                      sorted(fs[key].items()))
+                            for key in ("trip_declined",
+                                        "trip_native_declined"))
         print(f"trip records: {fs['trip_records']} built / "
-              f"{fs['trip_replays']} trips replayed / "
+              f"{fs['trip_replays']} trips replayed "
+              f"({fs['trip_native']} natively) / "
               f"{fs['trip_exits']} side exits"
               + (f" ({exits})" if exits else "")
-              + (f"; loops declined: {declined}" if declined else ""),
+              + (f"; loops declined: {declined}" if declined else "")
+              + (f"; loops kept in Python: {stayed}" if stayed else ""),
               file=sys.stderr)
         for name, cycles in sorted(result.stats.per_routine.items()):
             print(f"  {name:<12} {cycles:>12,d} node cycles",

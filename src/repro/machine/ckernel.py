@@ -76,6 +76,12 @@ by a pthreads fork/join, and the staged copy-back, split the same way,
 starts after the join.  No thread outlives a launch and no element's
 operations change; below the threshold the text is the one-core text.
 
+One more text is not a kernel: the trip driver (:class:`TripDriver`,
+``docs/PIPELINE.md`` section 16, "Native trips"), which calls the
+kernels of a host loop's recorded trip, trip after trip, in one native
+call.  It is the same text for every loop, built the first time a loop
+qualifies and cached with the kernels.
+
 ``REPRO_FUSED_CC=0`` disables native generation; it is also skipped
 automatically when no C compiler is on PATH.
 """
@@ -264,9 +270,9 @@ class _CKernel:
         self.build_ms = build_ms
         self.threads = threads  # 1, or _THREADS for a split loop
 
-    def __call__(self, S, X, n) -> None:
-        # ``S`` is a launch's own SlotTable: addresses and the scalar
-        # block are packed once, the scalars overwritten per launch.
+    def pack(self, S, X) -> tuple:
+        """``(addresses, scalar block)`` of a launch's own SlotTable
+        ``S``, packed once, with the scalars of ``X`` written in."""
         ptrs = S.ptrs
         if ptrs is None:
             ptrs = S.ptrs = (ctypes.c_void_p * self._nslots)(
@@ -275,7 +281,10 @@ class _CKernel:
         xs = S.xs
         for j, k in enumerate(self._sregs):
             xs[j] = X[k]
-        self._fn(ptrs, xs, n)
+        return ptrs, xs
+
+    def __call__(self, S, X, n) -> None:
+        self._fn(*self.pack(S, X), n)
 
 
 class _CPrinter:
@@ -495,53 +504,134 @@ class _CPrinter:
         return loop, ["      }", "    }", "  }"], rows
 
 
-def _load(src: str, nslots: int, sregs: tuple,
-          staged: tuple = (), threads: int = 1) -> _CKernel:
-    """The kernel over ``src``, built once per process whoever asks;
-    a text split over ``threads`` > 1 is built with ``-pthread``.
+def _library(src: str, threads: int = 1) -> tuple:
+    """``(library, build_ms)``: ``src`` built and loaded once per
+    process whoever asks (``build_ms`` None when it had been); a text
+    split over ``threads`` > 1 is built with ``-pthread``.
 
     Raises :class:`BuildFailed` when the text cannot be turned into a
     loaded library (full or read-only ``TMPDIR``, a compiler that
     vanished or exits non-zero, a ``noexec`` mount).
     """
-    cached = _SO_CACHE.get(src)
-    build_ms = None
-    if cached is None:
-        cc = _compiler()
-        if cc is None:
-            raise Declined("no compiler")
-        t0 = time.perf_counter()
-        try:
-            # Named by content and moved into place whole: whoever else
-            # builds the same text writes the same bytes to the same
-            # path.
-            tag = hashlib.sha256(src.encode()).hexdigest()[:32]
-            workdir = _workdir()
-            cfile = os.path.join(workdir, f"{tag}.c")
-            sofile = os.path.join(workdir, f"{tag}.so")
-            with open(cfile, "w") as f:
-                f.write(src)
-            fd, partial = tempfile.mkstemp(suffix=".so", dir=workdir)
-            os.close(fd)
-            flags = _CFLAGS + ["-pthread"] * (threads > 1)
-            proc = subprocess.run(
-                [cc, *flags, "-o", partial, cfile, "-lm"],
-                capture_output=True)
-            if proc.returncode != 0:
-                os.unlink(partial)
-                raise BuildFailed(proc.stderr.decode(errors="replace"))
-            os.replace(partial, sofile)
-            lib = ctypes.CDLL(sofile)
-        except OSError as exc:
-            raise BuildFailed(str(exc)) from exc
-        fn = lib.kernel
-        fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
-                       ctypes.POINTER(ctypes.c_double), ctypes.c_long]
-        fn.restype = None
-        cached = _SO_CACHE[src] = (lib, fn)
-        build_ms = (time.perf_counter() - t0) * 1e3
-    lib, fn = cached
+    lib = _SO_CACHE.get(src)
+    if lib is not None:
+        return lib, None
+    cc = _compiler()
+    if cc is None:
+        raise Declined("no compiler")
+    t0 = time.perf_counter()
+    try:
+        # Named by content and moved into place whole: whoever else
+        # builds the same text writes the same bytes to the same path.
+        tag = hashlib.sha256(src.encode()).hexdigest()[:32]
+        workdir = _workdir()
+        cfile = os.path.join(workdir, f"{tag}.c")
+        sofile = os.path.join(workdir, f"{tag}.so")
+        with open(cfile, "w") as f:
+            f.write(src)
+        fd, partial = tempfile.mkstemp(suffix=".so", dir=workdir)
+        os.close(fd)
+        flags = _CFLAGS + ["-pthread"] * (threads > 1)
+        proc = subprocess.run(
+            [cc, *flags, "-o", partial, cfile, "-lm"],
+            capture_output=True)
+        if proc.returncode != 0:
+            os.unlink(partial)
+            raise BuildFailed(proc.stderr.decode(errors="replace"))
+        os.replace(partial, sofile)
+        lib = _SO_CACHE[src] = ctypes.CDLL(sofile)
+    except OSError as exc:
+        raise BuildFailed(str(exc)) from exc
+    return lib, (time.perf_counter() - t0) * 1e3
+
+
+def _load(src: str, nslots: int, sregs: tuple,
+          staged: tuple = (), threads: int = 1) -> _CKernel:
+    """The kernel over ``src`` (:func:`_library` builds it)."""
+    lib, build_ms = _library(src, threads)
+    fn = lib.kernel
+    fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
+                   ctypes.POINTER(ctypes.c_double), ctypes.c_long]
+    fn.restype = None
     return _CKernel(fn, lib, nslots, sregs, src, staged, build_ms, threads)
+
+
+#: The trip driver (``docs/PIPELINE.md`` section 16, "Native trips"):
+#: one recorded trip's launches, ``trips`` times over, each as
+#: ``kernel.Launch.run`` runs a native one — its spill slots zeroed,
+#: then its kernel over its packed address and scalar blocks.
+_DRIVER = """\
+#include <string.h>
+typedef void (*kernel_fn)(void **, const double *, long);
+void drive(long launches, kernel_fn const *fn, void **const *SP,
+           const double *const *X, const long *n, const long *spill_at,
+           void *const *spill, const long *spill_bytes, long trips) {
+  for (long t = 0; t < trips; t++)
+    for (long j = 0; j < launches; j++) {
+      for (long s = spill_at[j]; s < spill_at[j + 1]; s++)
+        memset(spill[s], 0, spill_bytes[s]);
+      fn[j](SP[j], X[j], n[j]);
+    }
+}
+"""
+
+
+class TripDriver:
+    """``launches`` — ``(kernel.Launch, scalar file)`` pairs over
+    native kernels, in trip order — packed for the driver: calling it
+    with ``trips`` runs them that many times over in one native call.
+
+    It holds the launches, so every address it packed stays alive."""
+
+    __slots__ = ("_fn", "_args", "_launches")
+
+    def __init__(self, launches) -> None:
+        self._fn = _drive()
+        self._launches = launches
+        kernels, blocks, scalars, spill_at, spills, spill_bytes = (
+            [], [], [], [0], [], [])
+        for launch, X in launches:
+            kern = launch.kern
+            ptrs, xs = kern.pack(launch.S, X)
+            kernels.append(ctypes.cast(kern._fn, ctypes.c_void_p).value)
+            blocks.append(ctypes.addressof(ptrs))
+            scalars.append(ctypes.addressof(xs))
+            for slot in launch.spills:
+                spills.append(launch.S[slot].ctypes.data)
+                spill_bytes.append(launch.S[slot].nbytes)
+            spill_at.append(len(spills))
+
+        def block(ctype, values):
+            return (ctype * max(1, len(values)))(*values)
+
+        self._args = (
+            len(launches), block(ctypes.c_void_p, kernels),
+            block(ctypes.c_void_p, blocks), block(ctypes.c_void_p, scalars),
+            block(ctypes.c_long, [launch.n for launch, _ in launches]),
+            block(ctypes.c_long, spill_at), block(ctypes.c_void_p, spills),
+            block(ctypes.c_long, spill_bytes))
+
+    def __call__(self, trips: int) -> None:
+        self._fn(*self._args, trips)
+
+
+def _drive():
+    """The driver's entry point, built on first use.  A failed build is
+    remembered in the text cache in its place, so a process pays for
+    at most one; raises as :func:`_library` does."""
+    lib = _SO_CACHE.get(_DRIVER)
+    if isinstance(lib, BuildFailed):
+        raise lib
+    if lib is None:
+        try:
+            lib, _ = _library(_DRIVER)
+        except BuildFailed as exc:
+            _SO_CACHE[_DRIVER] = exc
+            raise
+        lib.drive.argtypes = ([ctypes.c_long] + [ctypes.c_void_p] * 7
+                              + [ctypes.c_long])
+        lib.drive.restype = None
+    return lib.drive
 
 
 def retune(kern, extra_flags: tuple) -> object:

@@ -122,11 +122,13 @@ class Machine:
         # Trip records (the host executor's, one level up: a loop whose
         # steady-state trip is replayed as a list of launch records):
         # built, trips run from one, side exits by the guard that
-        # failed, and loop executions declined one, by reason.
+        # failed, and loop executions declined one, by reason; of the
+        # trips run from one, those the native driver ran, and recorded
+        # loop executions that stayed in Python, by reason.
         self.trip_metrics: dict = {
             "records": 0, "replays": 0, "exits": 0,
             "guard": 0, "scalar_type": 0, "tier_up": 0,
-            "declined": {},
+            "declined": {}, "native": 0, "native_declined": {},
         }
         # Fused-group kernel and shift-path telemetry: machine-local and
         # wall-clock flavored — it never feeds RunStats, which stay
@@ -370,15 +372,29 @@ class Machine:
     def replay(self, record: LaunchRecord) -> None:
         """Run a launch record whose scalar file is filled: the kernel,
         the recorded charge, the counters the trip bumps.  The one
-        place a record runs — for :meth:`_replay`, which validated it
-        against this trip's calls, and for the host executor's trip
-        record, which knows the calls cannot have changed."""
+        place a record runs from Python — for :meth:`_replay`, which
+        validated it against this trip's calls, and for the host
+        executor's trip record, which knows the calls cannot have
+        changed (its native driver charges through
+        :meth:`replay_trips`)."""
         launch = record.launch
         launch.run(record.X)
         self.stats.charge_call(*record.charge)
         for counters, key in launch.counters:
             counters[key] += 1
         self.launch_metrics["replays"] += 1
+
+    def replay_trips(self, records, trips: int) -> None:
+        """Charge and count what ``trips`` rounds of :meth:`replay` over
+        ``records`` would, the kernels already run: the host executor's
+        native trip driver ran them.  The same integers, multiplied."""
+        once = RunStats()
+        for record in records:
+            once.charge_call(*record.charge)
+            for counters, key in record.launch.counters:
+                counters[key] += trips
+        self.stats.merge(once, trips)
+        self.launch_metrics["replays"] += len(records) * trips
 
     def _record(self, site, calls, dispatches, launch, charge) -> None:
         """Keep the trip that just ran a kernel as the site's record."""
@@ -516,13 +532,16 @@ class Machine:
                 key: self.launch_metrics[key]
                 for key in ("binding", "plan", "scalar_type", "tier_up")},
             # Trip records: built, trips run from one, side exits and
-            # the guard that failed, loop executions declined one.
+            # the guard that failed, loop executions declined one; trips
+            # the native driver ran, and why recorded loops stayed out.
             **{f"trip_{key}": self.trip_metrics[key]
-               for key in ("records", "replays", "exits")},
+               for key in ("records", "replays", "exits", "native")},
             "trip_exit_reasons": {
                 key: self.trip_metrics[key]
                 for key in ("guard", "scalar_type", "tier_up")},
             "trip_declined": dict(self.trip_metrics["declined"]),
+            "trip_native_declined": dict(
+                self.trip_metrics["native_declined"]),
             "declined": declined,
         }
 

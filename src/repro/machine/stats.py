@@ -64,21 +64,23 @@ class RunStats:
             return 0.0
         return self.flops / secs / 1.0e9
 
-    def merge(self, other: "RunStats") -> None:
-        self.node_cycles += other.node_cycles
-        self.call_cycles += other.call_cycles
-        self.comm_cycles += other.comm_cycles
-        self.host_cycles += other.host_cycles
-        self.flops += other.flops
-        self.node_calls += other.node_calls
-        self.ififo_pushes += other.ififo_pushes
-        self.comm_ops += other.comm_ops
-        self.reductions += other.reductions
-        self.elements_computed += other.elements_computed
-        self.fused_groups += other.fused_groups
-        self.fused_routines += other.fused_routines
+    def merge(self, other: "RunStats", times: int = 1) -> None:
+        """Add ``other``'s counts, ``times`` over."""
+        self.node_cycles += other.node_cycles * times
+        self.call_cycles += other.call_cycles * times
+        self.comm_cycles += other.comm_cycles * times
+        self.host_cycles += other.host_cycles * times
+        self.flops += other.flops * times
+        self.node_calls += other.node_calls * times
+        self.ififo_pushes += other.ififo_pushes * times
+        self.comm_ops += other.comm_ops * times
+        self.reductions += other.reductions * times
+        self.elements_computed += other.elements_computed * times
+        self.fused_groups += other.fused_groups * times
+        self.fused_routines += other.fused_routines * times
         for name, cycles in other.per_routine.items():
-            self.per_routine[name] = self.per_routine.get(name, 0) + cycles
+            self.per_routine[name] = (self.per_routine.get(name, 0)
+                                      + cycles * times)
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot (for ``--stats-json`` perf tracking)."""

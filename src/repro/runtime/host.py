@@ -11,14 +11,18 @@ via :func:`format_host_program`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import nir
+from ..machine import ckernel
 from ..machine.kernel import hot
+from ..machine.loopir import Declined
 from ..machine.plan import get_plan
 from ..machine.shifted import Shifted
+from ..machine.stats import RunStats
 from ..peac.isa import Routine
 from . import cmrt
 from .nir_eval import NirEvaluator
@@ -193,6 +197,12 @@ def value_arrays(value: nir.Value) -> frozenset[str]:
                      if isinstance(n, nir.AVar))
 
 
+def value_scalars(value: nir.Value) -> frozenset[str]:
+    """Scalar names a host-evaluated NIR value reads."""
+    return frozenset(n.name for n in nir.values.walk(value)
+                     if isinstance(n, nir.SVar))
+
+
 def _clause_reads(clause: nir.MoveClause) -> frozenset[str]:
     reads = value_arrays(clause.src) | value_arrays(clause.mask)
     tgt = clause.tgt
@@ -252,6 +262,20 @@ _TRIP_EXITS = 3
 _COMM, _MOVE, _GUARD, _LAUNCH, _ENQUEUE, _FLUSH = range(6)
 
 
+class _Trip(list):
+    """A trip record: its steps, in order; whether a host-evaluated
+    value of it may differ from trip to trip (:func:`_varies`); and,
+    once a trip has run from it, its native run or why there is none
+    (:meth:`HostExecutor._native_trips`)."""
+
+    __slots__ = ("varies", "native")
+
+    def __init__(self, steps, varies: bool) -> None:
+        super().__init__(steps)
+        self.varies = varies
+        self.native = None
+
+
 class HostExecutor:
     """Interprets a host program against a simulated machine.
 
@@ -282,6 +306,11 @@ class HostExecutor:
     pre-resolved steps and later trips run the list instead of the
     walk above — bit-identical arrays, ``RunStats`` and counters, and a
     plain resume through this path from the op whose guard failed.
+    When every launch of the record is C and nothing it evaluates
+    varies from trip to trip, the trips after its first run leave
+    Python: only the guards are evaluated here, and the launches of
+    every trip they pass run in one native call
+    (:meth:`_run_native`).
     """
 
     def __init__(self, machine, fuse_exec: bool = False) -> None:
@@ -515,13 +544,26 @@ class HostExecutor:
         sites = self._trip_sites(op, len(trips))
         steps = None
         exits = 0
-        for i in trips:
+        stayed = None       # why a record's trips could not run natively
+        natively = 0        # trips that did
+        t = 0
+        while t < len(trips):
+            i = trips[t]
+            t += 1
             self.scalars[op.var] = i
             m.charge_host(m.model.host_op)
             if steps is not None:
                 left = self._run_trip(steps)
                 if left is None:
                     m.trip_metrics["replays"] += 1
+                    if steps.native is None:
+                        steps.native = self._native_trips(steps)
+                    if isinstance(steps.native, str):
+                        stayed = steps.native
+                    else:
+                        ran = self._run_native(steps, op.var, trips[t:])
+                        natively += ran
+                        t += ran
                     continue
                 # A side exit: every step so far did what this path
                 # would have, so the trip goes on here from the op
@@ -543,17 +585,19 @@ class HostExecutor:
                 self._run_ops(op.body)
                 log, self._log = self._log, None
                 if log is not None:
-                    steps = self._build_trip(log, sites, carried)
+                    steps = self._build_trip(log, sites, carried, op.var)
                     if steps == "never steady":
                         self._decline(steps)
                         steps = sites = None
             else:
                 self._run_ops(op.body)
+        if stayed is not None and not natively:
+            self._decline(stayed, "native_declined")
         # Fortran's exit value, as promotion stores it; uncharged.
         self.scalars[op.var] = op.lo + len(trips) * op.step
 
-    def _decline(self, reason: str) -> None:
-        declined = self.machine.trip_metrics["declined"]
+    def _decline(self, reason: str, key: str = "declined") -> None:
+        declined = self.machine.trip_metrics[key]
         declined[reason] = declined.get(reason, 0) + 1
 
     def _trip_sites(self, loop: Loop, trips: int) -> dict | None:
@@ -607,10 +651,10 @@ class HostExecutor:
                     return why
         return None
 
-    def _build_trip(self, log, sites, carried) -> list | str | None:
-        """The trip record of the trip ``log`` describes: its steps;
-        None when the trip is not one to replay (yet); ``"never
-        steady"`` when no trip of this loop will be.
+    def _build_trip(self, log, sites, carried, var) -> _Trip | str | None:
+        """The trip record of the trip ``log`` describes, in a loop
+        over ``var``; None when the trip is not one to replay (yet);
+        ``"never steady"`` when no trip of this loop will be.
 
         Recordable is a trip whose every dispatch replayed a launch
         record and that leaves pending the call sites it found pending
@@ -672,7 +716,7 @@ class HostExecutor:
         if flush is not None:
             return None
         m.trip_metrics["records"] += 1
-        return steps
+        return _Trip(steps, _varies(log, var))
 
     def _run_trip(self, steps) -> tuple | None:
         """Run one trip from its record: None, or the side exit
@@ -734,6 +778,72 @@ class HostExecutor:
                     return "guard", step[1]
                 stats.host_cycles += host_op
         return None
+
+    def _native_trips(self, trip) -> tuple | str:
+        """How ``trip``'s later trips run natively — ``(driver, launch
+        records, guards, per-trip host charges)`` — or why they cannot.
+
+        Asked once per record, after a trip ran from it, so every value
+        it evaluates (invariant: :func:`_varies`) already sits in the
+        scalar files and bindings dicts, and the batch it carries is
+        the one every later trip carries.  The driver is built here, at
+        the first record that qualifies.
+        """
+        host_op = self.machine.model.host_op
+        per_trip = RunStats(host_cycles=host_op)    # the loop's own
+        records: list = []
+        guards: list = []
+        for step in trip:
+            kind = step[0]
+            if kind == _COMM:
+                per_trip.comm_cycles += step[1]
+                per_trip.comm_ops += step[2]
+            elif kind == _LAUNCH:
+                records.append(step[2])
+            elif kind == _FLUSH:
+                records.extend(launch[0] for launch in step[2])
+            elif kind in (_MOVE, _GUARD):
+                per_trip.host_cycles += host_op
+                if kind == _GUARD:
+                    guards.append((step[2], step[3]))
+        if not all(record.launch.kern.native for record in records):
+            # Without a compiler no kernel is C: say why.
+            return ("no compiler" if ckernel._compiler() is None
+                    else "blocked kernel")
+        if trip.varies:
+            return "varying scalar"
+        try:
+            driver = ckernel.TripDriver(
+                [(record.launch, record.X) for record in records])
+        except Declined:
+            return "no compiler"
+        except ckernel.BuildFailed:
+            return "build failed"
+        return driver, records, guards, per_trip
+
+    def _run_native(self, trip, var: str, upcoming: range) -> int:
+        """Run natively as many of the ``upcoming`` trips as pass every
+        guard of ``trip`` — the ones before the first that would leave
+        it — and charge them; how many.
+
+        A guard reads the loop variable and invariant scalars only, so
+        each trip's guards are evaluated here, in order, before any
+        launch: what the trips that pass do is the record's launches,
+        over the same scalars, and the charges of the trip it ran from,
+        which the machine multiplies.  The trip that fails a guard is
+        left to :meth:`_run_trip`, which leaves the record where it
+        always did.
+        """
+        driver, records, guards, per_trip = trip.native
+        count = _passing(guards, self.scalars, var, upcoming)
+        if count:
+            m = self.machine
+            driver(count)
+            m.replay_trips(records, count)
+            m.stats.merge(per_trip, count)
+            m.trip_metrics["replays"] += count
+            m.trip_metrics["native"] += count
+        return count
 
     def _sync_pending(self) -> None:
         """Make the ``_pending_*`` sets say what ``_pending`` holds.
@@ -863,6 +973,53 @@ class HostExecutor:
         else:
             mask_arr = np.broadcast_to(np.asarray(mask, bool), view.shape)
             np.copyto(view, np.where(mask_arr, val, view), casting="unsafe")
+
+
+def _varies(log, var: str) -> bool:
+    """Whether some value the trip ``log`` describes evaluating on the
+    host may differ from trip to trip: a scalar-move source or scalar
+    argument that reads the loop variable ``var``, or a condition,
+    source or argument that reads a scalar some move of the trip
+    assigns at or after it — a value carried over from the trip before,
+    a move's own target included.  Reading a scalar an earlier move of
+    the trip assigned is invariant when that move is."""
+    ahead = Counter(op.clause.tgt.name for op, _ in log
+                    if isinstance(op, ScalarMove))
+    for op, _ in log:
+        if isinstance(op, IfOp):
+            if value_scalars(op.cond) & ahead.keys():
+                return True
+            continue
+        if isinstance(op, ScalarMove):
+            values = (op.clause.src,)
+        elif isinstance(op, NodeCall):
+            values = tuple(a.value for a in op.args
+                           if a.kind == "scalar" and a.value is not None)
+        else:
+            continue        # a folded shift, a flush
+        for value in values:
+            reads = value_scalars(value)
+            if var in reads or reads & ahead.keys():
+                return True
+        if isinstance(op, ScalarMove):
+            tgt = op.clause.tgt.name
+            ahead[tgt] -= 1
+            if not ahead[tgt]:
+                del ahead[tgt]
+    return False
+
+
+def _passing(guards, scalars, var: str, upcoming: range) -> int:
+    """How many of the ``upcoming`` trips, in order, take every guard's
+    recorded branch — ``(condition closure, outcome)`` pairs, evaluated
+    with the loop variable ``var`` of ``scalars`` set to each trip's."""
+    if guards:
+        for n, i in enumerate(upcoming):
+            scalars[var] = i
+            for cond, taken in guards:
+                if bool(cond()) is not taken:
+                    return n
+    return len(upcoming)
 
 
 def _may_get_hot(record):

@@ -41,8 +41,10 @@ def small_machine() -> Machine:
 #
 # The same trap one level up: a loop gets a trip record only when it is
 # long enough to repay one, and tier-1 loops are short.  The session
-# counts the trips run from a record per module, and fails when the
-# module that carries their equivalence tests falls below its floor.
+# counts the trips run from a record per module — in Python or by the
+# native trip driver — and fails when the module that carries their
+# equivalence tests falls below its floor, or (with a C compiler) runs
+# fewer trips through the driver than its floor there.
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +74,15 @@ FALLBACK_EXEMPT = frozenset(
     {"test_ckernel_split.py::test_every_emitted_text_is_pinned"})
 FALLBACK_CEILING = 10           # outside them, in all (3 when set)
 # Under what five runs counted (hypothesis draws the trip counts):
-# 3411-3770.
+# 3411-3770 — 6820-7730 once every equivalence also ran with the
+# driver off, 3681-4049 of them by the driver (0 with no compiler:
+# that floor is then not checked).
 TRIP_MODULE_FLOOR = {"test_trip_records.py": 2500}
+TRIP_NATIVE_FLOOR = {"test_trip_records.py": 2500}
 _loads: Counter = Counter()     # test file -> ckernel._load calls
 _fallbacks: Counter = Counter()     # test file -> walks that fell back
 _trips: Counter = Counter()     # test file -> trips run from a record
+_natives: Counter = Counter()   # test file -> of them, by the driver
 _running: list = [None]
 _walking: list = [None]     # where a walk counts: the module, or the test
 _shortfalls: list[str] = []
@@ -104,6 +110,15 @@ def pytest_sessionstart(session):
         return run_trip(executor, steps)
 
     HostExecutor._run_trip = counted_trip
+    run_native = HostExecutor._run_native
+
+    def counted_native(executor, trip, var, upcoming):
+        ran = run_native(executor, trip, var, upcoming)
+        _trips[_running[0]] += ran
+        _natives[_running[0]] += ran
+        return ran
+
+    HostExecutor._run_native = counted_native
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -132,6 +147,11 @@ def pytest_sessionfinish(session, exitstatus):
         if module in _loads and _trips[module] < floor:
             _shortfalls.append(f"{module}: {_trips[module]} trips run from "
                                f"a trip record, floor {floor}")
+    for module, floor in TRIP_NATIVE_FLOOR.items():
+        if (module in _loads and ckernel._compiler() is not None
+                and _natives[module] < floor):
+            _shortfalls.append(f"{module}: {_natives[module]} trips run by "
+                               f"the native trip driver, floor {floor}")
     stray = sum(count for module, count in _fallbacks.items()
                 if module not in ENGINE_MODULES | FALLBACK_EXEMPT)
     if stray > FALLBACK_CEILING:
@@ -153,7 +173,8 @@ def pytest_terminal_summary(terminalreporter):
         f"native kernels handed out by ckernel._load: {_per_module(_loads)}"
         f"; dispatches that fell back to the recording walk: "
         f"{_per_module(_fallbacks)}; trips run from a trip record: "
-        f"{_per_module(_trips)}")
+        f"{_per_module(_trips)}, by the native driver: "
+        f"{_per_module(_natives)}")
     for line in _shortfalls:
         terminalreporter.write_line(f"engine coverage fell: {line}",
                                     red=True)
