@@ -61,20 +61,34 @@ fsinv"``, ``"divisor 0"``, ``"scalar int64"``), the caller stays on the
 Python blocked kernel and ``Machine.fusion_summary()["declined"]``
 reports it.
 
+The loop is ``static void loop(...)`` over a range ``[lo, hi)`` of
+elements (or rows), and each slot it touches is a ``restrict`` pointer
+parameter, ``const`` when the loop only reads it: the text states what
+:meth:`~repro.machine.execplan.ExecutionPlan.build` proved — no stored
+slot overlaps another slot of the launch, so pointers that share an
+array are only ever read — and ``cc`` vectorises the element loop
+(``docs/PIPELINE.md`` section 6, "Vectorisation").  ``kernel`` unpacks
+the slot addresses into the call.  ``-x`` and ``|x|`` of a ``double``
+are sign-bit operations (``_SIGN_OPS``): written as ``-x`` and
+``fabs(x)``, ``cc`` would fold them into a neighbouring op and drop the
+change they make to a NaN's sign.
+
 A *shifted* operand (:mod:`repro.machine.shifted`) is indexed in
 place: the loop becomes a row loop over the last axis, each shifted
 operand gets a wrapped source-row offset per row, and the columns split
 at the wrap points into segments inside which the operand is
 ``h[i + k]`` for a loop-invariant ``k`` — so the inner loop stays
 vectorisable.  The loop's staged stores (to a shifted operand's own
-source) go to scratch and are copied back after the loops.
+source) go to scratch and are copied back after the loop returns,
+outside the ``restrict`` scope: the copy writes an array the loop's
+pointers read.
 
 No iteration reads another's store, so a kernel of ``_SPLIT_MIN``
-elements or more splits across the host's ``_THREADS`` cores: the loop
-becomes ``part`` over a range ``[lo, hi)`` of elements (or rows), run
-by a pthreads fork/join, and the staged copy-back, split the same way,
-starts after the join.  No thread outlives a launch and no element's
-operations change; below the threshold the text is the one-core text.
+elements or more splits across the host's ``_THREADS`` cores: ``part``
+calls the loop over its slice, a pthreads fork/join runs the slices,
+and the staged copy-back, split the same way, starts after the join.
+No thread outlives a launch and no element's operations change; below
+the threshold the text is the one-core text.
 
 One more text is not a kernel: the trip driver (:class:`TripDriver`,
 ``docs/PIPELINE.md`` section 16, "Native trips"), which calls the
@@ -106,11 +120,16 @@ _CFLAGS = ["-O3", "-shared", "-fPIC", "-fno-math-errno",
 #: The host's cores, and the stream length from which a kernel's loop
 #: and its staged copy-back split over them: the first power of two
 #: past the crossing.  On a 2-CPU box (``cc`` 12.2) one fork/join costs
-#: about 25 us, and an emitted loop 0.4-0.6 ns an element (a plain
+#: about 25 us, and a scalar emitted loop 0.4-0.6 ns an element (a plain
 #: update) to 1.7-2 ns (heat's and life's staged stencils, two
 #: fork/joins) while it fits in cache.  Split, those three ran 0.56-0.90x
 #: the one-core launch at 2**16 elements (once 1.12x), 0.74-1.17x at
-#: 90,000, 1.06-1.26x at 102,400 and 1.28-1.66x at 131,044.
+#: 90,000, 1.06-1.26x at 102,400 and 1.28-1.66x at 131,044.  Vectorised,
+#: one core takes 0.55-0.9 ns (plain), 0.7-0.8 ns (life) and 1.6-2.3 ns
+#: (heat, copy-back included); split ran
+#: 0.43-1.04x from 2**16 to 2**18 — but so did the scalar texts on that
+#: (busy) box, 0.64-1.23x at 2**17 and 2**18, so the crossing was not
+#: found again and the threshold stands.
 _THREADS = len(os.sched_getaffinity(0))
 _SPLIT_MIN = 1 << 17
 
@@ -155,6 +174,17 @@ _CTYPES = {"f64": "double", "i32": "int32_t", "i64": "int64_t",
 _STREAM_CTYPES = {**_CTYPES, "bool": "uint8_t"}
 #: integer kind -> the unsigned twin its arithmetic is computed in
 _UNSIGNED = {"i32": "uint32_t", "i64": "uint64_t"}
+#: ``-x`` and ``|x|`` of a ``double`` as the sign-bit operations they
+#: are.  ``cc`` folds a plain ``-x`` or ``fabs(x)`` into the op that
+#: reads it (``a - -b`` becomes ``a + b``, ``|a| * |a|`` becomes
+#: ``a * a``), which leaves a NaN's sign where numpy's separate passes
+#: flip or clear it.
+_SIGN_OPS = {
+    family: (f"static inline double f64_{family}(double x) {{\n"
+             f"  union {{ double d; uint64_t u; }} v = {{x}};\n"
+             f"  v.u {op};\n  return v.d;\n}}")
+    for family, op in (("abs", "&= ~(UINT64_C(1) << 63)"),
+                       ("neg", "^= UINT64_C(1) << 63"))}
 #: scalar type name -> (kind, its value out of the ``double`` scalar
 #: block), for the types the block carries exactly — and Python's
 #: ``int``, which is exact wherever numpy makes it a ``float64`` too
@@ -295,6 +325,7 @@ class _CPrinter:
         self.lines: list[str] = []
         self.used_cids: set[int] = set()
         self.used_sregs: dict[int, str] = {}    # register -> type name
+        self.sign_ops: set[str] = set()     # the _SIGN_OPS the text calls
         self.ntemps = 0
 
     @staticmethod
@@ -387,6 +418,9 @@ class _CPrinter:
             else:
                 expr = f"{sym}({_as(args[0], 'bool')})"
         elif kind == "f64":     # neg, abs, sqrt
+            if family in _SIGN_OPS:
+                self.sign_ops.add(family)
+                sym = f"f64_{family}"
             expr = f"{sym}({_as(args[0], kind)})"
         elif family == "sqrt" or kind not in _UNSIGNED:
             raise Declined(f"dtype {kind}")
@@ -417,38 +451,51 @@ class _CPrinter:
         sregs = sorted(self.used_sregs)
         shifted = self.loop.shifts
         gathers = sorted(self.used_cids & shifted.keys())
+        stored = {node.ref for nodes in self.loop.groups for node in nodes
+                  if node.kind == "store"}
         ctype = [_STREAM_CTYPES[kind] for kind in self.slot_kind]
-        pre = [f"  {ctype[cid]} *s{cid} = ({ctype[cid]} *)SP[{cid}];"
-               for cid in sorted(self.used_cids - shifted.keys())]
-        pre += [f"  const {ctype[cid]} *h{cid} = "
-                f"(const {ctype[cid]} *)SP[{cid}];" for cid in gathers]
+        # The probe's proof, stated: no slot the loop stores overlaps
+        # another it touches (``ExecutionPlan.build``), so every pointer
+        # is ``restrict`` and the read-only ones, which alone may share
+        # an array, are ``const``.  As parameters: ``cc`` 12 does not
+        # act on ``restrict`` locals that unpack ``SP``.
+        slots = sorted(self.used_cids)
+        params = [f"{'' if cid in stored else 'const '}{ctype[cid]} "
+                  f"*restrict {'h' if cid in shifted else 's'}{cid}"
+                  for cid in slots]
+        pre = []
         for j, k in enumerate(sregs):
             kind, value = _SCALARS[self.used_sregs[k]]
             pre.append(f"  const {_CTYPES[kind]} x{k} = {value.format(j)};")
+        if gathers:
+            loop, trips = self._row_loops(gathers)
+        else:
+            loop = ["  for (long i = lo; i < hi; i++) {", *self.lines, "  }"]
+            trips = "n"
         staged = self.loop.staged
         split = self.loop.n >= _SPLIT_MIN and _THREADS > 1
-        if gathers:
-            loop, close, trips = self._row_loops(gathers, split)
-            body = ["    " + line for line in self.lines]
-        else:
-            span = "i = lo; i < hi" if split else "i = 0; i < n"
-            loop, close, trips = [f"  for (long {span}; i++) {{"], ["  }"], "n"
-            body = self.lines
-        head = ["#include <math.h>", "#include <stdint.h>"]
-        head += ["#include <string.h>"] if staged else []
+        lines = ["#include <math.h>", "#include <stdint.h>"]
+        lines += ["#include <string.h>"] if staged else []
+        if split:
+            lines += ["#include <pthread.h>",
+                      _FORK_JOIN.replace("THREADS", str(_THREADS))]
+        lines += [_SIGN_OPS[family] for family in sorted(self.sign_ops)]
+        lines += [f"static void loop({', '.join(params)}, const double *X, "
+                  f"long lo, long hi) {{"] + pre + loop + ["}"]
+        call = f"loop({''.join(f'SP[{cid}], ' for cid in slots)}X, "
         kernel = ["void kernel(void **SP, const double *X, long n) {"]
+        # The copy-back writes an array the loop's pointers read: it
+        # stays outside the ``restrict`` scope, after the loop is done.
         if not split:
-            post = [f"  memcpy(s{cid}, s{scratch}, n * sizeof({ctype[cid]}));"
-                    for cid, scratch in staged]
-            lines = head + kernel + pre + loop + body + close + post
+            lines += kernel + [f"  {call}0, {trips});"] + [
+                f"  memcpy(SP[{cid}], SP[{scratch}], "
+                f"n * sizeof({ctype[cid]}));" for cid, scratch in staged]
         else:
             # The copy-back waits for every slice: a neighbour's slice
             # reads the source row through the shift.
             args = "void **SP, const double *X, long n, long lo, long hi"
-            lines = (head + ["#include <pthread.h>",
-                             _FORK_JOIN.replace("THREADS", str(_THREADS)),
-                             f"static void part({args}) {{"]
-                     + pre + loop + body + close + ["}"])
+            lines += [f"static void part({args}) {{", f"  {call}lo, hi);",
+                      "}"]
             if staged:
                 lines += [f"static void copy_back({args}) {{"] + [
                     f"  memcpy(({t} *)SP[{cid}] + lo, ({t} *)SP[{scratch}]"
@@ -460,25 +507,24 @@ class _CPrinter:
         return _load(src, len(self.slot_kind), tuple(sregs), staged=staged,
                      threads=_THREADS if split else 1)
 
-    def _row_loops(self, gathers, split) -> tuple[list[str], list[str], int]:
-        """Row/segment/column loop heads for in-place shifted operands.
+    def _row_loops(self, gathers) -> tuple[list[str], int]:
+        """The row loop over in-place shifted operands, and its rows.
 
         Rows are the last axis; the leading axes flatten into ``r``.
         Per row each operand's wrapped source row gives ``b{cid}``, the
         distance from the row's flat start to the source row's; the
-        columns split where some operand wraps, and inside a segment an
-        operand is ``h[i + k]`` with ``k`` loop-invariant.  A ``split``
-        loop runs rows ``[lo, hi)``; the row count is the third value.
+        columns split where some operand wraps, and each segment is its
+        own column loop, with literal bounds, in which an operand is
+        ``h[i + k]`` for a ``k`` that is ``b`` plus a literal (the
+        shifts are plan-time constants).  The loop runs rows
+        ``[lo, hi)``.
         """
         shifted = self.loop.shifts
         cols = self.loop.shape[-1]
         lead = self.loop.shape[:-1]
         rows = self.loop.n // cols
         cuts = sorted({0, cols} | {cols - shifted[cid][-1] for cid in gathers})
-        span = "r = lo; r < hi" if split else f"r = 0; r < {rows}"
-        loop = [f"  static const long cut[] = "
-                f"{{{', '.join(map(str, cuts))}}};",
-                f"  for (long {span}; r++) {{",
+        loop = ["  for (long r = lo; r < hi; r++) {",
                 f"    const long o = r * {cols};"]
         for cid in gathers:
             offsets = shifted[cid]
@@ -495,13 +541,17 @@ class _CPrinter:
                 stride *= extent
             row = " + ".join(terms) if any(offsets[:-1]) else "r"
             loop.append(f"    const long b{cid} = ({row}) * {cols} - o;")
-        loop += [f"    for (int g = 0; g < {len(cuts) - 1}; g++) {{"]
-        for cid in gathers:
-            off = shifted[cid][-1]
-            loop.append(f"      const long k{cid} = b{cid} + "
-                        f"(cut[g] + {off} < {cols} ? {off} : {off - cols});")
-        loop += ["      for (long i = o + cut[g]; i < o + cut[g + 1]; i++) {"]
-        return loop, ["      }", "    }", "  }"], rows
+        for start, end in zip(cuts, cuts[1:]):
+            loop.append("    {")
+            for cid in gathers:
+                off = shifted[cid][-1]
+                loop.append(f"      const long k{cid} = b{cid} + "
+                            f"{off if start + off < cols else off - cols};")
+            loop.append(f"      for (long i = o + {start}; i < o + {end};"
+                        f" i++) {{")
+            loop += ["    " + line for line in self.lines]
+            loop += ["      }", "    }"]
+        return loop + ["  }"], rows
 
 
 def _library(src: str, threads: int = 1) -> tuple:
