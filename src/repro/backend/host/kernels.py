@@ -4,9 +4,9 @@ A host dispatch runs the one path every machine runs
 (:mod:`repro.machine.execplan`: group -> probe -> kernel for key ->
 launch), with the one rule for which emitter a kernel gets:
 
-* the first call with a new binding signature runs the plan's recording
-  walk (pre-resolved steps over plain numpy ufuncs, capturing
-  intermediate shapes/dtypes);
+* the first call with a new binding signature runs on the interpreter
+  oracle (``execplan.run_oracle``), and the plan remembers the
+  signature: the kernel is typed from it;
 * every later call runs a compiled kernel: cache-blocked numpy first,
   then — once the kernel has streamed enough to repay a ``cc`` run,
   and if it stays inside the bit-exact whitelist — a **native
@@ -14,7 +14,7 @@ launch), with the one rule for which emitter a kernel gets:
   intermediates in registers, built once per process whichever
   machine asked first;
 * bindings the prover cannot clear (overlapping distinct views,
-  non-contiguous streams) take the recording walk again.
+  non-contiguous streams) run on the oracle again.
 
 All three tiers are bit-identical by construction: the native emitter
 declines anything whose C semantics are not an exact match of the numpy

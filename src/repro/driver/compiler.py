@@ -80,8 +80,9 @@ class Executable:
             exec_mode: str | None = None) -> "RunResult":
         """Execute on a (fresh, unless given) simulated machine.
 
-        ``exec_mode`` picks the node execution engine (``"fast"`` plans
-        or the ``"interp"`` oracle) when no machine is supplied.  The
+        ``exec_mode`` picks the node execution engine (``"fast"``,
+        ``"fused"`` or the ``"interp"`` oracle) when no machine is
+        supplied.  The
         default machine comes from the target registry — a cm5
         executable runs under the cm5 cost model without any extra
         plumbing.

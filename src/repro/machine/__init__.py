@@ -18,7 +18,6 @@ from .pe import (
     VectorExecutor,
     cycles_per_trip,
     flops_per_element,
-    routine_cycles,
 )
 from .plan import GLOBAL_POOL, BufferPool, RoutinePlan, get_plan, invalidate_plan
 from .stats import RunStats

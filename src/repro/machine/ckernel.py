@@ -13,7 +13,7 @@ The printer visits the loop's nodes in order: within a group every read
 and op becomes a C local before any store commits (dual-issue pairs
 observe pre-instruction state).  Because every emitted operation is
 elementwise over the common stream length, a per-element schedule is
-observationally identical to the recording walk's whole-array passes.
+observationally identical to the oracle's whole-array passes.
 
 Bit-identity with numpy is preserved by construction, not hope: only
 operations whose C form computes exactly what the numpy ufunc does are
@@ -26,8 +26,9 @@ must be contiguous.
 Every value and every slot carries a *kind* — ``f64``, ``i32``,
 ``i64``, ``bool``, a weak integer constant (``int``: a C literal) or a
 weak integer scalar argument (``xint``: a ``double``) — and an op
-computes in the kind the recording pass wrote into the spec, never in
-one re-derived from the op's name or from promotion rules: ``fmulv``
+computes in the kind the lowering typed it with (numpy's own promotion,
+:func:`~repro.machine.loopir.step_types`), never in one re-derived
+from the op's name or from promotion rules of its own: ``fmulv``
 over an ``int32`` stream and the weak constant 1 is an integer
 multiply.  Where numpy's integer semantics are not C's the emitter
 takes numpy's side or declines (``docs/PIPELINE.md`` section 6 has the

@@ -20,9 +20,10 @@ import numpy as np
 from ..analysis import verify_enabled
 from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
-from .execplan import Dispatch, ExecutionPlan, LaunchRecord, run_group
+from .execplan import (Dispatch, ExecutionPlan, LaunchRecord, run_group,
+                       run_oracle)
 from .geometry import Geometry, coordinate_array, make_geometry
-from .pe import SubgridStream, VectorExecutor
+from .pe import SubgridStream
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
 from .shifted import (Shifted, ShiftedStream, materialize_streams,
                       one_axis)
@@ -71,11 +72,12 @@ class Machine:
     ``exec_mode`` selects the node-dispatch engine: ``"fast"`` (the
     class's ``default_exec``, overridable via the ``REPRO_EXEC``
     environment variable) runs every dispatch as a group of compiled
-    routine plans (:mod:`repro.machine.execplan`); ``"interp"`` routes
-    through the
-    :class:`VectorExecutor` oracle.  Both produce bit-identical arrays
-    and identical :class:`RunStats`.  ``"fused"`` additionally lets the
-    host executor batch adjacent node calls through :meth:`call_fused`:
+    routine plans (:mod:`repro.machine.execplan`), except first trips
+    and what no kernel may run; ``"interp"`` runs every dispatch on the
+    oracle (:func:`~repro.machine.execplan.run_oracle`).  Both produce
+    bit-identical arrays and identical :class:`RunStats`.  ``"fused"``
+    additionally lets the host executor batch adjacent node calls
+    through :meth:`call_fused`:
     arrays stay bit-identical to both other engines, and a fused batch
     is charged as one dispatch.  Neither the engine nor the machine
     class chooses an emitter: every kernel starts as blocked numpy and
@@ -477,15 +479,7 @@ class Machine:
         kernel ran them."""
         if self.exec_mode == "interp":
             (d,) = dispatches   # the oracle never batches
-            materialize_streams(d.streams)
-            executor = VectorExecutor()
-            for n, stream in enumerate(d.streams):
-                if stream is not None:
-                    executor.bind_pointer(PReg(n), stream)
-            for n, value in enumerate(d.scalars):
-                if value is not _UNBOUND:
-                    executor.bind_scalar(SReg(n), value)
-            executor.run(d.routine)
+            run_oracle(d)
             return None
         return run_group(dispatches, self.pool, self.fusion_metrics, group)
 
@@ -508,8 +502,8 @@ class Machine:
     def fusion_summary(self) -> dict:
         """Fusion counters for ``--stats-json`` and service responses."""
         # Which tier an entry stopped at and why: entries per reason,
-        # by the emitter that bailed ("blocked": the recording walk
-        # runs it; "c": blocked numpy does).
+        # by the emitter that bailed ("blocked": the oracle runs it;
+        # "c": blocked numpy does).
         declined: dict = {"c": {}, "blocked": {}}
         for emitter, reason in self.fusion_metrics["declined"].values():
             declined[emitter][reason] = declined[emitter].get(reason, 0) + 1

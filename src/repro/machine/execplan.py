@@ -42,11 +42,14 @@ per-parameter charge of ``Machine._charge``.
 Correctness never depends on the probe, and what happens without a
 kernel is one chain written once (:func:`run_group`): the group's
 kernel; else each constituent as a group of one over materialised
-streams; else the plan's recording walk
-(:meth:`~repro.machine.plan.RoutinePlan.run_steps`) — all bit-identical
-to the interpreter oracle.  A batch that fails the probe never gets
-that far: it is its calls, each charged, run and recorded as a site of
-its own (:meth:`Machine.call_fused`).
+streams; else the interpreter oracle itself (:func:`run_oracle`, the
+one path of every dispatch that runs without a kernel, and all that
+``exec_mode="interp"`` runs).  A binding signature's first trip goes
+straight to the oracle: the plan remembers the signature, and a later
+trip types the kernel from it (:func:`~repro.machine.loopir.lower`).
+A batch that fails the probe never gets that far: it is its calls, each
+charged, run and recorded as a site of its own
+(:meth:`Machine.call_fused`).
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ import numpy as np
 from .ckernel import BuildFailed, try_native
 from .kernel import Launch, NoKernel, blocked_kernel, hot
 from .loopir import Declined, lower
-from .plan import get_plan
+from .pe import VectorExecutor
+from .plan import _UNBOUND, get_plan
 from .shifted import ShiftedStream, materialize_streams
 
 
@@ -264,7 +268,7 @@ class ExecutionPlan:
     def kernel_for(self, sigs, metrics) -> tuple:
         """``(kernel, built)`` for this trip's binding signatures.
 
-        The kernel is None when the recording walk must run instead: a
+        The kernel is None when the oracle must run instead: a
         signature still needs its first trip, or the lowering declined
         the group.  ``built`` says this call compiled the entry rather
         than found it.  An entry starts as the blocked numpy kernel
@@ -279,15 +283,13 @@ class ExecutionPlan:
         kern = _MEGA_KERNELS.get(key)
         built = kern is None
         if built:
-            specs = [plan.specs.get(sig)
-                     for plan, sig in zip(self.plans, sigs)]
-            if None in specs:
-                return None, False   # the recording pass runs first
+            if not all(sig in plan.seen
+                       for plan, sig in zip(self.plans, sigs)):
+                return None, False   # the oracle runs the first trip
             try:
                 kern = blocked_kernel(lower(
-                    self.plans, self.slot_maps, specs,
-                    tuple(s for _, scalars in sigs for s in scalars),
-                    self.n, [a.dtype for a in self.S], self.shifts))
+                    self.plans, self.slot_maps, sigs, self.n,
+                    [a.dtype for a in self.S], self.shifts))
             except Declined as bail:
                 kern = NoKernel(str(bail))
             if len(_MEGA_KERNELS) >= _MEGA_CAP:
@@ -353,19 +355,19 @@ def run_group(dispatches, pool, metrics,
 
     The group's kernel; else each constituent as a group of one over
     materialised streams (a shifted operand means its source when the
-    group starts); else the plan's recording walk.  Returns the launch
-    when a kernel ran over the operands as bound — what a dispatch site
-    may replay — else None.
+    group starts); else the oracle (:func:`run_oracle`).  Returns the
+    launch when a kernel ran over the operands as bound — what a
+    dispatch site may replay — else None.
 
     ``group`` is the probe's verdict when the caller already needed it
     (a batch is charged by it).  Otherwise a first trip does not probe:
-    a binding signature no walk has recorded yet has no kernel to find.
+    a binding signature the plan has not seen has no kernel to find.
     ``metrics`` is the machine's ``fusion_metrics`` (see
     :meth:`ExecutionPlan.kernel_for`).
     """
     sigs = tuple(d.plan._signature(d.streams, d.scalars)
                  for d in dispatches)
-    if group is None and all(sig in d.plan.specs
+    if group is None and all(sig in d.plan.seen
                              for d, sig in zip(dispatches, sigs)):
         group = ExecutionPlan.build(dispatches)
     if group is not None:
@@ -385,13 +387,33 @@ def run_group(dispatches, pool, metrics,
     d = dispatches[0]
     if len(dispatches) == 1 and not any(
             isinstance(st, ShiftedStream) for st in d.streams):
-        d.plan.run_steps(d.streams, d.scalars, sigs[0])
+        run_oracle(d, sigs[0])
         return None
     for d in dispatches:
         materialize_streams(d.streams)
     for d in dispatches:
         run_group((d,), pool, metrics)
     return None
+
+
+def run_oracle(d: Dispatch, sig=None) -> None:
+    """Run one prepared call on the interpreter oracle
+    (:class:`~repro.machine.pe.VectorExecutor`), its shifted streams
+    materialised first: every dispatch that runs without a kernel.
+
+    ``sig`` is the call's binding signature when the oracle stands in
+    for a kernel (:func:`run_group`); the plan remembers it, so the next
+    trip with it may build one.  ``exec_mode="interp"`` passes none.
+    """
+    materialize_streams(d.streams)
+    executor = VectorExecutor()
+    executor.pregs = {n: stream for n, stream in enumerate(d.streams)
+                      if stream is not None}
+    executor.sregs = {n: value for n, value in enumerate(d.scalars)
+                      if value is not _UNBOUND}
+    executor.run_instrs(d.plan.instrs)
+    if sig is not None:
+        d.plan.saw(sig)
 
 
 # -- steady state: the per-site launch record -------------------------------

@@ -28,9 +28,9 @@ operation is one of the interpreter's own elementwise numpy calls
 applied to a contiguous sub-range: element ``i`` sees exactly the same
 inputs, operations and rounding in either engine.  The printer never
 declines: what no kernel may run (bindings the probe rejects, the
-loops the lowering declines) takes the plan's recording walk
-(:meth:`~repro.machine.plan.RoutinePlan.run_steps`), which is fully
-general; the cache entry it leaves behind (:class:`NoKernel`) says why.
+loops the lowering declines) runs on the interpreter oracle
+(:func:`~repro.machine.execplan.run_oracle`), which is fully general;
+the cache entry it leaves behind (:class:`NoKernel`) says why.
 
 A *shifted* operand (:mod:`repro.machine.shifted`) is read in place:
 blocks become whole leading-axis slabs and each block gathers the
@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loopir import _OUT_FNS
-from .plan import _FMA_FNS
+from .loopir import _FMA_FNS, _OUT_FNS
 from .shifted import BlockGather
 
 _BLOCK = 16384  # block length in elements: intermediates stay in cache
@@ -95,8 +94,8 @@ class _Val:
 
 
 class NoKernel:
-    """The cache entry of a group no kernel runs (the plan's recording
-    walk does, on every launch).  Like every entry it has ``declined``, the
+    """The cache entry of a group no kernel runs (the oracle does, on
+    every launch).  Like every entry it has ``declined``, the
     ``(emitter, reason)`` of the better tier it did not get: the
     lowering's here, the C printer's on a blocked kernel that was asked
     about (None before)."""

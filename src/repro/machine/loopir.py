@@ -24,21 +24,24 @@ The lowering does what both printers need done the same way:
   where its own element already landed.  An element-by-element (or
   block-by-block) kernel would otherwise overwrite neighbours a later
   element still has to see through the shift;
-* every op and every slot is typed: an op's result by the spec the
-  recording walk wrote, a scalar by its binding signature.
+* every op and every slot is typed from the binding signatures
+  (:func:`step_types`): an op's result by running its own numpy calls
+  over stand-ins of its operands, a scalar by its signature.
 
+A group is lowered only for binding signatures whose first trip the
+oracle ran, and the oracle raises on a read of an undefined register,
+an unbound scalar or an unbound pointer: none of them reaches here.
 It declines, with the reason a cache entry keeps as ``("blocked",
 reason)``: a conversion op (``op fintv``: it allocates, no kernel runs
 it), a result that is not a stream (``scalar-shaped faddv``, ``shape``),
-a register read before it is written (``undefined register``), a group
-that stores nothing (``empty``) and shifted operands of two shapes
-(``shift shapes``: blocks are slabs, and C rows, of one shape).  What
-the C printer declines beyond that is its own (``("c", reason)``).
+a group that stores nothing (``empty``) and shifted operands of two
+shapes (``shift shapes``: blocks are slabs, and C rows, of one shape).
+What the C printer declines beyond that is its own (``("c", reason)``).
 
 The op tables sit here side by side: what the blocked printer calls
-for each op (``_OUT_FNS``; a multiply-add is the recording walk's own
-pair, ``plan._FMA_FNS``) and what the C printer emits for it or why it
-does not (``_C_FORMS``, ``_C_DECLINED``).
+for each op (``_OUT_FNS``; a multiply-add is the pair of ufuncs
+``_FMA_FNS``, which the typing runs too) and what the C printer emits
+for it or why it does not (``_C_FORMS``, ``_C_DECLINED``).
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..peac.isa import NUM_SREGS, NUM_VREGS
-from .plan import (_FMA_FNS, _R_MEM, _R_SREG, _R_VREG, _ComputeStep,
-                   _MoveStep, _StoreStep)
+from .pe import _APPLY
+from .plan import (_R_MEM, _R_SREG, _R_VREG, _ComputeStep, _MoveStep,
+                   _StoreStep)
 
 
 class Declined(Exception):
@@ -75,18 +79,23 @@ _OUT_FNS = {
     "finvv": np.divide,     # its readers carry the 1.0 numerator
 }
 
-# A multiply-add runs as the recording walk's own two ufuncs
-# (``plan._FMA_FNS``).  Everything else the blocked printer runs as the
-# oracle's own calls (``fselv`` as two copies, ``idivv``/``imodv``
+# The two ufuncs of a multiply-add, which ``_APPLY`` runs as one
+# lambda: the typing runs them to type the product, and a blocked kernel
+# runs them block by block.  Everything else the blocked printer runs
+# as the oracle's own calls (``fselv`` as two copies, ``idivv``/``imodv``
 # through their dtypes); the conversions allocate, so the lowering
 # declines them.
+_FMA_FNS = {
+    "fmav": (np.multiply, np.add),
+    "fmsv": (np.multiply, np.subtract),
+}
 _CONVERSIONS = ("fintv", "ffloorv", "fceilv", "ffltv", "fdblv")
 
 # What the C printer (:mod:`repro.machine.ckernel`) does with each op:
 # every key of ``pe._APPLY`` is in exactly one of the two tables.  A
 # form is ``(family, C operator)``; the *kind* an op computes in is the
-# dtype the recording pass wrote into the spec, never the op's name
-# (``fmulv`` over ``int32`` streams is an integer multiply).
+# dtype the lowering typed it with, never the op's name (``fmulv`` over
+# ``int32`` streams is an integer multiply).
 _C_FORMS = {
     # computed in the recorded kind; integers in the unsigned twin
     "faddv": ("arith", "+"), "fsubv": ("arith", "-"),
@@ -133,8 +142,8 @@ class Node:
       ``dtype`` the name of its bound type (:func:`_scalar_type`);
     * ``"const"`` — the plan-time constant ``ref``;
     * ``"op"`` — op ``ref`` over the nodes ``args``; ``dtype`` its
-      recorded result dtype and ``aux``, for a multiply-add, its
-      product's;
+      result dtype and ``aux``, for a multiply-add, its product's
+      (:func:`step_types`);
     * ``"store"`` — ``args[0]`` written to slot ``ref`` (of ``dtype``).
 
     Nodes compare by identity: two reads of one slot are two values.
@@ -178,8 +187,6 @@ def _scalar_type(sig) -> str:
     """The type name of a scalar register from its signature
     (``RoutinePlan._signature``): Python's or numpy's, 0-d arrays as
     their element's."""
-    if sig is None:
-        return "unbound"
     if sig[0] == "p":
         return sig[1]
     if sig[0] == "a" and sig[1] != ():
@@ -187,12 +194,78 @@ def _scalar_type(sig) -> str:
     return np.dtype(sig[-1]).name
 
 
-def lower(plans, slot_maps, specs, scalars, n, dtypes, shifts) -> Loop:
+# A value of each Python type a scalar argument's signature may name.
+_PY_SCALARS = {"bool": True, "int": 1, "float": 1.0, "complex": 1j}
+
+
+def _standin(sig):
+    """A value numpy promotes as it does a scalar argument of signature
+    ``sig``: one of its Python or numpy type, or an array of its shape
+    and dtype."""
+    if sig[0] == "a":
+        return np.ones(sig[1], sig[2])
+    if sig[0] == "n":
+        return np.dtype(sig[1]).type(1)
+    if sig[1] not in _PY_SCALARS:
+        raise Declined(f"scalar {sig[1]}")
+    return _PY_SCALARS[sig[1]]
+
+
+def step_types(plan, sig) -> list:
+    """``(result, product)`` per compute step of ``plan`` under binding
+    signature ``sig``, in step order: arrays of the rank and dtype the
+    oracle computes (``product`` a multiply-add's ``a * b``, else None).
+
+    Each step runs its own numpy calls (``pe._APPLY``, a multiply-add as
+    ``_FMA_FNS``) over stand-ins: a stream read is a one-element array
+    of the stream's dtype, a scalar register a :func:`_standin`, a
+    constant the plan-time constant; a move wraps its value in
+    ``np.asarray`` as the oracle does.  NumPy's promotion depends on
+    neither values nor lengths, and a result is stream-shaped (rank 1)
+    when any operand is.
+    """
+    streams, scalars = sig
+    regs: list = [None] * NUM_VREGS
+
+    def read(rd):
+        tag, arg = rd
+        if tag == _R_VREG:
+            return regs[arg]
+        if tag == _R_MEM:
+            return np.ones(1, streams[arg][1])
+        return _standin(scalars[arg]) if tag == _R_SREG else arg
+
+    types = []
+    with np.errstate(all="ignore"):
+        for steps in plan.groups:
+            pend = []       # registers update as the group retires
+            for step in steps:
+                if isinstance(step, _MoveStep):
+                    pend.append((step.dst, np.asarray(read(step.reader))))
+                elif isinstance(step, _ComputeStep):
+                    args = [read(rd) for rd in step.readers]
+                    product = None
+                    if step.op in _FMA_FNS:
+                        mul, add = _FMA_FNS[step.op]
+                        product = np.asarray(mul(args[0], args[1]))
+                        result = np.asarray(add(product, args[2]))
+                    else:       # finvv's first reader is its 1.0
+                        result = np.asarray(np.divide(*args)
+                                            if step.op == "finvv"
+                                            else _APPLY[step.op](*args))
+                    types.append((result, product))
+                    pend.append((step.dst, result))
+            for dst, value in pend:
+                regs[dst] = value
+    return types
+
+
+def lower(plans, slot_maps, sigs, n, dtypes, shifts) -> Loop:
     """The loop of a group: constituent ``plans`` with their slot maps
-    (preg -> slot) and recorded specs, the signature of every scalar
-    register of the group's file, the stream length ``n``, the slots'
-    ``dtypes`` and the probe's ``shifts`` (``(slot, staged source slot
-    or None, shape, offsets)`` each).  Raises :class:`Declined`."""
+    (preg -> slot) and binding signatures, the stream length ``n``, the
+    slots' ``dtypes`` and the probe's ``shifts`` (``(slot, staged source
+    slot or None, shape, offsets)`` each).  Raises :class:`Declined`."""
+    scalars = tuple(k for _, ks in sigs for k in ks)    # the group's file
     offsets = {slot: offs for slot, _, _, offs in shifts}
     shape_of = {slot: shape for slot, _, shape, _ in shifts}
     bases = {base for _, base, _, _ in shifts if base is not None}
@@ -206,8 +279,6 @@ def lower(plans, slot_maps, specs, scalars, n, dtypes, shifts) -> Loop:
     def read(rd, entries, move=False) -> Node:
         tag, arg = rd
         if tag == _R_VREG:
-            if regs[arg] is None:
-                raise Declined("undefined register")
             return regs[arg]
         if tag == _R_MEM:
             slot = smap[arg]
@@ -224,8 +295,9 @@ def lower(plans, slot_maps, specs, scalars, n, dtypes, shifts) -> Loop:
             entries.append(node)
         return node
 
-    for bank, (plan, smap, spec) in enumerate(zip(plans, slot_maps, specs)):
+    for bank, (plan, smap, sig) in enumerate(zip(plans, slot_maps, sigs)):
         regs: list[Node | None] = [None] * NUM_VREGS
+        typed = iter(step_types(plan, sig))
         for steps in plan.groups:
             entries: list[Node] = []
             pend: list[tuple[int, Node]] = []
@@ -243,17 +315,15 @@ def lower(plans, slot_maps, specs, scalars, n, dtypes, shifts) -> Loop:
                 elif isinstance(step, _ComputeStep):
                     if step.op in _CONVERSIONS:
                         raise Declined(f"op {step.op}")
-                    shape, dtype = spec[step.token]
-                    if shape != (n,):   # computed from scalars alone, mostly
+                    result, product = next(typed)
+                    if result.shape != (1,):   # from scalars alone, mostly
                         raise Declined(f"scalar-shaped {step.op}"
-                                       if shape == () else "shape")
+                                       if result.ndim == 0 else "shape")
+                    if product is not None and product.shape != (1,):
+                        raise Declined("shape")
                     args = tuple(read(rd, entries) for rd in step.readers)
-                    aux = None
-                    if step.op in _FMA_FNS:
-                        ashape, aux = spec[step.aux]
-                        if ashape != (n,):
-                            raise Declined("shape")
-                    node = Node("op", step.op, np.dtype(dtype), args, aux)
+                    node = Node("op", step.op, result.dtype, args,
+                                None if product is None else product.dtype)
                     entries.append(node)
                     pend.append((step.dst, node))
                 # branches are loop bookkeeping: nothing to lower

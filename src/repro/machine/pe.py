@@ -12,14 +12,12 @@ pace).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..peac.isa import (
     FLOP_KINDS,
-    VECTOR_WIDTH,
     Imm,
     Instr,
     Mem,
@@ -82,8 +80,11 @@ class VectorExecutor:
     # -- execution ------------------------------------------------------
 
     def run(self, routine: Routine) -> None:
+        self.run_instrs(routine.body)
+
+    def run_instrs(self, instrs) -> None:
         with np.errstate(all="ignore"):
-            for instr in routine.body:
+            for instr in instrs:
                 self._exec(instr)
 
     def _exec(self, instr: Instr) -> None:
@@ -248,8 +249,3 @@ def flops_per_element(routine: Routine) -> int:
             flops += FLOP_KINDS.get(instr.paired.kind, 0)
     return flops
 
-
-def routine_cycles(routine: Routine, model: CostModel, vlen: int) -> int:
-    """Node cycles for one invocation: trips × per-trip issue cost."""
-    trips = math.ceil(vlen / VECTOR_WIDTH)
-    return trips * cycles_per_trip(routine, model)

@@ -9,24 +9,21 @@ handful of routines thousands of times, so this module compiles each
 * **steps** — a flat sequence of pre-resolved steps (operand slots
   bound by index into flat register files, ``Imm`` coercion done at
   plan time, dual-issue pairs kept as one group), which
-  :mod:`repro.machine.loopir` lowers, once per kernel, into the loop
-  both kernel printers read;
+  :mod:`repro.machine.loopir` types and lowers, once per kernel, into
+  the loop both kernel printers read;
 * **cost accounting** — ``cycles_per_trip`` and ``flops_per_element``,
   computed once and cached on the plan;
-* **signatures** — numpy result dtypes and shapes depend on the bound
-  operands, so a plan *specializes* per binding signature: ``specs``
-  maps each signature met to the shape and dtype of every intermediate;
-* **the recording walk** (:meth:`RoutinePlan.run_steps`) — the steps
-  executed by the interpreter's own rules (the same ``_APPLY`` table, a
-  snapshot of every memory operand, both evals of a dual-issue pair
-  before either commit) while writing that spec.  It runs a
-  signature's first trip and, unchanged, the rare dispatch no kernel
-  may run; it is never made fast, because nothing steady runs it.
+* **signatures** — numpy result dtypes depend on the bound operands, so
+  a kernel is built per binding signature (:meth:`RoutinePlan._signature`),
+  and only for one the plan has ``seen``: a signature's first trip runs
+  on the interpreter oracle, as does the rare dispatch no kernel may
+  run (:func:`repro.machine.execplan.run_oracle`).
 
-The interpreter stays as the oracle: ``REPRO_EXEC=interp`` (see
-:class:`~repro.machine.cm2.Machine`) routes dispatch back through
-``VectorExecutor``, and the equivalence tests assert both paths produce
-bit-identical arrays and identical :class:`~repro.machine.stats.RunStats`.
+The interpreter stays the oracle: ``REPRO_EXEC=interp`` (see
+:class:`~repro.machine.cm2.Machine`) runs every dispatch on
+``VectorExecutor``, and the equivalence tests assert the kernels
+produce bit-identical arrays and identical
+:class:`~repro.machine.stats.RunStats`.
 """
 
 from __future__ import annotations
@@ -34,22 +31,13 @@ from __future__ import annotations
 import math
 import weakref
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
-from ..peac.isa import (
-    FLOP_KINDS,
-    Imm,
-    Instr,
-    Mem,
-    Routine,
-    SReg,
-    VReg,
-    NUM_SREGS,
-    NUM_VREGS,
-)
+from ..peac.isa import Imm, Instr, Mem, Routine, SReg, VReg
 from .costs import CostModel
-from .pe import ExecutionError, SubgridStream, _APPLY
+from .pe import ExecutionError, flops_per_element
 
 
 _UNBOUND = object()
@@ -105,10 +93,6 @@ class BufferPool:
         bucket.append(flat)
         self._pooled_bytes += flat.nbytes
 
-    def clear(self) -> None:
-        self._free.clear()
-        self._pooled_bytes = 0
-
 
 #: Shared module-level pool: machines, benchmark reruns and baseline
 #: comparisons all reuse the same warm scratch.
@@ -143,146 +127,36 @@ def _reader(op) -> tuple:
     raise ExecutionError(f"cannot read operand {op}")
 
 
-class _Frame:
-    """Per-call state of one recording walk."""
-
-    __slots__ = ("streams", "scalars", "v", "spec")
-
-    def __init__(self, streams, scalars) -> None:
-        self.streams = streams          # list[SubgridStream | None]
-        self.scalars = scalars          # list, _UNBOUND when unbound
-        self.v: list = [None] * NUM_VREGS
-        self.spec: dict[int, tuple] = {}   # token -> (shape, dtype)
-
-
-def _read(frame: _Frame, rd):
-    tag = rd[0]
-    if tag == _R_VREG:
-        val = frame.v[rd[1]]
-        if val is None:
-            raise ExecutionError(f"read of undefined register aV{rd[1]}")
-        return val
-    if tag == _R_SREG:
-        val = frame.scalars[rd[1]]
-        if val is _UNBOUND:
-            raise ExecutionError(f"read of unbound scalar aS{rd[1]}")
-        return val
-    if tag == _R_CONST:
-        return rd[1]
-    stream = frame.streams[rd[1]]
-    if stream is None:
-        raise ExecutionError(f"read through unbound pointer aP{rd[1]}")
-    return stream.read()    # a snapshot, as the interpreter takes
-
-
 # ---------------------------------------------------------------------------
 # Plan steps
 # ---------------------------------------------------------------------------
 
 
-class _Step:
-    """One pre-resolved step: an eval phase and a commit phase.
-
-    ``eval`` reads the operands and returns the value ``commit`` then
-    writes.  The walk runs every eval of a group before any commit, so
-    both halves of a dual-issue pair observe pre-instruction state,
-    exactly like the interpreter.  Steps hold no per-call state: every
-    machine in the process shares them.
-    """
-
-    __slots__ = ()
-
-    def eval(self, frame: _Frame):
-        return None
-
-    def commit(self, frame: _Frame, value) -> None:
-        pass
+class _BranchStep(NamedTuple):
+    """Loop bookkeeping: nothing to lower."""
 
 
-class _BranchStep(_Step):
-    __slots__ = ()
-
-
-class _MoveStep(_Step):
+class _MoveStep(NamedTuple):
     """``flodv <mem> <vreg>`` and ``fmovv <mem|vreg|sreg|imm> <vreg>``."""
 
-    __slots__ = ("reader", "dst")
-
-    def __init__(self, reader, dst: int) -> None:
-        self.reader = reader
-        self.dst = dst
-
-    def eval(self, frame: _Frame):
-        return _read(frame, self.reader)
-
-    def commit(self, frame: _Frame, value) -> None:
-        frame.v[self.dst] = np.asarray(value)
+    reader: tuple
+    dst: int
 
 
-class _StoreStep(_Step):
-    """``fstrv <src> <mem>``: read at eval, write through at commit."""
+class _StoreStep(NamedTuple):
+    """``fstrv <src> <mem>``."""
 
-    __slots__ = ("reader", "preg")
-
-    def __init__(self, reader, preg: int) -> None:
-        self.reader = reader
-        self.preg = preg
-
-    def eval(self, frame: _Frame):
-        value = _read(frame, self.reader)
-        if frame.streams[self.preg] is None:
-            raise ExecutionError(f"store through unbound aP{self.preg}")
-        return value
-
-    def commit(self, frame: _Frame, value) -> None:
-        frame.streams[self.preg].write(np.asarray(value))
+    reader: tuple
+    preg: int
 
 
-# The two ufuncs of a multiply-add.  The recording walk runs them
-# rather than ``_APPLY``'s lambda, so the product's shape and dtype are
-# in the spec; a blocked kernel runs the same two, block by block.
-_FMA_FNS = {
-    "fmav": (np.multiply, np.add),
-    "fmsv": (np.multiply, np.subtract),
-}
+class _ComputeStep(NamedTuple):
+    """An arithmetic/comparison/logic/select step.  ``finvv``'s readers
+    carry its 1.0 numerator explicitly."""
 
-
-class _ComputeStep(_Step):
-    """An arithmetic/comparison/logic/select step.
-
-    The recording walk runs the interpreter's ``_APPLY`` lambda — a
-    multiply-add as its two ufuncs, ``fma`` — and writes the shape and
-    dtype of the result under ``token`` (and of an fma's product under
-    ``aux``) into the spec.
-    """
-
-    __slots__ = ("op", "readers", "dst", "token", "aux", "apply", "fma")
-
-    def __init__(self, op: str, readers, dst: int, token: int,
-                 aux: int) -> None:
-        self.op = op
-        self.readers = readers
-        self.dst = dst
-        self.token = token
-        self.aux = aux
-        # finvv's readers carry the 1.0 numerator explicitly, so its
-        # apply is the two-argument divide (same result).
-        self.apply = np.divide if op == "finvv" else _APPLY[op]
-        self.fma = _FMA_FNS.get(op)
-
-    def eval(self, frame: _Frame):
-        args = [_read(frame, rd) for rd in self.readers]
-        if self.fma is not None:  # _APPLY's two ufuncs, the product recorded
-            tmp = np.asarray(self.fma[0](args[0], args[1]))
-            frame.spec[self.aux] = (tmp.shape, tmp.dtype)
-            result = np.asarray(self.fma[1](tmp, args[2]))
-        else:
-            result = np.asarray(self.apply(*args))
-        frame.spec[self.token] = (result.shape, result.dtype)
-        return result
-
-    def commit(self, frame: _Frame, value) -> None:
-        frame.v[self.dst] = value
+    op: str
+    readers: tuple
+    dst: int
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +171,27 @@ _SERIALS = iter(range(1, 1 << 62)).__next__
 
 
 class RoutinePlan:
-    """One routine, compiled once into directly executable steps."""
+    """One routine, compiled once into pre-resolved steps."""
 
-    SPEC_CAP = 8  # binding signatures cached per plan
+    SPEC_CAP = 8  # binding signatures remembered per plan
 
     def __init__(self, routine: Routine) -> None:
         self.name = routine.name
         self.serial = _SERIALS()
         self.body_id = id(routine.body)
         self.body_len = len(routine.body)
-        self._instrs = tuple(routine.body)
-        self.flops_per_element = _plan_flops(routine)
+        #: The instructions compiled (what the oracle runs for the plan).
+        self.instrs = tuple(routine.body)
+        self.flops_per_element = flops_per_element(routine)
         #: ``(preg, instr)`` of each unpaired vector load: what a fused
         #: group elides when an earlier constituent stored the stream.
         self.mem_loads = tuple(
-            (instr.operands[0].preg.n, instr) for instr in self._instrs
+            (instr.operands[0].preg.n, instr) for instr in self.instrs
             if instr.paired is None and instr.kind in ("load", "move")
             and isinstance(instr.operands[0], Mem))
         self._cycles: dict[CostModel, int] = {}
-        self.specs: dict[tuple, dict[int, tuple]] = {}
+        #: Binding signatures whose first trip has run, oldest first.
+        self.seen: dict[tuple, None] = {}
         self._compile(routine)
         # Kernels compiled over this plan die with it (they own block
         # buffers a long-lived worker would otherwise keep).
@@ -326,37 +202,25 @@ class RoutinePlan:
     # -- plan compilation ----------------------------------------------
 
     def _compile(self, routine: Routine) -> None:
-        self._tokens = 0
-        self.groups: list[tuple[_Step, ...]] = []
-        for instr in routine.body:
-            group = (instr,) if instr.paired is None else (instr, instr.paired)
-            self.groups.append(
-                tuple(self._compile_instr(i) for i in group))
-
-        used: set[int] = set()
-        stored: set[int] = set()
+        self.groups = [
+            tuple(self._compile_instr(i) for i in (
+                (instr,) if instr.paired is None else (instr, instr.paired)))
+            for instr in routine.body]
         reads: set[int] = set()
+        stored: set[int] = set()
         for steps in self.groups:
             for step in steps:
                 if isinstance(step, _StoreStep):
-                    used.add(step.preg)
                     stored.add(step.preg)
-                    readers = (step.reader,)
-                elif isinstance(step, _MoveStep):
-                    readers = (step.reader,)
-                elif isinstance(step, _ComputeStep):
-                    readers = step.readers
-                else:
-                    continue
-                for rd in readers:
-                    if rd[0] == _R_MEM:
-                        used.add(rd[1])
-                        reads.add(rd[1])
-        self.used_pregs = tuple(sorted(used))
+                readers = (step.readers if isinstance(step, _ComputeStep)
+                           else () if isinstance(step, _BranchStep)
+                           else (step.reader,))
+                reads.update(rd[1] for rd in readers if rd[0] == _R_MEM)
+        self.used_pregs = tuple(sorted(reads | stored))
         self.stored_pregs = tuple(sorted(stored))
         self.read_pregs = tuple(sorted(reads))
 
-    def _compile_instr(self, instr: Instr) -> _Step:
+    def _compile_instr(self, instr: Instr):
         kind = instr.kind
         if kind in ("load", "move"):
             src, dst = instr.operands
@@ -374,10 +238,7 @@ class RoutinePlan:
         if not isinstance(dst, VReg):
             raise ExecutionError(
                 f"destination must be a vector register, got {dst}")
-        token = self._tokens      # the result's; the next is the aux's
-        self._tokens += 2
-        return _ComputeStep(instr.op, tuple(readers), dst.n, token,
-                            token + 1)
+        return _ComputeStep(instr.op, tuple(readers), dst.n)
 
     # -- cached cost accounting ----------------------------------------
 
@@ -385,7 +246,7 @@ class RoutinePlan:
         got = self._cycles.get(model)
         if got is None:
             got = model.instr.loop_overhead
-            for instr in self._instrs:
+            for instr in self.instrs:
                 got += model.instruction_cycles(instr)
             self._cycles[model] = got
         return got
@@ -421,9 +282,9 @@ class RoutinePlan:
         entries (or ``None``); ``scalars`` a list of ``NUM_SREGS``
         values with ``_UNBOUND`` holes.  This is the group of one
         without a machine (:func:`repro.machine.execplan.run_group`): a
-        kernel when the bindings allow one, else :meth:`run_steps`.
-        Returns the :class:`~repro.machine.kernel.Launch` when a kernel
-        ran over the operands as bound, else None.
+        kernel when the bindings allow one, else the oracle.  Returns
+        the :class:`~repro.machine.kernel.Launch` when a kernel ran over
+        the operands as bound, else None.
         """
         from .execplan import Dispatch, run_group  # it imports this module
 
@@ -431,30 +292,13 @@ class RoutinePlan:
                          pool if pool is not None else GLOBAL_POOL,
                          Counter())
 
-    def run_steps(self, streams, scalars, sig) -> None:
-        """The recording walk: the first trip of binding signature
-        ``sig``, and any later dispatch no kernel may run (over plain
-        streams: :func:`~repro.machine.execplan.run_group` has swapped
-        every shifted one for its copy)."""
-        frame = _Frame(streams, scalars)
-        with np.errstate(all="ignore"):
-            for steps in self.groups:
-                values = [step.eval(frame) for step in steps]
-                for step, value in zip(steps, values):
-                    step.commit(frame, value)
-        if sig not in self.specs:
-            if len(self.specs) >= self.SPEC_CAP:
-                self.specs.pop(next(iter(self.specs)))
-            self.specs[sig] = frame.spec
-
-
-def _plan_flops(routine: Routine) -> int:
-    flops = 0
-    for instr in routine.body:
-        flops += FLOP_KINDS.get(instr.kind, 0)
-        if instr.paired is not None:
-            flops += FLOP_KINDS.get(instr.paired.kind, 0)
-    return flops
+    def saw(self, sig) -> None:
+        """Remember that binding signature ``sig`` had its first trip
+        (the oldest is forgotten past ``SPEC_CAP``)."""
+        if sig not in self.seen:
+            if len(self.seen) >= self.SPEC_CAP:
+                del self.seen[next(iter(self.seen))]
+            self.seen[sig] = None
 
 
 def get_plan(routine: Routine) -> RoutinePlan:

@@ -11,8 +11,8 @@ dispatch reads it the cheapest way it can:
   with a wrapped row pointer and column offset;
 * the blocked numpy kernels (:mod:`repro.machine.kernel`) gather it one
   cache-resident block at a time (:class:`BlockGather`);
-* everything else — the interpreter oracle, the plan's recording walk,
-  bindings the alias prover cannot clear — *materialises* it
+* everything else — the interpreter oracle, the one path of every
+  dispatch that has no kernel — *materialises* it
   into a pooled buffer with :func:`shifted_into`, which is exactly the
   copy the CM runtime used to make and the oracle the other two are
   checked against.

@@ -251,7 +251,7 @@ _BATCH_CAP = 32
 
 # Trip records (docs/PIPELINE.md section 16).  A loop of fewer trips
 # than ``_TRIP_MIN`` is declined one on entry: trips 1-3 cannot be
-# recorded (walk, kernel + launch record, first replay), building one
+# recorded (oracle, kernel + launch record, first replay), building one
 # costs about what two replayed trips save, and what is left of a
 # short loop is microseconds.  After ``_TRIP_EXITS`` side exits a loop
 # execution stops recording.

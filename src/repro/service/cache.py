@@ -18,13 +18,11 @@ The store is shared with incremental compilation's ``front``/``pass``/
 store, one LRU eviction policy over every kind together, one version
 marker, one purge path — there is no second cache to keep coherent.
 
-Entries also carry the executable's **warmed PEAC plan state**: the
-per-routine binding-signature specializations recorded by
-:class:`~repro.machine.plan.RoutinePlan` during execution.  Plans
-themselves hold ``exec``-compiled kernels and never pickle (a
-:class:`~repro.peac.isa.Routine` drops its own), so the cache persists
-only the ``specs`` tables; on load they are re-attached, so a cached
-executable skips the plans' recording mode on its first run.
+An entry is the executable alone.  Plans never pickle (a
+:class:`~repro.peac.isa.Routine` drops its own), so an executable
+loaded from the store runs exactly as the same source compiled cold:
+each binding signature's first trip on the interpreter oracle, kernels
+from the second.
 
 Writes are atomic (temp file + ``os.replace``), reads touch the entry's
 mtime for the LRU sweep, and corrupt or version-skewed entries are
@@ -68,7 +66,9 @@ from .store import ArtifactStore, default_store, fingerprint
 #: 7: plan specs are numbered over compute steps alone (memory operands
 #:    no longer take a token), so a persisted spec table of an older
 #:    numbering must not be re-attached.
-SCHEMA_VERSION = 7
+#: 8: exe artifacts no longer carry plan state: a kernel is typed from
+#:    its binding signatures, not from a recorded spec table.
+SCHEMA_VERSION = 8
 
 
 def _options_payload(options) -> dict:
@@ -120,30 +120,6 @@ def cache_key(source: str, options=None, machine: dict | None = None,
     if machine:
         payload["machine"] = machine
     return fingerprint("exe", payload)
-
-
-def _extract_plan_state(exe) -> dict[str, dict]:
-    """{name: specs} of every routine whose plan has recorded any."""
-    state: dict[str, dict] = {}
-    for name, routine in exe.routines.items():
-        plan = getattr(routine, "_plan", None)
-        if plan is not None and plan.specs:
-            state[name] = dict(plan.specs)
-    return state
-
-
-def _restore_plan_state(exe, state: dict[str, dict]) -> None:
-    """Re-attach persisted specializations to freshly built plans.
-
-    Spec tokens are assigned deterministically from the routine body,
-    so a rebuilt plan accepts the recorded tables as-is.
-    """
-    from ..machine.plan import get_plan
-
-    for name, specs in state.items():
-        routine = exe.routines.get(name)
-        if routine is not None:
-            get_plan(routine).specs.update(specs)
 
 
 class CompileCache:
@@ -240,8 +216,7 @@ class CompileCache:
             return None
         try:
             exe = artifact.obj["exe"]
-            _restore_plan_state(exe, artifact.obj.get("plans", {}))
-        except Exception:
+        except (KeyError, TypeError):
             # A well-formed artifact with the wrong payload shape:
             # forget it like any other corruption.
             self.store._forget("exe", key, path)
@@ -251,12 +226,11 @@ class CompileCache:
         return exe
 
     def put(self, key: str, exe) -> None:
-        """Persist an Executable (plus its warmed plan state) under ``key``.
+        """Persist an Executable under ``key``.
 
         The write is atomic; a failed pickle leaves no entry.
         """
-        if self.store.put("exe", key, {"exe": exe,
-                                       "plans": _extract_plan_state(exe)}):
+        if self.store.put("exe", key, {"exe": exe}):
             self._memo_put(key, exe, self._path(key))
 
     def clear(self) -> None:

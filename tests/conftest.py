@@ -12,8 +12,8 @@ from repro.driver.reference import run_reference
 from repro.frontend.parser import parse_program
 from repro.lowering import check_program, lower_program
 from repro.machine import Machine, ckernel, fieldwise_model, slicewise_model
+from repro.machine import execplan
 from repro.machine import kernel as blocked
-from repro.machine.plan import RoutinePlan
 from repro.runtime.host import HostExecutor
 from repro.transform import optimize
 
@@ -33,11 +33,13 @@ def small_machine() -> Machine:
 # ``eager_c``; the session counts what ``ckernel._load`` hands out per
 # module, prints it, and fails when one of them falls below its floor.
 #
-# The other way round for the fallback: a recording walk over a signature
-# that already has its spec is a dispatch no kernel ran.  Only the engine
-# modules send such dispatches on purpose, so the session counts them per
-# module beside the loads and fails when the rest of the suite sends more
-# than a handful — real traffic routed to the walk shows up here.
+# The other way round for the fallback: an oracle run that stands in for
+# a kernel (``execplan.run_oracle`` under a non-``interp`` engine) over a
+# signature the plan has already seen is a dispatch no kernel ran.  Only
+# the engine modules send such dispatches on purpose, so the session
+# counts them per module beside the loads and fails when the rest of the
+# suite sends more than a handful — real traffic routed to the oracle
+# shows up here.
 #
 # The same trap one level up: a loop gets a trip record only when it is
 # long enough to repay one, and tier-1 loops are short.  The session
@@ -68,7 +70,7 @@ C_MODULE_FLOOR = {"test_shift_fold.py": 500, "test_execplan.py": 180,
 C_TOTAL_FLOOR = 950
 ENGINE_MODULES = frozenset(C_MODULE_FLOOR) - {"test_host_backend.py"}
 # The text pin and the vectorisation check run the corpus's declined
-# entries (the recording walk's own traffic) on purpose: their walks
+# entries (the fallback's own traffic) on purpose: their fallbacks
 # count under their own names, beside the engine modules, and the rest
 # of their modules stays under the ceiling.
 FALLBACK_EXEMPT = frozenset(
@@ -82,11 +84,11 @@ FALLBACK_CEILING = 10           # outside them, in all (3 when set)
 TRIP_MODULE_FLOOR = {"test_trip_records.py": 2500}
 TRIP_NATIVE_FLOOR = {"test_trip_records.py": 2500}
 _loads: Counter = Counter()     # test file -> ckernel._load calls
-_fallbacks: Counter = Counter()     # test file -> walks that fell back
+_fallbacks: Counter = Counter()     # test file -> dispatches that fell back
 _trips: Counter = Counter()     # test file -> trips run from a record
 _natives: Counter = Counter()   # test file -> of them, by the driver
 _running: list = [None]
-_walking: list = [None]     # where a walk counts: the module, or the test
+_fallback_at: list = [None]     # where a fallback counts: module, or test
 _shortfalls: list[str] = []
 
 
@@ -98,13 +100,13 @@ def pytest_sessionstart(session):
         return inner(*args, **kwargs)
 
     ckernel._load = counted
-    walk = RoutinePlan.run_steps
+    oracle = execplan.run_oracle
 
-    def counted_walk(plan, streams, scalars, sig):
-        _fallbacks[_walking[0]] += sig in plan.specs
-        return walk(plan, streams, scalars, sig)
+    def counted_oracle(d, sig=None):
+        _fallbacks[_fallback_at[0]] += sig is not None and sig in d.plan.seen
+        return oracle(d, sig)
 
-    RoutinePlan.run_steps = counted_walk
+    execplan.run_oracle = counted_oracle
     run_trip = HostExecutor._run_trip
 
     def counted_trip(executor, steps):
@@ -127,7 +129,7 @@ def pytest_sessionstart(session):
 def pytest_runtest_protocol(item, nextitem):
     _running[0] = item.path.name
     test = f"{item.path.name}::{item.name}"
-    _walking[0] = test if test in FALLBACK_EXEMPT else item.path.name
+    _fallback_at[0] = test if test in FALLBACK_EXEMPT else item.path.name
     _loads[_running[0]] += 0
     yield
 
@@ -158,7 +160,7 @@ def pytest_sessionfinish(session, exitstatus):
                 if module not in ENGINE_MODULES | FALLBACK_EXEMPT)
     if stray > FALLBACK_CEILING:
         _shortfalls.append(f"{stray} dispatches outside the engine modules "
-                           f"fell back to the recording walk, ceiling "
+                           f"fell back to the oracle, ceiling "
                            f"{FALLBACK_CEILING}")
     if _shortfalls:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
@@ -173,7 +175,7 @@ def _per_module(counts: Counter) -> str:
 def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"native kernels handed out by ckernel._load: {_per_module(_loads)}"
-        f"; dispatches that fell back to the recording walk: "
+        f"; dispatches that fell back to the oracle: "
         f"{_per_module(_fallbacks)}; trips run from a trip record: "
         f"{_per_module(_trips)}, by the native driver: "
         f"{_per_module(_natives)}")

@@ -77,8 +77,8 @@ def both_engines(instrs, arrays, scalars=None, dtype="float64"):
 
     Returns ``(interp_arrays, fast_arrays)`` dicts keyed like
     ``arrays``.  The fast path runs once on scratch copies (the
-    recording pass) and once on the measured copies so the comparison
-    exercises the compiled steps / kernel, not the recorder.
+    signature's first trip, on the oracle) and once on the measured
+    copies so the comparison exercises the kernel, not the oracle.
     """
     routine = make_routine(instrs, dtype=dtype)
     ai = {k: np.array(v, copy=True) for k, v in arrays.items()}
@@ -251,7 +251,7 @@ class TestDualIssueCommitSemantics:
                                       "pair_reads_register_main_writes"])
     def test_fast_path_mirrors_interp_without_kernels(self, case):
         """Strided views: the probe rejects them, so the second run is
-        the recording walk again and no kernel is ever built."""
+        the oracle again and no kernel is ever built."""
         routine = make_routine(getattr(self, f"case_{case}")())
 
         def bases():
@@ -266,7 +266,7 @@ class TestDualIssueCommitSemantics:
         run_fast(routine, {k: v[::2] for k, v in bases().items()})
         plan = run_fast(routine, {k: v[::2] for k, v in bf.items()})
         assert_bit_identical(bi, bf)
-        assert len(plan.specs) == 1
+        assert len(plan.seen) == 1
         assert not any(plan.serial in key[0]
                        for key in execplan._MEGA_KERNELS)
 
@@ -371,7 +371,7 @@ class TestKernelCodegen:
 
     def test_overlapping_store_views_fall_back(self):
         # Output overlaps the input: the kernel prober must refuse and
-        # the recording walk must still match the oracle exactly.
+        # the fallback must still match the oracle exactly.
         instrs = [
             Instr("flodv", (Mem(PReg(0)), VReg(0))),
             Instr("faddv", (VReg(0), Imm(1.0), VReg(1))),
@@ -410,7 +410,7 @@ class TestKernelCodegen:
 
 
 # ---------------------------------------------------------------------------
-# The fallback: dispatches no kernel may run take the recording walk again
+# The fallback: dispatches no kernel may run take the oracle again
 # ---------------------------------------------------------------------------
 
 _ADD_ONE = [
@@ -444,9 +444,11 @@ FALLBACKS = {
 @pytest.mark.parametrize("engine", ["fast", "fused", "host"])
 @pytest.mark.parametrize("reason", sorted(FALLBACKS))
 def test_dispatch_no_kernel_may_run_takes_the_recording_walk(reason, engine):
-    """Five trips of one site: the first records, the other four fall
-    back to the same walk — the oracle's bytes and ``RunStats``, one
-    spec, and never a launch record to replay."""
+    """Five trips of one site: the first is the signature's first trip,
+    the other four fall back to the same oracle path
+    (``execplan.run_oracle``) — the interp engine's bytes and
+    ``RunStats``, one signature seen, and never a launch record to
+    replay."""
     from repro.backend.host import HostMachine
 
     body, allocs, bound, scalars = FALLBACKS[reason]
@@ -465,33 +467,36 @@ def test_dispatch_no_kernel_may_run_takes_the_recording_walk(reason, engine):
                 for i, (name, region) in enumerate(bound)}
         args.update({f"k{k}": v for k, v in scalars.items()})
         plan = get_plan(routine)
-        walks = []
+        sigs = []       # of the oracle runs standing in for a kernel
+        run_oracle = execplan.run_oracle
 
-        def walk(streams, scalars, sig):
-            walks.append(sig)
-            type(plan).run_steps(plan, streams, scalars, sig)
+        def counted(d, sig=None):
+            if d.plan is plan and sig is not None:
+                sigs.append(sig)
+            run_oracle(d, sig)
 
-        plan.run_steps = walk
-        for _ in range(5):
-            m.call_routine(routine, args, (8,), site="here")
-        return m, plan, walks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(execplan, "run_oracle", counted)
+            for _ in range(5):
+                m.call_routine(routine, args, (8,), site="here")
+        return m, plan, sigs
 
     if engine == "host":
         oracle, _, _ = run(lambda: HostMachine(exec_mode="interp"))
-        got, plan, walks = run(HostMachine)
+        got, plan, sigs = run(HostMachine)
         assert got.exec_mode == "fused"
         assert got.host_metrics["steps_dispatches"] == 5
     else:
         oracle, _, _ = run(lambda: Machine(slicewise_model(16),
                                            exec_mode="interp"))
-        got, plan, walks = run(lambda: Machine(slicewise_model(16),
+        got, plan, sigs = run(lambda: Machine(slicewise_model(16),
                                                exec_mode=engine))
     assert got.stats.to_dict() == oracle.stats.to_dict()
     for name in allocs:
         assert (got.home(name).data.tobytes()
                 == oracle.home(name).data.tobytes()), name
-    assert len(walks) == 5 and len(set(walks)) == 1
-    assert list(plan.specs) == [walks[0]]
+    assert len(sigs) == 5 and len(set(sigs)) == 1
+    assert list(plan.seen) == [sigs[0]]
     assert got.launch_metrics["records"] == 0 and not got._launches
 
 
@@ -588,8 +593,8 @@ def test_random_routines_bit_identical_as_lone_c_kernels(case):
 @given(case=routine_case())
 @settings(max_examples=15, deadline=None)
 def test_random_routines_match_with_kernels_disabled(case):
-    """No kernel may run a strided section: every trip is the recording
-    walk, and the site never gets a launch record."""
+    """No kernel may run a strided section: every trip runs on the
+    oracle, and the site never gets a launch record."""
     mi, n_in = _dispatch("interp", case, repeats=3, stride=2, site="here")
     mf, _ = _dispatch("fast", case, repeats=3, stride=2, site="here")
     for i in range(n_in + 1):
@@ -712,8 +717,8 @@ def test_int_routines_bit_identical_as_blocked_numpy(case):
     mi, n_in = _dispatch("interp", case[:5])
     mf, _ = _dispatch("fast", case[:5])
     _assert_same_machines(mi, mf, n_in)
-    # Integer division is an ordinary blocked kernel, not the
-    # recording walk: nothing of the family is beyond the builder.
+    # Integer division is an ordinary blocked kernel, not a fallback
+    # to the oracle: nothing of the family is beyond the builder.
     assert mf.fusion_summary()["declined"] == NOTHING_DECLINED
 
 
@@ -932,7 +937,7 @@ def test_routine_with_imodv_is_an_ordinary_cache_entry():
     ], dtype="int32")
     a = np.arange(-20, 20, dtype=np.int32)
     out = np.zeros(40, dtype=np.int32)
-    run_fast(routine, {0: a, 1: out})           # the recording pass
+    run_fast(routine, {0: a, 1: out})           # the first trip
     plan = get_plan(routine)
     streams = [None] * NUM_PREGS
     streams[0], streams[1] = SubgridStream(a), SubgridStream(out)

@@ -31,6 +31,8 @@ from repro.service.metrics import LatencyStat, ServiceMetrics, percentile
 from repro.service.pool import WorkerPool
 from repro.service.server import ReproServer, send_request
 
+from .test_dispatch_pins import COUNTERS
+
 TINY = """
 program tiny
 integer, parameter :: n = 8
@@ -44,10 +46,18 @@ end program tiny
 EMPTY = "program p\nend program p\n"
 
 
-def run_arrays(exe):
+def run_counted(exe):
+    """Array bytes, ``RunStats`` and the order-independent
+    ``fusion_summary()`` counters of one run."""
     result = exe.run(Machine(slicewise_model(n_pes=64)))
-    return {name: arr.tobytes() for name, arr in result.arrays.items()}, \
-        result.stats.to_dict()
+    summary = result.machine.fusion_summary()
+    return ({name: arr.tobytes() for name, arr in result.arrays.items()},
+            result.stats.to_dict(),
+            {key: summary[key] for key in COUNTERS if key in summary})
+
+
+def run_arrays(exe):
+    return run_counted(exe)[:2]
 
 
 # -- cache keys -------------------------------------------------------------
@@ -138,36 +148,15 @@ def test_cache_memo_distrusts_changed_disk_entries(tmp_path):
     assert cache.get(key) is None
 
 
-def test_cache_persists_warm_plan_specs(tmp_path):
-    from repro.machine.plan import get_plan
-
-    cache = CompileCache(str(tmp_path))
-    key = cache_key(TINY)
-    exe, _ = cache.compile(TINY)
-    exe.run(Machine(slicewise_model(n_pes=64)))  # warm the plans
-    warmed = {name: dict(get_plan(r).specs)
-              for name, r in exe.routines.items()
-              if getattr(r, "_plan", None) is not None
-              and get_plan(r).specs}
-    assert warmed, "running should have specialized at least one plan"
-    cache.put(key, exe)
-    # put() must not strip the caller's own warm plans...
-    assert any(get_plan(r).specs for r in exe.routines.values())
-    # ...and a copy loaded from disk (fresh instance: no memo) starts
-    # with the persisted specializations.
-    loaded = CompileCache(str(tmp_path)).get(key)
-    assert loaded is not exe
-    for name, specs in warmed.items():
-        assert get_plan(loaded.routines[name]).specs == specs
-
-
 @settings(max_examples=8, deadline=None)
 @given(n=st.sampled_from([4, 6, 8, 12]),
        num=st.integers(-40, 40),
        shift=st.integers(-3, 3))
 def test_cached_results_bit_identical(n, num, shift):
     """Property: a pickle round trip through the cache changes nothing
-    about execution — arrays byte-for-byte equal, RunStats equal."""
+    about execution — arrays byte-for-byte equal, RunStats equal — and
+    an executable stored after it ran still loads as a cold compile:
+    the same kernel, launch and trip counters."""
     value = num / 8.0
     source = f"""
 program gen
@@ -187,6 +176,13 @@ end program gen
         cached_exe, hit = CompileCache(root).compile(source)
         assert hit
         cached, cached_stats = run_arrays(cached_exe)
+        # Stored again once it ran, as a worker's executable is: a
+        # load still starts cold, first trips on the oracle.
+        CompileCache(root).put(cache_key(source), cached_exe)
+        loaded, hit = CompileCache(root).compile(source)
+        assert hit and loaded is not cached_exe
+        assert run_counted(loaded) == run_counted(
+            compile_source(source, cache=False))
     assert fresh == cached
     assert fresh_stats == cached_stats
 
@@ -195,13 +191,21 @@ end program gen
 
 
 def test_cache_version_skew_purges_store(tmp_path, monkeypatch):
-    cache = CompileCache(str(tmp_path))
-    cache.compile(TINY)
-    assert cache.stats()["entries"] == 1
-    monkeypatch.setattr(cache_mod, "SCHEMA_VERSION", 999)
+    # Schema 7 entries carried plan state; one written then is purged.
+    assert cache_mod.SCHEMA_VERSION == 8
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_mod, "SCHEMA_VERSION", 7)
+        cache = CompileCache(str(tmp_path))
+        cache.compile(TINY)
+        assert cache.stats()["entries"] == 1
     fresh = CompileCache(str(tmp_path))
     assert fresh.stats()["entries"] == 0
     _, hit = fresh.compile(TINY)
+    assert not hit
+    monkeypatch.setattr(cache_mod, "SCHEMA_VERSION", 999)
+    skewed = CompileCache(str(tmp_path))
+    assert skewed.stats()["entries"] == 0
+    _, hit = skewed.compile(TINY)
     assert not hit
 
 
@@ -215,6 +219,16 @@ def test_cache_corrupt_entry_is_a_miss_and_removed(tmp_path):
     assert cache.get(key) is None
     assert not os.path.exists(path)
     assert cache.errors == 1
+
+
+@pytest.mark.parametrize("payload", ["an exe", {"plans": {}}, None])
+def test_cache_misshaped_entry_is_a_miss_and_removed(tmp_path, payload):
+    cache = CompileCache(str(tmp_path))
+    key = cache_key(TINY)
+    assert cache.store.put("exe", key, payload)
+    assert cache.get(key) is None
+    assert not os.path.exists(cache._path(key))
+    assert cache.hits == 0
 
 
 def test_cache_lru_eviction_respects_size_cap(tmp_path):
