@@ -43,7 +43,7 @@ class HostMachine(Machine):
         it (``native_builds``: lone entries this machine moved to C)."""
         tier_ups = self.fusion_metrics["tier_ups"]
         launch = super()._execute_dispatch(dispatches, group)
-        if self.exec_mode != "interp" and group is None:
+        if self.exec_mode != "interp" and len(dispatches) == 1:
             counter = ("steps_dispatches" if launch is None
                        else "native_dispatches" if launch.kern.native
                        else "blocked_dispatches")

@@ -110,6 +110,7 @@ import shutil
 import subprocess
 import tempfile
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -279,6 +280,14 @@ def _as(val: tuple[str, str], kind: str) -> str:
     return f"({_CTYPES[kind]})({expr})"
 
 
+@lru_cache(maxsize=None)
+def _array(ctype, n: int):
+    """``ctype * n``, kept: ctypes holds its array types weakly, and one
+    made again after the collector took it costs about 70 us — every
+    fresh machine's first pack, after a ``gc.collect()``."""
+    return ctype * n
+
+
 class _CKernel:
     """Callable with the blocked-kernel interface over a native loop."""
 
@@ -306,9 +315,9 @@ class _CKernel:
         ``S``, packed once, with the scalars of ``X`` written in."""
         ptrs = S.ptrs
         if ptrs is None:
-            ptrs = S.ptrs = (ctypes.c_void_p * self._nslots)(
-                *[a.ctypes.data for a in S])
-            S.xs = (ctypes.c_double * max(1, len(self._sregs)))()
+            ptrs = S.ptrs = _array(ctypes.c_void_p, self._nslots)(
+                *(S.addrs or [a.ctypes.data for a in S]))
+            S.xs = _array(ctypes.c_double, max(1, len(self._sregs)))()
         xs = S.xs
         for j, k in enumerate(self._sregs):
             xs[j] = X[k]
@@ -653,7 +662,7 @@ class TripDriver:
             spill_at.append(len(spills))
 
         def block(ctype, values):
-            return (ctype * max(1, len(values)))(*values)
+            return _array(ctype, max(1, len(values)))(*values)
 
         self._args = (
             len(launches), block(ctypes.c_void_p, kernels),

@@ -127,15 +127,17 @@ class SlotTable(list):
     native kernel packs the operands' addresses (``ptrs``) and a block
     for its scalar arguments (``xs``) beside it on its first launch
     instead of asking every array for ``.ctypes`` and building a fresh
-    block on every launch.
+    block on every launch.  ``addrs`` are those addresses when whoever
+    made the table read them already (a launch template's bind).
     """
 
-    __slots__ = ("ptrs", "xs")
+    __slots__ = ("ptrs", "xs", "addrs")
 
     def __init__(self, arrays) -> None:
         super().__init__(arrays)
         self.ptrs = None
         self.xs = None
+        self.addrs = None
 
 
 class Launch:
@@ -150,13 +152,17 @@ class Launch:
     as a freshly prepared call's are.  ``counters`` are the ``(metrics
     dict, key)`` pairs a trip through this launch bumps.  ``work`` is
     what one run streams through a blocked kernel (:func:`hot`): each of
-    the group's ``routines`` its own pass.
+    the group's ``routines`` its own pass.  ``group`` is the
+    :class:`~repro.machine.execplan.ExecutionPlan` it was launched
+    from, what the site's launch template is made of.
     """
 
-    __slots__ = ("kern", "S", "n", "spills", "counters", "work")
+    __slots__ = ("kern", "S", "n", "spills", "counters", "work", "group")
 
-    def __init__(self, kern, S, n: int, spills=(), routines=1) -> None:
+    def __init__(self, kern, S, n: int, spills=(), routines=1,
+                 group=None) -> None:
         self.kern = kern
+        self.group = group
         self.S = SlotTable(S)
         self.n = n
         self.spills = spills

@@ -85,6 +85,19 @@ end program stencil
         assert allocs["t"] == ("news", "serial")
         assert allocs["u"] is None
 
+    def test_inputs_keep_the_layout(self):
+        # An input is allocated before the program's own Alloc runs,
+        # which then skips it: it must be allocated with that Alloc's
+        # layout, or every shift of it is priced as block-laid traffic.
+        exe = compile_source(self.SRC)
+        plain = exe.run(Machine(slicewise_model()))
+        fed = exe.run(Machine(slicewise_model()),
+                      inputs={"t": np.zeros((128, 128))})
+        assert fed.machine.home("t").geometry == \
+            plain.machine.home("t").geometry
+        assert fed.stats == plain.stats
+        assert fed.stats.comm_cycles == 384
+
 
 class TestCli:
     DEMO = """
