@@ -38,7 +38,7 @@ class HostMachine(Machine):
             "steps_dispatches": 0,
         }
 
-    def _execute_dispatch(self, dispatches, group=None):
+    def _execute_dispatch(self, dispatches, group):
         """The shared path, a lone dispatch counted by the tier that ran
         it (``native_builds``: lone entries this machine moved to C)."""
         tier_ups = self.fusion_metrics["tier_ups"]

@@ -149,8 +149,8 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--exec", dest="exec_mode",
                    choices=["fast", "interp", "fused"],
                    default=None,
-                   help="node execution engine (default: $REPRO_EXEC "
-                        "or fast)")
+                   help="node execution engine (default: the "
+                        "target's, fused on host, else fast)")
 
 
 # -- commands ---------------------------------------------------------------

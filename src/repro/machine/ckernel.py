@@ -21,7 +21,9 @@ emitted (``loopir._C_FORMS``; every other op is in
 ``loopir._C_DECLINED`` with its reason), the compile runs with
 ``-ffp-contract=off`` and without ``-ffast-math`` so no fused
 multiply-adds or reassociation can change rounding, and every stream
-must be contiguous.
+must be contiguous.  ``-fno-tree-fre``: gcc 12's value numbering takes
+``(int32_t)(-(uint32_t)x) / -7`` for ``-(x / -7)``, which differs at
+``x = INT_MIN`` when both are computed.
 
 Every value and every slot carries a *kind* — ``f64``, ``i32``,
 ``i64``, ``bool``, a weak integer constant (``int``: a C literal) or a
@@ -65,10 +67,12 @@ reports it.
 The loop is ``static void loop(...)`` over a range ``[lo, hi)`` of
 elements (or rows), and each slot it touches is a ``restrict`` pointer
 parameter, ``const`` when the loop only reads it: the text states what
-:meth:`~repro.machine.execplan.ExecutionPlan.build` proved — no stored
-slot overlaps another slot of the launch, so pointers that share an
-array are only ever read — and ``cc`` vectorises the element loop
-(``docs/PIPELINE.md`` section 6, "Vectorisation").  ``kernel`` unpacks
+the one alias rule proved (a site's
+:class:`~repro.machine.execplan.LaunchTemplate`, probed once and bound
+every trip) — no stored slot overlaps another slot of the launch, so
+pointers that share an array are only ever read — and ``cc``
+vectorises the element loop (``docs/PIPELINE.md`` section 6,
+"Vectorisation").  ``kernel`` unpacks
 the slot addresses into the call.  ``-x`` and ``|x|`` of a ``double``
 are sign-bit operations (``_SIGN_OPS``): written as ``-x`` and
 ``fabs(x)``, ``cc`` would fold them into a neighbouring op and drop the
@@ -117,7 +121,7 @@ import numpy as np
 from .loopir import _C_FORMS, Declined
 
 _CFLAGS = ["-O3", "-shared", "-fPIC", "-fno-math-errno",
-           "-ffp-contract=off"]
+           "-ffp-contract=off", "-fno-tree-fre"]
 
 #: The host's cores, and the stream length from which a kernel's loop
 #: and its staged copy-back split over them: the first power of two
@@ -465,9 +469,10 @@ class _CPrinter:
                   if node.kind == "store"}
         ctype = [_STREAM_CTYPES[kind] for kind in self.slot_kind]
         # The probe's proof, stated: no slot the loop stores overlaps
-        # another it touches (``ExecutionPlan.build``), so every pointer
-        # is ``restrict`` and the read-only ones, which alone may share
-        # an array, are ``const``.  As parameters: ``cc`` 12 does not
+        # another it touches (``LaunchTemplate.probe``, and its ``bind``
+        # on every trip), so every pointer is ``restrict`` and the
+        # read-only ones, which alone may share an array, are
+        # ``const``.  As parameters: ``cc`` 12 does not
         # act on ``restrict`` locals that unpack ``SP``.
         slots = sorted(self.used_cids)
         params = [f"{'' if cid in stored else 'const '}{ctype[cid]} "

@@ -11,7 +11,6 @@ communication primitives.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +20,7 @@ from ..analysis import verify_enabled
 from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
 from .execplan import (Dispatch, ExecutionPlan, LaunchRecord,
-                       LaunchTemplate, run_group, run_oracle)
+                       LaunchTemplate, call_charge, run_group, run_oracle)
 from .geometry import Geometry, coordinate_array, make_geometry
 from .pe import SubgridStream
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
@@ -70,8 +69,7 @@ class Machine:
     """A simulated CM/2 (or CM/5, by cost model).
 
     ``exec_mode`` selects the node-dispatch engine: ``"fast"`` (the
-    class's ``default_exec``, overridable via the ``REPRO_EXEC``
-    environment variable) runs every dispatch as a group of compiled
+    class's ``default_exec``) runs every dispatch as a group of compiled
     routine plans (:mod:`repro.machine.execplan`), except first trips
     and what no kernel may run; ``"interp"`` runs every dispatch on the
     oracle (:func:`~repro.machine.execplan.run_oracle`).  Both produce
@@ -85,14 +83,13 @@ class Machine:
     (:meth:`repro.machine.execplan.ExecutionPlan.kernel_for`).
     """
 
-    #: The engine when neither ``exec_mode`` nor ``REPRO_EXEC`` names one.
+    #: The engine when ``exec_mode`` names none.
     default_exec = "fast"
 
     def __init__(self, model: CostModel | None = None,
                  exec_mode: str | None = None) -> None:
         self.model = model or slicewise_model()
-        mode = (exec_mode or os.environ.get("REPRO_EXEC")
-                or self.default_exec)
+        mode = exec_mode or self.default_exec
         if mode not in ("fast", "interp", "fused"):
             raise MachineError(
                 f"unknown exec mode {mode!r} "
@@ -116,10 +113,10 @@ class Machine:
         # (docs/PIPELINE.md §16).  The interpreter oracle never makes
         # or reads one.
         self._launches: dict[object, LaunchRecord] = {}
-        # Launch templates by site (docs/PIPELINE.md §16): the table of
-        # the program this machine runs, shared by every machine of its
-        # class, engine and cost model; None binds and keeps none.
-        self.templates: dict[object, LaunchTemplate] | None = None
+        # Launch templates by site (docs/PIPELINE.md §16): the machine's
+        # own table, until an executable hands it the one every machine
+        # of its class, engine and cost model shares.
+        self.templates: dict[object, LaunchTemplate] = {}
         self._addresses: dict[int, tuple] = {}  # execplan._address
         self.launch_metrics: dict[str, int] = {
             "records": 0, "replays": 0, "drops": 0,
@@ -302,7 +299,7 @@ class Machine:
         ``(routine, bindings, region_extents, real_elements, layout)``.
         A batch of one is that call, charged as :meth:`call_routine`
         documents.  Under ``exec_mode="fused"`` a longer batch is probed
-        by :meth:`ExecutionPlan.build`: a legal one is charged as
+        (:meth:`_group`): a legal one is charged as
         **one** node call (deduplicated pushes, a single merged trip
         loop, forwarded intermediate loads) and runs through one
         kernel.  An illegal batch — and every longer batch under the
@@ -321,54 +318,67 @@ class Machine:
                 return (record,)
         dispatches = [self._prepare(*c) for c in calls]
         try:
-            group = self._bind(site, calls, dispatches)
+            group = self._group(site, calls, dispatches)
             if group is None and len(dispatches) > 1:
-                if self.exec_mode == "fused":
-                    group = ExecutionPlan.build(dispatches)
-                if group is None:
-                    # Every shifted operand means its source at batch
-                    # start, which is when the first call starts; the
-                    # later calls' are copied now — and a call over a
-                    # copy leaves nothing a later trip could replay.
-                    for d in dispatches[1:]:
-                        materialize_streams(d.streams)
-                    replayed = []
-                    for i, (call, d) in enumerate(zip(calls, dispatches)):
-                        sub = (None if site is None or (i and d.shifted)
-                               else (site, i))
-                        record = (None if sub is None
-                                  else self._replay(sub, (call,)))
-                        if record is None:
-                            self._dispatch((call,), (d,), sub,
-                                           self._bind(sub, (call,), (d,)))
-                        replayed.append(record)
-                    return None if None in replayed else tuple(replayed)
+                # Every shifted operand means its source at batch
+                # start, which is when the first call starts; the
+                # later calls' are copied now — and a call over a
+                # copy leaves nothing a later trip could replay.
+                for d in dispatches[1:]:
+                    materialize_streams(d.streams)
+                replayed = []
+                for i, (call, d) in enumerate(zip(calls, dispatches)):
+                    sub = (None if site is None or (i and d.shifted)
+                           else (site, i))
+                    record = (None if sub is None
+                              else self._replay(sub, (call,)))
+                    if record is None:
+                        self._dispatch((call,), (d,), sub,
+                                       self._group(sub, (call,), (d,)))
+                    replayed.append(record)
+                return None if None in replayed else tuple(replayed)
             self._dispatch(calls, dispatches, site, group)
             return None
         finally:
             for d in dispatches:
                 self._release(d)
 
-    def _bind(self, site, calls, dispatches) -> ExecutionPlan | None:
-        """The site's launch template bound to this trip's arrays, or
-        None: the ordinary path runs."""
-        template = (None if site is None or self.templates is None
-                    else self.templates.get(site))
-        return None if template is None else template.bind(
-            calls, dispatches, self._addresses)
+    def _group(self, site, calls, dispatches) -> ExecutionPlan | None:
+        """This trip's group: the site's launch template (probed again
+        when the site has none or the trip does not fit it) bound to the
+        trip's arrays; None under the oracle, for a batch under an
+        engine that does not fuse, or when no kernel may run the calls."""
+        if self.exec_mode == "interp" or (len(calls) > 1
+                                          and self.exec_mode != "fused"):
+            return None
+        template = self.templates.get(site)
+        group = (None if template is None else
+                 template.bind(calls, dispatches, self._addresses))
+        if group is None:
+            template = LaunchTemplate.probe(dispatches, calls, self.model)
+            if template is None:
+                return None
+            self.templates[site] = template
+            group = template.bind(calls, dispatches, self._addresses)
+        return group
 
-    def _dispatch(self, calls, dispatches, site, group=None) -> None:
+    def _dispatch(self, calls, dispatches, site, group) -> None:
         """Run prepared calls as one node call — a lone call, or the
-        batch ``group`` proved legal — and keep the trip as the site's
-        launch record when a kernel ran it.  A ``group`` bound from the
-        site's launch template brings the charge along."""
-        charge = (self._charge(dispatches[0]) if group is None
-                  else group.template.charge if group.template is not None
-                  else group.charge(self.model, dispatches))
+        batch ``group`` proved legal — charged as the group's template
+        says, and keep the trip as the site's launch record when a
+        kernel ran it."""
+        charge = (call_charge(self.model, dispatches[0]) if group is None
+                  else group.template.charge)
         launch = self._execute_dispatch(dispatches, group)
         self.stats.charge_call(*charge)
         if launch is not None and site is not None:
-            self._record(site, calls, dispatches, launch, charge)
+            for d in dispatches:
+                for stream in d.shifted:
+                    launch.counters.append(
+                        (self.fusion_metrics, f"shifts_{stream.state}"))
+            self._launches[site] = group.template.record(calls, dispatches,
+                                                         launch)
+            self.launch_metrics["records"] += 1
 
     # -- steady state: launch records -------------------------------------
 
@@ -413,25 +423,6 @@ class Machine:
                 counters[key] += trips
         self.stats.merge(once, trips)
         self.launch_metrics["replays"] += len(records) * trips
-
-    def _record(self, site, calls, dispatches, launch, charge) -> None:
-        """Keep the trip that just ran a kernel as the site's record,
-        made by the site's launch template — which the ordinary path
-        makes (again) here, for every later machine."""
-        for d in dispatches:
-            for stream in d.shifted:
-                launch.counters.append(
-                    (self.fusion_metrics, f"shifts_{stream.state}"))
-        template = launch.group.template
-        if template is None:
-            template = LaunchTemplate.make(calls, dispatches, launch.group,
-                                           charge)
-            if template is None:
-                return
-            if self.templates is not None:
-                self.templates[site] = template
-        self._launches[site] = template.record(calls, dispatches, launch)
-        self.launch_metrics["records"] += 1
 
     def _prepare(self, routine: Routine, bindings: dict[str, object],
                  region_extents: tuple[int, ...],
@@ -498,7 +489,7 @@ class Machine:
                         scalar_pushes, spill_bufs, tuple(spill_pregs),
                         trips, elements)
 
-    def _execute_dispatch(self, dispatches, group=None):
+    def _execute_dispatch(self, dispatches, group):
         """Run the prepared calls of one node call; the launch, when a
         kernel ran them."""
         if self.exec_mode == "interp":
@@ -514,14 +505,6 @@ class Machine:
             if stream.state is not None:   # prepared, then replayed: None
                 self.fusion_metrics[f"shifts_{stream.state}"] += 1
             stream.release()
-
-    def _charge(self, d: Dispatch) -> tuple:
-        """One unfused call, as ``RunStats.charge_call`` arguments."""
-        node = d.trips * d.plan.cycles_per_trip(self.model)
-        return (node,
-                self.model.call_dispatch + d.pushes * self.model.ififo_push,
-                d.pushes, d.plan.flops_per_element * d.elements,
-                d.elements, ((d.routine.name, node),))
 
     def fusion_summary(self) -> dict:
         """Fusion counters for ``--stats-json`` and service responses."""

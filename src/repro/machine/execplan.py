@@ -9,10 +9,15 @@ streams) dominates what is left.  The host executor
 hands each batch to :meth:`Machine.call_fused`; a lone call is the
 batch of one.  Either way the machine runs a **group**:
 
-* :meth:`ExecutionPlan.build` is the one alias probe: it proves the
-  group's bindings legal for a compiled kernel (contiguous equal-length
-  streams, stored slots overlap nothing distinct, a stored shifted
-  source staged) and lays out the group's slot table;
+* :meth:`LaunchTemplate.probe` is the one alias probe: it classifies
+  the group's prepared calls (source arrays, shapes, dtypes, contiguity,
+  address classes) into a :class:`LaunchTemplate` — slot table, staged
+  pairs, pushes, charge, kernel-cache key, and no array — which the
+  machine keeps per dispatch site for every machine that runs it;
+* :meth:`LaunchTemplate.bind` makes every trip's :class:`ExecutionPlan`
+  from the site's template and the trip's arrays, with the one overlap
+  check (no written address class overlaps another); a trip that does
+  not fit the template is probed again;
 * :meth:`ExecutionPlan.kernel_for` is the one kernel cache: the
   constituents' :class:`~repro.machine.plan.RoutinePlan` steps are
   lowered once onto the slot table (:func:`~repro.machine.loopir.lower`)
@@ -30,16 +35,14 @@ batch of one.  Either way the machine runs a **group**:
 * :meth:`ExecutionPlan.launch` runs the kernel through a
   :class:`~repro.machine.kernel.Launch`, which the machine keeps as the
   site's :class:`LaunchRecord`: later trips validate it by identity and
-  launch again, skipping everything above (``docs/PIPELINE.md`` §16);
-  and the site's :class:`LaunchTemplate` lets every later machine bind
-  its arrays into the group instead of probing and keying it again.
+  launch again, skipping everything above (``docs/PIPELINE.md`` §16).
 
 What differs with k is the accounting, not the path and not the
 printer.  A group of two or more is charged as **one** node call
-(:meth:`ExecutionPlan.charge`: one dispatch, deduplicated argument
-pushes, a single virtual-subgrid loop, register-resident forwarding of
-streams an earlier constituent just stored); a lone dispatch keeps the
-per-parameter charge of ``Machine._charge``.
+(:func:`_fused_charge`: one dispatch, deduplicated argument pushes, a
+single virtual-subgrid loop, register-resident forwarding of streams an
+earlier constituent just stored); a lone dispatch keeps the
+per-parameter charge of :func:`call_charge`.
 
 Correctness never depends on the probe, and what happens without a
 kernel is one chain written once (:func:`run_group`): the group's
@@ -47,9 +50,9 @@ kernel; else each constituent as a group of one over materialised
 streams; else the interpreter oracle itself (:func:`run_oracle`, the
 one path of every dispatch that runs without a kernel, and all that
 ``exec_mode="interp"`` runs).  A binding signature's first trip goes
-straight to the oracle: the plan remembers the signature, and a later
-trip types the kernel from it (:func:`~repro.machine.loopir.lower`).
-A batch that fails the probe never gets that far: it is its calls, each
+to the oracle: the plan remembers the signature, and a later trip types
+the kernel from it (:func:`~repro.machine.loopir.lower`).  A batch the
+probe or the bind refuses never gets that far: it is its calls, each
 charged, run and recorded as a site of its own
 (:meth:`Machine.call_fused`).
 """
@@ -105,8 +108,8 @@ _MEGA_CAP = 256
 
 class _Key(tuple):
     """A kernel-cache key, hashed once: it nests every slot map and
-    binding signature, and a launch template looks it up on every
-    bind."""
+    binding signature, and every trip bound from a launch template looks
+    it up."""
 
     def __new__(cls, parts) -> "_Key":
         key = super().__new__(cls, parts)
@@ -134,166 +137,57 @@ def evict_serial(serial: int) -> None:
 # -- the group ----------------------------------------------------------------
 
 
-def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
-    """Two equal-length flat arrays over exactly the same elements."""
-    return (a.dtype == b.dtype and a.__array_interface__["data"][0]
-            == b.__array_interface__["data"][0])
+def call_charge(model, d: Dispatch) -> tuple:
+    """One unfused call, as ``RunStats.charge_call`` arguments."""
+    node = d.trips * d.plan.cycles_per_trip(model)
+    return (node, model.call_dispatch + d.pushes * model.ififo_push,
+            d.pushes, d.plan.flops_per_element * d.elements, d.elements,
+            ((d.routine.name, node),))
 
 
-class ExecutionPlan:
-    """One group of k >= 1 dispatches: slot table, accounting, kernel.
+def _fused_charge(model, plans, slot_maps, trips, pushes,
+                  dispatches) -> tuple:
+    """A batch of two or more as one fused call, as
+    ``RunStats.charge_call`` args.
 
-    Built by :meth:`build` for the trip at hand and dropped after it:
-    what outlives the trip is the site's :class:`LaunchRecord` (on the
-    machine) and the kernel (process-wide).
+    One ``loop_overhead`` per trip for the whole fused group, and an
+    unpaired vector load of a slot stored by an *earlier* constituent
+    is elided — the value is register-resident in the fused stream.
+    """
+    stored: set[int] = set()
+    per: list[tuple[str, int]] = []
+    for i, (plan, smap) in enumerate(zip(plans, slot_maps)):
+        cpt = plan.cycles_per_trip(model)
+        if i > 0:
+            cpt -= model.instr.loop_overhead
+        for preg, instr in plan.mem_loads:
+            if smap.get(preg) in stored:
+                cpt -= model.instruction_cycles(instr)
+        stored.update(smap[p] for p in plan.stored_pregs)
+        per.append((plan.name, trips * max(cpt, 1)))
+    return (sum(c for _, c in per),
+            model.call_dispatch + pushes * model.ififo_push, pushes,
+            sum(d.plan.flops_per_element * d.elements for d in dispatches),
+            sum(d.elements for d in dispatches), tuple(per), len(plans))
+
+
+class ExecutionPlan(NamedTuple):
+    """One trip's group: the site's :class:`LaunchTemplate` bound to
+    the flat arrays the calls bind, one per slot (``S``), and their
+    addresses (``addrs``).
+
+    Made by :meth:`LaunchTemplate.bind` for the trip at hand and dropped
+    after it: what outlives the trip is the site's
+    :class:`LaunchRecord` (on the machine), its template (with the
+    executable) and the kernel (process-wide).
     """
 
-    def __init__(self, plans, trips, n, slot_maps, spill_slots, pushes,
-                 shifts, S, template=None, addrs=None) -> None:
-        self.plans = plans
-        self.serials = tuple(p.serial for p in plans)
-        self.k = len(plans)
-        self.trips = trips
-        self.n = n
-        #: The group's slot table: one flat array per slot.
-        self.S = S
-        self.slot_maps = slot_maps
-        #: Slots holding spill scratch (zeroed before every launch).
-        self.spill_slots = spill_slots
-        #: ``(slot, staged source slot or None, shape, offsets)`` per
-        #: shifted operand, as the lowering takes them.
-        self.shifts = shifts
-        # A fused group pushes once per distinct stream slot, per scalar
-        # argument, plus the shared vlen: duplicate pointer arguments
-        # collapse.
-        self.pushes = pushes
-        #: The :class:`LaunchTemplate` this group was bound from (which
-        #: knows its kernel-cache key and charge), and the slots'
-        #: addresses the bind read; None for a probed group.
-        self.template = template
-        self.addrs = addrs
-        self.key = None if template is None else template.key
+    template: LaunchTemplate
+    S: list
+    addrs: list
 
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def build(cls, dispatches) -> "ExecutionPlan | None":
-        """Probe a group's bindings; None means no kernel may run them.
-
-        The one place contiguity, length and alias legality are
-        decided: every stream contiguous with one common flat length,
-        and no stored slot overlapping a *distinct* slot (two identical
-        views are one slot, which is safe; anything else would let a
-        blocked store corrupt elements another block still has to
-        read).  The verdict depends only on plans, shapes and alias
-        classes — so fused cost accounting is deterministic run to run.
-        A shifted operand is one slot per operand key holding its
-        *source*, exempt from the overlap rule as the private copy it
-        replaces was: a stored slot that is exactly that source gets
-        staged (``shifts`` carries the pairing to the lowering).
-        """
-        trips = dispatches[0].trips
-        if any(d.trips != trips for d in dispatches):
-            return None
-        n = None
-        ident: dict = {}
-        arrays: list[np.ndarray] = []
-        operands: dict[int, object] = {}
-        slot_maps: list[dict[int, int]] = []
-        spill_slots: list[int] = []
-        stored_slots: set[int] = set()
-        for d in dispatches:
-            plan = d.plan
-            spills = frozenset(d.spill_pregs)
-            smap: dict[int, int] = {}
-            for p in plan.used_pregs:
-                stream = d.streams[p]
-                if stream is None:
-                    return None
-                operand = getattr(stream, "operand", None)
-                view = stream.view if operand is None else operand.base
-                if (not isinstance(view, np.ndarray)
-                        or not view.flags["C_CONTIGUOUS"]):
-                    return None
-                flat = view.reshape(-1)
-                if n is None:
-                    n = flat.size
-                elif flat.size != n:
-                    return None
-                if p in spills:
-                    slot = len(arrays)
-                    arrays.append(flat)
-                    spill_slots.append(slot)
-                else:
-                    key = ((view.__array_interface__["data"][0],
-                            view.dtype.str) if operand is None
-                           else ("shift", operand.key))
-                    slot = ident.get(key)
-                    if slot is None:
-                        slot = len(arrays)
-                        ident[key] = slot
-                        arrays.append(flat)
-                        if operand is not None:
-                            operands[slot] = operand
-                smap[p] = slot
-                if p in plan.stored_pregs:
-                    stored_slots.add(slot)
-            slot_maps.append(smap)
-        if not n or stored_slots & operands.keys():
-            return None
-        staged_base: dict[int, int] = {}
-        for s in sorted(stored_slots):
-            a = arrays[s]
-            for t, b in enumerate(arrays):
-                if t == s or not np.may_share_memory(a, b):
-                    continue
-                if t in operands and _same_memory(a, b):
-                    staged_base[t] = s
-                else:
-                    return None
-        shifts = tuple((slot, staged_base.get(slot), op.base.shape,
-                        op.offsets)
-                       for slot, op in sorted(operands.items()))
-        pushes = len(ident) + sum(d.scalar_pushes for d in dispatches) + 1
-        return cls(tuple(d.plan for d in dispatches), trips, n,
-                   tuple(slot_maps), tuple(spill_slots), pushes, shifts,
-                   arrays)
-
-    # -- fused cost accounting ------------------------------------------
-
-    def charge(self, model, dispatches) -> tuple:
-        """A batch of two or more as one fused call, as
-        ``RunStats.charge_call`` args.
-
-        One ``loop_overhead`` per trip for the whole fused group, and an
-        unpaired vector load of a slot stored by an *earlier* constituent
-        is elided — the value is register-resident in the fused stream.
-        """
-        stored: set[int] = set()
-        per: list[tuple[str, int]] = []
-        for i, plan in enumerate(self.plans):
-            cpt = plan.cycles_per_trip(model)
-            if i > 0:
-                cpt -= model.instr.loop_overhead
-            smap = self.slot_maps[i]
-            for preg, instr in plan.mem_loads:
-                if smap.get(preg) in stored:
-                    cpt -= model.instruction_cycles(instr)
-            stored.update(smap[p] for p in plan.stored_pregs)
-            per.append((plan.name, self.trips * max(cpt, 1)))
-        return (sum(c for _, c in per),
-                model.call_dispatch + self.pushes * model.ififo_push,
-                self.pushes,
-                sum(d.plan.flops_per_element * d.elements
-                    for d in dispatches),
-                sum(d.elements for d in dispatches),
-                tuple(per), self.k)
-
-    # -- execution ------------------------------------------------------
-
-    def kernel_for(self, sigs, metrics) -> tuple:
-        """``(kernel, built)`` for this trip's binding signatures (None
-        when the group was bound from a template, which knows its key).
+    def kernel_for(self, metrics) -> tuple:
+        """``(kernel, built)`` for the template's kernel-cache key.
 
         The kernel is None when the oracle must run instead: a
         signature still needs its first trip, or the lowering declined
@@ -305,23 +199,18 @@ class ExecutionPlan:
         run, whatever k and whoever asks; ``metrics`` (the machine's
         ``fusion_metrics``) counts what that cost.
         """
-        key = self.key
-        if key is None:
-            slot_key = tuple(tuple(sorted(m.items()))
-                             for m in self.slot_maps)
-            key = self.key = _Key((self.serials, slot_key, sigs, self.n,
-                                   self.shifts))
+        t = self.template
+        key = t.key
         kern = _MEGA_KERNELS.get(key)
         built = kern is None
         if built:
             sigs = key[2]
-            if not all(sig in plan.seen
-                       for plan, sig in zip(self.plans, sigs)):
+            if not all(sig in plan.seen for plan, sig in zip(t.plans, sigs)):
                 return None, False   # the oracle runs the first trip
             try:
                 kern = blocked_kernel(lower(
-                    self.plans, self.slot_maps, sigs, self.n,
-                    [a.dtype for a in self.S], self.shifts))
+                    t.plans, t.slot_maps, sigs, t.n,
+                    [a.dtype for a in self.S], t.shifts))
             except Declined as bail:
                 kern = NoKernel(str(bail))
             if len(_MEGA_KERNELS) >= _MEGA_CAP:
@@ -330,12 +219,6 @@ class ExecutionPlan:
             kern = self._tier_up(kern, metrics)
         _MEGA_KERNELS[key] = kern
         _MEGA_KERNELS.move_to_end(key)
-        # Keep the entry's own key object (the last one now, unless
-        # another thread moved one since): a template's lookups by it
-        # then match by identity instead of comparing every signature.
-        last = next(reversed(_MEGA_KERNELS))
-        if last is not key and last == key:
-            key = self.key = last
         if kern.declined is not None:
             # Per entry, not per trip: meeting it again changes nothing.
             metrics.setdefault("declined", {})[key] = kern.declined
@@ -357,7 +240,7 @@ class ExecutionPlan:
             kern.declined = ("c", "build failed")
             return kern
         metrics["tier_ups"] += 1
-        if self.k > 1:
+        if len(self.template.plans) > 1:
             metrics["megakernel_native"] += 1
         if native.build_ms is not None:
             metrics["native_builds"] += 1
@@ -366,22 +249,20 @@ class ExecutionPlan:
 
     def launch(self, kern, dispatches, pool) -> Launch:
         """Run ``kern`` over the group's slot table; the launch."""
-        X: list = []
-        for d in dispatches:
-            X.extend(d.scalars)
+        t = self.template
+        X = [x for d in dispatches for x in d.scalars]
         # The kernel's staged scratch slots, numbered in order after
         # the group's own: the launch's for as long as it lives.
-        scratch = [pool.acquire((self.n,), self.S[slot].dtype)
+        scratch = [pool.acquire((t.n,), self.S[slot].dtype)
                    for slot, _ in kern.staged]
-        launch = Launch(kern, self.S + scratch, self.n, self.spill_slots,
-                        self.k, self)
-        if self.addrs is not None:
-            launch.S.addrs = self.addrs + [a.ctypes.data for a in scratch]
+        launch = Launch(kern, self.S + scratch, t.n, t.spill_slots,
+                        len(t.plans))
+        launch.S.addrs = self.addrs + [a.ctypes.data for a in scratch]
         launch.run(X)
-        if self.shifts:   # the kernel read every shifted stream in place
-            staged = {slot for slot, base, _, _ in self.shifts
+        if t.shifts:   # the kernel read every shifted stream in place
+            staged = {slot for slot, base, _, _ in t.shifts
                       if base is not None}
-            for d, smap in zip(dispatches, self.slot_maps):
+            for d, smap in zip(dispatches, t.slot_maps):
                 for p, slot in smap.items():
                     stream = d.streams[p]
                     if isinstance(stream, ShiftedStream):
@@ -391,7 +272,7 @@ class ExecutionPlan:
 
 
 def run_group(dispatches, pool, metrics,
-              group: ExecutionPlan | None = None) -> Launch | None:
+              group: ExecutionPlan | None) -> Launch | None:
     """Run k >= 1 prepared calls: the one fallback chain.
 
     The group's kernel; else each constituent as a group of one over
@@ -400,22 +281,14 @@ def run_group(dispatches, pool, metrics,
     launch when a kernel ran over the operands as bound — what a
     dispatch site may replay — else None.
 
-    ``group`` is the probe's verdict when the caller already needed it
-    (a batch is charged by it).  Otherwise a first trip does not probe:
-    a binding signature the plan has not seen has no kernel to find.
-    ``metrics`` is the machine's ``fusion_metrics`` (see
-    :meth:`ExecutionPlan.kernel_for`).
+    ``group`` is this trip's :class:`ExecutionPlan`, None when the
+    probe or the bind refused the calls.  ``metrics`` is the machine's
+    ``fusion_metrics`` (see :meth:`ExecutionPlan.kernel_for`).
     """
-    sigs = None
-    if group is None or group.key is None:
-        sigs = tuple(d.plan._signature(d.streams, d.scalars)
-                     for d in dispatches)
-        if group is None and all(sig in d.plan.seen
-                                 for d, sig in zip(dispatches, sigs)):
-            group = ExecutionPlan.build(dispatches)
+    k = len(dispatches)
     if group is not None:
-        kern, built = group.kernel_for(sigs, metrics)
-        if group.k > 1:
+        kern, built = group.kernel_for(metrics)
+        if k > 1:
             if built:
                 metrics["megakernel_builds"] += 1
             elif kern is not None:
@@ -424,20 +297,25 @@ def run_group(dispatches, pool, metrics,
                 metrics["stepwise_groups"] += 1
         if kern is not None:
             launch = group.launch(kern, dispatches, pool)
-            if group.k > 1:
+            if k > 1:
                 launch.counters.append((metrics, "megakernel_hits"))
             return launch
-        sigs = group.key[2]
     d = dispatches[0]
-    if len(dispatches) == 1 and not any(
-            isinstance(st, ShiftedStream) for st in d.streams):
-        run_oracle(d, sigs[0])
+    if k == 1 and not any(isinstance(st, ShiftedStream) for st in d.streams):
+        run_oracle(d, d.plan._signature(d.streams, d.scalars))
         return None
     for d in dispatches:
         materialize_streams(d.streams)
     for d in dispatches:
-        run_group((d,), pool, metrics)
+        run_group((d,), pool, metrics, group_of((d,)))
     return None
+
+
+def group_of(dispatches) -> ExecutionPlan | None:
+    """This trip's group of ``dispatches`` where no site remembers a
+    template: a fresh probe, bound."""
+    template = LaunchTemplate.probe(dispatches)
+    return None if template is None else template.bind((), dispatches)
 
 
 def run_oracle(d: Dispatch, sig=None) -> None:
@@ -463,6 +341,22 @@ def run_oracle(d: Dispatch, sig=None) -> None:
 # -- steady state: the per-site launch record -------------------------------
 
 
+def _mismatch(call, routine, plan, tail, scalars) -> str | None:
+    """Why ``call`` is not one of ``routine`` under ``plan`` with region
+    tail ``tail`` and scalar arguments of the types in ``scalars`` — a
+    :class:`LaunchRecord` drop reason — or None when it is: the per-call
+    check of a record and of a template alike."""
+    if call[0] is not routine or get_plan(routine) is not plan:
+        return "plan"
+    if tuple(call[2:]) != tail:
+        return "binding"
+    bindings = call[1]
+    for name, _, kind in scalars:
+        if type(bindings.get(name)) is not kind:
+            return "scalar_type"
+    return None
+
+
 class LaunchRecord:
     """What one dispatch site does on every steady-state trip.
 
@@ -474,9 +368,9 @@ class LaunchRecord:
     :class:`~repro.machine.kernel.Launch` that ran; and the trip's
     ``RunStats.charge_call`` arguments.  A later trip whose calls pass
     :meth:`stale` binds the very same objects, so every pointer, dtype,
-    length and alias fact the ordinary path would re-derive is already
-    known — a live numpy view cannot change them.  The record holds
-    strong references to everything it compares against, so a site id
+    length and alias fact the bind would re-derive is already known — a
+    live numpy view cannot change them.  The record holds strong
+    references to everything it compares against, so a site id
     recycled for another op can only match an identical dispatch.
     """
 
@@ -492,30 +386,27 @@ class LaunchRecord:
         """Why this trip cannot replay the record — None when it can,
         with the trip's scalars filled in."""
         if hot(self.launch.kern):
-            # The ordinary path asks the C printer and records again.
+            # The bind's kernel lookup asks the C printer; the trip
+            # records again.
             return "tier_up"
         if len(calls) != len(self.calls):
             return "binding"
         X = self.X
         for call, (routine, plan, tail, streams, scalars) in zip(
                 calls, self.calls):
-            if call[0] is not routine or get_plan(routine) is not plan:
-                return "plan"
-            if tuple(call[2:]) != tail:
-                return "binding"
+            why = _mismatch(call, routine, plan, tail, scalars)
+            if why is not None:
+                return why
             bindings = call[1]
             for name, operand in streams:
                 if bindings.get(name) is not operand:
                     return "binding"
-            for name, k, kind in scalars:
-                value = bindings.get(name)
-                if type(value) is not kind:
-                    return "scalar_type"
-                X[k] = value
+            for name, k, _ in scalars:
+                X[k] = bindings[name]
         return None
 
 
-# -- every later machine: the per-site launch template ----------------------
+# -- the alias probe and its per-site memo: the launch template --------------
 
 def _address(view: np.ndarray, memo: dict | None = None) -> int:
     """``view``'s address, through the machine's ``memo`` when given:
@@ -534,39 +425,62 @@ def _address(view: np.ndarray, memo: dict | None = None) -> int:
 
 
 class LaunchTemplate(NamedTuple):
-    """What a site's kernel dispatch worked out from plans and shapes,
-    for every later machine that runs it (``docs/PIPELINE.md`` §16,
-    "Launch templates"): per call the routine, plan, region tail, stream
-    parameter names and scalar slots and types (``calls``); the group's
-    verdict (``group``: :class:`ExecutionPlan`'s arguments but ``S``);
-    the array objects the streams were (*sources*: shape and dtype, and
-    ``classes`` of sources at one address;
-    ``written``, those stored into), per stream its source, slot and
-    shifted offsets (``members``); the kernel-cache ``key`` and the
-    ``charge``.  It holds no array, pool buffer or machine and never
-    changes."""
+    """What the probe worked out from one trip's calls, for every trip
+    at the dispatch site on every machine that runs it
+    (``docs/PIPELINE.md`` §16, "Launch templates"): per call the
+    routine, plan, region tail, stream parameter names and scalar slots
+    and types (``calls``); the group's ``plans``, ``trips``, common flat
+    length ``n``, per call its pointer register -> slot map, the spill
+    slots (zeroed before every launch), per shifted operand ``(slot,
+    staged source slot or None, shape, offsets)`` as the lowering takes
+    them, and ``pushes`` (one per distinct stream slot and scalar, plus
+    the shared vlen); the array objects the streams were (*sources*:
+    shape and dtype, ``classes`` of sources at one address, ``written``
+    those stored into), per stream its source, slot and shifted offsets
+    (``members``), per slot its source (``slot_src``); the kernel-cache
+    ``key`` and the ``charge``.  It holds no array, pool buffer or
+    machine and never changes."""
 
     calls: tuple
-    group: tuple
+    plans: tuple
+    trips: int
+    n: int
+    slot_maps: tuple
+    spill_slots: tuple
+    shifts: tuple
+    pushes: int
     members: tuple
     sources: tuple
     slot_src: tuple
     classes: tuple
     written: tuple
-    shift_slots: int
     key: tuple
-    charge: tuple
+    charge: tuple | None
 
     @classmethod
-    def make(cls, calls, dispatches, group: ExecutionPlan,
-             charge: tuple) -> "LaunchTemplate | None":
-        """The template of the trip that just ran ``group``'s kernel,
-        or None when a scalar is an array (whose shape is part of the
-        kernel's signature, not of its type)."""
+    def probe(cls, dispatches, calls=(),
+              model=None) -> "LaunchTemplate | None":
+        """Classify prepared ``dispatches`` — the one alias probe — and
+        derive their group; None when no kernel may run them wherever
+        their arrays lie: trip counts differ; a stream is not a
+        C-contiguous array of the common flat length; a shifted operand
+        is stored into; a stored slot's address class holds another slot
+        but a shifted operand of its dtype (which reads the old values:
+        the store is staged); a scalar of ``calls`` is an array (its
+        shape is part of the kernel's signature, not of its type).  The
+        verdict depends only on plans, shapes and alias classes, so
+        fused cost accounting is deterministic run to run.
+
+        ``calls`` are what a later trip must match to bind the template
+        (none: no site remembers it); ``model`` prices the group (none:
+        nothing is charged from it).
+        """
+        trips = dispatches[0].trips
+        if any(d.trips != trips for d in dispatches):
+            return None
         checks = []
         for i, (call, d) in enumerate(zip(calls, dispatches)):
-            streams = []
-            scalars = []
+            streams, scalars = [], []
             for param in call[0].params:
                 value = call[1].get(param.name)
                 if param.kind in ("subgrid", "coord", "halo"):
@@ -581,56 +495,97 @@ class LaunchTemplate(NamedTuple):
                                     type(value)))
             checks.append((call[0], d.plan, tuple(call[2:]),
                            tuple(streams), tuple(scalars)))
+        n = None
         views: list = []
-        index: dict[int, int] = {}
-        members = []
-        slot_src: list = [None] * len(group.S)
-        written = set()
-        for i, (d, smap) in enumerate(zip(dispatches, group.slot_maps)):
-            for p, slot in smap.items():
+        index: dict[int, int] = {}     # id(source) -> source
+        ident: dict = {}               # (address, dtype) or shift key -> slot
+        operands: dict = {}            # shifted slot -> its operand
+        slot_src, slot_maps, spill_slots, members = [], [], [], []
+        stored: set[int] = set()     # stored slots
+        for i, d in enumerate(dispatches):
+            smap: dict[int, int] = {}
+            for p in d.plan.used_pregs:
                 stream = d.streams[p]
-                shifted = type(stream) is ShiftedStream
-                view = stream.operand.base if shifted else stream.view
+                if stream is None:
+                    return None
+                operand = (stream.operand if isinstance(stream, ShiftedStream)
+                           else None)
+                view = stream.view if operand is None else operand.base
+                if (not isinstance(view, np.ndarray)
+                        or not view.flags.c_contiguous):
+                    return None
+                if n is None:
+                    n = view.size
+                elif view.size != n:
+                    return None
                 src = index.setdefault(id(view), len(views))
                 if src == len(views):
                     views.append(view)
-                if slot_src[slot] is None:
-                    slot_src[slot] = src
-                members.append((i, p, src, slot, stream.operand.offsets
-                                if shifted else None))
+                if p in d.spill_pregs:
+                    slot = len(slot_src)
+                    spill_slots.append(slot)
+                else:
+                    slot = ident.setdefault(
+                        (_address(view), view.dtype.str) if operand is None
+                        else ("shift", operand.key), len(slot_src))
+                    if operand is not None:
+                        operands.setdefault(slot, operand)
+                if slot == len(slot_src):
+                    slot_src.append(src)
+                smap[p] = slot
+                members.append((i, p, src, slot, None if operand is None
+                                else operand.offsets))
                 if p in d.plan.stored_pregs:
-                    written.add(src)
+                    stored.add(slot)
+            slot_maps.append(smap)
+        if not n or stored & operands.keys():
+            return None
         where: dict = {}    # address -> class, by first appearance
         classes = [where.setdefault(_address(v), len(where)) for v in views]
-        return cls(tuple(checks),
-                   (group.plans, group.trips, group.n, group.slot_maps,
-                    group.spill_slots, group.pushes, group.shifts),
-                   tuple(members), tuple((v.shape, v.dtype) for v in views),
-                   tuple(slot_src), tuple(classes), tuple(sorted(written)),
-                   len(group.shifts), group.key, charge)
+        staged: dict[int, int] = {}
+        for s in stored:
+            mine = views[slot_src[s]]
+            for t, src in enumerate(slot_src):
+                if t == s or classes[src] != classes[slot_src[s]]:
+                    continue
+                if t not in operands or views[src].dtype != mine.dtype:
+                    return None
+                staged[t] = s
+        shifts = tuple((slot, staged.get(slot), op.base.shape, op.offsets)
+                       for slot, op in sorted(operands.items()))
+        pushes = len(ident) + sum(d.scalar_pushes for d in dispatches) + 1
+        plans = tuple(d.plan for d in dispatches)
+        slot_maps = tuple(slot_maps)
+        key = _Key((tuple(plan.serial for plan in plans),
+                    tuple(tuple(sorted(m.items())) for m in slot_maps),
+                    tuple(d.plan._signature(d.streams, d.scalars)
+                          for d in dispatches), n, shifts))
+        charge = (None if model is None
+                  else call_charge(model, dispatches[0]) if len(plans) == 1
+                  else _fused_charge(model, plans, slot_maps, trips, pushes,
+                                     dispatches))
+        return cls(tuple(checks), plans, trips, n, slot_maps,
+                   tuple(spill_slots), shifts, pushes, tuple(members),
+                   tuple((v.shape, v.dtype) for v in views),
+                   tuple(slot_src), tuple(classes),
+                   tuple(sorted({slot_src[s] for s in stored})), key, charge)
 
     def bind(self, calls, dispatches,
-             addresses: dict) -> ExecutionPlan | None:
-        """This trip's group — the verdict over the arrays the calls bind,
-        which checks only what depends on memory — or None when the
-        ordinary path must run (and make the template again): another
-        routine, plan, tail or scalar type; the cache entry evicted or
-        hot; streams that are not the same source objects, contiguous,
-        of their shapes and dtypes; sources in other address classes, or
-        a written class overlapping another.  ``addresses``: the
-        machine's memo (:func:`_address`)."""
+             addresses: dict | None = None) -> ExecutionPlan | None:
+        """This trip's group, or None when the site must be probed
+        again: another number of calls, routine, plan, tail or scalar
+        type; streams that are not the same source objects, contiguous,
+        of their shapes and dtypes; sources in other address classes —
+        or, for a probe of this very trip, no kernel may run it: a
+        written class overlaps another, the one check that depends on
+        where the arrays lie.  ``addresses``: the machine's memo
+        (:func:`_address`)."""
+        if len(dispatches) != len(self.plans):
+            return None
         for call, (routine, plan, tail, _, scalars) in zip(calls,
                                                             self.calls):
-            if (call[0] is not routine or get_plan(routine) is not plan
-                    or tuple(call[2:]) != tail):
+            if _mismatch(call, routine, plan, tail, scalars) is not None:
                 return None
-            bindings = call[1]
-            for name, _, kind in scalars:
-                if type(bindings[name]) is not kind:
-                    return None
-        kern = _MEGA_KERNELS.get(self.key)
-        if kern is None or hot(kern):
-            return None
         views: list = [None] * len(self.sources)
         keys: dict = {}         # shifted operand key -> slot
         for i, p, src, slot, offsets in self.members:
@@ -652,7 +607,7 @@ class LaunchTemplate(NamedTuple):
                 views[src] = view
             elif held is not view:
                 return None
-        if len(keys) != self.shift_slots:
+        if len(keys) != len(self.shifts):
             return None
         addrs = []
         index: dict = {}        # address -> class, by first appearance
@@ -679,9 +634,9 @@ class LaunchTemplate(NamedTuple):
             elif at < written_end:
                 return None
             end = max(end, hi)
-        return ExecutionPlan(*self.group,
+        return ExecutionPlan(self,
                              [views[k].reshape(-1) for k in self.slot_src],
-                             self, [addrs[k] for k in self.slot_src])
+                             [addrs[k] for k in self.slot_src])
 
     def record(self, calls, dispatches, launch) -> LaunchRecord:
         """The site's launch record of the trip that just ran."""

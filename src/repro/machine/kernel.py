@@ -152,17 +152,13 @@ class Launch:
     as a freshly prepared call's are.  ``counters`` are the ``(metrics
     dict, key)`` pairs a trip through this launch bumps.  ``work`` is
     what one run streams through a blocked kernel (:func:`hot`): each of
-    the group's ``routines`` its own pass.  ``group`` is the
-    :class:`~repro.machine.execplan.ExecutionPlan` it was launched
-    from, what the site's launch template is made of.
+    the group's ``routines`` its own pass.
     """
 
-    __slots__ = ("kern", "S", "n", "spills", "counters", "work", "group")
+    __slots__ = ("kern", "S", "n", "spills", "counters", "work")
 
-    def __init__(self, kern, S, n: int, spills=(), routines=1,
-                 group=None) -> None:
+    def __init__(self, kern, S, n: int, spills=(), routines=1) -> None:
         self.kern = kern
-        self.group = group
         self.S = SlotTable(S)
         self.n = n
         self.spills = spills

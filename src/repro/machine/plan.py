@@ -19,7 +19,7 @@ handful of routines thousands of times, so this module compiles each
   on the interpreter oracle, as does the rare dispatch no kernel may
   run (:func:`repro.machine.execplan.run_oracle`).
 
-The interpreter stays the oracle: ``REPRO_EXEC=interp`` (see
+The interpreter stays the oracle: ``exec_mode="interp"`` (see
 :class:`~repro.machine.cm2.Machine`) runs every dispatch on
 ``VectorExecutor``, and the equivalence tests assert the kernels
 produce bit-identical arrays and identical
@@ -286,11 +286,13 @@ class RoutinePlan:
         the :class:`~repro.machine.kernel.Launch` when a kernel ran over
         the operands as bound, else None.
         """
-        from .execplan import Dispatch, run_group  # it imports this module
+        # execplan imports this module
+        from .execplan import Dispatch, group_of, run_group
 
-        return run_group((Dispatch(None, self, streams, scalars),),
+        dispatches = (Dispatch(None, self, streams, scalars),)
+        return run_group(dispatches,
                          pool if pool is not None else GLOBAL_POOL,
-                         Counter())
+                         Counter(), group_of(dispatches))
 
     def saw(self, sig) -> None:
         """Remember that binding signature ``sig`` had its first trip

@@ -31,7 +31,8 @@ def small_machine() -> Machine:
 # compare blocked numpy with the oracle and the C emitter with nothing.
 # The modules that carry the emitter's equivalence tests ask for
 # ``eager_c``; the session counts what ``ckernel._load`` hands out per
-# module, prints it, and fails when one of them falls below its floor.
+# module, prints it, and — with a C compiler — fails when one of them
+# falls below its floor.
 #
 # The other way round for the fallback: an oracle run that stands in for
 # a kernel (``execplan.run_oracle`` under a non-``interp`` engine) over a
@@ -139,12 +140,14 @@ def pytest_sessionfinish(session, exitstatus):
     if (exitstatus != 0 or option.keyword or option.markexpr
             or any("::" in arg for arg in session.config.args)):
         return      # a module cut short says nothing about its floor
+    cc = ckernel._compiler() is not None    # no C floor without one
     for module, floor in C_MODULE_FLOOR.items():
-        if module in _loads and _loads[module] < floor:
+        if cc and module in _loads and _loads[module] < floor:
             _shortfalls.append(f"{module}: {_loads[module]} native kernels, "
                                f"floor {floor}")
     total = sum(_loads.values())
-    if all(m in _loads for m in C_MODULE_FLOOR) and total < C_TOTAL_FLOOR:
+    if (cc and all(m in _loads for m in C_MODULE_FLOOR)
+            and total < C_TOTAL_FLOOR):
         _shortfalls.append(f"whole suite: {total} native kernels, "
                            f"floor {C_TOTAL_FLOOR}")
     for module, floor in TRIP_MODULE_FLOOR.items():
@@ -152,8 +155,7 @@ def pytest_sessionfinish(session, exitstatus):
             _shortfalls.append(f"{module}: {_trips[module]} trips run from "
                                f"a trip record, floor {floor}")
     for module, floor in TRIP_NATIVE_FLOOR.items():
-        if (module in _loads and ckernel._compiler() is not None
-                and _natives[module] < floor):
+        if cc and module in _loads and _natives[module] < floor:
             _shortfalls.append(f"{module}: {_natives[module]} trips run by "
                                f"the native trip driver, floor {floor}")
     stray = sum(count for module, count in _fallbacks.items()

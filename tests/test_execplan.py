@@ -648,8 +648,10 @@ def test_a_group_reads_its_shifted_operands_in_one_shape():
             m.call_fused(calls, site=("across", "down"))
         arrays[mode] = [m.home(name).data.tobytes() for name in "abyz"]
     assert arrays["fused"] == arrays["interp"]
+    # Without a compiler each call's own hot kernel is refused C too.
     assert m.fusion_summary()["declined"] == {
-        "blocked": {"shift shapes": 1}, "c": {}}
+        "blocked": {"shift shapes": 1},
+        "c": {} if _compiler() else {"no compiler": 2}}
 
 
 def test_a_read_paired_with_the_first_staged_store_reads_the_slot():

@@ -1,14 +1,16 @@
 """Launch templates: the host program compiled once per executable.
 
-A dispatch site's first kernel dispatch leaves a
+A dispatch site's first dispatch is probed
+(:meth:`~repro.machine.execplan.LaunchTemplate.probe`) and leaves its
 :class:`~repro.machine.execplan.LaunchTemplate` in the executable's
-:class:`~repro.runtime.host.HostFacts`, and every later machine binds
-its arrays into it instead of probing, keying and capturing the site
-again (``docs/PIPELINE.md`` §16, "Launch templates").  These tests pin
-that a templated run cannot be told from one that takes the ordinary
-path — arrays, ``RunStats``, every counter — that each case the bind
-must refuse falls back and is counted as the ordinary path counts it,
-and that templates hold neither machines nor arrays.
+table, and every later trip on every machine binds its arrays into it
+instead of probing and keying the site again (``docs/PIPELINE.md``
+§16, "Launch templates").  These tests pin that a templated run cannot
+be told from one that probes every trip — arrays, ``RunStats``, every
+counter — that what a template binds is what a fresh probe derives,
+that each case the bind must refuse is probed again and counted as a
+probed trip counts it, and that templates hold neither machines nor
+arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 from repro.driver.compiler import CompilerOptions, compile_source
 from repro.machine import Machine, costs, execplan, invalidate_plan, kernel
 from repro.machine.cm2 import ArrayHome
+from repro.machine.shifted import Shifted
 from repro.programs.kernels import heat_source, life_source
 from repro.programs.swe import swe_source
 from repro.runtime.host import HostExecutor, NodeCall
@@ -36,7 +39,8 @@ PROGRAMS = {"swe": lambda: swe_source(16, 20),
 CONFIGS = (("cm2", "fast"), ("cm2", "fused"), ("host", "fused"))
 
 # Two arrays one timestep reads and writes: homes that share one buffer
-# make the probe merge them into a single slot.
+# make the probe merge them into a single slot.  The last statement
+# stores ``b`` over a shift of itself: its store is staged.
 PAIR = """\
 program pair
 double precision, array(16,16) :: a, b
@@ -46,6 +50,7 @@ b = 0.0d0
 do it = 1, 20
   b = a * 0.5d0 + 1.0d0
   a = b + cshift(b, 1, 1)
+  b = b - cshift(b, 1, 2)
 end do
 end program pair
 """
@@ -53,25 +58,27 @@ end program pair
 
 @contextlib.contextmanager
 def _ordinary():
-    """Runs that bind no template: every site's first dispatch takes the
-    ordinary path (test-side: there is no product switch)."""
+    """Runs that remember no template: every trip probes its site
+    afresh (test-side: there is no product switch)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Machine, "_bind", lambda self, *args: None)
+        patch.setattr(Machine, "templates",
+                      property(lambda self: {}, lambda self, table: None),
+                      raising=False)
         yield
 
 
 @contextlib.contextmanager
-def _counting_builds():
-    """``[ExecutionPlan.build calls]`` made inside the block."""
+def _counting_probes():
+    """``[LaunchTemplate.probe calls]`` made inside the block."""
     calls = [0]
-    build = execplan.ExecutionPlan.build.__func__
+    probe = execplan.LaunchTemplate.probe.__func__
 
-    def counted(cls, dispatches):
+    def counted(cls, *args, **kwargs):
         calls[0] += 1
-        return build(cls, dispatches)
+        return probe(cls, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(execplan.ExecutionPlan, "build", classmethod(counted))
+        patch.setattr(execplan.LaunchTemplate, "probe", classmethod(counted))
         yield calls
 
 
@@ -97,10 +104,11 @@ def _observed(result) -> tuple:
 
 def _twins(source, target, mode, runs, last=None, machine=None):
     """The last of ``runs`` runs of two compiles of ``source``, one with
-    templates and one without, each after the same history (a compile's
-    own routines, plans and cache entries) and inside ``last(exe)``, a
-    context manager; and the ``ExecutionPlan.build`` calls of the last
-    templated run.  ``machine(k)`` makes run k's machine."""
+    templates and one probing every trip, each after the same history (a
+    compile's own routines, plans and cache entries) and inside
+    ``last(exe)``, a context manager; and the ``LaunchTemplate.probe``
+    calls of the last templated run.  ``machine(k)`` makes run k's
+    machine."""
     machine = machine or (lambda k: _machine(target, mode))
     last = last or (lambda exe: contextlib.nullcontext())
     options = CompilerOptions(target=target)
@@ -110,19 +118,19 @@ def _twins(source, target, mode, runs, last=None, machine=None):
         with _ordinary() if ordinary else contextlib.nullcontext():
             for k in range(runs - 1):
                 exe.run(machine=machine(k))
-            with last(exe), _counting_builds() as builds:
+            with last(exe), _counting_probes() as probes:
                 out.append((exe, exe.run(machine=machine(runs - 1)),
-                            builds[0]))
-    (exe, templated, builds), (_, plain, _) = out
+                            probes[0]))
+    (exe, templated, probes), (_, plain, _) = out
     assert _observed(templated) == _observed(plain)
-    return exe, templated, builds
+    return exe, templated, probes
 
 
 @pytest.mark.parametrize("target,mode", CONFIGS)
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
 def test_third_run_binds_every_site(program, target, mode):
-    exe, result, builds = _twins(PROGRAMS[program](), target, mode, 3)
-    assert builds == 0
+    exe, result, probes = _twins(PROGRAMS[program](), target, mode, 3)
+    assert probes == 0
     (table,) = exe._templates.values()
     assert table
     assert result.machine.launch_metrics["records"] >= len(table)
@@ -151,11 +159,83 @@ def _shared_homes(m: Machine, offset: int) -> Machine:
 
 @pytest.mark.parametrize("mode", ("fast", "fused"))
 def test_homes_on_one_buffer_fall_back(mode):
-    _, result, builds = _twins(PAIR, "cm2", mode, 3, machine=lambda k: (
+    _, result, probes = _twins(PAIR, "cm2", mode, 3, machine=lambda k: (
         _shared_homes(_machine("cm2", mode), 0) if k == 2
         else _machine("cm2", mode)))
-    assert builds > 0
+    assert probes > 0
     assert np.shares_memory(result.arrays["a"], result.arrays["b"])
+
+
+def _fields(group) -> tuple:
+    """What a bound group is: its template's slot maps, spill slots,
+    shifted operands, pushes, charge and kernel-cache key, and the
+    addresses of its slots."""
+    t = group.template
+    return (t.slot_maps, t.spill_slots, t.shifts, t.pushes, t.charge, t.key,
+            group.addrs)
+
+
+@contextlib.contextmanager
+def _verdicts():
+    """``[(memo group, fresh group)]`` of every trip inside the block
+    whose site's remembered template bound it, the fresh group the
+    probe of the same trip binds on the same machine."""
+    hits = []
+    group = Machine._group
+
+    def checked(self, site, calls, dispatches):
+        template = self.templates.get(site)
+        memo = (None if template is None
+                else template.bind(calls, dispatches, self._addresses))
+        fresh = execplan.LaunchTemplate.probe(dispatches, calls, self.model)
+        if fresh is not None:
+            fresh = fresh.bind(calls, dispatches, self._addresses)
+        if memo is not None:
+            hits.append((memo, fresh))
+        return group(self, site, calls, dispatches)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Machine, "_group", checked)
+        yield hits
+
+
+@pytest.mark.parametrize("target,mode", CONFIGS)
+@pytest.mark.parametrize("program", sorted(PROGRAMS) + ["pair"])
+def test_a_memo_hit_binds_what_a_fresh_probe_derives(program, target, mode):
+    source = PAIR if program == "pair" else PROGRAMS[program]()
+    exe = compile_source(source, CompilerOptions(target=target), cache=False)
+    with _verdicts() as hits:
+        for _ in range(2):
+            exe.run(machine=_machine(target, mode))
+    assert hits
+    for memo, fresh in hits:
+        assert fresh is not None
+        assert _fields(memo) == _fields(fresh)
+    if program == "pair":
+        assert any(base is not None for memo, _ in hits
+                   for _, base, _, _ in memo.template.shifts)
+
+
+@pytest.mark.parametrize("mode", ("fast", "fused"))
+def test_homes_on_one_buffer_bind_one_merged_slot(mode):
+    exe = compile_source(PAIR, CompilerOptions(), cache=False)
+    exe.run(machine=_machine("cm2", mode))
+    exe.run(machine=_shared_homes(_machine("cm2", mode), 0))
+    with _verdicts() as hits:
+        result = exe.run(machine=_shared_homes(_machine("cm2", mode), 0))
+    # ``a`` and ``b`` are two source objects of one address class.
+    assert any(len(set(memo.template.classes)) < len(memo.template.classes)
+               for memo, _ in hits)
+    for memo, fresh in hits:
+        assert _fields(memo) == _fields(fresh)
+    if mode == "fast":
+        # (A fused batch is cut at name-level effect barriers, which
+        # cannot see two names over one buffer: only its twin holds it.)
+        oracle = compile_source(PAIR, CompilerOptions(), cache=False).run(
+            machine=_shared_homes(_machine("cm2", "interp"), 0))
+        for name in "ab":
+            assert (result.arrays[name].tobytes()
+                    == oracle.arrays[name].tobytes())
 
 
 def _node_calls(ops):
@@ -166,11 +246,11 @@ def _node_calls(ops):
             yield from _node_calls(getattr(op, body, ()))
 
 
-def test_overlapping_homes_are_refused_where_the_probe_refuses_them():
-    # Checked call by call, not run: nothing may run these dispatches
+def test_overlapping_homes_are_refused():
+    # Checked call by call, not run: nothing may run the refused calls
     # but the oracle.
     exe = compile_source(PAIR, CompilerOptions(), cache=False)
-    for _ in range(3):
+    for _ in range(2):
         exe.run(machine=_machine("cm2", "fast"))
     (table,) = exe._templates.values()
     m = _shared_homes(_machine("cm2", "fast"), 8)
@@ -180,15 +260,43 @@ def test_overlapping_homes_are_refused_where_the_probe_refuses_them():
         template = table.get(id(op))
         if template is None:
             continue
-        call = (op.routine, executor._bindings(op), op.region_extents,
-                op.real_elements, op.layout)
-        dispatches = [m._prepare(*call)]
-        bound = template.bind((call,), dispatches, {})
-        assert (bound is None) == (
-            execplan.ExecutionPlan.build(dispatches) is None)
-        refused += bound is None
+        calls = ((op.routine, executor._bindings(op), op.region_extents,
+                  op.real_elements, op.layout),)
+        dispatches = [m._prepare(*calls[0])]
+        memo = template.bind(calls, dispatches, m._addresses)
+        fresh = execplan.LaunchTemplate.probe(dispatches, calls, m.model)
+        fresh = fresh.bind(calls, dispatches, m._addresses)
+        assert (memo is None) == (fresh is None)
+        if memo is not None:
+            assert _fields(memo) == _fields(fresh)
+        refused += fresh is None
         m._release(dispatches[0])
     assert refused
+
+
+def test_a_stored_class_holds_nothing_but_its_staged_shifts():
+    """The probe's verdict inside one address class: a stored ``y`` over
+    an ``x`` read as another dtype is refused; over a shifted read of
+    itself, its store is staged."""
+    from .test_execplan import _add_shifted, _axpy
+
+    m = Machine(costs.slicewise_model(16), exec_mode="fast")
+    y = np.zeros(16)
+
+    def probe(call):
+        dispatches = [m._prepare(*call)]
+        try:
+            return execplan.LaunchTemplate.probe(dispatches, (call,),
+                                                 m.model)
+        finally:
+            m._release(dispatches[0])
+
+    assert probe((_axpy(), {"x": y.view(np.int64), "y": y, "k": 2.0},
+                  (16,))) is None
+    template = probe((_add_shifted(), {"s": Shifted(y, (1,)), "y": y},
+                      (16,)))
+    ((_, base, _, _),) = template.shifts
+    assert base == template.slot_maps[0][1]     # ``y``'s slot
 
 
 @contextlib.contextmanager
@@ -235,8 +343,12 @@ def test_invalidated_plans_fall_back(target, mode):
 
 @pytest.mark.parametrize("target,mode", CONFIGS)
 def test_evicted_kernels_are_built_again(target, mode):
-    _, result, builds = _twins(PROGRAMS["swe"](), target, mode, 3, _evicted)
-    assert builds > 0
+    # The templates outlive their kernels: no site is probed again.
+    exe, result, probes = _twins(PROGRAMS["swe"](), target, mode, 3,
+                                 _evicted)
+    assert probes == 0
+    (table,) = exe._templates.values()
+    assert any(t.key in execplan._MEGA_KERNELS for t in table.values())
     if mode == "fused":
         assert result.machine.fusion_summary()["megakernel_builds"] > 0
 
@@ -251,13 +363,13 @@ def _hot(exe):
 @pytest.mark.parametrize("target,mode", CONFIGS)
 def test_tier_up_from_a_blocked_template(target, mode):
     # Kernels stay blocked numpy until the last run, in which every one
-    # is hot: the bind refuses each template and the ordinary path asks
-    # the C printer.
+    # is hot: each site binds its template as before, and the kernel
+    # lookup asks the C printer.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "_TIER_UP", 1 << 60)
-        _, result, builds = _twins(PROGRAMS["heat"](), target, mode, 3,
+        _, result, probes = _twins(PROGRAMS["heat"](), target, mode, 3,
                                    _hot)
-    assert builds > 0
+    assert probes == 0
     fusion = result.machine.fusion_summary()
     assert fusion["tier_ups"] + sum(fusion["declined"]["c"].values()) > 0
 

@@ -403,11 +403,9 @@ def test_generated_programs_fold_transparently(src):
           suppress_health_check=[HealthCheck.too_slow])
 def test_generated_programs_without_a_c_compiler(src):
     """Blocked numpy kernels and materialised copies alone (tiers 2/3)."""
-    os.environ["REPRO_FUSED_CC"] = "0"
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FUSED_CC", "0")
         check(src)
-    finally:
-        del os.environ["REPRO_FUSED_CC"]
 
 
 # -- accounting did not move ------------------------------------------------
