@@ -23,7 +23,9 @@ emitted (``loopir._C_FORMS``; every other op is in
 multiply-adds or reassociation can change rounding, and every stream
 must be contiguous.  ``-fno-tree-fre``: gcc 12's value numbering takes
 ``(int32_t)(-(uint32_t)x) / -7`` for ``-(x / -7)``, which differs at
-``x = INT_MIN`` when both are computed.
+``x = INT_MIN`` when both are computed.  ``-fsignaling-nans``: gcc
+folds ``x * -1.0`` into ``-x``, which flips a NaN's sign where numpy's
+multiply keeps it.
 
 Every value and every slot carries a *kind* — ``f64``, ``i32``,
 ``i64``, ``bool``, a weak integer constant (``int``: a C literal) or a
@@ -120,7 +122,7 @@ import numpy as np
 
 from .loopir import _C_FORMS, Declined
 
-_CFLAGS = ["-O3", "-shared", "-fPIC", "-fno-math-errno",
+_CFLAGS = ["-O3", "-shared", "-fPIC", "-fno-math-errno", "-fsignaling-nans",
            "-ffp-contract=off", "-fno-tree-fre"]
 
 #: The host's cores, and the stream length from which a kernel's loop

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
 from .execplan import (Dispatch, ExecutionPlan, LaunchRecord,
                        LaunchTemplate, call_charge, run_group, run_oracle)
-from .geometry import Geometry, coordinate_array, make_geometry
+from .geometry import Geometry, make_geometry, shared_coordinate_array
 from .pe import SubgridStream
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
 from .shifted import (Shifted, ShiftedStream, materialize_streams,
@@ -48,21 +47,6 @@ class ArrayHome:
     name: str
     data: np.ndarray
     geometry: Geometry
-
-
-@lru_cache(maxsize=256)
-def _shared_coordinate_array(extents: tuple[int, ...], axis: int,
-                             lo: int, step: int) -> np.ndarray:
-    """Coordinate subgrids, shared across all Machine instances.
-
-    Identical coordinate arrays recur across benchmark reruns and
-    baseline comparisons; materializing them once per process (like
-    ``make_geometry``) keeps wall-clock flat.  The cached array is
-    frozen read-only so no machine can contaminate another's view.
-    """
-    arr = coordinate_array(extents, axis, lo, step)
-    arr.flags.writeable = False
-    return arr
 
 
 class Machine:
@@ -211,7 +195,7 @@ class Machine:
             geom = make_geometry(extents, self.model.n_pes)
             self.stats.node_cycles += (
                 math.ceil(geom.vlen / VECTOR_WIDTH) * self.model.instr.move)
-        arr = _shared_coordinate_array(extents, axis, lo, step)
+        arr = shared_coordinate_array(extents, axis, lo, step)
         if region is None:
             return arr
         return arr[region_slices(region)]

@@ -67,6 +67,7 @@ import numpy as np
 
 from ..peac.isa import NUM_SREGS
 from .ckernel import BuildFailed, try_native
+from .geometry import coordinate_axis
 from .kernel import Launch, NoKernel, blocked_kernel, hot
 from .loopir import Declined, lower
 from .pe import VectorExecutor
@@ -210,7 +211,7 @@ class ExecutionPlan(NamedTuple):
             try:
                 kern = blocked_kernel(lower(
                     t.plans, t.slot_maps, sigs, t.n,
-                    [a.dtype for a in self.S], t.shifts))
+                    [a.dtype for a in self.S], t.shifts), t.coords)
             except Declined as bail:
                 kern = NoKernel(str(bail))
             if len(_MEGA_KERNELS) >= _MEGA_CAP:
@@ -433,8 +434,10 @@ class LaunchTemplate(NamedTuple):
     length ``n``, per call its pointer register -> slot map, the spill
     slots (zeroed before every launch), per shifted operand ``(slot,
     staged source slot or None, shape, offsets)`` as the lowering takes
-    them, and ``pushes`` (one per distinct stream slot and scalar, plus
-    the shared vlen); the array objects the streams were (*sources*:
+    them, per coordinate slot ``(slot, 0-based axis, shape)`` (``coords``:
+    bound only from ``coord`` parameters, to shared coordinate arrays),
+    and ``pushes`` (one per distinct stream slot and scalar, plus the
+    shared vlen); the array objects the streams were (*sources*:
     shape and dtype, ``classes`` of sources at one address, ``written``
     those stored into), per stream its source, slot and shifted offsets
     (``members``), per slot its source (``slot_src``); the kernel-cache
@@ -448,6 +451,7 @@ class LaunchTemplate(NamedTuple):
     slot_maps: tuple
     spill_slots: tuple
     shifts: tuple
+    coords: tuple
     pushes: int
     members: tuple
     sources: tuple
@@ -502,8 +506,11 @@ class LaunchTemplate(NamedTuple):
         operands: dict = {}            # shifted slot -> its operand
         slot_src, slot_maps, spill_slots, members = [], [], [], []
         stored: set[int] = set()     # stored slots
+        only_coord: dict[int, bool] = {}   # slot -> bound from coords alone
         for i, d in enumerate(dispatches):
             smap: dict[int, int] = {}
+            coord_pregs = {param.reg.n for param in getattr(
+                d.routine, "params", ()) if param.kind == "coord"}
             for p in d.plan.used_pregs:
                 stream = d.streams[p]
                 if stream is None:
@@ -533,6 +540,8 @@ class LaunchTemplate(NamedTuple):
                 if slot == len(slot_src):
                     slot_src.append(src)
                 smap[p] = slot
+                only_coord[slot] = (only_coord.get(slot, True)
+                                    and p in coord_pregs and operand is None)
                 members.append((i, p, src, slot, None if operand is None
                                 else operand.offsets))
                 if p in d.plan.stored_pregs:
@@ -553,19 +562,23 @@ class LaunchTemplate(NamedTuple):
                 staged[t] = s
         shifts = tuple((slot, staged.get(slot), op.base.shape, op.offsets)
                        for slot, op in sorted(operands.items()))
+        coords = tuple((slot, axis, views[slot_src[slot]].shape)
+                       for slot, only in sorted(only_coord.items())
+                       if only and slot not in stored and (axis := (
+                           coordinate_axis(views[slot_src[slot]]))) is not None)
         pushes = len(ident) + sum(d.scalar_pushes for d in dispatches) + 1
         plans = tuple(d.plan for d in dispatches)
         slot_maps = tuple(slot_maps)
         key = _Key((tuple(plan.serial for plan in plans),
                     tuple(tuple(sorted(m.items())) for m in slot_maps),
                     tuple(d.plan._signature(d.streams, d.scalars)
-                          for d in dispatches), n, shifts))
+                          for d in dispatches), n, shifts, coords))
         charge = (None if model is None
                   else call_charge(model, dispatches[0]) if len(plans) == 1
                   else _fused_charge(model, plans, slot_maps, trips, pushes,
                                      dispatches))
         return cls(tuple(checks), plans, trips, n, slot_maps,
-                   tuple(spill_slots), shifts, pushes, tuple(members),
+                   tuple(spill_slots), shifts, coords, pushes, tuple(members),
                    tuple((v.shape, v.dtype) for v in views),
                    tuple(slot_src), tuple(classes),
                    tuple(sorted({slot_src[s] for s in stored})), key, charge)
@@ -575,7 +588,8 @@ class LaunchTemplate(NamedTuple):
         """This trip's group, or None when the site must be probed
         again: another number of calls, routine, plan, tail or scalar
         type; streams that are not the same source objects, contiguous,
-        of their shapes and dtypes; sources in other address classes —
+        of their shapes and dtypes; a coordinate slot's source not a
+        coordinate array along its axis; sources in other address classes —
         or, for a probe of this very trip, no kernel may run it: a
         written class overlaps another, the one check that depends on
         where the arrays lie.  ``addresses``: the machine's memo
@@ -609,6 +623,9 @@ class LaunchTemplate(NamedTuple):
                 return None
         if len(keys) != len(self.shifts):
             return None
+        for slot, axis, _ in self.coords:
+            if coordinate_axis(views[self.slot_src[slot]]) != axis:
+                return None
         addrs = []
         index: dict = {}        # address -> class, by first appearance
         sizes: dict = {}        # address -> its class's largest source

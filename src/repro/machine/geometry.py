@@ -14,6 +14,7 @@ length (``vlen``) that sizes every virtual subgrid loop.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,3 +116,41 @@ def coordinate_array(extents: tuple[int, ...], axis: int, lo: int = 1,
     shape = [1] * len(extents)
     shape[axis - 1] = n
     return np.broadcast_to(coords.reshape(shape), extents).copy()
+
+
+# id -> (weak reference, 0-based axis) of each shared coordinate array
+_COORDINATES: dict[int, tuple] = {}
+
+
+@lru_cache(maxsize=256)
+def shared_coordinate_array(extents: tuple[int, ...], axis: int,
+                            lo: int, step: int) -> np.ndarray:
+    """Coordinate subgrids, shared across all Machine instances.
+
+    Identical coordinate arrays recur across benchmark reruns and
+    baseline comparisons; materializing them once per process (like
+    ``make_geometry``) keeps wall-clock flat.  The cached array is
+    frozen read-only so no machine can contaminate another's view, and
+    registered, so :func:`coordinate_axis` knows it for what it is.
+    """
+    arr = coordinate_array(extents, axis, lo, step)
+    arr.flags.writeable = False
+    key = id(arr)
+    _COORDINATES[key] = (
+        weakref.ref(arr, lambda _: _COORDINATES.pop(key, None)), axis - 1)
+    return arr
+
+
+def coordinate_axis(view: np.ndarray) -> int | None:
+    """The 0-based axis along which ``view`` holds coordinates when it
+    is a shared coordinate array or a box of one, sliced axis by axis
+    (its value then depends on that index alone); None otherwise."""
+    root = view
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    held = _COORDINATES.get(id(root))
+    if (held is None or held[0]() is not root or root.ndim != view.ndim
+            or any(n > 1 and s % r for n, s, r in zip(
+                view.shape, view.strides, root.strides))):
+        return None
+    return held[1]

@@ -23,10 +23,16 @@ The printer schedules the loop's nodes in a side table of its own:
   before the group's stores, so both halves observe pre-instruction
   state exactly like the interpreter.
 
+A *one-axis subtree* — ops whose stream operands all read coordinate
+slots of one axis (``local_under`` arrays), directly or through such
+ops — is evaluated once per launch over that axis's distinct
+coordinates, and each block copies its roots' values out of the vectors.
+
 Bit-identity with the interpreter is preserved because every emitted
 operation is one of the interpreter's own elementwise numpy calls
-applied to a contiguous sub-range: element ``i`` sees exactly the same
-inputs, operations and rounding in either engine.  The printer never
+applied to a contiguous sub-range — of a block, or of an axis's
+distinct-coordinate vector: element ``i`` sees exactly the same inputs,
+operations and rounding in either engine.  The printer never
 declines: what no kernel may run (bindings the probe rejects, the
 loops the lowering declines) runs on the interpreter oracle
 (:func:`~repro.machine.execplan.run_oracle`), which is fully general;
@@ -44,6 +50,8 @@ record and runs again on the next trip (``docs/PIPELINE.md`` §16).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -183,14 +191,22 @@ class Launch:
 # ---------------------------------------------------------------------------
 
 
-def blocked_kernel(loop):
-    """The blocked kernel printed from ``loop``."""
-    return _Printer(loop).build()
+def blocked_kernel(loop, coords):
+    """The blocked kernel printed from ``loop``, given the launch
+    template's coordinate slots (``coords``)."""
+    return _Printer(loop, coords).build()
 
 
 class _Printer:
-    def __init__(self, loop) -> None:
+    def __init__(self, loop, coords) -> None:
         self.loop = loop
+        # Slabs of ``shape`` (the shifts', else a coordinate slot's) are
+        # blocks; its coordinate slots whose axis repeats are hoistable.
+        self.shape = loop.shape or (coords[0][2] if coords else None)
+        self.coord_axes = {slot: axis for slot, axis, shape in coords
+                           if shape == self.shape and shape[axis] < loop.n}
+        self.axis_of: dict = {}       # hoisted op -> its axis
+        self.vec: dict = {}           # hoisted op -> its vector
         # Every load and op node -> its _Val; every read of a shifted
         # class -> the class's one _Val (``gathers``).
         self.vals: dict = {}
@@ -226,6 +242,7 @@ class _Printer:
                 elif node.kind == "store":
                     self._eval_store(node, g)
                 # a scalar or constant a move reads: nothing to schedule
+        self._decide_hoists()
         self._decide_materialization()
         self._decide_forwarding()
         self._assign_buffers()
@@ -270,6 +287,27 @@ class _Printer:
         self.entries[g].append(("compute", node, aux))
 
     # -- scheduling decisions -------------------------------------------
+
+    def _decide_hoists(self) -> None:
+        """One-axis subtrees: an op whose stream operands all read the
+        coordinate slots of one axis, directly or through such ops, is
+        evaluated once per launch over that axis's distinct coordinates;
+        the *roots*, read by anything else, are broadcast into blocks."""
+        nodes = [node for group in self.loop.groups for node in group]
+        for node in nodes:
+            if node.kind == "op" and self.coord_axes:
+                axes = {self.coord_axes.get(arg.ref) if arg.kind == "load"
+                        else self.axis_of.get(arg) for arg in node.args
+                        if arg.kind not in ("scalar", "const")}
+                if len(axes) == 1 and None not in axes:
+                    self.axis_of[node] = axes.pop()
+        self.roots = {arg for node in nodes if node not in self.axis_of
+                      for arg in node.args if arg in self.axis_of}
+        # A hoisted op's second buffer is a vector, never a block.
+        owned = {entry[2] for group in self.entries for entry in group
+                 if entry[0] == "compute" and entry[1] in self.axis_of}
+        self.vec_aux = {val: dt for dt, val in self.aux if val in owned}
+        self.aux = [(dt, val) for dt, val in self.aux if val not in owned]
 
     def _decide_materialization(self) -> None:
         """A lazy stream value read after a store to its class must be
@@ -328,7 +366,8 @@ class _Printer:
         need = [(node.dtype, v) for node, v in vals
                 if node.kind == "load" and v.mat and v.uses]
         need += [(node.dtype, v) for node, v in vals if node.kind == "op"
-                 and v.fwd_cid is None and (v.uses or v.store_sites)]
+                 and v.fwd_cid is None and (v.uses or v.store_sites)
+                 and (node not in self.axis_of or node in self.roots)]
         need += self.aux
         need += [(self.loop.dtypes[cid], v)
                  for cid, v in self.gathers.items() if v.uses]
@@ -382,6 +421,44 @@ class _Printer:
             return val.name if val.mat else f"s{node.ref}[b:e]"
         return val.name if val.fwd_cid is None else f"s{val.fwd_cid}[b:e]"
 
+    def _emit_vectors(self, note) -> list[str]:
+        """The one-axis subtrees, evaluated once per launch: each
+        coordinate slot's distinct values read from the bound array into
+        a contiguous vector, then every live hoisted op in group order,
+        the oracle's own calls into vectors of its dtypes."""
+        def vexpr(node) -> str:
+            return (f"u{node.ref}" if node.kind == "load"
+                    else self.vec.get(node) or self._expr(node))
+
+        shape, lines = self.shape, []
+        for slot in sorted({arg.ref for node in self.axis_of
+                            for arg in node.args if arg.kind == "load"}):
+            used = self.coord_axes[slot]
+            d, step = shape[used], math.prod(shape[used + 1:])
+            lines.append(f"u{slot} = s{slot}[:{d}]" if step == 1 else
+                         f"u{slot} = s{slot}[:{d * step}:{step}].copy()")
+        empty = self._fn(np.empty)
+        for _, node, aux in (entry for group in self.entries
+                             for entry in group if entry[0] == "compute"):
+            val = self.vals[node]
+            if node not in self.axis_of or not (val.uses or val.store_sites):
+                continue
+            for arg in node.args:
+                note(arg)
+            axis = self.axis_of[node]
+            name = self.vec[node] = f"w{len(self.vec)}"
+            lines.append(f"{name} = {empty}({shape[axis]}, "
+                         f"{self._const(node.dtype)})")
+            if aux is not None:
+                aux.name = f"{name}a"
+                lines.append(f"{aux.name} = {empty}({shape[axis]}, "
+                             f"{self._const(self.vec_aux[aux])})")
+            lines.extend(self._emit_compute(node, aux, vexpr))
+            if node in self.roots:      # shaped to broadcast over a slab
+                cast = (shape[axis],) + (1,) * (len(shape) - 1 - axis)
+                lines.append(f"{name}y = {name}.reshape({cast})")
+        return lines
+
     def _emit(self):
         lines: list[str] = []
         used_cids: set[int] = set()
@@ -395,6 +472,8 @@ class _Printer:
             elif node.kind == "op" and self.vals[node].fwd_cid is not None:
                 used_cids.add(self.vals[node].fwd_cid)
 
+        vectors = self._emit_vectors(note)
+        rest = ", ".join(str(d) for d in (self.shape or ())[1:])
         for g, entries in enumerate(self.entries):
             evals: list[str] = []
             commits: list[str] = []
@@ -417,6 +496,13 @@ class _Printer:
                     out = self.vals[node]
                     if not out.uses and not out.store_sites:
                         continue  # dead value
+                    if node in self.axis_of:    # evaluated per launch
+                        if node in self.roots:
+                            note(node)
+                            cut = "" if self.axis_of[node] else "[a:z]"
+                            evals.append(f"_cp({self._expr(node)}.reshape("
+                                         f"-1, {rest}), {self.vec[node]}y{cut})")
+                        continue
                     for arg in node.args:
                         note(arg)
                     note(node)
@@ -443,46 +529,64 @@ class _Printer:
         pre = [f"s{cid} = S[{cid}]" for cid in sorted(used_cids)]
         pre += [f"x{k} = X[{k}]" for k in sorted(used_sregs)]
         pre += self.hoists
-        body = ["def _kernel(S, X, n):"]
-        body += [f"    {p}" for p in pre]
+        pre += vectors
         gathers = [(cid, val) for cid, val in self.gathers.items() if val.uses]
-        if gathers:
+        shape = self.shape
+        if gathers or self.roots:
             # Blocks are whole leading-axis slabs, so every shifted
-            # operand's block is a rectangle of its source.
-            shape = self.loop.shape
+            # operand's block is a rectangle of its source, and every
+            # root's a rectangle of its broadcast vector.
             plane = self.loop.n // shape[0]
             slabs = max(1, min(shape[0], _BLOCK // plane))
             bs = slabs * plane
-            body += ["    a = 0",
-                     f"    while a < {shape[0]}:",
-                     f"        z = a + {slabs}",
-                     f"        if z > {shape[0]}: z = {shape[0]}",
-                     f"        b = a * {plane}",
-                     f"        e = z * {plane}",
-                     "        m = e - b"]
-            step = "        a = z"
+            loop = ["a = 0",
+                    f"while a < {shape[0]}:",
+                    f"    z = a + {slabs}",
+                    f"    if z > {shape[0]}: z = {shape[0]}",
+                    f"    b = a * {plane}",
+                    f"    e = z * {plane}",
+                    "    m = e - b"]
+            step = "    a = z"
         else:
             bs = min(self.loop.n, _BLOCK)
-            body += ["    b = 0",
-                     "    while b < n:",
-                     f"        e = b + {bs}",
-                     "        if e > n: e = n",
-                     "        m = e - b"]
-            step = "        b = e"
-        for i, dt in enumerate(self.phys):
-            glb[f"B{i}"] = np.empty(bs, dtype=dt)
-        for cid, val in gathers:
-            glb[f"G{cid}"] = BlockGather(
-                shape, self.loop.shifts[cid], glb["B" + val.name[1:]])
-        body += [f"        v{i} = B{i}[:m]" for i in range(len(self.phys))]
-        body += [f"        {ln}" for ln in lines]
-        body += [step]
+            loop = ["b = 0",
+                    "while b < n:",
+                    f"    e = b + {bs}",
+                    "    if e > n: e = n",
+                    "    m = e - b"]
+            step = "    b = e"
+        # Each running call takes a buffer set of its own (block buffers,
+        # gathers laid out over them) from the kernel's free list and
+        # gives it back: two threads may launch one kernel at once.
+        bufs = [f"B{i}" for i in range(len(self.phys))]
+        bufs += [f"G{cid}" for cid, _ in gathers]
+        if bufs:
+            phys, free = self.phys, []
+            laid = [(self.loop.shifts[cid], int(val.name[1:]))
+                    for cid, val in gathers]
+
+            def new() -> tuple:
+                B = [np.empty(bs, dtype=dt) for dt in phys]
+                return (*B, *(BlockGather(shape, offsets, B[i])
+                              for offsets, i in laid))
+
+            glb["_take"], glb["_give"], glb["_new"] = free.pop, free.append, new
+            names = ", ".join(bufs) + ","
+            pre += ["try:", f"    {names} = _take()",
+                    "except IndexError:", f"    {names} = _new()"]
+        loop += [f"    v{i} = B{i}[:m]" for i in range(len(self.phys))]
+        loop += [f"    {ln}" for ln in lines]
+        loop += [step]
         staged = self.loop.staged
-        body += [f"    _cp(S[{cid}], S[{scratch}])" for cid, scratch in staged]
+        loop += [f"_cp(S[{cid}], S[{scratch}])" for cid, scratch in staged]
+        if bufs:
+            loop.append(f"_give(({names}))")
+        body = ["def _kernel(S, X, n):"]
+        body += [f"    {ln}" for ln in pre + loop]
         src = "\n".join(body) + "\n"
         code = compile(src, f"<kernel:{self.loop.name}>", "exec")
         exec(code, glb)
-        # Popped, so the function and its block buffers are not a
+        # Popped, so the function and its buffer sets are not a
         # reference cycle: an evicted kernel is freed at once.
         kernel = glb.pop("_kernel")
         kernel.source = src
@@ -494,12 +598,15 @@ class _Printer:
         kernel.streamed = 0
         kernel.declined = None
         kernel.loop = self.loop
+        # The axes whose one-axis subtrees run once per coordinate.
+        kernel.hoists = tuple(sorted({self.axis_of[r] for r in self.roots}))
         return kernel
 
-    def _emit_compute(self, node, aux) -> list[str]:
+    def _emit_compute(self, node, aux, expr=None) -> list[str]:
         op = node.ref
-        exprs = [self._expr(a) for a in node.args]
-        target = self._expr(node)
+        expr = expr or self._expr
+        exprs = [expr(a) for a in node.args]
+        target = expr(node)
         if op in _FMA_FNS:
             f1, f2 = (self._fn(fn) for fn in _FMA_FNS[op])
             return [f"{f1}({exprs[0]}, {exprs[1]}, out={aux.name})",

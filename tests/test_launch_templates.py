@@ -168,11 +168,11 @@ def test_homes_on_one_buffer_fall_back(mode):
 
 def _fields(group) -> tuple:
     """What a bound group is: its template's slot maps, spill slots,
-    shifted operands, pushes, charge and kernel-cache key, and the
-    addresses of its slots."""
+    shifted operands, coordinate slots, pushes, charge and kernel-cache
+    key, and the addresses of its slots."""
     t = group.template
-    return (t.slot_maps, t.spill_slots, t.shifts, t.pushes, t.charge, t.key,
-            group.addrs)
+    return (t.slot_maps, t.spill_slots, t.shifts, t.coords, t.pushes,
+            t.charge, t.key, group.addrs)
 
 
 @contextlib.contextmanager

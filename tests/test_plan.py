@@ -565,6 +565,13 @@ def test_random_routines_bit_identical_and_stats_equal(case):
 
 @pytest.mark.skipif(_compiler() is None, reason="no C compiler")
 @given(case=routine_case(ops=C_OPS, dtypes=("float64",)))
+# ``0 / 0 * -1.0``: numpy's multiply keeps the NaN's sign, and ``cc``
+# would fold the multiply into a negation, which flips it.
+@example(case=(4, "float64", 1, [
+    Instr("flodv", (Mem(PReg(0)), VReg(0))),
+    Instr("fdivv", (VReg(0), VReg(0), VReg(1))),
+    Instr("fmulv", (VReg(1), Imm(-1.0), VReg(4))),
+    Instr("fstrv", (VReg(4), Mem(PReg(1))))], [[0.0] * 4]))
 @settings(max_examples=12, deadline=None)
 def test_random_routines_bit_identical_as_lone_c_kernels(case):
     """The same property with every kernel hot at birth, so the second
