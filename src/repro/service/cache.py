@@ -240,12 +240,18 @@ class CompileCache:
 
     # -- the compile front door ----------------------------------------
 
-    def compile(self, source: str, options=None, incremental=False):
+    def compile(self, source: str, options=None, incremental=False,
+                deferred: list | None = None):
         """Compile through the cache; returns ``(executable, hit)``.
 
         On a whole-source miss, ``incremental`` compiles through the
         store's pipeline-stage artifacts, so an edit that only perturbs the
         pipeline tail reuses every prefix artifact.
+
+        A miss writes its entry before returning, unless the caller
+        passes a ``deferred`` list: the ``(key, executable)`` pair is
+        appended to it instead, for the caller to :meth:`put` later (a
+        pool worker does so after it has sent its response).
         """
         from ..driver.compiler import compile_source
 
@@ -255,7 +261,10 @@ class CompileCache:
             return exe, True
         exe = compile_source(source, options, cache=False,
                              incremental=incremental, store=self.store)
-        self.put(key, exe)
+        if deferred is None:
+            self.put(key, exe)
+        else:
+            deferred.append((key, exe))
         return exe, False
 
     def stats(self) -> dict:

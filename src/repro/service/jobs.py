@@ -44,6 +44,10 @@ the same payload as ``repro run --stats-json`` plus the program output;
 every response reports ``cache`` (``"hit"``/``"miss"``/``None``) and
 compile/run wall-clock seconds so the pool can aggregate metrics.
 
+A ``compile`` or ``run`` miss writes its executable once: in a pool
+worker after the reply (:func:`execute_request`'s ``deferred`` list;
+see :mod:`repro.service.pool`), everywhere else before it returns.
+
 ``compile``/``run`` requests additionally honor ``"incremental":
 true`` — a whole-source cache miss then compiles through the unified
 artifact store (front/pass/backend artifacts; see
@@ -116,26 +120,43 @@ def _source_of(request: dict) -> str:
     raise ValueError("request needs 'source' or 'file'")
 
 
-def _compile(request: dict, cache: CompileCache | None):
-    """Compile a request's source; returns (exe, key, cache_state, secs)."""
+def _compile(request: dict, cache: CompileCache | None,
+             deferred: list | None):
+    """Compile a request's source; returns (exe, cache_state, secs)."""
     from ..driver.compiler import compile_source
 
     source = _source_of(request)
-    options = build_options(request.get("options"))
-    if request.get("verify") and not options.verify:
-        options = dataclasses.replace(options, verify=True)
+    options = _request_options(request)
     incremental = bool(request.get("incremental"))
     t0 = time.perf_counter()
     if cache is not None:
-        key = cache_key(source, options)
-        exe, hit = cache.compile(source, options, incremental=incremental)
+        exe, hit = cache.compile(source, options, incremental=incremental,
+                                 deferred=deferred)
         state = "hit" if hit else "miss"
     else:
-        key = None
         exe = compile_source(source, options, cache=False,
                              incremental=incremental)
         state = None
-    return exe, key, state, time.perf_counter() - t0
+    return exe, state, time.perf_counter() - t0
+
+
+def _request_options(request: dict):
+    options = build_options(request.get("options"))
+    if request.get("verify") and not options.verify:
+        options = dataclasses.replace(options, verify=True)
+    return options
+
+
+def request_cache_key(request: dict) -> str | None:
+    """The ``exe`` key an inline ``compile``/``run`` request reads, or
+    None (any other op, a file-based request, a malformed one)."""
+    if request.get("op") not in ("compile", "run") \
+            or "source" not in request:
+        return None
+    try:
+        return cache_key(request["source"], _request_options(request))
+    except Exception:
+        return None  # malformed request: let execution report the error
 
 
 def request_fingerprint(request: dict) -> str | None:
@@ -154,24 +175,19 @@ def request_fingerprint(request: dict) -> str | None:
     explicit = request.get("coalesce_key")
     if explicit is not None:
         return f"explicit:{explicit}"
-    op = request.get("op")
-    if op not in ("compile", "run") or "source" not in request:
+    key = request_cache_key(request)
+    if key is None:
         return None
-    try:
-        options = build_options(request.get("options"))
-        if request.get("verify") and not options.verify:
-            options = dataclasses.replace(options, verify=True)
-        key = cache_key(request["source"], options)
-    except Exception:
-        return None  # malformed request: let execution report the error
+    op = request["op"]
+    verify = _request_options(request).verify
     # `verify` and `incremental` are deliberately outside cache_key (a
     # verified, unverified, incremental, or cold compile all produce
     # the same artifact) but their *responses* differ (diagnostics /
     # artifact accounting), so they must split the fingerprint.
     inc = ":inc" if request.get("incremental") else ""
     if op == "compile":
-        return f"compile:{key}:v{int(options.verify)}{inc}"
-    return (f"run:{key}:v{int(options.verify)}{inc}:{request.get('pes')}"
+        return f"compile:{key}:v{int(verify)}{inc}"
+    return (f"run:{key}:v{int(verify)}{inc}:{request.get('pes')}"
             f":{request.get('model')}:{request.get('exec')}")
 
 
@@ -268,14 +284,17 @@ def run_compare(source: str, pes: int = 2048,
     return {"rows": rows, "speedups": speedups}
 
 
-def execute_request(request: dict,
-                    cache: CompileCache | None = None) -> dict:
-    """Execute one request dict, never raising: errors become responses."""
+def execute_request(request: dict, cache: CompileCache | None = None,
+                    deferred: list | None = None) -> dict:
+    """Execute one request dict, never raising: errors become responses.
+
+    ``deferred``: see :meth:`CompileCache.compile`.
+    """
     base = {"op": request.get("op"), "ok": True}
     if "id" in request:
         base["id"] = request["id"]
     try:
-        base.update(_dispatch(request, cache))
+        base.update(_dispatch(request, cache, deferred))
     except Exception as exc:
         base["ok"] = False
         base["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -293,12 +312,13 @@ def execute_request(request: dict,
     return base
 
 
-def _dispatch(request: dict, cache: CompileCache | None) -> dict:
+def _dispatch(request: dict, cache: CompileCache | None,
+              deferred: list | None) -> dict:
     op = request.get("op")
     if op == "ping":
         return {"pid": os.getpid()}
     if op == "compile":
-        exe, _key, state, secs = _compile(request, cache)
+        exe, state, secs = _compile(request, cache, deferred)
         return {
             "cache": state,
             "timings": {"compile_seconds": secs},
@@ -312,15 +332,11 @@ def _dispatch(request: dict, cache: CompileCache | None) -> dict:
             "routines": sorted(exe.routines),
         }
     if op == "run":
-        exe, key, state, compile_s = _compile(request, cache)
+        exe, state, compile_s = _compile(request, cache, deferred)
         machine = build_machine(request, target=exe.options.target)
         t0 = time.perf_counter()
         result = exe.run(machine)
         run_s = time.perf_counter() - t0
-        if cache is not None and state == "miss":
-            # Re-persist so the entry carries the now-warm plan
-            # specializations: the next load skips recording mode.
-            cache.put(key, exe)
         return {
             "cache": state,
             "timings": {"compile_seconds": compile_s,

@@ -44,6 +44,17 @@ Workers coordinate through the on-disk compile cache, not through
 memory: each opens a :class:`~repro.service.cache.CompileCache` on the
 same root, so a source compiled by one worker is a pickle-load for
 every other — and for every later serving run.
+
+A miss replies before it writes: the worker sends ``("done", serial,
+worker, response, keys)``, ``keys`` naming the ``exe`` entries it still
+has to write, writes them, then sends ``("idle", ...)`` (a hit sends no
+keys and is idle at once).  While a write is in flight the dispatcher
+holds back each pending job that could read it — an inline
+``compile``/``run`` (keyed at submit) only behind a write of its key,
+any other job behind every write — so a request sent after a response
+arrived finds that response's entry.  A worker that dies, or outlives
+the per-job timeout, between its reply and its write loses only that
+entry.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ import threading
 import time
 
 from .cache import CompileCache, default_cache
-from .jobs import execute_request
+from .jobs import execute_request, request_cache_key
 from .metrics import ServiceMetrics
 
 #: Idle wait between dispatcher sweeps when nothing is due sooner.
@@ -92,22 +103,29 @@ def _worker_main(worker_id: int, task_r, result_w,
         if item is None:
             return
         serial, request = item
-        response = execute_request(request, cache)
+        writes: list = []
+        response = execute_request(request, cache, writes)
+        keys = tuple(key for key, _exe in writes)
         try:
-            result_w.send(("done", serial, worker_id, response))
+            result_w.send(("done", serial, worker_id, response, keys))
+            if keys:
+                for key, exe in writes:
+                    cache.put(key, exe)
+                result_w.send(("idle", serial, worker_id, None, ()))
         except (EOFError, OSError):
             return
 
 
 class _Job:
-    __slots__ = ("serial", "request", "affinity", "future",
+    __slots__ = ("serial", "request", "affinity", "key", "future",
                  "first_submit", "start", "worker", "attempts")
 
     def __init__(self, serial: int, request: dict, affinity: str | None,
-                 now: float) -> None:
+                 key: str | None, now: float) -> None:
         self.serial = serial
         self.request = request
         self.affinity = affinity
+        self.key = key            # the exe entry it reads, if known
         self.future: concurrent.futures.Future = concurrent.futures.Future()
         self.first_submit = now
         self.start: float | None = None   # last assignment time
@@ -287,7 +305,9 @@ class WorkerPool:
             raise RuntimeError("pool is closed")
         if self.mode == "inline":
             return self._inline_submit(request)
-        job = _Job(next(self._serial), request, affinity, time.monotonic())
+        key = request_cache_key(request) if self.cache else None
+        job = _Job(next(self._serial), request, affinity, key,
+                   time.monotonic())
         with self._inbox_lock:
             if self._closing:
                 raise RuntimeError("pool is closed")
@@ -358,6 +378,9 @@ class WorkerPool:
     def _dispatch_loop(self) -> None:
         pending: collections.deque[_Job] = collections.deque()
         assigned: dict[int, _Job] = {}     # worker id -> job
+        # worker id -> (exe keys, since) of the write it runs after its
+        # reply; such a worker is neither assigned nor idle.
+        writing: dict[int, tuple[tuple, float]] = {}
         idle = set(range(self.workers))
         recent: list[collections.OrderedDict] = [
             collections.OrderedDict() for _ in range(self.workers)]
@@ -375,14 +398,26 @@ class WorkerPool:
             _resolve(job.future, response)
 
         def deliver(msg) -> None:
-            _kind, serial, worker_id, response = msg
+            kind, serial, worker_id, response, keys = msg
+            if kind == "idle":
+                if writing.pop(worker_id, None) is not None:
+                    idle.add(worker_id)
+                return
             job = assigned.get(worker_id)
             # A stale answer (job already timed out, worker already
             # replaced) no longer matches the assignment: drop it.
             if job is not None and job.serial == serial:
                 del assigned[worker_id]
-                idle.add(worker_id)
+                if keys:
+                    writing[worker_id] = (keys, time.monotonic())
+                else:
+                    idle.add(worker_id)
                 finish(job, response)
+
+        def held(job: _Job) -> bool:
+            """Could ``job`` read an entry some worker is still writing?"""
+            return job.key is None or any(
+                job.key in keys for keys, _ in writing.values())
 
         def pick_worker(job: _Job) -> int:
             if job.affinity is not None:
@@ -404,10 +439,14 @@ class WorkerPool:
                 for job in assigned.values():
                     job.future.set_exception(RuntimeError("pool is closed"))
                 return
+            waiting: list[_Job] = []
             while pending and idle:
                 job = pending.popleft()
                 if job.future.cancelled():
                     continue  # the waiter gave up while queued
+                if writing and held(job):
+                    waiting.append(job)
+                    continue
                 worker_id = pick_worker(job)
                 job.start = time.monotonic()
                 job.worker = worker_id
@@ -428,11 +467,12 @@ class WorkerPool:
                     memory.move_to_end(job.affinity)
                     while len(memory) > _AFFINITY_ENTRIES:
                         memory.popitem(last=False)
+            pending.extendleft(reversed(waiting))
             conns = [c for c in self._result_rs if c is not None]
             conns.append(self._wake_r)
             try:
                 ready = multiprocessing.connection.wait(
-                    conns, timeout=self._wait_timeout(assigned))
+                    conns, timeout=self._wait_timeout(assigned, writing))
             except OSError:
                 ready = []
             for conn in ready:
@@ -448,21 +488,30 @@ class WorkerPool:
                 except (EOFError, OSError):
                     continue  # dead worker: the crash sweep handles it
                 deliver(msg)
-            self._reap_timeouts(assigned, idle, finish)
-            self._reap_crashes(pending, assigned, idle, deliver, finish)
+            self._reap_timeouts(assigned, writing, idle, finish)
+            self._reap_crashes(pending, assigned, writing, idle, deliver,
+                               finish)
 
-    def _wait_timeout(self, assigned: dict[int, _Job]) -> float:
-        if not self.timeout or not assigned:
+    def _wait_timeout(self, assigned: dict[int, _Job],
+                      writing: dict[int, tuple]) -> float:
+        if not self.timeout or not (assigned or writing):
             return _MAX_WAIT
         now = time.monotonic()
-        deadline = min(job.start + self.timeout
-                       for job in assigned.values())
+        deadline = min([job.start for job in assigned.values()]
+                       + [since for _, since in writing.values()]) \
+            + self.timeout
         return max(0.0, min(_MAX_WAIT, deadline - now))
 
-    def _reap_timeouts(self, assigned, idle, finish) -> None:
+    def _reap_timeouts(self, assigned, writing, idle, finish) -> None:
         if not self.timeout:
             return
         now = time.monotonic()
+        for worker_id, (_, since) in list(writing.items()):
+            if now - since > self.timeout:
+                # Its reply went out already: only the entry is lost.
+                self._respawn(worker_id)
+                del writing[worker_id]
+                idle.add(worker_id)
         for worker_id, job in list(assigned.items()):
             if now - job.start <= self.timeout:
                 continue
@@ -478,7 +527,7 @@ class WorkerPool:
                           "message": f"job exceeded {self.timeout:.1f}s "
                                      f"(attempt {job.attempts + 1})"}})
 
-    def _reap_crashes(self, pending, assigned, idle, deliver,
+    def _reap_crashes(self, pending, assigned, writing, idle, deliver,
                       finish) -> None:
         for worker_id, proc in enumerate(self._procs):
             if proc.is_alive():
@@ -488,6 +537,7 @@ class WorkerPool:
             for msg in self._drain_results(worker_id):
                 deliver(msg)
             job = assigned.pop(worker_id, None)
+            writing.pop(worker_id, None)  # died mid-write: entry lost
             self._respawn(worker_id)
             idle.add(worker_id)
             if job is None:

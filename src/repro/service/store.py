@@ -43,10 +43,19 @@ always allowed to forget, and a forgotten artifact degrades to a
 recompute, never an exception.
 
 One eviction policy: an LRU sweep (by mtime; reads touch) keeps the
-whole store — every kind together — under ``max_bytes``.  One purge
-path: the ``VERSION`` marker check wipes everything on a schema or
-package version change, and :meth:`purge` is the ``repro cache purge``
-surface.
+whole store — every kind together — under ``max_bytes``.  A write does
+not list the directory: the store keeps the total of its last listing
+plus the bytes it has written since, and sweeps only when that sum
+passes ``max_bytes`` or when it has written ``max_bytes // 8`` since
+the listing (other processes write to the same root, and this bounds
+what they can add unseen).  One purge path: the ``VERSION`` marker
+check wipes everything on a schema or package version change, and
+:meth:`purge` is the ``repro cache purge`` surface.
+
+A ``*.tmp`` file is a write in progress, or one whose writer was
+killed before its ``os.replace``.  It is listed as an entry of no kind,
+so whole-store totals count it, the LRU sweep can remove it, and an
+unfiltered :meth:`purge` deletes it.
 """
 
 from __future__ import annotations
@@ -119,6 +128,8 @@ class ArtifactStore:
         self.counters = {kind: {"hits": 0, "misses": 0, "errors": 0}
                          for kind in KINDS}
         self.evictions = 0
+        self._listed: int | None = None  # bytes at the last listing
+        self._written = 0                # bytes put since that listing
         os.makedirs(self.objects, exist_ok=True)
         self._check_version()
 
@@ -247,20 +258,25 @@ class ArtifactStore:
             except OSError:
                 pass
             return False
-        self._evict(keep=(kind, key))
+        self._written += len(header) + len(meta_blob) + len(state_blob)
+        if (self._listed is None
+                or self._listed + self._written > self.max_bytes
+                or self._written >= self.max_bytes // 8):
+            self._evict(keep=(kind, key))
         return True
 
     # -- maintenance -----------------------------------------------------
 
     def _entries(self):
-        """(mtime, size, path, filename) of every artifact file."""
+        """(mtime, size, path, filename) of every artifact and temp
+        file."""
         out = []
         try:
             names = os.listdir(self.objects)
         except OSError:
             return out
         for name in names:
-            if not name.endswith(".pkl"):
+            if not name.endswith((".pkl", ".tmp")):
                 continue
             path = os.path.join(self.objects, name)
             try:
@@ -286,10 +302,13 @@ class ArtifactStore:
                 self.evictions += 1
             except OSError:
                 pass
+        self._listed = total
+        self._written = 0
 
     @staticmethod
     def _split(name: str) -> tuple[str, str]:
-        """``<key>.<kind>.pkl`` -> (kind, key); unknowns get kind ''."""
+        """``<key>.<kind>.pkl`` -> (kind, key); unknowns and ``*.tmp``
+        files get kind ''."""
         stem = name[:-len(".pkl")]
         key, _, kind = stem.rpartition(".")
         if kind in KINDS and key:
@@ -307,6 +326,7 @@ class ArtifactStore:
                 removed += 1
             except OSError:
                 pass
+        self._listed = None
         return removed
 
     def ls(self, kind: str | None = None) -> list[dict]:

@@ -166,6 +166,58 @@ class TestStoreBasics:
         assert store.get("pass", "old") is None
         assert store.evictions >= 1
 
+    def test_put_under_the_cap_lists_nothing(self, tmp_path, monkeypatch):
+        """The running total stands in for a listing: a put into a
+        1,000-entry store that stays under its cap never reads the
+        directory."""
+        store = make_store(tmp_path)
+        blob = b"x" * 256
+        for i in range(1000):
+            with open(store._path("pass", f"k{i}"), "wb") as f:
+                f.write(blob)
+        store.put("pass", "first", blob)  # the one listing
+        assert store.stats()["entries"] == 1001
+        calls = []
+        real = os.listdir
+        monkeypatch.setattr(os, "listdir",
+                            lambda *a: calls.append(a) or real(*a))
+        store.put("pass", "second", blob)
+        assert calls == []
+        assert store.get("pass", "second") is not None
+
+    def test_two_writers_stay_near_the_cap(self, tmp_path):
+        """Each store sees the other's writes at its next listing, so
+        the directory ends at most one writer's unlisted share (an
+        eighth of the cap) above it — though neither store's own writes
+        ever reach the cap."""
+        cap = 64 * 1024
+        one = make_store(tmp_path, max_bytes=cap)
+        two = ArtifactStore(one.root, max_bytes=cap)
+        for i in range(112):
+            writer = one if i % 2 else two
+            writer.put("pass", f"k{i}", os.urandom(1024))
+        total = one.stats()["bytes"]
+        assert total <= cap + cap // 8
+        assert one.evictions + two.evictions > 0
+
+    def test_orphan_temp_file_is_counted_and_purged(self, tmp_path):
+        """A writer killed before its ``os.replace`` leaves a ``*.tmp``:
+        it counts in the totals as an entry of no kind, a kind-filtered
+        purge keeps it, and a full purge removes it."""
+        store = make_store(tmp_path)
+        store.put("pass", "k", [1, 2, 3])
+        orphan = os.path.join(store.objects, "tmpdead1234.tmp")
+        with open(orphan, "wb") as f:
+            f.write(b"half an artifact")
+        stats = store.stats()
+        assert stats["entries"] == 2
+        assert stats["kinds"]["pass"]["entries"] == 1
+        assert {e["kind"] for e in store.ls()} == {"pass", ""}
+        assert store.purge(kind="pass") == 1
+        assert os.path.exists(orphan)
+        assert store.purge() == 1
+        assert os.listdir(store.objects) == []
+
     def test_version_marker_purges_on_schema_change(self, tmp_path,
                                                     monkeypatch):
         from repro.service import cache as cache_mod

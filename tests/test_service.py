@@ -279,10 +279,30 @@ def test_execute_request_run_payload(tmp_path):
     assert response["output"] == ["192.0"]
     assert response["stats"]["total_cycles"] > 0
     assert {"compile_seconds", "run_seconds"} <= set(response["timings"])
-    # The post-run re-put persisted warm plans: a hit, ready to go.
+    # The miss persisted its executable: the same request now hits.
     response = execute_request({"op": "run", "source": TINY, "pes": 64},
                                cache)
     assert response["cache"] == "hit"
+
+
+@pytest.mark.parametrize("op", ["compile", "run"])
+def test_miss_writes_its_executable_once(tmp_path, monkeypatch, op):
+    """Plans never pickle, so a run leaves nothing new to persist: a
+    ``run`` miss writes one ``exe`` entry, as a ``compile`` miss does."""
+    from repro.service.store import ArtifactStore
+
+    kinds = []
+    real_put = ArtifactStore.put
+
+    def counting_put(self, kind, key, obj, **kw):
+        kinds.append(kind)
+        return real_put(self, kind, key, obj, **kw)
+
+    monkeypatch.setattr(ArtifactStore, "put", counting_put)
+    cache = CompileCache(str(tmp_path))
+    response = execute_request({"op": op, "source": TINY, "pes": 64}, cache)
+    assert response["ok"] and response["cache"] == "miss"
+    assert kinds == ["exe"]
 
 
 def test_execute_request_errors_become_responses():
