@@ -5,7 +5,7 @@ contract — storage and geometry, ``call_routine``/``call_fused``, the
 deterministic :class:`~repro.machine.stats.RunStats` accounting, the
 dispatch-time verifier hook — and the whole dispatch path, kernel cache
 and emitter rule included: a C text a CM machine built is the one this
-machine runs.  It counts which tier ran each lone dispatch and charges
+machine runs.  It counts which tier ran each dispatch and charges
 cycles under the measured :func:`~repro.machine.costs.host_model`
 (1 cycle = 1 ns), so ``stats.seconds()`` is a calibrated wallclock
 estimate rather than a simulated Weitek figure.
@@ -39,11 +39,12 @@ class HostMachine(Machine):
         }
 
     def _execute_dispatch(self, dispatches, group):
-        """The shared path, a lone dispatch counted by the tier that ran
-        it (``native_builds``: lone entries this machine moved to C)."""
+        """The shared path, a dispatch — lone or a fused group — counted
+        by the tier that ran it, and each replay of its launch by the
+        same (``native_builds``: entries this machine moved to C)."""
         tier_ups = self.fusion_metrics["tier_ups"]
         launch = super()._execute_dispatch(dispatches, group)
-        if self.exec_mode != "interp" and len(dispatches) == 1:
+        if self.exec_mode != "interp":
             counter = ("steps_dispatches" if launch is None
                        else "native_dispatches" if launch.kern.native
                        else "blocked_dispatches")

@@ -252,7 +252,7 @@ def cmd_run(args) -> int:
         print(f"trip records: {fs['trip_records']} built / "
               f"{fs['trip_replays']} trips replayed "
               f"({fs['trip_native']} natively) / "
-              f"{fs['trip_exits']} side exits"
+              f"{fs['trip_exits']} exits"
               + (f" ({exits})" if exits else "")
               + (f"; loops declined: {declined}" if declined else "")
               + (f"; loops kept in Python: {stayed}" if stayed else ""),

@@ -65,6 +65,12 @@ class Machine:
     class chooses an emitter: every kernel starts as blocked numpy and
     is recompiled to C once it has streamed enough to repay the build
     (:meth:`repro.machine.execplan.ExecutionPlan.kernel_for`).
+
+    In the steady state a dispatch site that ran a kernel replays its
+    launch record while the same operands stay bound (:meth:`_replay`),
+    and the host executor's trip records run whole trips of such
+    launches themselves and charge them through :meth:`replay_trips`
+    (``docs/PIPELINE.md`` §16).
     """
 
     #: The engine when ``exec_mode`` names none.
@@ -108,14 +114,15 @@ class Machine:
             "binding": 0, "plan": 0, "scalar_type": 0, "tier_up": 0,
         }
         # Trip records (the host executor's, one level up: a loop whose
-        # steady-state trip is replayed as a list of launch records):
-        # built, trips run from one, side exits by the guard that
-        # failed, and loop executions declined one, by reason; of the
-        # trips run from one, those the native driver ran, and recorded
-        # loop executions that stayed in Python, by reason.
+        # steady-state trips run whole as the launch records of one):
+        # built, trips run from one, exits (trips that could not) by
+        # what stopped them, and loop executions declined one, by
+        # reason; of the trips run from one, those the native driver
+        # ran, and recorded loop executions that stayed in Python, by
+        # reason.
         self.trip_metrics: dict = {
             "records": 0, "replays": 0, "exits": 0,
-            "guard": 0, "scalar_type": 0, "tier_up": 0,
+            "guard": 0, "tier_up": 0,
             "declined": {}, "native": 0, "native_declined": {},
         }
         # Fused-group kernel and shift-path telemetry: machine-local and
@@ -293,8 +300,8 @@ class Machine:
 
         Returns the launch records the dispatch replayed, in order —
         all it did, so a caller that keeps them can do the same again
-        through :meth:`replay` — or None when any of it took the
-        ordinary path.
+        and charge it through :meth:`replay_trips` — or None when any
+        of it took the ordinary path.
         """
         if site is not None:
             record = self._replay(site, calls)
@@ -367,7 +374,8 @@ class Machine:
     # -- steady state: launch records -------------------------------------
 
     def _replay(self, site, calls) -> LaunchRecord | None:
-        """Run the site's launch record if it still holds, and return
+        """Run the site's launch record if it still holds — the kernel,
+        the recorded charge, the counters the trip bumps — and return
         it; else drop it."""
         record = self._launches.get(site)
         if record is None:
@@ -378,28 +386,20 @@ class Machine:
             self.launch_metrics["drops"] += 1
             self.launch_metrics[stale] += 1
             return None
-        self.replay(record)
-        return record
-
-    def replay(self, record: LaunchRecord) -> None:
-        """Run a launch record whose scalar file is filled: the kernel,
-        the recorded charge, the counters the trip bumps.  The one
-        place a record runs from Python — for :meth:`_replay`, which
-        validated it against this trip's calls, and for the host
-        executor's trip record, which knows the calls cannot have
-        changed (its native driver charges through
-        :meth:`replay_trips`)."""
         launch = record.launch
         launch.run(record.X)
         self.stats.charge_call(*record.charge)
         for counters, key in launch.counters:
             counters[key] += 1
         self.launch_metrics["replays"] += 1
+        return record
 
     def replay_trips(self, records, trips: int) -> None:
-        """Charge and count what ``trips`` rounds of :meth:`replay` over
+        """Charge and count what ``trips`` replays of each of
         ``records`` would, the kernels already run: the host executor's
-        native trip driver ran them.  The same integers, multiplied."""
+        trips run whole from a trip record, by its native driver or by
+        ``Launch.run`` (``docs/PIPELINE.md`` §16).  The same integers
+        as :meth:`_replay`'s, multiplied."""
         once = RunStats()
         for record in records:
             once.charge_call(*record.charge)
@@ -516,14 +516,13 @@ class Machine:
             "launch_drop_reasons": {
                 key: self.launch_metrics[key]
                 for key in ("binding", "plan", "scalar_type", "tier_up")},
-            # Trip records: built, trips run from one, side exits and
-            # the guard that failed, loop executions declined one; trips
-            # the native driver ran, and why recorded loops stayed out.
+            # Trip records: built, trips run from one, exits and what
+            # stopped them, loop executions declined one; trips the
+            # native driver ran, and why recorded loops stayed out.
             **{f"trip_{key}": self.trip_metrics[key]
                for key in ("records", "replays", "exits", "native")},
             "trip_exit_reasons": {
-                key: self.trip_metrics[key]
-                for key in ("guard", "scalar_type", "tier_up")},
+                key: self.trip_metrics[key] for key in ("guard", "tier_up")},
             "trip_declined": dict(self.trip_metrics["declined"]),
             "trip_native_declined": dict(
                 self.trip_metrics["native_declined"]),

@@ -23,7 +23,6 @@ multiply-add, and interpreted per-operation dispatch from the front end.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -222,9 +221,8 @@ def cm5_model(n_nodes: int = 256) -> CostModel:
 
 # -- the host model: measured, not simulated --------------------------------
 
-#: Fallback constants (nanoseconds) when calibration is disabled via
-#: ``REPRO_HOST_CALIBRATE=0`` or the timer resolves to zero.  They match
-#: a commodity x86 core running memory-bound float64 ufuncs.
+#: Fallback constants (nanoseconds) when the timer resolves to zero.
+#: They match a commodity x86 core running memory-bound float64 ufuncs.
 _HOST_CANNED = {
     "arith": 1.0, "div": 4.0, "sqrt": 5.0, "trans": 20.0,
     "cmp": 1.0, "copy": 0.8, "roll": 1.5, "call": 1200.0,
@@ -247,12 +245,10 @@ def _host_calibration() -> dict:
 
     Measured once per process (the cache makes every host machine in a
     process share one deterministic table, so :class:`RunStats` stay
-    identical across reruns and exec engines).  ``REPRO_HOST_CALIBRATE=0``
-    skips measurement and uses the canned constants — useful when a test
-    needs cross-process stability.
+    identical across reruns and exec engines).  A test that needs
+    cycles stable across processes patches this function to return
+    :data:`_HOST_CANNED`.
     """
-    if os.environ.get("REPRO_HOST_CALIBRATE") == "0":
-        return dict(_HOST_CANNED)
     import numpy as np
 
     n = 1 << 16

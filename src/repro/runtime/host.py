@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .. import nir
-from ..machine import ckernel
-from ..machine.kernel import hot
+from ..machine import ckernel, kernel
 from ..machine.loopir import Declined
 from ..machine.plan import get_plan
 from ..machine.shifted import Shifted
@@ -279,22 +279,20 @@ def call_info(op: NodeCall) -> tuple:
             frozenset(halos))
 
 
-def _trip_sites(loop: Loop) -> dict | str:
-    """Where each op of ``loop``'s body resumes, ``(ops, index, where
-    the enclosing branch resumes)`` by ``id(op)``, or why the loop can
-    have no trip record.  Eligible is a body (through ``IfOp`` branches)
-    of node calls, folded shifts, scalar moves and conditionals in which
-    no host-evaluated value reads an array and no argument is a halo
+def _trip_declined(loop: Loop) -> str:
+    """Why ``loop`` can have no trip record, or "" when it can.
+    Eligible is a body (through ``IfOp`` branches) of node calls,
+    folded shifts, scalar moves and conditionals in which no
+    host-evaluated value reads an array and no argument is a halo
     stream (made at every bind)."""
-    sites: dict = {}
-    return _walk_sites(loop.body, None, sites) or sites
+    return _walk_trip(loop.body, set())
 
 
-def _walk_sites(ops, after, sites: dict) -> str | None:
-    for at, op in enumerate(ops):
-        if id(op) in sites:
+def _walk_trip(ops, seen: set) -> str:
+    for op in ops:
+        if id(op) in seen:
             return "op repeated"
-        sites[id(op)] = (ops, at, after)
+        seen.add(id(op))
         if isinstance(op, NodeCall):
             if any(a.kind == "halo" and a.temp is None for a in op.args):
                 return "halo stream"
@@ -309,25 +307,24 @@ def _walk_sites(ops, after, sites: dict) -> str | None:
         if reads:
             return "array-reading scalar"
         if isinstance(op, IfOp):
-            inner = (ops, at + 1, after)
-            why = (_walk_sites(op.then, inner, sites)
-                   or _walk_sites(op.els, inner, sites))
+            why = _walk_trip(op.then, seen) or _walk_trip(op.els, seen)
             if why:
                 return why
-    return None
+    return ""
 
 
 class HostFacts:
     """What a host program fixes before any machine runs it, worked out
     on first use for every run of its executable, by ``id(op)`` (kept
     with the program, so no id comes back as another op's): op effects,
-    call footprints, loop trip-record sites and ``Alloc`` layouts."""
+    call footprints, why a loop can have no trip record ("" when it
+    can) and ``Alloc`` layouts."""
 
     def __init__(self, program: HostProgram) -> None:
         self.program = program
         self.effects: dict[int, tuple] = {}
         self.calls: dict[int, tuple] = {}
-        self.loops: dict[int, dict | str] = {}
+        self.loops: dict[int, str] = {}
         self.allocs: dict[str, Alloc] | None = None
 
     def _memo(self, table: dict, op, make):
@@ -339,8 +336,8 @@ class HostFacts:
     def effects_of(self, op: HostOp) -> tuple:
         return self._memo(self.effects, op, op_effects)
 
-    def sites(self, loop: Loop) -> dict | str:
-        return self._memo(self.loops, loop, _trip_sites)
+    def trip_declined(self, loop: Loop) -> str:
+        return self._memo(self.loops, loop, _trip_declined)
 
     def call(self, op: NodeCall) -> tuple:
         """:func:`call_info`, made again when the routine's plan is new."""
@@ -367,27 +364,23 @@ _BATCH_CAP = 32
 # than ``_TRIP_MIN`` is declined one on entry: trips 1-3 cannot be
 # recorded (oracle, kernel + launch record, first replay), building one
 # costs about what two replayed trips save, and what is left of a
-# short loop is microseconds.  After ``_TRIP_EXITS`` side exits a loop
-# execution stops recording.
+# short loop is microseconds.  After ``_TRIP_EXITS`` trips that could
+# not run whole from a record a loop execution stops recording.
 _TRIP_MIN = 16
 _TRIP_EXITS = 3
 
-# Trip-record step kinds; a step is a list headed by one.
-_COMM, _MOVE, _GUARD, _LAUNCH, _ENQUEUE, _FLUSH = range(6)
 
+class _Trip(NamedTuple):
+    """A trip record: the launch records the trip replayed, in order;
+    its guards, ``(condition closure, outcome)`` pairs; what a trip
+    charges besides its launches (the loop's own ``host_op``, one per
+    move and guard, its folded shifts); and its
+    :class:`~repro.machine.ckernel.TripDriver`, or why it has none."""
 
-class _Trip(list):
-    """A trip record: its steps, in order; whether a host-evaluated
-    value of it may differ from trip to trip (:func:`_varies`); and,
-    once a trip has run from it, its native run or why there is none
-    (:meth:`HostExecutor._native_trips`)."""
-
-    __slots__ = ("varies", "native")
-
-    def __init__(self, steps, varies: bool) -> None:
-        super().__init__(steps)
-        self.varies = varies
-        self.native = None
+    records: tuple
+    guards: tuple
+    per_trip: RunStats
+    driver: object
 
 
 class HostExecutor:
@@ -407,13 +400,14 @@ class HostExecutor:
 
     A loop whose body is straight-line PEAC traffic gets a *trip
     record* (:meth:`_run_loop`): once a trip's every dispatch replayed a
-    launch record, later trips run a flat list of pre-resolved steps
-    instead of the walk above — bit-identical arrays, ``RunStats`` and
-    counters, and a plain resume through this path from the op whose
-    guard failed — and, when every launch of it is C and nothing it
-    evaluates varies, in one native call per run of passing trips
-    (:meth:`_run_native`).  What the program fixes comes from its
-    :class:`HostFacts` (made by :meth:`run` when none were given).
+    launch record and nothing it evaluates on the host varies from trip
+    to trip, later trips run whole from the record instead of the walk
+    above (:meth:`_run_trips`) — in one native call when every launch
+    of it is C, else in a Python loop over its launches — with
+    bit-identical arrays, ``RunStats`` and counters; a trip that cannot
+    run whole runs on this path from its start.  What the program
+    fixes comes from its :class:`HostFacts` (made by :meth:`run` when
+    none were given).
     """
 
     def __init__(self, machine, fuse_exec: bool = False,
@@ -430,7 +424,10 @@ class HostExecutor:
         self.fuse_exec = bool(fuse_exec) and machine.exec_mode == "fused"
         self.facts = facts
         self._pending: list[tuple[HostOp, tuple]] = []
-        self._sync_pending()    # the batch's reads, writes and halos
+        # The batch's reads, writes and halos.
+        self._pending_reads: set[str] = set()
+        self._pending_writes: set[str] = set()
+        self._pending_halos: set[str] = set()
         self._binding_cache: dict[int, tuple] = {}
         # While a trip that may become a trip record runs: what it did,
         # ``(op, outcome)`` in order, ``(None, (batch, records))`` for a
@@ -500,7 +497,9 @@ class HostExecutor:
             return
         pending = self._pending
         self._pending = []
-        self._sync_pending()
+        self._pending_reads.clear()
+        self._pending_writes.clear()
+        self._pending_halos.clear()
         records = self.machine.call_fused(
             [call for _, call in pending],
             site=tuple(id(op) for op, _ in pending))
@@ -521,7 +520,7 @@ class HostExecutor:
         if self._log is not None:
             self._log.append(pair)
         if len(self._pending) >= _BATCH_CAP:
-            self._log = None    # flushed by count, not by an op to resume at
+            self._log = None    # a flush by count is none to record
             self._flush()
 
     def _bindings(self, op: NodeCall) -> dict[str, object]:
@@ -580,61 +579,46 @@ class HostExecutor:
         m = self.machine
         m.charge_host(m.model.host_op)
         trips = range(op.lo, op.hi + (1 if op.step > 0 else -1), op.step)
-        # Where a trip record resumes, or None (the reason counted).
-        sites = (None if m.exec_mode == "interp"   # the oracle records none
-                 else self.facts.sites(op) if len(trips) >= _TRIP_MIN
-                 else "too short")
-        if isinstance(sites, str):
-            sites = self._decline(sites)
-        steps = None
-        exits = 0
-        stayed = None       # why a record's trips could not run natively
-        natively = 0        # trips that did
+        why = ("" if m.exec_mode == "interp"    # the oracle records none
+               else self.facts.trip_declined(op) if len(trips) >= _TRIP_MIN
+               else "too short")
+        if why:
+            self._decline(why)
+        recording = m.exec_mode != "interp" and not why
+        exits = natively = 0    # natively: trips the driver ran
+        stayed = None       # why trips run from a record stayed in Python
+        exiting = False     # the trip after a record's last runs here
         t = 0
         while t < len(trips):
-            i = trips[t]
+            self.scalars[op.var] = trips[t]
             t += 1
-            self.scalars[op.var] = i
             m.charge_host(m.model.host_op)
-            if steps is not None:
-                left = self._run_trip(steps)
-                if left is None:
-                    m.trip_metrics["replays"] += 1
-                    if steps.native is None:
-                        steps.native = self._native_trips(steps)
-                    if isinstance(steps.native, str):
-                        stayed = steps.native
-                    else:
-                        ran = self._run_native(steps, op.var, trips[t:])
-                        natively += ran
-                        t += ran
-                    continue
-                # A side exit: every step so far did what this path
-                # would have, so the trip goes on here from the op
-                # whose guard failed.
-                reason, resume = left
-                m.trip_metrics["exits"] += 1
-                m.trip_metrics[reason] += 1
-                steps = None
-                exits += 1
-                if exits == _TRIP_EXITS:
-                    sites = None
-                self._sync_pending()
-                while resume is not None:
-                    ops, at, resume = resume
-                    self._run_ops(ops[at:])
-            elif sites is not None:
-                carried = [id(site) for site, _ in self._pending]
-                self._log = []
+            if exiting or not recording:
+                exiting = False
                 self._run_ops(op.body)
-                log, self._log = self._log, None
-                if log is not None:
-                    steps = self._build_trip(log, sites, carried, op.var)
-                    if steps == "never steady":
-                        self._decline(steps)
-                        steps = sites = None
-            else:
-                self._run_ops(op.body)
+                continue
+            carried = [id(site) for site, _ in self._pending]
+            self._log = []
+            self._run_ops(op.body)
+            log, self._log = self._log, None
+            trip = (None if log is None
+                    else self._build_trip(log, carried, op.var))
+            if isinstance(trip, str):
+                self._decline(trip)
+                recording = False
+            elif trip is not None:
+                ran = self._run_trips(trip, op.var, trips[t:])
+                t += ran
+                if not isinstance(trip.driver, str):
+                    natively += ran
+                elif ran:
+                    stayed = trip.driver
+                # A trip left over could not run whole: it runs on the
+                # ordinary path from its start, and a later trip records
+                # again.
+                exiting = t < len(trips)
+                exits += exiting
+                recording = exits < _TRIP_EXITS
         if stayed is not None and not natively:
             self._decline(stayed, "native_declined")
         # Fortran's exit value, as promotion stores it; uncharged.
@@ -644,212 +628,115 @@ class HostExecutor:
         declined = self.machine.trip_metrics[key]
         declined[reason] = declined.get(reason, 0) + 1
 
-    def _build_trip(self, log, sites, carried, var) -> _Trip | str | None:
+    def _build_trip(self, log, carried, var) -> _Trip | str | None:
         """The trip record of the trip ``log`` describes, in a loop
-        over ``var``; None when the trip is not one to replay (yet);
-        ``"never steady"`` when no trip of this loop will be.
+        over ``var``; None when the trip is not one to replay (yet); why
+        not, when no later trip of this loop execution will be:
+        ``"never steady"`` or ``"varying scalar"``.
 
         Recordable is a trip whose every dispatch replayed a launch
-        record and that leaves pending the call sites it found pending
-        (``carried``): the next trip then meets the same batch at every
-        flush.  Under ``fuse_exec`` a trip that flushes nothing only
-        lengthens the batch; when the calls of an earlier trip were
-        still in it, the body has no barrier for its own calls and
-        every later trip will do the same.
+        record, that leaves pending the call sites it found pending
+        (``carried``), and no value of which evaluated on the host may
+        differ from trip to trip (:func:`_varies`).  Then every later
+        trip meets the same batch at every flush, and every scalar file,
+        bindings dict and the carried batch in ``_pending`` already hold
+        what every later trip would put there.  Under ``fuse_exec`` a
+        trip that flushes nothing only lengthens the batch; when the
+        calls of an earlier trip were still in it, the body has no
+        barrier for its own calls and every later trip will do the same.
         """
         m = self.machine
-        compiled = self.evaluator.compile_scalar
         if self.fuse_exec:
             mine = {id(op) for op, _ in log if isinstance(op, NodeCall)}
             if mine and all(op is not None for op, _ in log):
                 return "never steady" if mine <= set(carried) else None
             if [id(site) for site, _ in self._pending] != carried:
                 return None
-        steps: list = []
-        batch = list(self._pending)     # what every later trip starts with
-        flush = None                    # waiting for the op that caused it
-        for entry in log:
-            op, what = entry
-            if op is None:
-                launches = _trip_launches(what[1], batch)
-                if launches is None:
-                    return None
-                flush = [_FLUSH, None, launches]
-                steps.append(flush)
-                batch = []
-                continue
-            resume = sites[id(op)]
-            if flush is not None:
-                flush[1], flush = resume, None
-            if isinstance(op, FoldedShift):
-                cycles = m.shift_cycles(*op.const)
-                if steps and steps[-1][0] == _COMM:
-                    steps[-1][1] += cycles
-                    steps[-1][2] += 1
-                else:
-                    steps.append([_COMM, cycles, 1])
-            elif isinstance(op, ScalarMove):
-                steps.append([_MOVE, op.clause.tgt.name,
-                              compiled(op.clause.src)])
-            elif isinstance(op, IfOp):
-                steps.append([_GUARD, resume, compiled(op.cond), what])
-            elif self.fuse_exec:
-                batch.append(entry)
-                steps.append([_ENQUEUE, entry, what[1],
-                              [(a.name, compiled(a.value)) for a in op.args
-                               if a.kind == "scalar"]])
-            else:
-                if what is None:
-                    return None
-                (record,) = what
-                values = {a.name: a.value for a in op.args}
-                steps.append([_LAUNCH, resume, record, _may_get_hot(record),
-                              [(k, kind, compiled(values[name]))
-                               for name, k, kind in record.calls[0][4]]])
-        if flush is not None:
-            return None
-        m.trip_metrics["records"] += 1
-        return _Trip(steps, _varies(log, var))
-
-    def _run_trip(self, steps) -> tuple | None:
-        """Run one trip from its record: None, or the side exit
-        ``(reason, where the ordinary path resumes)``.
-
-        Each step does exactly what the ordinary path did at that point
-        of the recorded trip, eagerly and in program order, and checks
-        its guard before it does anything — so an exit leaves nothing
-        to undo.  ``_pending`` stays real; the three ``_pending_*``
-        sets stay what they were when the trip began
-        (:meth:`_sync_pending`).
-        """
-        m = self.machine
-        stats = m.stats
-        replay = m.replay
         host_op = m.model.host_op
-        scalars = self.scalars
-        pending = self._pending
-        for step in steps:
-            kind = step[0]
-            if kind == _COMM:       # a run of folded shifts
-                stats.comm_cycles += step[1]
-                stats.comm_ops += step[2]
-            elif kind == _LAUNCH:   # an unbatched node call
-                _, resume, record, kern, args = step
-                if kern is not None and hot(kern):
-                    return "tier_up", resume
-                X = record.X
-                for k, type_, evaluate in args:
-                    value = evaluate()
-                    if type(value) is not type_:
-                        return "scalar_type", resume
-                    X[k] = value
-                replay(record)
-            elif kind == _ENQUEUE:  # a node call joining the batch
-                _, pair, bindings, args = step
-                for name, evaluate in args:
-                    bindings[name] = evaluate()
-                pending.append(pair)
-            elif kind == _FLUSH:    # the batch, as the records it replays
-                _, resume, launches = step
-                for record, kern, fills in launches:
-                    if kern is not None and hot(kern):
-                        return "tier_up", resume
-                    X = record.X
-                    for k, type_, bindings, name in fills:
-                        value = bindings[name]
-                        if type(value) is not type_:
-                            return "scalar_type", resume
-                        X[k] = value
-                del pending[:]
-                for launch in launches:
-                    replay(launch[0])
-            elif kind == _MOVE:
-                scalars[step[1]] = step[2]()
-                stats.host_cycles += host_op
-            else:                   # _GUARD: an IfOp, its branch inlined
-                if bool(step[2]()) is not step[3]:
-                    return "guard", step[1]
-                stats.host_cycles += host_op
-        return None
-
-    def _native_trips(self, trip) -> tuple | str:
-        """How ``trip``'s later trips run natively — ``(driver, launch
-        records, guards, per-trip host charges)`` — or why they cannot.
-
-        Asked once per record, after a trip ran from it, so every value
-        it evaluates (invariant: :func:`_varies`) already sits in the
-        scalar files and bindings dicts, and the batch it carries is
-        the one every later trip carries.  The driver is built here, at
-        the first record that qualifies.
-        """
-        host_op = self.machine.model.host_op
         per_trip = RunStats(host_cycles=host_op)    # the loop's own
         records: list = []
         guards: list = []
-        for step in trip:
-            kind = step[0]
-            if kind == _COMM:
-                per_trip.comm_cycles += step[1]
-                per_trip.comm_ops += step[2]
-            elif kind == _LAUNCH:
-                records.append(step[2])
-            elif kind == _FLUSH:
-                records.extend(launch[0] for launch in step[2])
-            elif kind in (_MOVE, _GUARD):
+        batch = list(self._pending)     # what every later trip starts with
+        for entry in log:
+            op, what = entry
+            if op is None:      # a flush: (its pairs, records replayed)
+                # Each record is checked once against the calls every
+                # later trip flushes here — the one identity check that
+                # stands for them all — which fills its scalar file.
+                calls = [call for _, call in batch]
+                for record in what[1] or ():
+                    if record.stale(calls[:len(record.calls)]) is not None:
+                        return None
+                    calls = calls[len(record.calls):]
+                if what[1] is None or calls:    # not all of it replayed
+                    return None
+                records += what[1]
+                batch = []
+            elif isinstance(op, FoldedShift):
+                per_trip.comm_cycles += m.shift_cycles(*op.const)
+                per_trip.comm_ops += 1
+            elif isinstance(op, (ScalarMove, IfOp)):
                 per_trip.host_cycles += host_op
-                if kind == _GUARD:
-                    guards.append((step[2], step[3]))
+                if isinstance(op, IfOp):
+                    guards.append(
+                        (self.evaluator.compile_scalar(op.cond), what))
+            elif self.fuse_exec:
+                batch.append(entry)
+            elif what is None:
+                return None
+            else:
+                records += what
+        if _varies(log, var):
+            return "varying scalar"
+        m.trip_metrics["records"] += 1
+        return _Trip(tuple(records), tuple(guards), per_trip,
+                     self._trip_driver(records))
+
+    def _trip_driver(self, records):
+        """The native driver of a trip over ``records``, or why it has
+        none.  Built with the record: its launches' scalar files already
+        hold every later trip's values."""
         if not all(record.launch.kern.native for record in records):
             # Without a compiler no kernel is C: say why.
             return ("no compiler" if ckernel._compiler() is None
                     else "blocked kernel")
-        if trip.varies:
-            return "varying scalar"
         try:
-            driver = ckernel.TripDriver(
+            return ckernel.TripDriver(
                 [(record.launch, record.X) for record in records])
         except Declined:
             return "no compiler"
         except ckernel.BuildFailed:
             return "build failed"
-        return driver, records, guards, per_trip
 
-    def _run_native(self, trip, var: str, upcoming: range) -> int:
-        """Run natively as many of the ``upcoming`` trips as pass every
-        guard of ``trip`` — the ones before the first that would leave
-        it — and charge them; how many.
-
-        A guard reads the loop variable and invariant scalars only, so
-        each trip's guards are evaluated here, in order, before any
-        launch: what the trips that pass do is the record's launches,
-        over the same scalars, and the charges of the trip it ran from,
-        which the machine multiplies.  The trip that fails a guard is
-        left to :meth:`_run_trip`, which leaves the record where it
-        always did.
-        """
-        driver, records, guards, per_trip = trip.native
-        count = _passing(guards, self.scalars, var, upcoming)
-        if count:
-            m = self.machine
-            driver(count)
-            m.replay_trips(records, count)
-            m.stats.merge(per_trip, count)
-            m.trip_metrics["replays"] += count
+    def _run_trips(self, trip: _Trip, var: str, upcoming: range) -> int:
+        """Run whole from ``trip``, and charge, the ``upcoming`` trips
+        before the first that would take another branch at a guard
+        (:func:`_passing`) or, in Python, meet a hot blocked kernel
+        (:func:`_cool_trips`); how many.  A trip left over is an exit,
+        counted by what stopped the run.  The driver runs the launches
+        in one call; Python runs each as its launch record would."""
+        m = self.machine
+        most = len(upcoming)
+        if isinstance(trip.driver, str):
+            upcoming = upcoming[:_cool_trips(trip.records, most)]
+        count = _passing(trip.guards, self.scalars, var, upcoming)
+        if isinstance(trip.driver, str):
+            launches = [(record.launch.run, record.X)
+                        for record in trip.records]
+            for _ in range(count):
+                for run, X in launches:
+                    run(X)
+        elif count:
+            trip.driver(count)
             m.trip_metrics["native"] += count
+        if count:
+            m.replay_trips(trip.records, count)
+            m.stats.merge(trip.per_trip, count)
+            m.trip_metrics["replays"] += count
+        if count < most:
+            m.trip_metrics["exits"] += 1
+            m.trip_metrics["guard" if count < len(upcoming) else "tier_up"] += 1
         return count
-
-    def _sync_pending(self) -> None:
-        """Make the ``_pending_*`` sets say what ``_pending`` holds
-        (trips run from a record keep only the list: mid-trip the sets
-        are those of the batch the trip started with)."""
-        self._pending_reads: set[str] = set()
-        self._pending_writes: set[str] = set()
-        self._pending_halos: set[str] = set()
-        for op, _ in self._pending:
-            _plan, reads, writes, _prefetch, halos = self.facts.call(op)
-            self._pending_reads |= reads
-            self._pending_writes |= writes
-            self._pending_halos |= halos
 
     # ------------------------------------------------------------------
 
@@ -1021,42 +908,25 @@ def _passing(guards, scalars, var: str, upcoming: range) -> int:
     return len(upcoming)
 
 
-def _may_get_hot(record):
-    """The record's kernel if a later launch may find it hot
-    (:func:`~repro.machine.kernel.hot`), else None: a C kernel stays
-    one, a decline is remembered."""
-    kern = record.launch.kern
-    return None if kern.native or kern.declined is not None else kern
-
-
-def _trip_launches(records, batch) -> list | None:
-    """A flush as a trip record keeps it: per launch record replayed,
-    ``(record, its kernel if it may get hot, scalar fills)`` — a fill
-    is ``(scalar-file slot, type, bindings dict, name)`` over the dicts
-    of ``batch``, the ``(op, call)`` pairs every later trip flushes
-    here.  None when the flush is not one to replay: the ordinary path
-    ran part of it (``records`` is None), a record no longer matches
-    those calls — the one identity check that stands for every later
-    trip — or several records of which one may still get hot (a
-    rejected batch replays call by call, and a kernel that crosses
-    between two of them must be met by the ordinary path).
-    """
-    if records is None:
-        return None
-    launches = []
-    calls = [call for _, call in batch]
+def _cool_trips(records, most: int) -> int:
+    """How many whole trips over ``records``, at most ``most``, run
+    before some launch would find its blocked kernel hot: ``hot`` is
+    asked before a launch, and ``Launch.run`` adds the launch's
+    ``work`` to ``streamed``.  A C kernel stays one, and a decline is
+    remembered."""
+    work: dict = {}     # id -> [kernel, per trip, before its last launch]
     for record in records:
-        mine, calls = calls[:len(record.calls)], calls[len(record.calls):]
-        if record.stale(mine) is not None:
-            return None
-        launches.append((record, _may_get_hot(record),
-                         [(k, kind, call[1], name)
-                          for call, spec in zip(mine, record.calls)
-                          for name, k, kind in spec[4]]))
-    if calls or (len(launches) > 1
-                 and any(kern is not None for _, kern, _ in launches)):
-        return None
-    return launches
+        launch = record.launch
+        kern = launch.kern
+        if not kern.native and kern.declined is None:
+            got = work.setdefault(id(kern), [kern, 0, 0])
+            got[2] = got[1]
+            got[1] += launch.work
+    for kern, per_trip, before in work.values():
+        # Trip t (from 0) meets streamed + t * per_trip + before.
+        most = min(most, max(0, -((kern.streamed + before - kernel._TIER_UP)
+                                  // per_trip)))
+    return most
 
 
 def format_host_program(program: HostProgram, indent: int = 0) -> str:

@@ -14,7 +14,6 @@ from repro.lowering import check_program, lower_program
 from repro.machine import Machine, ckernel, fieldwise_model, slicewise_model
 from repro.machine import execplan
 from repro.machine import kernel as blocked
-from repro.runtime.host import HostExecutor
 from repro.transform import optimize
 
 
@@ -108,22 +107,22 @@ def pytest_sessionstart(session):
         return oracle(d, sig)
 
     execplan.run_oracle = counted_oracle
-    run_trip = HostExecutor._run_trip
+    # Every trip run from a record is charged through
+    # ``Machine.replay_trips``; the driver runs the native ones.
+    replay_trips = Machine.replay_trips
 
-    def counted_trip(executor, steps):
-        _trips[_running[0]] += 1
-        return run_trip(executor, steps)
+    def counted_trips(machine, records, trips):
+        _trips[_running[0]] += trips
+        return replay_trips(machine, records, trips)
 
-    HostExecutor._run_trip = counted_trip
-    run_native = HostExecutor._run_native
+    Machine.replay_trips = counted_trips
+    drive = ckernel.TripDriver.__call__
 
-    def counted_native(executor, trip, var, upcoming):
-        ran = run_native(executor, trip, var, upcoming)
-        _trips[_running[0]] += ran
-        _natives[_running[0]] += ran
-        return ran
+    def counted_drive(driver, trips):
+        _natives[_running[0]] += trips
+        return drive(driver, trips)
 
-    HostExecutor._run_native = counted_native
+    ckernel.TripDriver.__call__ = counted_drive
 
 
 @pytest.hookimpl(hookwrapper=True)

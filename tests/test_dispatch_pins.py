@@ -11,7 +11,7 @@ and host ``fused`` — and run twice on fresh machines:
 * **runs**: ``RunStats.to_dict()``, printed output, array bytes, and
   the counters of ``fusion_summary()`` that do not depend on what other
   tests built before (kernel groups and builds, launch and trip records,
-  declines, lone host dispatches by tier).
+  declines, host dispatches by tier).
 
 Both are sha256 digests per program, so a change to how the engines
 run a dispatch must leave every one of them as it was.
@@ -137,27 +137,27 @@ KERNEL_TYPES = {
 }
 RUNS = {
     "blocking":
-        "c9bb5e416330ecea3635f100bd6efc83334d344cde06d4cc08c43c3784b10b49",
+        "24f41a9696f6231a4e84b51460d11d0f0d7cbe9a9219b42c3f36844342fff58b",
     "cg":
-        "40857e2fb17cee33b2369d42f72f2dced8661df739dc2f692470e5195b2e9bd8",
+        "34d930097418914712a47aa61815409b9ef1e77883146aab20e326fcbff96624",
     "deck":
-        "4f880aa856700366eeb5cf990959a85da398b38370ad2b1c546fccfd407190b5",
+        "ed147091dce00f7451932e98172e4c9cc65569345c54416dd0350b25607b7e73",
     "forall":
-        "fc0e03ea2eb635a9baae4fb185d51151849aeb245e715e6a2a87002053faef08",
+        "8322fc8cab91b9f32ecd5f4f6464f359eb94cbfb758dd9e0d530509828440f5c",
     "heat":
-        "2704e5ab3dddd8a980eb5b0e05117c90daa1fab57800883dc33d45c549643e61",
+        "b6f8462fe83ec0926358eff05659e4f998cefbff09e3da80a99ba1129c1ef832",
     "life":
-        "24b91b1eecbf127e4024617f9359e9d699056d6aa0557b723d61f48881662d5b",
+        "157b78d951d4a514d1ae106a881edb00c8423d4ed2fcb6c26ea24005eb908c30",
     "matmul":
-        "41acc5d9fc8d79e368139834297c3bc46549b1589ad60a90b6803cd35b87c3f0",
+        "55186628d7ce01305afcdb15cc70df894f567c258f5e173581e697b1e3c8a9ff",
     "redblack":
-        "29e24fd11350682cf3ebd8a5d32e4f36a0eedc10b6f77bebd7fba1293a4b6572",
+        "86348c446f69326cdf68e3de312c750639cb0eb77748a972ea686dd0d36aadb8",
     "reduction":
-        "fb0f60d38d45f4e18c40c16804871f013c3eb9ab285c0564888d9df2aecedb59",
+        "5391396cddb2cc78db63dc4db9f25e37aded27c41d5ea9c42c511a215017b2a1",
     "saxpy":
-        "d95250a415aa6461b71895c9b50299520f002016cf62e4d6ca553bd71492f45d",
+        "eea0b6710b8bcb73f76d376b0c00bb54632bdeebaf6ccd5c1f2b1af7b736ce5d",
     "swe":
-        "ceb1857356b474200d67a05385a080ec5628c4979cce6c901584650121545c90",
+        "6ed483366d8b0f849bdb2bfaa02f80658c08ab2c81c1fbcb647b111be057a709",
     "where":
-        "725866b242f884433544cabe8488076335b5b631b1329ac29f0ae3c32b106d48",
+        "eb4997a80e858865ae83631f8f0a42f06184472503a98a3cbd5ba6fdcf4dcbe5",
 }

@@ -23,6 +23,7 @@ from repro.driver.compiler import CompilerOptions, compile_source
 from repro.driver.reference import run_reference
 from repro.frontend.parser import parse_program
 from repro.machine.ckernel import _compiler
+from repro.programs.swe import swe_source
 from repro.service.jobs import execute_request, run_target_compare
 from repro.targets import (
     TargetModelMismatchError,
@@ -84,16 +85,14 @@ class TestHostRegistration:
         assert machine.exec_mode == "fused"  # the host default
 
     def test_host_model_canned_calibration(self, monkeypatch):
-        from repro.machine.costs import _host_calibration, host_model
+        from repro.machine import costs
 
-        monkeypatch.setenv("REPRO_HOST_CALIBRATE", "0")
-        _host_calibration.cache_clear()
-        try:
-            model = host_model()
-            assert model.clock_hz == 1.0e9
-            assert model.instr.arith >= 1
-        finally:
-            _host_calibration.cache_clear()
+        monkeypatch.setattr(costs, "_host_calibration",
+                            lambda: dict(costs._HOST_CANNED))
+        model = costs.host_model()
+        assert model.clock_hz == 1.0e9
+        assert model.instr.arith == 4       # 1.0 ns/element, 4 a trip
+        assert model.call_dispatch == 1200
 
 
 # -- bit identity -----------------------------------------------------------
@@ -123,6 +122,26 @@ class TestHostBitIdentity:
             # SWE must actually exercise the native tier, not only
             # fall back to recording/steps.
             assert machine.host_metrics["native_dispatches"] > 0
+
+    def test_fused_groups_count_by_their_tier(self):
+        """Every steady SWE launch on the host is a fused group's: the
+        tier counts cover groups as well as lone dispatches, so once
+        the kernels are C they say so, and the three add up to the
+        dispatches charged."""
+        exe = compile_source(swe_source(32, 8),
+                             CompilerOptions(target="host"),
+                             cache=False, incremental=False)
+        exe.run(build_machine("host"))      # every signature's first trip
+        machine = build_machine("host")
+        exe.run(machine)
+        fs = machine.fusion_summary()
+        assert fs["fused_groups"] > 0
+        if _compiler() is None:
+            assert fs["host_native_dispatches"] == 0
+        else:
+            assert fs["host_native_dispatches"] > 0
+        assert (fs["host_native_dispatches"] + fs["host_blocked_dispatches"]
+                + fs["host_steps_dispatches"] == machine.stats.node_calls)
 
     def test_degraded_tiers_bit_identical(self, monkeypatch):
         # No C compiler path: blocked kernels and the step engine

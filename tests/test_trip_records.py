@@ -1,16 +1,16 @@
 """Trip records: a host loop replays its steady-state trip.
 
 One level above the launch records (``docs/PIPELINE.md`` section 16):
-once every dispatch of a trip replayed a launch record, the host
-executor keeps what that trip did as a flat list of steps and runs the
-list on later trips — and, when every launch is C and nothing the trip
-evaluates varies, runs the launches of the rest of the loop in one
-native call.  These tests pin what that promises — a run cannot be
-told from one whose executor never records (arrays bit-identical to
+once every dispatch of a trip replayed a launch record and nothing the
+trip evaluates on the host varies, the host executor keeps the trip's
+launch records, guards and charges, and later trips run whole from
+them — in one native call when every launch is C, else in a Python loop
+over the launches.  These tests pin what that promises — a run cannot
+be told from one whose executor never records (arrays bit-identical to
 ``interp``, ``RunStats`` equal, every ``fusion_summary()`` counter
 except the ``trip_*`` ones equal), nor from one whose trips all stay in
 Python (every counter but ``trip_native*`` equal) — for whole programs
-and generated bodies, through every side exit, for the bodies that must
+and generated bodies, through every exit, for the bodies that must
 never record or never leave Python, and for the batch a loop leaves
 pending; and that a recorded trip walks no expression tree and draws no
 scratch.  The last section pins the batch cap that keeps a barrier-free
@@ -86,7 +86,8 @@ def _never_recording():
 def _driver_off():
     """Executors that run every recorded trip in Python."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(HostExecutor, "_run_native", lambda self, *args: 0)
+        patch.setattr(HostExecutor, "_trip_driver",
+                      lambda self, records: "blocked kernel")
         yield
 
 
@@ -148,13 +149,12 @@ def test_recorded_run_is_indistinguishable(prog, trips, config):
         *_pair(_exe(prog, trips, config), config))
     # Trip 1 runs the kernels (warm), 2 replays and is recorded — SWE
     # one later: its second trip is the first through ``ncycle > 1`` —
-    # 3 runs from the record in Python, and the driver runs the rest.
+    # and the driver runs every trip after it.
     assert fs["trip_records"] == 1 and fs["trip_exits"] == 0
     assert fs["trip_replays"] >= trips - 4
     assert fs["trip_declined"] == {}
     assert fs["trip_native_declined"] == _native_declined()
-    assert fs["trip_native"] == (fs["trip_replays"] - 1 if _compiler()
-                                 else 0)
+    assert fs["trip_native"] == (fs["trip_replays"] if _compiler() else 0)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -163,8 +163,8 @@ def test_recorded_run_is_indistinguishable(prog, trips, config):
                                    host._TRIP_MIN + 1])
 def test_native_trips_either_side_of_the_minimum(trips, prog, config):
     """One trip short of ``_TRIP_MIN`` nothing is recorded, so nothing
-    runs natively or is declined; from it on, all but the first trip
-    run from the record go through the driver."""
+    runs natively or is declined; from it on, every trip run from the
+    record goes through the driver."""
     fs = _assert_indistinguishable(
         *_pair(_exe(prog, trips, config), config))
     if trips < host._TRIP_MIN:
@@ -172,7 +172,7 @@ def test_native_trips_either_side_of_the_minimum(trips, prog, config):
         assert fs["trip_native"] == 0 and fs["trip_native_declined"] == {}
     else:
         assert fs["trip_native_declined"] == _native_declined()
-        assert fs["trip_native"] == (fs["trip_replays"] - 1 if _compiler()
+        assert fs["trip_native"] == (fs["trip_replays"] if _compiler()
                                      else 0)
         assert fs["trip_replays"] >= trips - 4
 
@@ -232,13 +232,15 @@ def test_generated_bodies_are_indistinguishable(lines, trips, config):
     assert (fs["trip_exits"]
             == sum(fs["trip_exit_reasons"].values()) <= host._TRIP_EXITS)
     assert fs["trip_records"] <= fs["trip_exits"] + 1
-    # A move of ``it`` or of its own target keeps the loop in Python, as
-    # does a kernel the C emitter declines (or fails to build); a body
-    # of scalar moves alone has no kernel to need a compiler for.
+    # A move of ``it`` or of its own target declines the record, once; a
+    # kernel the C emitter declines (or fails to build) keeps the loop
+    # in Python; a body of scalar moves alone has no kernel to need a
+    # compiler for.
+    assert set(fs["trip_declined"]) <= {"varying scalar", "never steady"}
+    assert sum(fs["trip_declined"].values()) <= 1
     stayed = fs["trip_native_declined"]
     assert sum(stayed.values()) <= 1
-    assert set(stayed) <= ({"varying scalar"}
-                           | set(_native_declined("blocked kernel")))
+    assert set(stayed) <= set(_native_declined("blocked kernel"))
     assert fs["trip_native"] <= fs["trip_replays"]
 
 
@@ -275,8 +277,7 @@ def test_recorded_trips_interpret_nothing(prog, config, monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
 
-    flagged("_run_trip")
-    flagged("_run_native")
+    flagged("_run_trips")
     count(BufferPool, "acquire")
     count(NirEvaluator, "_eval")
     fs = exe.run(machine=_config_machine(config)).machine.fusion_summary()
@@ -286,7 +287,7 @@ def test_recorded_trips_interpret_nothing(prog, config, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (b) Side exits, each counted under its reason
+# (b) Exits, each counted under what stopped the record
 # ---------------------------------------------------------------------------
 
 _INIT = ("forall (i=1:8, j=1:8) a(i, j) = mod(i * 3 + j, 5) * 0.25d0\n")
@@ -305,14 +306,13 @@ FLIPS = ("double precision a(8, 8), b(8, 8), c(8, 8)\ndouble precision s\n"
 def test_condition_that_flips_exits_through_its_guard(config):
     exe = _compile(FLIPS, config)
     fs = _assert_indistinguishable(*_pair(exe, config))
-    # Trips 7, 14 and 21 leave through the guard, the third exit being
-    # the loop execution's last try.  The rare branch updates ``s``,
-    # which the next record's launches must see, and shifts ``a`` while
-    # the call that stores it is pending — under ``fused`` not the
-    # batch the trip started with (the call that stores ``b``), so the
-    # footprint sets must be rebuilt at the exit.
-    assert fs["trip_exit_reasons"] == {"guard": 3, "scalar_type": 0,
-                                       "tier_up": 0}
+    # Trips 7, 14 and 21 take the other branch and run on the ordinary
+    # path, the third exit being the loop execution's last try.  The
+    # rare branch updates ``s``, which the next record's launches must
+    # see, and shifts ``a`` while the call that stores it is pending —
+    # under ``fused`` not the batch the trip started with (the call
+    # that stores ``b``).
+    assert fs["trip_exit_reasons"] == {"guard": 3, "tier_up": 0}
     assert fs["trip_exits"] == fs["trip_records"] == host._TRIP_EXITS
     assert fs["trip_replays"] >= 8
 
@@ -322,19 +322,19 @@ def test_condition_that_flips_exits_through_its_guard(config):
 def test_the_driver_stops_before_the_trip_whose_guard_flips(config,
                                                            monkeypatch):
     """Each native run ends on the trip before a multiple of 7, which
-    leaves through its guard in Python — one ``guard`` exit each, as
-    with the driver off."""
+    runs on the ordinary path — one ``guard`` exit each, as with the
+    driver off."""
     exe = _compile(FLIPS, config)
     got, want, oracle, off = _pair(exe, config)
     runs = []       # (first trip run natively, the trip after the last)
-    inner = HostExecutor._run_native
+    inner = HostExecutor._run_trips
 
     def watched(executor, trip, var, upcoming):
         ran = inner(executor, trip, var, upcoming)
         runs.append((upcoming[0], upcoming[ran]))
         return ran
 
-    monkeypatch.setattr(HostExecutor, "_run_native", watched)
+    monkeypatch.setattr(HostExecutor, "_run_trips", watched)
     got = exe.run(machine=_config_machine(config))
     fs = _assert_indistinguishable(got, want, oracle, off)
     # Trip 21 is the third exit, after which the loop stays ordinary.
@@ -345,22 +345,25 @@ def test_the_driver_stops_before_the_trip_whose_guard_flips(config,
 
 
 CARRIES = ("double precision a(8, 8)\ndouble precision s\ninteger it\n"
-           + _INIT + "do it = 1, 20\n   s = it * 0.5d0\n"
+           + _INIT + "s = 1.0d0\ndo it = 1, 20\n   s = it * 0.5d0\n"
            "   a = a + cshift(a, 1, 1) * s\nend do\nend\n")
+HALVES = CARRIES.replace("s = it * 0.5d0", "s = s * 0.5d0")
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_scalar_argument_rides_the_batch_it_was_enqueued_with(config):
     """Under ``fused`` the call of trip *t* is flushed by the shift of
     trip *t + 1*, after ``s`` moved on: the launch must get the value
-    its own enqueue saw.  ``s`` reads the loop variable, so every trip
-    stays in Python."""
-    exe = _compile(CARRIES, config)
-    fs = _assert_indistinguishable(*_pair(exe, config))
-    assert fs["trip_records"] == 1 and fs["trip_exits"] == 0
-    assert fs["trip_replays"] >= 16
-    assert fs["trip_native"] == 0
-    assert fs["trip_native_declined"] == _native_declined("varying scalar")
+    its own enqueue saw.  ``s`` reads the loop variable (or its own
+    value of the trip before), so the loop is declined a record once,
+    as ``varying scalar``, and every trip runs on the ordinary path."""
+    for source in (CARRIES, HALVES):
+        exe = _compile(source, config)
+        fs = _assert_indistinguishable(*_pair(exe, config))
+        assert fs["trip_declined"] == {"varying scalar": 1}
+        assert (fs["trip_records"] == fs["trip_replays"]
+                == fs["trip_exits"] == 0)
+        assert fs["trip_native"] == 0 and fs["trip_native_declined"] == {}
 
 
 def _retyped(exe, delay=6):
@@ -391,7 +394,10 @@ def _retyped(exe, delay=6):
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-def test_scalar_changing_type_mid_loop_exits_and_records_again(config):
+def test_scalar_changing_type_mid_loop_is_declined_as_varying(config):
+    """Each move of the delay line reads a scalar a later move of the
+    trip assigns, so the loop gets no record; the ordinary path meets
+    the type change, and its launch record is dropped for it."""
     exe = _retyped(_compile(
         "double precision a(8, 8)\ndouble precision s\ninteger it\n"
         + _INIT + "s = 0.25d0\ndo it = 1, 24\n"
@@ -402,10 +408,9 @@ def test_scalar_changing_type_mid_loop_exits_and_records_again(config):
                if arg.kind == "scalar"]
     assert scalars == [nir.SVar("k6")]
     fs = _assert_indistinguishable(*_pair(exe, config))
-    assert fs["trip_exit_reasons"] == {"guard": 0, "scalar_type": 1,
-                                       "tier_up": 0}
+    assert fs["trip_declined"] == {"varying scalar": 1}
     assert fs["launch_drop_reasons"]["scalar_type"] == 1
-    assert fs["trip_records"] == 2 and fs["trip_replays"] >= 14
+    assert fs["trip_records"] == fs["trip_replays"] == 0
 
 
 @needs_cc
@@ -414,8 +419,9 @@ def test_scalar_changing_type_mid_loop_exits_and_records_again(config):
 def test_kernel_getting_hot_inside_a_recorded_loop(prog, config,
                                                    monkeypatch):
     """The crossing falls on the trip launches and lengths decide,
-    record or no record: the launch that finds its kernel hot leaves
-    the record, and the ordinary path asks the C emitter."""
+    record or no record: the trip at one of whose launches a kernel
+    would be hot runs on the ordinary path, which asks the C emitter
+    there."""
     asked = []      # node calls charged so far, at each ask
     inner = execplan.try_native
 
@@ -453,6 +459,77 @@ def test_kernel_getting_hot_inside_a_recorded_loop(prog, config,
     assert fs["trip_exit_reasons"]["tier_up"] >= 1
     assert fs["trip_exits"] == fs["trip_exit_reasons"]["tier_up"]
     assert fs["trip_records"] == fs["trip_exits"] + 1
+
+
+SHARED = ("double precision a(8, 8), b(8, 8), c(4, 4)\ninteger it\n"
+          + _INIT + "b = 0.25d0\nc = 0.5d0\ndo it = 1, 40\n"
+          "   a = a * 0.5d0 + b * 0.25d0\n   c = c * 0.5d0 + 0.125d0\n"
+          "   b = b * 0.5d0 + cshift(a, 1, 1) * 0.25d0\nend do\nend\n")
+
+
+def _twice(exe):
+    """``exe`` with its loop's first call made again after the second:
+    a second op over the same routine, so both launch the one kernel.
+    Under ``fused`` the batch the shift flushes mixes 8x8 and 4x4
+    calls, which no group may run: it replays call by call, several
+    launch records in one flush."""
+    ops = list(exe.host_program.ops)
+    at = next(i for i, op in enumerate(ops) if isinstance(op, Loop))
+    body = ops[at].body
+    ops[at] = dataclasses.replace(
+        ops[at], body=body[:2] + (dataclasses.replace(body[0]),) + body[2:])
+    return dataclasses.replace(exe, host_program=dataclasses.replace(
+        exe.host_program, ops=tuple(ops)))
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("launches", [20, 21])
+def test_kernel_shared_by_two_records_tiers_up_where_it_would(
+        launches, config, monkeypatch):
+    """Two launch records of one trip (of one flush, under ``fused``)
+    run one blocked kernel; it crosses ``_TIER_UP`` on its 21st or
+    22nd launch — the first or the second of a trip's two.  Trips run
+    from the record in Python stop before the trip the crossing falls
+    on, so the ordinary path asks the C emitter at the very launch a
+    never-recording executor does."""
+    asked = []      # node calls charged so far, at each ask
+    inner = execplan.try_native
+
+    def counted(*args, **kwargs):
+        asked.append(running[0].stats.node_calls)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(execplan, "try_native", counted)
+    monkeypatch.setattr(kernel, "_TIER_UP",
+                        launches * (8 * 8 + kernel._LAUNCH_COST))
+    running = [None]
+    runs = {}
+    for recording in (False, True):
+        # New plans each; the first run takes every signature's first
+        # trip, then its kernels are forgotten.
+        exe = _twice(_compile(SHARED, config))
+        running[0] = _config_machine(config)
+        exe.run(machine=running[0])
+        monkeypatch.setattr(execplan, "_MEGA_KERNELS",
+                            type(execplan._MEGA_KERNELS)())
+        running[0] = _config_machine(config)
+        del asked[:]
+        with contextlib.ExitStack() as stack:
+            if not recording:
+                stack.enter_context(_never_recording())
+            runs[recording] = (exe.run(machine=running[0]), list(asked))
+    (got, got_asked), (want, want_asked) = runs[True], runs[False]
+    oracle = exe.run(machine=build_machine(exe.options.target,
+                                           exec_mode="interp"))
+    fs = _assert_indistinguishable(got, want, oracle,
+                                   but=("native_builds", "native_build_ms"))
+    ws = want.machine.fusion_summary()
+    assert got_asked == want_asked and got_asked
+    for key in ("tier_ups", "launch_drop_reasons", "megakernel_builds"):
+        assert fs[key] == ws[key], key
+    assert fs["megakernel_builds"] == 0     # no group: records, call by call
+    assert fs["trip_exit_reasons"]["tier_up"] >= 1
+    assert fs["trip_records"] >= 2 and fs["trip_replays"] >= 16
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +588,7 @@ def test_interp_neither_records_nor_declines(prog):
     fs = exe.run(machine=build_machine(
         "cm2", exec_mode="interp")).machine.fusion_summary()
     assert [fs[key] for key in TRIP_KEYS] == [
-        0, 0, 0, {"guard": 0, "scalar_type": 0, "tier_up": 0}, {}, 0, {}]
+        0, 0, 0, {"guard": 0, "tier_up": 0}, {}, 0, {}]
 
 
 def test_service_responses_carry_the_counters():
@@ -638,8 +715,7 @@ def test_op_after_the_loop_flushes_the_batch_it_carried_out(config):
     got, want, oracle, off = _pair(exe, config)
     fs = _assert_indistinguishable(got, want, oracle, off)
     assert fs["trip_replays"] >= 16
-    assert fs["trip_native"] == (fs["trip_replays"] - 1 if _compiler()
-                                 else 0)
+    assert fs["trip_native"] == (fs["trip_replays"] if _compiler() else 0)
     assert got.output == oracle.output and got.output
 
 
