@@ -55,6 +55,10 @@ class HostMachine(Machine):
                 launch.counters.append((self.host_metrics, counter))
         return launch
 
+    def _launch_counters(self, launch) -> list:
+        return [(self.host_metrics, "native_dispatches" if launch.kern.native
+                 else "blocked_dispatches")]
+
     def fusion_summary(self) -> dict:
         out = super().fusion_summary()
         out.update({f"host_{key}": value

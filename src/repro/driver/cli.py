@@ -249,7 +249,7 @@ def cmd_run(args) -> int:
                                       sorted(fs[key].items()))
                             for key in ("trip_declined",
                                         "trip_native_declined"))
-        print(f"trip records: {fs['trip_records']} built / "
+        print(f"trip records: {fs['trip_records']} bound / "
               f"{fs['trip_replays']} trips replayed "
               f"({fs['trip_native']} natively) / "
               f"{fs['trip_exits']} exits"

@@ -88,9 +88,12 @@ class Executable:
         they are allocated first, with their ``Alloc``'s layout.
 
         What the host program fixes is worked out once for every later
-        machine: its :class:`~repro.runtime.host.HostFacts` and the
-        launch templates of its dispatch sites (``docs/PIPELINE.md``
-        §16), which are never pickled.
+        machine: its :class:`~repro.runtime.host.HostFacts`, the
+        launch templates of its dispatch sites and the trip records of
+        its loops (``docs/PIPELINE.md`` §16), which are never pickled
+        and hold no array: a run binds each record to its own homes and
+        scalars at the trip it starts from, and writes only records it
+        learns.
         """
         if machine is None:
             if model is not None:
@@ -103,11 +106,14 @@ class Executable:
         if facts is None:
             facts = self._facts = HostFacts(self.host_program)
         if machine.exec_mode != "interp":   # the oracle makes no template
-            # One table of launch templates per machine class, engine and
-            # cost model, so charges never cross models.
+            # One table of launch templates, and one of trip records, per
+            # machine class, engine and cost model, so charges never
+            # cross models.
+            kind = (type(machine), machine.exec_mode, machine.model)
             machine.templates = self.__dict__.setdefault(
-                "_templates", {}).setdefault(
-                (type(machine), machine.exec_mode, machine.model), {})
+                "_templates", {}).setdefault(kind, {})
+            machine.trips = self.__dict__.setdefault(
+                "_trips", {}).setdefault(kind, {})
         executor = HostExecutor(machine,
                                 fuse_exec=self.options.transform.fuse_exec,
                                 facts=facts)
@@ -130,6 +136,7 @@ class Executable:
         state = self.__dict__.copy()
         state.pop("_facts", None)
         state.pop("_templates", None)
+        state.pop("_trips", None)
         return state
 
 

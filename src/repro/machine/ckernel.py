@@ -88,7 +88,8 @@ at the wrap points into segments inside which the operand is
 vectorisable.  The loop's staged stores (to a shifted operand's own
 source) go to scratch and are copied back after the loop returns,
 outside the ``restrict`` scope: the copy writes an array the loop's
-pointers read.
+pointers read.  A second entry, ``kernel_scratch``, leaves them in the
+scratch, for the trip driver to swap the two.
 
 No iteration reads another's store, so a kernel of ``_SPLIT_MIN``
 elements or more splits across the host's ``_THREADS`` cores: ``part``
@@ -98,9 +99,10 @@ No thread outlives a launch and no element's operations change; below
 the threshold the text is the one-core text.
 
 One more text is not a kernel: the trip driver (:class:`TripDriver`,
-``docs/PIPELINE.md`` section 16, "Native trips"), which calls the
+``docs/PIPELINE.md`` section 16, "Trip records"), which calls the
 kernels of a host loop's recorded trip, trip after trip, in one native
-call.  It is the same text for every loop, built the first time a loop
+call, alternating each staged array with its scratch from trip to trip.
+It is the same text for every loop, built the first time a loop
 qualifies and cached with the kernels.
 
 ``REPRO_FUSED_CC=0`` disables native generation; it is also skipped
@@ -298,13 +300,19 @@ class _CKernel:
     """Callable with the blocked-kernel interface over a native loop."""
 
     __slots__ = ("_fn", "_lib", "_nslots", "_sregs", "source", "native",
-                 "staged", "build_ms", "threads")
+                 "staged", "build_ms", "threads", "address",
+                 "address_scratch")
 
     declined = None     # a cache entry's ``(emitter, reason)``: none
 
     def __init__(self, fn, lib, nslots, sregs, source, staged=(),
-                 build_ms=None, threads=1) -> None:
+                 build_ms=None, threads=1, fn_scratch=None) -> None:
         self._fn = fn
+        # The entries' addresses, ``kernel_scratch``'s if staged: the
+        # trip driver's.
+        self.address = ctypes.cast(fn, ctypes.c_void_p).value
+        self.address_scratch = (None if fn_scratch is None else
+                                ctypes.cast(fn_scratch, ctypes.c_void_p).value)
         self._lib = lib  # keeps the dlopen handle alive
         self._nslots = nslots
         self._sregs = sregs
@@ -500,13 +508,13 @@ class _CPrinter:
         lines += [f"static void loop({', '.join(params)}, const double *X, "
                   f"long lo, long hi) {{"] + pre + loop + ["}"]
         call = f"loop({''.join(f'SP[{cid}], ' for cid in slots)}X, "
-        kernel = ["void kernel(void **SP, const double *X, long n) {"]
+        head = "(void **SP, const double *X, long n) {"
         # The copy-back writes an array the loop's pointers read: it
         # stays outside the ``restrict`` scope, after the loop is done.
         if not split:
-            lines += kernel + [f"  {call}0, {trips});"] + [
-                f"  memcpy(SP[{cid}], SP[{scratch}], "
-                f"n * sizeof({ctype[cid]}));" for cid, scratch in staged]
+            run = [f"  {call}0, {trips});"]
+            back = [f"  memcpy(SP[{cid}], SP[{scratch}], "
+                    f"n * sizeof({ctype[cid]}));" for cid, scratch in staged]
         else:
             # The copy-back waits for every slice: a neighbour's slice
             # reads the source row through the shift.
@@ -518,9 +526,17 @@ class _CPrinter:
                     f"  memcpy(({t} *)SP[{cid}] + lo, ({t} *)SP[{scratch}]"
                     f" + lo, (hi - lo) * sizeof({t}));"
                     for cid, scratch in staged for t in [ctype[cid]]] + ["}"]
-            lines += kernel + [f"  fork_join(part, SP, X, n, {trips});"]
-            lines += ["  fork_join(copy_back, SP, X, n, n);"] if staged else []
-        src = "\n".join(lines + ["}", ""])
+            run = [f"  fork_join(part, SP, X, n, {trips});"]
+            back = ["  fork_join(copy_back, SP, X, n, n);"] if staged else []
+        if staged:
+            # The trip driver's entry: each staged store stays in its
+            # scratch slot, which the driver swaps with the array the
+            # next trip (``TripDriver``).  ``loop`` keeps one caller, so
+            # ``cc`` still inlines it with its constant bounds.
+            lines += [f"void kernel_scratch{head}"] + run + ["}"]
+            run = ["  kernel_scratch(SP, X, n);"]
+        lines += [f"void kernel{head}"] + run + back + ["}"]
+        src = "\n".join(lines + [""])
         return _load(src, len(self.slot_kind), tuple(sregs), staged=staged,
                      threads=_THREADS if split else 1)
 
@@ -616,67 +632,124 @@ def _load(src: str, nslots: int, sregs: tuple,
           staged: tuple = (), threads: int = 1) -> _CKernel:
     """The kernel over ``src`` (:func:`_library` builds it)."""
     lib, build_ms = _library(src, threads)
-    fn = lib.kernel
-    fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
-                   ctypes.POINTER(ctypes.c_double), ctypes.c_long]
-    fn.restype = None
-    return _CKernel(fn, lib, nslots, sregs, src, staged, build_ms, threads)
+    fns = [lib.kernel] + ([lib.kernel_scratch] if staged else [])
+    for fn in fns:
+        fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
+                       ctypes.POINTER(ctypes.c_double), ctypes.c_long]
+        fn.restype = None
+    return _CKernel(fns[0], lib, nslots, sregs, src, staged, build_ms,
+                    threads, fns[-1] if staged else None)
 
 
-#: The trip driver (``docs/PIPELINE.md`` section 16, "Native trips"):
-#: one recorded trip's launches, ``trips`` times over, each as
-#: ``kernel.Launch.run`` runs a native one — its spill slots zeroed,
-#: then its kernel over its packed address and scalar blocks.
+#: The trip driver (``docs/PIPELINE.md`` section 16): a trip record's
+#: launches, ``trips`` times over, each as ``kernel.Launch.run`` runs a
+#: native one.  Word block ``a``: launch count, copy list offset, per
+#: launch (kernel, n, scalar offset, even and odd address tables, spill
+#: list), then the tables and lists.
 _DRIVER = """\
+#include <stdint.h>
 #include <string.h>
 typedef void (*kernel_fn)(void **, const double *, long);
-void drive(long launches, kernel_fn const *fn, void **const *SP,
-           const double *const *X, const long *n, const long *spill_at,
-           void *const *spill, const long *spill_bytes, long trips) {
+void drive(void *const *a, const double *x, long trips) {
+  const long launches = (intptr_t)a[0];
   for (long t = 0; t < trips; t++)
     for (long j = 0; j < launches; j++) {
-      for (long s = spill_at[j]; s < spill_at[j + 1]; s++)
-        memset(spill[s], 0, spill_bytes[s]);
-      fn[j](SP[j], X[j], n[j]);
+      void *const *d = a + 2 + 7 * j;
+      for (intptr_t s = (intptr_t)d[5]; s < (intptr_t)d[6]; s += 2)
+        memset(a[s], 0, (size_t)(intptr_t)a[s + 1]);
+      ((kernel_fn)d[0])((void **)(a + (intptr_t)d[3 + (t & 1)]),
+                        x + (intptr_t)d[2], (intptr_t)d[1]);
     }
+  if (trips & 1)
+    for (intptr_t c = (intptr_t)a[1]; a[c]; c += 3)
+      memcpy(a[c], a[c + 1], (size_t)(intptr_t)a[c + 2]);
 }
 """
+
+
+def _ping_pong(launches):
+    """Per launch its address table on even trips, then on odd ones,
+    and the copies ``(array, scratch, bytes)`` an odd count ends with:
+    a staged array and one scratch buffer alternate, a slot in the array
+    addressing the one with its latest values, a staging launch writing
+    the other.  None when nothing is staged or a slot overlaps one
+    otherwise than whole."""
+    staged: dict = {}   # array address -> [end, scratch address, stores]
+    for launch, _ in launches:
+        S, addrs = launch.S, launch.S.addrs
+        for cid, scratch in launch.kern.staged:
+            staged.setdefault(addrs[cid], [addrs[cid] + S[cid].nbytes,
+                                           addrs[scratch], 0])[2] += 1
+    if not staged:
+        return None
+    where = []          # per launch, per slot: (array, None) for a
+    for launch, _ in launches:  # scratch, (array or None, address) else
+        S, addrs = launch.S, launch.S.addrs
+        scratch = {k: addrs[cid] for cid, k in launch.kern.staged}
+        slots = []
+        for k, at in enumerate(addrs):
+            if k in scratch:
+                slots.append((scratch[k], None))
+            elif at in staged and at + S[k].nbytes == staged[at][0]:
+                slots.append((at, at))
+            elif any(h < at + S[k].nbytes and at < stop
+                     for h, (stop, _, _) in staged.items()):
+                return None
+            else:
+                slots.append((None, at))
+        where.append((slots, [addrs[cid] for cid, _ in launch.kern.staged]))
+    current = {home: home for home in staged}
+    tables = []
+    for _ in range(2):      # an even trip, then an odd one
+        for slots, stores in where:
+            tables.append([at if home is None else current[home]
+                           if at is not None else
+                           staged[home][1] + home - current[home]
+                           for home, at in slots])
+            for home in stores:
+                current[home] = staged[home][1] + home - current[home]
+    copies = [(home, scratch, stop - home) for home, (stop, scratch, stores)
+              in staged.items() if stores % 2]
+    return tables, copies
 
 
 class TripDriver:
     """``launches`` — ``(kernel.Launch, scalar file)`` pairs over
     native kernels, in trip order — packed for the driver: calling it
     with ``trips`` runs them that many times over in one native call.
+    A kernel with staged stores runs without its copy-back
+    (``kernel_scratch``): its array and scratch alternate trip by trip
+    (:func:`_ping_pong`), and an odd count ends with one copy home.
 
     It holds the launches, so every address it packed stays alive."""
 
-    __slots__ = ("_fn", "_args", "_launches")
+    __slots__ = ("_fn", "_a", "_x", "_launches", "_args")
 
     def __init__(self, launches) -> None:
         self._fn = _drive()
         self._launches = launches
-        kernels, blocks, scalars, spill_at, spills, spill_bytes = (
-            [], [], [], [0], [], [])
-        for launch, X in launches:
-            kern = launch.kern
-            ptrs, xs = kern.pack(launch.S, X)
-            kernels.append(ctypes.cast(kern._fn, ctypes.c_void_p).value)
-            blocks.append(ctypes.addressof(ptrs))
-            scalars.append(ctypes.addressof(xs))
-            for slot in launch.spills:
-                spills.append(launch.S[slot].ctypes.data)
-                spill_bytes.append(launch.S[slot].nbytes)
-            spill_at.append(len(spills))
-
-        def block(ctype, values):
-            return _array(ctype, max(1, len(values)))(*values)
-
-        self._args = (
-            len(launches), block(ctypes.c_void_p, kernels),
-            block(ctypes.c_void_p, blocks), block(ctypes.c_void_p, scalars),
-            block(ctypes.c_long, [launch.n for launch, _ in launches]),
-            block(ctypes.c_long, spill_at), block(ctypes.c_void_p, spills),
-            block(ctypes.c_long, spill_bytes))
+        pong = _ping_pong(launches)
+        count = len(launches)
+        head, tail, x = [], [], []
+        at = 2 + 7 * count      # where the tables and lists start
+        for j, (launch, X) in enumerate(launches):
+            kern, S = launch.kern, launch.S
+            tables = ((S.addrs, S.addrs) if pong is None else
+                      (pong[0][j], pong[0][count + j]))
+            spills = [v for slot in launch.spills
+                      for v in (S.addrs[slot], S[slot].nbytes)]
+            head += [kern.address_scratch if pong and kern.staged
+                     else kern.address, launch.n, len(x),
+                     at, at + len(S), at + 2 * len(S),
+                     at + 2 * len(S) + len(spills)]
+            tail += [*tables[0], *tables[1], *spills]
+            at += 2 * len(S) + len(spills)
+            x += [X[k] for k in kern._sregs]
+        copies = [v for copy in (pong[1] if pong else ()) for v in copy]
+        self._a = np.array([count, at, *head, *tail, *copies, 0],
+                           dtype=np.uintp)
+        self._x = np.array(x or [0.0], dtype=np.float64)
+        self._args = (self._a.ctypes.data, self._x.ctypes.data)
 
     def __call__(self, trips: int) -> None:
         self._fn(*self._args, trips)
@@ -695,8 +768,8 @@ def _drive():
         except BuildFailed as exc:
             _SO_CACHE[_DRIVER] = exc
             raise
-        lib.drive.argtypes = ([ctypes.c_long] + [ctypes.c_void_p] * 7
-                              + [ctypes.c_long])
+        lib.drive.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                              ctypes.c_long]
         lib.drive.restype = None
     return lib.drive
 

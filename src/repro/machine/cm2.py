@@ -18,9 +18,12 @@ import numpy as np
 from ..analysis import verify_enabled
 from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
+from . import execplan
 from .execplan import (Dispatch, ExecutionPlan, LaunchRecord,
-                       LaunchTemplate, call_charge, run_group, run_oracle)
+                       LaunchTemplate, call_charge, met, run_group,
+                       run_oracle)
 from .geometry import Geometry, make_geometry, shared_coordinate_array
+from .kernel import NoKernel
 from .pe import SubgridStream
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
 from .shifted import (Shifted, ShiftedStream, materialize_streams,
@@ -107,6 +110,7 @@ class Machine:
         # own table, until an executable hands it the one every machine
         # of its class, engine and cost model shares.
         self.templates: dict[object, LaunchTemplate] = {}
+        self.trips: dict = {}   # kept trip records, as templates are
         self._addresses: dict[int, tuple] = {}  # execplan._address
         self.launch_metrics: dict[str, int] = {
             "records": 0, "replays": 0, "drops": 0,
@@ -298,10 +302,9 @@ class Machine:
         and replayed as a site of its own, ``(site, i)``.
         ``site`` names the dispatch site, as for :meth:`call_routine`.
 
-        Returns the launch records the dispatch replayed, in order —
-        all it did, so a caller that keeps them can do the same again
-        and charge it through :meth:`replay_trips` — or None when any
-        of it took the ordinary path.
+        Returns the launch records of what ran, replayed or just made,
+        in order — all it did, which the host executor keeps as a trip
+        record's dispatch — or None when any of it ran without a kernel.
         """
         if site is not None:
             record = self._replay(site, calls)
@@ -324,12 +327,13 @@ class Machine:
                     record = (None if sub is None
                               else self._replay(sub, (call,)))
                     if record is None:
-                        self._dispatch((call,), (d,), sub,
-                                       self._group(sub, (call,), (d,)))
+                        record = self._dispatch(
+                            (call,), (d,), sub,
+                            self._group(sub, (call,), (d,)))
                     replayed.append(record)
                 return None if None in replayed else tuple(replayed)
-            self._dispatch(calls, dispatches, site, group)
-            return None
+            record = self._dispatch(calls, dispatches, site, group)
+            return None if record is None else (record,)
         finally:
             for d in dispatches:
                 self._release(d)
@@ -353,11 +357,12 @@ class Machine:
             group = template.bind(calls, dispatches, self._addresses)
         return group
 
-    def _dispatch(self, calls, dispatches, site, group) -> None:
+    def _dispatch(self, calls, dispatches, site,
+                  group) -> LaunchRecord | None:
         """Run prepared calls as one node call — a lone call, or the
         batch ``group`` proved legal — charged as the group's template
         says, and keep the trip as the site's launch record when a
-        kernel ran it."""
+        kernel ran it; that record."""
         charge = (call_charge(self.model, dispatches[0]) if group is None
                   else group.template.charge)
         launch = self._execute_dispatch(dispatches, group)
@@ -367,9 +372,11 @@ class Machine:
                 for stream in d.shifted:
                     launch.counters.append(
                         (self.fusion_metrics, f"shifts_{stream.state}"))
-            self._launches[site] = group.template.record(calls, dispatches,
-                                                         launch)
+            record = self._launches[site] = group.template.record(
+                calls, dispatches, launch)
             self.launch_metrics["records"] += 1
+            return record
+        return None
 
     # -- steady state: launch records -------------------------------------
 
@@ -393,6 +400,53 @@ class Machine:
             counters[key] += 1
         self.launch_metrics["replays"] += 1
         return record
+
+    def adopt(self, launches, covers) -> tuple:
+        """A kept trip record's launch records here, and the trips they
+        cover (``covers(kernels)``); ``(None, 0)``, keeping nothing, at
+        0 or when a template does not bind.  ``launches``: ``(site,
+        template, calls, counter keys)``.  A site's record that holds
+        for its calls stays (:meth:`_replay`); any other is made from the
+        template (``LaunchTemplate.adopt``) over the kernel the cache
+        holds now, counted as a dispatch that records is."""
+        records, made, dropped = [], [], []
+        for site, template, calls, keys in launches:
+            record = self._launches.get(site)
+            why = None if record is None else record.stale(calls)
+            if record is None or why is not None:
+                kern = execplan._MEGA_KERNELS.get(template.key)
+                record = (None if kern is None or type(kern) is NoKernel
+                          else template.adopt(calls, kern, self.pool,
+                                              self._addresses))
+                if record is None:
+                    return None, 0
+                record.launch.counters = [
+                    (self.fusion_metrics, key) for key in keys
+                ] + self._launch_counters(record.launch)
+                made.append((site, template, record))
+                if why is not None:
+                    dropped.append(why)
+            records.append(record)
+        count = covers([record.launch.kern for record in records])
+        if not count:
+            return None, 0
+        for why in dropped:
+            self.launch_metrics["drops"] += 1
+            self.launch_metrics[why] += 1
+        for site, template, record in made:
+            if self._verified_routines is not None:
+                for routine, plan, *_ in template.calls:
+                    self._verify_routine(routine, plan.serial)
+            self._launches[site] = record
+        for record in records:
+            met(record.launch.kern, record.template.key, self.fusion_metrics)
+        self.launch_metrics["records"] += len(made)
+        self.launch_metrics["replays"] -= len(made)
+        return records, count
+
+    def _launch_counters(self, launch) -> list:
+        """What an adopted ``launch`` bumps besides its template's."""
+        return []
 
     def replay_trips(self, records, trips: int) -> None:
         """Charge and count what ``trips`` replays of each of

@@ -72,7 +72,7 @@ from .kernel import Launch, NoKernel, blocked_kernel, hot
 from .loopir import Declined, lower
 from .pe import VectorExecutor
 from .plan import _UNBOUND, get_plan
-from .shifted import ShiftedStream, materialize_streams
+from .shifted import Shifted, ShiftedStream, materialize_streams
 
 
 class Dispatch:
@@ -220,11 +220,7 @@ class ExecutionPlan(NamedTuple):
             kern = self._tier_up(kern, metrics)
         _MEGA_KERNELS[key] = kern
         _MEGA_KERNELS.move_to_end(key)
-        if kern.declined is not None:
-            # Per entry, not per trip: meeting it again changes nothing.
-            metrics.setdefault("declined", {})[key] = kern.declined
-        elif kern.native and kern.threads > 1:
-            metrics.setdefault("split", set()).add(key)
+        met(kern, key, metrics)
         return (None if isinstance(kern, NoKernel) else kern), built
 
     def _tier_up(self, kern, metrics):
@@ -248,10 +244,9 @@ class ExecutionPlan(NamedTuple):
             metrics["native_build_ms"] += native.build_ms
         return native
 
-    def launch(self, kern, dispatches, pool) -> Launch:
-        """Run ``kern`` over the group's slot table; the launch."""
+    def prepared(self, kern, pool) -> Launch:
+        """``kern`` bound to the group's slot table, not yet run."""
         t = self.template
-        X = [x for d in dispatches for x in d.scalars]
         # The kernel's staged scratch slots, numbered in order after
         # the group's own: the launch's for as long as it lives.
         scratch = [pool.acquire((t.n,), self.S[slot].dtype)
@@ -259,7 +254,12 @@ class ExecutionPlan(NamedTuple):
         launch = Launch(kern, self.S + scratch, t.n, t.spill_slots,
                         len(t.plans))
         launch.S.addrs = self.addrs + [a.ctypes.data for a in scratch]
-        launch.run(X)
+        return launch
+
+    def launch(self, kern, dispatches, pool) -> Launch:
+        """Run ``kern`` over the group's slot table; the launch."""
+        t, launch = self.template, self.prepared(kern, pool)
+        launch.run([x for d in dispatches for x in d.scalars])
         if t.shifts:   # the kernel read every shifted stream in place
             staged = {slot for slot, base, _, _ in t.shifts
                       if base is not None}
@@ -270,6 +270,15 @@ class ExecutionPlan(NamedTuple):
                         stream.state = ("staged" if slot in staged
                                         else "folded")
         return launch
+
+
+def met(kern, key, metrics) -> None:
+    """Note in ``metrics`` (``fusion_metrics``) a decline or split of
+    the cache entry ``kern`` at ``key``: per entry, not per trip."""
+    if kern.declined is not None:
+        metrics.setdefault("declined", {})[key] = kern.declined
+    elif kern.native and kern.threads > 1:
+        metrics.setdefault("split", set()).add(key)
 
 
 def run_group(dispatches, pool, metrics,
@@ -373,15 +382,17 @@ class LaunchRecord:
     live numpy view cannot change them.  The record holds strong
     references to everything it compares against, so a site id
     recycled for another op can only match an identical dispatch.
+    ``template`` is the launch template it was made from.
     """
 
-    __slots__ = ("launch", "charge", "calls", "X")
+    __slots__ = ("launch", "charge", "calls", "X", "template")
 
-    def __init__(self, launch, charge, calls, X) -> None:
+    def __init__(self, launch, charge, calls, X, template) -> None:
         self.launch = launch
         self.charge = charge
         self.calls = calls
         self.X = X
+        self.template = template
 
     def stale(self, calls) -> str | None:
         """Why this trip cannot replay the record — None when it can,
@@ -439,8 +450,9 @@ class LaunchTemplate(NamedTuple):
     and ``pushes`` (one per distinct stream slot and scalar, plus the
     shared vlen); the array objects the streams were (*sources*:
     shape and dtype, ``classes`` of sources at one address, ``written``
-    those stored into), per stream its source, slot and shifted offsets
-    (``members``), per slot its source (``slot_src``); the kernel-cache
+    those stored into), per stream its source, slot, shifted offsets and
+    parameter name, None for a spill (``members``), per slot its source
+    (``slot_src``); the kernel-cache
     ``key`` and the ``charge``.  It holds no array, pool buffer or
     machine and never changes."""
 
@@ -543,7 +555,8 @@ class LaunchTemplate(NamedTuple):
                 only_coord[slot] = (only_coord.get(slot, True)
                                     and p in coord_pregs and operand is None)
                 members.append((i, p, src, slot, None if operand is None
-                                else operand.offsets))
+                                else operand.offsets,
+                                None if p in d.spill_pregs else stream.name))
                 if p in d.plan.stored_pregs:
                     stored.add(slot)
             slot_maps.append(smap)
@@ -583,7 +596,7 @@ class LaunchTemplate(NamedTuple):
                    tuple(slot_src), tuple(classes),
                    tuple(sorted({slot_src[s] for s in stored})), key, charge)
 
-    def bind(self, calls, dispatches,
+    def bind(self, calls, dispatches=None,
              addresses: dict | None = None) -> ExecutionPlan | None:
         """This trip's group, or None when the site must be probed
         again: another number of calls, routine, plan, tail or scalar
@@ -592,9 +605,11 @@ class LaunchTemplate(NamedTuple):
         coordinate array along its axis; sources in other address classes —
         or, for a probe of this very trip, no kernel may run it: a
         written class overlaps another, the one check that depends on
-        where the arrays lie.  ``addresses``: the machine's memo
-        (:func:`_address`)."""
-        if len(dispatches) != len(self.plans):
+        where the arrays lie.  The operands are the prepared
+        ``dispatches``' streams or, with none (:meth:`adopt`), the
+        bindings of ``calls``, spill slots then getting buffers of their
+        own.  ``addresses``: the machine's memo (:func:`_address`)."""
+        if len(dispatches or calls) != len(self.plans):
             return None
         for call, (routine, plan, tail, _, scalars) in zip(calls,
                                                             self.calls):
@@ -602,24 +617,24 @@ class LaunchTemplate(NamedTuple):
                 return None
         views: list = [None] * len(self.sources)
         keys: dict = {}         # shifted operand key -> slot
-        for i, p, src, slot, offsets in self.members:
-            stream = dispatches[i].streams[p]
-            if offsets is None:
-                if type(stream) is ShiftedStream:
-                    return None
-                view = stream.view
+        for i, p, src, slot, offsets, name in self.members:
+            if dispatches is not None:
+                value = dispatches[i].streams[p]
+                value = (value.operand if type(value) is ShiftedStream
+                         else value.view)
+            elif name is None:      # a spill slot
+                value = np.zeros(*self.sources[src])
             else:
-                if type(stream) is not ShiftedStream:
+                value = calls[i][1].get(name)
+            if offsets is not None:
+                if (type(value) is not Shifted or value.offsets != offsets
+                        or keys.setdefault(value.key, slot) != slot):
                     return None
-                operand = stream.operand
-                if (operand.offsets != offsets
-                        or keys.setdefault(operand.key, slot) != slot):
-                    return None
-                view = operand.base
+                value = value.base
             held = views[src]
             if held is None:
-                views[src] = view
-            elif held is not view:
+                views[src] = value
+            elif held is not value:
                 return None
         if len(keys) != len(self.shifts):
             return None
@@ -661,9 +676,25 @@ class LaunchTemplate(NamedTuple):
         for d in dispatches:
             X.extend(d.scalars)
             d.spill_bufs = ()   # the launch's now, not the pool's
+        return self._record(calls, launch, X)
+
+    def _record(self, calls, launch, X) -> LaunchRecord:
         checks = tuple(
             (routine, plan, tail,
              tuple((name, call[1][name]) for name in streams), scalars)
             for call, (routine, plan, tail, streams, scalars)
             in zip(calls, self.calls))
-        return LaunchRecord(launch, self.charge, checks, X)
+        return LaunchRecord(launch, self.charge, checks, X, self)
+
+    def adopt(self, calls, kern, pool,
+              addresses: dict | None = None) -> LaunchRecord | None:
+        """A launch record of ``calls`` (unprepared) over ``kern``, not
+        run; None when they do not fit (:meth:`bind`)."""
+        group = self.bind(calls, None, addresses)
+        if group is None:
+            return None
+        X = [_UNBOUND] * (NUM_SREGS * len(self.plans))
+        for call, check in zip(calls, self.calls):
+            for name, k, _ in check[4]:
+                X[k] = call[1][name]
+        return self._record(calls, group.prepared(kern, pool), X)

@@ -361,26 +361,44 @@ class HostFacts:
 _BATCH_CAP = 32
 
 # Trip records (docs/PIPELINE.md section 16).  A loop of fewer trips
-# than ``_TRIP_MIN`` is declined one on entry: trips 1-3 cannot be
-# recorded (oracle, kernel + launch record, first replay), building one
-# costs about what two replayed trips save, and what is left of a
-# short loop is microseconds.  After ``_TRIP_EXITS`` trips that could
-# not run whole from a record a loop execution stops recording.
+# than ``_TRIP_MIN`` is declined one on entry: what is left of a short
+# loop is microseconds.  Only its first ``_TRIP_ENTRIES`` trips keep
+# records of one trip each; after ``_TRIP_EXITS`` exits a loop
+# execution stops binding them.
 _TRIP_MIN = 16
+_TRIP_ENTRIES = 2
 _TRIP_EXITS = 3
 
 
 class _Trip(NamedTuple):
-    """A trip record: the launch records the trip replayed, in order;
-    its guards, ``(condition closure, outcome)`` pairs; what a trip
-    charges besides its launches (the loop's own ``host_op``, one per
-    move and guard, its folded shifts); and its
-    :class:`~repro.machine.ckernel.TripDriver`, or why it has none."""
+    """What one trip of a loop did, kept with the executable by op,
+    site and template — no array, address or closure: the ids of the
+    ops pending as it started and the ops it left pending; its moves,
+    guards and calls, ``(op, outcome)``; per dispatch ``(site, template,
+    call ops, counter keys)``; what it charges besides its launches.
+    ``at``: None for a steady record (it covers every trip its guards
+    pass), else the one trip (from 0) of a loop execution it covers."""
 
-    records: tuple
-    guards: tuple
+    carried: tuple
+    leaves: tuple
+    steps: tuple
+    launches: tuple
     per_trip: RunStats
+    at: int | None
+
+
+class _Bound(NamedTuple):
+    """A record bound to this run: its launch records, its driver, why
+    it has none or None (one trip, run in Python), the trips it covers,
+    what stops it short (``guard``, ``tier_up``; None: no exit) and the
+    pairs it leaves pending."""
+
+    record: _Trip
+    launches: list
     driver: object
+    count: int
+    stop: str | None
+    leaves: list
 
 
 class HostExecutor:
@@ -398,16 +416,14 @@ class HostExecutor:
     machine replay the site's launch record (a dispatch names its site:
     ``id`` of the op, or of each op in a fused batch).
 
-    A loop whose body is straight-line PEAC traffic gets a *trip
-    record* (:meth:`_run_loop`): once a trip's every dispatch replayed a
-    launch record and nothing it evaluates on the host varies from trip
-    to trip, later trips run whole from the record instead of the walk
-    above (:meth:`_run_trips`) — in one native call when every launch
-    of it is C, else in a Python loop over its launches — with
-    bit-identical arrays, ``RunStats`` and counters; a trip that cannot
-    run whole runs on this path from its start.  What the program
-    fixes comes from its :class:`HostFacts` (made by :meth:`run` when
-    none were given).
+    A loop whose body is straight-line PEAC traffic runs its trips
+    whole from *trip records* kept with the executable (:meth:`_run_loop`):
+    learned from a trip this walk ran, bound to each run's homes and
+    scalars where a trip starts (:meth:`_fit`), and run in one native
+    call when every launch is C, else in Python (:meth:`_run_trips`) —
+    with bit-identical arrays, ``RunStats`` and counters.  What the
+    program fixes comes from its :class:`HostFacts` (made by :meth:`run`
+    when none were given).
     """
 
     def __init__(self, machine, fuse_exec: bool = False,
@@ -584,16 +600,32 @@ class HostExecutor:
                else "too short")
         if why:
             self._decline(why)
-        recording = m.exec_mode != "interp" and not why
+        active = m.exec_mode != "interp" and not why
         exits = natively = 0    # natively: trips the driver ran
         stayed = None       # why trips run from a record stayed in Python
-        exiting = False     # the trip after a record's last runs here
+        exiting = False     # the trip after an exit runs unrecorded
         t = 0
         while t < len(trips):
             self.scalars[op.var] = trips[t]
+            bound = self._bind(op, t, trips[t:]) if active else None
+            if bound is not None:
+                ran = self._run_trips(bound, op.var, trips[t:])
+                t += ran
+                if isinstance(bound.driver, str):
+                    stayed = bound.driver
+                elif bound.driver is not None:
+                    natively += ran
+                self._leave(bound.leaves)
+                # A steady record that stopped short is an exit: the
+                # next trip runs from another record, or on the ordinary
+                # path unrecorded.
+                exiting = bound.stop is not None and t < len(trips)
+                exits += exiting
+                active = exits < _TRIP_EXITS
+                continue
             t += 1
             m.charge_host(m.model.host_op)
-            if exiting or not recording:
+            if exiting or not active:
                 exiting = False
                 self._run_ops(op.body)
                 continue
@@ -601,24 +633,13 @@ class HostExecutor:
             self._log = []
             self._run_ops(op.body)
             log, self._log = self._log, None
-            trip = (None if log is None
-                    else self._build_trip(log, carried, op.var))
-            if isinstance(trip, str):
-                self._decline(trip)
-                recording = False
-            elif trip is not None:
-                ran = self._run_trips(trip, op.var, trips[t:])
-                t += ran
-                if not isinstance(trip.driver, str):
-                    natively += ran
-                elif ran:
-                    stayed = trip.driver
-                # A trip left over could not run whole: it runs on the
-                # ordinary path from its start, and a later trip records
-                # again.
-                exiting = t < len(trips)
-                exits += exiting
-                recording = exits < _TRIP_EXITS
+            record = (None if log is None
+                      else self._build_trip(log, carried, op.var, t - 1))
+            if isinstance(record, str):
+                self._decline(record)
+                active = False
+            elif record is not None:
+                self._keep(op, record)
         if stayed is not None and not natively:
             self._decline(stayed, "native_declined")
         # Fortran's exit value, as promotion stores it; uncharged.
@@ -628,74 +649,165 @@ class HostExecutor:
         declined = self.machine.trip_metrics[key]
         declined[reason] = declined.get(reason, 0) + 1
 
-    def _build_trip(self, log, carried, var) -> _Trip | str | None:
-        """The trip record of the trip ``log`` describes, in a loop
-        over ``var``; None when the trip is not one to replay (yet); why
-        not, when no later trip of this loop execution will be:
-        ``"never steady"`` or ``"varying scalar"``.
+    def _kept(self, loop: Loop) -> tuple:
+        """The records kept for ``loop``: replaced, never changed."""
+        got = self.machine.trips.get(id(loop))
+        return () if got is None or got[0] is not loop else got[1]
 
-        Recordable is a trip whose every dispatch replayed a launch
-        record, that leaves pending the call sites it found pending
-        (``carried``), and no value of which evaluated on the host may
-        differ from trip to trip (:func:`_varies`).  Then every later
-        trip meets the same batch at every flush, and every scalar file,
-        bindings dict and the carried batch in ``_pending`` already hold
-        what every later trip would put there.  Under ``fuse_exec`` a
-        trip that flushes nothing only lengthens the batch; when the
-        calls of an earlier trip were still in it, the body has no
-        barrier for its own calls and every later trip will do the same.
-        """
+    def _build_trip(self, log, carried, var, at) -> _Trip | str | None:
+        """The record of trip ``at`` (from 0) of a loop over ``var``,
+        from its ``log``; None when it is none (yet); why not, when no
+        later trip of the loop execution will be: ``"never steady"``,
+        ``"varying scalar"``.  Every dispatch must have run a kernel.
+        It is steady when it leaves pending the sites it found
+        (``carried``) and nothing it evaluated varies (:func:`_varies`);
+        else it is kept for one of the first ``_TRIP_ENTRIES`` trips.
+        Under ``fuse_exec`` a trip that flushes nothing only lengthens
+        the batch: with an earlier trip's calls in it, for good."""
         m = self.machine
         if self.fuse_exec:
             mine = {id(op) for op, _ in log if isinstance(op, NodeCall)}
             if mine and all(op is not None for op, _ in log):
                 return "never steady" if mine <= set(carried) else None
-            if [id(site) for site, _ in self._pending] != carried:
-                return None
         host_op = m.model.host_op
         per_trip = RunStats(host_cycles=host_op)    # the loop's own
-        records: list = []
-        guards: list = []
-        batch = list(self._pending)     # what every later trip starts with
-        for entry in log:
-            op, what = entry
-            if op is None:      # a flush: (its pairs, records replayed)
-                # Each record is checked once against the calls every
-                # later trip flushes here — the one identity check that
-                # stands for them all — which fills its scalar file.
-                calls = [call for _, call in batch]
-                for record in what[1] or ():
-                    if record.stale(calls[:len(record.calls)]) is not None:
-                        return None
-                    calls = calls[len(record.calls):]
-                if what[1] is None or calls:    # not all of it replayed
+        steps: list = []
+        launches: list = []
+
+        def launch(site, record, ops):
+            launches.append((site, record.template, tuple(ops), tuple(
+                key for counters, key in record.launch.counters
+                if counters is m.fusion_metrics)))
+
+        for op, what in log:
+            if op is None:      # a flush: (its pairs, records)
+                pairs, records = what
+                if records is None:
                     return None
-                records += what[1]
-                batch = []
+                ops = [site for site, _ in pairs]
+                site = tuple(map(id, ops))
+                if len(records) == 1 and len(records[0].calls) == len(ops):
+                    launch(site, records[0], ops)
+                else:           # a rejected batch: call by call
+                    for i, (record, op) in enumerate(zip(records, ops)):
+                        launch((site, i), record, [op])
             elif isinstance(op, FoldedShift):
                 per_trip.comm_cycles += m.shift_cycles(*op.const)
                 per_trip.comm_ops += 1
             elif isinstance(op, (ScalarMove, IfOp)):
                 per_trip.host_cycles += host_op
-                if isinstance(op, IfOp):
-                    guards.append(
-                        (self.evaluator.compile_scalar(op.cond), what))
+                steps.append((op, what))
             elif self.fuse_exec:
-                batch.append(entry)
+                steps.append((op, None))
             elif what is None:
                 return None
             else:
-                records += what
-        if _varies(log, var):
-            return "varying scalar"
-        m.trip_metrics["records"] += 1
-        return _Trip(tuple(records), tuple(guards), per_trip,
-                     self._trip_driver(records))
+                steps.append((op, None))
+                launch(id(op), what[0], [op])
+        leaves = tuple(site for site, _ in self._pending)
+        varies = _varies(log, var)
+        if not varies and tuple(carried) == tuple(map(id, leaves)):
+            at = None
+        elif at >= _TRIP_ENTRIES:
+            return "varying scalar" if varies else None
+        return _Trip(tuple(carried), leaves, tuple(steps), tuple(launches),
+                     per_trip, at)
+
+    def _keep(self, loop: Loop, record: _Trip) -> None:
+        """Keep ``record`` in place of one of the same trip and sites."""
+        def ident(r):
+            return (r.at, r.carried, [launch[0] for launch in r.launches],
+                    [(id(op), taken) for op, taken in r.steps])
+        kept = tuple(r for r in self._kept(loop) if ident(r) != ident(record))
+        self.machine.trips[id(loop)] = (loop, kept + (record,))
+
+    def _bind(self, loop: Loop, at: int, upcoming: range) -> _Bound | None:
+        """The first kept record of ``loop`` that fits at trip ``at``,
+        the first of ``upcoming``, bound: an entry record, where the
+        loop has a steady one, before those."""
+        kept = self._kept(loop)
+        steady = [r for r in kept if r.at is None]
+        pending = tuple(id(op) for op, _ in self._pending)
+        for record in [r for r in kept if steady and r.at == at] + steady:
+            if record.carried == pending:
+                bound = self._fit(record, loop.var, upcoming)
+                if bound is not None:
+                    return bound
+        return None
+
+    def _fit(self, record: _Trip, var: str, upcoming: range) -> _Bound | None:
+        """``record`` bound at the first of the ``upcoming`` trips, or
+        None — the scalars as they were — when a guard takes the other
+        branch, a blocked kernel would be hot on its first trip or
+        ``Machine.adopt`` binds no launch.  Its steps run as the
+        ordinary path would run them this trip: moves assign, calls'
+        ``_bindings`` fill their launches' scalar files, and calls
+        pending from before the trip those of the launches flushing
+        them.  A steady record covers later trips with the files of its
+        own calls; where the carried calls' differ, this trip alone."""
+        saved = dict(self.scalars)
+        ev = self.evaluator
+        own: dict = {}      # id(call op) -> its call tuple this trip
+        guards = []
+        for op, taken in record.steps:
+            if isinstance(op, NodeCall):
+                own[id(op)] = (op.routine, self._bindings(op),
+                               op.region_extents, op.real_elements, op.layout)
+            elif taken is None:
+                self.scalars[op.clause.tgt.name] = ev.eval_scalar(
+                    op.clause.src)
+            else:
+                cond = ev.compile_scalar(op.cond)
+                if bool(cond()) is not taken:
+                    return self._restore(saved)
+                guards.append((cond, taken, _bisectable(op.cond, var)))
+        carried = {id(op): call for op, call in self._pending}
+        alone = record.at is not None or any(
+            not _same(call[1][arg.name], own[id(op)][1][arg.name])
+            for op, call in self._pending if id(op) in own
+            for arg in op.args if arg.kind == "scalar")
+        cool = [0]
+
+        def covers(kernels):
+            cool[0] = _cool_trips(
+                [(kern, len(t.plans) * (t.n + kernel._LAUNCH_COST))
+                 for kern, (_, t, _, _) in zip(kernels, record.launches)],
+                1 if alone else len(upcoming))
+            return _passing(guards, self.scalars, var, upcoming[:cool[0]])
+
+        pending = dict(carried)     # each flushed once, then the trip's own
+        records, count = self.machine.adopt([
+            (site, template, [pending.pop(id(op), None) or own[id(op)]
+                              for op in ops], keys)
+            for site, template, ops, keys in record.launches], covers)
+        if not count:
+            return self._restore(saved)
+        return _Bound(
+            record, records,
+            self._trip_driver(records) if count > 1 else None, count,
+            None if alone else "guard" if count < cool[0] else "tier_up",
+            # A trip that flushes nothing leaves what it found.
+            [(op, own.get(id(op)) or carried[id(op)]) for op in record.leaves])
+
+    def _restore(self, saved: dict) -> None:
+        self.scalars.clear()
+        self.scalars.update(saved)
+
+    def _leave(self, pairs) -> None:
+        """Make ``pairs`` the pending batch, as a record's trips left it."""
+        self._pending = list(pairs)
+        for got in (self._pending_reads, self._pending_writes,
+                    self._pending_halos):
+            got.clear()
+        for op, _ in pairs:
+            _plan, reads, writes, _, halos = self.facts.call(op)
+            self._pending_reads |= reads
+            self._pending_writes |= writes
+            self._pending_halos |= halos
 
     def _trip_driver(self, records):
         """The native driver of a trip over ``records``, or why it has
-        none.  Built with the record: its launches' scalar files already
-        hold every later trip's values."""
+        none."""
         if not all(record.launch.kern.native for record in records):
             # Without a compiler no kernel is C: say why.
             return ("no compiler" if ckernel._compiler() is None
@@ -708,34 +820,30 @@ class HostExecutor:
         except ckernel.BuildFailed:
             return "build failed"
 
-    def _run_trips(self, trip: _Trip, var: str, upcoming: range) -> int:
-        """Run whole from ``trip``, and charge, the ``upcoming`` trips
-        before the first that would take another branch at a guard
-        (:func:`_passing`) or, in Python, meet a hot blocked kernel
-        (:func:`_cool_trips`); how many.  A trip left over is an exit,
-        counted by what stopped the run.  The driver runs the launches
-        in one call; Python runs each as its launch record would."""
+    def _run_trips(self, bound: _Bound, var: str, upcoming: range) -> int:
+        """Run, and charge, the trips ``bound`` covers of the
+        ``upcoming`` ones it was fitted to; how many.  One that stops
+        short exits, counted by what stopped it."""
         m = self.machine
-        most = len(upcoming)
-        if isinstance(trip.driver, str):
-            upcoming = upcoming[:_cool_trips(trip.records, most)]
-        count = _passing(trip.guards, self.scalars, var, upcoming)
-        if isinstance(trip.driver, str):
-            launches = [(record.launch.run, record.X)
-                        for record in trip.records]
-            for _ in range(count):
-                for run, X in launches:
-                    run(X)
-        elif count:
-            trip.driver(count)
+        records, count, driver = bound.launches, bound.count, bound.driver
+        native = driver is not None and not isinstance(driver, str)
+        if native:
             m.trip_metrics["native"] += count
-        if count:
-            m.replay_trips(trip.records, count)
-            m.stats.merge(trip.per_trip, count)
-            m.trip_metrics["replays"] += count
-        if count < most:
+        else:
+            launches = [(record.launch.run, record.X) for record in records]
+
+            def driver(trips):
+                for _ in range(trips):
+                    for run, X in launches:
+                        run(X)
+        driver(count)
+        m.replay_trips(records, count)
+        m.stats.merge(bound.record.per_trip, count)
+        m.trip_metrics["records"] += 1
+        m.trip_metrics["replays"] += count
+        if bound.stop is not None and count < len(upcoming):
             m.trip_metrics["exits"] += 1
-            m.trip_metrics["guard" if count < len(upcoming) else "tier_up"] += 1
+            m.trip_metrics[bound.stop] += 1
         return count
 
     # ------------------------------------------------------------------
@@ -895,33 +1003,63 @@ def _varies(log, var: str) -> bool:
     return False
 
 
+def _same(a, b) -> bool:
+    """Whether scalar arguments ``a`` and ``b`` fill a file alike."""
+    return a is b or (type(a) is type(b) and a == b)
+
+
+_MONOTONE = frozenset({nir.BinOp.LT, nir.BinOp.LE, nir.BinOp.GT,
+                       nir.BinOp.GE})
+
+
+def _bisectable(cond: nir.Value, var: str) -> bool:
+    """Whether ``cond`` compares the loop variable ``var`` by ``< <= >
+    >=`` with a value that does not read it: its outcome changes at most
+    once over a trip range."""
+    return (isinstance(cond, nir.Binary) and cond.op in _MONOTONE
+            and any(mine == nir.SVar(var) and var not in value_scalars(other)
+                    for mine, other in ((cond.left, cond.right),
+                                        (cond.right, cond.left))))
+
+
 def _passing(guards, scalars, var: str, upcoming: range) -> int:
     """How many of the ``upcoming`` trips, in order, take every guard's
-    recorded branch — ``(condition closure, outcome)`` pairs, evaluated
-    with the loop variable ``var`` of ``scalars`` set to each trip's."""
-    if guards:
-        for n, i in enumerate(upcoming):
-            scalars[var] = i
-            for cond, taken in guards:
-                if bool(cond()) is not taken:
-                    return n
-    return len(upcoming)
+    recorded branch — ``(closure, outcome, bisectable)``, asked with the
+    loop variable ``var`` of ``scalars`` set to each trip's; the first
+    trip's is known.  A bisectable guard passes on a prefix of them,
+    found by bisection; the others are asked trip by trip up to its
+    end."""
+    count = len(upcoming)
+    for cond, taken, bisect in guards:
+        lo = 1      # trips [0, lo) pass
+        while bisect and lo < count:
+            mid = (lo + count) // 2
+            scalars[var] = upcoming[mid]
+            if bool(cond()) is taken:
+                lo = mid + 1
+            else:
+                count = mid
+    rest = [(cond, taken) for cond, taken, bisect in guards if not bisect]
+    for n in range(1, count if rest else 0):
+        scalars[var] = upcoming[n]
+        for cond, taken in rest:
+            if bool(cond()) is not taken:
+                return n
+    return count
 
 
-def _cool_trips(records, most: int) -> int:
-    """How many whole trips over ``records``, at most ``most``, run
-    before some launch would find its blocked kernel hot: ``hot`` is
-    asked before a launch, and ``Launch.run`` adds the launch's
-    ``work`` to ``streamed``.  A C kernel stays one, and a decline is
-    remembered."""
+def _cool_trips(launches, most: int) -> int:
+    """How many whole trips over ``launches`` — ``(kernel, work)`` in
+    trip order — at most ``most``, run before some launch would find its
+    blocked kernel hot: ``hot`` is asked before a launch, and
+    ``Launch.run`` adds the launch's ``work`` to ``streamed``.  A C
+    kernel stays one, and a decline is remembered."""
     work: dict = {}     # id -> [kernel, per trip, before its last launch]
-    for record in records:
-        launch = record.launch
-        kern = launch.kern
+    for kern, per in launches:
         if not kern.native and kern.declined is None:
             got = work.setdefault(id(kern), [kern, 0, 0])
             got[2] = got[1]
-            got[1] += launch.work
+            got[1] += per
     for kern, per_trip, before in work.values():
         # Trip t (from 0) meets streamed + t * per_trip + before.
         most = min(most, max(0, -((kern.streamed + before - kernel._TIER_UP)

@@ -14,6 +14,7 @@ from repro.lowering import check_program, lower_program
 from repro.machine import Machine, ckernel, fieldwise_model, slicewise_model
 from repro.machine import execplan
 from repro.machine import kernel as blocked
+from repro.runtime.host import HostExecutor
 from repro.transform import optimize
 
 
@@ -46,7 +47,9 @@ def small_machine() -> Machine:
 # counts the trips run from a record per module — in Python or by the
 # native trip driver — and fails when the module that carries their
 # equivalence tests falls below its floor, or (with a C compiler) runs
-# fewer trips through the driver than its floor there.
+# fewer trips through the driver than its floor there.  It counts the
+# records runs bound to their homes the same way (``HostExecutor._bind``,
+# every kept record a run runs from), so that path cannot go unused.
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +86,13 @@ FALLBACK_CEILING = 10           # outside them, in all (3 when set)
 # that floor is then not checked).
 TRIP_MODULE_FLOOR = {"test_trip_records.py": 2500}
 TRIP_NATIVE_FLOOR = {"test_trip_records.py": 2500}
+# Records bound, one run: 966.
+TRIP_BIND_FLOOR = {"test_trip_records.py": 700}
 _loads: Counter = Counter()     # test file -> ckernel._load calls
 _fallbacks: Counter = Counter()     # test file -> dispatches that fell back
 _trips: Counter = Counter()     # test file -> trips run from a record
 _natives: Counter = Counter()   # test file -> of them, by the driver
+_binds: Counter = Counter()     # test file -> kept records bound
 _running: list = [None]
 _fallback_at: list = [None]     # where a fallback counts: module, or test
 _shortfalls: list[str] = []
@@ -123,6 +129,14 @@ def pytest_sessionstart(session):
         return drive(driver, trips)
 
     ckernel.TripDriver.__call__ = counted_drive
+    bind = HostExecutor._bind
+
+    def counted_bind(executor, *args):
+        bound = bind(executor, *args)
+        _binds[_running[0]] += bound is not None
+        return bound
+
+    HostExecutor._bind = counted_bind
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -153,6 +167,10 @@ def pytest_sessionfinish(session, exitstatus):
         if module in _loads and _trips[module] < floor:
             _shortfalls.append(f"{module}: {_trips[module]} trips run from "
                                f"a trip record, floor {floor}")
+    for module, floor in TRIP_BIND_FLOOR.items():
+        if module in _loads and _binds[module] < floor:
+            _shortfalls.append(f"{module}: {_binds[module]} kept records "
+                               f"bound, floor {floor}")
     for module, floor in TRIP_NATIVE_FLOOR.items():
         if cc and module in _loads and _natives[module] < floor:
             _shortfalls.append(f"{module}: {_natives[module]} trips run by "
@@ -179,7 +197,8 @@ def pytest_terminal_summary(terminalreporter):
         f"; dispatches that fell back to the oracle: "
         f"{_per_module(_fallbacks)}; trips run from a trip record: "
         f"{_per_module(_trips)}, by the native driver: "
-        f"{_per_module(_natives)}")
+        f"{_per_module(_natives)}; kept trip records bound: "
+        f"{_per_module(_binds)}")
     for line in _shortfalls:
         terminalreporter.write_line(f"engine coverage fell: {line}",
                                     red=True)

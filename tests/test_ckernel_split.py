@@ -182,7 +182,7 @@ def test_fewer_rows_than_threads():
 #: The sha256 of the sorted C texts that ``ONE_CORE_SOURCES`` build below
 #: the threshold: nothing of the split text may leak into them.
 ONE_CORE_TEXTS = (
-    "38230e3cf6c559af7589a7848bb8853163b2a2e13c2ce878c8526ea386ab913c")
+    "754bdc3a6fbb25111f31c046d11bd915784aa086c42177a5ae58533bc7fb13b5")
 ONE_CORE_SOURCES = (heat_source(32, 3), life_source(32, 3), swe_source(32, 3),
                     redblack_source(32, 2), forall_source(32),
                     blocking_source(32), saxpy_source(4096))
@@ -197,9 +197,9 @@ EMITTED = {
     "blocked":
         "03fcb4159eda03b55ecd9e409e378c748a893959c6cae743981f352a7f42170c",
     "one_core":
-        "36a15cf6cda6db557fefee681e91982e4dab9eee924b0a24bcbf02b2233bda62",
+        "aba86897001a78bc88ff841804d2ed1e1360d031982873916df1ad8202102766",
     "split":
-        "aa96acb97e511130ed127ae5cd025ba93ebd88fec4ae734b7ebd91713cc18b51",
+        "781424c3975189e8878b795e9a6793c5110daffadf19b133aecbc917e0b61d65",
     "declined":
         "7daf6c01d11901a037fc7703858d1071f06c99b79e2c61624448e35a4f8d690e",
 }

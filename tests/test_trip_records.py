@@ -1,31 +1,38 @@
-"""Trip records: a host loop replays its steady-state trip.
+"""Trip records: a host loop runs its steady trips whole.
 
 One level above the launch records (``docs/PIPELINE.md`` section 16):
-once every dispatch of a trip replayed a launch record and nothing the
-trip evaluates on the host varies, the host executor keeps the trip's
-launch records, guards and charges, and later trips run whole from
-them — in one native call when every launch is C, else in a Python loop
-over the launches.  These tests pin what that promises — a run cannot
-be told from one whose executor never records (arrays bit-identical to
-``interp``, ``RunStats`` equal, every ``fusion_summary()`` counter
-except the ``trip_*`` ones equal), nor from one whose trips all stay in
-Python (every counter but ``trip_native*`` equal) — for whole programs
-and generated bodies, through every exit, for the bodies that must
-never record or never leave Python, and for the batch a loop leaves
-pending; and that a recorded trip walks no expression tree and draws no
-scratch.  The last section pins the batch cap that keeps a barrier-free
-loop linear.
+a trip whose every dispatch ran a kernel leaves a trip record with the
+executable — ops, sites, templates, never an array — and every run
+binds the kept records to its own homes and scalars where a trip
+starts, then runs the trips they cover whole: in one native call when
+every launch is C (a staged array ping-ponging with its scratch), else
+in a Python loop over the launches.  These tests pin what that
+promises — a run cannot be told from one whose executor never learns
+or binds a record (arrays bit-identical to ``interp``, ``RunStats``
+equal, every ``fusion_summary()`` counter except the ``trip_*`` ones
+equal), nor from one whose trips all stay in Python (every counter but
+``trip_native*`` equal) — for whole programs and generated bodies,
+through every exit, for the bodies that must never record or never
+leave Python, for the batch a loop leaves pending, across runs, inputs
+and threads; and that a trip run whole walks no expression tree and
+draws no scratch.  The last sections pin the batch cap that keeps a
+barrier-free loop linear, ping-pong and bisected guards.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import os
 import select
 import subprocess
+import sys
+import threading
+import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +71,14 @@ def _compile(source, config, options=None):
     return compile_source(source, options, cache=False, incremental=False)
 
 
+def _entries(prog, config):
+    """The entry trips a warm run of corpus program ``prog`` runs one at
+    a time, each from a record of its own, in Python: under ``fused`` and
+    ``host`` the first (it flushes the batch the prologue left), and
+    SWE's first besides (it takes the ``ncycle > 1`` else branch)."""
+    return (config != "fast") + (prog == "swe")
+
+
 def _native_declined(reason=None):
     """What ``trip_native_declined`` says of one recorded loop execution
     the driver should have declined for ``reason`` (None: ran it): with
@@ -75,10 +90,12 @@ def _native_declined(reason=None):
 
 @contextlib.contextmanager
 def _never_recording():
-    """Executors that take the ordinary path on every trip (test-side:
-    there is no product switch)."""
+    """Executors that take the ordinary path on every trip, learning no
+    record and binding none an earlier run kept (test-side: there is no
+    product switch)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(HostExecutor, "_build_trip", lambda self, *args: None)
+        patch.setattr(HostExecutor, "_bind", lambda self, *args: None)
         yield
 
 
@@ -100,8 +117,13 @@ def _pair(exe, config, warm=2):
         exe.run(machine=_config_machine(config))
     with _never_recording():
         want = exe.run(machine=_config_machine(config))
+    # Both start from the records kept so far: a run may keep more.
+    kept = {kind: dict(table) for kind, table in exe._trips.items()}
     with _driver_off():
         off = exe.run(machine=_config_machine(config))
+    for kind, table in kept.items():
+        exe._trips[kind].clear()
+        exe._trips[kind].update(table)
     got = exe.run(machine=_config_machine(config))
     oracle = exe.run(machine=build_machine(exe.options.target,
                                            exec_mode="interp"))
@@ -147,14 +169,14 @@ def _assert_indistinguishable(got, want, oracle, off=None, but=()):
 def test_recorded_run_is_indistinguishable(prog, trips, config):
     fs = _assert_indistinguishable(
         *_pair(_exe(prog, trips, config), config))
-    # Trip 1 runs the kernels (warm), 2 replays and is recorded — SWE
-    # one later: its second trip is the first through ``ncycle > 1`` —
-    # and the driver runs every trip after it.
-    assert fs["trip_records"] == 1 and fs["trip_exits"] == 0
-    assert fs["trip_replays"] >= trips - 4
+    # Every trip runs from a record the warm runs kept: the entry trips
+    # one by one, then the driver runs every trip after them.
+    entries = _entries(prog, config)
+    assert fs["trip_records"] == 1 + entries and fs["trip_exits"] == 0
+    assert fs["trip_replays"] == trips
     assert fs["trip_declined"] == {}
     assert fs["trip_native_declined"] == _native_declined()
-    assert fs["trip_native"] == (fs["trip_replays"] if _compiler() else 0)
+    assert fs["trip_native"] == (trips - entries if _compiler() else 0)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -172,9 +194,9 @@ def test_native_trips_either_side_of_the_minimum(trips, prog, config):
         assert fs["trip_native"] == 0 and fs["trip_native_declined"] == {}
     else:
         assert fs["trip_native_declined"] == _native_declined()
-        assert fs["trip_native"] == (fs["trip_replays"] if _compiler()
-                                     else 0)
-        assert fs["trip_replays"] >= trips - 4
+        assert fs["trip_native"] == (trips - _entries(prog, config)
+                                     if _compiler() else 0)
+        assert fs["trip_replays"] == trips
 
 
 # Bodies of whole-array statements over three arrays and two scalars,
@@ -231,7 +253,8 @@ def test_generated_bodies_are_indistinguishable(lines, trips, config):
     # pending every trip: never recorded, never declined, never wrong.
     assert (fs["trip_exits"]
             == sum(fs["trip_exit_reasons"].values()) <= host._TRIP_EXITS)
-    assert fs["trip_records"] <= fs["trip_exits"] + 1
+    # A record per exit and the first, besides those of entry trips.
+    assert fs["trip_records"] <= fs["trip_exits"] + 1 + host._TRIP_ENTRIES
     # A move of ``it`` or of its own target declines the record, once; a
     # kernel the C emitter declines (or fails to build) keeps the loop
     # in Python; a body of scalar moves alone has no kernel to need a
@@ -311,10 +334,14 @@ def test_condition_that_flips_exits_through_its_guard(config):
     # rare branch updates ``s``, which the next record's launches must
     # see, and shifts ``a`` while the call that stores it is pending —
     # under ``fused`` not the batch the trip started with (the call
-    # that stores ``b``).
+    # that stores ``b``).  Under ``fused`` and ``host`` trip 1 runs from
+    # its entry record, and the trip after each exit trip finds the
+    # batch the rare branch left: it runs on the ordinary path too.
+    fused = config != "fast"
     assert fs["trip_exit_reasons"] == {"guard": 3, "tier_up": 0}
-    assert fs["trip_exits"] == fs["trip_records"] == host._TRIP_EXITS
-    assert fs["trip_replays"] >= 8
+    assert fs["trip_exits"] == host._TRIP_EXITS
+    assert fs["trip_records"] == host._TRIP_EXITS + fused
+    assert fs["trip_replays"] == (16 if fused else 18)
 
 
 @needs_cc
@@ -331,7 +358,8 @@ def test_the_driver_stops_before_the_trip_whose_guard_flips(config,
 
     def watched(executor, trip, var, upcoming):
         ran = inner(executor, trip, var, upcoming)
-        runs.append((upcoming[0], upcoming[ran]))
+        if trip.record.at is None:  # not trip 1's entry record (fused)
+            runs.append((upcoming[0], upcoming[ran]))
         return ran
 
     monkeypatch.setattr(HostExecutor, "_run_trips", watched)
@@ -627,7 +655,8 @@ SINES = ("double precision a(8, 8), b(8, 8)\ninteger it\n" + _INIT
 def test_a_kernel_that_stays_numpy_keeps_the_loop_in_python(config):
     exe = _compile(SINES, config)
     fs = _assert_indistinguishable(*_pair(exe, config))
-    assert fs["trip_records"] == 1 and fs["trip_replays"] >= 16
+    assert fs["trip_records"] == 1 + (config != "fast")
+    assert fs["trip_replays"] == 20
     assert fs["trip_native"] == 0
     assert fs["trip_native_declined"] == _native_declined("blocked kernel")
     assert "op fsinv" in fs["declined"]["c"] or _compiler() is None
@@ -714,8 +743,9 @@ def test_op_after_the_loop_flushes_the_batch_it_carried_out(config):
     exe = _compile(LEAVES, config)
     got, want, oracle, off = _pair(exe, config)
     fs = _assert_indistinguishable(got, want, oracle, off)
-    assert fs["trip_replays"] >= 16
-    assert fs["trip_native"] == (fs["trip_replays"] if _compiler() else 0)
+    entries = config != "fast"      # the first trip flushes the prologue's
+    assert fs["trip_replays"] == 20
+    assert fs["trip_native"] == (20 - entries if _compiler() else 0)
     assert got.output == oracle.output and got.output
 
 
@@ -757,3 +787,220 @@ def test_batches_below_the_cap_are_what_they_were():
     longest = max(len(site) for site in got.machine._launches
                   if isinstance(site, tuple))
     assert 1 < longest < host._BATCH_CAP
+
+
+# ---------------------------------------------------------------------------
+# Records kept with the executable, bound by every run
+# ---------------------------------------------------------------------------
+
+def _kept_runs(prog, config, trips=40):
+    """A fresh compile of corpus program ``prog``: its interp run, then
+    three runs on fresh machines — the first learns the steady record,
+    the second its entry records, the third learns nothing."""
+    exe = _compile(_SOURCES[prog](trips), config)
+    oracle = exe.run(machine=build_machine(exe.options.target,
+                                           exec_mode="interp"))
+    return oracle, [exe.run(machine=_config_machine(config))
+                    for _ in range(3)]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("prog", ["heat", "life", "swe"])
+def test_a_second_run_binds_the_record_the_first_kept(prog, config):
+    """The second run on a fresh machine runs every trip after its
+    entry trips from the record the first run kept — in the driver when
+    there is a compiler — and the third its entry trips too, one by
+    one in Python."""
+    oracle, runs = _kept_runs(prog, config)
+    entries = _entries(prog, config)
+    for result in runs:
+        for name, data in oracle.arrays.items():
+            assert result.arrays[name].tobytes() == data.tobytes(), name
+        assert result.stats.to_dict() == runs[0].stats.to_dict()
+    second, third = (run.machine.fusion_summary() for run in runs[1:])
+    assert second["trip_replays"] == 40 - entries
+    assert second["trip_native"] == (40 - entries if _compiler() else 0)
+    assert second["trip_records"] == 1
+    assert third["trip_replays"] == 40
+    assert third["trip_native"] == second["trip_native"]
+    assert third["trip_records"] == 1 + entries
+
+
+SCALED = ("double precision a(16, 16), b(16, 16)\ndouble precision s, t\n"
+          "integer it\n" + _INIT.replace("8", "16")
+          + "s = sum(b) * 0.001d0\nt = 0.25d0\ndo it = 1, 24\n"
+          "   t = s * 0.5d0\n"
+          "   a = a * 0.5d0 + cshift(a, 1, 1) * t + b * s\nend do\nend\n")
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_each_run_fills_the_record_from_its_own_inputs(config):
+    """Runs with other ``inputs=`` — ``s`` is a reduction of one, and
+    ``t`` a move of it inside the loop — bind the kept record to their
+    own homes and scalars: arrays and ``RunStats`` are those of a fresh
+    executable's run on the same inputs."""
+    exe = _compile(SCALED, config)
+    rng = np.random.default_rng(7)
+    for round_ in range(4):
+        inputs = {"a": rng.random((16, 16)), "b": rng.random((16, 16))}
+        got = exe.run(machine=_config_machine(config), inputs=inputs)
+        want = _compile(SCALED, config).run(machine=_config_machine(config),
+                                            inputs=inputs)
+        assert got.scalars == want.scalars
+        for name, data in want.arrays.items():
+            assert got.arrays[name].tobytes() == data.tobytes(), name
+        assert got.stats.to_dict() == want.stats.to_dict()
+    # The last run binds every trip, its entry trip's included.
+    assert got.machine.fusion_summary()["trip_replays"] == 24
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_threads_bind_one_executable_at_once(config):
+    """Three threads — more than the cores CI has — run one executable
+    on machines of their own, learning and binding its records at once
+    with the interpreter switching threads every 10 us: every run equals
+    a serial one, arrays and stats."""
+    exe = _compile(_SOURCES["swe"](24), config)
+    serial = _compile(_SOURCES["swe"](24), config).run(
+        machine=_config_machine(config))
+    start = threading.Barrier(3)
+    results: list = [[], [], []]
+
+    def work(k):
+        start.wait(timeout=60)
+        for _ in range(4):
+            results[k].append(exe.run(machine=_config_machine(config)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(mine) == 4 for mine in results)
+    for got in results[0] + results[1] + results[2]:
+        for name, data in serial.arrays.items():
+            assert got.arrays[name].tobytes() == data.tobytes(), name
+        assert got.stats.to_dict() == serial.stats.to_dict()
+    # Two runs keeping records at once may each replace the table: a
+    # record one of them learned may be lost, and the next run learns it.
+    exe.run(machine=_config_machine(config))
+    assert exe.run(machine=_config_machine(config)).machine.fusion_summary(
+        )["trip_replays"] == 24
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_kept_records_hold_no_home_of_a_finished_run(config):
+    exe = _exe("heat", 24, config)
+    for _ in range(3):
+        result = exe.run(machine=_config_machine(config))
+    assert result.machine.fusion_summary()["trip_replays"] == 24
+    homes = [weakref.ref(data) for data in result.arrays.values()]
+    machine = weakref.ref(result.machine)
+    del result
+    gc.collect()
+    assert machine() is None
+    assert all(home() is None for home in homes)
+    assert any(record.at is None for table in exe._trips.values()
+               for _, records in table.values() for record in records)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_records_bind_without_a_compiler(config, monkeypatch):
+    """Under ``REPRO_FUSED_CC=0`` kept records bind all the same and
+    every trip replays through the Python launch loop."""
+    monkeypatch.setenv("REPRO_FUSED_CC", "0")
+    oracle, runs = _kept_runs("life", config, 24)
+    fs = runs[-1].machine.fusion_summary()
+    for name, data in oracle.arrays.items():
+        assert runs[-1].arrays[name].tobytes() == data.tobytes(), name
+    assert fs["trip_replays"] == 24 and fs["trip_native"] == 0
+    assert fs["trip_records"] == 1 + _entries("life", config)
+    assert fs["trip_native_declined"] == {"no compiler": 1}
+    assert fs["native_builds"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Ping-pong: a staged array alternates with its scratch in the driver
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("prog", ["heat", "life"])
+@pytest.mark.parametrize("trips", [17, 18])
+def test_staged_arrays_ping_pong_in_the_driver(trips, prog, config):
+    """Heat's and life's loops stage their store: in the driver the
+    array and its scratch swap roles every trip and an odd count ends
+    with one copy home.  Nothing of it can be seen — arrays against
+    ``interp``, ``RunStats``, ``shifts_staged`` and every other counter
+    against a run that never records, odd and even counts alike."""
+    exe = _compile(_GRIDS[prog](64, trips), config)
+    got, want, oracle, off = _pair(exe, config)
+    fs = _assert_indistinguishable(got, want, oracle, off)
+    assert fs["shifts_staged"] > 0
+    assert fs["trip_native"] == (trips - _entries(prog, config)
+                                 if _compiler() else 0)
+    if _compiler():
+        assert any(record.launch.kern.staged
+                   and record.launch.kern.address_scratch
+                   for record in got.machine._launches.values())
+
+
+# ---------------------------------------------------------------------------
+# Guards on the loop variable are counted in closed form
+# ---------------------------------------------------------------------------
+
+THRESHOLD = ("double precision a(8, 8), b(8, 8)\ninteger it, k\n" + _INIT
+             + "b = 0.25d0\nk = {k}\ndo it = 1, 400\n"
+             "   if (it > k) then\n"
+             "      a = a * 0.5d0 + cshift(a, 1, 1) * 0.25d0\n"
+             "   else\n"
+             "      b = b * 0.5d0 + cshift(b, 1, 1) * 0.25d0\n"
+             "   end if\nend do\nend\n")
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("k", [-5, 200, 1000])
+def test_a_threshold_guard_is_counted_by_bisection(k, config, monkeypatch):
+    """``it > k`` changes its outcome at most once over the trips, so
+    the trips a record covers are found in O(log n) evaluations; a run
+    that asks it trip by trip exits, computes and charges the same."""
+    exe = _compile(THRESHOLD.format(k=k), config)
+    asked: Counter = Counter()
+    inner = NirEvaluator.compile_scalar
+
+    def counting(self, value):
+        closure = inner(self, value)
+        if not isinstance(value, nir.Binary) or value.op != nir.BinOp.GT:
+            return closure
+
+        def counted():
+            asked[counting.mode] += 1
+            return closure()
+        return counted
+
+    monkeypatch.setattr(NirEvaluator, "compile_scalar", counting)
+    runs = {}
+    for mode in ("bisected", "per trip"):
+        counting.mode = mode
+        with pytest.MonkeyPatch.context() as patch:
+            if mode == "per trip":
+                patch.setattr(host, "_bisectable", lambda cond, var: False)
+            for _ in range(3):
+                runs[mode] = exe.run(machine=_config_machine(config))
+            asked[mode] = 0
+            runs[mode] = exe.run(machine=_config_machine(config))
+    got, want = runs["bisected"], runs["per trip"]
+    for name, data in want.arrays.items():
+        assert got.arrays[name].tobytes() == data.tobytes(), name
+    assert got.stats.to_dict() == want.stats.to_dict()
+    assert got.machine.fusion_summary() == want.machine.fusion_summary()
+    # Under ``fused`` the trip that first takes the other branch, and
+    # the one after, find another batch pending: the ordinary path.
+    assert got.machine.fusion_summary()["trip_replays"] >= 398
+    assert asked["per trip"] >= 399 and asked["bisected"] <= 40
