@@ -17,9 +17,10 @@ on until the engine's kernels have settled: a kernel starts as blocked
 numpy and is recompiled to C once it has streamed enough to repay the
 ``cc`` run (``docs/PIPELINE.md`` section 6; nine SWE runs at 512x512
 for the timestep loop, 64 for what runs once per run), so the warm-up
-goes on until every kernel a run launched is C or has been refused C,
-bounded by ``SETTLE`` runs — and all
-headline ratios are **median over median** — on shared/burstable VMs
+goes on until the kernel cache holds C, or a refusal, for every
+dispatch site's launch template, bounded by ``SETTLE`` runs.  The
+``fusion``/``host_fusion`` counters are each engine's last timed run.
+All headline ratios are **median over median** — on shared/burstable VMs
 the machine speed drifts in *both* directions (scheduler slowdowns
 and CPU-frequency bursts), and the median is the statistic robust to
 both; a burst landing in one engine's batch poisons min-based ratios.
@@ -56,7 +57,7 @@ import statistics
 import time
 
 from repro.driver.compiler import CompilerOptions, compile_source
-from repro.machine import Machine, slicewise_model
+from repro.machine import Machine, execplan, slicewise_model
 from repro.programs.kernels import heat_source, life_source
 from repro.programs.swe import swe_source
 from repro.targets import build_machine
@@ -125,29 +126,33 @@ def _time_engines(exe, host_exe):
     oscillate and every engine's timings noisy; batching gives each
     engine its own steady state).  The untimed warm-ups let each
     engine reach that state — the first runs after a process has
-    churned memory pay page-reclaim costs regardless of engine."""
+    churned memory pay page-reclaim costs regardless of engine.
+    Returns the times, the warm-up runs and each engine's last timed
+    result, whose counters describe the runs that were timed."""
     times = {mode: [] for mode in COLUMNS}
-    warmups = {}
+    warmups, last = {}, {}
     for mode in COLUMNS:
         warmups[mode] = _settle(exe, mode, host_exe)
         for _ in range(ROUNDS):
-            secs, _ = _run(exe, mode, host_exe)
+            secs, last[mode] = _run(exe, mode, host_exe)
             times[mode].append(secs)
-    return times, warmups
+    return times, warmups, last
 
 
 def _settle(exe, mode, host_exe) -> int:
     """Warm ``mode`` up; the number of untimed runs it took.
 
     Settled means the tier-up rule has nothing left to change: every
-    kernel the run's dispatch sites hold (their launch records) is C or
-    has been refused C.  ``interp`` holds none.
+    kernel the kernel cache holds for the run's dispatch sites (their
+    launch templates) is C or has been refused C.  ``interp`` holds
+    none.
     """
     for run in range(1, max(WARMUP, SETTLE) + 1):
         machine = _run(exe, mode, host_exe)[1].machine
-        if run >= WARMUP and all(
-                record.launch.kern.native or record.launch.kern.declined
-                for record in machine._launches.values()):
+        kernels = [execplan._MEGA_KERNELS.get(template.key)
+                   for template in machine.templates.values()]
+        if run >= WARMUP and all(kern is None or kern.native
+                                 or kern.declined for kern in kernels):
             break
     return run
 
@@ -162,7 +167,7 @@ def _bench(name, source, grid):
     exe = compile_source(source)
     host_exe = compile_source(source, CompilerOptions(target="host"))
     results = _check_contract(exe, host_exe)
-    times, warmups = _time_engines(exe, host_exe)
+    times, warmups, last = _time_engines(exe, host_exe)
     lo = {mode: min(ts) for mode, ts in times.items()}
     mid = {mode: statistics.median(ts) for mode, ts in times.items()}
     payload = {
@@ -181,8 +186,8 @@ def _bench(name, source, grid):
         "speedup_host_min": lo["fused"] / lo["host"],
         "simulated_gflops": results["fast"].gflops(),
         "simulated_gflops_fused": results["fused"].gflops(),
-        "fusion": results["fused"].machine.fusion_summary(),
-        "host_fusion": results["host"].machine.fusion_summary(),
+        "fusion": last["fused"].machine.fusion_summary(),
+        "host_fusion": last["host"].machine.fusion_summary(),
     }
     print()
     for mode in COLUMNS:

@@ -31,33 +31,19 @@ class HostMachine(Machine):
     def __init__(self, model: CostModel | None = None,
                  exec_mode: str | None = None) -> None:
         super().__init__(model or host_model(), exec_mode)
-        self.host_metrics: dict[str, int] = {
-            "native_dispatches": 0,
-            "native_builds": 0,
-            "blocked_dispatches": 0,
-            "steps_dispatches": 0,
-        }
+        self.host_metrics: dict[str, int] = dict.fromkeys((
+            "native_dispatches", "native_builds", "blocked_dispatches",
+            "steps_dispatches"), 0)
 
-    def _execute_dispatch(self, dispatches, group):
-        """The shared path, a dispatch — lone or a fused group — counted
-        by the tier that ran it, and each replay of its launch by the
-        same (``native_builds``: entries this machine moved to C)."""
-        tier_ups = self.fusion_metrics["tier_ups"]
-        launch = super()._execute_dispatch(dispatches, group)
-        if self.exec_mode != "interp":
-            counter = ("steps_dispatches" if launch is None
-                       else "native_dispatches" if launch.kern.native
-                       else "blocked_dispatches")
-            self.host_metrics[counter] += 1
-            self.host_metrics["native_builds"] += (
-                self.fusion_metrics["tier_ups"] - tier_ups)
-            if launch is not None:
-                launch.counters.append((self.host_metrics, counter))
-        return launch
-
-    def _launch_counters(self, launch) -> list:
-        return [(self.host_metrics, "native_dispatches" if launch.kern.native
-                 else "blocked_dispatches")]
+    def _tier(self, kern) -> tuple:
+        """Every dispatch — lone or a fused group — and each trip
+        through its launch counted by the tier that ran it
+        (``native_builds``: entries this machine moved to C, its
+        tier-ups)."""
+        self.host_metrics["native_builds"] = self.fusion_metrics["tier_ups"]
+        return ((self.host_metrics, "steps_dispatches" if kern is None
+                 else "native_dispatches" if kern.native
+                 else "blocked_dispatches"),)
 
     def fusion_summary(self) -> dict:
         out = super().fusion_summary()

@@ -18,12 +18,9 @@ import numpy as np
 from ..analysis import verify_enabled
 from ..peac.isa import NUM_PREGS, NUM_SREGS, PReg, Routine, SReg, VECTOR_WIDTH
 from .costs import CostModel, slicewise_model
-from . import execplan
-from .execplan import (Dispatch, ExecutionPlan, LaunchRecord,
-                       LaunchTemplate, call_charge, met, run_group,
-                       run_oracle)
+from .execplan import (Dispatch, LaunchRecord, LaunchTemplate,
+                       call_charge, met, over_copies, run_group, run_oracle)
 from .geometry import Geometry, make_geometry, shared_coordinate_array
-from .kernel import NoKernel
 from .pe import SubgridStream
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
 from .shifted import (Shifted, ShiftedStream, materialize_streams,
@@ -67,13 +64,18 @@ class Machine:
     is charged as one dispatch.  Neither the engine nor the machine
     class chooses an emitter: every kernel starts as blocked numpy and
     is recompiled to C once it has streamed enough to repay the build
-    (:meth:`repro.machine.execplan.ExecutionPlan.kernel_for`).
+    (:meth:`repro.machine.execplan.LaunchTemplate.kernel`).
 
-    In the steady state a dispatch site that ran a kernel replays its
-    launch record while the same operands stay bound (:meth:`_replay`),
-    and the host executor's trip records run whole trips of such
-    launches themselves and charge them through :meth:`replay_trips`
-    (``docs/PIPELINE.md`` §16).
+    A dispatch site's launch is made one way: its launch template binds
+    the calls' bindings, the kernel cache answers for the template, and
+    the template makes the launch and its :class:`LaunchRecord`
+    (:meth:`_launch`; :meth:`adopt` for a kept trip record); only the
+    probe, the oracle and the fallback chain prepare calls
+    (:meth:`_prepare`).  In the steady state a dispatch site that ran a
+    kernel replays its launch record while the same operands stay bound
+    (:meth:`_replay`), and the host executor's trip records run whole
+    trips of such launches themselves and charge them through
+    :meth:`replay_trips` (``docs/PIPELINE.md`` §16).
     """
 
     #: The engine when ``exec_mode`` names none.
@@ -146,7 +148,7 @@ class Machine:
             "native_build_failures": 0,
             # Cache key -> (emitter, reason) of every entry this
             # machine met that did not get the better tier
-            # (``ExecutionPlan.kernel_for``).
+            # (``LaunchTemplate.kernel``).
             "declined": {},
             # Cache keys of the C entries it met that split over cores.
             "split": set(),
@@ -294,7 +296,7 @@ class Machine:
         ``(routine, bindings, region_extents, real_elements, layout)``.
         A batch of one is that call, charged as :meth:`call_routine`
         documents.  Under ``exec_mode="fused"`` a longer batch is probed
-        (:meth:`_group`): a legal one is charged as
+        (:meth:`_dispatch`): a legal one is charged as
         **one** node call (deduplicated pushes, a single merged trip
         loop, forwarded intermediate loads) and runs through one
         kernel.  An illegal batch — and every longer batch under the
@@ -310,79 +312,109 @@ class Machine:
             record = self._replay(site, calls)
             if record is not None:
                 return (record,)
-        dispatches = [self._prepare(*c) for c in calls]
+        dispatches: list[Dispatch] = []     # prepared when needed
         try:
-            group = self._group(site, calls, dispatches)
-            if group is None and len(dispatches) > 1:
-                # Every shifted operand means its source at batch
-                # start, which is when the first call starts; the
-                # later calls' are copied now — and a call over a
-                # copy leaves nothing a later trip could replay.
-                for d in dispatches[1:]:
-                    materialize_streams(d.streams)
-                replayed = []
-                for i, (call, d) in enumerate(zip(calls, dispatches)):
-                    sub = (None if site is None or (i and d.shifted)
-                           else (site, i))
-                    record = (None if sub is None
-                              else self._replay(sub, (call,)))
-                    if record is None:
-                        record = self._dispatch(
-                            (call,), (d,), sub,
-                            self._group(sub, (call,), (d,)))
-                    replayed.append(record)
-                return None if None in replayed else tuple(replayed)
-            record = self._dispatch(calls, dispatches, site, group)
-            return None if record is None else (record,)
+            return self._dispatch(calls, site, dispatches)
         finally:
             for d in dispatches:
                 self._release(d)
 
-    def _group(self, site, calls, dispatches) -> ExecutionPlan | None:
-        """This trip's group: the site's launch template (probed again
-        when the site has none or the trip does not fit it) bound to the
-        trip's arrays; None under the oracle, for a batch under an
-        engine that does not fuse, or when no kernel may run the calls."""
-        if self.exec_mode == "interp" or (len(calls) > 1
-                                          and self.exec_mode != "fused"):
-            return None
-        template = self.templates.get(site)
-        group = (None if template is None else
-                 template.bind(calls, dispatches, self._addresses))
-        if group is None:
-            template = LaunchTemplate.probe(dispatches, calls, self.model)
-            if template is None:
-                return None
-            self.templates[site] = template
-            group = template.bind(calls, dispatches, self._addresses)
-        return group
-
-    def _dispatch(self, calls, dispatches, site,
-                  group) -> LaunchRecord | None:
-        """Run prepared calls as one node call — a lone call, or the
-        batch ``group`` proved legal — charged as the group's template
-        says, and keep the trip as the site's launch record when a
-        kernel ran it; that record."""
-        charge = (call_charge(self.model, dispatches[0]) if group is None
-                  else group.template.charge)
-        launch = self._execute_dispatch(dispatches, group)
-        self.stats.charge_call(*charge)
-        if launch is not None and site is not None:
-            for d in dispatches:
-                for stream in d.shifted:
-                    launch.counters.append(
-                        (self.fusion_metrics, f"shifts_{stream.state}"))
-            record = self._launches[site] = group.template.record(
-                calls, dispatches, launch)
-            self.launch_metrics["records"] += 1
-            return record
+    def _dispatch(self, calls, site, dispatches) -> tuple | None:
+        """``calls`` as one node call, a lone call or a batch under
+        ``fused``: the group's kernel (:meth:`_launch`) when the site's
+        launch template — probed again over the calls prepared into
+        ``dispatches`` when it does not fit — binds them, else the
+        fallback chain or the oracle; a batch no kernel may run as one
+        is its calls.  What :meth:`call_fused` returns."""
+        kernels = self.exec_mode != "interp" and (
+            len(calls) == 1 or self.exec_mode == "fused")
+        template = self.templates.get(site) if kernels else None
+        bound = (None if template is None
+                 else template.bind(calls, self._addresses))
+        if bound is None:
+            if not dispatches:
+                dispatches.extend(self._prepare(*c) for c in calls)
+            probed = (LaunchTemplate.probe(dispatches, calls, self.model)
+                      if kernels else None)
+            if probed is not None:
+                template = self.templates[site] = probed
+                bound = template.bind(calls, self._addresses)
+        if bound is not None:
+            record = self._launch(calls, site, template, bound)
+            if record is not None:
+                return None if site is None else (record,)
+            if not dispatches:
+                dispatches.extend(self._prepare(*c) for c in calls)
+        if bound is None and len(calls) > 1:
+            # Every shifted operand means its source at batch start,
+            # which is when the first call starts; the later calls' are
+            # copied now — and a call over a copy leaves nothing a later
+            # trip could replay.
+            for d in dispatches[1:]:
+                materialize_streams(d.streams)
+            replayed = []
+            for i, (call, d) in enumerate(zip(calls, dispatches)):
+                sub = (None if site is None or (i and d.shifted)
+                       else (site, i))
+                record = None if sub is None else self._replay(sub, (call,))
+                if record is None:
+                    ran = self._dispatch((over_copies(call, d),), sub, [d])
+                    record = None if ran is None else ran[0]
+                replayed.append(record)
+            return None if None in replayed else tuple(replayed)
+        if self.exec_mode == "interp":
+            run_oracle(dispatches[0])
+        else:
+            run_group(calls, dispatches, self.pool, self.fusion_metrics)
+            for counters, key in self._tier(None):
+                counters[key] += 1
+        self.stats.charge_call(*(call_charge(self.model, dispatches[0])
+                                 if bound is None else template.charge))
         return None
+
+    def _launch(self, calls, site, template, bound) -> LaunchRecord | None:
+        """Run what ``calls`` bound through the group's kernel and keep
+        the launch as the site's record; None, making nothing, if none."""
+        metrics = self.fusion_metrics
+        kern, built = template.kernel(metrics)
+        if len(template.plans) > 1:
+            metrics["megakernel_builds"] += built
+            metrics["stepwise_groups"] += kern is None
+            # The run below counts a hit; a trip that built counts none.
+            metrics["megakernel_hits"] -= built and kern is not None
+        if kern is None:
+            return None
+        record = self._make(template, calls, bound, kern)
+        self._run(record)
+        if site is not None:
+            self._launches[site] = record
+            self.launch_metrics["records"] += 1
+        return record
+
+    def _make(self, template, calls, bound, kern) -> LaunchRecord:
+        """The launch, its routines verified as by :meth:`_prepare`."""
+        if self._verified_routines is not None:
+            for routine, plan, *_ in template.calls:
+                self._verify_routine(routine, plan.serial)
+        return template.launch(calls, bound, kern, self.pool,
+                               self.fusion_metrics, self._tier(kern))
+
+    def _tier(self, kern) -> tuple:
+        """What each trip run by ``kern`` (None: no kernel) bumps: none."""
+        return ()
 
     # -- steady state: launch records -------------------------------------
 
+    def _run(self, record) -> None:
+        """Run ``record``'s launch, charged and counted."""
+        launch = record.launch
+        launch.run(record.X)
+        self.stats.charge_call(*record.template.charge)
+        for counters, key in launch.counters:
+            counters[key] += 1
+
     def _replay(self, site, calls) -> LaunchRecord | None:
-        """Run the site's launch record if it still holds — the kernel,
-        the recorded charge, the counters the trip bumps — and return
+        """Run the site's launch record if it still holds, and return
         it; else drop it."""
         record = self._launches.get(site)
         if record is None:
@@ -393,37 +425,29 @@ class Machine:
             self.launch_metrics["drops"] += 1
             self.launch_metrics[stale] += 1
             return None
-        launch = record.launch
-        launch.run(record.X)
-        self.stats.charge_call(*record.charge)
-        for counters, key in launch.counters:
-            counters[key] += 1
+        self._run(record)
         self.launch_metrics["replays"] += 1
         return record
 
     def adopt(self, launches, covers) -> tuple:
-        """A kept trip record's launch records here, and the trips they
-        cover (``covers(kernels)``); ``(None, 0)``, keeping nothing, at
-        0 or when a template does not bind.  ``launches``: ``(site,
-        template, calls, counter keys)``.  A site's record that holds
-        for its calls stays (:meth:`_replay`); any other is made from the
-        template (``LaunchTemplate.adopt``) over the kernel the cache
-        holds now, counted as a dispatch that records is."""
+        """A kept trip record's launch records, ``(site, template,
+        calls)`` each, here, and the trips they cover
+        (``covers(kernels)``); ``(None, 0)``, keeping nothing, at 0 or
+        when a template does not bind.  A site's record that holds
+        stays; any other is made over the kernel the cache holds now,
+        counted as a dispatch that records is."""
         records, made, dropped = [], [], []
-        for site, template, calls, keys in launches:
+        for site, template, calls in launches:
             record = self._launches.get(site)
             why = None if record is None else record.stale(calls)
             if record is None or why is not None:
-                kern = execplan._MEGA_KERNELS.get(template.key)
-                record = (None if kern is None or type(kern) is NoKernel
-                          else template.adopt(calls, kern, self.pool,
-                                              self._addresses))
-                if record is None:
+                kern, _ = template.kernel(None)
+                bound = (None if kern is None
+                         else template.bind(calls, self._addresses))
+                if bound is None:
                     return None, 0
-                record.launch.counters = [
-                    (self.fusion_metrics, key) for key in keys
-                ] + self._launch_counters(record.launch)
-                made.append((site, template, record))
+                record = self._make(template, calls, bound, kern)
+                made.append((site, record))
                 if why is not None:
                     dropped.append(why)
             records.append(record)
@@ -433,20 +457,12 @@ class Machine:
         for why in dropped:
             self.launch_metrics["drops"] += 1
             self.launch_metrics[why] += 1
-        for site, template, record in made:
-            if self._verified_routines is not None:
-                for routine, plan, *_ in template.calls:
-                    self._verify_routine(routine, plan.serial)
-            self._launches[site] = record
+        self._launches.update(made)
         for record in records:
             met(record.launch.kern, record.template.key, self.fusion_metrics)
         self.launch_metrics["records"] += len(made)
         self.launch_metrics["replays"] -= len(made)
         return records, count
-
-    def _launch_counters(self, launch) -> list:
-        """What an adopted ``launch`` bumps besides its template's."""
-        return []
 
     def replay_trips(self, records, trips: int) -> None:
         """Charge and count what ``trips`` replays of each of
@@ -456,7 +472,7 @@ class Machine:
         as :meth:`_replay`'s, multiplied."""
         once = RunStats()
         for record in records:
-            once.charge_call(*record.charge)
+            once.charge_call(*record.template.charge)
             for counters, key in record.launch.counters:
                 counters[key] += trips
         self.stats.merge(once, trips)
@@ -492,7 +508,8 @@ class Machine:
                     raise MachineError(
                         f"{routine.name}: '{param.name}' needs a pointer reg")
                 streams[param.reg.n] = (
-                    ShiftedStream(value, param.name, self.pool)
+                    ShiftedStream(value, param.name, self.pool,
+                                  self.fusion_metrics)
                     if isinstance(value, Shifted)
                     else SubgridStream(value, name=param.name))
             elif param.kind == "scalar":
@@ -527,21 +544,10 @@ class Machine:
                         scalar_pushes, spill_bufs, tuple(spill_pregs),
                         trips, elements)
 
-    def _execute_dispatch(self, dispatches, group):
-        """Run the prepared calls of one node call; the launch, when a
-        kernel ran them."""
-        if self.exec_mode == "interp":
-            (d,) = dispatches   # the oracle never batches
-            run_oracle(d)
-            return None
-        return run_group(dispatches, self.pool, self.fusion_metrics, group)
-
     def _release(self, d: Dispatch) -> None:
         for scratch in d.spill_bufs:
             self.pool.release(scratch)
         for stream in d.shifted:
-            if stream.state is not None:   # prepared, then replayed: None
-                self.fusion_metrics[f"shifts_{stream.state}"] += 1
             stream.release()
 
     def fusion_summary(self) -> dict:

@@ -14,28 +14,25 @@ batch of one.  Either way the machine runs a **group**:
   address classes) into a :class:`LaunchTemplate` — slot table, staged
   pairs, pushes, charge, kernel-cache key, and no array — which the
   machine keeps per dispatch site for every machine that runs it;
-* :meth:`LaunchTemplate.bind` makes every trip's :class:`ExecutionPlan`
-  from the site's template and the trip's arrays, with the one overlap
-  check (no written address class overlaps another); a trip that does
-  not fit the template is probed again;
-* :meth:`ExecutionPlan.kernel_for` is the one kernel cache: the
-  constituents' :class:`~repro.machine.plan.RoutinePlan` steps are
-  lowered once onto the slot table (:func:`~repro.machine.loopir.lower`)
-  and the loop printed as blocked numpy (:mod:`repro.machine.kernel`:
-  no subprocess).  The entry counts the work it streams, and once that
-  would have repaid a ``cc`` run (:func:`~repro.machine.kernel.hot`)
+* :meth:`LaunchTemplate.bind` binds each trip's calls to it, with the
+  one overlap check (no written address class overlaps another),
+  allocating nothing; a trip that does not fit is probed again;
+* :meth:`LaunchTemplate.kernel` is the one kernel cache, asked before
+  anything is allocated: the constituents'
+  :class:`~repro.machine.plan.RoutinePlan` steps are lowered once onto
+  the slot table (:func:`~repro.machine.loopir.lower`) and printed as
+  blocked numpy (:mod:`repro.machine.kernel`), and once that has
+  streamed enough to repay a ``cc`` run (:func:`~repro.machine.kernel.hot`)
   the C printer (:mod:`repro.machine.ckernel`) is asked, once, for the
-  same loop: its kernel replaces the entry, a decline is remembered
-  with its reason.
-  Kernels are cached process-wide, keyed by the full binding
+  same loop.  Kernels are cached process-wide, keyed by the full binding
   signature — constituent plan serials, slot maps, shapes, scalar
-  types — so one compilation serves every later timestep and every
-  later machine, and live no longer than the plans they were compiled
-  over (:func:`evict_serial`);
-* :meth:`ExecutionPlan.launch` runs the kernel through a
-  :class:`~repro.machine.kernel.Launch`, which the machine keeps as the
-  site's :class:`LaunchRecord`: later trips validate it by identity and
-  launch again, skipping everything above (``docs/PIPELINE.md`` §16).
+  types — and live no longer than the plans they were compiled over
+  (:func:`evict_serial`);
+* :meth:`LaunchTemplate.launch` is the one place a launch is made, on
+  the ordinary path and for a kept trip record alike: the kernel over
+  the bound slots, its scratch, scalar file and counters, as the
+  :class:`LaunchRecord` a site keeps and later trips replay after an
+  identity check (``docs/PIPELINE.md`` §16).
 
 What differs with k is the accounting, not the path and not the
 printer.  A group of two or more is charged as **one** node call
@@ -45,13 +42,14 @@ earlier constituent just stored); a lone dispatch keeps the
 per-parameter charge of :func:`call_charge`.
 
 Correctness never depends on the probe, and what happens without a
-kernel is one chain written once (:func:`run_group`): the group's
-kernel; else each constituent as a group of one over materialised
-streams; else the interpreter oracle itself (:func:`run_oracle`, the
-one path of every dispatch that runs without a kernel, and all that
-``exec_mode="interp"`` runs).  A binding signature's first trip goes
-to the oracle: the plan remembers the signature, and a later trip types
-the kernel from it (:func:`~repro.machine.loopir.lower`).  A batch the
+group kernel is one chain written once (:func:`run_group`, over the
+calls :meth:`Machine._prepare` resolved): each constituent alone over
+materialised streams (:func:`run_alone`); else the interpreter oracle
+itself (:func:`run_oracle`, the one path of every dispatch that runs
+without a kernel, and all that ``exec_mode="interp"`` runs).  A
+binding signature's first trip goes to the oracle: the plan remembers
+the signature, and a later trip types the kernel from it
+(:func:`~repro.machine.loopir.lower`).  A batch the
 probe or the bind refuses never gets that far: it is its calls, each
 charged, run and recorded as a site of its own
 (:meth:`Machine.call_fused`).
@@ -70,7 +68,7 @@ from .ckernel import BuildFailed, try_native
 from .geometry import coordinate_axis
 from .kernel import Launch, NoKernel, blocked_kernel, hot
 from .loopir import Declined, lower
-from .pe import VectorExecutor
+from .pe import SubgridStream, VectorExecutor
 from .plan import _UNBOUND, get_plan
 from .shifted import Shifted, ShiftedStream, materialize_streams
 
@@ -88,8 +86,7 @@ class Dispatch:
         self.routine = routine
         self.plan = plan
         self.streams = streams
-        # The shifted streams among them, kept apart so they can be
-        # released (and counted) after ``streams`` swapped in copies.
+        # Kept apart, to be released after ``streams`` swapped in copies.
         self.shifted = [st for st in streams
                         if isinstance(st, ShiftedStream)]
         self.scalars = scalars
@@ -172,106 +169,6 @@ def _fused_charge(model, plans, slot_maps, trips, pushes,
             sum(d.elements for d in dispatches), tuple(per), len(plans))
 
 
-class ExecutionPlan(NamedTuple):
-    """One trip's group: the site's :class:`LaunchTemplate` bound to
-    the flat arrays the calls bind, one per slot (``S``), and their
-    addresses (``addrs``).
-
-    Made by :meth:`LaunchTemplate.bind` for the trip at hand and dropped
-    after it: what outlives the trip is the site's
-    :class:`LaunchRecord` (on the machine), its template (with the
-    executable) and the kernel (process-wide).
-    """
-
-    template: LaunchTemplate
-    S: list
-    addrs: list
-
-    def kernel_for(self, metrics) -> tuple:
-        """``(kernel, built)`` for the template's kernel-cache key.
-
-        The kernel is None when the oracle must run instead: a
-        signature still needs its first trip, or the lowering declined
-        the group.  ``built`` says this call compiled the entry rather
-        than found it.  An entry starts as the blocked numpy kernel
-        printed from the group's loop (:mod:`repro.machine.loopir`) and
-        is offered to the C printer when
-        :func:`~repro.machine.kernel.hot` says it has earned the ``cc``
-        run, whatever k and whoever asks; ``metrics`` (the machine's
-        ``fusion_metrics``) counts what that cost.
-        """
-        t = self.template
-        key = t.key
-        kern = _MEGA_KERNELS.get(key)
-        built = kern is None
-        if built:
-            sigs = key[2]
-            if not all(sig in plan.seen for plan, sig in zip(t.plans, sigs)):
-                return None, False   # the oracle runs the first trip
-            try:
-                kern = blocked_kernel(lower(
-                    t.plans, t.slot_maps, sigs, t.n,
-                    [a.dtype for a in self.S], t.shifts), t.coords)
-            except Declined as bail:
-                kern = NoKernel(str(bail))
-            if len(_MEGA_KERNELS) >= _MEGA_CAP:
-                _MEGA_KERNELS.popitem(last=False)
-        if hot(kern):
-            kern = self._tier_up(kern, metrics)
-        _MEGA_KERNELS[key] = kern
-        _MEGA_KERNELS.move_to_end(key)
-        met(kern, key, metrics)
-        return (None if isinstance(kern, NoKernel) else kern), built
-
-    def _tier_up(self, kern, metrics):
-        """The kernel that replaces a hot blocked ``kern``: the C
-        printer's, of the loop ``kern`` was printed from, or ``kern``
-        itself with the refusal remembered."""
-        try:
-            native = try_native(kern.loop)
-        except Declined as bail:
-            kern.declined = ("c", str(bail))
-            return kern
-        except BuildFailed:
-            metrics["native_build_failures"] += 1
-            kern.declined = ("c", "build failed")
-            return kern
-        metrics["tier_ups"] += 1
-        if len(self.template.plans) > 1:
-            metrics["megakernel_native"] += 1
-        if native.build_ms is not None:
-            metrics["native_builds"] += 1
-            metrics["native_build_ms"] += native.build_ms
-        return native
-
-    def prepared(self, kern, pool) -> Launch:
-        """``kern`` bound to the group's slot table, not yet run."""
-        t = self.template
-        # The kernel's staged scratch slots, numbered in order after
-        # the group's own: the launch's for as long as it lives.
-        scratch = [pool.acquire((t.n,), self.S[slot].dtype)
-                   for slot, _ in kern.staged]
-        launch = Launch(kern, self.S + scratch, t.n, t.spill_slots,
-                        len(t.plans))
-        launch.S.addrs = self.addrs + [a.ctypes.data for a in scratch]
-        return launch
-
-    def launch(self, kern, dispatches, pool) -> Launch:
-        """Run ``kern`` over the group's slot table; the launch."""
-        t, launch = self.template, self.prepared(kern, pool)
-        launch.run([x for d in dispatches for x in d.scalars])
-        if t.shifts:   # the kernel read every shifted stream in place
-            staged = {slot for slot, base, _, _ in t.shifts
-                      if base is not None}
-            for d, smap in zip(dispatches, t.slot_maps):
-                for p, slot in smap.items():
-                    stream = d.streams[p]
-                    if isinstance(stream, ShiftedStream):
-                        stream.state = ("staged" if slot in staged
-                                        else "folded")
-        return launch
-
-
 def met(kern, key, metrics) -> None:
     """Note in ``metrics`` (``fusion_metrics``) a decline or split of
     the cache entry ``kern`` at ``key``: per entry, not per trip."""
@@ -281,51 +178,64 @@ def met(kern, key, metrics) -> None:
         metrics.setdefault("split", set()).add(key)
 
 
-def run_group(dispatches, pool, metrics,
-              group: ExecutionPlan | None) -> Launch | None:
-    """Run k >= 1 prepared calls: the one fallback chain.
+def _tier_up(kern, metrics, k: int):
+    """The kernel that replaces a hot blocked ``kern`` of a group of
+    ``k``: the C printer's, of the loop ``kern`` was printed from, or
+    ``kern`` itself with the refusal remembered."""
+    try:
+        native = try_native(kern.loop)
+    except Declined as bail:
+        kern.declined = ("c", str(bail))
+        return kern
+    except BuildFailed:
+        metrics["native_build_failures"] += 1
+        kern.declined = ("c", "build failed")
+        return kern
+    metrics["tier_ups"] += 1
+    if k > 1:
+        metrics["megakernel_native"] += 1
+    if native.build_ms is not None:
+        metrics["native_builds"] += 1
+        metrics["native_build_ms"] += native.build_ms
+    return native
 
-    The group's kernel; else each constituent as a group of one over
-    materialised streams (a shifted operand means its source when the
-    group starts); else the oracle (:func:`run_oracle`).  Returns the
-    launch when a kernel ran over the operands as bound — what a
-    dispatch site may replay — else None.
 
-    ``group`` is this trip's :class:`ExecutionPlan`, None when the
-    probe or the bind refused the calls.  ``metrics`` is the machine's
-    ``fusion_metrics`` (see :meth:`ExecutionPlan.kernel_for`).
-    """
-    k = len(dispatches)
-    if group is not None:
-        kern, built = group.kernel_for(metrics)
-        if k > 1:
-            if built:
-                metrics["megakernel_builds"] += 1
-            elif kern is not None:
-                metrics["megakernel_hits"] += 1
-            if kern is None:
-                metrics["stepwise_groups"] += 1
-        if kern is not None:
-            launch = group.launch(kern, dispatches, pool)
-            if k > 1:
-                launch.counters.append((metrics, "megakernel_hits"))
-            return launch
-    d = dispatches[0]
-    if k == 1 and not any(isinstance(st, ShiftedStream) for st in d.streams):
-        run_oracle(d, d.plan._signature(d.streams, d.scalars))
-        return None
+def run_group(calls, dispatches, pool, metrics) -> None:
+    """Run k >= 1 prepared calls that no group kernel runs: the one
+    fallback chain.  Every shifted operand is materialised (it means its
+    source when the group starts) and each call runs alone over the
+    copies: the kernel of a fresh probe, else the oracle.  ``calls`` are
+    the calls ``dispatches`` were prepared from; ``metrics`` the
+    machine's ``fusion_metrics``."""
     for d in dispatches:
         materialize_streams(d.streams)
-    for d in dispatches:
-        run_group((d,), pool, metrics, group_of((d,)))
-    return None
+    for call, d in zip(calls, dispatches):
+        run_alone(over_copies(call, d), d, pool, metrics)
 
 
-def group_of(dispatches) -> ExecutionPlan | None:
-    """This trip's group of ``dispatches`` where no site remembers a
-    template: a fresh probe, bound."""
-    template = LaunchTemplate.probe(dispatches)
-    return None if template is None else template.bind((), dispatches)
+def over_copies(call, d: Dispatch) -> tuple:
+    """``call``, a materialised shifted operand of ``d`` bound as its
+    copy."""
+    bindings = dict(call[1])
+    for stream in d.streams:
+        if type(stream) is SubgridStream and stream.name in bindings:
+            bindings[stream.name] = stream.view
+    return (call[0], bindings, *call[2:])
+
+
+def run_alone(call, d: Dispatch, pool, metrics) -> LaunchRecord | None:
+    """Run prepared ``d``, no site's, through the kernel of a fresh
+    probe bound to ``call``, else on the oracle; the launch record when
+    a kernel ran it, counting nothing."""
+    template = LaunchTemplate.probe((d,), (call,))
+    bound = None if template is None else template.bind((call,))
+    kern = None if bound is None else template.kernel(metrics)[0]
+    if kern is None:
+        run_oracle(d, d.plan._signature(d.streams, d.scalars))
+        return None
+    record = template.launch((call,), bound, kern, pool)
+    record.launch.run(record.X)
+    return record
 
 
 def run_oracle(d: Dispatch, sig=None) -> None:
@@ -334,7 +244,7 @@ def run_oracle(d: Dispatch, sig=None) -> None:
     materialised first: every dispatch that runs without a kernel.
 
     ``sig`` is the call's binding signature when the oracle stands in
-    for a kernel (:func:`run_group`); the plan remembers it, so the next
+    for a kernel (:func:`run_alone`); the plan remembers it, so the next
     trip with it may build one.  ``exec_mode="interp"`` passes none.
     """
     materialize_streams(d.streams)
@@ -368,28 +278,23 @@ def _mismatch(call, routine, plan, tail, scalars) -> str | None:
 
 
 class LaunchRecord:
-    """What one dispatch site does on every steady-state trip.
-
-    Made by the site's :class:`LaunchTemplate` from a trip that ran
-    through a compiled kernel (:meth:`LaunchTemplate.record`): per call
-    the routine, its plan, the region tail of the call tuple, the
-    operand *objects* bound to the stream parameters and the Python
-    type of each scalar argument; the
-    :class:`~repro.machine.kernel.Launch` that ran; and the trip's
-    ``RunStats.charge_call`` arguments.  A later trip whose calls pass
-    :meth:`stale` binds the very same objects, so every pointer, dtype,
-    length and alias fact the bind would re-derive is already known — a
-    live numpy view cannot change them.  The record holds strong
-    references to everything it compares against, so a site id
+    """One launch of a dispatch site, made by
+    :meth:`LaunchTemplate.launch`: per call the routine, its plan, the
+    region tail, the operand *objects* bound to the stream parameters
+    and the type and scalar-file slot of each scalar argument; the
+    :class:`~repro.machine.kernel.Launch`; the scalar file ``X``; the
+    ``template``, whose ``charge`` each run pays.  A later trip whose
+    calls pass :meth:`stale` binds the very same objects, so every
+    pointer, dtype, length and alias fact the bind would re-derive is
+    known — a live numpy view cannot change them.  The record holds
+    strong references to everything it compares against, so a site id
     recycled for another op can only match an identical dispatch.
-    ``template`` is the launch template it was made from.
     """
 
-    __slots__ = ("launch", "charge", "calls", "X", "template")
+    __slots__ = ("launch", "calls", "X", "template")
 
-    def __init__(self, launch, charge, calls, X, template) -> None:
+    def __init__(self, launch, calls, X, template) -> None:
         self.launch = launch
-        self.charge = charge
         self.calls = calls
         self.X = X
         self.template = template
@@ -397,9 +302,7 @@ class LaunchRecord:
     def stale(self, calls) -> str | None:
         """Why this trip cannot replay the record — None when it can,
         with the trip's scalars filled in."""
-        if hot(self.launch.kern):
-            # The bind's kernel lookup asks the C printer; the trip
-            # records again.
+        if hot(self.launch.kern):   # the kernel lookup asks for C
             return "tier_up"
         if len(calls) != len(self.calls):
             return "binding"
@@ -439,26 +342,24 @@ def _address(view: np.ndarray, memo: dict | None = None) -> int:
 class LaunchTemplate(NamedTuple):
     """What the probe worked out from one trip's calls, for every trip
     at the dispatch site on every machine that runs it
-    (``docs/PIPELINE.md`` §16, "Launch templates"): per call the
-    routine, plan, region tail, stream parameter names and scalar slots
-    and types (``calls``); the group's ``plans``, ``trips``, common flat
-    length ``n``, per call its pointer register -> slot map, the spill
-    slots (zeroed before every launch), per shifted operand ``(slot,
-    staged source slot or None, shape, offsets)`` as the lowering takes
-    them, per coordinate slot ``(slot, 0-based axis, shape)`` (``coords``:
-    bound only from ``coord`` parameters, to shared coordinate arrays),
-    and ``pushes`` (one per distinct stream slot and scalar, plus the
-    shared vlen); the array objects the streams were (*sources*:
-    shape and dtype, ``classes`` of sources at one address, ``written``
-    those stored into), per stream its source, slot, shifted offsets and
-    parameter name, None for a spill (``members``), per slot its source
-    (``slot_src``); the kernel-cache
-    ``key`` and the ``charge``.  It holds no array, pool buffer or
-    machine and never changes."""
+    (``docs/PIPELINE.md`` §16): per call the routine, plan, region
+    tail, stream parameter names and scalar slots and types
+    (``calls``); the group's ``plans``, common flat length ``n``, per
+    call its pointer register -> slot map, the spill slots (zeroed
+    before every launch), per shifted operand ``(slot, staged source
+    slot or None, shape, offsets)``, per coordinate slot ``(slot,
+    0-based axis, shape)`` (``coords``: bound only from ``coord``
+    parameters, to shared coordinate arrays), and ``pushes`` (one per
+    distinct stream slot and scalar, plus the shared vlen); the array
+    objects the streams were (*sources*: shape and dtype, ``classes``
+    of sources at one address, ``written`` those stored into), per
+    stream its source, slot, shifted offsets and parameter name, None
+    for a spill (``members``), per slot its source (``slot_src``); the
+    kernel-cache ``key`` and the ``charge``.  It holds no array, pool
+    buffer or machine and never changes."""
 
     calls: tuple
     plans: tuple
-    trips: int
     n: int
     slot_maps: tuple
     spill_slots: tuple
@@ -474,7 +375,7 @@ class LaunchTemplate(NamedTuple):
     charge: tuple | None
 
     @classmethod
-    def probe(cls, dispatches, calls=(),
+    def probe(cls, dispatches, calls,
               model=None) -> "LaunchTemplate | None":
         """Classify prepared ``dispatches`` — the one alias probe — and
         derive their group; None when no kernel may run them wherever
@@ -487,20 +388,23 @@ class LaunchTemplate(NamedTuple):
         verdict depends only on plans, shapes and alias classes, so
         fused cost accounting is deterministic run to run.
 
-        ``calls`` are what a later trip must match to bind the template
-        (none: no site remembers it); ``model`` prices the group (none:
-        nothing is charged from it).
+        ``calls`` are the calls ``dispatches`` were prepared from, what
+        a later trip must match to bind the template; ``model`` prices
+        the group (none: nothing is charged from it).
         """
         trips = dispatches[0].trips
         if any(d.trips != trips for d in dispatches):
             return None
         checks = []
+        names: list[dict] = []      # per call, stream preg -> parameter
         for i, (call, d) in enumerate(zip(calls, dispatches)):
             streams, scalars = [], []
+            names.append({})
             for param in call[0].params:
                 value = call[1].get(param.name)
                 if param.kind in ("subgrid", "coord", "halo"):
                     streams.append(param.name)
+                    names[i][param.reg.n] = param.name
                 elif param.kind != "scalar":
                     continue
                 elif isinstance(value, np.ndarray):
@@ -555,8 +459,7 @@ class LaunchTemplate(NamedTuple):
                 only_coord[slot] = (only_coord.get(slot, True)
                                     and p in coord_pregs and operand is None)
                 members.append((i, p, src, slot, None if operand is None
-                                else operand.offsets,
-                                None if p in d.spill_pregs else stream.name))
+                                else operand.offsets, names[i].get(p)))
                 if p in d.plan.stored_pregs:
                     stored.add(slot)
             slot_maps.append(smap)
@@ -590,26 +493,21 @@ class LaunchTemplate(NamedTuple):
                   else call_charge(model, dispatches[0]) if len(plans) == 1
                   else _fused_charge(model, plans, slot_maps, trips, pushes,
                                      dispatches))
-        return cls(tuple(checks), plans, trips, n, slot_maps,
+        return cls(tuple(checks), plans, n, slot_maps,
                    tuple(spill_slots), shifts, coords, pushes, tuple(members),
                    tuple((v.shape, v.dtype) for v in views),
                    tuple(slot_src), tuple(classes),
                    tuple(sorted({slot_src[s] for s in stored})), key, charge)
 
-    def bind(self, calls, dispatches=None,
-             addresses: dict | None = None) -> ExecutionPlan | None:
-        """This trip's group, or None when the site must be probed
-        again: another number of calls, routine, plan, tail or scalar
-        type; streams that are not the same source objects, contiguous,
-        of their shapes and dtypes; a coordinate slot's source not a
-        coordinate array along its axis; sources in other address classes —
-        or, for a probe of this very trip, no kernel may run it: a
-        written class overlaps another, the one check that depends on
-        where the arrays lie.  The operands are the prepared
-        ``dispatches``' streams or, with none (:meth:`adopt`), the
-        bindings of ``calls``, spill slots then getting buffers of their
-        own.  ``addresses``: the machine's memo (:func:`_address`)."""
-        if len(dispatches or calls) != len(self.plans):
+    def bind(self, calls, addresses: dict | None = None) -> tuple | None:
+        """``(S, addrs)``: per slot the flat array and address ``calls``
+        bind (a spill slot's are the launch's own), allocating nothing;
+        None when the site must be probed again — the calls, sources or
+        address classes are not the probe's — or, for a probe of this
+        very trip, when a written class overlaps another, the one check
+        that depends on where the arrays lie.  ``addresses``: the
+        machine's memo (:func:`_address`)."""
+        if len(calls) != len(self.plans):
             return None
         for call, (routine, plan, tail, _, scalars) in zip(calls,
                                                             self.calls):
@@ -618,14 +516,9 @@ class LaunchTemplate(NamedTuple):
         views: list = [None] * len(self.sources)
         keys: dict = {}         # shifted operand key -> slot
         for i, p, src, slot, offsets, name in self.members:
-            if dispatches is not None:
-                value = dispatches[i].streams[p]
-                value = (value.operand if type(value) is ShiftedStream
-                         else value.view)
-            elif name is None:      # a spill slot
-                value = np.zeros(*self.sources[src])
-            else:
-                value = calls[i][1].get(name)
+            if name is None:    # a spill slot
+                continue
+            value = calls[i][1].get(name)
             if offsets is not None:
                 if (type(value) is not Shifted or value.offsets != offsets
                         or keys.setdefault(value.key, slot) != slot):
@@ -636,24 +529,26 @@ class LaunchTemplate(NamedTuple):
                 views[src] = value
             elif held is not value:
                 return None
-        if len(keys) != len(self.shifts):
+        if len(keys) != len(self.shifts) or any(
+                coordinate_axis(views[self.slot_src[slot]]) != axis
+                for slot, axis, _ in self.coords):
             return None
-        for slot, axis, _ in self.coords:
-            if coordinate_axis(views[self.slot_src[slot]]) != axis:
-                return None
         addrs = []
         index: dict = {}        # address -> class, by first appearance
         sizes: dict = {}        # address -> its class's largest source
-        for view, (shape, dtype), want in zip(views, self.sources,
-                                              self.classes):
-            if (type(view) is not np.ndarray or view.shape != shape
+        for src, (view, (shape, dtype), want) in enumerate(zip(
+                views, self.sources, self.classes)):
+            if view is None:    # a spill: a buffer of its own
+                at = ~src
+            elif (type(view) is not np.ndarray or view.shape != shape
                     or view.dtype != dtype
                     or not view.flags.c_contiguous):
                 return None
-            at = _address(view, addresses)
+            else:
+                at = _address(view, addresses)
+                sizes[at] = max(sizes.get(at, 0), view.nbytes)
             if index.setdefault(at, len(index)) != want:
                 return None
-            sizes[at] = max(sizes.get(at, 0), view.nbytes)
             addrs.append(at)
         written = {addrs[k] for k in self.written}
         end = written_end = -1
@@ -666,35 +561,82 @@ class LaunchTemplate(NamedTuple):
             elif at < written_end:
                 return None
             end = max(end, hi)
-        return ExecutionPlan(self,
-                             [views[k].reshape(-1) for k in self.slot_src],
-                             [addrs[k] for k in self.slot_src])
+        return ([None if views[k] is None else views[k].reshape(-1)
+                 for k in self.slot_src], [addrs[k] for k in self.slot_src])
 
-    def record(self, calls, dispatches, launch) -> LaunchRecord:
-        """The site's launch record of the trip that just ran."""
-        X: list = []
-        for d in dispatches:
-            X.extend(d.scalars)
-            d.spill_bufs = ()   # the launch's now, not the pool's
-        return self._record(calls, launch, X)
+    def kernel(self, metrics) -> tuple:
+        """``(kernel, built)`` for the template's key, from the one
+        kernel cache: None when the oracle must run instead (a
+        signature still needs its first trip, or the lowering declined
+        the group); ``built`` when this call compiled the entry.  An
+        entry starts as the blocked numpy kernel printed from the
+        group's loop, typed by the slots' dtypes, and is offered to the
+        C printer once :func:`~repro.machine.kernel.hot`, whatever k and
+        whoever asks; ``metrics`` (``fusion_metrics``) counts what that
+        cost.  With no ``metrics`` (a kept trip record's bind) the entry
+        is taken as it stands: nothing is built, promoted or noted."""
+        key = self.key
+        kern = _MEGA_KERNELS.get(key)
+        built = kern is None
+        if metrics is None:
+            return (None if isinstance(kern, NoKernel) else kern), False
+        if built:
+            sigs = key[2]
+            if not all(sig in plan.seen for plan, sig in zip(self.plans, sigs)):
+                return None, False   # the oracle runs the first trip
+            try:
+                kern = blocked_kernel(lower(
+                    self.plans, self.slot_maps, sigs, self.n,
+                    [self.sources[src][1] for src in self.slot_src],
+                    self.shifts), self.coords)
+            except Declined as bail:
+                kern = NoKernel(str(bail))
+            if len(_MEGA_KERNELS) >= _MEGA_CAP:
+                _MEGA_KERNELS.popitem(last=False)
+        if hot(kern):
+            kern = _tier_up(kern, metrics, len(self.plans))
+        _MEGA_KERNELS[key] = kern
+        _MEGA_KERNELS.move_to_end(key)
+        met(kern, key, metrics)
+        return (None if isinstance(kern, NoKernel) else kern), built
 
-    def _record(self, calls, launch, X) -> LaunchRecord:
-        checks = tuple(
-            (routine, plan, tail,
-             tuple((name, call[1][name]) for name in streams), scalars)
-            for call, (routine, plan, tail, streams, scalars)
-            in zip(calls, self.calls))
-        return LaunchRecord(launch, self.charge, checks, X, self)
-
-    def adopt(self, calls, kern, pool,
-              addresses: dict | None = None) -> LaunchRecord | None:
-        """A launch record of ``calls`` (unprepared) over ``kern``, not
-        run; None when they do not fit (:meth:`bind`)."""
-        group = self.bind(calls, None, addresses)
-        if group is None:
-            return None
+    def launch(self, calls, bound, kern, pool, metrics=None,
+               tier=()) -> LaunchRecord:
+        """``kern`` over what ``calls`` bound (:meth:`bind`), not yet
+        run: its spill slots and the kernel's staged scratch slots
+        (numbered after the group's own) drawn from ``pool``, the
+        launch's for as long as it lives; the scalar file filled from
+        the calls.  Each run bumps, in ``metrics`` (None: nothing), one
+        counter per shifted operand, staged or read in place, and
+        ``megakernel_hits`` for k > 1; and the machine's ``tier``."""
+        S, addrs = list(bound[0]), list(bound[1])
+        dtypes = [self.sources[src][1] for src in self.slot_src]
+        for slot in self.spill_slots:
+            S[slot] = pool.acquire((self.n,), dtypes[slot])
+            addrs[slot] = S[slot].ctypes.data
+        for slot, _ in kern.staged:
+            S.append(pool.acquire((self.n,), dtypes[slot]))
+            addrs.append(S[-1].ctypes.data)
+        launch = Launch(kern, S, self.n, self.spill_slots, len(self.plans))
+        launch.S.addrs = addrs
+        if metrics is not None:
+            staged = {slot for slot, base, _, _ in self.shifts
+                      if base is not None}
+            launch.counters = [
+                (metrics, "shifts_staged" if slot in staged
+                 else "shifts_folded")
+                for _, _, _, slot, offsets, _ in self.members
+                if offsets is not None] + list(tier)
+            if len(self.plans) > 1:
+                launch.counters.append((metrics, "megakernel_hits"))
         X = [_UNBOUND] * (NUM_SREGS * len(self.plans))
-        for call, check in zip(calls, self.calls):
-            for name, k, _ in check[4]:
-                X[k] = call[1][name]
-        return self._record(calls, group.prepared(kern, pool), X)
+        checks = []
+        for call, (routine, plan, tail, streams, scalars) in zip(
+                calls, self.calls):
+            bindings = call[1]
+            for name, k, _ in scalars:
+                X[k] = bindings[name]
+            checks.append((routine, plan, tail,
+                           tuple((name, bindings[name]) for name in streams),
+                           scalars))
+        return LaunchRecord(launch, tuple(checks), X, self)

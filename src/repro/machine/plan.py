@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..peac.isa import Imm, Instr, Mem, Routine, SReg, VReg
+from ..peac.isa import Imm, Instr, Mem, ParamSpec, PReg, Routine, SReg, VReg
 from .costs import CostModel
 from .pe import ExecutionError, flops_per_element
 
@@ -178,7 +178,7 @@ class RoutinePlan:
     def __init__(self, routine: Routine) -> None:
         self.name = routine.name
         self.serial = _SERIALS()
-        self.body_id = id(routine.body)
+        self.body = routine.body
         self.body_len = len(routine.body)
         #: The instructions compiled (what the oracle runs for the plan).
         self.instrs = tuple(routine.body)
@@ -280,19 +280,30 @@ class RoutinePlan:
 
         ``streams`` is a list of ``NUM_PREGS`` :class:`SubgridStream`
         entries (or ``None``); ``scalars`` a list of ``NUM_SREGS``
-        values with ``_UNBOUND`` holes.  This is the group of one
-        without a machine (:func:`repro.machine.execplan.run_group`): a
-        kernel when the bindings allow one, else the oracle.  Returns
-        the :class:`~repro.machine.kernel.Launch` when a kernel ran over
-        the operands as bound, else None.
+        values with ``_UNBOUND`` holes.  This is a call no site names
+        (:func:`repro.machine.execplan.run_alone`), of a routine whose
+        parameters are the bound registers: a kernel when the bindings
+        allow one, else the oracle.  Returns the
+        :class:`~repro.machine.kernel.Launch` when a kernel ran over the
+        operands as bound, else None.
         """
         # execplan imports this module
-        from .execplan import Dispatch, group_of, run_group
+        from .execplan import Dispatch, run_alone
 
-        dispatches = (Dispatch(None, self, streams, scalars),)
-        return run_group(dispatches,
-                         pool if pool is not None else GLOBAL_POOL,
-                         Counter(), group_of(dispatches))
+        params = [ParamSpec("subgrid", f"p{n}", PReg(n))
+                  for n, stream in enumerate(streams) if stream is not None]
+        params += [ParamSpec("scalar", f"s{n}", SReg(n))
+                   for n, value in enumerate(scalars) if value is not _UNBOUND]
+        routine = Routine(self.name, params, self.body)
+        routine._plan = self
+        bindings = {param.name: streams[param.reg.n].view
+                    if param.kind == "subgrid" else scalars[param.reg.n]
+                    for param in params}
+        record = run_alone((routine, bindings),
+                           Dispatch(routine, self, streams, scalars),
+                           pool if pool is not None else GLOBAL_POOL,
+                           Counter())
+        return None if record is None else record.launch
 
     def saw(self, sig) -> None:
         """Remember that binding signature ``sig`` had its first trip
@@ -311,7 +322,7 @@ def get_plan(routine: Routine) -> RoutinePlan:
     routines incrementally) recompile instead of running stale steps.
     """
     plan = getattr(routine, "_plan", None)
-    if (plan is not None and plan.body_id == id(routine.body)
+    if (plan is not None and plan.body is routine.body
             and plan.body_len == len(routine.body)):
         return plan
     plan = RoutinePlan(routine)

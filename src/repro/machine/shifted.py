@@ -103,21 +103,18 @@ class ShiftedStream:
     """The stream of a :class:`Shifted` operand inside one dispatch.
 
     Deliberately *not* a :class:`~repro.machine.pe.SubgridStream`: it
-    has no ``view``.  A kernel that indexes the source in place takes
-    ``operand`` and sets ``state``; every other consumer must first
-    swap it for its materialised copy (:func:`materialize_streams`), so
-    a path that forgets fails loudly instead of reading stale data.
-    ``state`` — how the dispatch consumed it, None while nothing has —
-    feeds the machine's ``shifts_*`` counters.
+    has no ``view``, so every consumer but a kernel must first swap it
+    for its materialised copy (:func:`materialize_streams`, counted in
+    ``metrics["shifts_materialized"]``) or fail loudly.
     """
 
-    __slots__ = ("operand", "name", "pool", "state", "_copy")
+    __slots__ = ("operand", "name", "pool", "metrics", "_copy")
 
-    def __init__(self, operand: Shifted, name: str, pool) -> None:
+    def __init__(self, operand: Shifted, name: str, pool, metrics) -> None:
         self.operand = operand
         self.name = name
         self.pool = pool
-        self.state: str | None = None
+        self.metrics = metrics
         self._copy: np.ndarray | None = None
 
     @property
@@ -128,7 +125,7 @@ class ShiftedStream:
     def materialize(self) -> SubgridStream:
         """A plain stream over the shifted copy (pooled, made once)."""
         if self._copy is None:
-            self.state = "materialized"
+            self.metrics["shifts_materialized"] += 1
             base = self.operand.base
             self._copy = self.operand.materialize(
                 self.pool.acquire(base.shape, base.dtype))

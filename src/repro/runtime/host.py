@@ -375,7 +375,7 @@ class _Trip(NamedTuple):
     site and template — no array, address or closure: the ids of the
     ops pending as it started and the ops it left pending; its moves,
     guards and calls, ``(op, outcome)``; per dispatch ``(site, template,
-    call ops, counter keys)``; what it charges besides its launches.
+    call ops)``; what it charges besides its launches.
     ``at``: None for a steady record (it covers every trip its guards
     pass), else the one trip (from 0) of a loop execution it covers."""
 
@@ -672,25 +672,19 @@ class HostExecutor:
         host_op = m.model.host_op
         per_trip = RunStats(host_cycles=host_op)    # the loop's own
         steps: list = []
-        launches: list = []
-
-        def launch(site, record, ops):
-            launches.append((site, record.template, tuple(ops), tuple(
-                key for counters, key in record.launch.counters
-                if counters is m.fusion_metrics)))
-
+        launches: list = []     # (site, template, call ops)
         for op, what in log:
             if op is None:      # a flush: (its pairs, records)
                 pairs, records = what
                 if records is None:
                     return None
-                ops = [site for site, _ in pairs]
+                ops = tuple(site for site, _ in pairs)
                 site = tuple(map(id, ops))
                 if len(records) == 1 and len(records[0].calls) == len(ops):
-                    launch(site, records[0], ops)
+                    launches.append((site, records[0].template, ops))
                 else:           # a rejected batch: call by call
                     for i, (record, op) in enumerate(zip(records, ops)):
-                        launch((site, i), record, [op])
+                        launches.append(((site, i), record.template, (op,)))
             elif isinstance(op, FoldedShift):
                 per_trip.comm_cycles += m.shift_cycles(*op.const)
                 per_trip.comm_ops += 1
@@ -703,7 +697,7 @@ class HostExecutor:
                 return None
             else:
                 steps.append((op, None))
-                launch(id(op), what[0], [op])
+                launches.append((id(op), what[0].template, (op,)))
         leaves = tuple(site for site, _ in self._pending)
         varies = _varies(log, var)
         if not varies and tuple(carried) == tuple(map(id, leaves)):
@@ -771,15 +765,15 @@ class HostExecutor:
         def covers(kernels):
             cool[0] = _cool_trips(
                 [(kern, len(t.plans) * (t.n + kernel._LAUNCH_COST))
-                 for kern, (_, t, _, _) in zip(kernels, record.launches)],
+                 for kern, (_, t, _) in zip(kernels, record.launches)],
                 1 if alone else len(upcoming))
             return _passing(guards, self.scalars, var, upcoming[:cool[0]])
 
         pending = dict(carried)     # each flushed once, then the trip's own
         records, count = self.machine.adopt([
             (site, template, [pending.pop(id(op), None) or own[id(op)]
-                              for op in ops], keys)
-            for site, template, ops, keys in record.launches], covers)
+                              for op in ops])
+            for site, template, ops in record.launches], covers)
         if not count:
             return self._restore(saved)
         return _Bound(

@@ -58,10 +58,11 @@ class ExecFusionReport:
     """What the execution-plan fusion layer can work with.
 
     The fusion itself happens at run time (the host executor batches
-    node calls into :class:`~repro.machine.execplan.ExecutionPlan`
-    dispatches); this compile-time pass surveys the phase structure so
-    ``--dump-report`` shows the opportunity and the pipeline identity —
-    hence the compile cache key — reflects the knob.
+    node calls into groups, each launched from a
+    :class:`~repro.machine.execplan.LaunchTemplate`); this compile-time
+    pass surveys the phase structure so ``--dump-report`` shows the
+    opportunity and the pipeline identity — hence the compile cache key
+    — reflects the knob.
     """
 
     compute_phases: int = 0      # blocked computation phases seen

@@ -136,6 +136,37 @@ def test_third_run_binds_every_site(program, target, mode):
     assert result.machine.launch_metrics["records"] >= len(table)
 
 
+@pytest.mark.parametrize("target,mode", CONFIGS)
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_steady_kernel_trips_prepare_nothing(program, target, mode):
+    """Below ``_TRIP_MIN`` every trip takes the ordinary path: on a
+    second run each site's template binds the calls' own bindings and
+    its kernel exists, so no call is prepared — ``Machine._prepare`` is
+    left to the probe, the oracle and the fallback chain."""
+    source = {"swe": swe_source, "heat": heat_source,
+              "life": life_source}[program](32, 8)
+    exe = compile_source(source, CompilerOptions(target=target),
+                         cache=False)
+    exe.run(machine=_machine(target, mode))
+    calls = {"prepare": 0, "oracle": 0}
+    prepare, oracle = Machine._prepare, execplan.run_oracle
+
+    def counted(name, inner):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return count
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Machine, "_prepare", counted("prepare", prepare))
+        patch.setattr(execplan, "run_oracle", counted("oracle", oracle))
+        result = exe.run(machine=_machine(target, mode))
+    fusion = result.machine.fusion_summary()
+    assert fusion["trip_declined"] == {"too short": 1}
+    assert fusion["launch_records"] > 0
+    assert calls == {"prepare": 0, "oracle": 0}
+
+
 def test_a_templated_run_equals_the_interpreter():
     source = PROGRAMS["swe"]()
     exe = compile_source(source, CompilerOptions(), cache=False)
@@ -166,36 +197,40 @@ def test_homes_on_one_buffer_fall_back(mode):
     assert np.shares_memory(result.arrays["a"], result.arrays["b"])
 
 
-def _fields(group) -> tuple:
+def _fields(template, bound) -> tuple:
     """What a bound group is: its template's slot maps, spill slots,
     shifted operands, coordinate slots, pushes, charge and kernel-cache
     key, and the addresses of its slots."""
-    t = group.template
+    t = template
     return (t.slot_maps, t.spill_slots, t.shifts, t.coords, t.pushes,
-            t.charge, t.key, group.addrs)
+            t.charge, t.key, bound[1])
 
 
 @contextlib.contextmanager
 def _verdicts():
     """``[(memo group, fresh group)]`` of every trip inside the block
     whose site's remembered template bound it, the fresh group the
-    probe of the same trip binds on the same machine."""
+    probe of the same trip binds on the same machine — each ``(template,
+    bound)``."""
     hits = []
-    group = Machine._group
+    group = Machine._dispatch
 
-    def checked(self, site, calls, dispatches):
+    def checked(self, calls, site, dispatches):
         template = self.templates.get(site)
         memo = (None if template is None
-                else template.bind(calls, dispatches, self._addresses))
-        fresh = execplan.LaunchTemplate.probe(dispatches, calls, self.model)
+                else template.bind(calls, self._addresses))
+        prepared = [self._prepare(*c) for c in calls]
+        fresh = execplan.LaunchTemplate.probe(prepared, calls, self.model)
         if fresh is not None:
-            fresh = fresh.bind(calls, dispatches, self._addresses)
+            fresh = (fresh, fresh.bind(calls, self._addresses))
+        for d in prepared:
+            self._release(d)
         if memo is not None:
-            hits.append((memo, fresh))
-        return group(self, site, calls, dispatches)
+            hits.append(((template, memo), fresh))
+        return group(self, calls, site, dispatches)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Machine, "_group", checked)
+        patch.setattr(Machine, "_dispatch", checked)
         yield hits
 
 
@@ -210,10 +245,10 @@ def test_a_memo_hit_binds_what_a_fresh_probe_derives(program, target, mode):
     assert hits
     for memo, fresh in hits:
         assert fresh is not None
-        assert _fields(memo) == _fields(fresh)
+        assert _fields(*memo) == _fields(*fresh)
     if program == "pair":
-        assert any(base is not None for memo, _ in hits
-                   for _, base, _, _ in memo.template.shifts)
+        assert any(base is not None for (memo, _), _ in hits
+                   for _, base, _, _ in memo.shifts)
 
 
 @pytest.mark.parametrize("mode", ("fast", "fused"))
@@ -224,10 +259,10 @@ def test_homes_on_one_buffer_bind_one_merged_slot(mode):
     with _verdicts() as hits:
         result = exe.run(machine=_shared_homes(_machine("cm2", mode), 0))
     # ``a`` and ``b`` are two source objects of one address class.
-    assert any(len(set(memo.template.classes)) < len(memo.template.classes)
-               for memo, _ in hits)
+    assert any(len(set(memo.classes)) < len(memo.classes)
+               for (memo, _), _ in hits)
     for memo, fresh in hits:
-        assert _fields(memo) == _fields(fresh)
+        assert _fields(*memo) == _fields(*fresh)
     if mode == "fast":
         # (A fused batch is cut at name-level effect barriers, which
         # cannot see two names over one buffer: only its twin holds it.)
@@ -263,12 +298,12 @@ def test_overlapping_homes_are_refused():
         calls = ((op.routine, executor._bindings(op), op.region_extents,
                   op.real_elements, op.layout),)
         dispatches = [m._prepare(*calls[0])]
-        memo = template.bind(calls, dispatches, m._addresses)
-        fresh = execplan.LaunchTemplate.probe(dispatches, calls, m.model)
-        fresh = fresh.bind(calls, dispatches, m._addresses)
+        memo = template.bind(calls, m._addresses)
+        probed = execplan.LaunchTemplate.probe(dispatches, calls, m.model)
+        fresh = probed.bind(calls, m._addresses)
         assert (memo is None) == (fresh is None)
         if memo is not None:
-            assert _fields(memo) == _fields(fresh)
+            assert _fields(template, memo) == _fields(probed, fresh)
         refused += fresh is None
         m._release(dispatches[0])
     assert refused

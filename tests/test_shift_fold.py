@@ -28,7 +28,7 @@ from repro.machine import execplan
 from repro.machine.ckernel import _compiler
 from repro.machine.plan import get_plan
 from repro.machine.shifted import BlockGather, Shifted, shifted_into
-from repro.programs.kernels import heat_source, life_source
+from repro.programs.kernels import ALL_KERNELS, heat_source, life_source
 from repro.programs.swe import swe_source
 from repro.runtime import host as h
 from repro.targets import build_machine, get_target
@@ -526,6 +526,34 @@ def test_fusion_summary_says_which_path_ran():
         machine=build_machine("cm2", exec_mode="fast"))
     shifts = run.machine.fusion_summary()
     assert shifts["shifts_folded"] == 2 and shifts["shifts_staged"] == 0
+
+
+#: Shifted operands per run, ``shifts_folded + shifts_staged +
+#: shifts_materialized``, of the corpus programs that shift.
+SHIFTS = {"heat": 16, "life": 16, "redblack": 16, "cg": 8, "swe8": 162,
+          "swe20": 402}
+CORPUS = {**ALL_KERNELS, "swe8": lambda: swe_source(32, 8),
+          "swe20": lambda: swe_source(32, 20)}
+
+
+@pytest.mark.parametrize("program", sorted(CORPUS))
+def test_shift_counters_are_conserved_across_engines(program):
+    """Each path counts the shifted operands it consumes where it
+    consumes them — a kernel's launch, a materialised copy, a snapshot —
+    so a run's sum is the program's, whichever engine ran it."""
+    sums = {}
+    for target, mode in (("cm2", "interp"), ("cm2", "fast"),
+                         ("cm2", "fused"), ("host", "fused")):
+        exe = compile_source(CORPUS[program](),
+                             CompilerOptions(target=target), cache=False)
+        for run in range(3):
+            summary = exe.run(machine=build_machine(
+                target, exec_mode=mode)).machine.fusion_summary()
+            if run != 1:
+                sums[target, mode, run] = sum(
+                    summary[f"shifts_{how}"]
+                    for how in ("folded", "staged", "materialized"))
+    assert set(sums.values()) == {SHIFTS.get(program, 0)}, sums
 
 
 def test_folded_shift_is_printed_not_dropped():

@@ -19,6 +19,7 @@ from repro.lowering.lower import lower_program
 from repro.machine import Machine, slicewise_model
 from repro.peac.isa import (NUM_PREGS, CReg, Instr, Mem, ParamSpec, PReg,
                             Routine, SReg, VReg)
+from repro.programs.kernels import heat_source
 from repro.service.jobs import execute_request
 from repro.service.metrics import ServiceMetrics
 from repro.transform import regions as rg
@@ -410,6 +411,25 @@ class TestServiceVerify:
             exe.run(Machine(slicewise_model(64)))
         assert exc.value.stage == "machine/dispatch"
         assert any(d.code == "P501" for d in exc.value.diagnostics)
+
+    def test_launches_made_without_prepare_are_verified(self, monkeypatch):
+        """A second run launches every site from its template without
+        ``Machine._prepare``; each plan serial is still verified once."""
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        exe = compile_source(heat_source(32, 8), cache=False)
+        first = exe.run(Machine(slicewise_model(64))).machine
+        prepared = []
+        prepare = Machine._prepare
+
+        def counted(self, *call):
+            prepared.append(call)
+            return prepare(self, *call)
+
+        monkeypatch.setattr(Machine, "_prepare", counted)
+        second = exe.run(Machine(slicewise_model(64))).machine
+        assert not prepared
+        assert second._verified_routines == first._verified_routines
+        assert second._verified_routines
 
     def test_machine_dispatch_check_is_not_fooled_by_a_name(
             self, monkeypatch):
