@@ -4,11 +4,11 @@ Two experiments, both landing in ``BENCH_service.json`` at the repo
 root:
 
 * **cold vs warm compile** — the SWE example compiled through a fresh
-  :class:`~repro.service.cache.CompileCache` (parse + compile + pickle
+  :class:`~repro.service.store.ArtifactStore` (parse + compile + pickle
   + write) versus served from it.  Warm is measured at both tiers:
   ``warm`` is the in-process memo hit (what a long-running ``repro
   serve`` pays per request after the first) and ``warm_disk`` is a
-  fresh process's first hit (stat + read + unpickle + plan re-attach).
+  fresh process's first hit (stat + read + unpickle).
   The asserted floor applies to the memo tier.
 * **incremental recompile** — the SWE example compiled cold versus
   recompiled through the content-addressed artifact store
@@ -44,8 +44,8 @@ import time
 
 from repro.programs.kernels import heat_source
 from repro.programs.swe import swe_source
-from repro.service.cache import CompileCache, cache_key
 from repro.service.pool import WorkerPool
+from repro.service.store import ArtifactStore, cache_key
 
 from .conftest import SWE_N
 
@@ -79,11 +79,11 @@ def _merge_payload(section: str, data: dict) -> None:
 def test_compile_cache_cold_vs_warm(tmp_path):
     source = swe_source(n=SWE_N, itmax=2)
     root = str(tmp_path / "cache")
-    cache = CompileCache(root)
+    cache = ArtifactStore(root)
 
     cold, warm, warm_disk = [], [], []
     for _ in range(ROUNDS):
-        cache.clear()
+        cache.purge()
         t0 = time.perf_counter()
         _, hit = cache.compile(source)
         cold.append(time.perf_counter() - t0)
@@ -95,7 +95,7 @@ def test_compile_cache_cold_vs_warm(tmp_path):
         assert hit
     assert cache.memo_hits == ROUNDS
     for _ in range(ROUNDS):
-        fresh = CompileCache(root)  # empty memo: pays the unpickle
+        fresh = ArtifactStore(root)  # empty memo: pays the unpickle
         t0 = time.perf_counter()
         _, hit = fresh.compile(source)
         warm_disk.append(time.perf_counter() - t0)
@@ -114,7 +114,7 @@ def test_compile_cache_cold_vs_warm(tmp_path):
                       "min": min(warm_disk)},
         "speedup": speedup,
         "speedup_disk": cold_med / disk_med,
-        "entry_bytes": os.path.getsize(cache._path(cache_key(source))),
+        "entry_bytes": os.path.getsize(cache._path("exe", cache_key(source))),
     }
     _merge_payload("compile_cache", data)
 

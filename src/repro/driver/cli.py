@@ -398,10 +398,10 @@ def cmd_batch(args) -> int:
 
 def cmd_cache(args) -> int:
     """Inspect or purge the unified on-disk artifact store."""
-    from ..service.cache import CompileCache, cache_admin
+    from ..service.store import ArtifactStore
 
-    cache = CompileCache(root=args.cache_dir)
-    payload = cache_admin(cache, args.action, kind=args.kind)
+    store = ArtifactStore(args.cache_dir)
+    payload = store.admin(args.action, kind=args.kind)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -426,7 +426,7 @@ def cmd_cache(args) -> int:
             print("(store is empty)", file=sys.stderr)
     else:  # purge
         what = f"{args.kind} artifacts" if args.kind else "artifacts"
-        print(f"purged {payload['purged']} {what} from {cache.root}")
+        print(f"purged {payload['purged']} {what} from {store.root}")
     return 0
 
 

@@ -171,10 +171,10 @@ def compile_source(source: str,
     ``!layout:`` comment directives in the source select explicit data
     layouts (see :mod:`repro.frontend.directives`).
 
-    ``cache`` consults the persistent compile cache
-    (:mod:`repro.service.cache`) before doing any work: pass a
-    :class:`~repro.service.cache.CompileCache`, ``True`` for the default
-    on-disk cache; the default is a fresh compile.
+    ``cache`` looks the whole source up as an ``exe`` artifact before
+    doing any work (:meth:`~repro.service.store.ArtifactStore.compile`):
+    pass an :class:`~repro.service.store.ArtifactStore`, or ``True`` for
+    the process-wide one; the default is a fresh compile.
 
     ``incremental`` hands the walk a content-addressed artifact store
     (:mod:`repro.service.store`): the front end, every transform pass
@@ -191,10 +191,11 @@ def compile_source(source: str,
     if dump_after:
         cache = False
     if cache:
-        from ..service.cache import CompileCache, default_cache
+        from ..service.store import ArtifactStore, default_store
 
-        cc = cache if isinstance(cache, CompileCache) else default_cache()
-        exe, _hit = cc.compile(source, options, incremental=incremental)
+        if not isinstance(cache, ArtifactStore):
+            cache = default_store()
+        exe, _hit = cache.compile(source, options, incremental=incremental)
         return exe
     if not incremental:
         store = None

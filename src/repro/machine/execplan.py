@@ -204,11 +204,17 @@ def run_group(calls, dispatches, pool, metrics) -> None:
     """Run k >= 1 prepared calls that no group kernel runs: the one
     fallback chain.  Every shifted operand is materialised (it means its
     source when the group starts) and each call runs alone over the
-    copies: the kernel of a fresh probe, else the oracle.  ``calls`` are
+    copies: the kernel of a fresh probe, else the oracle.  A lone call
+    with no shifted operand goes to the oracle at once: its copies are
+    its own arrays, which the caller has just probed.  ``calls`` are
     the calls ``dispatches`` were prepared from; ``metrics`` the
     machine's ``fusion_metrics``."""
     for d in dispatches:
         materialize_streams(d.streams)
+    if len(dispatches) == 1 and not dispatches[0].shifted:
+        d = dispatches[0]
+        run_oracle(d, d.plan._signature(d.streams, d.scalars))
+        return
     for call, d in zip(calls, dispatches):
         run_alone(over_copies(call, d), d, pool, metrics)
 

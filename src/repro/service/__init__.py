@@ -1,14 +1,14 @@
-"""The serving stack: persistent compile cache, worker pool, server.
+"""The serving stack: persistent artifact store, worker pool, server.
 
 The paper's whole point is cheap recompilation — NIR programs are
 re-lowered and re-targeted over and over during compiler prototyping —
 so the driver should never redo work it has already done.  This package
 turns the one-shot CLI into a serving stack:
 
-* :mod:`repro.service.cache`   -- content-addressed on-disk compile
-  cache (pickled :class:`~repro.driver.compiler.Executable`\\ s plus
-  warmed PEAC plan specializations) with versioned invalidation and an
-  LRU size cap;
+* :mod:`repro.service.store`   -- the content-addressed on-disk
+  artifact store: every pipeline stage and whole
+  :class:`~repro.driver.compiler.Executable`\\ s (with an in-process
+  memo of loaded ones), versioned invalidation and an LRU size cap;
 * :mod:`repro.service.jobs`    -- the request vocabulary
   (``compile``/``run``/``compare``) shared by every entry point;
 * :mod:`repro.service.pool`    -- a multi-process worker pool (sized
@@ -29,16 +29,16 @@ turns the one-shot CLI into a serving stack:
   (``repro batch``).
 """
 
-from .cache import CompileCache, cache_key, default_cache
 from .jobs import execute_request
 from .metrics import ServiceMetrics
 from .pool import WorkerPool
+from .store import ArtifactStore, cache_key, default_store
 
 __all__ = [
-    "CompileCache",
+    "ArtifactStore",
     "ServiceMetrics",
     "WorkerPool",
     "cache_key",
-    "default_cache",
+    "default_store",
     "execute_request",
 ]

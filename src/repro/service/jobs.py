@@ -63,7 +63,7 @@ import dataclasses
 import os
 import time
 
-from .cache import CompileCache, cache_key
+from .store import ArtifactStore, cache_key
 
 
 def build_options(spec: dict | None):
@@ -120,7 +120,7 @@ def _source_of(request: dict) -> str:
     raise ValueError("request needs 'source' or 'file'")
 
 
-def _compile(request: dict, cache: CompileCache | None,
+def _compile(request: dict, cache: ArtifactStore | None,
              deferred: list | None):
     """Compile a request's source; returns (exe, cache_state, secs)."""
     from ..driver.compiler import compile_source
@@ -284,11 +284,13 @@ def run_compare(source: str, pes: int = 2048,
     return {"rows": rows, "speedups": speedups}
 
 
-def execute_request(request: dict, cache: CompileCache | None = None,
+def execute_request(request: dict, cache: ArtifactStore | None = None,
                     deferred: list | None = None) -> dict:
     """Execute one request dict, never raising: errors become responses.
 
-    ``deferred``: see :meth:`CompileCache.compile`.
+    ``cache`` is the store ``compile``/``run`` go through (None: a
+    fresh compile) and the one the ``cache`` op administers;
+    ``deferred``: see :meth:`ArtifactStore.compile`.
     """
     base = {"op": request.get("op"), "ok": True}
     if "id" in request:
@@ -312,7 +314,7 @@ def execute_request(request: dict, cache: CompileCache | None = None,
     return base
 
 
-def _dispatch(request: dict, cache: CompileCache | None,
+def _dispatch(request: dict, cache: ArtifactStore | None,
               deferred: list | None) -> dict:
     op = request.get("op")
     if op == "ping":
@@ -393,11 +395,9 @@ def _dispatch(request: dict, cache: CompileCache | None,
             strict=bool(request.get("strict")))
         return payload
     if op == "cache":
-        from .cache import cache_admin
-
         if cache is None:
             raise ValueError("no compile cache configured")
-        return cache_admin(cache, request.get("action", "stats"),
+        return cache.admin(request.get("action", "stats"),
                            kind=request.get("kind"))
     if op == "_sleep":  # test/ops hook: a slow (optionally failing) job
         time.sleep(float(request.get("seconds", 1.0)))

@@ -40,9 +40,9 @@ and workers warm-start: they import the whole compiler pipeline before
 accepting their first job, so a cold pool doesn't pay import latency
 inside the first request's measured window.
 
-Workers coordinate through the on-disk compile cache, not through
-memory: each opens a :class:`~repro.service.cache.CompileCache` on the
-same root, so a source compiled by one worker is a pickle-load for
+Workers coordinate through the on-disk artifact store, not through
+memory: each opens an :class:`~repro.service.store.ArtifactStore` on
+the same root, so a source compiled by one worker is a pickle-load for
 every other — and for every later serving run.
 
 A miss replies before it writes: the worker sends ``("done", serial,
@@ -69,9 +69,9 @@ import socket
 import threading
 import time
 
-from .cache import CompileCache, default_cache
 from .jobs import execute_request, request_cache_key
 from .metrics import ServiceMetrics
+from .store import ArtifactStore, default_store
 
 #: Idle wait between dispatcher sweeps when nothing is due sooner.
 #: Results, submissions, and worker deaths all wake the dispatcher
@@ -94,7 +94,7 @@ def _worker_main(worker_id: int, task_r, result_w,
         from ..driver import compiler as _compiler  # noqa: F401
     except Exception:
         pass
-    cache = CompileCache(cache_root) if cache_root else None
+    cache = ArtifactStore(cache_root) if cache_root else None
     while True:
         try:
             item = task_r.recv()
@@ -110,7 +110,7 @@ def _worker_main(worker_id: int, task_r, result_w,
             result_w.send(("done", serial, worker_id, response, keys))
             if keys:
                 for key, exe in writes:
-                    cache.put(key, exe)
+                    cache.put_exe(key, exe)
                 result_w.send(("idle", serial, worker_id, None, ()))
         except (EOFError, OSError):
             return
@@ -147,20 +147,16 @@ class WorkerPool:
     def __init__(self, workers: int | None = None, *,
                  timeout: float | None = None,
                  retries: int = 1,
-                 cache: CompileCache | str | bool | None = None,
+                 cache: ArtifactStore | str | bool | None = None,
                  metrics: ServiceMetrics | None = None) -> None:
         self.timeout = timeout
         self.retries = retries
         self.metrics = metrics or ServiceMetrics()
         if cache is True:
-            self.cache: CompileCache | None = default_cache()
+            cache = default_store()
         elif isinstance(cache, str):
-            self.cache = CompileCache(cache)
-        elif isinstance(cache, CompileCache):
-            self.cache = cache
-        else:
-            self.cache = None
-        self._cache_root = self.cache.root if self.cache else None
+            cache = ArtifactStore(cache)
+        self.cache: ArtifactStore | None = cache or None
         if workers is None or int(workers) <= 0:
             workers = os.cpu_count() or 1
         self.workers = max(1, int(workers))
@@ -210,7 +206,8 @@ class WorkerPool:
         result_r, result_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_r, result_w, self._cache_root),
+            args=(worker_id, task_r, result_w,
+                  self.cache.root if self.cache else None),
             daemon=True)
         proc.start()
         # Drop the parent's copies of the worker-side ends so a dead

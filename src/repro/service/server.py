@@ -424,7 +424,7 @@ class ReproServer:
             return {
                 "ok": True, "op": op,
                 "metrics": self.metrics.snapshot(),
-                "cache": (self.pool.cache.stats()
+                "cache": (self.pool.cache.exe_stats()
                           if self.pool.cache else None),
                 "pool": self.pool.info(),
                 "server": {
@@ -445,11 +445,9 @@ class ReproServer:
                         "error": {"type": "NoCache",
                                   "message": "server has no compile "
                                              "cache configured"}}
-            from .cache import cache_admin
             try:
-                payload = cache_admin(self.pool.cache,
-                                      request.get("action", "stats"),
-                                      kind=request.get("kind"))
+                payload = self.pool.cache.admin(
+                    request.get("action", "stats"), kind=request.get("kind"))
             except ValueError as exc:
                 return {"ok": False, "op": "cache",
                         "error": {"type": "BadRequest",

@@ -23,9 +23,9 @@ Artifact kinds:
     one whole backend compilation (host program + partition report),
     keyed by the final transform state.
 ``exe``
-    a whole :class:`~repro.driver.compiler.Executable` — the legacy
-    whole-source cache, now a façade over this store (see
-    :mod:`repro.service.cache`).
+    a whole :class:`~repro.driver.compiler.Executable`, keyed by
+    :func:`cache_key` (source, options, pass pipeline, versions) — what
+    :meth:`ArtifactStore.compile` looks up before any stage runs.
 
 On-disk layout: one file per artifact at ``objects/<key>.<kind>.pkl``.
 The file starts with a three-line ASCII header — version tag, the
@@ -41,6 +41,20 @@ last-write-win a complete file), and any truncated, corrupt, or
 version-skewed entry is deleted and reported as a miss — the store is
 always allowed to forget, and a forgotten artifact degrades to a
 recompute, never an exception.
+
+Over the ``exe`` kind sits a small in-process **memo** of recently
+loaded executables, so a long-running server pays the unpickle once
+per source, not once per request.  A memo entry is trusted only while
+the file's ``(st_mtime_ns, st_size)`` is unchanged — eviction,
+corruption or replacement by another process all invalidate it — and a
+memo hit returns the *same* ``Executable`` object as the call before
+(plan warmth accumulates across requests).  A fresh store starts with
+an empty memo, so cross-process reads take the pickle path, and
+:meth:`ArtifactStore.purge` empties it.  Pipeline-stage artifacts carry
+mutable IR that must unpickle fresh on every use, so only ``exe``
+artifacts are memoised.  An executable never carries plan state (a
+:class:`~repro.peac.isa.Routine` drops its own), so one loaded from the
+store runs exactly as the same source compiled cold.
 
 One eviction policy: an LRU sweep (by mtime; reads touch) keeps the
 whole store — every kind together — under ``max_bytes``.  A write does
@@ -60,28 +74,50 @@ unfiltered :meth:`purge` deletes it.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 #: Every artifact kind the store accepts, in pipeline order.
 KINDS = ("front", "pass", "backend", "exe")
+
+#: Bump to invalidate every existing entry (pipeline or pickle layout
+#: changes).  The package version participates in the tag too, so
+#: releases never read each other's artifacts.
+#: 2: keys carry the resolved pass-pipeline identity; executables carry
+#:    a PipelineTrace.
+#: 3: asyncio service front door.
+#: 4: the unified artifact store (keys carry the resolved target and
+#:    fuse_exec; entries use the headered store layout).
+#: 5: shift folding — pickled host programs carry FoldedShift ops,
+#:    folded halo bindings and non-resident Allocs that an older
+#:    executor would run as plain copies into arrays it never allocates.
+#: 6: states are named by their structural rendering, not their pickle
+#:    (no chain may join the two), and the ``phase`` kind is gone.
+#: 7: plan specs are numbered over compute steps alone (memory operands
+#:    no longer take a token), so a persisted spec table of an older
+#:    numbering must not be re-attached.
+#: 8: exe artifacts no longer carry plan state: a kernel is typed from
+#:    its binding signatures, not from a recorded spec table.
+SCHEMA_VERSION = 8
 
 _DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
 _HEADER_MAX = 4096  # tag + hash + meta-length always fit well inside
 
+_MEMO_ENTRIES = 16  # executables the in-process memo keeps
+
 
 def _version_tag() -> str:
-    """Schema + package version (read lazily: tests patch the schema)."""
+    """Schema + package version (read per call: tests patch the schema)."""
     from .. import __version__
-    from . import cache
 
-    return f"{cache.SCHEMA_VERSION}:{__version__}"
+    return f"{SCHEMA_VERSION}:{__version__}"
 
 
 def default_root() -> str:
@@ -101,6 +137,57 @@ def fingerprint(kind: str, payload: dict) -> str:
     blob = json.dumps({"kind": kind, "tag": _version_tag(),
                        "payload": payload}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _options_payload(options) -> dict:
+    """A stable, JSON-serializable rendering of CompilerOptions.
+
+    The ``target`` is *resolved* through the registry (so an alias and
+    its canonical name share artifacts, and two targets never do) and
+    ``fuse_exec`` is lifted out explicitly: it changes runtime fusion
+    behavior even when the transform pipeline's structure is otherwise
+    identical, so it must never be absorbed into a stale key.
+    """
+    from ..targets import get_target
+
+    return {
+        "target": get_target(options.target).name,
+        "fuse_exec": options.transform.fuse_exec,
+        "transform": asdict(options.transform),
+        "backend": asdict(options.backend),
+    }
+
+
+def cache_key(source: str, options=None, machine: dict | None = None,
+              pipeline: list | None = None) -> str:
+    """The ``exe`` key of a compilation: source + options + pipeline +
+    versions.
+
+    ``machine`` is an optional JSON-serializable machine-configuration
+    tag for callers whose artifacts depend on more than the pipeline
+    (the core pipeline is machine-independent: geometries are built at
+    run time).
+
+    ``pipeline`` is the resolved pass-pipeline identity — the ordered
+    ``{name, config}`` records of the enabled passes.  It defaults to
+    the registry's resolution for ``options``, so registering,
+    reordering, disabling, or reconfiguring a pass invalidates stale
+    artifacts without a schema bump.
+    """
+    from ..driver.compiler import CompilerOptions
+    from ..transform import pipeline_identity
+
+    options = options or CompilerOptions()
+    if pipeline is None:
+        pipeline = pipeline_identity(options.transform)
+    payload = {
+        "source": source,
+        "options": _options_payload(options),
+        "pipeline": pipeline,
+    }
+    if machine:
+        payload["machine"] = machine
+    return fingerprint("exe", payload)
 
 
 @dataclass
@@ -128,6 +215,8 @@ class ArtifactStore:
         self.counters = {kind: {"hits": 0, "misses": 0, "errors": 0}
                          for kind in KINDS}
         self.evictions = 0
+        self.memo_hits = 0
+        self._memo: collections.OrderedDict = collections.OrderedDict()
         self._listed: int | None = None  # bytes at the last listing
         self._written = 0                # bytes put since that listing
         os.makedirs(self.objects, exist_ok=True)
@@ -265,6 +354,90 @@ class ArtifactStore:
             self._evict(keep=(kind, key))
         return True
 
+    # -- executables: the memo over the exe kind ------------------------
+
+    def _memo_pop(self, key: str, path: str):
+        """The memoized Executable, taken out of the memo, iff the disk
+        entry is unchanged (a hit puts it back)."""
+        exe, sig = self._memo.pop(key, (None, None))
+        if exe is None:
+            return None
+        try:
+            st = os.stat(path)
+        except OSError:
+            return None  # evicted or cleared behind our back
+        if (st.st_mtime_ns, st.st_size) != sig:
+            return None  # rewritten, touched, or corrupted: reload
+        return exe
+
+    def _memo_put(self, key: str, exe, path: str) -> None:
+        try:
+            st = os.stat(path)
+        except OSError:
+            return
+        self._memo[key] = (exe, (st.st_mtime_ns, st.st_size))
+        self._memo.move_to_end(key)
+        while len(self._memo) > _MEMO_ENTRIES:
+            self._memo.popitem(last=False)
+
+    def get_exe(self, key: str):
+        """The Executable under ``key`` (memo first), or None (a miss)."""
+        path = self._path("exe", key)
+        exe = self._memo_pop(key, path)
+        if exe is not None:
+            self.memo_hits += 1
+            try:
+                os.utime(path)  # LRU touch
+            except OSError:
+                pass
+            self._memo_put(key, exe, path)  # refresh sig after touch
+            return exe
+        artifact = self.get("exe", key)
+        if artifact is None:
+            return None
+        try:
+            exe = artifact.obj["exe"]
+        except (KeyError, TypeError):
+            # A well-formed artifact with the wrong payload shape:
+            # forget it like any other corruption.
+            self._forget("exe", key, path)
+            self.counters["exe"]["hits"] -= 1
+            return None
+        self._memo_put(key, exe, path)
+        return exe
+
+    def put_exe(self, key: str, exe) -> None:
+        """Persist an Executable under ``key`` and memoise it."""
+        if self.put("exe", key, {"exe": exe}):
+            self._memo_put(key, exe, self._path("exe", key))
+
+    def compile(self, source: str, options=None, incremental=False,
+                deferred: list | None = None):
+        """Compile through the store; returns ``(executable, hit)``.
+
+        On a whole-source miss, ``incremental`` compiles through the
+        pipeline-stage artifacts, so an edit that only perturbs the
+        pipeline tail reuses every prefix artifact.
+
+        A miss writes its entry before returning, unless the caller
+        passes a ``deferred`` list: the ``(key, executable)`` pair is
+        appended to it instead, for the caller to :meth:`put_exe` later
+        (a pool worker does so after it has sent its response).
+        """
+        from ..driver.compiler import compile_source
+
+        key = cache_key(source, options)
+        exe = self.get_exe(key)
+        if exe is not None:
+            return exe, True
+        exe = compile_source(source, options, cache=False,
+                             incremental=incremental, store=self)
+        if deferred is None:
+            self.put_exe(key, exe)
+        else:
+            deferred.append((key, exe))
+        return exe, False
+
     # -- maintenance -----------------------------------------------------
 
     def _entries(self):
@@ -316,7 +489,9 @@ class ArtifactStore:
         return "", stem
 
     def purge(self, kind: str | None = None) -> int:
-        """Delete every entry (of one kind, if named); returns count."""
+        """Delete every entry (of one kind, if named) and empty the memo;
+        returns the count."""
+        self._memo.clear()
         removed = 0
         for _mtime, _size, path, name in self._entries():
             if kind is not None and self._split(name)[0] != kind:
@@ -363,6 +538,41 @@ class ArtifactStore:
             "evictions": self.evictions,
             "kinds": kinds,
         }
+
+    def exe_stats(self) -> dict:
+        """The ``exe`` kind's counters (memo hits included) and footprint:
+        the ``cache`` block of the service's ``stats`` op."""
+        exe = self.stats()["kinds"]["exe"]
+        return {
+            "root": self.root,
+            "entries": exe["entries"],
+            "bytes": exe["bytes"],
+            "max_bytes": self.max_bytes,
+            "hits": exe["hits"] + self.memo_hits,
+            "misses": exe["misses"],
+            "memo_hits": self.memo_hits,
+            "memo_entries": len(self._memo),
+            "evictions": self.evictions,
+            "errors": exe["errors"],
+        }
+
+    def admin(self, action: str = "stats", kind: str | None = None) -> dict:
+        """The ``repro cache`` / ``{"op": "cache"}`` surface.
+
+        ``stats`` returns the executable-level counters plus the per-kind
+        breakdown; ``ls`` lists entries (newest first, optionally one
+        ``kind``); ``purge`` deletes entries (all, or one ``kind``).
+        Counters are process-local; the entry listing and byte footprint
+        are the on-disk truth shared by every worker.
+        """
+        if action == "stats":
+            return {"cache": self.exe_stats(), "store": self.stats()}
+        if action == "ls":
+            return {"entries": self.ls(kind=kind)}
+        if action == "purge":
+            return {"purged": self.purge(kind=kind)}
+        raise ValueError(f"unknown cache action {action!r} "
+                         "(expected stats, ls, or purge)")
 
 
 _DEFAULT: ArtifactStore | None = None

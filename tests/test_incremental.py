@@ -12,7 +12,7 @@
 * the hypothesis differential: incremental and cold compiles of the
   same edited source agree structurally and bit-identically at run
   time;
-* the admin surface: ``cache_admin``, the ``{"op": "cache"}`` service
+* the admin surface: ``ArtifactStore.admin``, the ``{"op": "cache"}`` service
   op, and the ``repro cache`` CLI.
 """
 
@@ -36,9 +36,8 @@ from repro.pipeline import state_hash
 from repro.programs.kernels import ALL_KERNELS
 from repro.programs.swe import swe_source
 from repro.runtime.host import format_host_program
-from repro.service.cache import CompileCache, cache_admin, cache_key
 from repro.service.jobs import execute_request
-from repro.service.store import ArtifactStore, fingerprint
+from repro.service.store import ArtifactStore, cache_key, fingerprint
 from repro.transform import Options as TransformOptions
 
 from .conftest import lower
@@ -220,11 +219,11 @@ class TestStoreBasics:
 
     def test_version_marker_purges_on_schema_change(self, tmp_path,
                                                     monkeypatch):
-        from repro.service import cache as cache_mod
+        from repro.service import store as store_mod
 
         store = make_store(tmp_path)
         store.put("exe", "k", "payload")
-        monkeypatch.setattr(cache_mod, "SCHEMA_VERSION", 999)
+        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", 999)
         reopened = ArtifactStore(store.root)
         assert reopened.stats()["entries"] == 0
 
@@ -233,11 +232,11 @@ class TestStoreBasics:
         """``phase`` is no longer a kind: a store directory written
         under schema 5 must not keep its ``*.phase.pkl`` files as
         unknown entries."""
-        from repro.service import cache as cache_mod
+        from repro.service import store as store_mod
 
-        assert cache_mod.SCHEMA_VERSION >= 6
+        assert store_mod.SCHEMA_VERSION >= 6
         with monkeypatch.context() as patch:
-            patch.setattr(cache_mod, "SCHEMA_VERSION", 5)
+            patch.setattr(store_mod, "SCHEMA_VERSION", 5)
             old = make_store(tmp_path)
             old.put("pass", "k", "state")
             os.rename(old._path("pass", "k"),
@@ -738,28 +737,28 @@ def test_incremental_equals_cold_after_edit(pair):
 
 
 # ---------------------------------------------------------------------------
-# The admin surface: cache_admin, the service op, the CLI
+# The admin surface: ArtifactStore.admin, the service op, the CLI
 # ---------------------------------------------------------------------------
 
 
 class TestAdminSurface:
     def test_cache_admin_stats_ls_purge(self, tmp_path):
-        cache = CompileCache(root=str(tmp_path / "cc"))
+        cache = ArtifactStore(str(tmp_path / "cc"))
         cache.compile(SOURCE)
-        stats = cache_admin(cache)
+        stats = cache.admin()
         assert stats["cache"]["entries"] == 1
         assert stats["store"]["kinds"]["exe"]["entries"] == 1
-        listing = cache_admin(cache, "ls", kind="exe")
+        listing = cache.admin("ls", kind="exe")
         assert len(listing["entries"]) == 1
-        assert cache_admin(cache, "purge")["purged"] == 1
-        assert cache.stats()["entries"] == 0
+        assert cache.admin("purge")["purged"] == 1
+        assert cache.exe_stats()["entries"] == 0
         _exe, hit = cache.compile(SOURCE)
         assert not hit, "purge must also invalidate the memo tier"
         with pytest.raises(ValueError):
-            cache_admin(cache, "defragment")
+            cache.admin("defragment")
 
     def test_service_cache_op(self, tmp_path):
-        cache = CompileCache(root=str(tmp_path / "cc"))
+        cache = ArtifactStore(str(tmp_path / "cc"))
         resp = execute_request({"op": "compile", "source": SOURCE,
                                 "incremental": True}, cache)
         assert resp["ok"], resp
@@ -785,7 +784,7 @@ class TestAdminSurface:
         from repro.driver.cli import main
 
         root = str(tmp_path / "cc")
-        cache = CompileCache(root=root)
+        cache = ArtifactStore(root)
         cache.compile(SOURCE)
         assert main(["cache", "stats", "--cache-dir", root,
                      "--format", "json"]) == 0

@@ -167,6 +167,30 @@ def test_steady_kernel_trips_prepare_nothing(program, target, mode):
     assert calls == {"prepare": 0, "oracle": 0}
 
 
+@pytest.mark.parametrize("program,probes", (("heat", 3), ("swe", 20)))
+def test_a_lone_call_is_probed_once(program, probes):
+    """A first run probes each site once.  A lone call whose site found
+    no kernel and which has no shifted operand runs on the oracle at
+    once: the fallback chain's copies of it are its own arrays, so a
+    second probe of it could not say otherwise."""
+    source = {"swe": swe_source, "heat": heat_source}[program](32, 20)
+    exe = compile_source(source, CompilerOptions(), cache=False)
+    probed = []     # the dispatches of every probe, kept alive
+    probe = execplan.LaunchTemplate.probe.__func__
+
+    def recorded(cls, dispatches, *args, **kwargs):
+        probed.append(tuple(dispatches))
+        return probe(cls, dispatches, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(execplan.LaunchTemplate, "probe",
+                      classmethod(recorded))
+        exe.run(machine=_machine("cm2", "fast"))
+    lone = [ds[0] for ds in probed if len(ds) == 1 and not ds[0].shifted]
+    assert len({id(d) for d in lone}) == len(lone)
+    assert len(probed) == probes
+
+
 def test_a_templated_run_equals_the_interpreter():
     source = PROGRAMS["swe"]()
     exe = compile_source(source, CompilerOptions(), cache=False)

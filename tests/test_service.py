@@ -23,9 +23,9 @@ from repro.driver.cli import main
 from repro.driver.compiler import CompilerOptions, compile_source
 from repro.machine import Machine, slicewise_model
 from repro.programs.kernels import heat_source
-from repro.service import cache as cache_mod
+from repro.service import store as store_mod
 from repro.service.batch import batch_main, read_jobs
-from repro.service.cache import CompileCache, cache_key
+from repro.service.store import ArtifactStore, cache_key
 from repro.service.jobs import build_options, execute_request, speedup_str
 from repro.service.metrics import LatencyStat, ServiceMetrics, percentile
 from repro.service.pool import WorkerPool
@@ -115,37 +115,37 @@ def test_cache_key_tracks_disabled_passes_through_options():
 
 
 def test_cache_miss_then_hit(tmp_path):
-    cache = CompileCache(str(tmp_path))
+    cache = ArtifactStore(str(tmp_path))
     exe, hit = cache.compile(TINY)
     assert not hit
     exe2, hit = cache.compile(TINY)
     assert hit
     assert exe2 is exe  # in-process memo: no second unpickle
-    s = cache.stats()
+    s = cache.exe_stats()
     assert s["hits"] == 1 and s["misses"] == 1 and s["entries"] == 1
     assert s["memo_hits"] == 1
     # A second cache on the same root sees the same entry (persistence)
     # but starts with an empty memo: the hit is a fresh unpickle.
-    other = CompileCache(str(tmp_path))
+    other = ArtifactStore(str(tmp_path))
     exe3, hit = other.compile(TINY)
     assert hit
     assert exe3 is not exe
-    assert other.stats()["memo_hits"] == 0
+    assert other.exe_stats()["memo_hits"] == 0
 
 
 def test_cache_memo_distrusts_changed_disk_entries(tmp_path):
-    cache = CompileCache(str(tmp_path))
+    cache = ArtifactStore(str(tmp_path))
     key = cache_key(TINY)
     exe, _ = cache.compile(TINY)
     # Another process rewrites the entry: the stat signature changes,
     # so the memo is dropped and the entry re-read from disk.
-    other = CompileCache(str(tmp_path))
-    other.put(key, other.compile(TINY)[0])
-    reloaded = cache.get(key)
+    other = ArtifactStore(str(tmp_path))
+    other.put_exe(key, other.compile(TINY)[0])
+    reloaded = cache.get_exe(key)
     assert reloaded is not None and reloaded is not exe
     # Deleting the file invalidates the memo outright.
-    os.unlink(cache._path(key))
-    assert cache.get(key) is None
+    os.unlink(cache._path("exe", key))
+    assert cache.get_exe(key) is None
 
 
 @settings(max_examples=8, deadline=None)
@@ -170,16 +170,16 @@ end program gen
 """
     fresh, fresh_stats = run_arrays(compile_source(source, cache=False))
     with tempfile.TemporaryDirectory() as root:
-        CompileCache(root).compile(source)    # populate (miss)
+        ArtifactStore(root).compile(source)    # populate (miss)
         # A fresh instance has no memo: this hit is a true pickle
         # round trip through the disk store.
-        cached_exe, hit = CompileCache(root).compile(source)
+        cached_exe, hit = ArtifactStore(root).compile(source)
         assert hit
         cached, cached_stats = run_arrays(cached_exe)
         # Stored again once it ran, as a worker's executable is: a
         # load still starts cold, first trips on the oracle.
-        CompileCache(root).put(cache_key(source), cached_exe)
-        loaded, hit = CompileCache(root).compile(source)
+        ArtifactStore(root).put_exe(cache_key(source), cached_exe)
+        loaded, hit = ArtifactStore(root).compile(source)
         assert hit and loaded is not cached_exe
         assert run_counted(loaded) == run_counted(
             compile_source(source, cache=False))
@@ -192,71 +192,71 @@ end program gen
 
 def test_cache_version_skew_purges_store(tmp_path, monkeypatch):
     # Schema 7 entries carried plan state; one written then is purged.
-    assert cache_mod.SCHEMA_VERSION == 8
+    assert store_mod.SCHEMA_VERSION == 8
     with monkeypatch.context() as patch:
-        patch.setattr(cache_mod, "SCHEMA_VERSION", 7)
-        cache = CompileCache(str(tmp_path))
+        patch.setattr(store_mod, "SCHEMA_VERSION", 7)
+        cache = ArtifactStore(str(tmp_path))
         cache.compile(TINY)
-        assert cache.stats()["entries"] == 1
-    fresh = CompileCache(str(tmp_path))
-    assert fresh.stats()["entries"] == 0
+        assert cache.exe_stats()["entries"] == 1
+    fresh = ArtifactStore(str(tmp_path))
+    assert fresh.exe_stats()["entries"] == 0
     _, hit = fresh.compile(TINY)
     assert not hit
-    monkeypatch.setattr(cache_mod, "SCHEMA_VERSION", 999)
-    skewed = CompileCache(str(tmp_path))
-    assert skewed.stats()["entries"] == 0
+    monkeypatch.setattr(store_mod, "SCHEMA_VERSION", 999)
+    skewed = ArtifactStore(str(tmp_path))
+    assert skewed.exe_stats()["entries"] == 0
     _, hit = skewed.compile(TINY)
     assert not hit
 
 
 def test_cache_corrupt_entry_is_a_miss_and_removed(tmp_path):
-    cache = CompileCache(str(tmp_path))
+    cache = ArtifactStore(str(tmp_path))
     key = cache_key(TINY)
     cache.compile(TINY)
-    path = cache._path(key)
+    path = cache._path("exe", key)
     with open(path, "wb") as f:
         f.write(b"not a pickle at all")
-    assert cache.get(key) is None
+    assert cache.get_exe(key) is None
     assert not os.path.exists(path)
-    assert cache.errors == 1
+    assert cache.exe_stats()["errors"] == 1
 
 
 @pytest.mark.parametrize("payload", ["an exe", {"plans": {}}, None])
 def test_cache_misshaped_entry_is_a_miss_and_removed(tmp_path, payload):
-    cache = CompileCache(str(tmp_path))
+    cache = ArtifactStore(str(tmp_path))
     key = cache_key(TINY)
-    assert cache.store.put("exe", key, payload)
-    assert cache.get(key) is None
-    assert not os.path.exists(cache._path(key))
-    assert cache.hits == 0
+    assert cache.put("exe", key, payload)
+    assert cache.get_exe(key) is None
+    assert not os.path.exists(cache._path("exe", key))
+    assert cache.exe_stats()["hits"] == 0
 
 
 def test_cache_lru_eviction_respects_size_cap(tmp_path):
-    cache = CompileCache(str(tmp_path))
+    cache = ArtifactStore(str(tmp_path))
     cache.compile(TINY)
-    entry_bytes = cache.stats()["bytes"]
-    cache.clear()
+    entry_bytes = cache.exe_stats()["bytes"]
+    cache.purge()
     # Room for roughly two entries; insert four distinct programs.
     cache.max_bytes = int(entry_bytes * 2.5)
     sources = [heat_source(n=8 + 2 * i, steps=1) for i in range(4)]
     for source in sources:
         cache.compile(source)
-    stats = cache.stats()
+    stats = cache.exe_stats()
     assert stats["evictions"] >= 1
     assert stats["bytes"] <= cache.max_bytes
     # The newest entry always survives the sweep that its own put runs.
-    assert cache.get(cache_key(sources[-1])) is not None
+    assert cache.get_exe(cache_key(sources[-1])) is not None
 
 
 # -- compile_source integration ---------------------------------------------
 
 
 def test_compile_source_cache_argument(tmp_path):
-    cache = CompileCache(str(tmp_path))
+    cache = ArtifactStore(str(tmp_path))
     compile_source(TINY, cache=cache)
-    assert cache.misses == 1
+    assert cache.exe_stats()["misses"] == 1
     compile_source(TINY, cache=cache)
-    assert cache.hits == 1
+    assert cache.exe_stats()["hits"] == 1
 
 
 # -- jobs -------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_build_options_mirrors_cli_presets():
 
 
 def test_execute_request_run_payload(tmp_path):
-    cache = CompileCache(str(tmp_path))
+    cache = ArtifactStore(str(tmp_path))
     response = execute_request(
         {"op": "run", "source": TINY, "pes": 64, "id": "job-1"}, cache)
     assert response["ok"] and response["id"] == "job-1"
@@ -299,7 +299,7 @@ def test_miss_writes_its_executable_once(tmp_path, monkeypatch, op):
         return real_put(self, kind, key, obj, **kw)
 
     monkeypatch.setattr(ArtifactStore, "put", counting_put)
-    cache = CompileCache(str(tmp_path))
+    cache = ArtifactStore(str(tmp_path))
     response = execute_request({"op": op, "source": TINY, "pes": 64}, cache)
     assert response["ok"] and response["cache"] == "miss"
     assert kinds == ["exe"]
@@ -583,8 +583,8 @@ def test_cli_batch_command(tiny_file, tmp_path, capsys):
 def test_cli_run_cache_flag(tiny_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clicache"))
     assert main(["run", tiny_file, "--pes", "64", "--cache"]) == 0
-    store = cache_mod.default_cache()
-    assert store.stats()["entries"] == 1
+    store = store_mod.default_store()
+    assert store.exe_stats()["entries"] == 1
     capsys.readouterr()
 
 

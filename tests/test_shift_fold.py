@@ -471,18 +471,18 @@ def test_pre_fold_artifacts_are_purged_not_run(tmp_path, monkeypatch):
     """Host programs are pickled into ``backend``/``exe`` artifacts; one
     written before shift folding must be a miss, never run against the
     new binding kinds."""
-    from repro.service import cache as cache_mod
+    from repro.service import store as store_mod
     from repro.service.store import ArtifactStore
 
-    assert cache_mod.SCHEMA_VERSION >= 5
+    assert store_mod.SCHEMA_VERSION >= 5
     src = heat_source(8, 2)
     with monkeypatch.context() as patch:
-        patch.setattr(cache_mod, "SCHEMA_VERSION", 4)
+        patch.setattr(store_mod, "SCHEMA_VERSION", 4)
         old = ArtifactStore(str(tmp_path))
         compile_source(src, incremental=True, store=old)
         assert old.stats()["entries"] > 0
-        key = cache_mod.cache_key(src)
-    assert key != cache_mod.cache_key(src)
+        key = store_mod.cache_key(src)
+    assert key != store_mod.cache_key(src)
     store = ArtifactStore(str(tmp_path))
     assert store.stats()["entries"] == 0
     exe = compile_source(src, incremental=True, store=store)

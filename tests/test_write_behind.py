@@ -14,7 +14,7 @@ what that may and may not change:
   being written: another key starts at once, a request whose key it
   cannot compute waits for every write.
 
-Patches to ``CompileCache.put`` are made before the pool forks, so the
+Patches to ``ArtifactStore.put_exe`` are made before the pool forks, so the
 workers inherit them.
 """
 
@@ -26,8 +26,8 @@ import time
 import pytest
 
 from repro.programs.kernels import heat_source
-from repro.service.cache import CompileCache, cache_key
 from repro.service.pool import WorkerPool
+from repro.service.store import ArtifactStore, cache_key
 
 #: How long a patched write sleeps; far above a tiny compile's latency.
 SLOW = 1.5
@@ -50,12 +50,12 @@ def pool_of(tmp_path, **kw) -> WorkerPool:
 
 
 def entry_path(pool: WorkerPool, source: str) -> str:
-    return pool.cache._path(cache_key(source))
+    return pool.cache._path("exe", cache_key(source))
 
 
 def test_kill_after_reply_loses_only_the_entry(tmp_path, monkeypatch):
     marker = str(tmp_path / "died")
-    real_put = CompileCache.put
+    real_put = ArtifactStore.put_exe
 
     def dying_put(self, key, exe):
         if not os.path.exists(marker):
@@ -64,7 +64,7 @@ def test_kill_after_reply_loses_only_the_entry(tmp_path, monkeypatch):
             os._exit(17)
         real_put(self, key, exe)
 
-    monkeypatch.setattr(CompileCache, "put", dying_put)
+    monkeypatch.setattr(ArtifactStore, "put_exe", dying_put)
     source = program(0)
     with pool_of(tmp_path) as pool:
         first = pool.execute(run_request(source))
@@ -87,7 +87,7 @@ def test_kill_after_reply_loses_only_the_entry(tmp_path, monkeypatch):
 
 def test_write_past_the_timeout_is_cut_off(tmp_path, monkeypatch):
     marker = str(tmp_path / "stuck")
-    real_put = CompileCache.put
+    real_put = ArtifactStore.put_exe
 
     def stuck_put(self, key, exe):
         if not os.path.exists(marker):
@@ -96,7 +96,7 @@ def test_write_past_the_timeout_is_cut_off(tmp_path, monkeypatch):
             time.sleep(60)
         real_put(self, key, exe)
 
-    monkeypatch.setattr(CompileCache, "put", stuck_put)
+    monkeypatch.setattr(ArtifactStore, "put_exe", stuck_put)
     source = program(0)
     with pool_of(tmp_path, timeout=2.0) as pool:
         first = pool.execute(run_request(source))
@@ -113,13 +113,13 @@ def test_write_past_the_timeout_is_cut_off(tmp_path, monkeypatch):
 def slow_disk(monkeypatch):
     """Every write takes a while, so the last replies' writes are still
     in flight when the second pass starts."""
-    real_put = CompileCache.put
+    real_put = ArtifactStore.put_exe
 
     def slow_put(self, key, exe):
         time.sleep(SLOW / 5)
         real_put(self, key, exe)
 
-    monkeypatch.setattr(CompileCache, "put", slow_put)
+    monkeypatch.setattr(ArtifactStore, "put_exe", slow_put)
 
 
 def assert_second_pass_hits(pool, requests) -> None:
@@ -153,14 +153,14 @@ def test_only_jobs_that_could_read_the_entry_are_held(tmp_path,
                                                       monkeypatch):
     slow, other, unknown = program(0), program(1), program(2)
     slow_key = cache_key(slow)
-    real_put = CompileCache.put
+    real_put = ArtifactStore.put_exe
 
     def slow_put(self, key, exe):
         if key == slow_key:
             time.sleep(SLOW)
         real_put(self, key, exe)
 
-    monkeypatch.setattr(CompileCache, "put", slow_put)
+    monkeypatch.setattr(ArtifactStore, "put_exe", slow_put)
     path = tmp_path / "unknown.f90"
     path.write_text(unknown)
     with pool_of(tmp_path) as pool:
