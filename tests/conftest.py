@@ -92,6 +92,13 @@ FALLBACK_EXEMPT = frozenset(
 # Outside them, the exact count per module; every other module sends 0.
 FALLBACK_PINS = {"test_dispatch_pins.py": 6, "test_end_to_end.py": 2,
                  "test_language_corners.py": 1}
+# Threads racing over one executable, on purpose: what these tests count
+# depends on the interleaving (a first trip runs on the oracle after
+# another thread saw its signature, a record one run learned is
+# replaced), so they count nowhere and the session's line is the same
+# run to run.  Their own assertions hold them.
+UNCOUNTED = frozenset(
+    {"test_trip_records.py::test_threads_bind_one_executable_at_once"})
 # Under what five runs counted (hypothesis draws the trip counts):
 # 3411-3770 — 6820-7730 once every equivalence also ran with the
 # driver off, 3681-4049 of them by the driver (0 with no compiler:
@@ -153,14 +160,19 @@ def pytest_sessionstart(session):
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol(item, nextitem):
-    _running[0] = item.path.name
+    module = item.path.name
+    if f"{module}::{item.originalname}" in UNCOUNTED:
+        module = None       # the counters' sink, never read
     test = f"{item.path.name}::{item.name}"
-    _fallback_at[0] = test if test in FALLBACK_EXEMPT else item.path.name
-    _loads[_running[0]] += 0
+    _running[0] = module
+    _fallback_at[0] = test if test in FALLBACK_EXEMPT else module
+    _loads[module] += 0
     yield
 
 
 def pytest_sessionfinish(session, exitstatus):
+    for counts in (_loads, _fallbacks, _trips, _natives, _binds):
+        counts.pop(None, None)      # what the UNCOUNTED tests did
     option = session.config.option
     if (exitstatus != 0 or option.keyword or option.markexpr
             or any("::" in arg for arg in session.config.args)):
@@ -187,7 +199,7 @@ def pytest_sessionfinish(session, exitstatus):
         if cc and module in _loads and _natives[module] < floor:
             _shortfalls.append(f"{module}: {_natives[module]} trips run by "
                                f"the native trip driver, floor {floor}")
-    for module in sorted(set(_loads) - ENGINE_MODULES, key=str):
+    for module in sorted(set(_loads) - ENGINE_MODULES):
         pin = FALLBACK_PINS.get(module, 0)
         if _fallbacks[module] != pin:
             _shortfalls.append(f"{module}: {_fallbacks[module]} dispatches "
