@@ -17,6 +17,7 @@ from ...lowering.environment import Environment
 from ...runtime import host as h
 from ...transform.phases import PhaseClassifier, PhaseKind
 from . import fe_compiler as fe
+from .batches import place_batches
 from .shiftfold import fold_shifts
 from .pe_compiler import (
     BackendError,
@@ -66,10 +67,13 @@ class Cm2Compiler:
     # ------------------------------------------------------------------
 
     def compile_program(self, program: nir.Program,
-                        name: str | None = None) -> h.HostProgram:
+                        name: str | None = None,
+                        fuse_exec: bool = True) -> h.HostProgram:
         """The host program, with every legal CSHIFT folded into its
-        readers (:mod:`.shiftfold`)."""
-        return fold_shifts(self.assemble(program, name), self.env)
+        readers (:mod:`.shiftfold`) and, under ``fuse_exec``, the end of
+        every batch of node calls marked (:mod:`.batches`)."""
+        program = fold_shifts(self.assemble(program, name), self.env)
+        return place_batches(program) if fuse_exec else program
 
     def assemble(self, program: nir.Program,
                  name: str | None = None) -> h.HostProgram:

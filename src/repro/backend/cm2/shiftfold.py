@@ -46,6 +46,7 @@ from ... import nir
 from ...lowering.environment import Environment
 from ...peac.isa import PReg
 from ...runtime import host as h
+from .batches import op_effects, pointer_use
 
 
 def fold_shifts(program: h.HostProgram, env: Environment) -> h.HostProgram:
@@ -161,7 +162,7 @@ class _Folder:
                     defs[temp] = [len(out), op, const, []]
                     folded.append(defs[temp])
                 else:
-                    real(*h.op_effects(op))
+                    real(*op_effects(op))
                     if const is not None:
                         op = dataclasses.replace(op, const=const)
             elif isinstance(op, (h.NodeCall, h.Loop, h.WhileOp, h.IfOp)):
@@ -173,7 +174,7 @@ class _Folder:
                 for array in self._writes(op):
                     kill(array)
             else:
-                real(*h.op_effects(op))
+                real(*op_effects(op))
             out.append(op)
         for slot, op, const, readers in folded:
             out[slot] = h.FoldedShift(clause=op.clause, kind=op.kind,
@@ -205,11 +206,7 @@ class _Folder:
         """Names of the pointer parameters the routine stores through."""
         got = self._stored.get(id(routine))
         if got is None:
-            pregs = set()
-            for instr in routine.body:
-                for ins in (instr, instr.paired):
-                    if ins is not None and ins.kind == "store":
-                        pregs.add(ins.operands[1].preg.n)
+            pregs = pointer_use(routine)[1]
             got = self._stored[id(routine)] = frozenset(
                 p.name for p in routine.params
                 if isinstance(p.reg, PReg) and p.reg.n in pregs)
@@ -265,5 +262,5 @@ class _Folder:
         elif isinstance(op, (h.Loop, h.WhileOp)):
             bodies = op.body
         else:
-            return h.op_effects(op)[1]
+            return op_effects(op)[1]
         return frozenset().union(*(self._writes(inner) for inner in bodies))

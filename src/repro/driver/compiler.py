@@ -23,7 +23,7 @@ from ..lowering import LoweredProgram, check_program, lower_program
 from ..lowering.environment import Environment
 from ..machine import CostModel, Machine, RunStats
 from ..pipeline import Memos, state_hash
-from ..runtime.host import HostExecutor, HostFacts, HostProgram
+from ..runtime.host import Alloc, HostExecutor, HostProgram
 from ..targets import get_target
 from ..transform import Options as TransformOptions
 from ..transform import TransformedProgram, optimize
@@ -88,12 +88,11 @@ class Executable:
         they are allocated first, with their ``Alloc``'s layout.
 
         What the host program fixes is worked out once for every later
-        machine: its :class:`~repro.runtime.host.HostFacts`, the
-        launch templates of its dispatch sites and the trip records of
-        its loops (``docs/PIPELINE.md`` §16), which are never pickled
-        and hold no array: a run binds each record to its own homes and
-        scalars at the trip it starts from, and writes only records it
-        learns.
+        machine: the launch templates of its dispatch sites and the trip
+        records of its loops (``docs/PIPELINE.md`` §16), which are never
+        pickled and hold no array: a run binds each record to its own
+        homes and scalars at the trip it starts from, and writes only
+        records it learns.
         """
         if machine is None:
             if model is not None:
@@ -102,9 +101,6 @@ class Executable:
                 from ..targets import build_machine
                 machine = build_machine(self.options.target,
                                         exec_mode=exec_mode)
-        facts = self.__dict__.get("_facts")
-        if facts is None:
-            facts = self._facts = HostFacts(self.host_program)
         if machine.exec_mode != "interp":   # the oracle makes no template
             # One table of launch templates, and one of trip records, per
             # machine class, engine and cost model, so charges never
@@ -114,15 +110,15 @@ class Executable:
                 "_templates", {}).setdefault(kind, {})
             machine.trips = self.__dict__.setdefault(
                 "_trips", {}).setdefault(kind, {})
-        executor = HostExecutor(machine,
-                                fuse_exec=self.options.transform.fuse_exec,
-                                facts=facts)
+        executor = HostExecutor(machine)
         if inputs:
             # Inputs override initial contents after allocation, so run
             # the allocation prologue first by pre-allocating here.
             for name, values in inputs.items():
                 sym = self.env.lookup(name)
-                alloc = facts.alloc(name)
+                alloc = next((op for op in self.host_program.ops
+                              if isinstance(op, Alloc) and op.name == name),
+                             None)
                 machine.alloc(name, sym.extents, sym.element.dtype,
                               layout=None if alloc is None else alloc.layout)
                 machine.set_array(name, np.asarray(values))
@@ -134,7 +130,6 @@ class Executable:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_facts", None)
         state.pop("_templates", None)
         state.pop("_trips", None)
         return state
@@ -287,7 +282,8 @@ def _walk(parse, options: CompilerOptions | None,
     else:
         backend = target.compiler()(transformed.env, options=options.backend,
                                     layouts=layouts, phases=memos.phases)
-        host_program = backend.compile_program(transformed.nir)
+        host_program = backend.compile_program(
+            transformed.nir, fuse_exec=options.transform.fuse_exec)
         partition = backend.report
         if verify and target.verify_peac:
             from ..analysis.peac_verifier import verify_routines

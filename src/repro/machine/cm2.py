@@ -58,7 +58,8 @@ class Machine:
     and what no kernel may run; ``"interp"`` runs every dispatch on the
     oracle (:func:`~repro.machine.execplan.run_oracle`).  Both produce
     bit-identical arrays and identical :class:`RunStats`.  ``"fused"``
-    additionally lets the host executor batch adjacent node calls
+    additionally lets the host executor dispatch the batches of adjacent
+    node calls a compile placed (:mod:`repro.backend.cm2.batches`)
     through :meth:`call_fused`:
     arrays stay bit-identical to both other engines, and a fused batch
     is charged as one dispatch.  Neither the engine nor the machine

@@ -5,9 +5,9 @@ computation phase; every phase still becomes its own PEAC dispatch, and
 on a blocked timestep loop the per-call overhead (sequencer dispatch,
 IFIFO pushes, per-trip loop bookkeeping, store/reload of intermediate
 streams) dominates what is left.  The host executor
-(:mod:`repro.runtime.host`) therefore batches adjacent node calls and
-hands each batch to :meth:`Machine.call_fused`; a lone call is the
-batch of one.  Either way the machine runs a **group**:
+(:mod:`repro.runtime.host`) therefore hands each batch of adjacent node
+calls a compile placed (:mod:`repro.backend.cm2.batches`) to
+:meth:`Machine.call_fused`; a lone call is the batch of one.  Either way the machine runs a **group**:
 
 * :meth:`LaunchTemplate.probe` is the one alias probe: it classifies
   the group's prepared calls (source arrays, shapes, dtypes, contiguity,

@@ -27,7 +27,7 @@ SCOPES = ("program", "body")
 class Memos:
     """What one compile walk computes once (docs/PIPELINE.md §9): the
     inference memo lowering, both checks and normalize share, and the
-    phase memo of ``block``, ``fuse_exec`` and the backend.  The walk
+    phase memo of ``block`` and the backend.  The walk
     owns them and drops them; no pickled object holds them."""
 
     infer: dict = field(default_factory=dict)

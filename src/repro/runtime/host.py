@@ -20,7 +20,6 @@ import numpy as np
 from .. import nir
 from ..machine import ckernel, kernel
 from ..machine.loopir import Declined
-from ..machine.plan import get_plan
 from ..machine.shifted import Shifted
 from ..machine.stats import RunStats
 from ..peac.isa import Routine
@@ -153,6 +152,10 @@ class Loop(HostOp):
     hi: int
     step: int
     body: tuple[HostOp, ...]
+    # The first trip, where it ends its batches elsewhere than the
+    # others: the body's ops with its own markers (it joins calls
+    # pending on entry).  None: the body.
+    first: tuple[HostOp, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -178,13 +181,32 @@ class Stop(HostOp):
     pass
 
 
+@dataclass(frozen=True)
+class Flush(HostOp):
+    """Dispatch the node calls pending as one batch."""
+
+
+@dataclass(frozen=True)
+class Snapshot(HostOp):
+    """Give the pending calls copies of their halos of ``arrays``, which
+    the next op overwrites."""
+
+    arrays: tuple[str, ...]
+
+
 @dataclass
 class HostProgram:
-    """The complete front-end program plus its node routines."""
+    """The complete front-end program plus its node routines.
+
+    ``batched``: the end of every batch of node calls is marked
+    (:mod:`repro.backend.cm2.batches`), and the ``fused`` engine runs
+    the batches as marked; every engine skips the markers otherwise.
+    """
 
     name: str
     ops: tuple[HostOp, ...]
     routines: dict[str, Routine] = field(default_factory=dict)
+    batched: bool = False
 
 
 class StopExecution(Exception):
@@ -203,92 +225,12 @@ def value_scalars(value: nir.Value) -> frozenset[str]:
                      if isinstance(n, nir.SVar))
 
 
-def _clause_reads(clause: nir.MoveClause) -> frozenset[str]:
-    reads = value_arrays(clause.src) | value_arrays(clause.mask)
-    tgt = clause.tgt
-    if isinstance(tgt, nir.AVar) and isinstance(tgt.field, nir.Subscript):
-        for idx in tgt.field.indices:
-            if isinstance(idx, nir.IndexRange):
-                for part in (idx.lo, idx.hi, idx.stride):
-                    if part is not None:
-                        reads |= value_arrays(part)
-            else:
-                reads |= value_arrays(idx)
-    return reads
-
-
-def op_effects(op: HostOp) -> tuple[frozenset[str], frozenset[str]]:
-    """Name-level (array reads, array writes) of a non-call host op."""
-    if isinstance(op, CommMove):
-        return _clause_reads(op.clause), frozenset({op.clause.tgt.name})
-    if isinstance(op, ReduceMove):
-        tgt = op.clause.tgt
-        writes = (frozenset({tgt.name}) if isinstance(tgt, nir.AVar)
-                  else frozenset())
-        return _clause_reads(op.clause), writes
-    if isinstance(op, ElementMove):
-        tgt = frozenset({op.clause.tgt.name})
-        return _clause_reads(op.clause) | tgt, tgt
-    if isinstance(op, ScalarMove):
-        return _clause_reads(op.clause), frozenset()
-    if isinstance(op, Print):
-        reads: frozenset[str] = frozenset()
-        for value in op.values:
-            reads |= value_arrays(value)
-        return reads, frozenset()
-    if isinstance(op, Alloc):
-        return frozenset(), frozenset({op.name})
-    if isinstance(op, (IfOp, WhileOp)):     # the condition, not the body
-        return value_arrays(op.cond), frozenset()
-    return frozenset(), frozenset()
-
-
-def call_info(op: NodeCall) -> tuple:
-    """A call site's ``(plan, reads, writes, enqueue-time reads, halos)``."""
-    plan = get_plan(op.routine)
-    regs = {param.name: param.reg for param in op.routine.params}
-    read_pregs = set(plan.read_pregs)
-    stored = set(plan.stored_pregs)
-    reads: set[str] = set()
-    writes: set[str] = set()
-    prefetch: set[str] = set()
-    halos: set[str] = set()
-    for arg in op.args:
-        if arg.kind == "subgrid":
-            reg = regs.get(arg.name)
-            if reg is None:
-                continue
-            if reg.n in read_pregs:
-                reads.add(arg.array)
-            if reg.n in stored:
-                writes.add(arg.array)
-        elif arg.kind == "halo":
-            halos.add(arg.array)
-            if arg.temp is not None:
-                # The batch breaks where it did when the call read the
-                # temporary; its FoldedShift already flushed every
-                # pending store to the source.
-                reads.add(arg.temp)
-            else:
-                # A halo stream sees every store enqueued before it.
-                reads.add(arg.array)
-                prefetch.add(arg.array)
-        elif arg.kind == "scalar" and arg.value is not None:
-            prefetch |= value_arrays(arg.value)
-    return (plan, frozenset(reads), frozenset(writes), frozenset(prefetch),
-            frozenset(halos))
-
-
-def _trip_declined(loop: Loop) -> str:
-    """Why ``loop`` can have no trip record, or "" when it can.
-    Eligible is a body (through ``IfOp`` branches) of node calls,
-    folded shifts, scalar moves and conditionals in which no
-    host-evaluated value reads an array and no argument is a halo
+def _trip_declined(ops, seen: set) -> str:
+    """Why a loop of body ``ops`` can have no trip record, or "" when it
+    can.  Eligible is a body (through ``IfOp`` branches) of node calls,
+    folded shifts, scalar moves, conditionals and batch markers in which
+    no host-evaluated value reads an array and no argument is a halo
     stream (made at every bind)."""
-    return _walk_trip(loop.body, set())
-
-
-def _walk_trip(ops, seen: set) -> str:
     for op in ops:
         if id(op) in seen:
             return "op repeated"
@@ -298,67 +240,23 @@ def _walk_trip(ops, seen: set) -> str:
                 return "halo stream"
             reads = any(value_arrays(a.value) for a in op.args
                         if a.kind == "scalar")
-        elif isinstance(op, (ScalarMove, IfOp)):
-            reads = op_effects(op)[0]
-        elif isinstance(op, FoldedShift):
+        elif isinstance(op, ScalarMove):
+            reads = value_arrays(op.clause.src) | value_arrays(op.clause.mask)
+        elif isinstance(op, IfOp):
+            reads = value_arrays(op.cond)
+        elif isinstance(op, (FoldedShift, Flush, Snapshot)):
             reads = False
         else:
             return f"op {type(op).__name__}"
         if reads:
             return "array-reading scalar"
         if isinstance(op, IfOp):
-            why = _walk_trip(op.then, seen) or _walk_trip(op.els, seen)
+            why = (_trip_declined(op.then, seen)
+                   or _trip_declined(op.els, seen))
             if why:
                 return why
     return ""
 
-
-class HostFacts:
-    """What a host program fixes before any machine runs it, worked out
-    on first use for every run of its executable, by ``id(op)`` (kept
-    with the program, so no id comes back as another op's): op effects,
-    call footprints, why a loop can have no trip record ("" when it
-    can) and ``Alloc`` layouts."""
-
-    def __init__(self, program: HostProgram) -> None:
-        self.program = program
-        self.effects: dict[int, tuple] = {}
-        self.calls: dict[int, tuple] = {}
-        self.loops: dict[int, str] = {}
-        self.allocs: dict[str, Alloc] | None = None
-
-    def _memo(self, table: dict, op, make):
-        got = table.get(id(op))
-        if got is None:
-            got = table[id(op)] = make(op)
-        return got
-
-    def effects_of(self, op: HostOp) -> tuple:
-        return self._memo(self.effects, op, op_effects)
-
-    def trip_declined(self, loop: Loop) -> str:
-        return self._memo(self.loops, loop, _trip_declined)
-
-    def call(self, op: NodeCall) -> tuple:
-        """:func:`call_info`, made again when the routine's plan is new."""
-        got = self._memo(self.calls, op, call_info)
-        if got[0] is not get_plan(op.routine):
-            got = self.calls[id(op)] = call_info(op)
-        return got
-
-    def alloc(self, name: str) -> Alloc | None:
-        """The ``Alloc`` of array ``name`` (the prologue's), if any."""
-        if self.allocs is None:
-            self.allocs = {op.name: op for op in self.program.ops
-                           if isinstance(op, Alloc)}
-        return self.allocs.get(name)
-
-
-# A pending batch is flushed when it reaches this many calls, whatever
-# the barriers say: a barrier-free loop would otherwise grow one group
-# per loop execution, probed and built at a cost quadratic in the trip
-# count.  The longest batch any committed program forms is 6.
-_BATCH_CAP = 32
 
 # Trip records (docs/PIPELINE.md section 16).  A loop of fewer trips
 # than ``_TRIP_MIN`` is declined one on entry: what is left of a short
@@ -372,15 +270,13 @@ _TRIP_EXITS = 3
 
 class _Trip(NamedTuple):
     """What one trip of a loop did, kept with the executable by op,
-    site and template — no array, address or closure: the ids of the
-    ops pending as it started and the ops it left pending; its moves,
-    guards and calls, ``(op, outcome)``; per dispatch ``(site, template,
-    call ops)``; what it charges besides its launches.
-    ``at``: None for a steady record (it covers every trip its guards
-    pass), else the one trip (from 0) of a loop execution it covers."""
+    site and template — no array, address or closure: its moves, guards
+    and calls, ``(op, outcome)``; per dispatch ``(site, template, call
+    ops)``, a call pending on entry included; what it charges besides
+    its launches.  ``at``: None for a steady record (it covers every
+    trip its guards pass), else the one trip (from 0) of a loop
+    execution it covers."""
 
-    carried: tuple
-    leaves: tuple
     steps: tuple
     launches: tuple
     per_trip: RunStats
@@ -389,45 +285,41 @@ class _Trip(NamedTuple):
 
 class _Bound(NamedTuple):
     """A record bound to this run: its launch records, its driver, why
-    it has none or None (one trip, run in Python), the trips it covers,
-    what stops it short (``guard``, ``tier_up``; None: no exit) and the
-    pairs it leaves pending."""
+    it has none or None (one trip, run in Python), the trips it covers
+    and what stops it short (``guard``, ``tier_up``; None: no exit)."""
 
     record: _Trip
     launches: list
     driver: object
     count: int
     stop: str | None
-    leaves: list
 
 
 class HostExecutor:
     """Interprets a host program against a simulated machine.
 
-    With ``fuse_exec`` (and a machine in ``"fused"`` mode) adjacent node
-    calls accumulate, in order, into a pending batch handed to
-    :meth:`~repro.machine.cm2.Machine.call_fused` as one dispatch; other
-    runtime work is *hoisted* ahead of the batch when its name-level
-    array footprint is independent of every pending call, and flushes
-    it first otherwise.  A halo argument is read in place when the
-    batch runs, so hoisted work about to overwrite one first hands the
-    pending calls a copy (:meth:`_snapshot`).  Each call site's views
-    are cached and revalidated by array identity, which is what lets the
-    machine replay the site's launch record (a dispatch names its site:
-    ``id`` of the op, or of each op in a fused batch).
+    On a machine in ``"fused"`` mode a batched program's node calls
+    accumulate, in order, into a pending batch, each bound where it
+    stands, and a :class:`Flush` hands the batch to
+    :meth:`~repro.machine.cm2.Machine.call_fused` as one dispatch; a
+    :class:`Snapshot` gives the pending calls copies of halos the next
+    op overwrites (:meth:`_snapshot`).  Where each batch ends was fixed
+    at compile time (:mod:`repro.backend.cm2.batches`); every other
+    engine dispatches each call where it stands and skips the markers.
+    Each call site's views are cached and revalidated by array
+    identity, which is what lets the machine replay the site's launch
+    record (a dispatch names its site: ``id`` of the op, or of each op
+    in a fused batch).
 
     A loop whose body is straight-line PEAC traffic runs its trips
     whole from *trip records* kept with the executable (:meth:`_run_loop`):
     learned from a trip this walk ran, bound to each run's homes and
     scalars where a trip starts (:meth:`_fit`), and run in one native
     call when every launch is C, else in Python (:meth:`_run_trips`) —
-    with bit-identical arrays, ``RunStats`` and counters.  What the
-    program fixes comes from its :class:`HostFacts` (made by :meth:`run`
-    when none were given).
+    with bit-identical arrays, ``RunStats`` and counters.
     """
 
-    def __init__(self, machine, fuse_exec: bool = False,
-                 facts: HostFacts | None = None) -> None:
+    def __init__(self, machine) -> None:
         self.machine = machine
         self.scalars: dict[str, object] = {}
         self.output: list[str] = []
@@ -437,13 +329,8 @@ class HostExecutor:
         self.evaluator = NirEvaluator(
             read_array=lambda name: machine.home(name).data,
             scalars=self.scalars)
-        self.fuse_exec = bool(fuse_exec) and machine.exec_mode == "fused"
-        self.facts = facts
+        self.fuse_exec = False
         self._pending: list[tuple[HostOp, tuple]] = []
-        # The batch's reads, writes and halos.
-        self._pending_reads: set[str] = set()
-        self._pending_writes: set[str] = set()
-        self._pending_halos: set[str] = set()
         self._binding_cache: dict[int, tuple] = {}
         # While a trip that may become a trip record runs: what it did,
         # ``(op, outcome)`` in order, ``(None, (batch, records))`` for a
@@ -453,47 +340,25 @@ class HostExecutor:
     # ------------------------------------------------------------------
 
     def run(self, program: HostProgram) -> None:
-        if self.facts is None:
-            self.facts = HostFacts(program)
+        self.fuse_exec = (program.batched
+                          and self.machine.exec_mode == "fused")
         try:
             self._run_ops(program.ops)
         except StopExecution:
             pass
-        self._flush()
 
     def _run_ops(self, ops) -> None:
         for op in ops:
-            self._run_op(op)
+            self._exec_op(op)
 
     # ------------------------------------------------------------------
 
-    def _run_op(self, op: HostOp) -> None:
-        if not self.fuse_exec or isinstance(op, Loop):
-            return self._exec_op(op)   # a body recurses through here
-        if isinstance(op, NodeCall):
-            return self._enqueue_call(op)
-        self._barrier(*self.facts.effects_of(op))
-        return self._exec_op(op)
-
-    def _barrier(self, reads: frozenset[str],
-                 writes: frozenset[str]) -> None:
-        """Flush the batch if the op's footprint intersects it."""
-        if not self._pending:
-            return
-        if (reads & self._pending_writes
-                or writes & self._pending_writes
-                or writes & self._pending_reads):
-            self._flush()
-        elif writes & self._pending_halos:
-            self._snapshot(writes)
-
-    def _snapshot(self, arrays: frozenset[str]) -> None:
+    def _snapshot(self, arrays: tuple[str, ...]) -> None:
         """Give pending calls copies of their halos of ``arrays``.
 
         One copy per operand key, so calls that shared a folded
         temporary still share one stream.
         """
-        self._log = None    # a copy is a binding no record has seen
         copies: dict = {}
         for op, call in self._pending:
             bindings = call[1]
@@ -506,38 +371,33 @@ class HostExecutor:
                         copy = copies[value.key] = value.materialize()
                     bindings[arg.name] = copy
                     self.machine.fusion_metrics["shifts_materialized"] += 1
-        self._pending_halos -= arrays
+                    self._log = None    # a binding no record has seen
 
     def _flush(self) -> None:
-        if not self._pending:
-            return
         pending = self._pending
         self._pending = []
-        self._pending_reads.clear()
-        self._pending_writes.clear()
-        self._pending_halos.clear()
         records = self.machine.call_fused(
             [call for _, call in pending],
             site=tuple(id(op) for op, _ in pending))
         if self._log is not None:
             self._log.append((None, (pending, records)))
 
-    def _enqueue_call(self, op: NodeCall) -> None:
-        _plan, reads, writes, prefetch, halos = self.facts.call(op)
-        if prefetch and (prefetch & self._pending_writes):
-            self._flush()
-        bindings = self._bindings(op)
-        pair = (op, (op.routine, bindings, op.region_extents,
-                     op.real_elements, op.layout))
-        self._pending.append(pair)
-        self._pending_reads |= reads
-        self._pending_writes |= writes
-        self._pending_halos |= halos
+    def _node_call(self, op: NodeCall) -> None:
+        """Bind ``op`` here: add it to the pending batch under
+        ``fuse_exec``, else dispatch it."""
+        call = self._call(op)
+        if self.fuse_exec:
+            self._pending.append((op, call))
+        else:
+            call = self.machine.call_routine(
+                *call[:4], layout=op.layout, site=id(op))    # its records
         if self._log is not None:
-            self._log.append(pair)
-        if len(self._pending) >= _BATCH_CAP:
-            self._log = None    # a flush by count is none to record
-            self._flush()
+            self._log.append((op, call))
+
+    def _call(self, op: NodeCall) -> tuple:
+        """The ``call_fused`` tuple of ``op``, bound here and now."""
+        return (op.routine, self._bindings(op), op.region_extents,
+                op.real_elements, op.layout)
 
     def _bindings(self, op: NodeCall) -> dict[str, object]:
         """Resolved argument bindings, with persistent subgrid views.
@@ -596,7 +456,8 @@ class HostExecutor:
         m.charge_host(m.model.host_op)
         trips = range(op.lo, op.hi + (1 if op.step > 0 else -1), op.step)
         why = ("" if m.exec_mode == "interp"    # the oracle records none
-               else self.facts.trip_declined(op) if len(trips) >= _TRIP_MIN
+               else _trip_declined(op.body, set())
+               if len(trips) >= _TRIP_MIN
                else "too short")
         if why:
             self._decline(why)
@@ -611,11 +472,12 @@ class HostExecutor:
             if bound is not None:
                 ran = self._run_trips(bound, op.var, trips[t:])
                 t += ran
+                # Its launches ran every call pending on entry.
+                self._pending = []
                 if isinstance(bound.driver, str):
                     stayed = bound.driver
                 elif bound.driver is not None:
                     natively += ran
-                self._leave(bound.leaves)
                 # A steady record that stopped short is an exit: the
                 # next trip runs from another record, or on the ordinary
                 # path unrecorded.
@@ -623,18 +485,20 @@ class HostExecutor:
                 exits += exiting
                 active = exits < _TRIP_EXITS
                 continue
+            body = (op.first if t == 0 and op.first is not None
+                    and self.fuse_exec else op.body)
             t += 1
             m.charge_host(m.model.host_op)
             if exiting or not active:
                 exiting = False
-                self._run_ops(op.body)
+                self._run_ops(body)
                 continue
-            carried = [id(site) for site, _ in self._pending]
+            entered = bool(self._pending)
             self._log = []
-            self._run_ops(op.body)
+            self._run_ops(body)
             log, self._log = self._log, None
             record = (None if log is None
-                      else self._build_trip(log, carried, op.var, t - 1))
+                      else self._build_trip(log, entered, op.var, t - 1))
             if isinstance(record, str):
                 self._decline(record)
                 active = False
@@ -654,21 +518,15 @@ class HostExecutor:
         got = self.machine.trips.get(id(loop))
         return () if got is None or got[0] is not loop else got[1]
 
-    def _build_trip(self, log, carried, var, at) -> _Trip | str | None:
+    def _build_trip(self, log, entered, var, at) -> _Trip | str | None:
         """The record of trip ``at`` (from 0) of a loop over ``var``,
         from its ``log``; None when it is none (yet); why not, when no
-        later trip of the loop execution will be: ``"never steady"``,
-        ``"varying scalar"``.  Every dispatch must have run a kernel.
-        It is steady when it leaves pending the sites it found
-        (``carried``) and nothing it evaluated varies (:func:`_varies`);
-        else it is kept for one of the first ``_TRIP_ENTRIES`` trips.
-        Under ``fuse_exec`` a trip that flushes nothing only lengthens
-        the batch: with an earlier trip's calls in it, for good."""
+        later trip of the loop execution will be: ``"varying scalar"``.
+        Every dispatch must have run a kernel.  It is steady when no
+        call was pending as it started (``entered``) and nothing it
+        evaluated varies (:func:`_varies`); else it is kept for one of
+        the first ``_TRIP_ENTRIES`` trips."""
         m = self.machine
-        if self.fuse_exec:
-            mine = {id(op) for op, _ in log if isinstance(op, NodeCall)}
-            if mine and all(op is not None for op, _ in log):
-                return "never steady" if mine <= set(carried) else None
         host_op = m.model.host_op
         per_trip = RunStats(host_cycles=host_op)    # the loop's own
         steps: list = []
@@ -698,19 +556,17 @@ class HostExecutor:
             else:
                 steps.append((op, None))
                 launches.append((id(op), what[0].template, (op,)))
-        leaves = tuple(site for site, _ in self._pending)
         varies = _varies(log, var)
-        if not varies and tuple(carried) == tuple(map(id, leaves)):
+        if not varies and not entered:
             at = None
         elif at >= _TRIP_ENTRIES:
             return "varying scalar" if varies else None
-        return _Trip(tuple(carried), leaves, tuple(steps), tuple(launches),
-                     per_trip, at)
+        return _Trip(tuple(steps), tuple(launches), per_trip, at)
 
     def _keep(self, loop: Loop, record: _Trip) -> None:
         """Keep ``record`` in place of one of the same trip and sites."""
         def ident(r):
-            return (r.at, r.carried, [launch[0] for launch in r.launches],
+            return (r.at, [launch[0] for launch in r.launches],
                     [(id(op), taken) for op, taken in r.steps])
         kept = tuple(r for r in self._kept(loop) if ident(r) != ident(record))
         self.machine.trips[id(loop)] = (loop, kept + (record,))
@@ -718,15 +574,17 @@ class HostExecutor:
     def _bind(self, loop: Loop, at: int, upcoming: range) -> _Bound | None:
         """The first kept record of ``loop`` that fits at trip ``at``,
         the first of ``upcoming``, bound: an entry record, where the
-        loop has a steady one, before those."""
+        loop has a steady one, before those — a trip entered with calls
+        pending, only one of its own."""
         kept = self._kept(loop)
         steady = [r for r in kept if r.at is None]
-        pending = tuple(id(op) for op, _ in self._pending)
-        for record in [r for r in kept if steady and r.at == at] + steady:
-            if record.carried == pending:
-                bound = self._fit(record, loop.var, upcoming)
-                if bound is not None:
-                    return bound
+        if not steady:
+            return None
+        for record in ([r for r in kept if r.at == at]
+                       + ([] if self._pending else steady)):
+            bound = self._fit(record, loop.var, upcoming)
+            if bound is not None:
+                return bound
         return None
 
     def _fit(self, record: _Trip, var: str, upcoming: range) -> _Bound | None:
@@ -734,19 +592,17 @@ class HostExecutor:
         None — the scalars as they were — when a guard takes the other
         branch, a blocked kernel would be hot on its first trip or
         ``Machine.adopt`` binds no launch.  Its steps run as the
-        ordinary path would run them this trip: moves assign, calls'
-        ``_bindings`` fill their launches' scalar files, and calls
-        pending from before the trip those of the launches flushing
-        them.  A steady record covers later trips with the files of its
-        own calls; where the carried calls' differ, this trip alone."""
+        ordinary path would run them this trip: moves assign, and calls'
+        ``_bindings`` fill their launches' scalar files beside the calls
+        pending on entry.  A steady record covers later trips with the
+        files of this one; an entry record, this trip alone."""
         saved = dict(self.scalars)
         ev = self.evaluator
-        own: dict = {}      # id(call op) -> its call tuple this trip
+        calls = {id(op): call for op, call in self._pending}
         guards = []
         for op, taken in record.steps:
             if isinstance(op, NodeCall):
-                own[id(op)] = (op.routine, self._bindings(op),
-                               op.region_extents, op.real_elements, op.layout)
+                calls[id(op)] = self._call(op)
             elif taken is None:
                 self.scalars[op.clause.tgt.name] = ev.eval_scalar(
                     op.clause.src)
@@ -755,11 +611,7 @@ class HostExecutor:
                 if bool(cond()) is not taken:
                     return self._restore(saved)
                 guards.append((cond, taken, _bisectable(op.cond, var)))
-        carried = {id(op): call for op, call in self._pending}
-        alone = record.at is not None or any(
-            not _same(call[1][arg.name], own[id(op)][1][arg.name])
-            for op, call in self._pending if id(op) in own
-            for arg in op.args if arg.kind == "scalar")
+        alone = record.at is not None
         cool = [0]
 
         def covers(kernels):
@@ -769,35 +621,19 @@ class HostExecutor:
                 1 if alone else len(upcoming))
             return _passing(guards, self.scalars, var, upcoming[:cool[0]])
 
-        pending = dict(carried)     # each flushed once, then the trip's own
         records, count = self.machine.adopt([
-            (site, template, [pending.pop(id(op), None) or own[id(op)]
-                              for op in ops])
+            (site, template, [calls[id(op)] for op in ops])
             for site, template, ops in record.launches], covers)
         if not count:
             return self._restore(saved)
         return _Bound(
             record, records,
             self._trip_driver(records) if count > 1 else None, count,
-            None if alone else "guard" if count < cool[0] else "tier_up",
-            # A trip that flushes nothing leaves what it found.
-            [(op, own.get(id(op)) or carried[id(op)]) for op in record.leaves])
+            None if alone else "guard" if count < cool[0] else "tier_up")
 
     def _restore(self, saved: dict) -> None:
         self.scalars.clear()
         self.scalars.update(saved)
-
-    def _leave(self, pairs) -> None:
-        """Make ``pairs`` the pending batch, as a record's trips left it."""
-        self._pending = list(pairs)
-        for got in (self._pending_reads, self._pending_writes,
-                    self._pending_halos):
-            got.clear()
-        for op, _ in pairs:
-            _plan, reads, writes, _, halos = self.facts.call(op)
-            self._pending_reads |= reads
-            self._pending_writes |= writes
-            self._pending_halos |= halos
 
     def _trip_driver(self, records):
         """The native driver of a trip over ``records``, or why it has
@@ -856,6 +692,12 @@ class HostExecutor:
             m.charge_host(m.model.host_op)
         elif isinstance(op, NodeCall):
             self._node_call(op)
+        elif isinstance(op, Flush):
+            if self._pending:
+                self._flush()
+        elif isinstance(op, Snapshot):
+            if self._pending:
+                self._snapshot(op.arrays)
         elif isinstance(op, FoldedShift):
             cmrt.execute_comm(m, self.evaluator, op, "folded", op.const)
             if self._log is not None:
@@ -877,12 +719,7 @@ class HostExecutor:
         elif isinstance(op, Loop):
             self._run_loop(op)
         elif isinstance(op, WhileOp):
-            # An array-reading condition observes the pending batch
-            # before every evaluation.
-            reads = self.fuse_exec and self.facts.effects_of(op)[0]
             while True:
-                if reads:
-                    self._barrier(reads, frozenset())
                 if not bool(self.evaluator.eval_scalar(op.cond)):
                     break
                 m.charge_host(m.model.host_op)
@@ -910,13 +747,6 @@ class HostExecutor:
                    for n in nir.values.walk(value))
 
     # ------------------------------------------------------------------
-
-    def _node_call(self, op: NodeCall) -> None:
-        records = self.machine.call_routine(
-            op.routine, self._bindings(op), op.region_extents,
-            op.real_elements, layout=op.layout, site=id(op))
-        if self._log is not None:
-            self._log.append((op, records))
 
     def _element_move(self, clause: nir.MoveClause) -> None:
         """Serial front-end array access: single elements or sections.
@@ -968,7 +798,7 @@ def _varies(log, var: str) -> bool:
     host may differ from trip to trip: a scalar-move source or scalar
     argument that reads the loop variable ``var``, or a condition,
     source or argument that reads a scalar some move of the trip
-    assigns at or after it — a value carried over from the trip before,
+    assigns at or after it — a value the trip before left,
     a move's own target included.  Reading a scalar an earlier move of
     the trip assigned is invariant when that move is."""
     ahead = Counter(op.clause.tgt.name for op, _ in log
@@ -995,11 +825,6 @@ def _varies(log, var: str) -> bool:
             if not ahead[tgt]:
                 del ahead[tgt]
     return False
-
-
-def _same(a, b) -> bool:
-    """Whether scalar arguments ``a`` and ``b`` fill a file alike."""
-    return a is b or (type(a) is type(b) and a == b)
 
 
 _MONOTONE = frozenset({nir.BinOp.LT, nir.BinOp.LE, nir.BinOp.GT,
@@ -1061,8 +886,9 @@ def _cool_trips(launches, most: int) -> int:
     return most
 
 
-def format_host_program(program: HostProgram, indent: int = 0) -> str:
-    """Readable disassembly of a host program (for docs and debugging)."""
+def format_host_program(program: HostProgram) -> str:
+    """Readable disassembly of a host program (for docs and debugging):
+    a ``flush`` line ends each batch of node calls."""
     lines: list[str] = [f"HOST PROGRAM {program.name}:"]
     _format_ops(program.ops, lines, 1)
     return "\n".join(lines)
@@ -1093,9 +919,19 @@ def _format_ops(ops, lines: list[str], depth: int) -> None:
                          f"{op.clause.src}")
         elif isinstance(op, ElementMove):
             lines.append(f"{pad}element_move {op.clause.tgt}")
+        elif isinstance(op, Flush):
+            lines.append(f"{pad}flush")
+        elif isinstance(op, Snapshot):
+            lines.append(f"{pad}snapshot halos of {', '.join(op.arrays)}")
         elif isinstance(op, Loop):
             lines.append(f"{pad}for {op.var} = {op.lo}, {op.hi}, {op.step}:")
-            _format_ops(op.body, lines, depth + 1)
+            if op.first is None:
+                _format_ops(op.body, lines, depth + 1)
+            else:
+                lines.append(f"{pad}  first trip:")
+                _format_ops(op.first, lines, depth + 2)
+                lines.append(f"{pad}  other trips:")
+                _format_ops(op.body, lines, depth + 2)
         elif isinstance(op, WhileOp):
             lines.append(f"{pad}while {op.cond}:")
             _format_ops(op.body, lines, depth + 1)

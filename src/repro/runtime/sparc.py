@@ -12,7 +12,10 @@ Scalar variables live in a frame-pointer-relative spill area; every
 operation loads its operands, computes in ``%o`` registers, and stores
 back (the memory-to-memory model).  CM runtime services and PEAC
 dispatches become ``call`` instructions into ``_CMRT_*`` / ``_CMPE_*``
-entry points, with IFIFO argument pushes before each node call.
+entry points, with IFIFO argument pushes before each node call; a
+batched program's ``_CMPE_flush`` ends each fused batch, and a loop
+whose first trip ends its batches elsewhere has that trip peeled off
+ahead of it.
 """
 
 from __future__ import annotations
@@ -106,6 +109,13 @@ class SparcRenderer:
             self.emit(f"call _CMRT_element_rw       "
                       f"! {_target_name(op.clause)}")
             self.emit("nop")
+        elif isinstance(op, h.Flush):
+            self.emit("call _CMPE_flush           ! dispatch the batch")
+            self.emit("nop")
+        elif isinstance(op, h.Snapshot):
+            self.emit(f"call _CMRT_snapshot_halos   "
+                      f"! {', '.join(op.arrays)}")
+            self.emit("nop")
         elif isinstance(op, h.Loop):
             self.render_loop(op)
         elif isinstance(op, h.WhileOp):
@@ -156,6 +166,13 @@ class SparcRenderer:
         done = self.label("done")
         self.emit(f"set {op.lo}, %o0")
         self.emit(f"st %o0, {self.slot(op.var)}")
+        if op.first is not None:    # peeled: the bounds say it runs
+            self.emit(f"! first trip of {op.var}")
+            for inner in op.first:
+                self.render_op(inner)
+            self.emit(f"ld {self.slot(op.var)}, %o0")
+            self.emit(f"add %o0, {op.step}, %o0")
+            self.emit(f"st %o0, {self.slot(op.var)}")
         self.emit_raw(top + ":")
         self.emit(f"ld {self.slot(op.var)}, %o0")
         self.emit(f"set {op.hi}, %o1")

@@ -104,7 +104,10 @@ KINDS = ("front", "pass", "backend", "exe")
 #:    numbering must not be re-attached.
 #: 8: exe artifacts no longer carry plan state: a kernel is typed from
 #:    its binding signatures, not from a recorded spec table.
-SCHEMA_VERSION = 8
+#: 9: host programs carry their batches (``Flush``/``Snapshot`` markers,
+#:    ``Loop.first``, ``HostProgram.batched``), which an older executor
+#:    would never dispatch.
+SCHEMA_VERSION = 9
 
 _DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
@@ -144,9 +147,9 @@ def _options_payload(options) -> dict:
 
     The ``target`` is *resolved* through the registry (so an alias and
     its canonical name share artifacts, and two targets never do) and
-    ``fuse_exec`` is lifted out explicitly: it changes runtime fusion
-    behavior even when the transform pipeline's structure is otherwise
-    identical, so it must never be absorbed into a stale key.
+    ``fuse_exec`` is lifted out explicitly: it turns the backend's batch
+    pass on, which no transform pass sees, so it must never be absorbed
+    into a stale key.
     """
     from ..targets import get_target
 

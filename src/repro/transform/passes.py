@@ -103,48 +103,6 @@ def _run_block(ctx: PassContext) -> nir.Imperative:
                             memo=ctx.memos.phases)
 
 
-def _run_fuse_exec(ctx: PassContext) -> nir.Imperative:
-    """Survey cross-routine fusion opportunity (advisory; see execplan).
-
-    The actual fusion is a run-time decision — the host executor batches
-    adjacent node calls and the machine's execution-plan layer merges
-    their routine plans when alias probing proves it safe.  This pass
-    exists so the knob participates in the pipeline identity (compile
-    cache key, ``--list-passes``, ``--dump-after``) and so the report
-    quantifies how much adjacency the blocked program exposes.
-    """
-    classifier = PhaseClassifier(ctx.env,
-                                 neighborhood=ctx.options.neighborhood,
-                                 memo=ctx.memos.phases)
-    report = ctx.report.exec_fusion
-    for phases in _phase_runs(ctx.node, classifier):
-        run = 0
-        for phase in phases:
-            if phase.is_compute:
-                report.compute_phases += 1
-                run += 1
-                if run >= 2:
-                    report.fusable_adjacencies += 1
-                if run == 2:
-                    report.candidate_groups += 1
-            else:
-                run = 0
-    return ctx.node
-
-
-def _phase_runs(node: nir.Imperative, classifier):
-    """Yield the phase list of every straight-line sequence in ``node``."""
-    if isinstance(node, nir.Sequentially):
-        yield classifier.split(node)
-        for action in node.actions:
-            yield from _phase_runs(action, classifier)
-    elif isinstance(node, (nir.Do, nir.While)):
-        yield from _phase_runs(node.body, classifier)
-    elif isinstance(node, nir.IfThenElse):
-        yield from _phase_runs(node.then, classifier)
-        yield from _phase_runs(node.els, classifier)
-
-
 def _run_recheck(ctx: PassContext) -> nir.Imperative:
     check_program(ctx.node, ctx.env, ctx.memos.infer)
     return ctx.node
@@ -189,14 +147,6 @@ register(Pass(
                       "neighborhood": o.neighborhood},
     report_slot="blocking",
     description="Figure 9 domain blocking and like-domain MOVE fusion"))
-
-register(Pass(
-    name="fuse_exec", scope="body", run=_run_fuse_exec,
-    enabled=lambda o: o.fuse_exec,
-    config=lambda o: {"neighborhood": o.neighborhood},
-    report_slot="exec_fusion",
-    description="cross-routine execution-plan fusion survey (runtime "
-                "fusion keys off this knob)"))
 
 register(Pass(
     name="recheck", scope="program", run=_run_recheck,

@@ -26,7 +26,7 @@ from .normalize import NormalizeReport
 from .promotion import PromotionReport
 
 __all__ = [
-    "ExecFusionReport", "Options", "TransformReport",
+    "Options", "TransformReport",
     "TransformedProgram", "optimize", "unwrap_body", "wrap_body",
 ]
 
@@ -42,7 +42,7 @@ class Options:
     fuse: bool = True        # merge adjacent like-domain MOVEs
     pad_masks: bool = True   # Figure 10 section padding
     recheck: bool = True     # re-run type/shape checks afterwards
-    fuse_exec: bool = True   # cross-routine execution-plan fusion
+    fuse_exec: bool = True   # batch node calls into fused dispatches
     analyze: bool = False    # report-only racecheck + comm audit passes
 
     @classmethod
@@ -51,23 +51,6 @@ class Options:
         point (loops still vectorize, but no cross-statement blocking)."""
         return cls(comm_cse=False, block=False, fuse=False,
                    pad_masks=False, fuse_exec=False)
-
-
-@dataclass
-class ExecFusionReport:
-    """What the execution-plan fusion layer can work with.
-
-    The fusion itself happens at run time (the host executor batches
-    node calls into groups, each launched from a
-    :class:`~repro.machine.execplan.LaunchTemplate`); this compile-time
-    pass surveys the phase structure so ``--dump-report`` shows the
-    opportunity and the pipeline identity — hence the compile cache key
-    — reflects the knob.
-    """
-
-    compute_phases: int = 0      # blocked computation phases seen
-    fusable_adjacencies: int = 0  # adjacent compute-compute pairs
-    candidate_groups: int = 0    # maximal runs of >=2 compute phases
 
 
 def _racecheck_report():
@@ -86,7 +69,6 @@ class TransformReport:
     normalize: NormalizeReport = field(default_factory=NormalizeReport)
     masking: MaskingReport = field(default_factory=MaskingReport)
     blocking: BlockingReport = field(default_factory=BlockingReport)
-    exec_fusion: ExecFusionReport = field(default_factory=ExecFusionReport)
     # Report-only dataflow analyses (``Options.analyze``; `repro analyze`).
     racecheck: object = field(default_factory=_racecheck_report)
     commaudit: object = field(default_factory=_commaudit_report)

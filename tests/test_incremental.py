@@ -660,7 +660,8 @@ class TestOneNamePerState:
     def test_one_name_one_host_program(self):
         """Injectivity over the corpus: whatever option set produced
         them, final states sharing a name compile (under the same
-        backend options and target) to the same host program."""
+        backend options, target and ``fuse_exec``, which turns the
+        backend's batch pass on) to the same host program."""
         variants = [CompilerOptions(), CompilerOptions.naive(),
                     CompilerOptions.neighborhood()]
         variants += [CompilerOptions(transform=TransformOptions(
@@ -672,7 +673,7 @@ class TestOneNamePerState:
                                      incremental=False)
                 final = exe.transformed
                 key = (state_hash(final.nir, final.env), options.backend,
-                       options.target)
+                       options.target, options.transform.fuse_exec)
                 groups.setdefault(key, []).append(
                     format_host_program(exe.host_program))
         assert len(groups) > len(corpus())       # options do change states

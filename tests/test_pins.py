@@ -49,23 +49,23 @@ SOURCES = {name: generate() for name, generate in ALL_KERNELS.items()}
 SOURCES["swe"] = swe_source(512, 8)
 
 COMPILE = {
-    "heat": "ee463427722036a8d810b8d0664094b3bfee9ff17c4f53fe3fcf2d569e7e48e5",
-    "life": "83d88b5d2a0289d4480dffb8dd239f594e842c4b9413dcb7c06927eb11a0c9d1",
-    "deck": "d1ddfaee49e3fe2480f7106a7bb2f62a2c33d5d94a46f2f85e33b62d0a4648c8",
-    "where": "67a8f515db107dbc13de2b6c7b83040719e8838d44ca8e770dfa4a556319504c",
+    "heat": "14baa8d8a34f8362eb97ba26942d4e5758ce8cd2377c2363fa64fa80b5a64601",
+    "life": "d049a0bb8fe24abfe9f4807149e590c3d91483fc403910604eeded3b9b13ab0b",
+    "deck": "8807d48cc6b45ac940be8fa1821316f04b637d990b5cdf7d785f6df5e1acfb23",
+    "where": "2161e0ffac5489f40c8345108c1663f9abe927372de2fb925efc3b860d9cd3be",
     "blocking":
-        "eb5d074fc817b1e9e7004f02ee72e1fdd6cc6a0cdbb7857579e9eb2045dfb2af",
+        "ee7a43bc8ebffca10fef1918907c162806ffa1ab567bf0e26eddf099416a9962",
     "forall":
-        "cde4c0eba90659ece5e9e6d7e88c39a6893f21b1641c0ff117f2aca76f3e5ce2",
+        "a021f58d0d01d3d6e9577152ab2409091b263594744ac6dcdddb9565849b79ed",
     "reduction":
-        "5096d55aa03b17a5ea0560cb68cbe43592002b1a878f2ae3c3aeeadc9de449ff",
-    "saxpy": "9e92a3d2c9b7204717fb7682cf60cc9ced8150968c17d3c6a408a48d2d75da30",
+        "b64564eb6a2672c27e2d6a598151bfc9294fa17c5ae6150eb2f627a2b4604f0f",
+    "saxpy": "6eb3ebc9f17833e4272dd5886d10490c8878e5085d5a189b8e9e04b7a87848f6",
     "redblack":
-        "ebe05eaafc00be94a413d55833d01208af51cc53a424a685eb1f43e6147f70cf",
+        "75671b2bc4b48157715d6a16e03efdfac294998cc09fa2dba442934196c5dbe8",
     "matmul":
-        "e55f24c73e890cc8f5633fb26a5285e02c6e282b36c6edd04d2bbc7dee8c2550",
-    "cg": "e20d438a2488734822268e659c1dda0d85d9bb08f0732d905119fcc82d4eb08e",
-    "swe": "d429d31115917e7dbaff9af4845d339ea488a5b3c90408e74a3630c4f160f04d",
+        "09a78dcf45710234a53f2f04586be100ba0549cbff25ee48dcdffea609549954",
+    "cg": "4347c62c03032c5fea675b0f095c813cd6184f7fd59bd31763e92d9680ccc83c",
+    "swe": "7214168f5dba8bcef42b0ed81b4f2689fb5e78971d2aa277edfc851529950d67",
 }
 
 TOKENS = {
@@ -147,8 +147,8 @@ ERRORS = [
 
 # Pickled bytes (meta + state, headers excluded) the store writes.
 STORE_BYTES = {
-    "swe": {"front": 41434, "pass": 177314},
-    "redblack": {"front": 9296, "pass": 39074},
+    "swe": {"front": 41434, "pass": 151263},
+    "redblack": {"front": 9296, "pass": 33299},
 }
 
 

@@ -70,8 +70,8 @@ class TestRegistry:
         # analyses, default-off, racecheck on the lowered input and
         # commaudit on what the backend will actually compile.
         assert PASSES.names() == ["racecheck", "promote", "normalize",
-                                  "pad_masks", "dse", "block", "fuse_exec",
-                                  "recheck", "commaudit"]
+                                  "pad_masks", "dse", "block", "recheck",
+                                  "commaudit"]
 
     def test_unknown_pass_is_loud(self):
         with pytest.raises(UnknownPassError) as exc:
@@ -93,8 +93,7 @@ class TestRegistry:
     def test_identity_orders_and_configures(self):
         ident = pipeline_identity(Options())
         assert [e["name"] for e in ident] == [
-            "promote", "normalize", "pad_masks", "dse", "block",
-            "fuse_exec", "recheck"]
+            "promote", "normalize", "pad_masks", "dse", "block", "recheck"]
         block = dict(ident[4]["config"])
         assert block == {"block": True, "fuse": True, "neighborhood": False}
 
@@ -111,23 +110,20 @@ class TestGoldenPassOrders:
     def test_default_pipeline_executes_all_passes(self):
         tp = optimize(lower(PROGRAM), Options())
         assert tp.trace.executed() == [
-            "promote", "normalize", "pad_masks", "dse", "block",
-            "fuse_exec", "recheck"]
+            "promote", "normalize", "pad_masks", "dse", "block", "recheck"]
 
     def test_naive_pipeline_skips_blocking_and_padding(self):
         tp = optimize(lower(PROGRAM), Options.naive())
         assert tp.trace.executed() == [
             "promote", "normalize", "dse", "recheck"]
         disabled = [t.name for t in tp.trace.passes if not t.enabled]
-        assert disabled == ["racecheck", "pad_masks", "block",
-                            "fuse_exec", "commaudit"]
+        assert disabled == ["racecheck", "pad_masks", "block", "commaudit"]
 
     def test_ablation_pipeline_no_promotion_no_fuse(self):
         tp = optimize(lower(PROGRAM),
                       Options(promote_loops=False, fuse=False))
         assert tp.trace.executed() == [
-            "normalize", "pad_masks", "dse", "block", "fuse_exec",
-            "recheck"]
+            "normalize", "pad_masks", "dse", "block", "recheck"]
 
     def test_fuse_only_still_runs_block_pass(self):
         tp = optimize(lower(PROGRAM), Options(block=False))

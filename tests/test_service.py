@@ -191,10 +191,11 @@ end program gen
 
 
 def test_cache_version_skew_purges_store(tmp_path, monkeypatch):
-    # Schema 7 entries carried plan state; one written then is purged.
-    assert store_mod.SCHEMA_VERSION == 8
+    # Schema 8 host programs carried no batches; one written then is
+    # purged.
+    assert store_mod.SCHEMA_VERSION == 9
     with monkeypatch.context() as patch:
-        patch.setattr(store_mod, "SCHEMA_VERSION", 7)
+        patch.setattr(store_mod, "SCHEMA_VERSION", 8)
         cache = ArtifactStore(str(tmp_path))
         cache.compile(TINY)
         assert cache.exe_stats()["entries"] == 1

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import nir
+from repro.backend.cm2.batches import place_batches
 from repro.backend.cm2.shiftfold import fold_shifts
 from repro.driver.compiler import CompilerOptions, compile_source
 from repro.machine import execplan
@@ -42,12 +43,16 @@ STAT_FIELDS = ("total_cycles", "comm_cycles", "comm_ops", "node_calls",
                "fused_groups", "ififo_pushes")
 
 
-def unfolded(exe):
-    """The same compile with shift folding skipped (the oracle)."""
+def unfolded(exe, batches=True):
+    """The same compile with shift folding skipped (the oracle), its
+    batches placed as the compile placed them (unless not ``batches``:
+    a program to edit by hand)."""
     backend = get_target(exe.options.target).compiler()(
         exe.transformed.env, options=exe.options.backend)
-    return dataclasses.replace(
-        exe, host_program=backend.assemble(exe.transformed.nir))
+    program = backend.assemble(exe.transformed.nir)
+    if batches and exe.host_program.batched:
+        program = place_batches(program)
+    return dataclasses.replace(exe, host_program=program)
 
 
 def walk(ops):
@@ -251,7 +256,7 @@ def test_temporary_with_a_real_reader_stays_materialised(case):
 def _assembled(body: str):
     exe = compile_source(HEAD[1].format(ty="double precision") + INIT
                          + body + "end\n")
-    return exe, unfolded(exe).host_program
+    return exe, unfolded(exe, batches=False).host_program
 
 
 def _run_ops(exe, ops):

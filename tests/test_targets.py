@@ -161,8 +161,7 @@ class TestServiceResolution:
         assert response["ok"]
         names = [p["name"] for p in response["pipeline"]["passes"]]
         assert names == ["racecheck", "promote", "normalize", "pad_masks",
-                         "dse", "block", "fuse_exec", "recheck",
-                         "commaudit"]
+                         "dse", "block", "recheck", "commaudit"]
 
 
 # -- CLI wiring -------------------------------------------------------------

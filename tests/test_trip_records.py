@@ -13,10 +13,10 @@ equal, every ``fusion_summary()`` counter except the ``trip_*`` ones
 equal), nor from one whose trips all stay in Python (every counter but
 ``trip_native*`` equal) — for whole programs and generated bodies,
 through every exit, for the bodies that must never record or never
-leave Python, for the batch a loop leaves pending, across runs, inputs
-and threads; and that a trip run whole walks no expression tree and
-draws no scratch.  The last sections pin the batch cap that keeps a
-barrier-free loop linear, ping-pong and bisected guards.
+leave Python, for the op after a loop, across runs, inputs and threads;
+and that a trip run whole walks no expression tree and draws no
+scratch.  The last sections pin one batch per trip of a barrier-free
+loop, the batch cap, ping-pong and bisected guards.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nir
+from repro.backend.cm2 import batches
 from repro.driver.compiler import CompilerOptions, compile_source
 from repro.machine import BufferPool, ckernel, execplan, kernel
 from repro.machine.ckernel import _compiler
@@ -45,10 +46,11 @@ from repro.programs.kernels import (cg_source, deck_source, heat_source,
 from repro.programs.swe import swe_source
 from repro.runtime import host
 from repro.runtime.host import (HostExecutor, IfOp, Loop, NodeCall,
-                                ScalarInit, ScalarMove)
+                                ScalarInit, ScalarMove, format_host_program)
 from repro.runtime.nir_eval import NirEvaluator
 from repro.service.jobs import execute_request
 from repro.targets import build_machine
+from repro.transform import Options as TransformOptions
 
 from .test_execplan import _SOURCES, _config_machine, _exe
 
@@ -71,12 +73,13 @@ def _compile(source, config, options=None):
     return compile_source(source, options, cache=False, incremental=False)
 
 
-def _entries(prog, config):
+def _entries(prog):
     """The entry trips a warm run of corpus program ``prog`` runs one at
-    a time, each from a record of its own, in Python: under ``fused`` and
-    ``host`` the first (it flushes the batch the prologue left), and
-    SWE's first besides (it takes the ``ncycle > 1`` else branch)."""
-    return (config != "fast") + (prog == "swe")
+    a time, each from a record of its own, in Python: SWE's first (it
+    takes the ``ncycle > 1`` else branch, and under ``fused`` and
+    ``host`` joins the prologue's last batch).  Every other program's
+    prologue batch is flushed before its loop."""
+    return int(prog == "swe")
 
 
 def _native_declined(reason=None):
@@ -171,7 +174,7 @@ def test_recorded_run_is_indistinguishable(prog, trips, config):
         *_pair(_exe(prog, trips, config), config))
     # Every trip runs from a record the warm runs kept: the entry trips
     # one by one, then the driver runs every trip after them.
-    entries = _entries(prog, config)
+    entries = _entries(prog)
     assert fs["trip_records"] == 1 + entries and fs["trip_exits"] == 0
     assert fs["trip_replays"] == trips
     assert fs["trip_declined"] == {}
@@ -194,7 +197,7 @@ def test_native_trips_either_side_of_the_minimum(trips, prog, config):
         assert fs["trip_native"] == 0 and fs["trip_native_declined"] == {}
     else:
         assert fs["trip_native_declined"] == _native_declined()
-        assert fs["trip_native"] == (trips - _entries(prog, config)
+        assert fs["trip_native"] == (trips - _entries(prog)
                                      if _compiler() else 0)
         assert fs["trip_replays"] == trips
 
@@ -249,8 +252,6 @@ def _tapeable(lines, trips):
 def test_generated_bodies_are_indistinguishable(lines, trips, config):
     exe = _compile(_tapeable(lines, trips), config)
     fs = _assert_indistinguishable(*_pair(exe, config))
-    # A condition that alternates leaves ``fused`` a different batch
-    # pending every trip: never recorded, never declined, never wrong.
     assert (fs["trip_exits"]
             == sum(fs["trip_exit_reasons"].values()) <= host._TRIP_EXITS)
     # A record per exit and the first, besides those of entry trips.
@@ -259,7 +260,7 @@ def test_generated_bodies_are_indistinguishable(lines, trips, config):
     # kernel the C emitter declines (or fails to build) keeps the loop
     # in Python; a body of scalar moves alone has no kernel to need a
     # compiler for.
-    assert set(fs["trip_declined"]) <= {"varying scalar", "never steady"}
+    assert set(fs["trip_declined"]) <= {"varying scalar"}
     assert sum(fs["trip_declined"].values()) <= 1
     stayed = fs["trip_native_declined"]
     assert sum(stayed.values()) <= 1
@@ -332,16 +333,13 @@ def test_condition_that_flips_exits_through_its_guard(config):
     # Trips 7, 14 and 21 take the other branch and run on the ordinary
     # path, the third exit being the loop execution's last try.  The
     # rare branch updates ``s``, which the next record's launches must
-    # see, and shifts ``a`` while the call that stores it is pending —
-    # under ``fused`` not the batch the trip started with (the call
-    # that stores ``b``).  Under ``fused`` and ``host`` trip 1 runs from
-    # its entry record, and the trip after each exit trip finds the
-    # batch the rare branch left: it runs on the ordinary path too.
-    fused = config != "fast"
+    # see, and shifts ``a`` while the call that stores it is pending.
+    # Every trip ends with its batch flushed, so the trip after an exit
+    # finds none pending and runs from the steady record.
     assert fs["trip_exit_reasons"] == {"guard": 3, "tier_up": 0}
     assert fs["trip_exits"] == host._TRIP_EXITS
-    assert fs["trip_records"] == host._TRIP_EXITS + fused
-    assert fs["trip_replays"] == (16 if fused else 18)
+    assert fs["trip_records"] == host._TRIP_EXITS
+    assert fs["trip_replays"] == 18
 
 
 @needs_cc
@@ -358,7 +356,7 @@ def test_the_driver_stops_before_the_trip_whose_guard_flips(config,
 
     def watched(executor, trip, var, upcoming):
         ran = inner(executor, trip, var, upcoming)
-        if trip.record.at is None:  # not trip 1's entry record (fused)
+        if trip.record.at is None:
             runs.append((upcoming[0], upcoming[ran]))
         return ran
 
@@ -380,11 +378,11 @@ HALVES = CARRIES.replace("s = it * 0.5d0", "s = s * 0.5d0")
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_scalar_argument_rides_the_batch_it_was_enqueued_with(config):
-    """Under ``fused`` the call of trip *t* is flushed by the shift of
-    trip *t + 1*, after ``s`` moved on: the launch must get the value
-    its own enqueue saw.  ``s`` reads the loop variable (or its own
-    value of the trip before), so the loop is declined a record once,
-    as ``varying scalar``, and every trip runs on the ordinary path."""
+    """Under ``fused`` the call of trip *t* binds where it stands and
+    is flushed where the trip ends: the launch must get the value its
+    own enqueue saw.  ``s`` reads the loop variable (or its own value of
+    the trip before), so the loop is declined a record once, as
+    ``varying scalar``, and every trip runs on the ordinary path."""
     for source in (CARRIES, HALVES):
         exe = _compile(source, config)
         fs = _assert_indistinguishable(*_pair(exe, config))
@@ -726,7 +724,7 @@ def test_a_child_forked_after_a_native_trip_runs_one():
 
 
 # ---------------------------------------------------------------------------
-# (d) The batch a loop leaves pending
+# (d) The op after a loop
 # ---------------------------------------------------------------------------
 
 LEAVES = ("double precision a(8, 8), b(8, 8)\ndouble precision total\n"
@@ -737,20 +735,20 @@ LEAVES = ("double precision a(8, 8), b(8, 8)\ndouble precision total\n"
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_op_after_the_loop_flushes_the_batch_it_carried_out(config):
-    """The last trip's call is still pending when the loop ends; the
-    reduction after it must see it, through footprint sets the recorded
-    trips never kept."""
+    """No batch is carried out of a loop: the last trip's call is
+    flushed where its body ends, and the reduction after the loop sees
+    it.  The prologue's batch is flushed before the loop, so every trip
+    runs from the steady record."""
     exe = _compile(LEAVES, config)
     got, want, oracle, off = _pair(exe, config)
     fs = _assert_indistinguishable(got, want, oracle, off)
-    entries = config != "fast"      # the first trip flushes the prologue's
     assert fs["trip_replays"] == 20
-    assert fs["trip_native"] == (20 - entries if _compiler() else 0)
+    assert fs["trip_native"] == (20 if _compiler() else 0)
     assert got.output == oracle.output and got.output
 
 
 # ---------------------------------------------------------------------------
-# The batch cap: a barrier-free loop stays linear
+# One batch per trip, and the batch cap
 # ---------------------------------------------------------------------------
 
 TRIPS = 2000
@@ -759,24 +757,47 @@ FREE = ("double precision a(8, 8), b(8, 8)\ninteger it\n" + _INIT
         "   a = a + b * 0.5d0\nend do\nend\n")
 
 
-def test_barrier_free_loop_is_flushed_by_the_cap():
+def test_barrier_free_loop_forms_one_batch_per_trip():
+    """No batch spans a trip, even where no footprint ends it: the
+    loop's one call is flushed where each trip ends, the first trip's
+    joined to the prologue's, and the trips after it run from one
+    steady record."""
     exe = _compile(FREE, "fused")
     got = exe.run(machine=_config_machine("fused"))
     oracle = exe.run(machine=build_machine("cm2", exec_mode="interp"))
     for name, data in oracle.arrays.items():
         assert got.arrays[name].tobytes() == data.tobytes(), name
-    stats, cap = got.stats, host._BATCH_CAP
-    # About TRIPS / cap groups of at most cap routines each: nothing
-    # grows with the trip count.
-    assert stats.fused_routines >= TRIPS
-    assert TRIPS // cap <= stats.fused_groups <= TRIPS // cap + 2
-    assert stats.node_calls <= stats.fused_groups + 2
+    stats = got.stats
+    assert (stats.fused_groups, stats.fused_routines) == (1, 2)
+    assert stats.node_calls == TRIPS
     fs = got.machine.fusion_summary()
-    assert fs["megakernel_builds"] <= 3
-    # Declined once, on the first trip that flushed nothing — not
-    # retried on each of the two thousand.
-    assert fs["trip_declined"] == {"never steady": 1}
-    assert fs["trip_records"] == 0
+    assert fs["trip_declined"] == {} and fs["trip_records"] == 1
+    assert fs["trip_replays"] >= TRIPS - 3
+
+
+def test_adjacent_calls_split_at_the_cap():
+    """More than ``_BATCH_CAP`` adjacent independent calls (one
+    statement each, nothing fused at compile time): the pass flushes at
+    the cap, and a fused run dispatches the two batches it placed."""
+    n = batches._BATCH_CAP + 8
+    names = [f"x{k}" for k in range(n)]
+    source = ("double precision a(8, 8), " + ", ".join(
+        f"{x}(8, 8)" for x in names) + "\na = 0.5d0\n"
+        + "".join(f"{x} = a * {k}.0d0\n" for k, x in enumerate(names))
+        + "end\n")
+    exe = _compile(source, "fused", CompilerOptions(
+        transform=TransformOptions(block=False, fuse=False)))
+    text = format_host_program(exe.host_program).splitlines()
+    flushes = [i for i, line in enumerate(text) if line.strip() == "flush"]
+    calls = [i for i, line in enumerate(text) if "call_pe" in line]
+    assert len(calls) == n + 1
+    assert flushes == [calls[batches._BATCH_CAP - 1] + 1, calls[-1] + 1]
+    got = exe.run(machine=_config_machine("fused"))
+    oracle = exe.run(machine=build_machine("cm2", exec_mode="interp"))
+    for name, data in oracle.arrays.items():
+        assert got.arrays[name].tobytes() == data.tobytes(), name
+    assert got.stats.fused_groups == 2
+    assert got.stats.fused_routines == n + 1
 
 
 def test_batches_below_the_cap_are_what_they_were():
@@ -786,7 +807,7 @@ def test_batches_below_the_cap_are_what_they_were():
     got = _exe("swe", 20, "fused").run(machine=_config_machine("fused"))
     longest = max(len(site) for site in got.machine._launches
                   if isinstance(site, tuple))
-    assert 1 < longest < host._BATCH_CAP
+    assert 1 < longest < batches._BATCH_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +833,7 @@ def test_a_second_run_binds_the_record_the_first_kept(prog, config):
     there is a compiler — and the third its entry trips too, one by
     one in Python."""
     oracle, runs = _kept_runs(prog, config)
-    entries = _entries(prog, config)
+    entries = _entries(prog)
     for result in runs:
         for name, data in oracle.arrays.items():
             assert result.arrays[name].tobytes() == data.tobytes(), name
@@ -921,7 +942,7 @@ def test_records_bind_without_a_compiler(config, monkeypatch):
     for name, data in oracle.arrays.items():
         assert runs[-1].arrays[name].tobytes() == data.tobytes(), name
     assert fs["trip_replays"] == 24 and fs["trip_native"] == 0
-    assert fs["trip_records"] == 1 + _entries("life", config)
+    assert fs["trip_records"] == 1 + _entries("life")
     assert fs["trip_native_declined"] == {"no compiler": 1}
     assert fs["native_builds"] == 0
 
@@ -943,7 +964,7 @@ def test_staged_arrays_ping_pong_in_the_driver(trips, prog, config):
     got, want, oracle, off = _pair(exe, config)
     fs = _assert_indistinguishable(got, want, oracle, off)
     assert fs["shifts_staged"] > 0
-    assert fs["trip_native"] == (trips - _entries(prog, config)
+    assert fs["trip_native"] == (trips - _entries(prog)
                                  if _compiler() else 0)
     if _compiler():
         assert any(record.launch.kern.staged
@@ -1000,7 +1021,7 @@ def test_a_threshold_guard_is_counted_by_bisection(k, config, monkeypatch):
         assert got.arrays[name].tobytes() == data.tobytes(), name
     assert got.stats.to_dict() == want.stats.to_dict()
     assert got.machine.fusion_summary() == want.machine.fusion_summary()
-    # Under ``fused`` the trip that first takes the other branch, and
-    # the one after, find another batch pending: the ordinary path.
+    # The trip that first takes the other branch runs on the ordinary
+    # path.
     assert got.machine.fusion_summary()["trip_replays"] >= 398
     assert asked["per trip"] >= 399 and asked["bisected"] <= 40
