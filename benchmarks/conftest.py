@@ -4,9 +4,9 @@ Each benchmark regenerates one table/figure of the paper (see the
 per-experiment index in DESIGN.md).  The *simulated* numbers — GFLOPS,
 cycle counts, instruction counts — are the experiment results; they are
 attached to ``benchmark.extra_info`` and printed as paper-vs-measured
-rows.  Wall-clock timings reported by pytest-benchmark measure the
-harness itself (compile + simulate) and demonstrate the "prototyping
-turnaround" claim.
+rows.  Run them with ``--benchmark-disable``: the harness's wall-clock
+figures (the "prototyping turnaround" claim) come from ``python3 -m
+bench.run``.
 """
 
 from __future__ import annotations

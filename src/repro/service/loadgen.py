@@ -15,8 +15,8 @@ for capacity planning:
 * per-tenant request counts (clients are spread round-robin over
   ``tenants`` tenant names, so fairness shows up in the rollup).
 
-The same dict that :func:`run_loadgen` returns is what
-``benchmarks/test_bench_load.py`` writes to ``BENCH_load.json``.
+``repro loadgen --json PATH`` writes the dict :func:`run_loadgen`
+returns.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _metrics_delta(before: dict, after: dict) -> dict:
 def run_loadgen(address=None, *, clients: int = 16, requests: int = 96,
                 tenants: int = 2, distinct: int = 8,
                 workers: int = 0, nonce: str | None = None) -> dict:
-    """Run the load benchmark; returns the BENCH_load payload dict.
+    """Run the load generator; returns the report dict.
 
     With ``address=None`` an in-process server (and pool sized by
     ``workers``; 0 = one per CPU) is started for the duration.  With an

@@ -276,6 +276,51 @@ def test_concurrent_identical_compiles_coalesce(tmp_path):
         pool.close()
 
 
+def test_identical_real_compiles_cost_one_pool_job(tmp_path):
+    """Eight identical fresh compiles released at once cost exactly one
+    pool job.  A loaded machine can let a leader finish before the last
+    waiter arrives, so a wave that splits is retried with a fresh
+    source, at most five times; a success is unambiguous."""
+    waiters = 8
+    server, pool = _server(tmp_path)
+    attempts = []
+    try:
+        for attempt in range(5):
+            source = PROGRAM.replace(
+                "program tiny\n",
+                f"program tiny\n! nonce {attempt}-{time.time_ns():x}\n")
+            before = send_request(server.address,
+                                  {"op": "metrics"})["metrics"]
+            barrier = threading.Barrier(waiters)
+            responses = [None] * waiters
+
+            def fire(i, src=source, b=barrier, out=responses):
+                b.wait(timeout=60)
+                out[i] = send_request(
+                    server.address,
+                    {"op": "compile", "source": src}, timeout=60.0)
+
+            threads = [threading.Thread(target=fire, args=(i,))
+                       for i in range(waiters)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            after = send_request(server.address,
+                                 {"op": "metrics"})["metrics"]
+            assert all(r["ok"] for r in responses)
+            attempts.append(
+                (after["requests"] - before["requests"],
+                 sum(1 for r in responses if r.get("coalesced"))))
+            if attempts[-1][0] == 1:
+                break
+        assert attempts[-1] == (1, waiters - 1), attempts
+    finally:
+        server.stop()
+        pool.close()
+
+
 # -- graceful drain ----------------------------------------------------------
 
 
