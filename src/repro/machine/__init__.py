@@ -19,7 +19,7 @@ from .pe import (
     cycles_per_trip,
     flops_per_element,
 )
-from .plan import GLOBAL_POOL, BufferPool, RoutinePlan, get_plan, invalidate_plan
+from .plan import GLOBAL_POOL, BufferPool, RoutinePlan, get_plan
 from .stats import RunStats
 from .weitek import WeitekTimings, peak_gflops
 

@@ -101,6 +101,4 @@ def parse_routine(text: str) -> Routine:
                 raise PeacError("jnz target does not match routine label")
             break
         body.append(parse_instr(stripped))
-    routine = Routine(name=name)
-    routine.body = body
-    return routine
+    return Routine(name=name, body=body)

@@ -22,7 +22,7 @@ registers with post-increment addressing, ``ac`` loop counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 NUM_VREGS = 8     # Weitek WTL3164: 32 words = 8 four-wide vector registers
 NUM_SREGS = 32    # scalar broadcast registers (allocated from the top down)
@@ -295,24 +295,29 @@ class ParamSpec:
             raise PeacError(f"unknown parameter kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Routine:
     """A complete PEAC routine: one virtual subgrid loop.
 
     ``body`` is the loop body (executed once per four-element trip);
     the closing ``jnz ac2 <label>`` back edge is implicit in ``label``.
+    Frozen, with tuple ``params`` and ``body``: its plan holds for its
+    whole life, and a changed routine is a new one.
     """
 
     name: str
-    params: list[ParamSpec] = field(default_factory=list)
-    body: list[Instr] = field(default_factory=list)
+    params: tuple[ParamSpec, ...] = ()
+    body: tuple[Instr, ...] = ()
     spill_slots: int = 0  # per-call PE scratch streams, bound from aP15 down
     dtype: str = "float64"  # element dtype of the routine's spill scratch
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", tuple(self.params))
+        object.__setattr__(self, "body", tuple(self.body))
+
     def __getstate__(self) -> dict:
-        """Pickle without the cached execution plan
-        (:func:`repro.machine.plan.get_plan` keeps it in ``_plan``): a
-        plan holds ``exec``-compiled kernels and is rebuilt on demand."""
+        """Pickle without the plan :func:`repro.machine.plan.get_plan`
+        keeps in ``_plan``: it is built again on first use."""
         state = dict(self.__dict__)
         state.pop("_plan", None)
         return state

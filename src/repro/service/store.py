@@ -107,7 +107,9 @@ KINDS = ("front", "pass", "backend", "exe")
 #: 9: host programs carry their batches (``Flush``/``Snapshot`` markers,
 #:    ``Loop.first``, ``HostProgram.batched``), which an older executor
 #:    would never dispatch.
-SCHEMA_VERSION = 9
+#: 10: PEAC routines are frozen, their ``params`` and ``body`` pickled as
+#:    tuples, not lists an older tree would edit in place.
+SCHEMA_VERSION = 10
 
 _DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 

@@ -365,9 +365,9 @@ class TestCm5:
 
     def test_split_counts_paired(self):
         from repro.peac import Routine
-        r = Routine("t")
-        r.body = [Instr("fmulv", (VReg(0), VReg(1), VReg(2)),
-                        paired=Instr("flodv", (Mem(PReg(0)), VReg(3))))]
+        r = Routine("t", body=[
+            Instr("fmulv", (VReg(0), VReg(1), VReg(2)),
+                  paired=Instr("flodv", (Mem(PReg(0)), VReg(3))))])
         split = split_routine(r)
         assert split.vu_instructions == 2
 

@@ -214,9 +214,7 @@ class TestExecutorOpcodes:
             ex.bind_pointer(PReg(preg), SubgridStream(arr))
         for sreg, val in (scalars or {}).items():
             ex.bind_scalar(SReg(sreg), val)
-        r = Routine("t")
-        r.body = instrs
-        ex.run(r)
+        ex.run(Routine("t", body=instrs))
         return ex
 
     def test_transcendentals(self):

@@ -16,7 +16,6 @@ arrays.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import pickle
 import weakref
@@ -25,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.driver.compiler import CompilerOptions, compile_source
-from repro.machine import Machine, costs, execplan, invalidate_plan, kernel
+from repro.machine import Machine, costs, execplan, kernel
 from repro.machine.cm2 import ArrayHome
 from repro.machine.shifted import Shifted
 from repro.programs.kernels import heat_source, life_source
@@ -362,45 +361,10 @@ def test_a_stored_class_holds_nothing_but_its_staged_shifts():
 
 
 @contextlib.contextmanager
-def _invalidated(exe):
-    for routine in exe.routines.values():
-        invalidate_plan(routine)
-    yield
-
-
-@contextlib.contextmanager
 def _evicted(exe):
     for routine in exe.routines.values():
         execplan.evict_serial(routine._plan.serial)
     yield
-
-
-@contextlib.contextmanager
-def _edited(exe):
-    """One ``faddv`` made ``fsubv`` in a body replaced behind the plan
-    cache's back: no ``invalidate_plan``, so the old plan's kernels
-    stay cached."""
-    for routine in exe.routines.values():
-        for i, instr in enumerate(routine.body):
-            if instr.op == "faddv":
-                body = list(routine.body)
-                body[i] = dataclasses.replace(instr, op="fsubv")
-                routine.body = body
-                yield
-                return
-    raise AssertionError("no faddv")
-
-
-@pytest.mark.parametrize("target,mode", CONFIGS)
-def test_a_new_plan_falls_back(target, mode):
-    _, result, _ = _twins(PROGRAMS["heat"](), target, mode, 3, _edited)
-    assert result.machine.launch_metrics["records"] > 0
-
-
-@pytest.mark.parametrize("target,mode", CONFIGS)
-def test_invalidated_plans_fall_back(target, mode):
-    _, result, _ = _twins(PROGRAMS["heat"](), target, mode, 3, _invalidated)
-    assert result.machine.launch_metrics["records"] > 0
 
 
 @pytest.mark.parametrize("target,mode", CONFIGS)

@@ -126,9 +126,7 @@ class TestVectorExecutor:
             ex.bind_pointer(PReg(preg), SubgridStream(arr))
         for sreg, val in (scalars or {}).items():
             ex.bind_scalar(SReg(sreg), val)
-        r = Routine("t")
-        r.body = instrs
-        ex.run(r)
+        ex.run(Routine("t", body=instrs))
         return ex
 
     def test_load_compute_store(self):
@@ -242,13 +240,11 @@ class TestVectorExecutor:
 
 class TestCyclesAndFlops:
     def routine(self):
-        r = Routine("t")
-        r.body = [
+        return Routine("t", body=[
             Instr("flodv", (Mem(PReg(0)), VReg(0))),
             Instr("fmav", (VReg(0), SReg(31), Imm(1.0), VReg(1))),
             Instr("fstrv", (VReg(1), Mem(PReg(1)))),
-        ]
-        return r
+        ])
 
     def test_cycles_per_trip(self):
         m = slicewise_model()
@@ -261,9 +257,9 @@ class TestCyclesAndFlops:
         assert flops_per_element(self.routine()) == 2  # one fma
 
     def test_paired_flops_counted(self):
-        r = Routine("t")
-        r.body = [Instr("faddv", (VReg(0), VReg(1), VReg(2)),
-                        paired=Instr("flodv", (Mem(PReg(0)), VReg(3))))]
+        r = Routine("t", body=[
+            Instr("faddv", (VReg(0), VReg(1), VReg(2)),
+                  paired=Instr("flodv", (Mem(PReg(0)), VReg(3))))])
         assert flops_per_element(r) == 1
 
 
@@ -316,15 +312,13 @@ class TestMachine:
     def test_call_routine_accounting(self):
         m = Machine(slicewise_model(64))
         m.alloc("a", (64,), np.dtype(np.float64))
-        r = Routine("t")
-        r.body = [
-            Instr("fmovv", (Imm(1.0), VReg(0))),
-            Instr("fstrv", (VReg(0), Mem(PReg(0)))),
-        ]
-        r.params = [
+        r = Routine("t", params=[
             ParamSpec("subgrid", "a.w0", PReg(0)),
             ParamSpec("vlen", "vlen", CReg(2)),
-        ]
+        ], body=[
+            Instr("fmovv", (Imm(1.0), VReg(0))),
+            Instr("fstrv", (VReg(0), Mem(PReg(0)))),
+        ])
         m.call_routine(r, {"a.w0": m.view("a", None)}, (64,))
         assert m.stats.node_calls == 1
         assert m.stats.ififo_pushes == 2
@@ -334,8 +328,7 @@ class TestMachine:
     def test_missing_argument_raises(self):
         from repro.machine import MachineError
         m = Machine(slicewise_model(64))
-        r = Routine("t")
-        r.params = [ParamSpec("subgrid", "x", PReg(0))]
+        r = Routine("t", params=[ParamSpec("subgrid", "x", PReg(0))])
         with pytest.raises(MachineError):
             m.call_routine(r, {}, (8,))
 

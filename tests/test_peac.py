@@ -149,13 +149,12 @@ class TestAssembler:
 
 class TestRoutine:
     def test_memory_refs_counts_all_forms(self):
-        r = Routine("t")
-        r.body = [
+        r = Routine("t", body=[
             Instr("flodv", (Mem(PReg(0)), VReg(0))),
             Instr("faddv", (VReg(0), Mem(PReg(1)), VReg(1)),
                   paired=Instr("flodv", (Mem(PReg(2)), VReg(2)))),
             Instr("fstrv", (VReg(1), Mem(PReg(3)))),
-        ]
+        ])
         assert r.memory_refs() == 4
         assert r.instruction_count() == 3
 

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -36,18 +37,13 @@ from repro.machine.plan import (
     _UNBOUND,
     BufferPool,
     get_plan,
-    invalidate_plan,
 )
 from repro.peac import Imm, Instr, Mem, PReg, Routine, SReg, VReg
 from repro.peac.isa import NUM_PREGS, NUM_SREGS, CReg, ParamSpec
 
 
-def make_routine(instrs, dtype="float64", spill_slots=0):
-    r = Routine("t")
-    r.body = list(instrs)
-    r.dtype = dtype
-    r.spill_slots = spill_slots
-    return r
+def make_routine(instrs, dtype="float64", spill_slots=0, params=()):
+    return Routine("t", params, instrs, spill_slots, dtype)
 
 
 def run_interp(routine, pointers, scalars=None):
@@ -108,18 +104,6 @@ class TestPlanCache:
         r = make_routine(self.body())
         assert get_plan(r) is get_plan(r)
 
-    def test_in_place_body_edit_invalidates(self):
-        r = make_routine(self.body())
-        first = get_plan(r)
-        r.body = self.body() + [Instr("fstrv", (VReg(0), Mem(PReg(1))))]
-        assert get_plan(r) is not first
-
-    def test_explicit_invalidation(self):
-        r = make_routine(self.body())
-        first = get_plan(r)
-        invalidate_plan(r)
-        assert get_plan(r) is not first
-
     def test_plan_cost_matches_oracle_accounting(self):
         # The hoisted per-plan costs must agree with the per-dispatch
         # functions the interpreter path uses.
@@ -173,6 +157,43 @@ class TestBufferPool:
         assert pool.hits == 1
         pool.acquire((8,), np.float64)
         assert pool.misses == 3
+
+    def test_threads_share_one_key(self):
+        """``GLOBAL_POOL`` serves every machine's threads: a buffer is
+        handed to one holder at a time, and no count is lost."""
+        pool = BufferPool(per_key=2)
+        rounds, width = 3000, 4
+        start = threading.Barrier(width)
+        failures = []
+
+        def work(k):
+            start.wait(timeout=60)
+            try:
+                for _ in range(rounds):
+                    buf = pool.acquire((16,), np.float64)
+                    buf[:] = k
+                    if not np.all(buf == k):
+                        failures.append("a buffer held twice")
+                    pool.release(buf)
+            except Exception as exc:    # the race shows as IndexError
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(width)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:3]
+        assert pool.hits + pool.misses == rounds * width
+        held = sum(buf.nbytes for bucket in pool._free.values()
+                   for buf in bucket)
+        assert pool._pooled_bytes == held
 
     def test_max_bytes_bounds_pool(self):
         pool = BufferPool(max_bytes=100)
@@ -275,9 +296,9 @@ class TestSpillScratchDtype:
             Instr("faddv", (VReg(1), Imm(1.0), VReg(2))),
             Instr("fsubv", (VReg(2), Imm(1.0e8), VReg(3))),
             Instr("fstrv", (VReg(3), Mem(PReg(0)))),
-        ], dtype=dtype, spill_slots=1)
-        r.params = [ParamSpec("subgrid", "a.w0", PReg(0)),
-                    ParamSpec("vlen", "vlen", CReg(2))]
+        ], dtype=dtype, spill_slots=1,
+            params=[ParamSpec("subgrid", "a.w0", PReg(0)),
+                    ParamSpec("vlen", "vlen", CReg(2))])
         return r
 
     @pytest.mark.parametrize("mode", ["fast", "interp"])
@@ -297,8 +318,7 @@ class TestSpillScratchDtype:
         r = make_routine([
             Instr("flodv", (Mem(PReg(NUM_PREGS - 1)), VReg(0))),
             Instr("fstrv", (VReg(0), Mem(PReg(0)))),
-        ], spill_slots=1)
-        r.params = [ParamSpec("subgrid", "a.w0", PReg(0))]
+        ], spill_slots=1, params=[ParamSpec("subgrid", "a.w0", PReg(0))])
         m = Machine(slicewise_model(16), exec_mode=mode)
         m.alloc("a", (8,), np.dtype(np.float64))
         m.set_array("a", np.full(8, 7.0))
@@ -446,11 +466,10 @@ def test_dispatch_no_kernel_may_run_takes_the_recording_walk(reason, engine):
 
     def run(make):
         m = make()
-        routine = make_routine(body)
-        routine.params = [ParamSpec("subgrid", f"p{i}", PReg(i))
-                          for i in range(len(bound))]
-        routine.params += [ParamSpec("scalar", f"k{k}", SReg(k))
-                           for k in scalars]
+        routine = make_routine(body, params=[
+            *(ParamSpec("subgrid", f"p{i}", PReg(i))
+              for i in range(len(bound))),
+            *(ParamSpec("scalar", f"k{k}", SReg(k)) for k in scalars)])
         for name, (extent, dtype) in allocs.items():
             m.alloc(name, (extent,), np.dtype(dtype))
             m.set_array(name, np.linspace(-3.0, 3.0, extent))
@@ -537,9 +556,8 @@ def _dispatch(mode, case, repeats=2, stride=1, site=None):
     much longer: streams the probe rejects."""
     n, dtype, n_in, body, inputs = case
     m = Machine(slicewise_model(16), exec_mode=mode)
-    r = make_routine(body, dtype=dtype)
-    r.params = [ParamSpec("subgrid", f"a{i}.w0", PReg(i))
-                for i in range(n_in + 1)]
+    r = make_routine(body, dtype=dtype, params=[
+        ParamSpec("subgrid", f"a{i}.w0", PReg(i)) for i in range(n_in + 1)])
     for i in range(n_in):
         m.alloc(f"a{i}", (n * stride,), np.dtype(dtype))
         m.set_array(f"a{i}", np.repeat(np.asarray(inputs[i], dtype=dtype),
@@ -801,14 +819,14 @@ def _check_routine(body, arrays, scalars=None, declined=None, tier="c"):
     output) on ``interp``, as blocked numpy and as a lone C kernel —
     unless ``tier`` declines it, for the reason ``declined``: the same
     bytes and ``RunStats``.  Returns the C run's output."""
-    routine = make_routine(body)
-    routine.params = [ParamSpec("subgrid", f"a{i}.w0", PReg(i))
-                      for i in range(len(arrays))]
-    for k in sorted(scalars or {}):
-        routine.params.append(ParamSpec("scalar", f"k{k}", SReg(k)))
+    params = [ParamSpec("subgrid", f"a{i}.w0", PReg(i))
+              for i in range(len(arrays))]
+    params += [ParamSpec("scalar", f"k{k}", SReg(k))
+               for k in sorted(scalars or {})]
     n = len(arrays[0])
 
     def run(mode, budget):
+        routine = make_routine(body, params=params)  # a plan per engine
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "_TIER_UP", budget)
             m = Machine(slicewise_model(16), exec_mode=mode)
@@ -820,7 +838,6 @@ def _check_routine(body, arrays, scalars=None, declined=None, tier="c"):
             args.update({f"k{k}": v for k, v in (scalars or {}).items()})
             for _ in range(3):
                 m.call_routine(routine, args, (n,))
-            invalidate_plan(routine)    # the next engine builds its own
         return m
 
     oracle = run("interp", kernel._TIER_UP)

@@ -256,7 +256,7 @@ def test_chaining_preserves_dataflow(program):
 def routines(draw):
     from repro.peac import Imm, Instr, Mem, PReg, SReg, VReg
 
-    r = Routine(f"Pk{draw(st.integers(min_value=0, max_value=99))}vs1")
+    name = f"Pk{draw(st.integers(min_value=0, max_value=99))}vs1"
     n = draw(st.integers(min_value=1, max_value=10))
     body = []
     for _ in range(n):
@@ -279,8 +279,7 @@ def routines(draw):
                          Imm(float(draw(st.integers(min_value=0,
                                                     max_value=9)))),
                          v())))
-    r.body = body
-    return r
+    return Routine(name, body=body)
 
 
 @settings(max_examples=60, deadline=None)

@@ -191,11 +191,11 @@ end program gen
 
 
 def test_cache_version_skew_purges_store(tmp_path, monkeypatch):
-    # Schema 8 host programs carried no batches; one written then is
-    # purged.
-    assert store_mod.SCHEMA_VERSION == 9
+    # Schema 9 routines pickled their bodies as lists; one written then
+    # is purged.
+    assert store_mod.SCHEMA_VERSION == 10
     with monkeypatch.context() as patch:
-        patch.setattr(store_mod, "SCHEMA_VERSION", 8)
+        patch.setattr(store_mod, "SCHEMA_VERSION", 9)
         cache = ArtifactStore(str(tmp_path))
         cache.compile(TINY)
         assert cache.exe_stats()["entries"] == 1

@@ -405,8 +405,10 @@ class TestServiceVerify:
         monkeypatch.setenv("REPRO_VERIFY", "1")
         exe = compile_source(SWE, cache=False)
         name, routine = next(iter(exe.routines.items()))
-        routine.body.insert(
-            0, Instr("faddv", (VReg(5), VReg(6), VReg(7))))
+        # Corrupt a compiled routine behind its frozen front, as a
+        # damaged artifact would, before its plan is built.
+        object.__setattr__(routine, "body", (
+            Instr("faddv", (VReg(5), VReg(6), VReg(7))), *routine.body))
         with pytest.raises(VerifyError) as exc:
             exe.run(Machine(slicewise_model(64)))
         assert exc.value.stage == "machine/dispatch"
@@ -440,13 +442,12 @@ class TestServiceVerify:
         machine.alloc("x", (8,), np.dtype(np.float64))
 
         def routine(*head):
-            r = Routine("Pk2vs1")
-            r.params = [ParamSpec("subgrid", "x", PReg(0)),
-                        ParamSpec("vlen", "vlen", CReg(2))]
-            r.body = [*head,
-                      Instr("flodv", (Mem(PReg(0)), VReg(0))),
-                      Instr("fstrv", (VReg(0), Mem(PReg(0))))]
-            return r
+            return Routine("Pk2vs1", params=[
+                ParamSpec("subgrid", "x", PReg(0)),
+                ParamSpec("vlen", "vlen", CReg(2))], body=[
+                *head,
+                Instr("flodv", (Mem(PReg(0)), VReg(0))),
+                Instr("fstrv", (VReg(0), Mem(PReg(0))))])
 
         def call(r):
             machine.call_routine(r, {"x": machine.view("x", None)}, (8,))
